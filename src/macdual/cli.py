@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -175,11 +176,18 @@ def _verify_one(payload):
     return corpus_verify(entry)
 
 
+def verify_workers(jobs: int, entries: int, cpus: int | None) -> int:
+    """Worker processes for `verify`: never more than the entries to check
+    or the CPUs to run them on (1 when the CPU count is unknown)."""
+    return min(jobs, entries, cpus or 1)
+
+
 def cmd_verify(args):
     entries = corpus_load(args.corpus)
     reports = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = verify_workers(args.jobs, len(entries), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for reps in pool.map(_verify_one,
                                  [(args.corpus, i) for i in range(len(entries))]):
                 reports.extend(reps)
@@ -197,6 +205,17 @@ def cmd_verify(args):
     print("%d entries, %d runs, %d mismatches"
           % (len(entries), len(reports), bad))
     return 0 if bad == 0 else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) \
+            from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,13 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run a seeded property suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("verify", help="recompute a corpus file and diff")
     p.add_argument("corpus")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (capped at the entry and CPU "
+                        "counts)")
     p.set_defaults(fn=cmd_verify)
 
     return ap

@@ -12,21 +12,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dfield
 
-from .apolarity import PartialFiltration, hilbert_function
+from .apolarity import PartialFiltration, annihilator, hilbert_function
 from .constructions import (ExtensionSpec, allowed_component_indices,
                             connected_sum, connected_sum_hilbert,
-                            is_a_modification, linear_extension, random_form,
+                            is_a_modification, linear_extension,
+                            nonubiquity_fuzz_trial, random_form,
                             random_poly, random_unit,
                             relatively_compressed_modification,
                             restricted_components)
 from .decomposition import (component_dims, component_dual_dims,
-                            max_continuation, symmetric_decomposition)
-from .errors import GenericityError
+                            component_generator_degrees,
+                            dual_component_basis, max_continuation,
+                            symmetric_decomposition)
+from .errors import DomainError, GenericityError
 from .fields import Field
+from .linalg import matrix_inverse
 from .normalform import (CoordChange, detect_exotic, normalize,
                          split_connected_summand)
-from .poly import (DPPoly, PSElement, RingSpec, contract, pairing,
-                   variable_series)
+from .poly import (DPPoly, PSElement, RingSpec, contract, linear_substitute,
+                   pairing, ps_compose, variable_series)
 
 VAR_POOL = ("X", "Y", "Z", "W")
 
@@ -164,7 +168,6 @@ def _suite_adjoint(rng):
 
 
 def sigma_apply_ps(sigma: CoordChange, phi: PSElement) -> PSElement:
-    from .poly import ps_compose
     return ps_compose(phi, sigma.images, sigma.trunc)
 
 
@@ -257,8 +260,6 @@ def _suite_maxprop(rng):
     if any(any(row) for row in DF.components[a + 1:]):
         return "components above a survive at the maximum"
     if check_generation and a < len(DF.components) and any(got):
-        from .decomposition import (component_generator_degrees,
-                                    dual_component_basis)
         info = component_generator_degrees(
             dual_component_basis(PartialFiltration(F), a))
         if any(d > (j - a + 1) // 2 for d in info["generator_degrees"]):
@@ -270,8 +271,6 @@ def _suite_codim2_cyclic(rng):
     # in two variables every nonzero component is a cyclic module
     ring = RingSpec(("X", "Y"), Field(rng.choice((0, 101))))
     f = random_poly(ring, rng.randint(2, 7), rng, terms=rng.randint(2, 6))
-    from .decomposition import (component_generator_degrees,
-                                dual_component_basis)
     P = PartialFiltration(f)
     D = symmetric_decomposition(P)
     for a, row in enumerate(D.components):
@@ -317,17 +316,14 @@ def _suite_split(rng):
         quad = quad + DPPoly(ring, {mon: field.from_int(rng.randint(1, 5))})
     F = f1.embed(ring) + quad
     # hide the split with a random invertible linear change
-    from macdual.linalg import matrix_inverse
-    from macdual.errors import DomainError as DE
     while True:
         M = [[field.from_int(rng.randint(-2, 2)) for _ in range(ring.r)]
              for _ in range(ring.r)]
         try:
             matrix_inverse(M, field)
             break
-        except DE:
+        except DomainError:
             continue
-    from .poly import linear_substitute
     F = linear_substitute(F, M)
     u = random_unit(ring, rng, j + 2)
     F = contract(u, F)
@@ -341,7 +337,6 @@ def _suite_split(rng):
         return "summands share variables"
     if symmetric_decomposition(res.generator).components != D.components:
         return "splitting changed the decomposition"
-    from .apolarity import annihilator
     I = annihilator(res.generator)
     n = res.ring.r
     for i in sorted(used1):
@@ -368,7 +363,6 @@ def _suite_consum(rng):
     want = connected_sum_hilbert(hilbert_function(f1), hilbert_function(f2))
     if H != want:
         return "connected-sum Hilbert function formula failed"
-    from .apolarity import annihilator
     I = annihilator(F)
     for i in range(r1):
         for k in range(r1, r1 + r2):
@@ -417,7 +411,6 @@ def _suite_modification(rng):
 
 
 def _suite_nonubiquity(rng):
-    from .constructions import nonubiquity_fuzz_trial
     return nonubiquity_fuzz_trial(rng)
 
 

@@ -144,13 +144,6 @@ class Echelon:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def copy(self) -> "Echelon":
-        e = Echelon(self.field)
-        e.rows = [dict(r) for r in self.rows]
-        e.pivots = list(self.pivots)
-        e._by_pivot = dict(self._by_pivot)
-        return e
-
 
 class WitnessedEchelon:
     """Pivot-normalized echelon that tracks how each row was formed.

@@ -23,33 +23,55 @@ from .decomposition import symmetric_decomposition
 from .errors import DomainError, InternalCheckError
 from .linalg import (Echelon, WitnessedEchelon, matrix_inverse, rref_rows,
                      vec_axpy)
-from .poly import (DPPoly, PSElement, RingSpec, contract,
-                   linear_substitute, ps_compose, ps_compose_inverse,
-                   variable_series)
+from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
+                   linear_part_inverse, linear_substitute, ps_compose_all,
+                   ps_compose_inverse, variable_series)
 
 
 # ---------------------------------------------------------------------------
 # coordinate changes and the adjoint action
 
 class CoordChange:
-    """An automorphism sigma of R (given by the images sigma(x_i), units of
-    structure not allowed: images lie in m with independent linear parts),
-    its truncated inverse, and the adjoint action on D_{<= N-1}."""
+    """An automorphism sigma of R, defined by its inverse images
+    w_i = sigma^{-1}(x_i) truncated to degree N: these alone give the adjoint
+    action on D_{<= N-1}.  The w_i lie in m with independent linear parts
+    (checked on construction), so sigma exists.
 
-    __slots__ = ("ring", "trunc", "images", "inv_images")
+    The forward images sigma(x_i) are derived: pass them as ``images`` and
+    the pair is checked against sigma o sigma^{-1} = id at once; pass None
+    and ``images`` is computed on first read by inverting the series, then
+    checked the same way."""
+
+    __slots__ = ("ring", "trunc", "inv_images", "_images")
 
     def __init__(self, ring: RingSpec, images, inv_images, trunc: int,
                  check: bool = True):
         self.ring = ring
         self.trunc = trunc
-        self.images = list(images)
         self.inv_images = list(inv_images)
-        if check:
-            for i in range(ring.r):
-                got = ps_compose(self.inv_images[i], self.images, trunc)
-                if got != variable_series(ring, i, trunc):
-                    raise InternalCheckError("sigma o sigma^{-1} is not the "
-                                             "identity modulo truncation")
+        if images is None:
+            linear_part_inverse(self.inv_images)
+            self._images = None
+        else:
+            self._images = list(images)
+            if check:
+                self._check_inverse(self._images)
+
+    def _check_inverse(self, images):
+        got = ps_compose_all(self.inv_images, images, self.trunc)
+        for i in range(self.ring.r):
+            if got[i] != variable_series(self.ring, i, self.trunc):
+                raise InternalCheckError("sigma o sigma^{-1} is not the "
+                                         "identity modulo truncation")
+
+    @property
+    def images(self) -> list:
+        """sigma(x_i), truncated to degree N."""
+        if self._images is None:
+            images = ps_compose_inverse(self.inv_images, self.trunc)
+            self._check_inverse(images)
+            self._images = images
+        return self._images
 
     # -- constructors -----------------------------------------------------------
 
@@ -67,9 +89,7 @@ class CoordChange:
     @classmethod
     def from_inverse_images(cls, inv_images, trunc: int) -> "CoordChange":
         """Build sigma from the adapted parameters w_i = sigma^{-1}(x_i)."""
-        ring = inv_images[0].ring
-        images = ps_compose_inverse(inv_images, trunc)
-        return cls(ring, images, inv_images, trunc)
+        return cls(inv_images[0].ring, None, inv_images, trunc)
 
     @classmethod
     def from_dual_linear(cls, ring: RingSpec, A, trunc: int) -> "CoordChange":
@@ -89,14 +109,12 @@ class CoordChange:
         return cls(ring, images, inv_images, trunc, check=False)
 
     def compose(self, other: "CoordChange") -> "CoordChange":
-        """self o other (so the adjoints compose the same way)."""
+        """self o other (so the adjoints compose the same way), a lazy
+        change with inverse images w_i(other.inv_images) for self's w_i."""
         self.ring.check_same(other.ring)
         N = min(self.trunc, other.trunc)
-        images = [ps_compose(other.images[i], self.images, N)
-                  for i in range(self.ring.r)]
-        inv = [ps_compose(self.inv_images[i], other.inv_images, N)
-               for i in range(self.ring.r)]
-        return CoordChange(self.ring, images, inv, N)
+        inv = ps_compose_all(self.inv_images, other.inv_images, N)
+        return CoordChange(self.ring, None, inv, N)
 
     # -- the adjoint --------------------------------------------------------------
 
@@ -160,7 +178,6 @@ def _witnessed_square_space(P: PartialFiltration):
     ech = WitnessedEchelon(field)
     pending = []
     for m in ring.monomials(2):
-        from .poly import contract_monomial
         vec = contract_monomial(m, P.f).vector(P.dindex)
         got = ech.insert_ret(vec, {m: field.one})
         if got is not None:
@@ -198,7 +215,6 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
     rem, combo = sq.reduce({const_col: field.one})
     const_killer = None if rem else combo
     xs_contr = []
-    from .poly import contract_monomial
     for i in range(ring.r):
         m = tuple(1 if t == i else 0 for t in range(ring.r))
         xs_contr.append(contract_monomial(m, f).vector(P.dindex))

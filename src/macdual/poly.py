@@ -368,21 +368,35 @@ class PSElement:
 
     def mul(self, other: "PSElement", trunc: int | None = None) -> "PSElement":
         self.ring.check_same(other.ring)
-        f = self.ring.field
         N = min(self.trunc, other.trunc) if trunc is None else trunc
+        # other's terms by degree, so one test skips the rest of a row
+        right = sorted(((mdeg(m), m, c) for m, c in other.coeffs.items()),
+                       key=lambda t: t[0])
         out: dict = {}
+        get = out.get
         for m1, c1 in self.coeffs.items():
-            d1 = mdeg(m1)
-            for m2, c2 in other.coeffs.items():
-                if d1 + mdeg(m2) > N:
-                    continue
-                m = mon_mul(m1, m2)
-                s = f.add(out.get(m, 0), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return PSElement(self.ring, out, N)
+            room = N - mdeg(m1)
+            for d2, m2, c2 in right:
+                if d2 > room:
+                    break
+                m = tuple(map(int.__add__, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        return PSElement._canonical(self.ring, out, N)
+
+    @classmethod
+    def _canonical(cls, ring: RingSpec, raw: dict, trunc: int) -> "PSElement":
+        """Wrap raw int/Fraction sums (all of degree <= trunc) as canonical
+        field elements, dropping zeros, without the constructor's filter."""
+        p = ring.field.char
+        el = cls.__new__(cls)
+        el.ring = ring
+        el.trunc = trunc
+        if p:
+            el.coeffs = {m: v for m, c in raw.items() if (v := c % p)}
+        else:
+            el.coeffs = {m: c if c.denominator != 1 else int(c)
+                         for m, c in raw.items() if c}
+        return el
 
     def mul_monomial(self, m: MON, trunc: int | None = None) -> "PSElement":
         N = self.trunc if trunc is None else trunc
@@ -544,29 +558,49 @@ def linear_substitute(g: DPPoly, M: list[list]) -> DPPoly:
 # ---------------------------------------------------------------------------
 # substitution and inversion on the R side
 
+class _MonomialImages:
+    """m -> prod_k images[k]^{m_k} truncated to degree N, each monomial's
+    image built once from a smaller one and kept for reuse."""
+
+    __slots__ = ("images", "N", "table")
+
+    def __init__(self, images: list[PSElement], N: int):
+        ring = images[0].ring
+        zero = ring.r * (0,)
+        self.images = images
+        self.N = N
+        self.table = {zero: PSElement(ring, {zero: ring.field.one}, N)}
+
+    def __getitem__(self, m: MON) -> PSElement:
+        img = self.table.get(m)
+        if img is None:
+            k = max(i for i, e in enumerate(m) if e)
+            img = self[m[:k] + (m[k] - 1,) + m[k + 1:]].mul(self.images[k],
+                                                            self.N)
+            self.table[m] = img
+        return img
+
+    def compose(self, phi: PSElement) -> PSElement:
+        """phi(images) truncated to degree N."""
+        out: dict = {}
+        get = out.get
+        for m, c in phi.coeffs.items():
+            for mm, a in self[m].coeffs.items():
+                out[mm] = get(mm, 0) + c * a
+        return PSElement._canonical(phi.ring, out, self.N)
+
+
 def ps_compose(phi: PSElement, images: list[PSElement], N: int) -> PSElement:
     """phi(images[0], ..., images[r-1]) truncated to degree N."""
-    ring = phi.ring
-    f = ring.field
-    pow_cache: dict = {}
-    one = PSElement(ring, {ring.r * (0,): f.one}, N)
+    return _MonomialImages(images, N).compose(phi)
 
-    def img_power(i, e):
-        if (i, e) not in pow_cache:
-            if e == 0:
-                pow_cache[(i, e)] = one
-            else:
-                pow_cache[(i, e)] = img_power(i, e - 1).mul(images[i], N)
-        return pow_cache[(i, e)]
 
-    out = PSElement(ring, {}, N)
-    for m, c in sorted(phi.coeffs.items(), key=lambda kv: rmon_key(kv[0])):
-        term = one
-        for i, e in enumerate(m):
-            if e:
-                term = term.mul(img_power(i, e), N)
-        out = out + term.scale(c)
-    return out
+def ps_compose_all(phis: list[PSElement], images: list[PSElement],
+                   N: int) -> list[PSElement]:
+    """[ps_compose(phi, images, N) for phi in phis], building each monomial
+    image once for the whole list."""
+    table = _MonomialImages(images, N)
+    return [table.compose(phi) for phi in phis]
 
 
 def variable_series(ring: RingSpec, i: int, N: int) -> PSElement:
@@ -582,30 +616,45 @@ def linear_parts_matrix(images: list[PSElement]) -> list[list]:
             for k in range(ring.r)]
 
 
-def ps_compose_inverse(images: list[PSElement], N: int) -> list[PSElement]:
-    """The truncated inverse substitution: tau with tau_i(images) = x_i mod
-    m^{N+1}, computed degree by degree."""
-    ring = images[0].ring
-    f = ring.field
+def linear_part_inverse(images: list[PSElement]) -> list[list]:
+    """The inverse of the matrix of linear parts of a substitution; raises
+    DomainError unless every image lies in m and the linear parts are
+    independent, i.e. unless the substitution is invertible."""
     for im in images:
         if im.order is None or im.order < 1:
             raise DomainError("substitution images must lie in the maximal ideal")
-    L = linear_parts_matrix(images)
+    field = images[0].ring.field
     try:
-        Linv = matrix_inverse(L, f)
+        return matrix_inverse(linear_parts_matrix(images), field)
     except DomainError:
         raise DomainError("dependent linear parts") from None
+
+
+def ps_compose_inverse(images: list[PSElement], N: int) -> list[PSElement]:
+    """The truncated inverse substitution: tau with tau_i(images) = x_i mod
+    m^{N+1}, computed degree by degree.  The residual tau_i(images) - x_i is
+    updated by the new terms of tau_i only, from tables of monomial images
+    shared by every step."""
+    ring = images[0].ring
+    f = ring.field
+    Linv = linear_part_inverse(images)
     lin_images = []
     for i in range(ring.r):
         lin_images.append(PSElement(ring, {
             tuple(1 if t == k else 0 for t in range(ring.r)): Linv[k][i]
             for k in range(ring.r) if not f.is_zero(Linv[k][i])}, N))
-    taus = [PSElement(ring, dict(lin_images[i].coeffs), N) for i in range(ring.r)]
-    for d in range(2, N + 1):
-        for i in range(ring.r):
-            resid = ps_compose(taus[i], images, N) - variable_series(ring, i, N)
+    fwd = _MonomialImages(images, N)
+    lin = _MonomialImages(lin_images, N)
+    taus = []
+    for i in range(ring.r):
+        tau = lin_images[i]
+        resid = fwd.compose(tau) - variable_series(ring, i, N)
+        for d in range(2, N + 1):
             rho = resid.homogeneous_component(d)
             if rho.is_zero:
                 continue
-            taus[i] = taus[i] - ps_compose(rho, lin_images, N)
+            step = lin.compose(rho)
+            tau = tau - step
+            resid = resid - fwd.compose(step)
+        taus.append(tau)
     return taus

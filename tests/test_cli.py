@@ -1,6 +1,8 @@
 import json
 
-from macdual.cli import main
+import pytest
+
+from macdual.cli import main, verify_workers
 
 
 def run(capsys, *argv):
@@ -112,3 +114,25 @@ def test_verify_jobs_same_content(capsys, tmp_path):
     code2, out2 = run(capsys, "verify", str(path), "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("fuzz", "--suite", "symmetry", "--trials", "-3"),
+    ("fuzz", "--suite", "symmetry", "--trials", "0"),
+    ("verify", "corpus/paper.corpus", "--jobs", "0"),
+    ("verify", "corpus/paper.corpus", "--jobs", "-2"),
+])
+def test_nonpositive_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err
+
+
+def test_verify_workers_capped():
+    assert verify_workers(1, 31, 8) == 1
+    assert verify_workers(4, 31, 2) == 2        # no more than the CPUs
+    assert verify_workers(16, 3, 64) == 3       # no more than the entries
+    assert verify_workers(4, 0, 2) == 0
+    assert verify_workers(4, 31, None) == 1     # CPU count unknown

@@ -5,14 +5,17 @@ import pytest
 from macdual.apolarity import annihilator
 from macdual.constructions import random_poly
 from macdual.decomposition import symmetric_decomposition
+from macdual import normalform
 from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.io import parse_poly
+from macdual.linalg import matrix_inverse
 from macdual.normalform import (CoordChange, adapted_coordinates,
                                 detect_exotic, normalize,
                                 split_connected_summand)
 from macdual.poly import (PSElement, RingSpec, contract, linear_substitute,
-                          pairing, ps_compose, variable_series)
+                          pairing, ps_compose, ps_compose_inverse,
+                          variable_series)
 
 
 def mk(vars, src, char=0):
@@ -104,6 +107,98 @@ def test_coordchange_compose_and_dual_linear():
         f = random_poly(R, rng.randint(1, 5), rng)
         assert comp.adjoint_apply(f) == \
             lin.adjoint_apply(sig.adjoint_apply(f))
+
+
+def _random_images(R, rng, N):
+    """Images of x_i with random invertible linear parts plus a few terms
+    of degree two and three."""
+    field = R.field
+    while True:
+        A = [[field.from_int(rng.randint(-2, 2)) for _ in range(R.r)]
+             for _ in range(R.r)]
+        try:
+            matrix_inverse(A, field)
+            break
+        except DomainError:
+            continue
+    images = []
+    for i in range(R.r):
+        img = PSElement(R, {tuple(1 if t == k else 0 for t in range(R.r)):
+                            A[i][k] for k in range(R.r)}, N)
+        hi = random_poly(R, rng.randint(2, 3), rng, terms=2)
+        images.append(img + PSElement(
+            R, {m: c for m, c in hi.coeffs.items() if sum(m) >= 2}, N))
+    return images
+
+
+def test_from_inverse_images_rejects_non_invertible():
+    R = RingSpec(("X", "Y"), Field(0))
+    N = 5
+    with pytest.raises(DomainError, match="dependent linear parts"):
+        CoordChange.from_inverse_images([R.ps("x+y", N), R.ps("x+y+x^2", N)],
+                                        N)
+    with pytest.raises(DomainError, match="must lie in the maximal ideal"):
+        CoordChange.from_inverse_images([R.ps("1+x", N), R.ps("y", N)], N)
+
+
+def test_lazy_images_match_series_inverse(monkeypatch):
+    calls = []
+    real = normalform.ps_compose_inverse
+
+    def counted(images, N):
+        calls.append(N)
+        return real(images, N)
+
+    monkeypatch.setattr(normalform, "ps_compose_inverse", counted)
+    rng = random.Random(23)
+    for char in (0, 101):
+        R = RingSpec(("X", "Y", "Z"), Field(char))
+        N = 6
+        inv = _random_images(R, rng, N)
+        sig = CoordChange.from_inverse_images(inv, N)
+        assert not calls            # nothing inverted until images is read
+        assert sig.images == real(inv, N)
+        assert calls == [N]
+        sig.images
+        assert calls == [N]         # computed once, then kept
+        for i in range(R.r):
+            assert ps_compose(inv[i], sig.images, N) == \
+                variable_series(R, i, N)
+        calls.clear()
+
+
+def test_compose_nonlinear_changes():
+    rng = random.Random(29)
+    for char in (0, 101):
+        R = RingSpec(("X", "Y"), Field(char))
+        N = 6
+        for _ in range(2):
+            s1 = CoordChange.from_inverse_images(_random_images(R, rng, N), N)
+            s2 = CoordChange.from_images(_random_images(R, rng, N), N)
+            for a, b in ((s1, s2), (s2, s1), (s1, s1)):
+                comp = a.compose(b)
+                for _ in range(4):
+                    f = random_poly(R, rng.randint(1, N - 1), rng, terms=4)
+                    assert comp.adjoint_apply(f) == \
+                        a.adjoint_apply(b.adjoint_apply(f))
+                # forward images are those of b substituted into those of a
+                assert comp.images == [ps_compose(b.images[i], a.images, N)
+                                       for i in range(R.r)]
+                for i in range(R.r):
+                    assert ps_compose(comp.inv_images[i], comp.images, N) \
+                        == variable_series(R, i, N)
+
+
+def test_ps_compose_inverse_general_linear_parts():
+    rng = random.Random(31)
+    for char in (0, 101):
+        for N in range(2, 8):
+            R = RingSpec(("X", "Y", "Z")[:rng.randint(2, 3)], Field(char))
+            images = _random_images(R, rng, N)
+            taus = ps_compose_inverse(images, N)
+            for i in range(R.r):
+                assert ps_compose(taus[i], images, N) == \
+                    variable_series(R, i, N)
 
 
 # -- adapted coordinates and exotic terms ---------------------------------------------

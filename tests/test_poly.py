@@ -203,6 +203,25 @@ def test_ps_compose_inverse_random_composition():
                 assert ps_compose(images[i], taus, N) == variable_series(R, i, N)
 
 
+def test_ps_mul_truncates_and_stays_canonical():
+    from fractions import Fraction
+    R = ring2()
+    a = PSElement(R, {(1, 0): Fraction(1, 2), (0, 2): Fraction(1, 3)}, 4)
+    b = PSElement(R, {(1, 0): 2, (0, 1): Fraction(3, 2), (3, 0): 5}, 4)
+    prod = a.mul(b)
+    assert prod == parse_ps("x^2+3/4*x*y+2/3*x*y^2+1/2*y^3+5/2*x^4", R, 4)
+    assert type(prod.coeffs[(2, 0)]) is int       # 1/2 * 2, not Fraction(1)
+    assert a.mul(b, 2) == parse_ps("x^2+3/4*x*y", R)
+    assert a.mul(PSElement(R, {(1, 0): Fraction(2, 3)}, 4)).coeffs == \
+        {(2, 0): Fraction(1, 3), (1, 2): Fraction(2, 9)}
+    # the x*y terms cancel and are dropped, not stored as zero
+    assert parse_ps("x+y", R, 4).mul(parse_ps("x-y", R, 4)).coeffs == \
+        {(2, 0): 1, (0, 2): -1}
+    F = ring2(7)
+    prod = parse_ps("3*x+y", F, 5).mul(parse_ps("5*x-y^2", F, 5))
+    assert prod.coeffs == {(2, 0): 1, (1, 1): 5, (1, 2): 4, (0, 3): 6}
+
+
 def test_ps_compose_inverse_dependent_parts():
     R = ring2()
     with pytest.raises(DomainError):
