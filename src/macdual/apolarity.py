@@ -19,8 +19,8 @@ because m^{j+1} is contained in I, hence m^{j+2} in mI.
 from __future__ import annotations
 
 from .errors import DomainError
-from .linalg import Echelon, WitnessedEchelon, rref_rows, vec_axpy
-from .poly import DPPoly, PSElement, RingSpec, mdeg
+from .linalg import Echelon, kernel, rref_rows, same_span
+from .poly import DPPoly, PSElement, RingSpec, contract_monomial, mdeg
 
 MON = tuple
 
@@ -70,13 +70,13 @@ class PartialFiltration:
         # V_0 = R o f: close <f> under contraction (stored rows are final,
         # so processing each exactly once suffices)
         ech0 = Echelon(ring.field)
-        pending = [ech0.insert_ret(self.f.vector(self.dindex))]
+        pending = [ech0.insert(self.f.vector(self.dindex))]
         while pending:
             row = pending.pop()
             for i in range(ring.r):
                 w = self._contract_vec(row, i)
                 if w:
-                    stored = ech0.insert_ret(w)
+                    stored = ech0.insert(w)
                     if stored is not None:
                         pending.append(stored)
         # V_{s+1} = sum_i x_i o V_s needs no further closure
@@ -141,7 +141,7 @@ class PartialFiltration:
             if s >= len(self._levels) or d < 0 or d > self.j:
                 self._lt_cache[key] = []
             else:
-                hidx = {m: i for i, m in enumerate(self.ring.monomials(d))}
+                hidx = self.ring.monomial_index(d)
                 out = []
                 lev = self._levels[s]
                 for row, pd in zip(lev.rows, self._pivdegs[s]):
@@ -210,7 +210,7 @@ class LocalIdeal:
 
     def initial_form_rows(self, d: int) -> list[dict]:
         """Span of I*_d over the graded-lex basis of R_d."""
-        hidx = {m: i for i, m in enumerate(self.ring.monomials(d))}
+        hidx = self.ring.monomial_index(d)
         out = []
         for row, p in zip(self.rows, self.pivots):
             if mdeg(self.rmons[p]) == d:
@@ -237,22 +237,8 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     rindex = ring.rmon_index(j + 1)
     rmons = sorted(rindex, key=rindex.get)
     dindex = ring.dmon_index(j)
-    image = WitnessedEchelon(field)
-    kernel: list[dict] = []
-    from .poly import contract_monomial
-    for idx, beta in enumerate(rmons):
-        img = contract_monomial(beta, f).vector(dindex)
-        if not img:
-            kernel.append({idx: field.one})
-            continue
-        rem, combo = image.reduce(img)
-        if rem:
-            image.insert(img, {idx: field.one})
-        else:
-            vec = {idx: field.one}
-            vec_axpy(field, vec, field.neg(field.one), combo)
-            kernel.append(vec)
-    rows = rref_rows(field, kernel)
+    rows = rref_rows(field, kernel(
+        field, (contract_monomial(beta, f).vector(dindex) for beta in rmons)))
     # m*I spans; generators are the canonical rows surviving modulo m*I
     var_shift = []
     for i in range(ring.r):
@@ -280,11 +266,9 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     return LocalIdeal(ring, N, rindex, rmons, rows, min_gens, orders, j)
 
 
-def _ideal_span(gens: list[PSElement], ring: RingSpec, j: int) -> Echelon:
-    """Echelon of the ideal generated by gens, modulo m^{j+2}."""
-    field = ring.field
+def _ideal_products(gens: list[PSElement], ring: RingSpec, j: int):
+    """Vectors spanning the ideal generated by gens, modulo m^{j+2}."""
     rindex = ring.rmon_index(j + 1)
-    ech = Echelon(field)
     for g in gens:
         o = g.order
         if o is None:
@@ -293,8 +277,7 @@ def _ideal_span(gens: list[PSElement], ring: RingSpec, j: int) -> Echelon:
             raise DomainError("ideal generators must be non-units")
         for d in range(0, j + 2 - o):
             for m in ring.monomials(d):
-                ech.insert(g.mul_monomial(m, j + 1).vector(rindex))
-    return ech
+                yield g.mul_monomial(m, j + 1).vector(rindex)
 
 
 def verify_ideal_presentation(gens: list[PSElement], f: DPPoly) -> bool:
@@ -305,13 +288,8 @@ def verify_ideal_presentation(gens: list[PSElement], f: DPPoly) -> bool:
         if g.order == 0:
             return False  # unit ideal never equals a proper annihilator
         g.ring.check_same(f.ring)
-    span = _ideal_span(gens, f.ring, f.degree)
-    if span.dim != ideal.dim:
-        return False
-    for row in ideal.rows:
-        if not span.contains(row):
-            return False
-    return True
+    return same_span(f.ring.field, ideal.rows,
+                     _ideal_products(gens, f.ring, f.degree))
 
 
 def associated_graded_dims(f: DPPoly) -> tuple:
@@ -323,32 +301,20 @@ def verify_graded_presentation(gens: list[PSElement], f: DPPoly) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
     ideal I* = Gr(Ann f), checked degree by degree up to j+1."""
     f = f.drop_constant()
-    ring = f.ring
-    field = ring.field
-    j = f.degree
     ideal = annihilator(f)
-    hgens = []
     for g in gens:
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
-        hgens.append(g)
-    for d in range(j + 2):
-        hidx = {m: i for i, m in enumerate(ring.monomials(d))}
-        span = Echelon(field)
-        for g in hgens:
-            o = g.order
-            if o > d:
-                continue
-            for m in ring.monomials(d - o):
-                vec = {hidx[k]: v
-                       for k, v in g.mul_monomial(m, j + 1).coeffs.items()}
-                span.insert(vec)
-        target = Echelon(field)
-        for row in ideal.initial_form_rows(d):
-            target.insert(row)
-        if span.dim != target.dim:
-            return False
-        for row in target.rows:
-            if not span.contains(row):
-                return False
-    return True
+    return all(generates_in_degree(gens, f.ring, d, ideal.initial_form_rows(d))
+               for d in range(f.degree + 2))
+
+
+def generates_in_degree(gens: list[PSElement], ring: RingSpec, d: int,
+                        rows: list[dict]) -> bool:
+    """True iff the degree-d multiples of the homogeneous gens span the
+    subspace of R_d (graded-lex coordinates) spanned by rows."""
+    hidx = ring.monomial_index(d)
+    products = ({hidx[k]: v for k, v in g.mul_monomial(m, d).coeffs.items()}
+                for g in gens if g.order <= d
+                for m in ring.monomials(d - g.order))
+    return same_span(ring.field, rows, products)

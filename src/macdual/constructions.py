@@ -14,9 +14,9 @@ from .decomposition import (component_dual_dims, max_continuation,
                             symmetric_decomposition)
 from .errors import DomainError, GenericityError, InternalCheckError
 from .fields import Field
-from .linalg import Echelon, WitnessedEchelon, vec_axpy
+from .linalg import Echelon, kernel, same_span, solve_linear
 from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
-                   mdeg)
+                   dp_mul, dp_power_of_linear, mdeg)
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +80,11 @@ def is_a_modification(f: DPPoly, g: DPPoly, a: int) -> bool:
     Pf, Pg = PartialFiltration(f), PartialFiltration(g)
     cut = j - a
 
-    def truncated_span(P):
-        ech = Echelon(P.ring.field)
-        for row in P.level(0).rows:
-            v = {c: x for c, x in row.items() if P.col_deg[c] > cut}
-            if v:
-                ech.insert(v)
-        return ech
+    def truncated_rows(P):
+        return ({c: x for c, x in row.items() if P.col_deg[c] > cut}
+                for row in P.level(0).rows)
 
-    Ef, Eg = truncated_span(Pf), truncated_span(Pg)
-    if Ef.dim != Eg.dim:
-        return False
-    return all(Eg.contains(row) for row in Ef.rows)
+    return same_span(f.ring.field, truncated_rows(Pf), truncated_rows(Pg))
 
 
 def lift_to_modification(h: PSElement, f: DPPoly, a: int) -> DPPoly:
@@ -122,12 +115,11 @@ def lift_to_modification(h: PSElement, f: DPPoly, a: int) -> DPPoly:
         wd = d_top + t
         # solve in(h) o w = top over the monomials of D_{wd}
         mons = ring.monomials(wd)
-        hidx = {m: i for i, m in enumerate(ring.monomials(d_top))}
+        hidx = ring.monomial_index(d_top)
         cols = []
         for m in mons:
             img = contract(ht, DPPoly(ring, {m: ring.field.one}))
             cols.append({hidx[k]: v for k, v in img.coeffs.items()})
-        from .linalg import solve_linear
         target = {hidx[k]: v for k, v in top.coeffs.items()}
         sol = solve_linear(ring.field, cols, target)
         if sol is None:
@@ -235,7 +227,7 @@ def _graded_partial_spans(ring, polys, maxdeg):
     for g in polys:
         dg = g.degree
         for e in range(dg + 1):
-            hidx = {m: i for i, m in enumerate(ring.monomials(dg - e))}
+            hidx = ring.monomial_index(dg - e)
             for b in ring.monomials(e):
                 img = contract_monomial(b, g)
                 if not img.is_zero:
@@ -247,11 +239,9 @@ def _graded_partial_spans(ring, polys, maxdeg):
 def _homogeneous_joint_kernel(ring, e, image_fns):
     """Basis (as monomial-coefficient dicts) of the phi in R_e killed by
     every map in image_fns (each returns a sparse vector for a monomial)."""
-    field = ring.field
     mons = ring.monomials(e)
-    ech = WitnessedEchelon(field)
-    out = []
-    for pos, m in enumerate(mons):
+
+    def joint_image(m):
         img = {}
         off = 0
         for fn in image_fns:
@@ -259,14 +249,10 @@ def _homogeneous_joint_kernel(ring, e, image_fns):
             for k, c in v.items():
                 img[k + off] = c
             off += width
-        rem, combo = ech.reduce(img)
-        if rem:
-            ech.insert(img, {pos: field.one})
-        else:
-            wit = {pos: field.one}
-            vec_axpy(field, wit, field.neg(field.one), combo)
-            out.append({mons[i]: c for i, c in wit.items()})
-    return out
+        return img
+
+    return [{mons[i]: c for i, c in wit.items()}
+            for wit in kernel(ring.field, map(joint_image, mons))]
 
 
 def restricted_components(spec: ExtensionSpec) -> dict:
@@ -297,24 +283,22 @@ def restricted_components(spec: ExtensionSpec) -> dict:
     hs_only_spans = [_graded_partial_spans(ring, hs[:t], j)
                      for t in range(s + 1)]
 
-    def ann_prefix(t, include_f=True, upto=None):
-        """Homogeneous elements killing f (optionally) and h_1..h_t."""
-        targets = ([f] if include_f else []) + hs[:t]
+    def contraction_map(g, e, span=None):
+        """m -> (m o g over the graded-lex basis of D_{deg g - e}, reduced
+        modulo span when given; the dimension of that basis)."""
+        hidx = ring.monomial_index(g.degree - e)
+
+        def fn(m):
+            img = contract_monomial(m, g)
+            vec = {hidx[k]: c for k, c in img.coeffs.items()}
+            return (vec if span is None else span.reduce(vec)), len(hidx)
+        return fn
+
+    def ann_prefix(t):
+        """Homogeneous elements killing f and h_1..h_t."""
         out = {}
         for e in range(1, j + 2):
-            fns = []
-            for g in targets:
-                dg = g.degree
-                hidx = {m: i for i, m in enumerate(ring.monomials(dg - e))} \
-                    if dg >= e else {}
-
-                def fn(m, g=g, dg=dg, hidx=hidx, e=e):
-                    if dg < e:
-                        return {}, 0
-                    img = contract_monomial(m, g)
-                    return ({hidx[k]: c for k, c in img.coeffs.items()},
-                            len(hidx))
-                fns.append(fn)
+            fns = [contraction_map(g, e) for g in [f] + hs[:t]]
             out[e] = _homogeneous_joint_kernel(ring, e, fns)
         return out
 
@@ -322,33 +306,9 @@ def restricted_components(spec: ExtensionSpec) -> dict:
         """phi with phi o f in R o <h_1..h_t2>, also killing h_1..h_{extra}."""
         out = {}
         for e in range(1, j + 2):
-            fns = []
-            dg = f.degree
-            hidx = {m: i for i, m in enumerate(ring.monomials(dg - e))} \
-                if dg >= e else {}
-            span = hs_only_spans[t2].get(dg - e) if dg >= e else None
-
-            def fn_f(m, hidx=hidx, span=span, dg=dg, e=e):
-                if dg < e:
-                    return {}, 0
-                img = contract_monomial(m, f)
-                vec = {hidx[k]: c for k, c in img.coeffs.items()}
-                if span is not None:
-                    vec = span.reduce(vec)
-                return vec, len(hidx)
-            fns.append(fn_f)
-            for g in hs[:extra_ann_prefix]:
-                dg2 = g.degree
-                hidx2 = {m: i for i, m in enumerate(ring.monomials(dg2 - e))} \
-                    if dg2 >= e else {}
-
-                def fn_h(m, g=g, dg2=dg2, hidx2=hidx2, e=e):
-                    if dg2 < e:
-                        return {}, 0
-                    img = contract_monomial(m, g)
-                    return ({hidx2[k]: c for k, c in img.coeffs.items()},
-                            len(hidx2))
-                fns.append(fn_h)
+            span = hs_only_spans[t2].get(f.degree - e)
+            fns = [contraction_map(f, e, span)]
+            fns += [contraction_map(g, e) for g in hs[:extra_ann_prefix]]
             out[e] = _homogeneous_joint_kernel(ring, e, fns)
         return out
 
@@ -482,7 +442,7 @@ def noncyclic_extension(f: DPPoly, hs: list, z_names=None) -> DPPoly:
     s = len(hs)
     if s > ring.dim_of_degree(k) - P.hilbert()[k]:
         raise DomainError("count: s exceeds r_k - H_f(k)")
-    hidx = {m: i for i, m in enumerate(ring.monomials(k))}
+    hidx = ring.monomial_index(k)
     span = Echelon(ring.field)
     for row in P.lt_rows(0, k):
         span.insert(row)
@@ -520,14 +480,14 @@ def simple_deformation(f: DPPoly, h: DPPoly, z_name: str = "Z"):
     if h.is_zero or not h.is_homogeneous() or h.degree != k + 1:
         raise DomainError("deforming form must be homogeneous of degree k+1")
     P = PartialFiltration(f)
-    hidx = {m: i for i, m in enumerate(ring.monomials(k + 1))}
+    hidx = ring.monomial_index(k + 1)
     span = Echelon(ring.field)
     for row in P.lt_rows(j - k - 1, k + 1):
         span.insert(row)
     if span.contains({hidx[m]: c for m, c in h.coeffs.items()}):
         raise DomainError("deforming form is already a partial of f")
     # s = dim (R_1 o h + R_{j-k} o f) / (R_{j-k} o f)
-    kidx = {m: i for i, m in enumerate(ring.monomials(k))}
+    kidx = ring.monomial_index(k)
     base = Echelon(ring.field)
     for row in P.lt_rows(j - k, k):
         base.insert(row)
@@ -593,7 +553,7 @@ class AncestorData:
 
 
 def _span_rows(ring, polys, degree):
-    hidx = {m: i for i, m in enumerate(ring.monomials(degree))}
+    hidx = ring.monomial_index(degree)
     ech = Echelon(ring.field)
     for p in polys:
         ech.insert({hidx[m]: c for m, c in p.coeffs.items()})
@@ -618,7 +578,7 @@ def ancestor_data(V: list, j: int) -> AncestorData:
     dim = base.dim
     # R_1 V
     up = Echelon(field)
-    upidx = {m: i for i, m in enumerate(ring.monomials(j + 1))}
+    upidx = ring.monomial_index(j + 1)
     mons_j = ring.monomials(j)
     for row in base.rows:
         p = {mons_j[c]: val for c, val in row.items()}
@@ -632,35 +592,26 @@ def ancestor_data(V: list, j: int) -> AncestorData:
     tau_up = up.dim - dim
     # V : R_1 inside R_{j-1}, then iterate for the full colon chain
     colon_dims = [dim]
-    cur_rows = [dict(r) for r in base.rows]
+    cur_rows = base.rows
     cur_deg = j
     while cur_deg >= 1:
-        mons_cur = ring.monomials(cur_deg)
+        idx_cur = ring.monomial_index(cur_deg)
         tgt = Echelon(field, normalized=True)
         for row in cur_rows:
-            tgt.insert(dict(row))
-        mons_low = ring.monomials(cur_deg - 1)
-        ech = WitnessedEchelon(field)
-        kern = []
-        for pos, m in enumerate(mons_low):
+            tgt.insert(row)
+
+        def colon_image(m):
+            """(x*m, y*m) modulo the current space, side by side."""
             img = {}
-            off = 0
             for i in range(2):
                 m2 = list(m)
                 m2[i] += 1
-                vec = tgt.reduce({mons_cur.index(tuple(m2)): field.one})
+                vec = tgt.reduce({idx_cur[tuple(m2)]: field.one})
                 for kk, c in vec.items():
-                    img[kk + off] = c
-                off += len(mons_cur)
-            rem, combo = ech.reduce(img)
-            if rem:
-                ech.insert(img, {pos: field.one})
-            else:
-                wit = {pos: field.one}
-                vec_axpy(field, wit, field.neg(field.one), combo)
-                kern.append(wit)
-        colon_dims.append(len(kern))
-        cur_rows = [dict(w) for w in kern]
+                    img[kk + i * len(idx_cur)] = c
+            return img
+        cur_rows = kernel(field, map(colon_image, ring.monomials(cur_deg - 1)))
+        colon_dims.append(len(cur_rows))
         cur_deg -= 1
     tau_down = dim - colon_dims[1]
     if tau_up != tau_down:
@@ -701,7 +652,6 @@ def _attach(base_poly: DPPoly, big: RingSpec, slot: int) -> DPPoly:
 def nonubiquity_instance() -> DPPoly:
     """The explicit socle-degree-14 generator whose first two components
     cannot be completed by any order-two tail without a positive H(2)_6."""
-    from .poly import dp_mul, dp_power_of_linear
     big = RingSpec(("X", "Y", "Z", "W"), Field(0))
     base = _two_var_section(big)
 

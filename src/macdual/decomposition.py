@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from math import comb
 
-from .apolarity import PartialFiltration
+from .apolarity import PartialFiltration, generates_in_degree
 from .errors import DomainError, InternalCheckError
-from .linalg import Echelon, WitnessedEchelon, rref_rows, solve_linear, vec_axpy
+from .linalg import Echelon, kernel, rref_rows, solve_linear, vec_axpy
 from .poly import DPPoly, PSElement, RingSpec, contract_monomial, mdeg
 
 
@@ -149,7 +149,7 @@ def component_generator_degrees(mod: QDualModule) -> dict:
         # matrix of all r contraction maps into the degree-(i-1) classes
         tgt_rows = mod._rows.get(i - 1, [])
         tgt_den = P.lt_rows(s + 2, i - 1)
-        hidx = {m: k for k, m in enumerate(P.ring.monomials(i - 1))}
+        hidx = P.ring.monomial_index(i - 1)
         ech = Echelon(field)
         kdim = 0
         for lift in lifts:
@@ -362,29 +362,16 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
     spaces = []
     for i in range(j + 2):
         cutoff = j - a - i
-        ech = WitnessedEchelon(field)
-        proj: list[dict] = []
-        hidx = {m: k for k, m in enumerate(ring.monomials(i))}
-        pos = 0
-        for d in range(i, j + 2):
-            for m in ring.monomials(d):
-                img = contract_monomial(m, P.f)
-                vec = {P.dindex[mm]: c for mm, c in img.coeffs.items()
-                       if mdeg(mm) > cutoff}
-                rem, combo = ech.reduce(vec)
-                if rem:
-                    ech.insert(vec, {pos: field.one})
-                else:
-                    wit = {pos: field.one}
-                    vec_axpy(field, wit, field.neg(field.one), combo)
-                    # wit is a kernel element; indexes below |monomials(i)|
-                    # are its degree-i part, i.e. an achievable initial form
-                    kern_proj = {k: v for k, v in wit.items()
-                                 if k < len(ring.monomials(i))}
-                    if kern_proj:
-                        proj.append(kern_proj)
-                pos += 1
-        rows = rref_rows(field, proj)
+        images = ({P.dindex[mm]: c
+                   for mm, c in contract_monomial(m, P.f).coeffs.items()
+                   if mdeg(mm) > cutoff}
+                  for d in range(i, j + 2) for m in ring.monomials(d))
+        # positions below |monomials(i)| are the degree-i part of a kernel
+        # element, i.e. an achievable initial form
+        n_i = ring.dim_of_degree(i)
+        proj = [{k: v for k, v in wit.items() if k < n_i}
+                for wit in kernel(field, images)]
+        rows = rref_rows(field, [v for v in proj if v])
         spaces.append(rows)
         dims.append(len(rows))
     data = GradedIdealData(ring, j, tuple(dims), spaces)
@@ -402,27 +389,8 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
 def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal
     described by data, in every degree up to j+1."""
-    ring = data.ring
-    field = ring.field
     for g in gens:
         if not g.is_homogeneous() or g.is_zero or g.order == 0:
             raise DomainError("graded generators must be nonzero, homogeneous, non-units")
-    for d in range(data.socle_degree + 2):
-        hidx = {m: i for i, m in enumerate(ring.monomials(d))}
-        span = Echelon(field)
-        for g in gens:
-            o = g.order
-            if o > d:
-                continue
-            for m in ring.monomials(d - o):
-                span.insert({hidx[k]: v
-                             for k, v in g.mul_monomial(m, d).coeffs.items()})
-        target = Echelon(field)
-        for row in data.space_rows(d):
-            target.insert(row)
-        if span.dim != target.dim:
-            return False
-        for row in target.rows:
-            if not span.contains(row):
-                return False
-    return True
+    return all(generates_in_degree(gens, data.ring, d, data.space_rows(d))
+               for d in range(data.socle_degree + 2))

@@ -13,11 +13,16 @@ from math import comb
 
 from .errors import DomainError, RingMismatchError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13, the least strong pseudoprime to every base in _SMALL_PRIMES
+# (Sorenson and Webster, Math. Comp. 2017); below it is_prime is exact
+_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin with the prime bases 2..41: exact for all
+    n < _EXACT_BELOW (about 3.3e24), unproven above it."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -55,6 +60,10 @@ class Field:
     def __init__(self, char: int):
         if char != 0 and not is_prime(char):
             raise DomainError("characteristic must be 0 or prime, got %r" % (char,))
+        if char >= _EXACT_BELOW:
+            raise DomainError("characteristic %d is too large: primality is "
+                              "certified only below %d"
+                              % (char, _EXACT_BELOW))
         self.char = char
 
     def __eq__(self, other):

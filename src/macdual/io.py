@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 
+from . import apolarity, decomposition, normalform
 from .errors import ParseError, SchemaError
 from .fields import Field
 from .poly import (DPPoly, PSElement, RingSpec, dp_mul,
@@ -368,8 +369,6 @@ def _build_entry(name, fields) -> CorpusEntry:
 def corpus_verify(entry: CorpusEntry) -> list[dict]:
     """Recompute everything an entry asserts and diff exactly.  Returns one
     report per listed characteristic."""
-    from . import apolarity, decomposition, normalform
-
     reports = []
     for char in entry.chars:
         ring = RingSpec(entry.vars, Field(char))

@@ -1,19 +1,41 @@
-"""Exact dense/sparse linear algebra over a Field, and a subspace calculus.
+"""Exact linear algebra over a Field: one sparse row-reduction engine and
+small dense-matrix helpers.
 
 Vectors are sparse dicts ``{column_index: scalar}``; a column order is fixed
 by whoever builds the index (monomial orders live in :mod:`macdual.poly`).
-Two row-reduction engines coexist:
 
-* :class:`Echelon` - a forward echelon span used in hot loops.  Over a prime
-  field rows are pivot-normalized; over the rationals rows are kept as
-  integer vectors with content one and positive pivot, and reduction is
-  fraction-free.  Dimensions, pivot sets and membership are canonical.
-* :func:`rref_rows` / :class:`Subspace` - fully reduced, pivot-one bases,
-  used wherever a basis is reported or compared.
+:class:`Echelon` is the only row-reduction engine: a growing forward-echelon
+basis of a span, rows sorted by pivot (their least column).  Over a prime
+field rows are pivot-normalized.  Over the rationals rows are integer
+vectors with content one and positive pivot and reduction is fraction-free,
+unless the echelon is built with ``normalized=True``: then rows have pivot
+one and ``reduce`` is a linear map.  Dimensions, pivot sets and membership
+do not depend on the mode.
+
+A normalized echelon can carry witnesses.  A witness is a sparse dict over
+any keys (generator positions, monomials) naming the combination of inputs
+a vector stands for.  ``reduce(vec, wit)`` subtracts from ``wit``, in place,
+the witness of every row it subtracts from ``vec``, with the same factor; so
+if ``wit`` is the witness of ``vec`` on entry, it is the witness of the
+remainder on return, and a zero remainder leaves a linear relation among
+the inputs in ``wit``.  ``insert(vec, wit)`` does the same and, when it
+stores a row, scales ``wit`` with it and keeps it as the row's witness.
+
+Built on it:
+
+* :func:`kernel` - a basis of the kernel of ``e_i -> images[i]``;
+* :func:`same_span` - whether two families span the same subspace;
+* :func:`rref_rows` - the canonical fully reduced, pivot-one basis of a
+  span, used wherever a basis is reported;
+* :func:`solve_linear` - one solution of a linear system.
+
+The dense :func:`rref`, :func:`det` and :func:`matrix_inverse` work on
+row-major lists of lists.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -70,15 +92,21 @@ def _strip_content(v: dict) -> dict:
 
 
 class Echelon:
-    """Growing forward-echelon span of sparse vectors."""
+    """Growing forward-echelon span of sparse vectors, rows sorted by pivot.
 
-    __slots__ = ("field", "rows", "pivots", "_by_pivot", "_ffree")
+    Over the rationals rows are fraction-free unless ``normalized`` is set;
+    only normalized echelons (every echelon over a prime field is one) take
+    witnesses.  A witness is a sparse dict over any keys; ``wits[i]`` is the
+    witness of ``rows[i]``, or None for a row inserted without one."""
+
+    __slots__ = ("field", "rows", "wits", "pivots", "_by_pivot", "_ffree")
 
     def __init__(self, field: Field, normalized: bool = False):
         self.field = field
-        self.rows: list[dict] = []      # sorted by pivot index
+        self.rows: list[dict] = []
+        self.wits: list = []
         self.pivots: list[int] = []
-        self._by_pivot: dict[int, int] = {}
+        self._by_pivot: dict = {}       # pivot -> (row, witness)
         # fraction-free integer rows over the rationals unless a caller needs
         # reduce() to be a linear map (pivot-one rows make it one)
         self._ffree = field.char == 0 and not normalized
@@ -87,134 +115,128 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
+    def reduce(self, vec: dict, wit: dict | None = None) -> dict:
         """Canonical remainder of vec modulo the span: every pivot
         coordinate is eliminated (in increasing order, which terminates
         because a row only touches coordinates at or past its pivot), so the
         result is the unique representative supported off the pivots - in
         particular reduce is a linear projection, and zero iff vec lies in
-        the span.  Over the rationals the remainder is scaled to integers."""
+        the span.  Over the rationals the remainder is scaled to integers.
+
+        Each row subtracted from vec is subtracted, with the same factor,
+        from wit in place: if wit is the witness of vec on entry, it is the
+        witness of the remainder on return."""
         f = self.field
+        ffree = self._ffree
+        if ffree and wit is not None:
+            raise ValueError("witnesses need a normalized echelon")
         v = {k: a for k, a in vec.items() if not f.is_zero(a)}
-        if self._ffree:
+        if ffree:
             v = _clear_denominators(v)
+        by_pivot = self._by_pivot
         while v:
-            hits = [k for k in v if k in self._by_pivot]
+            hits = [k for k in v if k in by_pivot]
             if not hits:
                 return v
             p = min(hits)
-            row = self.rows[self._by_pivot[p]]
-            if self._ffree:
+            row, rwit = by_pivot[p]
+            if ffree:
                 a = row[p]
                 b = v[p]
                 g = gcd(int(a), int(b))
                 ca, cb = a // g, b // g
                 v = vec_axpy(f, {k: ca * x for k, x in v.items()}, -cb, row)
             else:
-                v = vec_axpy(f, v, f.neg(v[p]), row)
+                c = f.neg(v[p])
+                vec_axpy(f, v, c, row)
+                if wit is not None:
+                    vec_axpy(f, wit, c, rwit)
         return v
 
-    def insert(self, vec: dict) -> bool:
-        """Add vec to the span; True iff the dimension grew."""
-        return self.insert_ret(vec) is not None
+    def insert(self, vec: dict, wit: dict | None = None):
+        """Add vec to the span.  Returns the stored row, or None when vec
+        already lies in the span; then wit, reduced along with vec, holds a
+        linear relation between vec's witness and the row witnesses."""
+        v = self.reduce(vec, wit)
+        return self._store(v, wit) if v else None
 
-    def insert_ret(self, vec: dict):
-        """Like insert, but returns the stored (reduced) row, or None."""
-        v = self.reduce(vec)
-        if not v:
-            return None
+    def _store(self, v: dict, wit: dict | None) -> dict:
+        """Store a nonzero remainder of reduce; a witness is scaled in place
+        along with the row and kept as the row's witness."""
+        f = self.field
         p = min(v)
         if self._ffree:
             v = _strip_content(v)
         else:
-            v = vec_scale(self.field, v, self.field.inv(v[p]))
-        pos = len([q for q in self.pivots if q < p])
+            c = f.inv(v[p])
+            v = vec_scale(f, v, c)
+            if wit is not None:
+                for k, a in wit.items():
+                    wit[k] = f.mul(c, a)
+        pos = bisect_left(self.pivots, p)
         self.rows.insert(pos, v)
+        self.wits.insert(pos, wit)
         self.pivots.insert(pos, p)
-        self._by_pivot = {q: i for i, q in enumerate(self.pivots)}
+        self._by_pivot[p] = (v, wit)
         return v
-
-    def extend(self, vectors) -> int:
-        added = 0
-        for v in vectors:
-            if self.insert(v):
-                added += 1
-        return added
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
 
-class WitnessedEchelon:
-    """Pivot-normalized echelon that tracks how each row was formed.
+def kernel(field: Field, images) -> list[dict]:
+    """Basis of the kernel of the linear map sending the i-th unit vector to
+    images[i], as sparse dicts over the positions i.  Each image is reduced
+    once against the images kept so far: a zero remainder makes its witness
+    a kernel vector, any other remainder becomes a row."""
+    ech = Echelon(field, normalized=True)
+    out = []
+    for i, img in enumerate(images):
+        wit = {i: field.one}
+        rem = ech.reduce(img, wit)
+        if rem:
+            ech._store(rem, wit)
+        else:
+            out.append(wit)
+    return out
 
-    Witnesses are sparse dicts over generator indexes; ``reduce`` reports the
-    combination of inserted generators that was subtracted.
-    """
 
-    __slots__ = ("field", "rows", "wits", "pivots", "_by_pivot")
+def same_span(field: Field, a, b) -> bool:
+    """True iff the two families of vectors span the same subspace."""
+    ea, eb = Echelon(field), Echelon(field)
+    for v in a:
+        ea.insert(v)
+    for v in b:
+        eb.insert(v)
+    return ea.dim == eb.dim and all(eb.contains(row) for row in ea.rows)
 
-    def __init__(self, field: Field):
-        self.field = field
-        self.rows: list[dict] = []
-        self.wits: list[dict] = []
-        self.pivots: list[int] = []
-        self._by_pivot: dict[int, int] = {}
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: dict):
-        """Return (remainder, witness) with vec = remainder + witness-combo;
-        like Echelon.reduce, every pivot coordinate is eliminated."""
-        f = self.field
-        v = {k: a for k, a in vec.items() if not f.is_zero(a)}
-        w: dict = {}
-        while v:
-            hits = [k for k in v if k in self._by_pivot]
-            if not hits:
-                return v, w
-            p = min(hits)
-            i = self._by_pivot[p]
-            c = v[p]
-            vec_axpy(f, v, f.neg(c), self.rows[i])
-            vec_axpy(f, w, c, self.wits[i])
-        return v, w
-
-    def insert(self, vec: dict, wit: dict) -> bool:
-        return self.insert_ret(vec, wit) is not None
-
-    def insert_ret(self, vec: dict, wit: dict):
-        """Like insert, but returns the stored (row, witness) pair, or None."""
-        f = self.field
-        v, combo = self.reduce(vec)
-        if not v:
-            return None
-        # residual = vec - combo, so its witness is wit - combo
-        w = dict(wit)
-        vec_axpy(f, w, f.neg(f.one), combo)
-        p = min(v)
-        c = f.inv(v[p])
-        v = vec_scale(f, v, c)
-        w = vec_scale(f, w, c)
-        pos = len([q for q in self.pivots if q < p])
-        self.rows.insert(pos, v)
-        self.wits.insert(pos, w)
-        self.pivots.insert(pos, p)
-        self._by_pivot = {q: i for i, q in enumerate(self.pivots)}
-        return v, w
+def rref_rows(field: Field, vectors) -> list[dict]:
+    """Canonical fully-reduced pivot-one sparse basis of the span."""
+    ech = Echelon(field, normalized=True)
+    for v in vectors:
+        ech.insert(v)
+    rows = [dict(r) for r in ech.rows]
+    # back-substitute so every pivot column is cleared everywhere else
+    for i in range(len(rows) - 1, -1, -1):
+        p = ech.pivots[i]
+        for k in range(i):
+            c = rows[k].get(p)
+            if c is not None and not field.is_zero(c):
+                vec_axpy(field, rows[k], field.neg(c), rows[i])
+    return rows
 
 
 def solve_linear(field: Field, columns: list[dict], target: dict):
     """Coefficients x with sum x_i * columns[i] == target, or None."""
-    ech = WitnessedEchelon(field)
+    ech = Echelon(field, normalized=True)
     for i, col in enumerate(columns):
         ech.insert(col, {i: field.one})
-    rem, combo = ech.reduce(target)
-    if rem:
+    # target reduces to zero by subtracting the combination -wit of columns
+    wit: dict = {}
+    if ech.reduce(target, wit):
         return None
-    return [combo.get(i, 0) for i in range(len(columns))]
+    return [field.neg(wit.get(i, 0)) for i in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------
@@ -286,117 +308,3 @@ def matrix_inverse(matrix: list[list], field: Field):
     if rank < n or piv[:n] != list(range(n)):
         raise DomainError("singular matrix")
     return [r[n:] for r in red[:n]]
-
-
-def nullspace(matrix: list[list], field: Field) -> list[list]:
-    """Canonical basis of {x : matrix @ x = 0} (RREF back-substitution)."""
-    if not matrix:
-        return []
-    red, piv, rank = rref(matrix, field)
-    ncols = len(matrix[0])
-    pivset = set(piv)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for i, p in enumerate(piv):
-            v[p] = field.neg(red[i][free])
-        basis.append(v)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# subspaces
-
-def rref_rows(field: Field, vectors) -> list[dict]:
-    """Canonical fully-reduced pivot-one sparse basis of the span."""
-    ech = WitnessedEchelon(field)
-    for v in vectors:
-        ech.insert(v, {})
-    rows = [dict(r) for r in ech.rows]
-    # back-substitute so every pivot column is cleared everywhere else
-    for i in range(len(rows) - 1, -1, -1):
-        p = ech.pivots[i]
-        for k in range(i):
-            c = rows[k].get(p)
-            if c is not None and not field.is_zero(c):
-                vec_axpy(field, rows[k], field.neg(c), rows[i])
-    return rows
-
-
-class Subspace:
-    """A subspace of a fixed ambient coordinate space, held as a canonical
-    reduced-row-echelon basis (leading coefficients one)."""
-
-    __slots__ = ("field", "ambient", "rows", "pivots")
-
-    def __init__(self, field: Field, ambient, vectors=()):
-        self.field = field
-        self.ambient = ambient
-        self.rows = rref_rows(field, vectors)
-        self.pivots = [min(r) for r in self.rows]
-
-    @classmethod
-    def _wrap(cls, field, ambient, canonical_rows):
-        s = cls.__new__(cls)
-        s.field = field
-        s.ambient = ambient
-        s.rows = canonical_rows
-        s.pivots = [min(r) for r in canonical_rows]
-        return s
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _check(self, other: "Subspace"):
-        if self.ambient != other.ambient or self.field != other.field:
-            raise DomainError("subspace ambient mismatch: %r vs %r"
-                              % (self.ambient, other.ambient))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.field, self.ambient, self.rows + other.rows)
-
-    def member(self, vec: dict) -> bool:
-        ech = Echelon(self.field)
-        for r in self.rows:
-            ech.insert(r)
-        return ech.contains(vec)
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check(other)
-        return self.sum(other).dim == self.dim
-
-    def quotient_dim(self, other: "Subspace") -> int:
-        """dim of self modulo other = dim(self + other) - dim(other)."""
-        self._check(other)
-        return self.sum(other).dim - other.dim
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize rows [u|u] for u in self, [v|0] for v in
-        other; fully reduced left-zero rows carry the intersection."""
-        self._check(other)
-        f = self.field
-        all_keys = [k for r in self.rows + other.rows for k in r]
-        shift = 1 + max(all_keys, default=0)
-        stacked = [dict(list(r.items()) + [(k + shift, a) for k, a in r.items()])
-                   for r in self.rows]
-        stacked += [dict(r) for r in other.rows]
-        ech = Echelon(f)
-        for v in stacked:
-            ech.insert(v)
-        inter = []
-        for row in ech.rows:
-            if min(row) >= shift:
-                inter.append({k - shift: a for k, a in row.items()})
-        return Subspace(f, self.ambient, inter)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.rows == other.rows)
-
-    def __repr__(self):
-        return "Subspace(dim=%d, ambient=%r)" % (self.dim, self.ambient)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field as dfield
 from .apolarity import PartialFiltration
 from .decomposition import symmetric_decomposition
 from .errors import DomainError, InternalCheckError
-from .linalg import (Echelon, WitnessedEchelon, matrix_inverse, rref_rows,
-                     vec_axpy)
+from .linalg import Echelon, matrix_inverse, rref_rows, vec_axpy
 from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
                    linear_part_inverse, linear_substitute, ps_compose_all,
                    ps_compose_inverse, variable_series)
@@ -175,13 +174,13 @@ def _witnessed_square_space(P: PartialFiltration):
     contracting f to it."""
     ring = P.ring
     field = ring.field
-    ech = WitnessedEchelon(field)
+    ech = Echelon(field, normalized=True)
     pending = []
     for m in ring.monomials(2):
-        vec = contract_monomial(m, P.f).vector(P.dindex)
-        got = ech.insert_ret(vec, {m: field.one})
-        if got is not None:
-            pending.append(got)
+        wit = {m: field.one}
+        row = ech.insert(contract_monomial(m, P.f).vector(P.dindex), wit)
+        if row is not None:
+            pending.append((row, wit))
     while pending:
         row, wit = pending.pop()
         for i in range(ring.r):
@@ -193,9 +192,9 @@ def _witnessed_square_space(P: PartialFiltration):
                 m2 = list(m)
                 m2[i] += 1
                 wit_up[tuple(m2)] = c
-            got = ech.insert_ret(v, wit_up)
+            got = ech.insert(v, wit_up)
             if got is not None:
-                pending.append(got)
+                pending.append((got, wit_up))
     return ech
 
 
@@ -209,11 +208,14 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
     ring = P.ring
     field = ring.field
     j = P.j
-    sq = _witnessed_square_space(P) if j >= 2 else WitnessedEchelon(field)
-    # an element of m^2 contracting f to the constant 1 (exists once j >= 2)
+    sq = _witnessed_square_space(P) if j >= 2 \
+        else Echelon(field, normalized=True)
+    # an element of m^2 contracting f to the constant 1 (exists once j >= 2):
+    # reducing the constant -1 to zero leaves it as the witness
     const_col = P.dindex[ring.r * (0,)]
-    rem, combo = sq.reduce({const_col: field.one})
-    const_killer = None if rem else combo
+    const_killer = {}
+    if sq.reduce({const_col: field.neg(field.one)}, const_killer):
+        const_killer = None
     xs_contr = []
     for i in range(ring.r):
         m = tuple(1 if t == i else 0 for t in range(ring.r))
@@ -222,25 +224,24 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
     unit_mons = [tuple(1 if t == i else 0 for t in range(ring.r))
                  for i in range(ring.r)]
     cuts = [j - a - 1 for a in range(max(j - 1, 1))] + [0]
-    level_ech = []           # per cut: WitnessedEchelon over variable coords
+    level_ech = []           # per cut: witnessed Echelon over variable coords
     for cut in cuts:
         # E spans the truncations-past-cut of m^2 o f plus the already
         # accepted x_k o f; a variable whose truncation lands inside E gives
         # a kernel direction with an explicit lift w = x_i - psi
-        E = WitnessedEchelon(field)
+        E = Echelon(field, normalized=True)
         for row, wit in zip(sq.rows, sq.wits):
             v = {c: x for c, x in row.items() if P.col_deg[c] > cut}
             if v:
                 E.insert(v, dict(wit))
-        stage = WitnessedEchelon(field)
+        stage = Echelon(field, normalized=True)
         for i in range(ring.r):
             v = {c: x for c, x in xs_contr[i].items() if P.col_deg[c] > cut}
-            rem, psi = E.reduce(v)
-            if rem:
-                E.insert(v, {unit_mons[i]: field.one})
-                continue
             coeffs = {unit_mons[i]: field.one}
-            vec_axpy(field, coeffs, field.neg(field.one), psi)
+            rem = E.reduce(v, coeffs)
+            if rem:
+                E.insert(rem, coeffs)
+                continue
             if const_killer is not None:
                 ct = contract(PSElement(ring, coeffs, j + 2), f).coeffs.get(
                     ring.r * (0,))

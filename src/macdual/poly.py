@@ -65,7 +65,8 @@ class RingSpec:
     """Variable names (order fixed), the coefficient field, and cached
     monomial indexings shared by R = k{x_i} and its dual D = k_DP[X_i]."""
 
-    __slots__ = ("vars", "lvars", "field", "r", "_dindex", "_rindex", "_hmons")
+    __slots__ = ("vars", "lvars", "field", "r", "_dindex", "_rindex", "_hmons",
+                 "_hindex")
 
     def __init__(self, vars, field: Field):
         vars = tuple(vars)
@@ -81,6 +82,7 @@ class RingSpec:
         self._dindex = {}
         self._rindex = {}
         self._hmons = {}
+        self._hindex = {}
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec) and other.vars == self.vars
@@ -106,6 +108,12 @@ class RingSpec:
         if d not in self._hmons:
             self._hmons[d] = monomials_of_degree(self.r, d)
         return self._hmons[d]
+
+    def monomial_index(self, d: int) -> dict:
+        """monomial -> position in monomials(d)."""
+        if d not in self._hindex:
+            self._hindex[d] = {m: i for i, m in enumerate(self.monomials(d))}
+        return self._hindex[d]
 
     def dmon_index(self, maxdeg: int) -> dict:
         """monomial -> coordinate, degrees maxdeg..0, graded-lex inside."""
@@ -200,11 +208,6 @@ class DPPoly:
         """f_{>=d}: the components of degree at least d."""
         return DPPoly(self.ring,
                       {m: c for m, c in self.coeffs.items() if mdeg(m) >= d})
-
-    def part_upto(self, d: int) -> "DPPoly":
-        """f_{<=d}."""
-        return DPPoly(self.ring,
-                      {m: c for m, c in self.coeffs.items() if mdeg(m) <= d})
 
     def drop_constant(self) -> "DPPoly":
         if self.ring.r * (0,) in self.coeffs:

@@ -54,6 +54,10 @@ def test_modcheck_exit_codes(capsys):
 def test_error_exit_codes(capsys):
     code, _ = run(capsys, "decompose", "--vars", "X,Y", "--char", "4", "X^[2]")
     assert code == 3
+    # psi_12, a strong pseudoprime to the bases 2..37
+    code, _ = run(capsys, "decompose", "--vars", "X,Y", "--char",
+                  "318665857834031151167461", "X^[2]")
+    assert code == 3
     code, _ = run(capsys, "decompose", "--vars", "X,Y", "--char", "0", "X^[")
     assert code == 2
     code, _ = run(capsys, "consum-split", "--vars", "X,Y", "--char", "2",

@@ -37,6 +37,22 @@ def test_is_prime_larger():
     assert is_prime(2 ** 61 - 1)
 
 
+PSI_12 = 318665857834031151167461      # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981     # strong pseudoprime to bases 2..41
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # psi_12 fools every base up to 37; base 41 exposes it
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(DomainError):
+        Field(PSI_12)
+    # psi_13 fools every base up to 41, so the field refuses it outright
+    with pytest.raises(DomainError):
+        Field(PSI_13)
+    assert Field(2 ** 61 - 1).char == 2 ** 61 - 1
+
+
 def test_division_by_zero():
     for F in (Field(0), Field(7)):
         with pytest.raises(ZeroDivisionError):

@@ -4,10 +4,11 @@ import pytest
 
 from macdual.errors import DomainError
 from macdual.fields import Field
-from macdual.linalg import (Echelon, Subspace, det, matrix_inverse, nullspace,
-                            rref, solve_linear)
+from macdual.linalg import (Echelon, det, kernel, matrix_inverse, rref,
+                            same_span, solve_linear)
 
 QQ = Field(0)
+FIELDS = (QQ, Field(101))
 
 
 def chardep_matrix(a, field):
@@ -71,52 +72,12 @@ def test_det_multiplicative_random():
         assert det(AB, QQ) == QQ.mul(det(A, QQ), det(B, QQ))
 
 
-def test_matrix_inverse_and_nullspace():
+def test_matrix_inverse():
     A = [[2, 1], [1, 1]]
     Ainv = matrix_inverse(A, QQ)
     assert Ainv == [[1, -1], [-1, 2]]
     with pytest.raises(DomainError):
         matrix_inverse([[1, 2], [2, 4]], QQ)
-    ns = nullspace([[1, 2, 3]], QQ)
-    assert len(ns) == 2
-    for v in ns:
-        assert sum(c * x for c, x in zip([1, 2, 3], v)) == 0
-
-
-def _rand_subspace(rng, ambient, k):
-    vecs = []
-    for _ in range(k):
-        vecs.append({i: rng.randint(-3, 3) for i in range(6) if rng.random() < .7})
-    return Subspace(QQ, ambient, vecs)
-
-
-def test_subspace_ops_basics():
-    amb = ("test", 6)
-    U = Subspace(QQ, amb, [{0: 1, 1: 2}, {2: 1}])
-    Z = Subspace(QQ, amb, [])
-    assert U.intersect(U).rows == U.rows
-    assert U.quotient_dim(Z) == U.dim
-    assert U.member({0: 2, 1: 4})
-    assert not U.member({0: 1})
-    with pytest.raises(DomainError):
-        U.sum(Subspace(QQ, ("other", 6), []))
-
-
-def test_grassmann_identity_random():
-    rng = random.Random(99)
-    amb = ("grass", 6)
-    for _ in range(60):
-        U = _rand_subspace(rng, amb, rng.randint(0, 4))
-        V = _rand_subspace(rng, amb, rng.randint(0, 4))
-        s = U.sum(V)
-        i = U.intersect(V)
-        assert s.dim + i.dim == U.dim + V.dim
-        assert U.contains(i) and V.contains(i)
-        assert s.contains(U) and s.contains(V)
-        # membership consistent with quotient dimension
-        for row in i.rows:
-            one_dim = Subspace(QQ, amb, [row])
-            assert U.member(row) and one_dim.sum(U).quotient_dim(U) == 0
 
 
 def test_echelon_fraction_free_matches_normalized():
@@ -137,3 +98,124 @@ def test_solve_linear():
     x = solve_linear(QQ, cols, {0: 2, 1: 5})
     assert x == [2, 3]
     assert solve_linear(QQ, cols, {2: 1}) is None
+
+
+# ---------------------------------------------------------------------------
+# the witnessed echelon and the helpers built on it
+
+NCOLS = 7
+
+
+def _rand_family(rng, field, n):
+    """Sparse vectors, with zero vectors and repeated multiples mixed in."""
+    out = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < .15:
+            out.append({})
+        elif roll < .3 and out:
+            c = field.from_int(rng.randint(1, 3))
+            twin = rng.choice(out)
+            out.append({k: field.mul(c, a) for k, a in twin.items()})
+        else:
+            out.append({k: field.from_int(rng.randint(-3, 3))
+                        for k in range(NCOLS) if rng.random() < .4})
+            out[-1] = {k: a for k, a in out[-1].items() if a != 0}
+    return out
+
+
+def _combine(field, vecs, wit):
+    """sum wit[i] * vecs[i] as a sparse vector."""
+    out = {}
+    for i, c in wit.items():
+        for k, a in vecs[i].items():
+            out[k] = field.add(out.get(k, 0), field.mul(c, a))
+    return {k: a for k, a in out.items() if a != 0}
+
+
+def _rank(field, vecs, ncols):
+    if not vecs:
+        return 0
+    return rref([[v.get(k, 0) for k in range(ncols)] for v in vecs], field)[2]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
+def test_kernel_random(field):
+    rng = random.Random(17)
+    for _ in range(60):
+        images = _rand_family(rng, field, rng.randint(0, 9))
+        ker = kernel(field, images)
+        for w in ker:
+            assert w and _combine(field, images, w) == {}
+        assert len(ker) == len(images) - _rank(field, images, NCOLS)
+        assert _rank(field, ker, len(images)) == len(ker)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
+def test_witness_invariant_random(field):
+    rng = random.Random(23)
+    for _ in range(60):
+        inputs = _rand_family(rng, field, rng.randint(1, 9))
+        ech = Echelon(field, normalized=True)
+        for i, vec in enumerate(inputs):
+            wit = {i: field.one}
+            row = ech.insert(vec, wit)
+            if row is None:
+                # a relation: input i is the combination -wit of the others
+                assert _combine(field, inputs, wit) == {}
+                rest = {k: field.neg(c) for k, c in wit.items() if k != i}
+                assert _combine(field, inputs, rest) == vec
+            else:
+                assert ech.wits[ech.pivots.index(min(row))] is wit
+        assert ech.pivots == sorted(ech.pivots)
+        for row, wit in zip(ech.rows, ech.wits):
+            assert row[min(row)] == 1
+            assert _combine(field, inputs, wit) == row
+        # reducing with an empty witness: vec == remainder - combination
+        vec = _rand_family(rng, field, 1)[0]
+        wit = {}
+        rem = ech.reduce(vec, wit)
+        assert _combine(field, inputs + [rem], {**wit, len(inputs): -1}) \
+            == {k: field.neg(a) for k, a in vec.items()}
+
+
+def test_witnesses_need_normalized_rows():
+    ech = Echelon(QQ)
+    ech.insert({0: 2, 1: 3})
+    with pytest.raises(ValueError):
+        ech.reduce({0: 1}, {})
+    assert Echelon(QQ, normalized=True).insert({0: 2}, {0: 1}) == {0: 1}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
+def test_same_span_random(field):
+    rng = random.Random(31)
+    for _ in range(60):
+        gens = _rand_family(rng, field, rng.randint(1, 5))
+        dim = _rank(field, gens, NCOLS)
+        # the same span from other generators: invertible recombination
+        # (unit upper triangular) plus zero and repeated vectors
+        other = []
+        for i in range(len(gens)):
+            w = {i: field.one}
+            w.update({k: field.from_int(rng.randint(-2, 2))
+                      for k in range(i + 1, len(gens))})
+            other.append(_combine(field, gens, w))
+        other += [{}, other[0]]
+        rng.shuffle(other)
+        assert same_span(field, gens, other)
+        assert same_span(field, other, gens)
+        if dim == 0:
+            continue
+        # a proper subspace: drop a direction
+        basis = Echelon(field, normalized=True)
+        for g in gens:
+            basis.insert(g)
+        assert not same_span(field, basis.rows[1:], gens)
+        assert not same_span(field, gens, basis.rows[1:])
+        # equal dimension, different span: move one row off the span
+        free = next(k for k in range(NCOLS)
+                    if not basis.contains({k: field.one}))
+        moved = basis.rows[1:] + [{free: field.one}]
+        assert _rank(field, moved, NCOLS) == dim
+        assert not same_span(field, moved, gens)
