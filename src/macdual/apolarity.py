@@ -183,7 +183,7 @@ class LocalIdeal:
     dimension data of the associated graded ideal I*."""
 
     __slots__ = ("ring", "trunc", "rindex", "rmons", "rows", "pivots",
-                 "min_gens", "orders", "socle_degree")
+                 "min_gens", "orders", "socle_degree", "_echelon")
 
     def __init__(self, ring: RingSpec, trunc, rindex, rmons, rows, min_gens,
                  orders, socle_degree):
@@ -196,6 +196,7 @@ class LocalIdeal:
         self.min_gens = min_gens
         self.orders = orders
         self.socle_degree = socle_degree
+        self._echelon = None
 
     @property
     def dim(self) -> int:
@@ -219,10 +220,11 @@ class LocalIdeal:
         return out
 
     def contains(self, phi: PSElement) -> bool:
-        ech = Echelon(self.ring.field)
-        for r in self.rows:
-            ech.insert(r)
-        return ech.contains(phi.vector(self.rindex))
+        if self._echelon is None:  # built on the first query, then kept
+            self._echelon = Echelon(self.ring.field)
+            for r in self.rows:
+                self._echelon.insert(r)
+        return self._echelon.contains(phi.vector(self.rindex))
 
 
 def annihilator(f: DPPoly) -> LocalIdeal:

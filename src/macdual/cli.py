@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse/schema error,
-3 domain error (bad mathematical input), 4 genericity failure.  Randomized
-subcommands print their seed so any "generic" result can be replayed, and
-identical flags plus seed give byte-identical output.
+3 domain error (bad mathematical input), 4 genericity failure, 5 internal
+error (a failed internal check or any unexpected exception: a bug in
+macdual, reported on one stderr line with the subcommand and --char, never
+as a mismatch).  Randomized subcommands print their seed so any "generic"
+result can be replayed, and identical flags plus seed give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -318,6 +321,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print("domain error: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:  # noqa: BLE001 - a bug here, not bad input
+        print("internal error: %s: %s (subcommand %s, --char %s)"
+              % (type(exc).__name__, " ".join(str(exc).split()), args.command,
+                 getattr(args, "char", "-")), file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

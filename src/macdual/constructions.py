@@ -492,8 +492,7 @@ def simple_deformation(f: DPPoly, h: DPPoly, z_name: str = "Z"):
     for row in P.lt_rows(j - k, k):
         base.insert(row)
     s = 0
-    for i in range(ring.r):
-        mon = tuple(1 if t == i else 0 for t in range(ring.r))
+    for mon in ring.monomials(1):
         img = contract_monomial(mon, h)
         if img.is_zero:
             continue

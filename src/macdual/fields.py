@@ -2,8 +2,13 @@
 
 Characteristic zero works with Python ints and ``fractions.Fraction`` (kept
 as plain ints whenever the denominator is one); characteristic p keeps
-canonical residues in ``range(p)``.  Every operation goes through a
-:class:`Field` so results stay canonical.
+canonical residues in ``range(p)``.  That format is decided here and
+nowhere else.  :meth:`Field.canon` is the canonicaliser for whole sums: it
+turns a dict of raw int/Fraction values (sums and products of elements,
+computed with plain ``+`` and ``*``) into canonical elements and drops the
+zeros, so :mod:`macdual.poly` sums raw and canonicalises once per result.
+The per-element methods (``add``, ``mul``, ...) keep each result canonical
+for the element-by-element arithmetic of :mod:`macdual.linalg`.
 """
 
 from __future__ import annotations
@@ -136,6 +141,16 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def canon(self, raw: dict) -> dict:
+        """raw with its values (ints, Fractions, or sums and products of
+        field elements) made canonical, zeros dropped: residues in range(p)
+        in characteristic p; over Q, ints whenever the denominator is one."""
+        p = self.char
+        if p:
+            return {k: r for k, v in raw.items() if (r := v % p)}
+        return {k: v.numerator if v.denominator == 1 else v
+                for k, v in raw.items() if v}
 
     # -- derived constants -------------------------------------------------------
 

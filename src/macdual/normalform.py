@@ -94,13 +94,11 @@ class CoordChange:
     def from_dual_linear(cls, ring: RingSpec, A, trunc: int) -> "CoordChange":
         """The change whose adjoint is the linear substitution X_i -> column
         i of A on D."""
-        field = ring.field
-        Ainv = matrix_inverse(A, field)
+        Ainv = matrix_inverse(A, ring.field)
+        units = ring.monomials(1)
 
         def lin(mat, i):
-            return PSElement(ring, {
-                tuple(1 if t == k else 0 for t in range(ring.r)): mat[i][k]
-                for k in range(ring.r) if not field.is_zero(mat[i][k])}, trunc)
+            return PSElement(ring, dict(zip(units, mat[i])), trunc)
 
         # adjoint = subst_A exactly when sigma^{-1}(x_i) = sum_k A[i][k] x_k
         inv_images = [lin(A, i) for i in range(ring.r)]
@@ -216,13 +214,9 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
     const_killer = {}
     if sq.reduce({const_col: field.neg(field.one)}, const_killer):
         const_killer = None
-    xs_contr = []
-    for i in range(ring.r):
-        m = tuple(1 if t == i else 0 for t in range(ring.r))
-        xs_contr.append(contract_monomial(m, f).vector(P.dindex))
+    unit_mons = ring.monomials(1)
+    xs_contr = [contract_monomial(m, f).vector(P.dindex) for m in unit_mons]
 
-    unit_mons = [tuple(1 if t == i else 0 for t in range(ring.r))
-                 for i in range(ring.r)]
     cuts = [j - a - 1 for a in range(max(j - 1, 1))] + [0]
     level_ech = []           # per cut: witnessed Echelon over variable coords
     for cut in cuts:

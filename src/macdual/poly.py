@@ -15,11 +15,21 @@ graded-lex with the declared variable order (first variable dominant), with
 degrees ascending on the R side and descending on the D side.  The latter
 makes the leading (= highest-degree) term of an element the first nonzero
 coordinate, so echelon pivots of spaces of partials sit on leading terms.
+
+DPPoly and PSElement share one sparse core, ``_SparsePoly``: storage (the
+ring and a dict monomial -> nonzero scalar) and the linear arithmetic (sum,
+difference, negation, scaling, equality, coordinate vectors).  Every
+accumulating operation here - those, contraction, divided-power products
+and powers, linear substitution, series products and composition - sums raw
+int/Fraction products into one dict and hands it to ``Field.canon`` once;
+the constructors do the same.  This module never looks at how a field
+element is stored.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add, sub
 
 from .errors import DomainError, RingMismatchError
 from .fields import Field
@@ -33,7 +43,7 @@ def mdeg(m: MON) -> int:
 
 
 def mon_mul(a: MON, b: MON) -> MON:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _glex_within(m: MON):
@@ -135,11 +145,7 @@ class RingSpec:
     def subring(self, idxs) -> "RingSpec":
         return RingSpec(tuple(self.vars[i] for i in idxs), self.field)
 
-    # parsing conveniences (grammar lives in macdual.io)
-    def dp(self, src: str) -> "DPPoly":
-        from . import io as _io
-        return _io.parse_poly(src, self)
-
+    # parsing convenience (grammar lives in macdual.io)
     def ps(self, src: str, trunc: int | None = None) -> "PSElement":
         from . import io as _io
         return _io.parse_ps(src, self, trunc)
@@ -179,17 +185,21 @@ def _fmt_poly(names, items, power_bracket):
     return "".join(parts)
 
 
-class DPPoly:
-    """Element of the divided power algebra D; sparse map monomial -> scalar."""
+class _SparsePoly:
+    """Sparse map monomial -> nonzero canonical scalar over ring.field: the
+    storage and the linear arithmetic shared by DPPoly and PSElement.
+    Results are summed raw and canonicalised once, by Field.canon."""
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: RingSpec, coeffs: dict | None = None):
         self.ring = ring
-        self.coeffs = {m: c for m, c in (coeffs or {}).items()
-                       if not ring.field.is_zero(c)}
+        self.coeffs = ring.field.canon(coeffs) if coeffs else {}
 
-    # -- basic structure ----------------------------------------------------
+    def _like(self, raw: dict, other=None):
+        """An element of self's kind holding raw sums; other is the second
+        operand of a binary operation."""
+        return type(self)(self.ring, raw)
 
     @property
     def is_zero(self) -> bool:
@@ -197,12 +207,55 @@ class DPPoly:
 
     @property
     def degree(self):
-        """Max degree of a stored monomial; None for the zero polynomial."""
+        """Degree of the highest-degree term; None for zero."""
         return max(map(mdeg, self.coeffs)) if self.coeffs else None
 
-    def homogeneous_component(self, d: int) -> "DPPoly":
-        return DPPoly(self.ring,
-                      {m: c for m, c in self.coeffs.items() if mdeg(m) == d})
+    def homogeneous_component(self, d: int):
+        return self._like({m: c for m, c in self.coeffs.items()
+                           if mdeg(m) == d})
+
+    def is_homogeneous(self) -> bool:
+        return len({mdeg(m) for m in self.coeffs}) <= 1
+
+    def _binop(self, other, op):
+        self.ring.check_same(other.ring)
+        out = dict(self.coeffs)
+        get = out.get
+        for m, c in other.coeffs.items():
+            out[m] = op(get(m, 0), c)
+        return self._like(out, other)
+
+    def __add__(self, other):
+        return self._binop(other, add)
+
+    def __sub__(self, other):
+        return self._binop(other, sub)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        return self._like({m: c * a for m, a in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and other.ring == self.ring
+                and other.coeffs == self.coeffs)
+
+    def vector(self, index: dict) -> dict:
+        return {index[m]: c for m, c in self.coeffs.items()}
+
+    @classmethod
+    def from_vector(cls, ring: RingSpec, vec: dict, mons: list, *trunc):
+        return cls(ring, {mons[i]: c for i, c in vec.items()}, *trunc)
+
+
+class DPPoly(_SparsePoly):
+    """Element of the divided power algebra D; sparse map monomial -> scalar."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.coeffs.items())))
 
     def part_from(self, d: int) -> "DPPoly":
         """f_{>=d}: the components of degree at least d."""
@@ -218,8 +271,6 @@ class DPPoly:
 
     def leading_form(self) -> "DPPoly":
         """Highest-degree homogeneous component (lt of the element)."""
-        if self.is_zero:
-            return self
         return self.homogeneous_component(self.degree)
 
     def variables_used(self) -> set[int]:
@@ -227,54 +278,6 @@ class DPPoly:
         for m in self.coeffs:
             used.update(i for i, e in enumerate(m) if e)
         return used
-
-    def is_homogeneous(self) -> bool:
-        degs = {mdeg(m) for m in self.coeffs}
-        return len(degs) <= 1
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _binop(self, other: "DPPoly", op) -> "DPPoly":
-        self.ring.check_same(other.ring)
-        f = self.ring.field
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = op(out.get(m, 0), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return DPPoly(self.ring, out)
-
-    def __add__(self, other):
-        return self._binop(other, self.ring.field.add)
-
-    def __sub__(self, other):
-        return self._binop(other, self.ring.field.sub)
-
-    def __neg__(self):
-        f = self.ring.field
-        return DPPoly(self.ring, {m: f.neg(c) for m, c in self.coeffs.items()})
-
-    def scale(self, c) -> "DPPoly":
-        f = self.ring.field
-        return DPPoly(self.ring, {m: f.mul(c, a) for m, a in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, DPPoly) and other.ring == self.ring
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.coeffs.items())))
-
-    # -- coordinates -----------------------------------------------------------
-
-    def vector(self, index: dict) -> dict:
-        return {index[m]: c for m, c in self.coeffs.items()}
-
-    @classmethod
-    def from_vector(cls, ring: RingSpec, vec: dict, mons: list) -> "DPPoly":
-        return cls(ring, {mons[i]: c for i, c in vec.items()})
 
     def embed(self, big: RingSpec) -> "DPPoly":
         """Reinterpret over a ring whose first variables are ours."""
@@ -300,74 +303,29 @@ class DPPoly:
     __repr__ = __str__
 
 
-class PSElement:
+class PSElement(_SparsePoly):
     """Element of R = k{x_1..x_r}, truncated: monomials of degree > trunc are
-    dropped on construction and in every product."""
+    dropped on construction and in every product.  A sum or difference keeps
+    the smaller truncation of its operands."""
 
-    __slots__ = ("ring", "coeffs", "trunc")
+    __slots__ = ("trunc",)
 
     def __init__(self, ring: RingSpec, coeffs: dict | None = None, trunc: int = 64):
-        self.ring = ring
+        super().__init__(ring, coeffs and {m: c for m, c in coeffs.items()
+                                           if mdeg(m) <= trunc})
         self.trunc = trunc
-        self.coeffs = {m: c for m, c in (coeffs or {}).items()
-                       if not ring.field.is_zero(c) and mdeg(m) <= trunc}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _like(self, raw: dict, other=None):
+        return PSElement(self.ring, raw, self.trunc if other is None
+                         else min(self.trunc, other.trunc))
 
     @property
     def order(self):
         """Degree of the lowest-degree term; None for zero."""
         return min(map(mdeg, self.coeffs)) if self.coeffs else None
 
-    @property
-    def degree(self):
-        """Degree of the highest-degree term; None for zero."""
-        return max(map(mdeg, self.coeffs)) if self.coeffs else None
-
     def initial_form(self) -> "PSElement":
-        o = self.order
-        return PSElement(self.ring,
-                         {} if o is None else {m: c for m, c in self.coeffs.items()
-                                               if mdeg(m) == o},
-                         self.trunc)
-
-    def homogeneous_component(self, d: int) -> "PSElement":
-        return PSElement(self.ring,
-                         {m: c for m, c in self.coeffs.items() if mdeg(m) == d},
-                         self.trunc)
-
-    def is_homogeneous(self) -> bool:
-        return len({mdeg(m) for m in self.coeffs}) <= 1
-
-    def _binop(self, other: "PSElement", op) -> "PSElement":
-        self.ring.check_same(other.ring)
-        f = self.ring.field
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = op(out.get(m, 0), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return PSElement(self.ring, out, min(self.trunc, other.trunc))
-
-    def __add__(self, other):
-        return self._binop(other, self.ring.field.add)
-
-    def __sub__(self, other):
-        return self._binop(other, self.ring.field.sub)
-
-    def __neg__(self):
-        f = self.ring.field
-        return PSElement(self.ring, {m: f.neg(c) for m, c in self.coeffs.items()},
-                         self.trunc)
-
-    def scale(self, c) -> "PSElement":
-        f = self.ring.field
-        return PSElement(self.ring, {m: f.mul(c, a) for m, a in self.coeffs.items()},
-                         self.trunc)
+        return self.homogeneous_component(self.order)
 
     def mul(self, other: "PSElement", trunc: int | None = None) -> "PSElement":
         self.ring.check_same(other.ring)
@@ -382,42 +340,14 @@ class PSElement:
             for d2, m2, c2 in right:
                 if d2 > room:
                     break
-                m = tuple(map(int.__add__, m1, m2))
+                m = tuple(map(add, m1, m2))
                 out[m] = get(m, 0) + c1 * c2
-        return PSElement._canonical(self.ring, out, N)
-
-    @classmethod
-    def _canonical(cls, ring: RingSpec, raw: dict, trunc: int) -> "PSElement":
-        """Wrap raw int/Fraction sums (all of degree <= trunc) as canonical
-        field elements, dropping zeros, without the constructor's filter."""
-        p = ring.field.char
-        el = cls.__new__(cls)
-        el.ring = ring
-        el.trunc = trunc
-        if p:
-            el.coeffs = {m: v for m, c in raw.items() if (v := c % p)}
-        else:
-            el.coeffs = {m: c if c.denominator != 1 else int(c)
-                         for m, c in raw.items() if c}
-        return el
+        return PSElement(self.ring, out, N)
 
     def mul_monomial(self, m: MON, trunc: int | None = None) -> "PSElement":
         N = self.trunc if trunc is None else trunc
-        d = mdeg(m)
         return PSElement(self.ring,
-                         {mon_mul(m, m2): c for m2, c in self.coeffs.items()
-                          if mdeg(m2) + d <= N}, N)
-
-    def __eq__(self, other):
-        return (isinstance(other, PSElement) and other.ring == self.ring
-                and other.coeffs == self.coeffs)
-
-    def vector(self, index: dict) -> dict:
-        return {index[m]: c for m, c in self.coeffs.items()}
-
-    @classmethod
-    def from_vector(cls, ring, vec: dict, mons: list, trunc: int) -> "PSElement":
-        return cls(ring, {mons[i]: c for i, c in vec.items()}, trunc)
+                         {mon_mul(m, m2): c for m2, c in self.coeffs.items()}, N)
 
     def __str__(self):
         items = sorted(self.coeffs.items(), key=lambda kv: rmon_key(kv[0]))
@@ -444,17 +374,13 @@ def contract(phi, g: DPPoly) -> DPPoly:
     if isinstance(phi, tuple):
         return contract_monomial(phi, g)
     phi.ring.check_same(g.ring)
-    f = g.ring.field
     out: dict = {}
+    get = out.get
     for beta, c in phi.coeffs.items():
         for m, a in g.coeffs.items():
-            shifted = tuple(x - b for x, b in zip(m, beta))
+            shifted = tuple(map(sub, m, beta))
             if min(shifted) >= 0:
-                s = f.add(out.get(shifted, 0), f.mul(c, a))
-                if f.is_zero(s):
-                    out.pop(shifted, None)
-                else:
-                    out[shifted] = s
+                out[shifted] = get(shifted, 0) + c * a
     return DPPoly(g.ring, out)
 
 
@@ -471,24 +397,16 @@ def dp_mul(a: DPPoly, b: DPPoly) -> DPPoly:
     """Product in the divided power sense:
     X^[m] * X^[n] = C(m+n, m) X^[m+n] variable-wise."""
     a.ring.check_same(b.ring)
-    f = a.ring.field
     out: dict = {}
+    get = out.get
     for m1, c1 in a.coeffs.items():
         for m2, c2 in b.coeffs.items():
-            coef = f.mul(c1, c2)
+            coef = c1 * c2
             for e1, e2 in zip(m1, m2):
                 if e1 and e2:
-                    coef = f.mul(coef, f.binomial(e1 + e2, e1))
-                if f.is_zero(coef):
-                    break
-            if f.is_zero(coef):
-                continue
+                    coef *= comb(e1 + e2, e1)
             m = mon_mul(m1, m2)
-            s = f.add(out.get(m, 0), coef)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[m] = get(m, 0) + coef
     return DPPoly(a.ring, out)
 
 
@@ -497,49 +415,27 @@ def dp_power_of_linear(L: DPPoly, k: int) -> DPPoly:
     multinomial coefficients, so L^[k] = sum_{|alpha|=k} a^alpha X^[alpha]."""
     if not (L.is_zero or (L.degree == 1 and L.is_homogeneous())):
         raise DomainError("divided power of a non-linear form")
-    if k == 0:
-        return DPPoly(L.ring, {L.ring.r * (0,): L.ring.field.one})
-    if L.is_zero:
-        return DPPoly(L.ring)
-    f = L.ring.field
-    support = sorted(L.variables_used())
-    coef = {i: L.coeffs[tuple(1 if t == i else 0 for t in range(L.ring.r))]
-            for i in support}
-    out: dict = {}
-
-    def rec(pos, left, mon, c):
-        if pos == len(support) - 1:
-            i = support[pos]
-            m = list(mon)
-            m[i] = left
-            out[tuple(m)] = f.mul(c, f.power(coef[i], left))
-            return
-        i = support[pos]
-        for e in range(left + 1):
-            m = list(mon)
-            m[i] = e
-            rec(pos + 1, left - e, tuple(m), f.mul(c, f.power(coef[i], e)))
-
-    if len(support) == 1:
-        i = support[0]
-        out[tuple(k if t == i else 0 for t in range(L.ring.r))] = f.power(coef[i], k)
-    else:
-        rec(0, k, L.ring.r * (0,), f.one)
-    return DPPoly(L.ring, out)
+    ring = L.ring
+    a = [L.coeffs.get(e, 0) for e in ring.monomials(1)]
+    out = {}
+    for alpha in ring.monomials(k):
+        c = 1
+        for ai, e in zip(a, alpha):
+            if e:
+                c *= ai ** e
+        out[alpha] = c
+    return DPPoly(ring, out)
 
 
 def linear_substitute(g: DPPoly, M: list[list]) -> DPPoly:
     """Replace X_i by the linear form in column i of M, re-expanding with
     divided-power products.  M must be invertible."""
     ring = g.ring
-    f = ring.field
-    matrix_inverse(M, f)  # raises DomainError when singular
-    cols = []
-    for i in range(ring.r):
-        cols.append(DPPoly(ring, {
-            tuple(1 if t == k else 0 for t in range(ring.r)): M[k][i]
-            for k in range(ring.r) if not f.is_zero(M[k][i])}))
-    one = DPPoly(ring, {ring.r * (0,): f.one})
+    matrix_inverse(M, ring.field)  # raises DomainError when singular
+    units = ring.monomials(1)
+    cols = [DPPoly(ring, {units[k]: M[k][i] for k in range(ring.r)})
+            for i in range(ring.r)]
+    one = DPPoly(ring, {ring.r * (0,): 1})
     # cache divided powers of each column image
     pow_cache: dict = {}
 
@@ -548,14 +444,16 @@ def linear_substitute(g: DPPoly, M: list[list]) -> DPPoly:
             pow_cache[(i, e)] = dp_power_of_linear(cols[i], e)
         return pow_cache[(i, e)]
 
-    out = DPPoly(ring)
+    out: dict = {}
+    get = out.get
     for m, c in g.coeffs.items():
         term = one
         for i, e in enumerate(m):
             if e:
                 term = dp_mul(term, col_power(i, e))
-        out = out + term.scale(c)
-    return out
+        for mm, a in term.coeffs.items():
+            out[mm] = get(mm, 0) + c * a
+    return DPPoly(ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +488,7 @@ class _MonomialImages:
         for m, c in phi.coeffs.items():
             for mm, a in self[m].coeffs.items():
                 out[mm] = get(mm, 0) + c * a
-        return PSElement._canonical(phi.ring, out, self.N)
+        return PSElement(phi.ring, out, self.N)
 
 
 def ps_compose(phi: PSElement, images: list[PSElement], N: int) -> PSElement:
@@ -607,16 +505,12 @@ def ps_compose_all(phis: list[PSElement], images: list[PSElement],
 
 
 def variable_series(ring: RingSpec, i: int, N: int) -> PSElement:
-    return PSElement(ring, {tuple(1 if t == i else 0 for t in range(ring.r)):
-                            ring.field.one}, N)
+    return PSElement(ring, {ring.monomials(1)[i]: 1}, N)
 
 
 def linear_parts_matrix(images: list[PSElement]) -> list[list]:
-    ring = images[0].ring
-    unit_mons = [tuple(1 if t == i else 0 for t in range(ring.r))
-                 for i in range(ring.r)]
-    return [[images[i].coeffs.get(unit_mons[k], 0) for i in range(ring.r)]
-            for k in range(ring.r)]
+    units = images[0].ring.monomials(1)
+    return [[im.coeffs.get(u, 0) for im in images] for u in units]
 
 
 def linear_part_inverse(images: list[PSElement]) -> list[list]:
@@ -639,13 +533,10 @@ def ps_compose_inverse(images: list[PSElement], N: int) -> list[PSElement]:
     updated by the new terms of tau_i only, from tables of monomial images
     shared by every step."""
     ring = images[0].ring
-    f = ring.field
     Linv = linear_part_inverse(images)
-    lin_images = []
-    for i in range(ring.r):
-        lin_images.append(PSElement(ring, {
-            tuple(1 if t == k else 0 for t in range(ring.r)): Linv[k][i]
-            for k in range(ring.r) if not f.is_zero(Linv[k][i])}, N))
+    units = ring.monomials(1)
+    lin_images = [PSElement(ring, {units[k]: Linv[k][i] for k in range(ring.r)},
+                            N) for i in range(ring.r)]
     fwd = _MonomialImages(images, N)
     lin = _MonomialImages(lin_images, N)
     taus = []

@@ -157,6 +157,31 @@ def test_annihilator_contains_high_powers():
     j = f.degree
     for m in R.monomials(j + 1):
         assert I.contains(PSElement(R, {m: 1}, j + 1))
+    # x o f = X^[2] + Y and y o f = X are nonzero
+    assert not I.contains(R.ps("x", j + 1))
+    assert not I.contains(R.ps("x^2+y", j + 1))
+    assert I.contains(R.ps("y^2", j + 1))
+
+
+def test_contains_builds_its_echelon_once(monkeypatch):
+    import macdual.apolarity as apolarity
+
+    built = []
+
+    class CountingEchelon(apolarity.Echelon):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    R, f = mk(("X", "Y", "Z"), "X^[4]+X*Y*Z+Z^[3]", 101)
+    I = annihilator(f)
+    monkeypatch.setattr(apolarity, "Echelon", CountingEchelon)
+    assert I.contains(R.ps("y^2", f.degree + 1))
+    assert len(built) == 1
+    assert not I.contains(R.ps("x*z", f.degree + 1))
+    assert I.contains(R.ps("x*y-z^2+y*z-x^3", f.degree + 1))
+    assert len(built) == 1
+    assert I.rows and I.dim == len(I.rows)
 
 
 def test_verify_ideal_rejects_unit_and_wrong():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import macdual.cli as cli
 from macdual.cli import main, verify_workers
+from macdual.errors import InternalCheckError
 
 
 def run(capsys, *argv):
@@ -140,3 +142,21 @@ def test_verify_workers_capped():
     assert verify_workers(16, 3, 64) == 3       # no more than the entries
     assert verify_workers(4, 0, 2) == 0
     assert verify_workers(4, 31, None) == 1     # CPU count unknown
+
+
+@pytest.mark.parametrize("exc", [InternalCheckError("components do not\nsum"),
+                                 ZeroDivisionError("division by zero")])
+def test_internal_errors_exit_5(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "symmetric_decomposition", broken)
+    code = main(["decompose", "--vars", "X,Y", "--char", "101", "X^[3]"])
+    out = capsys.readouterr()
+    assert code == 5
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    line = out.err.strip()
+    assert type(exc).__name__ in line
+    assert " ".join(str(exc).split()) in line
+    assert "decompose" in line and "--char 101" in line

@@ -86,9 +86,41 @@ CASES = [
      "split generator: X^[4]-Y^[2]\n"),
 ]
 
+# README generators over F_101: the residue path of the same engine
+CASES_MOD_101 = [
+    (["normalize", "--vars", "X,Y", "--char", "101", "Y^[4]+Y^[2]*X"],
+     "normal form: X^[4]+100*Y^[2]\n"
+     "w_1 = y\n"
+     "w_2 = x+100*y^2\n"),
+    (["consum-split", "--vars", "X,Y", "--char", "101", "Y^[4]+Y^[2]*X"],
+     "summand 1: X^[4]\n"
+     "summand 2: 100*Y^[2]\n"
+     "split generator: X^[4]+100*Y^[2]\n"),
+    (["annihilator", "--vars", "X,Y", "--char", "101", "--verify",
+      "y-x^2; x^5", "X^[4]+X^[2]*Y+Y^[2]"],
+     "order 1: y+100*x^2\n"
+     "order 3: x*y^2\n"
+     "presentation matches\n"),
+    (["exotic", "--vars", "X,Y,Z", "--char", "101",
+      "X^[6]+X^[4]*Y+X^[3]*Z+X*Y*Z"],
+     "n: 1,1,2,2,3\n"
+     "adapted basis: X; Y; Z\n"
+     "exotic degree 5: X^[4]*Y\n"
+     "exotic degree 4: X^[3]*Z\n"
+     "exotic degree 3: X*Y*Z\n"),
+]
+
 
 @pytest.mark.parametrize("argv,expected", CASES, ids=[c[0][0] for c in CASES])
 def test_readme_example_output(capsys, argv, expected):
+    code = main(list(argv))
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv,expected", CASES_MOD_101,
+                         ids=[c[0][0] for c in CASES_MOD_101])
+def test_readme_example_output_char_101(capsys, argv, expected):
     code = main(list(argv))
     assert code == 0
     assert capsys.readouterr().out == expected

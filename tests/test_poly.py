@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -204,7 +205,6 @@ def test_ps_compose_inverse_random_composition():
 
 
 def test_ps_mul_truncates_and_stays_canonical():
-    from fractions import Fraction
     R = ring2()
     a = PSElement(R, {(1, 0): Fraction(1, 2), (0, 2): Fraction(1, 3)}, 4)
     b = PSElement(R, {(1, 0): 2, (0, 1): Fraction(3, 2), (3, 0): 5}, 4)
@@ -238,3 +238,181 @@ def test_poly_structure_helpers():
     assert DPPoly(R).degree is None
     assert parse_ps("x^2*y-x^4", R).order == 3
     assert parse_ps("x^2*y-x^4", R).initial_form() == parse_ps("x^2*y", R)
+
+
+# -- the shared core against a per-operation reference ----------------------
+# Every accumulating operation sums raw products and canonicalises once
+# (Field.canon).  The oracle below is the per-operation path it replaced:
+# each step through Field.add / Field.mul, a zero sum popped at once.
+
+def _ref_accumulate(field, out, m, c):
+    s = field.add(out.get(m, 0), c)
+    if field.is_zero(s):
+        out.pop(m, None)
+    else:
+        out[m] = s
+
+
+def _ref_binop(field, a, b, op):
+    out = dict(a)
+    for m, c in b.items():
+        s = op(out.get(m, 0), c)
+        if field.is_zero(s):
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def _ref_contract(field, phi, g):
+    out = {}
+    for beta, c in phi.items():
+        for m, a in g.items():
+            shifted = tuple(x - b for x, b in zip(m, beta))
+            if min(shifted) >= 0:
+                _ref_accumulate(field, out, shifted, field.mul(c, a))
+    return out
+
+
+def _ref_dp_mul(field, a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            coef = field.mul(c1, c2)
+            for e1, e2 in zip(m1, m2):
+                coef = field.mul(coef, field.binomial(e1 + e2, e1))
+            _ref_accumulate(field, out, tuple(x + y for x, y in zip(m1, m2)),
+                            coef)
+    return out
+
+
+def _ref_dp_power_of_linear(ring, L, k):
+    field = ring.field
+    out = {}
+    for alpha in ring.monomials(k):
+        c = field.one
+        for i, e in enumerate(alpha):
+            unit = tuple(int(t == i) for t in range(ring.r))
+            c = field.mul(c, field.power(L.get(unit, 0), e))
+        if not field.is_zero(c):
+            out[alpha] = c
+    return out
+
+
+def _ref_linear_substitute(ring, g, M):
+    field = ring.field
+    out = {}
+    for m, c in g.items():
+        term = {ring.r * (0,): field.one}
+        for i, e in enumerate(m):
+            col = {tuple(int(t == k) for t in range(ring.r)): M[k][i]
+                   for k in range(ring.r) if not field.is_zero(M[k][i])}
+            term = _ref_dp_mul(field, term,
+                               _ref_dp_power_of_linear(ring, col, e))
+        for mm, a in term.items():
+            _ref_accumulate(field, out, mm, field.mul(c, a))
+    return out
+
+
+def _ref_ps_mul(field, a, b, N):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if sum(m) <= N:
+                _ref_accumulate(field, out, m, field.mul(c1, c2))
+    return out
+
+
+def _ref_ps_compose(ring, phi, images, N):
+    field = ring.field
+    out = {}
+    for m, c in phi.items():
+        img = {ring.r * (0,): field.one}
+        for k, e in enumerate(m):
+            for _ in range(e):
+                img = _ref_ps_mul(field, img, images[k], N)
+        for mm, a in img.items():
+            _ref_accumulate(field, out, mm, field.mul(c, a))
+    return out
+
+
+def _scalar(field, rng):
+    if field.char:
+        return rng.randrange(field.char)
+    if rng.random() < 0.4:
+        return field.fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return rng.randint(-6, 6)
+
+
+def _canonical_terms(field, coeffs):
+    for c in coeffs.values():
+        if c == 0:
+            return False
+        if field.char:
+            if type(c) is not int or not 0 < c < field.char:
+                return False
+        elif type(c) is not int and c.denominator == 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("char", [0, 101, 2**61 - 1])
+def test_core_matches_per_operation_reference(char):
+    rng = random.Random(char % 1000 + 5)
+    field = Field(char)
+    for trial in range(40):
+        ring = RingSpec(("X", "Y", "Z")[:rng.randint(1, 3)], field)
+        r = ring.r
+
+        def draw(maxdeg, terms, mindeg=0):
+            mons = [m for d in range(mindeg, maxdeg + 1)
+                    for m in ring.monomials(d)]
+            return {m: _scalar(field, rng)
+                    for m in rng.sample(mons, min(terms, len(mons)))}
+
+        def check(got, ref):
+            assert got.coeffs == ref, trial
+            assert _canonical_terms(field, got.coeffs), (trial, got.coeffs)
+
+        a, b = DPPoly(ring, draw(4, 6)), DPPoly(ring, draw(4, 6))
+        A, B = a.coeffs, b.coeffs
+        c = _scalar(field, rng)
+        check(a + b, _ref_binop(field, A, B, field.add))
+        check(a - b, _ref_binop(field, A, B, field.sub))
+        check(a - a, {})
+        check(b + (-b), {})
+        check(-a, {m: field.neg(v) for m, v in A.items()})
+        check(a.scale(c), {m: field.mul(c, v) for m, v in A.items()
+                           if not field.is_zero(field.mul(c, v))})
+        check(dp_mul(a, b), _ref_dp_mul(field, A, B))
+        L = DPPoly(ring, draw(1, r, 1))
+        for k in range(5):
+            check(dp_power_of_linear(L, k),
+                  _ref_dp_power_of_linear(ring, L.coeffs, k))
+        M = [[_scalar(field, rng) for _ in range(r)] for _ in range(r)]
+        try:
+            got = linear_substitute(a, M)
+        except DomainError:
+            got = None
+        if got is not None:
+            check(got, _ref_linear_substitute(ring, A, M))
+
+        N, N2 = rng.randint(3, 6), rng.randint(3, 6)
+        p, q = PSElement(ring, draw(4, 5), N), PSElement(ring, draw(4, 5), N2)
+        P, Q = p.coeffs, q.coeffs
+        lo = min(N, N2)
+        for got, op in ((p + q, field.add), (p - q, field.sub)):
+            check(got, {m: v for m, v in _ref_binop(field, P, Q, op).items()
+                        if sum(m) <= lo})
+            assert got.trunc == lo
+        check(-p, {m: field.neg(v) for m, v in P.items()})
+        check(p.mul(q), _ref_ps_mul(field, P, Q, lo))
+        check(p.mul(q, 2), _ref_ps_mul(field, P, Q, 2))
+        check(contract(p, a), _ref_contract(field, P, A))
+        images = [PSElement(ring, draw(3, 3, 1), N) for _ in range(r)]
+        check(ps_compose(p, images, N),
+              _ref_ps_compose(ring, P, [im.coeffs for im in images], N))
+        # the constructor canonicalises raw values too
+        check(DPPoly(ring, {m: v + char if char else Fraction(v)
+                            for m, v in A.items()}), A)
