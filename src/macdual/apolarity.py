@@ -13,14 +13,20 @@ quotients (macdual.decomposition) read off the same tables.
 
 The annihilator I = Ann f is the kernel of the contraction map
 R/m^{j+2} -> D_{<= j}; truncation at N = j+2 is exact for minimal generators
-because m^{j+1} is contained in I, hence m^{j+2} in mI.
+because m^{j+1} is contained in I, hence m^{j+2} in mI.  Its reduced echelon
+basis comes out of one elimination pass: the images x^beta o f are fed to
+the kernel from the last monomial back to the first, so each kernel vector
+is e_beta minus a combination of later independent images, already pivot
+one and free of every other pivot.  The images, like the levels V_s, are
+built by column shifts through RingSpec.contraction_tables, one table per
+variable shared by both.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .linalg import Echelon, kernel, rref_rows, same_span
-from .poly import DPPoly, PSElement, RingSpec, contract_monomial, mdeg
+from .linalg import Echelon, kernel, same_span
+from .poly import DPPoly, PSElement, RingSpec, mdeg
 
 MON = tuple
 
@@ -43,16 +49,7 @@ class PartialFiltration:
         self.dindex = ring.dmon_index(self.j)
         self.dmons = sorted(self.dindex, key=self.dindex.get)
         self.col_deg = [mdeg(m) for m in self.dmons]
-        # contraction-by-x_i lookup tables on columns
-        self._shift = []
-        for i in range(ring.r):
-            tab = {}
-            for m, c in self.dindex.items():
-                if m[i] > 0:
-                    lower = list(m)
-                    lower[i] -= 1
-                    tab[c] = self.dindex[tuple(lower)]
-            self._shift.append(tab)
+        self._shift = ring.contraction_tables(self.j)
         self._levels: list[Echelon] = []
         self._pivdegs: list[list[int]] = []
         self._cum: list[list[int]] = []
@@ -224,7 +221,10 @@ class LocalIdeal:
             self._echelon = Echelon(self.ring.field)
             for r in self.rows:
                 self._echelon.insert(r)
-        return self._echelon.contains(phi.vector(self.rindex))
+        # terms of degree >= trunc lie in m^{j+2}, inside Ann f
+        rindex, N = self.rindex, self.trunc
+        return self._echelon.contains({rindex[m]: c for m, c in
+                                       phi.coeffs.items() if mdeg(m) < N})
 
 
 def annihilator(f: DPPoly) -> LocalIdeal:
@@ -238,31 +238,43 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     N = j + 2
     rindex = ring.rmon_index(j + 1)
     rmons = sorted(rindex, key=rindex.get)
-    dindex = ring.dmon_index(j)
-    rows = rref_rows(field, kernel(
-        field, (contract_monomial(beta, f).vector(dindex) for beta in rmons)))
-    # m*I spans; generators are the canonical rows surviving modulo m*I
+    # images x^beta o f, each one column shift of an earlier one
+    shift = ring.contraction_tables(j)
+    images = [f.vector(ring.dmon_index(j))]
+    for beta in rmons[1:]:
+        i = next(i for i, e in enumerate(beta) if e)
+        tab = shift[i]
+        prev = images[rindex[beta[:i] + (beta[i] - 1,) + beta[i + 1:]]]
+        images.append({tab[c]: v for c, v in prev.items() if c in tab})
+    # Fed last monomial first, each kernel vector is e_beta minus later
+    # independent images: pivot one, no other pivot in its support.  Read
+    # backwards, the kernel is the reduced echelon basis of I.
+    n = len(rmons)
+    ker = kernel(field, (images.pop() for _ in range(n)))
+    rows = [{n - 1 - k: c for k, c in w.items()} for w in reversed(ker)]
+    # m*I in the coordinates of I: a vector of I is the combination of the
+    # rows given by its pivot entries, so x_i * row is kept on pivot columns
+    # only, each relabelled by its row number
+    row_of = {min(row): k for k, row in enumerate(rows)}
     var_shift = []
     for i in range(ring.r):
         tab = {}
         for m, c in rindex.items():
             if mdeg(m) <= j:
-                up = list(m)
-                up[i] += 1
-                tab[c] = rindex[tuple(up)]
-            else:
-                tab[c] = None
+                k = row_of.get(rindex[m[:i] + (m[i] + 1,) + m[i + 1:]])
+                if k is not None:
+                    tab[c] = k
         var_shift.append(tab)
     mi = Echelon(field)
-    for row in rows:
-        for i in range(ring.r):
-            tab = var_shift[i]
-            w = {tab[c]: v for c, v in row.items() if tab[c] is not None}
+    for row in reversed(rows):  # sparse high-order rows first: less fill-in
+        for tab in var_shift:
+            w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:
                 mi.insert(w)
+    # row k is a minimal generator iff it is not in m*I + <rows before it>
     min_gens, orders = [], []
-    for row in rows:  # pivot (= order, graded-lex) ascending already
-        if mi.insert(row):
+    for k, row in enumerate(rows):
+        if mi.insert({k: field.one}):
             min_gens.append(PSElement.from_vector(ring, row, rmons, N - 1))
             orders.append(mdeg(rmons[min(row)]))
     return LocalIdeal(ring, N, rindex, rmons, rows, min_gens, orders, j)
@@ -285,11 +297,11 @@ def _ideal_products(gens: list[PSElement], ring: RingSpec, j: int):
 def verify_ideal_presentation(gens: list[PSElement], f: DPPoly) -> bool:
     """True iff (gens) = Ann f modulo m^{j+2}."""
     f = f.drop_constant()
-    ideal = annihilator(f)
     for g in gens:
         if g.order == 0:
             return False  # unit ideal never equals a proper annihilator
         g.ring.check_same(f.ring)
+    ideal = annihilator(f)
     return same_span(f.ring.field, ideal.rows,
                      _ideal_products(gens, f.ring, f.degree))
 
@@ -303,10 +315,11 @@ def verify_graded_presentation(gens: list[PSElement], f: DPPoly) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
     ideal I* = Gr(Ann f), checked degree by degree up to j+1."""
     f = f.drop_constant()
-    ideal = annihilator(f)
     for g in gens:
+        g.ring.check_same(f.ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
+    ideal = annihilator(f)
     return all(generates_in_degree(gens, f.ring, d, ideal.initial_form_rows(d))
                for d in range(f.degree + 2))
 

@@ -12,6 +12,14 @@ unless the echelon is built with ``normalized=True``: then rows have pivot
 one and ``reduce`` is a linear map.  Dimensions, pivot sets and membership
 do not depend on the mode.
 
+Elimination runs one tight loop per element format, picked once per
+``reduce``: residues in ``range(p)`` with an inline ``% p`` over F_p; plain
+ints with no canonicaliser for fraction-free rows over Q (inputs are
+integer after clearing denominators); ``Field.add``/``Field.mul`` only for
+the ``Fraction`` entries of a normalized echelon over Q.  All three store
+the same canonical values as the field's own arithmetic and drop every
+entry that cancels.
+
 A normalized echelon can carry witnesses.  A witness is a sparse dict over
 any keys (generator positions, monomials) naming the combination of inputs
 a vector stands for.  ``reduce(vec, wit)`` subtracts from ``wit``, in place,
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 from .fields import Field
@@ -48,8 +56,42 @@ from .fields import Field
 
 def vec_axpy(field: Field, out: dict, c, v: dict):
     """out += c*v in place."""
-    if field.is_zero(c):
+    if c == 0:
         return out
+    if field.char:
+        _axpy_mod(out, c, v, field.char)
+    else:
+        _axpy_q(field, out, c, v)
+    return out
+
+
+# One elimination loop per element format.  Each adds c*v into out in place
+# and drops the entries that cancel; v holds no zeros.
+
+def _axpy_mod(out: dict, c: int, v: dict, p: int):
+    """Residues in range(p)."""
+    get = out.get
+    for k, a in v.items():
+        s = (get(k, 0) + c * a) % p
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+
+
+def _axpy_int(out: dict, c: int, v: dict):
+    """Plain ints: the rows of a fraction-free echelon."""
+    get = out.get
+    for k, a in v.items():
+        s = get(k, 0) + c * a
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+
+
+def _axpy_q(field: Field, out: dict, c, v: dict):
+    """Rationals kept canonical (ints when the denominator is one)."""
     add, mul = field.add, field.mul
     for k, a in v.items():
         s = add(out.get(k, 0), mul(c, a))
@@ -57,7 +99,6 @@ def vec_axpy(field: Field, out: dict, c, v: dict):
             out.pop(k, None)
         else:
             out[k] = s
-    return out
 
 
 def vec_scale(field: Field, v: dict, c) -> dict:
@@ -68,12 +109,12 @@ def vec_scale(field: Field, v: dict, c) -> dict:
 
 
 def _clear_denominators(v: dict) -> dict:
-    """Scale a rational vector to an integer one."""
-    den = 1
+    """Scale a rational vector to one of plain ints."""
+    den, frac = 1, False
     for a in v.values():
         if isinstance(a, Fraction):
-            den = den * a.denominator // gcd(den, a.denominator)
-    if den != 1:
+            den, frac = lcm(den, a.denominator), True
+    if frac:
         v = {k: int(a * den) for k, a in v.items()}
     return v
 
@@ -126,31 +167,39 @@ class Echelon:
         Each row subtracted from vec is subtracted, with the same factor,
         from wit in place: if wit is the witness of vec on entry, it is the
         witness of the remainder on return."""
-        f = self.field
         ffree = self._ffree
         if ffree and wit is not None:
             raise ValueError("witnesses need a normalized echelon")
-        v = {k: a for k, a in vec.items() if not f.is_zero(a)}
+        v = {k: a for k, a in vec.items() if a != 0}
         if ffree:
             v = _clear_denominators(v)
+        f = self.field
+        p = f.char
         by_pivot = self._by_pivot
         while v:
             hits = [k for k in v if k in by_pivot]
             if not hits:
                 return v
-            p = min(hits)
-            row, rwit = by_pivot[p]
-            if ffree:
-                a = row[p]
-                b = v[p]
-                g = gcd(int(a), int(b))
-                ca, cb = a // g, b // g
-                v = vec_axpy(f, {k: ca * x for k, x in v.items()}, -cb, row)
-            else:
-                c = f.neg(v[p])
-                vec_axpy(f, v, c, row)
+            q = min(hits)
+            row, rwit = by_pivot[q]
+            if p:
+                c = -v[q] % p
+                _axpy_mod(v, c, row, p)
                 if wit is not None:
-                    vec_axpy(f, wit, c, rwit)
+                    _axpy_mod(wit, c, rwit, p)
+            elif ffree:
+                a = row[q]
+                b = v[q]
+                g = gcd(a, b)
+                ca = a // g
+                if ca != 1:
+                    v = {k: ca * x for k, x in v.items()}
+                _axpy_int(v, -(b // g), row)
+            else:
+                c = -v[q]
+                _axpy_q(f, v, c, row)
+                if wit is not None:
+                    _axpy_q(f, wit, c, rwit)
         return v
 
     def insert(self, vec: dict, wit: dict | None = None):
@@ -164,20 +213,27 @@ class Echelon:
         """Store a nonzero remainder of reduce; a witness is scaled in place
         along with the row and kept as the row's witness."""
         f = self.field
-        p = min(v)
+        q = min(v)
+        p = f.char
         if self._ffree:
             v = _strip_content(v)
+        elif p:
+            c = pow(v[q], -1, p)
+            v = {k: c * a % p for k, a in v.items()}
+            if wit is not None:
+                for k, a in wit.items():
+                    wit[k] = c * a % p
         else:
-            c = f.inv(v[p])
+            c = f.inv(v[q])
             v = vec_scale(f, v, c)
             if wit is not None:
                 for k, a in wit.items():
                     wit[k] = f.mul(c, a)
-        pos = bisect_left(self.pivots, p)
+        pos = bisect_left(self.pivots, q)
         self.rows.insert(pos, v)
         self.wits.insert(pos, wit)
-        self.pivots.insert(pos, p)
-        self._by_pivot[p] = (v, wit)
+        self.pivots.insert(pos, q)
+        self._by_pivot[q] = (v, wit)
         return v
 
     def contains(self, vec: dict) -> bool:

@@ -76,7 +76,7 @@ class RingSpec:
     monomial indexings shared by R = k{x_i} and its dual D = k_DP[X_i]."""
 
     __slots__ = ("vars", "lvars", "field", "r", "_dindex", "_rindex", "_hmons",
-                 "_hindex")
+                 "_hindex", "_ctabs")
 
     def __init__(self, vars, field: Field):
         vars = tuple(vars)
@@ -93,6 +93,7 @@ class RingSpec:
         self._rindex = {}
         self._hmons = {}
         self._hindex = {}
+        self._ctabs = {}
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec) and other.vars == self.vars
@@ -131,6 +132,21 @@ class RingSpec:
             mons = [m for d in range(maxdeg, -1, -1) for m in self.monomials(d)]
             self._dindex[maxdeg] = {m: i for i, m in enumerate(mons)}
         return self._dindex[maxdeg]
+
+    def contraction_tables(self, maxdeg: int) -> list[dict]:
+        """Contraction by each variable on the coordinates of dmon_index:
+        tables[i] maps the column of X^a to that of X^(a-e_i) whenever
+        a_i > 0, so {tables[i][c]: v for c, v in vec.items() if c in
+        tables[i]} is the vector of x_i o g when vec is that of g."""
+        if maxdeg not in self._ctabs:
+            dindex = self.dmon_index(maxdeg)
+            tabs = [{} for _ in range(self.r)]
+            for m, c in dindex.items():
+                for i, e in enumerate(m):
+                    if e:
+                        tabs[i][c] = dindex[m[:i] + (e - 1,) + m[i + 1:]]
+            self._ctabs[maxdeg] = tabs
+        return self._ctabs[maxdeg]
 
     def rmon_index(self, maxdeg: int) -> dict:
         """monomial -> coordinate, degrees 0..maxdeg, graded-lex inside."""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,9 @@ from macdual.apolarity import (PartialFiltration, annihilator,
 from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.io import parse_poly
-from macdual.poly import PSElement, RingSpec, contract
+from macdual.linalg import Echelon, kernel, rref_rows
+from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
+                          contract_monomial)
 
 
 def mk(vars, src, char=0):
@@ -18,7 +21,6 @@ def mk(vars, src, char=0):
 
 
 def random_generator(ring, rng, j, terms=5):
-    from macdual.poly import DPPoly
     mons = [m for d in range(1, j + 1) for m in ring.monomials(d)]
     coeffs = {rng.choice(ring.monomials(j)): ring.field.from_int(rng.randint(1, 5))}
     for m in rng.sample(mons, min(terms, len(mons))):
@@ -161,6 +163,10 @@ def test_annihilator_contains_high_powers():
     assert not I.contains(R.ps("x", j + 1))
     assert not I.contains(R.ps("x^2+y", j + 1))
     assert I.contains(R.ps("y^2", j + 1))
+    # terms of degree >= j+2 lie in m^{j+2}, inside Ann f
+    assert I.contains(R.ps("x^5"))
+    assert I.contains(R.ps("x^7+y^2"))
+    assert not I.contains(R.ps("x^7+y"))
 
 
 def test_contains_builds_its_echelon_once(monkeypatch):
@@ -189,6 +195,25 @@ def test_verify_ideal_rejects_unit_and_wrong():
     assert not verify_ideal_presentation([R.ps("1+x")], f)
     assert not verify_ideal_presentation([R.ps("x*y")], f)
     assert not verify_ideal_presentation([R.ps("x*y"), R.ps("x^3")], f)
+
+
+def test_bad_generators_fail_before_the_annihilator(monkeypatch):
+    import macdual.apolarity as apolarity
+    from macdual.errors import RingMismatchError
+
+    def no_annihilator(f):
+        raise AssertionError("annihilator computed for rejected generators")
+
+    monkeypatch.setattr(apolarity, "annihilator", no_annihilator)
+    R, f = mk(("X", "Y"), "X^[3]+Y^[4]")
+    other = RingSpec(("X", "Y", "Z"), Field(0))
+    assert not verify_ideal_presentation([R.ps("1+x")], f)
+    with pytest.raises(RingMismatchError):
+        verify_ideal_presentation([other.ps("x*y")], f)
+    with pytest.raises(DomainError):
+        verify_graded_presentation([R.ps("x*y-x^3")], f)
+    with pytest.raises(RingMismatchError):
+        verify_graded_presentation([other.ps("x*y")], f)
 
 
 def test_symdecompex_ideal_and_graded():
@@ -314,3 +339,72 @@ def test_brute_force_hilbert_small():
     for _ in range(12):
         f = random_generator(ring, rng, rng.randint(1, 4), terms=3)
         assert hilbert_function(f) == naive_hilbert(f)
+
+
+# -- annihilator against the two-pass route ------------------------------------
+
+P61 = 2**61 - 1
+
+
+def annihilator_oracle(f):
+    """Canonical rows, minimal generators and orders of Ann f by the direct
+    route: rref_rows of the kernel of the forward images x^beta o f, each
+    contracted from f, and m*I spanned by the series products x_i * row."""
+    f = f.drop_constant()
+    ring, field, j = f.ring, f.ring.field, f.degree
+    rindex = ring.rmon_index(j + 1)
+    rmons = sorted(rindex, key=rindex.get)
+    dindex = ring.dmon_index(j)
+    rows = rref_rows(field, kernel(
+        field, [contract_monomial(beta, f).vector(dindex) for beta in rmons]))
+    mi = Echelon(field)
+    for row in rows:
+        g = PSElement.from_vector(ring, row, rmons, j + 2)
+        for x in ring.monomials(1):
+            mi.insert(g.mul_monomial(x, j + 1).vector(rindex))
+    gens, orders = [], []
+    for row in rows:
+        if mi.insert(row):
+            gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
+            orders.append(sum(rmons[min(row)]))
+    return rows, gens, orders
+
+
+def random_dual_generator(ring, rng, j, dense, homogeneous):
+    degs = [j] if homogeneous else range(j + 1)
+    mons = [m for d in degs for m in ring.monomials(d)]
+    if not dense:
+        mons = rng.sample(mons, min(len(mons), rng.randint(1, 4)))
+    coeffs = {m: rng.randint(-9, 9) for m in mons}
+    coeffs[rng.choice(ring.monomials(j))] = rng.randint(1, 9)
+    if ring.field.char == 0 and rng.random() < .5:
+        coeffs = {m: Fraction(c, rng.randint(1, 4)) for m, c in coeffs.items()}
+    return DPPoly(ring, ring.field.canon(coeffs))
+
+
+def is_canonical(field, a):
+    if field.char:
+        return type(a) is int and 0 < a < field.char
+    return (type(a) is int and a != 0) or (type(a) is Fraction
+                                           and a.denominator != 1)
+
+
+@pytest.mark.parametrize("char", [0, 101, P61], ids=["Q", "F101", "F61"])
+def test_annihilator_matches_oracle(char):
+    rng = random.Random(char % 1000 + 41)
+    field = Field(char)
+    max_j = {1: 8, 2: 7, 3: 5, 4: 4}
+    for trial in range(40):
+        r = trial % 4 + 1
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        j = rng.randint(1, max_j[r])
+        f = random_dual_generator(ring, rng, j, dense=trial % 3 == 0,
+                                  homogeneous=trial % 2 == 0)
+        I = annihilator(f)
+        rows, gens, orders = annihilator_oracle(f)
+        assert I.rows == rows
+        assert all(is_canonical(field, a) for row in I.rows
+                   for a in row.values())
+        assert I.pivots == sorted(set(I.pivots))
+        assert all(row[p] == 1 for row, p in zip(I.rows, I.pivots))
+        assert I.min_gens == gens and I.orders == orders

@@ -124,3 +124,49 @@ def test_readme_example_output_char_101(capsys, argv, expected):
     code = main(list(argv))
     assert code == 0
     assert capsys.readouterr().out == expected
+
+# README generators over F_(2^61-1): residues that do not fit a machine word
+# once multiplied, so the mod-p elimination must reduce every product
+P61 = "2305843009213693951"
+CASES_MOD_P61 = [
+    (["annihilator", "--vars", "X,Y", "--char", P61, "--verify",
+      "y-x^2; x^5", "X^[4]+X^[2]*Y+Y^[2]"],
+     "order 1: y+2305843009213693950*x^2\n"
+     "order 3: x*y^2\n"
+     "presentation matches\n"),
+    (["decompose", "--vars", "X,Y", "--char", P61, "--format", "json",
+      "--show-bases", "X^[3]+Y^[4]"],
+     '{"socle_degree": 4, "hilbert": [1, 2, 2, 1, 1], "decomposition": '
+     '[{"a": 0, "H": [1, 1, 1, 1, 1]}, {"a": 1, "H": [0, 1, 1, 0]}, '
+     '{"a": 2, "H": [0, 0, 0]}], "n": [1, 2, 2], "q_dual_bases": '
+     '{"0": {"0": ["1"], "1": ["Y"], "2": ["Y^[2]"], "3": ["Y^[3]"], '
+     '"4": ["Y^[4]"]}, "1": {"1": ["X"], "2": ["X^[2]"]}}}\n'),
+    (["decompose", "--vars", "X,Y,Z,W", "--char", P61, "--show-bases",
+      "X^[5]+X*Y^[2]*Z+W^[2]"],
+     "H(0)  1  1  1  1  1  1\n"
+     "H(1)  0  2  4  2  0\n"
+     "H(2)  0  0  0  0\n"
+     "H(3)  0  1  0\n"
+     "----------------------\n"
+     "H(A)  1  4  5  3  1  1\n"
+     "Q^v(0)_0 = <1>\n"
+     "Q^v(0)_1 = <X>\n"
+     "Q^v(0)_2 = <X^[2]>\n"
+     "Q^v(0)_3 = <X^[3]>\n"
+     "Q^v(0)_4 = <X^[4]>\n"
+     "Q^v(0)_5 = <X^[5]>\n"
+     "Q^v(1)_1 = <Y, Z>\n"
+     "Q^v(1)_2 = <X*Y, X*Z, Y^[2], Y*Z>\n"
+     "Q^v(1)_3 = <X*Y^[2], X*Y*Z>\n"
+     "Q^v(3)_1 = <W>\n"),
+    (["hilbert", "--vars", "X,Y", "--char", P61, "(X+Y)^[6]+X^[2]*Y^[2]"],
+     "1,2,3,2,1,1,1\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", CASES_MOD_P61,
+                         ids=[c[0][0] for c in CASES_MOD_P61])
+def test_readme_example_output_char_p61(capsys, argv, expected):
+    code = main(list(argv))
+    assert code == 0
+    assert capsys.readouterr().out == expected

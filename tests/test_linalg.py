@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.linalg import (Echelon, det, kernel, matrix_inverse, rref,
-                            same_span, solve_linear)
+                            same_span, solve_linear, vec_axpy)
 
 QQ = Field(0)
 FIELDS = (QQ, Field(101))
@@ -219,3 +221,152 @@ def test_same_span_random(field):
         moved = basis.rows[1:] + [{free: field.one}]
         assert _rank(field, moved, NCOLS) == dim
         assert not same_span(field, moved, gens)
+
+
+# ---------------------------------------------------------------------------
+# the per-format elimination loops against element-by-element arithmetic
+
+def ref_axpy(field, out, c, v):
+    """out += c*v entry by entry through Field.add/mul, zeros popped."""
+    if field.is_zero(c):
+        return out
+    for k, a in v.items():
+        s = field.add(out.get(k, 0), field.mul(c, a))
+        if s == 0:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+class RefEchelon:
+    """Forward echelon with every scalar operation through the Field: the
+    rows, pivots, witnesses and remainders the fast loops must reproduce."""
+
+    def __init__(self, field, normalized=False):
+        self.field = field
+        self.rows, self.wits, self.pivots = [], [], []
+        self.ffree = field.char == 0 and not normalized
+
+    def reduce(self, vec, wit=None):
+        f = self.field
+        v = {k: a for k, a in vec.items() if not f.is_zero(a)}
+        if self.ffree:
+            den = lcm(1, *(Fraction(a).denominator for a in v.values()))
+            v = {k: int(a * den) for k, a in v.items()}
+        while True:
+            hits = [k for k in v if k in self.pivots]
+            if not hits:
+                return v
+            p = min(hits)
+            i = self.pivots.index(p)
+            row = self.rows[i]
+            if self.ffree:
+                g = gcd(row[p], v[p])
+                v = ref_axpy(f, {k: row[p] // g * x for k, x in v.items()},
+                             -(v[p] // g), row)
+            else:
+                c = f.neg(v[p])
+                ref_axpy(f, v, c, row)
+                if wit is not None:
+                    ref_axpy(f, wit, c, self.wits[i])
+
+    def insert(self, vec, wit=None):
+        f = self.field
+        v = self.reduce(vec, wit)
+        if not v:
+            return None
+        p = min(v)
+        if self.ffree:
+            g = 0
+            for a in v.values():
+                g = gcd(g, a)
+            v = {k: a // g * (1 if v[p] > 0 else -1) for k, a in v.items()}
+        else:
+            c = f.inv(v[p])
+            v = {k: f.mul(c, a) for k, a in v.items()}
+            if wit is not None:
+                for k in wit:
+                    wit[k] = f.mul(c, wit[k])
+        i = sum(q < p for q in self.pivots)
+        self.rows.insert(i, v)
+        self.wits.insert(i, wit)
+        self.pivots.insert(i, p)
+        return v
+
+
+def _rand_scalar(rng, field, ints=False):
+    if field.char:
+        return rng.choice([1, field.char - 1, rng.randrange(field.char)])
+    if ints or rng.random() < .7:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _rand_sparse(rng, field, ncols, density, ints=False):
+    """Canonical sparse vector; ints only for fraction-free rows."""
+    return field.canon({k: _rand_scalar(rng, field, ints)
+                        for k in range(ncols) if rng.random() < density})
+
+
+def _typed(d):
+    """Values with their types, so 2 and Fraction(2) differ."""
+    return {k: (type(a), a) for k, a in d.items()}
+
+
+LOOP_FIELDS = [(Field(2), True), (Field(101), True), (Field(2**61 - 1), True),
+               (QQ, False), (QQ, True)]
+LOOP_IDS = ["F2", "F101", "F61", "Q-fraction-free", "Q-normalized"]
+
+
+@pytest.mark.parametrize("field,normalized", LOOP_FIELDS, ids=LOOP_IDS)
+def test_vec_axpy_matches_reference(field, normalized):
+    rng = random.Random(field.char % 997 + normalized)
+    ints = not normalized  # the rows of a fraction-free echelon
+    for _ in range(300):
+        v = _rand_sparse(rng, field, 12, .5, ints)
+        out = _rand_sparse(rng, field, 12, .5, ints)
+        c = _rand_scalar(rng, field, ints)
+        if rng.random() < .3 and v and c != 0:
+            # out = -c*v on some columns, so those entries cancel
+            for k in rng.sample(sorted(v), rng.randint(1, len(v))):
+                out[k] = field.neg(field.mul(c, v[k]))
+        want = ref_axpy(field, dict(out), c, v)
+        got = vec_axpy(field, dict(out), c, v)
+        assert _typed(got) == _typed(want)
+        assert 0 not in got.values()
+
+
+@pytest.mark.parametrize("field,normalized", LOOP_FIELDS, ids=LOOP_IDS)
+def test_echelon_matches_reference(field, normalized):
+    rng = random.Random(field.char % 991 + 7 * normalized)
+    one = field.one
+    for _ in range(40):
+        ncols = rng.randint(1, 10)
+        ech, ref = Echelon(field, normalized), RefEchelon(field, normalized)
+        vecs = [_rand_sparse(rng, field, ncols, rng.choice([.2, .5, .9]))
+                for _ in range(rng.randint(2, 14))]
+        # dependent inputs, so reductions cancel down to zero
+        for _ in range(len(vecs) // 3):
+            a, b = rng.sample(range(len(vecs)), 2)
+            vecs.append(ref_axpy(field, dict(vecs[a]),
+                                 _rand_scalar(rng, field), vecs[b]))
+        rng.shuffle(vecs)
+        for i, v in enumerate(vecs):
+            if normalized:
+                wa, wb = {i: one}, {i: one}
+                assert _typed(ech.reduce(v, wa)) == _typed(ref.reduce(v, wb))
+                assert _typed(wa) == _typed(wb)
+                ech.insert(v, {i: one})
+                ref.insert(v, {i: one})
+            else:
+                assert _typed(ech.reduce(v)) == _typed(ref.reduce(v))
+                ech.insert(v)
+                ref.insert(v)
+            assert ech.pivots == ref.pivots
+            assert list(map(_typed, ech.rows)) == list(map(_typed, ref.rows))
+            if normalized:
+                assert list(map(_typed, ech.wits)) == \
+                    list(map(_typed, ref.wits))
+        for d in ech.rows + (ech.wits if normalized else []):
+            assert 0 not in d.values()
