@@ -1,12 +1,16 @@
 """Everything derived from the module of partials R o f.
 
-The engine is the order filtration V_s = m^s o f, s = 0..j, computed once as
-echelon bases with coordinates ordered degree-descending.  In that order the
-pivot of a row sits on its leading (highest-degree) monomial, so
+The engine is the order filtration V_s = m^s o f, s = 0..j, spanned by the
+images x^beta o f with |beta| >= s.  One forward echelon over D_{<= j} takes
+the images from the highest |beta| down and tags each row it stores with
+that |beta|.  Stored rows are never modified after insertion, so the rows
+tagged >= s, stored by the time the last image with |beta| >= s was fed,
+stay a basis of V_s with distinct pivots.  Coordinates are ordered
+degree-descending, so a row's pivot sits on its leading monomial and
 
     P(s, t) = (m^s o f)_{<= t}
 
-is spanned by the rows of V_s whose pivot degree is at most t, and every
+is spanned by the rows of V_s whose pivot degree is at most t: every
 dimension in sight is a count of pivot degrees.  The Hilbert function is
 h_i = dim P(0,i) - dim P(0,i-1); Loewy series and the symmetric-decomposition
 quotients (macdual.decomposition) read off the same tables.
@@ -14,28 +18,61 @@ quotients (macdual.decomposition) read off the same tables.
 The annihilator I = Ann f is the kernel of the contraction map
 R/m^{j+2} -> D_{<= j}; truncation at N = j+2 is exact for minimal generators
 because m^{j+1} is contained in I, hence m^{j+2} in mI.  Its reduced echelon
-basis comes out of one elimination pass: the images x^beta o f are fed to
-the kernel from the last monomial back to the first, so each kernel vector
-is e_beta minus a combination of later independent images, already pivot
-one and free of every other pivot.  The images, like the levels V_s, are
-built by column shifts through RingSpec.contraction_tables, one table per
-variable shared by both.
+basis comes out of one elimination pass over the same images in the same
+order: each kernel vector is e_beta minus a combination of later independent
+images, already pivot one and free of every other pivot.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError
 from .linalg import Echelon, kernel, same_span
 from .poly import DPPoly, PSElement, RingSpec, mdeg
 
-MON = tuple
+
+def _images_descending(f: DPPoly):
+    """(beta, x^beta o f) for every beta in R_{<= j+1}, the last coordinate
+    of rmon_index(j+1) first, so |beta| never increases; vectors are over
+    dmon_index(j).  Each image is a column shift of an earlier one, so the
+    table is built forward, then emptied as it is read."""
+    ring = f.ring
+    j = f.degree
+    rindex = ring.rmon_index(j + 1)
+    rmons = sorted(rindex, key=rindex.get)
+    shift = ring.contraction_tables(j)
+    images = [f.vector(ring.dmon_index(j))]
+    for beta in rmons[1:]:
+        i = next(i for i, e in enumerate(beta) if e)
+        tab = shift[i]
+        prev = images[rindex[beta[:i] + (beta[i] - 1,) + beta[i + 1:]]]
+        images.append({tab[c]: v for c, v in prev.items() if c in tab})
+    while images:
+        yield rmons[len(images) - 1], images.pop()
+
+
+class Level(NamedTuple):
+    """A basis of V_s: rows over dmon_index(j) in pivot order, the degree of
+    each row's pivot, and cum[t+1] = dim P(s, t)."""
+
+    rows: list
+    degs: list
+    cum: list
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
 
 class PartialFiltration:
     """All spaces P(s,t) = (m^s o f)_{<= t} for one dual generator f.
 
-    The constant term of f is discarded at intake; a zero generator is
-    rejected.  Immutable after construction; every query is read-only.
+    level(s) is the basis of V_s from the tagged pass, s = 0..j+1 (the last
+    is empty); a negative s means 0 in every query.  The constant term of f
+    is discarded at intake; a zero generator is rejected.  Immutable after
+    construction; every query is read-only.
     """
 
     def __init__(self, f: DPPoly):
@@ -45,108 +82,76 @@ class PartialFiltration:
         self.f = f
         self.ring = f.ring
         self.j = f.degree
-        ring = self.ring
-        self.dindex = ring.dmon_index(self.j)
+        self.dindex = f.ring.dmon_index(self.j)
         self.dmons = sorted(self.dindex, key=self.dindex.get)
         self.col_deg = [mdeg(m) for m in self.dmons]
-        self._shift = ring.contraction_tables(self.j)
-        self._levels: list[Echelon] = []
-        self._pivdegs: list[list[int]] = []
-        self._cum: list[list[int]] = []
-        self._build_levels()
+        self._shift = f.ring.contraction_tables(self.j)
+        ech = Echelon(f.ring.field)
+        tag = {}
+        for beta, img in _images_descending(f):
+            row = ech.insert(img)
+            if row is not None:
+                tag[min(row)] = mdeg(beta)
+        self._levels: list[Level] = []
+        for s in range(self.j + 2):
+            kept = [k for k, p in enumerate(ech.pivots) if tag[p] >= s]
+            degs = [self.col_deg[ech.pivots[k]] for k in kept]
+            count = [0] * (self.j + 2)
+            for d in degs:
+                count[d + 1] += 1
+            self._levels.append(Level([ech.rows[k] for k in kept], degs,
+                                      list(accumulate(count))))
         self._lt_cache: dict = {}
-
-    # -- construction -----------------------------------------------------------
 
     def _contract_vec(self, row: dict, i: int) -> dict:
         tab = self._shift[i]
         return {tab[c]: v for c, v in row.items() if c in tab}
 
-    def _build_levels(self):
-        ring = self.ring
-        # V_0 = R o f: close <f> under contraction (stored rows are final,
-        # so processing each exactly once suffices)
-        ech0 = Echelon(ring.field)
-        pending = [ech0.insert(self.f.vector(self.dindex))]
-        while pending:
-            row = pending.pop()
-            for i in range(ring.r):
-                w = self._contract_vec(row, i)
-                if w:
-                    stored = ech0.insert(w)
-                    if stored is not None:
-                        pending.append(stored)
-        # V_{s+1} = sum_i x_i o V_s needs no further closure
-        self._levels = [ech0]
-        cur = ech0
-        while cur.dim:
-            nxt = Echelon(ring.field)
-            for row in cur.rows:
-                for i in range(ring.r):
-                    w = self._contract_vec(row, i)
-                    if w:
-                        nxt.insert(w)
-            self._levels.append(nxt)
-            cur = nxt
-        for ech in self._levels:
-            degs = [self.col_deg[p] for p in ech.pivots]
-            self._pivdegs.append(degs)
-            cum = [0] * (self.j + 2)
-            for d in degs:
-                cum[d + 1] += 1
-            for t in range(1, self.j + 2):
-                cum[t] += cum[t - 1]
-            self._cum.append(cum)
-
     # -- dimension queries ------------------------------------------------------
 
-    def level(self, s: int) -> Echelon | None:
-        if s < 0:
-            s = 0
+    def level(self, s: int) -> Level | None:
+        """The basis of V_s, or None past the last level."""
+        s = max(s, 0)
         return self._levels[s] if s < len(self._levels) else None
 
     def dim_partials(self, s: int, t: int) -> int:
         """dim P(s,t)."""
-        if s < 0:
-            s = 0
-        if s >= len(self._levels) or t < 0:
+        lev = self.level(s)
+        if lev is None or t < 0:
             return 0
-        return self._cum[s][min(t, self.j) + 1]
+        return lev.cum[min(t, self.j) + 1]
 
     def lt_count(self, s: int, d: int) -> int:
         """dim of the degree-d leading-term space of m^s o f."""
-        if s < 0:
-            s = 0
-        if s >= len(self._levels) or d < 0 or d > self.j:
+        lev = self.level(s)
+        if lev is None or d < 0 or d > self.j:
             return 0
-        return self._cum[s][d + 1] - self._cum[s][d]
+        return lev.cum[d + 1] - lev.cum[d]
 
     def rows_upto(self, s: int, t: int) -> list[dict]:
         """Echelon rows spanning P(s,t)."""
-        if s < 0:
-            s = 0
-        if s >= len(self._levels) or t < 0:
+        lev = self.level(s)
+        if lev is None:
             return []
-        lev = self._levels[s]
-        return [row for row, d in zip(lev.rows, self._pivdegs[s]) if d <= t]
+        return [row for row, d in zip(lev.rows, lev.degs) if d <= t]
+
+    def rows_of_degree(self, s: int, d: int) -> list[dict]:
+        """The rows of level(s) whose pivot degree is d."""
+        lev = self.level(s)
+        if lev is None:
+            return []
+        return [row for row, pd in zip(lev.rows, lev.degs) if pd == d]
 
     def lt_rows(self, s: int, d: int) -> list[dict]:
-        """Degree-d components of rows with pivot degree d, re-indexed over
-        the graded-lex basis of D_d; spans the leading-term space L(s, d)."""
+        """Degree-d components of rows_of_degree(s, d), re-indexed over the
+        graded-lex basis of D_d; spans the leading-term space L(s, d)."""
         key = (s, d)
         if key not in self._lt_cache:
-            if s >= len(self._levels) or d < 0 or d > self.j:
-                self._lt_cache[key] = []
-            else:
-                hidx = self.ring.monomial_index(d)
-                out = []
-                lev = self._levels[s]
-                for row, pd in zip(lev.rows, self._pivdegs[s]):
-                    if pd == d:
-                        out.append({hidx[self.dmons[c]]: v
-                                    for c, v in row.items()
-                                    if self.col_deg[c] == d})
-                self._lt_cache[key] = out
+            rows = self.rows_of_degree(s, d)
+            hidx = self.ring.monomial_index(d) if rows else {}
+            self._lt_cache[key] = [
+                {hidx[self.dmons[c]]: v for c, v in row.items()
+                 if self.col_deg[c] == d} for row in rows]
         return self._lt_cache[key]
 
     # -- classical invariants ------------------------------------------------------
@@ -238,19 +243,11 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     N = j + 2
     rindex = ring.rmon_index(j + 1)
     rmons = sorted(rindex, key=rindex.get)
-    # images x^beta o f, each one column shift of an earlier one
-    shift = ring.contraction_tables(j)
-    images = [f.vector(ring.dmon_index(j))]
-    for beta in rmons[1:]:
-        i = next(i for i, e in enumerate(beta) if e)
-        tab = shift[i]
-        prev = images[rindex[beta[:i] + (beta[i] - 1,) + beta[i + 1:]]]
-        images.append({tab[c]: v for c, v in prev.items() if c in tab})
     # Fed last monomial first, each kernel vector is e_beta minus later
     # independent images: pivot one, no other pivot in its support.  Read
     # backwards, the kernel is the reduced echelon basis of I.
     n = len(rmons)
-    ker = kernel(field, (images.pop() for _ in range(n)))
+    ker = kernel(field, (img for _, img in _images_descending(f)))
     rows = [{n - 1 - k: c for k, c in w.items()} for w in reversed(ker)]
     # m*I in the coordinates of I: a vector of I is the combination of the
     # rows given by its pivot entries, so x_i * row is kept on pivot columns

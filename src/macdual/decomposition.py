@@ -135,8 +135,7 @@ def component_generator_degrees(mod: QDualModule) -> dict:
         s = j - a - i
         # lift each basis class to an actual partial in P(s, i)
         lt_full = P.lt_rows(s, i)
-        lev_rows = [row for row, pd in zip(P.level(s).rows, P._pivdegs[s])
-                    if pd == i]
+        lev_rows = P.rows_of_degree(s, i)
         lifts = []
         for row in mod._rows[i]:
             coeffs = solve_linear(field, lt_full, row)

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -10,7 +12,7 @@ from macdual.apolarity import (PartialFiltration, annihilator,
 from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.io import parse_poly
-from macdual.linalg import Echelon, kernel, rref_rows
+from macdual.linalg import Echelon, kernel, rref_rows, same_span
 from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
                           contract_monomial)
 
@@ -408,3 +410,202 @@ def test_annihilator_matches_oracle(char):
         assert I.pivots == sorted(set(I.pivots))
         assert all(row[p] == 1 for row, p in zip(I.rows, I.pivots))
         assert I.min_gens == gens and I.orders == orders
+
+
+# -- the tagged pass against references ----------------------------------------
+
+def test_lt_rows_counts_match_at_every_level():
+    # a negative level means level 0 in every query, lt_rows included
+    R, f = mk(("X", "Y"), "X^[3]+Y^[4]")
+    P = PartialFiltration(f)
+    assert P.lt_count(-1, 1) == 2 and len(P.lt_rows(-1, 1)) == 2
+    rng = random.Random(11)
+    for char in (0, 3, 101):
+        for r in (1, 2, 3):
+            ring = RingSpec(("X", "Y", "Z")[:r], Field(char))
+            P = PartialFiltration(random_dual_generator(
+                ring, rng, rng.randint(1, 5), dense=r < 3, homogeneous=False))
+            for s in range(-1, P.j + 3):
+                for d in range(-1, P.j + 2):
+                    assert len(P.lt_rows(s, d)) == P.lt_count(s, d)
+                    assert len(P.rows_of_degree(s, d)) == P.lt_count(s, d)
+
+
+def levels_one_by_one(f):
+    """The order filtration built level by level, as before the tagged pass:
+    V_0 closes <f> under contraction, then each V_{s+1} is a fresh echelon
+    fed every contraction x_i o row of the rows of V_s, until a level is
+    empty.  Returns the echelons of V_0, V_1, ..., the last one empty."""
+    f = f.drop_constant()
+    ring, j = f.ring, f.degree
+    shift = ring.contraction_tables(j)
+
+    def contractions(row):
+        for tab in shift:
+            w = {tab[c]: v for c, v in row.items() if c in tab}
+            if w:
+                yield w
+
+    ech0 = Echelon(ring.field)
+    pending = [ech0.insert(f.vector(ring.dmon_index(j)))]
+    while pending:
+        for w in contractions(pending.pop()):
+            stored = ech0.insert(w)
+            if stored is not None:
+                pending.append(stored)
+    levels = [ech0]
+    while levels[-1].dim:
+        nxt = Echelon(ring.field)
+        for row in levels[-1].rows:
+            for w in contractions(row):
+                nxt.insert(w)
+        levels.append(nxt)
+    return levels
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 101, P61],
+                         ids=["Q", "F2", "F3", "F101", "F61"])
+def test_filtration_matches_level_by_level(char):
+    rng = random.Random(char % 1000 + 5)
+    field = Field(char)
+    max_j = {1: 7, 2: 6, 3: 4, 4: 3}
+    for trial in range(24):
+        r = trial % 4 + 1
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        kind = trial % 3           # sparse, dense, homogeneous
+        f = random_dual_generator(ring, rng, rng.randint(1, max_j[r]),
+                                  dense=kind == 1, homogeneous=kind == 2)
+        if f.drop_constant().is_zero:   # every coefficient vanished mod p
+            continue
+        P = PartialFiltration(f)
+        levels = levels_one_by_one(f)
+        col_deg = P.col_deg
+        assert P.level(len(levels)) is None
+        for s in range(-1, len(levels) + 1):
+            ref = levels[max(s, 0)] if max(s, 0) < len(levels) else None
+            lev = P.level(s)
+            assert (lev is None) == (ref is None)
+            if ref is None:
+                assert all(P.dim_partials(s, t) == 0 for t in range(P.j + 1))
+                continue
+            assert lev.dim == ref.dim
+            assert lev.degs == sorted(lev.degs, reverse=True)
+            for t in range(-1, P.j + 2):
+                want = [row for row, p in zip(ref.rows, ref.pivots)
+                        if col_deg[p] <= t]
+                assert P.dim_partials(s, t) == len(want)
+                assert same_span(field, P.rows_upto(s, t), want)
+
+
+# -- a naive dense-rank oracle -------------------------------------------------
+
+def _eliminate(rows, ncols, p):
+    """Forward elimination on the first ncols columns of dense rows, mod p
+    for p > 0, or over Q (p = 0) on integer rows by cross-multiplication,
+    each row divided by its content.  Returns (rank, rows): the first rank
+    rows are independent, the others are zero on the first ncols columns."""
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    else:
+        dens = [lcm(*(Fraction(x).denominator for x in row)) for row in rows]
+        rows = [[int(x * d) for x in row] for row, d in zip(rows, dens)]
+    rank = 0
+    for c in range(ncols):
+        piv = next((k for k in range(rank, len(rows)) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        a = top[c]
+        for k in range(rank + 1, len(rows)):
+            b = rows[k][c]
+            if b:
+                new = [x * a - y * b for x, y in zip(rows[k], top)]
+                if p:
+                    new = [x % p for x in new]
+                else:
+                    g = gcd(*new)
+                    new = [x // g for x in new] if g > 1 else new
+                rows[k] = new
+        rank += 1
+    return rank, rows
+
+
+def _rank(rows, cols, p):
+    """Rank of the dense rows restricted to the column positions cols."""
+    return _eliminate([[row[c] for c in cols] for row in rows], len(cols), p)[0]
+
+
+def _left_kernel(rows, cols, p):
+    """A basis of {c : sum_k c_k rows[k] = 0 on the columns cols}."""
+    n = len(rows)
+    aug = [[row[c] for c in cols] + [int(k == i) for i in range(n)]
+           for k, row in enumerate(rows)]
+    rank, red = _eliminate(aug, len(cols), p)
+    return [row[len(cols):] for row in red[rank:]]
+
+
+def naive_invariants(coeffs, r, p):
+    """dim P(s,t), the Hilbert function, the Loewy series and dim I*_d of
+    f = sum coeffs[alpha] X^[alpha] from dense matrices only.
+
+    x^beta o X^[alpha] = X^[alpha-beta] when alpha >= beta, else 0.  The
+    partials side: V_s is spanned by the images of the beta with
+    |beta| >= s, and dim P(s,t) = rank V_s - rank of V_s cut to the
+    columns of degree > t.  The ideal side, in R/m^{j+2}: I is the left
+    kernel of all images and J_b = (I : m^b) that of the images cut to the
+    columns of degree >= b; with X_{<i} the coordinates of degree < i,
+    dim I*_d = rank I|X_{<d+1} - rank I|X_{<d}, h_i = r_i - dim I*_i, and
+    the (0 : m^b) Loewy entry i is dim (J_b cap (m^i + I)) / (J_b cap
+    (m^(i+1) + I)) = [rank I|X_{<i} - rank J_b|X_{<i}] - (same at i+1)."""
+    j = max(sum(a) for a in coeffs)
+    mons = sorted((m for m in itertools.product(range(j + 2), repeat=r)
+                   if sum(m) <= j + 1), key=sum)
+    dcols = [k for k, m in enumerate(mons) if sum(m) <= j]
+    images = []
+    for beta in mons:
+        row = [0] * len(mons)
+        for alpha, c in coeffs.items():
+            if all(a >= b for a, b in zip(alpha, beta)):
+                row[mons.index(tuple(a - b for a, b in zip(alpha, beta)))] = c
+        images.append(row)
+
+    def cols(lo, hi):
+        return [k for k in dcols if lo <= sum(mons[k]) <= hi]
+
+    def dimP(s, t):
+        if t < 0:
+            return 0
+        V = [img for img, beta in zip(images, mons) if sum(beta) >= max(s, 0)]
+        return _rank(V, cols(0, j), p) - _rank(V, cols(t + 1, j), p)
+
+    I = _left_kernel(images, cols(0, j), p)
+
+    def below(space, i):   # rank of space cut to the coordinates of degree < i
+        return _rank(space, [k for k, m in enumerate(mons) if sum(m) < i], p)
+
+    graded = tuple(below(I, d + 1) - below(I, d) for d in range(j + 2))
+    hilbert = tuple(comb(r + i - 1, i) - graded[i] for i in range(j + 1))
+    loewy = []
+    for b in range(j + 2):
+        J = _left_kernel(images, cols(b, j), p)
+        gap = [below(I, i) - below(J, i) for i in range(j + 2)]
+        loewy.append(tuple(gap[i] - gap[i + 1] for i in range(j + 1)))
+    dims = {(s, t): dimP(s, t) for s in range(-1, j + 3) for t in range(-1, j + 2)}
+    return dims, hilbert, loewy, graded
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_filtration_matches_dense_rank_oracle(char):
+    rng = random.Random(char + 29)
+    ring = RingSpec(("X", "Y", "Z"), Field(char))
+    for trial in range(9):
+        f = random_dual_generator(ring, rng, rng.randint(2, 4),
+                                  dense=trial % 3 == 1,
+                                  homogeneous=trial % 3 == 2).drop_constant()
+        dims, hilbert, loewy, graded = naive_invariants(f.coeffs, 3, char)
+        P = PartialFiltration(f)
+        assert {st: P.dim_partials(*st) for st in dims} == dims
+        assert P.hilbert() == hilbert
+        assert [P.loewy_hilbert(b) for b in range(P.j + 2)] == loewy
+        assert annihilator(f).graded_dims() == graded
