@@ -7,27 +7,33 @@ by whoever builds the index (monomial orders live in :mod:`macdual.poly`).
 :class:`Echelon` is the only row-reduction engine: a growing forward-echelon
 basis of a span, rows sorted by pivot (their least column).  Over a prime
 field rows are pivot-normalized.  Over the rationals rows are integer
-vectors with content one and positive pivot and reduction is fraction-free,
-unless the echelon is built with ``normalized=True``: then rows have pivot
-one and ``reduce`` is a linear map.  Dimensions, pivot sets and membership
-do not depend on the mode.
+vectors and reduction is fraction-free (each step is v <- a*v - b*row with
+integers a > 0 and b), unless the echelon is built with ``normalized=True``:
+then rows have pivot one and ``reduce`` is a linear map.  Dimensions, pivot
+sets and membership do not depend on the mode.
 
 Elimination runs one tight loop per element format, picked once per
 ``reduce``: residues in ``range(p)`` with an inline ``% p`` over F_p; plain
 ints with no canonicaliser for fraction-free rows over Q (inputs are
-integer after clearing denominators); ``Field.add``/``Field.mul`` only for
-the ``Fraction`` entries of a normalized echelon over Q.  All three store
-the same canonical values as the field's own arithmetic and drop every
-entry that cancels.
+integer after clearing denominators); ``Field.add``/``Field.mul`` for the
+``Fraction`` entries of a normalized echelon over Q, which only callers
+that need ``reduce`` to be linear build.  All three store the same
+canonical values as the field's own arithmetic and drop every entry that
+cancels.
 
-A normalized echelon can carry witnesses.  A witness is a sparse dict over
-any keys (generator positions, monomials) naming the combination of inputs
-a vector stands for.  ``reduce(vec, wit)`` subtracts from ``wit``, in place,
-the witness of every row it subtracts from ``vec``, with the same factor; so
-if ``wit`` is the witness of ``vec`` on entry, it is the witness of the
-remainder on return, and a zero remainder leaves a linear relation among
-the inputs in ``wit``.  ``insert(vec, wit)`` does the same and, when it
-stores a row, scales ``wit`` with it and keeps it as the row's witness.
+Both modes carry witnesses.  A witness is a sparse dict over any keys
+(generator positions, monomials) naming the combination of inputs a vector
+stands for: ``vec = sum(wit[k] * input_k)``.  ``reduce(vec, wit)`` applies
+every step it takes on ``vec`` to ``wit`` in place: the witness of each row
+it subtracts, with the same factor, and, fraction-free, every factor it
+multiplies ``vec`` by (the lcm clearing its denominators, and a at each
+step).  So if ``wit`` is the witness of ``vec`` on entry, it is the witness
+of the remainder on return, and a zero remainder leaves a linear relation
+among the inputs in ``wit``.  ``insert(vec, wit)`` does the same and, when
+it stores a row, scales ``wit`` with it and keeps it as the row's witness.
+Every stored row is ``sum(wit[k] * input_k)`` for its witness: with pivot
+one when normalized; fraction-free, with integer entries, content one taken
+jointly over row and witness, and a positive pivot.
 
 Built on it:
 
@@ -108,37 +114,33 @@ def vec_scale(field: Field, v: dict, c) -> dict:
     return {k: mul(c, a) for k, a in v.items()}
 
 
-def _clear_denominators(v: dict) -> dict:
-    """Scale a rational vector to one of plain ints."""
+def _clear_denominators(v: dict) -> tuple[dict, int]:
+    """Scale a rational vector to one of plain ints; returns it with the
+    factor applied (the lcm of the denominators)."""
     den, frac = 1, False
     for a in v.values():
         if isinstance(a, Fraction):
             den, frac = lcm(den, a.denominator), True
     if frac:
         v = {k: int(a * den) for k, a in v.items()}
-    return v
+    return v, den
 
 
-def _strip_content(v: dict) -> dict:
-    """Divide an integer vector by its content; make the pivot entry positive."""
-    v = _clear_denominators(v)
-    g = 0
-    for a in v.values():
-        g = gcd(g, int(a))
-    if g > 1:
-        v = {k: a // g for k, a in v.items()}
-    if v and v[min(v)] < 0:
-        v = {k: -a for k, a in v.items()}
-    return v
+def _scale_in_place(d: dict, c: int):
+    for k, a in d.items():
+        d[k] = c * a
 
 
 class Echelon:
     """Growing forward-echelon span of sparse vectors, rows sorted by pivot.
 
-    Over the rationals rows are fraction-free unless ``normalized`` is set;
-    only normalized echelons (every echelon over a prime field is one) take
-    witnesses.  A witness is a sparse dict over any keys; ``wits[i]`` is the
-    witness of ``rows[i]``, or None for a row inserted without one."""
+    Over the rationals rows are fraction-free integer vectors unless
+    ``normalized`` is set (every echelon over a prime field is normalized).
+    Both modes take witnesses: ``wits[i]`` is the witness of ``rows[i]``
+    (``rows[i] == sum(wits[i][k] * input_k)``), or None for a row inserted
+    without one.  Normalized rows have pivot one.  A fraction-free row and
+    its witness hold ints, have content one taken jointly over both, and a
+    positive pivot; witnesses given to a fraction-free echelon hold ints."""
 
     __slots__ = ("field", "rows", "wits", "pivots", "_by_pivot", "_ffree")
 
@@ -160,19 +162,23 @@ class Echelon:
         """Canonical remainder of vec modulo the span: every pivot
         coordinate is eliminated (in increasing order, which terminates
         because a row only touches coordinates at or past its pivot), so the
-        result is the unique representative supported off the pivots - in
-        particular reduce is a linear projection, and zero iff vec lies in
-        the span.  Over the rationals the remainder is scaled to integers.
+        result is the unique representative supported off the pivots, up to
+        a nonzero factor in fraction-free mode - in a normalized echelon
+        reduce is a linear projection - and zero iff vec lies in the span.
+        Over the rationals the fraction-free remainder is scaled to
+        integers.
 
-        Each row subtracted from vec is subtracted, with the same factor,
-        from wit in place: if wit is the witness of vec on entry, it is the
-        witness of the remainder on return."""
-        ffree = self._ffree
-        if ffree and wit is not None:
-            raise ValueError("witnesses need a normalized echelon")
+        Every step applied to vec is applied to wit in place: each row
+        subtracted from vec is subtracted, with the same factor, and in
+        fraction-free mode wit is multiplied by every factor vec is.  If
+        wit is the witness of vec on entry, it is the witness of the
+        remainder on return."""
         v = {k: a for k, a in vec.items() if a != 0}
+        ffree = self._ffree
         if ffree:
-            v = _clear_denominators(v)
+            v, den = _clear_denominators(v)
+            if den != 1 and wit is not None:
+                _scale_in_place(wit, den)
         f = self.field
         p = f.char
         by_pivot = self._by_pivot
@@ -191,10 +197,14 @@ class Echelon:
                 a = row[q]
                 b = v[q]
                 g = gcd(a, b)
-                ca = a // g
+                ca, cb = a // g, -(b // g)
                 if ca != 1:
                     v = {k: ca * x for k, x in v.items()}
-                _axpy_int(v, -(b // g), row)
+                    if wit is not None:
+                        _scale_in_place(wit, ca)
+                _axpy_int(v, cb, row)
+                if wit is not None:
+                    _axpy_int(wit, cb, rwit)
             else:
                 c = -v[q]
                 _axpy_q(f, v, c, row)
@@ -216,7 +226,19 @@ class Echelon:
         q = min(v)
         p = f.char
         if self._ffree:
-            v = _strip_content(v)
+            g = 0
+            for a in v.values():
+                g = gcd(g, a)
+            if wit is not None:
+                for a in wit.values():
+                    g = gcd(g, a)
+            if v[q] < 0:
+                g = -g
+            if g != 1:
+                v = {k: a // g for k, a in v.items()}
+                if wit is not None:
+                    for k, a in wit.items():
+                        wit[k] = a // g
         elif p:
             c = pow(v[q], -1, p)
             v = {k: c * a % p for k, a in v.items()}
@@ -243,17 +265,26 @@ class Echelon:
 def kernel(field: Field, images) -> list[dict]:
     """Basis of the kernel of the linear map sending the i-th unit vector to
     images[i], as sparse dicts over the positions i.  Each image is reduced
-    once against the images kept so far: a zero remainder makes its witness
-    a kernel vector, any other remainder becomes a row."""
-    ech = Echelon(field, normalized=True)
+    once, with witness {i: 1}, against the images kept so far: a nonzero
+    remainder becomes a row, a zero one makes the witness a kernel vector.
+    Its entry at i is the product of the factors fraction-free reduction
+    multiplied it by (one over F_p), and the witness is returned divided by
+    it, one division per kernel vector: the unique kernel vector supported
+    on i and the stored images with 1 at i.  Entries are canonical (over Q,
+    ints whenever the denominator is one)."""
+    ech = Echelon(field)
     out = []
     for i, img in enumerate(images):
         wit = {i: field.one}
         rem = ech.reduce(img, wit)
         if rem:
             ech._store(rem, wit)
-        else:
-            out.append(wit)
+            continue
+        d = wit[i]
+        if d != 1:
+            wit = {k: a // d if a % d == 0 else Fraction(a, d)
+                   for k, a in wit.items()}
+        out.append(wit)
     return out
 
 

@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from macdual.errors import DomainError
+from macdual import linalg
 from macdual.fields import Field
 from macdual.linalg import (Echelon, det, kernel, matrix_inverse, rref,
                             same_span, solve_linear, vec_axpy)
@@ -109,14 +110,15 @@ NCOLS = 7
 
 
 def _rand_family(rng, field, n):
-    """Sparse vectors, with zero vectors and repeated multiples mixed in."""
+    """Sparse vectors, with zero vectors and repeated (over Q possibly
+    fractional) multiples mixed in."""
     out = []
     for _ in range(n):
         roll = rng.random()
         if roll < .15:
             out.append({})
         elif roll < .3 and out:
-            c = field.from_int(rng.randint(1, 3))
+            c = field.fraction(rng.randint(1, 3), rng.randint(1, 2))
             twin = rng.choice(out)
             out.append({k: field.mul(c, a) for k, a in twin.items()})
         else:
@@ -153,40 +155,70 @@ def test_kernel_random(field):
         assert _rank(field, ker, len(images)) == len(ker)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
-def test_witness_invariant_random(field):
+def _content(d):
+    g = 0
+    for a in d.values():
+        g = gcd(g, a)
+    return g
+
+
+@pytest.mark.parametrize("field,normalized",
+                         [(QQ, True), (QQ, False), (Field(101), True)],
+                         ids=["Q", "Q-fraction-free", "F101"])
+def test_witness_invariant_random(field, normalized):
+    """row = sum wit_k * input_k for every stored row, whatever the mode;
+    fraction-free pairs have joint content one and a positive pivot."""
     rng = random.Random(23)
+    ffree = field.char == 0 and not normalized
     for _ in range(60):
         inputs = _rand_family(rng, field, rng.randint(1, 9))
-        ech = Echelon(field, normalized=True)
+        ech = Echelon(field, normalized)
         for i, vec in enumerate(inputs):
             wit = {i: field.one}
             row = ech.insert(vec, wit)
             if row is None:
-                # a relation: input i is the combination -wit of the others
+                # a relation among the inputs in which input i occurs
+                assert wit[i] == field.one if not ffree else wit[i] > 0
                 assert _combine(field, inputs, wit) == {}
-                rest = {k: field.neg(c) for k, c in wit.items() if k != i}
-                assert _combine(field, inputs, rest) == vec
             else:
                 assert ech.wits[ech.pivots.index(min(row))] is wit
         assert ech.pivots == sorted(ech.pivots)
         for row, wit in zip(ech.rows, ech.wits):
-            assert row[min(row)] == 1
             assert _combine(field, inputs, wit) == row
-        # reducing with an empty witness: vec == remainder - combination
+            if ffree:
+                assert row[min(row)] > 0
+                assert gcd(_content(row), _content(wit)) == 1
+                assert all(type(a) is int for a in (*row.values(),
+                                                    *wit.values()))
+            else:
+                assert row[min(row)] == 1
+        # reducing a new input with its own witness: rem = sum wit_k * input_k
         vec = _rand_family(rng, field, 1)[0]
-        wit = {}
+        n = len(inputs)
+        wit = {n: field.one}
         rem = ech.reduce(vec, wit)
-        assert _combine(field, inputs + [rem], {**wit, len(inputs): -1}) \
-            == {k: field.neg(a) for k, a in vec.items()}
+        assert _combine(field, inputs + [vec], wit) == rem
+        assert wit[n] != 0
 
 
-def test_witnesses_need_normalized_rows():
+def test_fraction_free_witnesses():
+    """A fraction-free echelon scales a witness along with its vector: a
+    row has content one jointly with its witness, not alone."""
+    a, b = {0: 2, 1: 4}, {0: -3, 2: 3}
+    c = {1: 1, 2: Fraction(1, 2)}                   # (3a + 2b) / 12
     ech = Echelon(QQ)
-    ech.insert({0: 2, 1: 3})
-    with pytest.raises(ValueError):
-        ech.reduce({0: 1}, {})
-    assert Echelon(QQ, normalized=True).insert({0: 2}, {0: 1}) == {0: 1}
+    assert ech.insert(a, {0: 1}) == {0: 2, 1: 4}
+    assert ech.insert(b, {1: 1}) == {2: 6, 1: 12}   # 3a + 2b
+    assert ech.wits == [{0: 1}, {1: 2, 0: 3}]
+    wit = {2: 1}
+    assert ech.reduce(c, wit) == {}
+    assert wit == {2: 12, 1: -2, 0: -3}             # cleared by 2, then * 6
+    assert kernel(QQ, [a, b, c]) == \
+        [{2: 1, 1: Fraction(-1, 6), 0: Fraction(-1, 4)}]
+    # the joint content is divided out and the pivot made positive
+    wit = {0: 2}
+    assert Echelon(QQ).insert({0: -4, 3: 6}, wit) == {0: 2, 3: -3}
+    assert wit == {0: -1}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
@@ -370,3 +402,54 @@ def test_echelon_matches_reference(field, normalized):
                     list(map(_typed, ref.wits))
         for d in ech.rows + (ech.wits if normalized else []):
             assert 0 not in d.values()
+
+
+# ---------------------------------------------------------------------------
+# kernel() against the loop it replaced
+
+def kernel_normalized(field, images):
+    """kernel() as it ran on a normalized echelon, one division per step:
+    the reference for entries, key order and value types."""
+    ech = Echelon(field, normalized=True)
+    out = []
+    for i, img in enumerate(images):
+        wit = {i: field.one}
+        rem = ech.reduce(img, wit)
+        if rem:
+            ech._store(rem, wit)
+        else:
+            out.append(wit)
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
+def test_kernel_matches_normalized_reference(field, monkeypatch):
+    rng = random.Random(41)
+    cases = []
+    for _ in range(80):
+        ncols = rng.randint(1, 9)
+        images = [_rand_sparse(rng, field, ncols, rng.choice([.2, .5, .9]))
+                  for _ in range(rng.randint(0, 12))]
+        # zero images, repeated images and dependent combinations
+        for _ in range(rng.randint(0, 5)):
+            roll = rng.random()
+            if roll < .3 or len(images) < 2:
+                images.append({})
+            elif roll < .6:
+                images.append(dict(rng.choice(images)))
+            else:
+                a, b = rng.sample(images, 2)
+                images.append(ref_axpy(field, dict(a),
+                                       _rand_scalar(rng, field), b))
+        rng.shuffle(images)
+        cases.append((images, kernel_normalized(field, images)))
+
+    def no_fractions(*args):
+        raise AssertionError("kernel() ran the normalized Q loop")
+
+    # Fraction arithmetic is confined to the final division
+    monkeypatch.setattr(linalg, "_axpy_q", no_fractions)
+    for images, want in cases:
+        got = kernel(field, images)
+        assert [[(k, type(a), a) for k, a in w.items()] for w in got] == \
+            [[(k, type(a), a) for k, a in w.items()] for w in want]
