@@ -21,6 +21,16 @@ because m^{j+1} is contained in I, hence m^{j+2} in mI.  Its reduced echelon
 basis comes out of one elimination pass over the same images in the same
 order: each kernel vector is e_beta minus a combination of later independent
 images, already pivot one and free of every other pivot.
+
+A listed presentation is checked against f itself; no Ann f is computed.
+Containment comes first: a generator g lies in Ann f iff g o f = 0, and a
+homogeneous g of degree d lies in the associated graded ideal I* iff it
+pairs to zero with the leading-form space L(0, d), because I*_d is the
+orthogonal of L(0, d) under contraction (Iarrobino's Memoir; this is where
+H(A*) = H(A) comes from).  Equality then follows from dimension alone: the
+products x^m * g, a subspace of Ann f modulo m^{j+2}, are all of it once
+their rank reaches dim R_{<j+2} - dim A, and those of degree d are all of
+I*_d once it reaches r_d - h_d.
 """
 
 from __future__ import annotations
@@ -30,25 +40,34 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .linalg import Echelon, kernel, same_span
-from .poly import DPPoly, PSElement, RingSpec, mdeg
+from .poly import DPPoly, PSElement, RingSpec, contract, mdeg
+
+
+def _shifted(rmons: list, rindex: dict, start: dict, tables: list) -> list:
+    """The vectors v_m for m in rmons, a prefix of the order of rindex:
+    v_0 = start, and each later v_m is the column shift by tables[i] of
+    v_{m - e_i}, i the first variable of m.  With contraction tables v_m is
+    x^m o start; with multiplication tables, x^m * start."""
+    out = [start]
+    for m in rmons[1:]:
+        i = next(i for i, e in enumerate(m) if e)
+        tab = tables[i]
+        prev = out[rindex[m[:i] + (m[i] - 1,) + m[i + 1:]]]
+        out.append({tab[c]: v for c, v in prev.items() if c in tab})
+    return out
 
 
 def _images_descending(f: DPPoly):
     """(beta, x^beta o f) for every beta in R_{<= j+1}, the last coordinate
     of rmon_index(j+1) first, so |beta| never increases; vectors are over
-    dmon_index(j).  Each image is a column shift of an earlier one, so the
-    table is built forward, then emptied as it is read."""
+    dmon_index(j).  The table is built forward, then emptied as it is
+    read."""
     ring = f.ring
     j = f.degree
     rindex = ring.rmon_index(j + 1)
     rmons = sorted(rindex, key=rindex.get)
-    shift = ring.contraction_tables(j)
-    images = [f.vector(ring.dmon_index(j))]
-    for beta in rmons[1:]:
-        i = next(i for i, e in enumerate(beta) if e)
-        tab = shift[i]
-        prev = images[rindex[beta[:i] + (beta[i] - 1,) + beta[i + 1:]]]
-        images.append({tab[c]: v for c, v in prev.items() if c in tab})
+    images = _shifted(rmons, rindex, f.vector(ring.dmon_index(j)),
+                      ring.contraction_tables(j))
     while images:
         yield rmons[len(images) - 1], images.pop()
 
@@ -211,16 +230,6 @@ class LocalIdeal:
             counts[mdeg(self.rmons[p])] += 1
         return tuple(counts)
 
-    def initial_form_rows(self, d: int) -> list[dict]:
-        """Span of I*_d over the graded-lex basis of R_d."""
-        hidx = self.ring.monomial_index(d)
-        out = []
-        for row, p in zip(self.rows, self.pivots):
-            if mdeg(self.rmons[p]) == d:
-                out.append({hidx[self.rmons[c]]: v for c, v in row.items()
-                            if mdeg(self.rmons[c]) == d})
-        return out
-
     def contains(self, phi: PSElement) -> bool:
         if self._echelon is None:  # built on the first query, then kept
             self._echelon = Echelon(self.ring.field)
@@ -253,15 +262,8 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     # rows given by its pivot entries, so x_i * row is kept on pivot columns
     # only, each relabelled by its row number
     row_of = {min(row): k for k, row in enumerate(rows)}
-    var_shift = []
-    for i in range(ring.r):
-        tab = {}
-        for m, c in rindex.items():
-            if mdeg(m) <= j:
-                k = row_of.get(rindex[m[:i] + (m[i] + 1,) + m[i + 1:]])
-                if k is not None:
-                    tab[c] = k
-        var_shift.append(tab)
+    var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
+                 for tab in ring.multiplication_tables(j + 1)]
     mi = Echelon(field)
     for row in reversed(rows):  # sparse high-order rows first: less fill-in
         for tab in var_shift:
@@ -277,30 +279,45 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     return LocalIdeal(ring, N, rindex, rmons, rows, min_gens, orders, j)
 
 
-def _ideal_products(gens: list[PSElement], ring: RingSpec, j: int):
-    """Vectors spanning the ideal generated by gens, modulo m^{j+2}."""
-    rindex = ring.rmon_index(j + 1)
-    for g in gens:
-        o = g.order
-        if o is None:
-            continue
-        if o == 0:
-            raise DomainError("ideal generators must be non-units")
-        for d in range(0, j + 2 - o):
-            for m in ring.monomials(d):
-                yield g.mul_monomial(m, j + 1).vector(rindex)
+def _multiples(g: PSElement, top: int):
+    """x^m * g for |m| <= top - order(g) in the order of rmon_index(top), as
+    vectors over it with terms of degree > top dropped; each is a column
+    shift of an earlier one."""
+    ring = g.ring
+    rindex = ring.rmon_index(top)
+    rmons = list(ring.rmon_index(top - g.order))
+    vec = {rindex[m]: c for m, c in g.coeffs.items() if mdeg(m) <= top}
+    return _shifted(rmons, rindex, vec, ring.multiplication_tables(top))
+
+
+def _reaches(field, vectors, target: int) -> bool:
+    """True iff the vectors span at least target dimensions; reading stops
+    as soon as they do.  For vectors inside a space of dimension target,
+    that is equality with it."""
+    ech = Echelon(field)
+    for v in vectors:
+        if ech.dim == target:
+            break
+        ech.insert(v)
+    return ech.dim == target
 
 
 def verify_ideal_presentation(gens: list[PSElement], f: DPPoly) -> bool:
-    """True iff (gens) = Ann f modulo m^{j+2}."""
+    """True iff (gens) = Ann f modulo m^{j+2}: every g o f is zero, and the
+    products x^m * g span dim R_{<j+2} - dim A."""
     f = f.drop_constant()
     for g in gens:
         if g.order == 0:
             return False  # unit ideal never equals a proper annihilator
         g.ring.check_same(f.ring)
-    ideal = annihilator(f)
-    return same_span(f.ring.field, ideal.rows,
-                     _ideal_products(gens, f.ring, f.degree))
+    if any(not contract(g, f).is_zero for g in gens):
+        return False
+    P = PartialFiltration(f)
+    top = P.j + 1
+    target = len(f.ring.rmon_index(top)) - P.dim_partials(0, P.j)
+    return _reaches(f.ring.field, (v for g in gens
+                                   if not g.is_zero and g.order <= top
+                                   for v in _multiples(g, top)), target)
 
 
 def associated_graded_dims(f: DPPoly) -> tuple:
@@ -310,15 +327,34 @@ def associated_graded_dims(f: DPPoly) -> tuple:
 
 def verify_graded_presentation(gens: list[PSElement], f: DPPoly) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
-    ideal I* = Gr(Ann f), checked degree by degree up to j+1."""
+    ideal I* = Gr(Ann f), checked degree by degree up to j+1: each g pairs
+    to zero with L(0, deg g), and the degree-d multiples span r_d - h_d."""
     f = f.drop_constant()
     for g in gens:
         g.ring.check_same(f.ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
-    ideal = annihilator(f)
-    return all(generates_in_degree(gens, f.ring, d, ideal.initial_form_rows(d))
-               for d in range(f.degree + 2))
+    P = PartialFiltration(f)
+    ring, field = f.ring, f.ring.field
+    top = P.j + 1
+    gens = [g for g in gens if g.order <= top]
+    # contraction pairs x^a with X^[a] alone, so g and the rows of L(0, o)
+    # are read in the same index, monomial_index(o)
+    for g in gens:
+        hidx = ring.monomial_index(g.order)
+        gv = {hidx[m]: c for m, c in g.coeffs.items()}
+        for row in P.lt_rows(0, g.order):
+            if field.canon({0: sum(gv[k] * v for k, v in row.items()
+                                   if k in gv)}):
+                return False
+    rmons = list(ring.rmon_index(top))
+    of_degree = [[] for _ in range(top + 1)]
+    for g in gens:
+        for m, v in zip(rmons, _multiples(g, top)):
+            of_degree[g.order + mdeg(m)].append(v)
+    return all(_reaches(field, of_degree[d],
+                        ring.dim_of_degree(d) - P.lt_count(0, d))
+               for d in range(top + 1))
 
 
 def generates_in_degree(gens: list[PSElement], ring: RingSpec, d: int,

@@ -76,7 +76,7 @@ class RingSpec:
     monomial indexings shared by R = k{x_i} and its dual D = k_DP[X_i]."""
 
     __slots__ = ("vars", "lvars", "field", "r", "_dindex", "_rindex", "_hmons",
-                 "_hindex", "_ctabs")
+                 "_hindex", "_ctabs", "_mtabs")
 
     def __init__(self, vars, field: Field):
         vars = tuple(vars)
@@ -94,6 +94,7 @@ class RingSpec:
         self._hmons = {}
         self._hindex = {}
         self._ctabs = {}
+        self._mtabs = {}
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec) and other.vars == self.vars
@@ -154,6 +155,22 @@ class RingSpec:
             mons = [m for d in range(maxdeg + 1) for m in self.monomials(d)]
             self._rindex[maxdeg] = {m: i for i, m in enumerate(mons)}
         return self._rindex[maxdeg]
+
+    def multiplication_tables(self, maxdeg: int) -> list[dict]:
+        """Multiplication by each variable on the coordinates of rmon_index,
+        truncated above maxdeg: tables[i] maps the column of x^a to that of
+        x^(a+e_i) whenever |a| < maxdeg, so {tables[i][c]: v for c, v in
+        vec.items() if c in tables[i]} is the vector of x_i * g, terms of
+        degree > maxdeg dropped, when vec is that of g."""
+        if maxdeg not in self._mtabs:
+            rindex = self.rmon_index(maxdeg)
+            tabs = [{} for _ in range(self.r)]
+            for m, c in rindex.items():
+                if mdeg(m) < maxdeg:
+                    for i, e in enumerate(m):
+                        tabs[i][c] = rindex[m[:i] + (e + 1,) + m[i + 1:]]
+            self._mtabs[maxdeg] = tabs
+        return self._mtabs[maxdeg]
 
     def extend(self, new_vars) -> "RingSpec":
         return RingSpec(self.vars + tuple(new_vars), self.field)

@@ -6,8 +6,8 @@ from math import comb, gcd, lcm
 import pytest
 
 from macdual.apolarity import (PartialFiltration, annihilator,
-                               associated_graded_dims, hilbert_function,
-                               verify_graded_presentation,
+                               associated_graded_dims, generates_in_degree,
+                               hilbert_function, verify_graded_presentation,
                                verify_ideal_presentation)
 from macdual.errors import DomainError
 from macdual.fields import Field
@@ -199,14 +199,15 @@ def test_verify_ideal_rejects_unit_and_wrong():
     assert not verify_ideal_presentation([R.ps("x*y"), R.ps("x^3")], f)
 
 
-def test_bad_generators_fail_before_the_annihilator(monkeypatch):
+def test_verifiers_never_compute_the_annihilator(monkeypatch):
     import macdual.apolarity as apolarity
     from macdual.errors import RingMismatchError
 
-    def no_annihilator(f):
-        raise AssertionError("annihilator computed for rejected generators")
+    def refuse(*args):
+        raise AssertionError("a presentation verifier built Ann f")
 
-    monkeypatch.setattr(apolarity, "annihilator", no_annihilator)
+    monkeypatch.setattr(apolarity, "annihilator", refuse)
+    monkeypatch.setattr(apolarity, "same_span", refuse)
     R, f = mk(("X", "Y"), "X^[3]+Y^[4]")
     other = RingSpec(("X", "Y", "Z"), Field(0))
     assert not verify_ideal_presentation([R.ps("1+x")], f)
@@ -216,6 +217,17 @@ def test_bad_generators_fail_before_the_annihilator(monkeypatch):
         verify_graded_presentation([R.ps("x*y-x^3")], f)
     with pytest.raises(RingMismatchError):
         verify_graded_presentation([other.ps("x*y")], f)
+    # valid and invalid presentations alike
+    assert verify_ideal_presentation([R.ps("x*y"), R.ps("x^3-y^4")], f)
+    assert not verify_ideal_presentation([R.ps("x*y"), R.ps("x^3")], f)
+    assert verify_graded_presentation([R.ps("x*y"), R.ps("x^3"), R.ps("y^5")], f)
+    assert not verify_graded_presentation([R.ps("x*y"), R.ps("y^5")], f)
+    # a zero dual generator is refused, as it was by Ann f
+    zero = parse_poly("7", R)
+    with pytest.raises(DomainError):
+        verify_ideal_presentation([R.ps("x")], zero)
+    with pytest.raises(DomainError):
+        verify_graded_presentation([R.ps("x")], zero)
 
 
 def test_symdecompex_ideal_and_graded():
@@ -410,6 +422,121 @@ def test_annihilator_matches_oracle(char):
         assert I.pivots == sorted(set(I.pivots))
         assert all(row[p] == 1 for row, p in zip(I.rows, I.pivots))
         assert I.min_gens == gens and I.orders == orders
+
+
+# -- presentations against the route through Ann f ------------------------------
+
+def ideal_presentation_oracle(gens, f):
+    """(gens) = Ann f modulo m^{j+2} by building both spans: the canonical
+    rows of Ann f against every product x^m * g truncated at j+1."""
+    f = f.drop_constant()
+    if any(g.order == 0 for g in gens):
+        return False
+    ring, j = f.ring, f.degree
+    rindex = ring.rmon_index(j + 1)
+    products = (g.mul_monomial(m, j + 1).vector(rindex)
+                for g in gens if g.order is not None
+                for d in range(j + 2 - g.order) for m in ring.monomials(d))
+    return same_span(ring.field, annihilator(f).rows, products)
+
+
+def initial_form_spaces(f):
+    """I*_d for d = 0..j+1 as PSElements spanning it: the degree-d parts of
+    the canonical rows of Ann f whose pivot has degree d."""
+    I = annihilator(f)
+    out = [[] for _ in range(I.socle_degree + 2)]
+    for row, p in zip(I.rows, I.pivots):
+        d = sum(I.rmons[p])
+        out[d].append(PSElement(f.ring, {I.rmons[c]: v for c, v in row.items()
+                                         if sum(I.rmons[c]) == d}, d + 1))
+    return out
+
+
+def graded_presentation_oracle(gens, f):
+    """I* = (gens) degree by degree: each I*_d, as spanned by the initial
+    forms of Ann f, against the degree-d multiples of gens."""
+    ring = f.ring
+    for d, forms in enumerate(initial_form_spaces(f.drop_constant())):
+        hidx = ring.monomial_index(d)
+        rows = [{hidx[m]: c for m, c in g.coeffs.items()} for g in forms]
+        if not generates_in_degree(gens, ring, d, rows):
+            return False
+    return True
+
+
+def graded_generators(f):
+    """Homogeneous generators of I*, picked degree by degree from the
+    initial forms that the earlier picks do not generate."""
+    ring, field = f.ring, f.ring.field
+    gens = []
+    for d, forms in enumerate(initial_form_spaces(f.drop_constant())):
+        hidx = ring.monomial_index(d)
+        ech = Echelon(field)
+        for g in gens:
+            for m in ring.monomials(d - g.order):
+                ech.insert({hidx[k]: v for k, v in
+                            g.mul_monomial(m, d).coeffs.items()})
+        gens += [g for g in forms
+                 if ech.insert({hidx[m]: c for m, c in g.coeffs.items()})]
+    return gens
+
+
+def presentation_variants(gens, ring, rng, trunc, homogeneous):
+    """The true generators, one dropped, one redundant product added, one
+    replaced by its sum with another, and a random low-degree element
+    added (homogeneous when the presentation is)."""
+    out = [list(gens)]
+    a = rng.randrange(len(gens))
+    out.append(gens[:a] + gens[a + 1:])
+    x = rng.choice(ring.monomials(1))
+    out.append(gens + [gens[a].mul_monomial(x, trunc)])
+    others = [b for b in range(len(gens)) if b != a
+              and gens[b].order <= gens[a].order]
+    if others:
+        b = rng.choice(others)
+        m = rng.choice(ring.monomials(gens[a].order - gens[b].order))
+        out.append(gens[:a] + [gens[a] + gens[b].mul_monomial(m, trunc)]
+                   + gens[a + 1:])
+    degs = [rng.randint(1, 2)] if homogeneous else [1, 2]
+    mons = [m for d in degs for m in ring.monomials(d)]
+    noise = PSElement(ring, ring.field.canon(
+        {m: rng.randint(1, 5) for m in rng.sample(mons, min(3, len(mons)))}),
+        trunc)
+    if not noise.is_zero:
+        out.append(gens + [noise])
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 2, 101, P61],
+                         ids=["Q", "F2", "F101", "F61"])
+def test_presentations_match_the_annihilator_route(char):
+    rng = random.Random(char % 1000 + 8)
+    field = Field(char)
+    max_j = {1: 6, 2: 5, 3: 4, 4: 3}
+    seen = {"ideal": set(), "graded": set()}
+    trial = 0
+    while trial < 24:
+        r = trial % 4 + 1
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        homogeneous = trial % 3 == 2
+        f = random_dual_generator(ring, rng, rng.randint(1, max_j[r]),
+                                  dense=trial % 3 == 1,
+                                  homogeneous=homogeneous)
+        if f.drop_constant().is_zero:  # every coefficient vanished mod p
+            continue
+        trial += 1
+        trunc = f.degree + 2
+        for gens in presentation_variants(annihilator(f).min_gens, ring, rng,
+                                          trunc, homogeneous=False):
+            want = ideal_presentation_oracle(gens, f)
+            assert verify_ideal_presentation(gens, f) == want, (f, gens)
+            seen["ideal"].add(want)
+        for gens in presentation_variants(graded_generators(f), ring, rng,
+                                          trunc, homogeneous=True):
+            want = graded_presentation_oracle(gens, f)
+            assert verify_graded_presentation(gens, f) == want, (f, gens)
+            seen["graded"].add(want)
+    assert seen == {"ideal": {True, False}, "graded": {True, False}}
 
 
 # -- the tagged pass against references ----------------------------------------
