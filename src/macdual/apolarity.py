@@ -187,6 +187,12 @@ class PartialFiltration:
                      for i in range(self.j + 1))
 
 
+def filtration(f: DPPoly | PartialFiltration) -> PartialFiltration:
+    """The PartialFiltration of a dual generator f, or f itself when it is
+    one already, so that a caller holding P does not filter f again."""
+    return f if isinstance(f, PartialFiltration) else PartialFiltration(f)
+
+
 def hilbert_function(f: DPPoly) -> tuple:
     return PartialFiltration(f).hilbert()
 
@@ -302,22 +308,25 @@ def _reaches(field, vectors, target: int) -> bool:
     return ech.dim == target
 
 
-def verify_ideal_presentation(gens: list[PSElement], f: DPPoly) -> bool:
+def verify_ideal_presentation(gens: list[PSElement],
+                              f: DPPoly | PartialFiltration) -> bool:
     """True iff (gens) = Ann f modulo m^{j+2}: every g o f is zero, and the
-    products x^m * g span dim R_{<j+2} - dim A."""
-    f = f.drop_constant()
+    products x^m * g span dim R_{<j+2} - dim A.  f is the dual generator
+    or its PartialFiltration."""
+    ring = f.ring
     for g in gens:
         if g.order == 0:
             return False  # unit ideal never equals a proper annihilator
-        g.ring.check_same(f.ring)
-    if any(not contract(g, f).is_zero for g in gens):
+        g.ring.check_same(ring)
+    f0 = f.f if isinstance(f, PartialFiltration) else f.drop_constant()
+    if any(not contract(g, f0).is_zero for g in gens):
         return False
-    P = PartialFiltration(f)
+    P = filtration(f)
     top = P.j + 1
-    target = len(f.ring.rmon_index(top)) - P.dim_partials(0, P.j)
-    return _reaches(f.ring.field, (v for g in gens
-                                   if not g.is_zero and g.order <= top
-                                   for v in _multiples(g, top)), target)
+    target = len(ring.rmon_index(top)) - P.dim_partials(0, P.j)
+    return _reaches(ring.field, (v for g in gens
+                                 if not g.is_zero and g.order <= top
+                                 for v in _multiples(g, top)), target)
 
 
 def associated_graded_dims(f: DPPoly) -> tuple:
@@ -325,17 +334,18 @@ def associated_graded_dims(f: DPPoly) -> tuple:
     return annihilator(f).graded_dims()
 
 
-def verify_graded_presentation(gens: list[PSElement], f: DPPoly) -> bool:
+def verify_graded_presentation(gens: list[PSElement],
+                               f: DPPoly | PartialFiltration) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
     ideal I* = Gr(Ann f), checked degree by degree up to j+1: each g pairs
-    to zero with L(0, deg g), and the degree-d multiples span r_d - h_d."""
-    f = f.drop_constant()
+    to zero with L(0, deg g), and the degree-d multiples span r_d - h_d.
+    f is the dual generator or its PartialFiltration."""
+    ring, field = f.ring, f.ring.field
     for g in gens:
-        g.ring.check_same(f.ring)
+        g.ring.check_same(ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
-    P = PartialFiltration(f)
-    ring, field = f.ring, f.ring.field
+    P = filtration(f)
     top = P.j + 1
     gens = [g for g in gens if g.order <= top]
     # contraction pairs x^a with X^[a] alone, so g and the rows of L(0, o)

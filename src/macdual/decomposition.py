@@ -25,14 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from math import comb
 
-from .apolarity import PartialFiltration, generates_in_degree
+from .apolarity import PartialFiltration, filtration, generates_in_degree
 from .errors import DomainError, InternalCheckError
 from .linalg import Echelon, kernel, rref_rows, solve_linear, vec_axpy
 from .poly import DPPoly, PSElement, RingSpec, contract_monomial, mdeg
-
-
-def _filtration(f) -> PartialFiltration:
-    return f if isinstance(f, PartialFiltration) else PartialFiltration(f)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +38,7 @@ def component_dual_dims(P, a: int) -> tuple:
     """H(a) read off the dual side: entry i is
     dim P(j-a-i, i) - dim [P(j-a-i, i-1) + P(j+1-a-i, i)], which telescopes
     to a difference of leading-term counts."""
-    P = _filtration(P)
+    P = filtration(P)
     j = P.j
     if a < 0 or a > j - 1:
         raise DomainError("component index a out of range")
@@ -53,7 +49,7 @@ def component_dual_dims(P, a: int) -> tuple:
 def component_dims(P, a: int) -> tuple:
     """H(a) computed on the m-adic side (honest subspace quotients); equals
     component_dual_dims reversed by i -> j-a-i."""
-    P = _filtration(P)
+    P = filtration(P)
     j = P.j
     if a < 0 or a > j - 1:
         raise DomainError("component index a out of range")
@@ -91,7 +87,7 @@ class QDualModule:
 def dual_component_basis(P, a: int) -> QDualModule:
     """Canonical (reduced echelon) bases of the degree-i pieces of the dual
     module, as complements of L(s+1, i) inside L(s, i), s = j-a-i."""
-    P = _filtration(P)
+    P = filtration(P)
     j = P.j
     dims = component_dual_dims(P, a)
     mod = QDualModule(a=a, dims=dims, _filtration=P)
@@ -101,7 +97,10 @@ def dual_component_basis(P, a: int) -> QDualModule:
             continue
         s = j - a - i
         full = rref_rows(field, P.lt_rows(s, i))
-        den_pivots = {min(r) for r in rref_rows(field, P.lt_rows(s + 1, i))}
+        # rows of a level have distinct pivots, and L(s+1, i) is spanned by
+        # a subset of the rows spanning L(s, i): its pivots are those of
+        # the reduced basis
+        den_pivots = {min(r) for r in P.lt_rows(s + 1, i)}
         comp = [r for r in full if min(r) not in den_pivots]
         if len(comp) != d:
             raise InternalCheckError("dual basis dimension mismatch")
@@ -217,7 +216,7 @@ def _check_decomposition(j, H, comps):
 def symmetric_decomposition(f, with_bases: bool = False) -> SymDecomp:
     """All components H(a), their structural invariants asserted, and the
     dual-module bases when requested."""
-    P = _filtration(f)
+    P = filtration(f)
     j = P.j
     if j < 1:
         raise DomainError("socle degree must be at least 1")
@@ -352,7 +351,7 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
     forms of elements h of m^i with h o f of degree at most j-a-i (the
     pullback of the a-th filtration ideal of the associated graded algebra).
     """
-    P = _filtration(f)
+    P = filtration(f)
     j, ring = P.j, P.ring
     field = ring.field
     if a < 0 or a > j - 1:

@@ -398,14 +398,14 @@ def corpus_verify(entry: CorpusEntry) -> list[dict]:
             gens = [parse_ps(g, ring, f.degree + 2)
                     for g in entry.expect["ideal_gens"]]
             check("ideal_gens", True,
-                  apolarity.verify_ideal_presentation(gens, f))
+                  apolarity.verify_ideal_presentation(gens, P))
         if "graded_ideal_gens" in entry.expect:
             gens = [parse_ps(g, ring, f.degree + 2)
                     for g in entry.expect["graded_ideal_gens"]]
             check("graded_ideal_gens", True,
-                  apolarity.verify_graded_presentation(gens, f))
+                  apolarity.verify_graded_presentation(gens, P))
         if "exotic_terms" in entry.expect:
-            report = normalform.detect_exotic(f)
+            report = normalform.detect_exotic(P)
             want = sorted(str(parse_poly(t, ring))
                           for t in entry.expect["exotic_terms"])
             got = sorted(str(t) for _, t in report.exotic_terms)

@@ -12,14 +12,19 @@ integers a > 0 and b), unless the echelon is built with ``normalized=True``:
 then rows have pivot one and ``reduce`` is a linear map.  Dimensions, pivot
 sets and membership do not depend on the mode.
 
-Elimination runs one tight loop per element format, picked once per
-``reduce``: residues in ``range(p)`` with an inline ``% p`` over F_p; plain
-ints with no canonicaliser for fraction-free rows over Q (inputs are
-integer after clearing denominators); ``Field.add``/``Field.mul`` for the
-``Fraction`` entries of a normalized echelon over Q, which only callers
-that need ``reduce`` to be linear build.  All three store the same
-canonical values as the field's own arithmetic and drop every entry that
-cancels.
+``reduce`` walks the pivot hits of the working vector in increasing order
+from a min-heap: built once from the input's pivot columns, it gains only
+the pivot columns a subtracted row adds, since a row touches no column
+before its pivot.  Each step runs the loop of one element format.  Over
+F_p entries are unreduced ints while the walk runs (delayed modular
+reduction): an entry is taken ``% p`` only when it is popped as a pivot,
+and the remainder and witness are made canonical once on return.  Over Q
+every step cancels exactly: plain ints with no canonicaliser for
+fraction-free rows (inputs are integer after clearing denominators), and
+``Field.add``/``Field.mul`` for the ``Fraction`` entries of a normalized
+echelon, which only callers that need ``reduce`` to be linear build.  All
+three eliminate the same pivots with the same factors and store the same
+canonical values as the field's own arithmetic, with no zero entry.
 
 Both modes carry witnesses.  A witness is a sparse dict over any keys
 (generator positions, monomials) naming the combination of inputs a vector
@@ -40,7 +45,7 @@ Built on it:
 * :func:`kernel` - a basis of the kernel of ``e_i -> images[i]``;
 * :func:`same_span` - whether two families span the same subspace;
 * :func:`rref_rows` - the canonical fully reduced, pivot-one basis of a
-  span, used wherever a basis is reported;
+  span, used wherever a basis is reported (fraction-free over Q);
 * :func:`solve_linear` - one solution of a linear system.
 
 The dense :func:`rref`, :func:`det` and :func:`matrix_inverse` work on
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DomainError
@@ -131,6 +137,19 @@ def _scale_in_place(d: dict, c: int):
         d[k] = c * a
 
 
+def _canon_mod_in_place(d: dict, p: int):
+    """Residues in range(p), zeros dropped, keeping d's key order."""
+    zeros = []
+    for k, a in d.items():
+        a %= p
+        if a:
+            d[k] = a
+        else:
+            zeros.append(k)
+    for k in zeros:
+        del d[k]
+
+
 class Echelon:
     """Growing forward-echelon span of sparse vectors, rows sorted by pivot.
 
@@ -160,13 +179,22 @@ class Echelon:
 
     def reduce(self, vec: dict, wit: dict | None = None) -> dict:
         """Canonical remainder of vec modulo the span: every pivot
-        coordinate is eliminated (in increasing order, which terminates
-        because a row only touches coordinates at or past its pivot), so the
-        result is the unique representative supported off the pivots, up to
-        a nonzero factor in fraction-free mode - in a normalized echelon
-        reduce is a linear projection - and zero iff vec lies in the span.
-        Over the rationals the fraction-free remainder is scaled to
-        integers.
+        coordinate is eliminated, so the result is the unique representative
+        supported off the pivots, up to a nonzero factor in fraction-free
+        mode - in a normalized echelon reduce is a linear projection - and
+        zero iff vec lies in the span.  Over the rationals the fraction-free
+        remainder is scaled to integers.
+
+        Pivot hits are walked in increasing order from a min-heap, built
+        once from the pivots among vec's columns.  A row only touches
+        columns at or past its pivot, so each step pushes just the pivots
+        among the columns it adds to the working vector, the walk never
+        goes back, and it terminates.  A popped column whose entry is gone
+        (cancelled, or already cleared) is skipped.  Over F_p entries stay
+        unreduced ints while the walk runs: an entry is taken mod p only
+        when popped as a pivot, and dropped if that is 0.  The remainder,
+        and the witness, are made canonical once on return (residues in
+        range(p), zeros dropped).  Over Q every step cancels exactly.
 
         Every step applied to vec is applied to wit in place: each row
         subtracted from vec is subtracted, with the same factor, and in
@@ -182,22 +210,42 @@ class Echelon:
         f = self.field
         p = f.char
         by_pivot = self._by_pivot
-        while v:
-            hits = [k for k in v if k in by_pivot]
-            if not hits:
-                return v
-            q = min(hits)
+        heap = [k for k in v if k in by_pivot]
+        if not heap:
+            return v
+        heapify(heap)
+        while heap:
+            q = heappop(heap)
+            a = v.get(q)
+            if a is None:
+                continue
             row, rwit = by_pivot[q]
             if p:
-                c = -v[q] % p
-                _axpy_mod(v, c, row, p)
-                if wit is not None:
-                    _axpy_mod(wit, c, rwit, p)
-            elif ffree:
-                a = row[q]
-                b = v[q]
+                a %= p
+                if a:
+                    c = p - a
+                    get = v.get
+                    for k, b in row.items():
+                        x = get(k)
+                        if x is None:
+                            v[k] = c * b
+                            if k in by_pivot:
+                                heappush(heap, k)
+                        else:
+                            v[k] = x + c * b
+                    if wit is not None:
+                        get = wit.get
+                        for k, b in rwit.items():
+                            wit[k] = get(k, 0) + c * b
+                del v[q]
+                continue
+            for k in row:
+                if k not in v and k in by_pivot:
+                    heappush(heap, k)
+            if ffree:
+                b = row[q]
                 g = gcd(a, b)
-                ca, cb = a // g, -(b // g)
+                ca, cb = b // g, -(a // g)
                 if ca != 1:
                     v = {k: ca * x for k, x in v.items()}
                     if wit is not None:
@@ -206,10 +254,14 @@ class Echelon:
                 if wit is not None:
                     _axpy_int(wit, cb, rwit)
             else:
-                c = -v[q]
+                c = -a
                 _axpy_q(f, v, c, row)
                 if wit is not None:
                     _axpy_q(f, wit, c, rwit)
+        if p:
+            v = {k: r for k, a in v.items() if (r := a % p)}
+            if wit is not None:
+                _canon_mod_in_place(wit, p)
         return v
 
     def insert(self, vec: dict, wit: dict | None = None):
@@ -299,18 +351,42 @@ def same_span(field: Field, a, b) -> bool:
 
 
 def rref_rows(field: Field, vectors) -> list[dict]:
-    """Canonical fully-reduced pivot-one sparse basis of the span."""
-    ech = Echelon(field, normalized=True)
+    """Canonical fully-reduced pivot-one sparse basis of the span.
+
+    Over Q the echelon and the back-substitution run in integers: each row
+    is made primitive before it clears its pivot from the rows above it,
+    and is divided by its pivot once at the end (an int where that divides
+    exactly, else a Fraction)."""
+    ech = Echelon(field)
     for v in vectors:
         ech.insert(v)
-    rows = [dict(r) for r in ech.rows]
+    rows = ech.rows  # the echelon is not used again
+    p = field.char
     # back-substitute so every pivot column is cleared everywhere else
     for i in range(len(rows) - 1, -1, -1):
-        p = ech.pivots[i]
-        for k in range(i):
-            c = rows[k].get(p)
-            if c is not None and not field.is_zero(c):
-                vec_axpy(field, rows[k], field.neg(c), rows[i])
+        q, row = ech.pivots[i], rows[i]
+        if not p:
+            g = gcd(*row.values())
+            if g != 1:
+                for k, a in row.items():
+                    row[k] = a // g
+        for above in rows[:i]:
+            c = above.get(q)
+            if c is None:
+                continue
+            if p:
+                _axpy_mod(above, p - c, row, p)
+            else:
+                g = gcd(row[q], c)
+                if row[q] != g:
+                    _scale_in_place(above, row[q] // g)
+                _axpy_int(above, -(c // g), row)
+    if not p:
+        for row, q in zip(rows, ech.pivots):
+            d = row[q]
+            if d != 1:
+                for k, a in row.items():
+                    row[k] = a // d if a % d == 0 else Fraction(a, d)
     return rows
 
 

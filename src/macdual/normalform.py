@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from .apolarity import PartialFiltration
+from .apolarity import PartialFiltration, filtration
 from .decomposition import symmetric_decomposition
 from .errors import DomainError, InternalCheckError
 from .linalg import Echelon, matrix_inverse, rref_rows, vec_axpy
@@ -292,16 +292,17 @@ class ExoticReport:
         return bool(self.exotic_terms)
 
 
-def detect_exotic(f: DPPoly) -> ExoticReport:
+def detect_exotic(f: DPPoly | PartialFiltration) -> ExoticReport:
     """Split each graded piece f_{j-a} into its part in the first n_a
-    adapted dual variables and the exotic remainder.
+    adapted dual variables and the exotic remainder; f is the dual
+    generator or its PartialFiltration.
 
     The adapted basis of D_1 lists, level by level, leading terms of
     degree-one partials of order j-a-1 (padded to a full basis); a term of
     f_{j-a} is exotic when it involves a basis vector past the first n_a.
     """
-    f = f.drop_constant()
-    P = PartialFiltration(f)
+    P = filtration(f)
+    f = P.f
     ring = P.ring
     field = ring.field
     j = P.j

@@ -210,18 +210,21 @@ def test_verifiers_never_compute_the_annihilator(monkeypatch):
     monkeypatch.setattr(apolarity, "same_span", refuse)
     R, f = mk(("X", "Y"), "X^[3]+Y^[4]")
     other = RingSpec(("X", "Y", "Z"), Field(0))
-    assert not verify_ideal_presentation([R.ps("1+x")], f)
-    with pytest.raises(RingMismatchError):
-        verify_ideal_presentation([other.ps("x*y")], f)
-    with pytest.raises(DomainError):
-        verify_graded_presentation([R.ps("x*y-x^3")], f)
-    with pytest.raises(RingMismatchError):
-        verify_graded_presentation([other.ps("x*y")], f)
-    # valid and invalid presentations alike
-    assert verify_ideal_presentation([R.ps("x*y"), R.ps("x^3-y^4")], f)
-    assert not verify_ideal_presentation([R.ps("x*y"), R.ps("x^3")], f)
-    assert verify_graded_presentation([R.ps("x*y"), R.ps("x^3"), R.ps("y^5")], f)
-    assert not verify_graded_presentation([R.ps("x*y"), R.ps("y^5")], f)
+    # the dual generator or its filtration, with the same answers
+    for g in (f, PartialFiltration(f)):
+        assert not verify_ideal_presentation([R.ps("1+x")], g)
+        with pytest.raises(RingMismatchError):
+            verify_ideal_presentation([other.ps("x*y")], g)
+        with pytest.raises(DomainError):
+            verify_graded_presentation([R.ps("x*y-x^3")], g)
+        with pytest.raises(RingMismatchError):
+            verify_graded_presentation([other.ps("x*y")], g)
+        # valid and invalid presentations alike
+        assert verify_ideal_presentation([R.ps("x*y"), R.ps("x^3-y^4")], g)
+        assert not verify_ideal_presentation([R.ps("x*y"), R.ps("x^3")], g)
+        assert verify_graded_presentation(
+            [R.ps("x*y"), R.ps("x^3"), R.ps("y^5")], g)
+        assert not verify_graded_presentation([R.ps("x*y"), R.ps("y^5")], g)
     # a zero dual generator is refused, as it was by Ann f
     zero = parse_poly("7", R)
     with pytest.raises(DomainError):
@@ -526,15 +529,18 @@ def test_presentations_match_the_annihilator_route(char):
             continue
         trial += 1
         trunc = f.degree + 2
+        P = PartialFiltration(f)
         for gens in presentation_variants(annihilator(f).min_gens, ring, rng,
                                           trunc, homogeneous=False):
             want = ideal_presentation_oracle(gens, f)
             assert verify_ideal_presentation(gens, f) == want, (f, gens)
+            assert verify_ideal_presentation(gens, P) == want, (f, gens)
             seen["ideal"].add(want)
         for gens in presentation_variants(graded_generators(f), ring, rng,
                                           trunc, homogeneous=True):
             want = graded_presentation_oracle(gens, f)
             assert verify_graded_presentation(gens, f) == want, (f, gens)
+            assert verify_graded_presentation(gens, P) == want, (f, gens)
             seen["graded"].add(want)
     assert seen == {"ideal": {True, False}, "graded": {True, False}}
 

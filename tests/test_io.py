@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from macdual import apolarity
 from macdual.errors import ParseError, SchemaError
 from macdual.fields import Field
 from macdual.io import (corpus_load, corpus_verify, parse_poly, parse_ps,
@@ -137,3 +140,25 @@ def test_multi_characteristic_entry(tmp_path):
     reports = corpus_verify(corpus_load(path)[0])
     assert [r["char"] for r in reports] == [0, 101]
     assert all(r["ok"] for r in reports)
+
+
+def test_corpus_verify_builds_one_filtration_per_entry(monkeypatch):
+    """Every check of an entry, the presentation verifiers and
+    detect_exotic included, reuses the PartialFiltration built for it."""
+    built = []
+    init = apolarity.PartialFiltration.__init__
+
+    def counting(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(apolarity.PartialFiltration, "__init__", counting)
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "paper.corpus"
+    entries = corpus_load(corpus)
+    fields = {k for e in entries for k in e.expect}
+    assert {"ideal_gens", "graded_ideal_gens", "exotic_terms"} <= fields
+    for entry in entries:
+        del built[:]
+        reports = corpus_verify(entry)
+        assert all(r["ok"] for r in reports)
+        assert len(built) == len(entry.chars), entry.name

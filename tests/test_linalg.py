@@ -8,7 +8,7 @@ from macdual.errors import DomainError
 from macdual import linalg
 from macdual.fields import Field
 from macdual.linalg import (Echelon, det, kernel, matrix_inverse, rref,
-                            same_span, solve_linear, vec_axpy)
+                            rref_rows, same_span, solve_linear, vec_axpy)
 
 QQ = Field(0)
 FIELDS = (QQ, Field(101))
@@ -453,3 +453,97 @@ def test_kernel_matches_normalized_reference(field, monkeypatch):
         got = kernel(field, images)
         assert [[(k, type(a), a) for k, a in w.items()] for w in got] == \
             [[(k, type(a), a) for k, a in w.items()] for w in want]
+
+
+# ---------------------------------------------------------------------------
+# lazy residues over F_p: long reductions against the reference
+
+@pytest.mark.parametrize("p", [2, 3, 2**61 - 1], ids=["F2", "F3", "F61"])
+def test_lazy_residues_match_reference(p):
+    """Dense rows over 40+ columns and chains of dependent combinations,
+    so one reduce walks many pivots and its unreduced entries pass p long
+    before they are read; remainders, rows and witnesses still match the
+    element-by-element reference exactly and come out canonical."""
+    field = Field(p)
+    rng = random.Random(p % 1009)
+    for _ in range(6):
+        ncols = rng.randint(40, 60)
+        vecs = [_rand_sparse(rng, field, ncols, .9)
+                for _ in range(rng.randint(20, 30))]
+        # each link combines the previous one with an earlier input
+        link = vecs[0]
+        for _ in range(15):
+            link = ref_axpy(field, ref_axpy(field, {}, rng.randrange(1, p),
+                                            link),
+                            _rand_scalar(rng, field), rng.choice(vecs))
+            vecs.append(link)
+        rng.shuffle(vecs)
+        ech, ref = Echelon(field), RefEchelon(field, True)
+        for i, v in enumerate(vecs):
+            wa, wb = {i: 1}, {i: 1}
+            got = ech.reduce(v, wa)
+            assert _typed(got) == _typed(ref.reduce(v, wb))
+            assert _typed(wa) == _typed(wb)
+            for d in (got, wa):
+                assert all(0 < a < p for a in d.values())
+            ech.insert(v, {i: 1})
+            ref.insert(v, {i: 1})
+        assert ech.dim >= 20 and ech.dim < len(vecs)
+        assert ech.pivots == ref.pivots
+        assert list(map(_typed, ech.rows)) == list(map(_typed, ref.rows))
+        assert list(map(_typed, ech.wits)) == list(map(_typed, ref.wits))
+        for d in ech.rows + ech.wits:
+            assert all(0 < a < p for a in d.values())
+
+
+# ---------------------------------------------------------------------------
+# rref_rows against the normalized loop it replaced
+
+def rref_rows_normalized(field, vectors):
+    """rref_rows as it ran on a normalized echelon, back-substituting in
+    field arithmetic: the reference for entries, key order and value
+    types."""
+    ech = Echelon(field, normalized=True)
+    for v in vectors:
+        ech.insert(v)
+    rows = [dict(r) for r in ech.rows]
+    for i in range(len(rows) - 1, -1, -1):
+        p = ech.pivots[i]
+        for k in range(i):
+            c = rows[k].get(p)
+            if c is not None and not field.is_zero(c):
+                vec_axpy(field, rows[k], field.neg(c), rows[i])
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
+def test_rref_rows_matches_normalized_reference(field, monkeypatch):
+    rng = random.Random(43)
+    cases = []
+    for _ in range(80):
+        ncols = rng.randint(1, 12)
+        vecs = [_rand_sparse(rng, field, ncols, rng.choice([.2, .5, .9]))
+                for _ in range(rng.randint(0, 12))]
+        # zero vectors, repeats and dependent combinations
+        for _ in range(rng.randint(0, 5)):
+            roll = rng.random()
+            if roll < .3 or len(vecs) < 2:
+                vecs.append({})
+            elif roll < .6:
+                vecs.append(dict(rng.choice(vecs)))
+            else:
+                a, b = rng.sample(vecs, 2)
+                vecs.append(ref_axpy(field, dict(a),
+                                     _rand_scalar(rng, field), b))
+        rng.shuffle(vecs)
+        cases.append((vecs, rref_rows_normalized(field, vecs)))
+
+    def no_fractions(*args):
+        raise AssertionError("rref_rows ran the normalized Q loop")
+
+    # Fraction arithmetic is confined to the final division by the pivot
+    monkeypatch.setattr(linalg, "_axpy_q", no_fractions)
+    for vecs, want in cases:
+        got = rref_rows(field, vecs)
+        assert [[(k, type(a), a) for k, a in r.items()] for r in got] == \
+            [[(k, type(a), a) for k, a in r.items()] for r in want]
