@@ -137,19 +137,6 @@ def _scale_in_place(d: dict, c: int):
         d[k] = c * a
 
 
-def _canon_mod_in_place(d: dict, p: int):
-    """Residues in range(p), zeros dropped, keeping d's key order."""
-    zeros = []
-    for k, a in d.items():
-        a %= p
-        if a:
-            d[k] = a
-        else:
-            zeros.append(k)
-    for k in zeros:
-        del d[k]
-
-
 class Echelon:
     """Growing forward-echelon span of sparse vectors, rows sorted by pivot.
 
@@ -259,9 +246,11 @@ class Echelon:
                 if wit is not None:
                     _axpy_q(f, wit, c, rwit)
         if p:
-            v = {k: r for k, a in v.items() if (r := a % p)}
-            if wit is not None:
-                _canon_mod_in_place(wit, p)
+            v = f.canon(v)
+            if wit is not None:  # in place: the caller holds wit
+                canon = f.canon(wit)
+                wit.clear()
+                wit.update(canon)
         return v
 
     def insert(self, vec: dict, wit: dict | None = None):
