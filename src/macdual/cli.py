@@ -15,22 +15,58 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from importlib import import_module
 
-from .apolarity import PartialFiltration, annihilator, \
-    verify_ideal_presentation
-from .constructions import (ExtensionSpec, allowed_component_indices,
-                            is_a_modification, linear_extension,
-                            relatively_compressed_modification,
-                            restricted_components)
-from .decomposition import symmetric_decomposition
 from .errors import DomainError, GenericityError, ParseError, SchemaError
 from .fields import Field
-from .fuzz import SUITES, run_suite
 from .io import corpus_load, corpus_verify, parse_poly, parse_ps, \
     render_decomposition
-from .normalform import detect_exotic, normalize, split_connected_summand
 from .poly import RingSpec
+
+# The engine is imported on first use, so that each subcommand's process
+# loads only the modules it runs.  These names stay attributes of this
+# module, looked up in its globals when a subcommand runs, so a caller can
+# replace one (a tracer's wrapper, a test's stub) before `main` runs.
+_LAZY = {}
+for _module, _names in (
+    ("apolarity", ("PartialFiltration", "annihilator",
+                   "verify_ideal_presentation")),
+    ("constructions", ("ExtensionSpec", "allowed_component_indices",
+                       "is_a_modification", "linear_extension",
+                       "relatively_compressed_modification",
+                       "restricted_components")),
+    ("decomposition", ("symmetric_decomposition",)),
+    ("fuzz", ("run_suite",)),
+    ("normalform", ("detect_exotic", "normalize", "split_connected_summand")),
+):
+    _LAZY.update(dict.fromkeys(_names, _module))
+del _module, _names
+
+# `fuzz --suite` choices, kept here so that building the parser does not
+# import `fuzz`; a test holds this equal to sorted(fuzz.SUITES).
+FUZZ_SUITES = ("adjoint", "allowed-set", "codim2-cyclic", "consum", "hfineq",
+               "linearzlem", "maxprop", "modification", "nonubiquity",
+               "normalize", "partial", "restricted", "split", "symmetry",
+               "transpose", "unit")
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name)) from None
+    value = getattr(import_module("." + module, __package__), name)
+    # setdefault: a value a caller already bound (a wrapper) stays in place
+    return globals().setdefault(name, value)
+
+
+def _bind_globals(fn) -> None:
+    """Bind the lazy names `fn` reads as globals before it runs (a plain
+    global lookup does not reach the module `__getattr__`)."""
+    for name in fn.__code__.co_names:
+        if name in _LAZY:
+            __getattr__(name)
 
 
 def _ring_from_args(args) -> RingSpec:
@@ -190,6 +226,8 @@ def cmd_verify(args):
     reports = []
     workers = verify_workers(args.jobs, len(entries), os.cpu_count())
     if workers > 1:
+        # imported here: only `verify --jobs` needs a pool (ROADMAP item 4)
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for reps in pool.map(_verify_one,
                                  [(args.corpus, i) for i in range(len(entries))]):
@@ -293,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_consum_split)
 
     p = sub.add_parser("fuzz", help="run a seeded property suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=FUZZ_SUITES)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_fuzz)
@@ -311,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _bind_globals(args.fn)
         return args.fn(args)
     except (ParseError, SchemaError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 
-from . import apolarity, decomposition, normalform
 from .errors import ParseError, SchemaError
 from .fields import Field
 from .poly import (DPPoly, PSElement, RingSpec, dp_mul,
@@ -369,6 +368,10 @@ def _build_entry(name, fields) -> CorpusEntry:
 def corpus_verify(entry: CorpusEntry) -> list[dict]:
     """Recompute everything an entry asserts and diff exactly.  Returns one
     report per listed characteristic."""
+    # Imported here, not at module level: the parser and renderer above are
+    # on every command's start-up path, and only `verify` needs the engine
+    # (the sanctioned exception to hoisting imports; ROADMAP item 4).
+    from . import apolarity, decomposition, normalform
     reports = []
     for char in entry.chars:
         ring = RingSpec(entry.vars, Field(char))

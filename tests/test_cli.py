@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +164,101 @@ def test_internal_errors_exit_5(capsys, monkeypatch, exc):
     assert type(exc).__name__ in line
     assert " ".join(str(exc).split()) in line
     assert "decompose" in line and "--char 101" in line
+
+
+def test_fuzz_suite_choices_match_the_suites(capsys):
+    from macdual import fuzz
+    assert list(cli.FUZZ_SUITES) == sorted(fuzz.SUITES)
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--suite", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: macdual fuzz [-h] --suite\n")
+    assert "{%s}" % ",".join(sorted(fuzz.SUITES)) in err
+    assert err.endswith(
+        "macdual fuzz: error: argument --suite: invalid choice: 'nope' "
+        "(choose from %s)\n" % ", ".join(repr(s) for s in sorted(fuzz.SUITES)))
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def fresh(code: str) -> list:
+    """Run `code` in a fresh interpreter; the JSON its last line prints."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=60, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+
+
+def test_import_macdual_loads_no_submodule():
+    loaded = fresh("import macdual" + LOADED)
+    assert [m for m in loaded if m.startswith("macdual.")] == []
+
+
+def test_import_cli_leaves_the_engine_unloaded():
+    loaded = fresh("import macdual.cli" + LOADED)
+    for name in ("macdual.fuzz", "macdual.constructions", "macdual.normalform",
+                 "macdual.decomposition", "concurrent.futures.process"):
+        assert name not in loaded
+
+
+def test_hilbert_loads_only_what_it_runs():
+    loaded = fresh("from macdual.cli import main\n"
+                   "assert main(['hilbert', '--vars', 'X,Y', 'X^[3]+Y^[2]']) "
+                   "== 0" + LOADED)
+    assert "macdual.apolarity" in loaded
+    for name in ("macdual.constructions", "macdual.normalform",
+                 "macdual.fuzz"):
+        assert name not in loaded
+
+
+# the names a tracer wraps on `cli` (perfbench SmallCli.CLI_CALLS)
+CLI_CALLS = ("PartialFiltration", "annihilator", "verify_ideal_presentation",
+             "ExtensionSpec", "allowed_component_indices",
+             "is_a_modification", "linear_extension",
+             "relatively_compressed_modification", "restricted_components",
+             "symmetric_decomposition", "corpus_load", "corpus_verify",
+             "parse_poly", "parse_ps", "render_decomposition",
+             "detect_exotic", "normalize", "split_connected_summand")
+
+
+def test_traced_names_resolve_before_any_subcommand():
+    homes = fresh("import json, macdual.cli as cli\n"
+                  "print(json.dumps([getattr(cli, n).__module__ + '.' + "
+                  "getattr(cli, n).__name__ for n in %r]))" % (CLI_CALLS,))
+    for name, home in zip(CLI_CALLS, homes):
+        module, _, attr = home.rpartition(".")
+        assert module.startswith("macdual.") and attr == name
+
+
+def test_a_wrapper_on_cli_is_the_one_called(capsys, monkeypatch):
+    calls = []
+    real = cli.normalize
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "normalize", wrapper)
+    code, out = run(capsys, "normalize", "--vars", "X,Y", "--char", "0",
+                    "X^[4]+X^[2]*Y")
+    assert code == 0 and out.startswith("normal form:")
+    assert len(calls) == 1
+    assert cli.normalize is wrapper
+
+
+def test_a_failed_engine_import_exits_5(capsys, monkeypatch):
+    def broken(name, package=None):
+        raise ImportError("cannot load %s" % name)
+
+    monkeypatch.delattr(cli, "symmetric_decomposition", raising=False)
+    monkeypatch.setattr(cli, "import_module", broken)
+    code = main(["decompose", "--vars", "X,Y", "--char", "0", "X^[3]"])
+    out = capsys.readouterr()
+    assert code == 5 and out.out == ""
+    assert out.err.count("\n") == 1
+    assert out.err.startswith("internal error: ImportError")
