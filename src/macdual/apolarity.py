@@ -65,7 +65,7 @@ def _images_descending(f: DPPoly):
     ring = f.ring
     j = f.degree
     rindex = ring.rmon_index(j + 1)
-    rmons = sorted(rindex, key=rindex.get)
+    rmons = list(rindex)
     images = _shifted(rmons, rindex, f.vector(ring.dmon_index(j)),
                       ring.contraction_tables(j))
     while images:
@@ -102,7 +102,7 @@ class PartialFiltration:
         self.ring = f.ring
         self.j = f.degree
         self.dindex = f.ring.dmon_index(self.j)
-        self.dmons = sorted(self.dindex, key=self.dindex.get)
+        self.dmons = list(self.dindex)
         self.col_deg = [mdeg(m) for m in self.dmons]
         self._shift = f.ring.contraction_tables(self.j)
         ech = Echelon(f.ring.field)
@@ -257,7 +257,7 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     j = f.degree
     N = j + 2
     rindex = ring.rmon_index(j + 1)
-    rmons = sorted(rindex, key=rindex.get)
+    rmons = list(rindex)
     # Fed last monomial first, each kernel vector is e_beta minus later
     # independent images: pivot one, no other pivot in its support.  Read
     # backwards, the kernel is the reduced echelon basis of I.

@@ -14,6 +14,7 @@ for the element-by-element arithmetic of :mod:`macdual.linalg`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import DomainError, RingMismatchError
@@ -25,6 +26,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXACT_BELOW = 3317044064679887385961981
 
 
+@lru_cache(maxsize=64, typed=True)  # asked on every Field(p)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the prime bases 2..41: exact for all
     n < _EXACT_BELOW (about 3.3e24), unproven above it."""

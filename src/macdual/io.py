@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import comb, factorial
 
 from .errors import ParseError, SchemaError
 from .fields import Field
@@ -31,20 +32,15 @@ class _Tokens:
     def __init__(self, src: str):
         self.src = src
         self.toks = []  # (kind, value, offset)
-        pos = 0
-        while pos < len(src):
-            m = _TOKEN.match(src, pos)
-            if not m or m.end() == pos:
-                break
-            if m.group(1) is not None:
-                self.toks.append(("nat", int(m.group(1)), m.start(1)))
-            elif m.group(2) is not None:
-                self.toks.append(("name", m.group(2), m.start(2)))
-            else:
-                ch = m.group(3)
-                if not ch.isspace():
-                    self.toks.append(("op", ch, m.start(3)))
-            pos = m.end()
+        # matches tile src up to any trailing newlines, which '.' skips
+        for m in _TOKEN.finditer(src):
+            nat, name, ch = m.groups()
+            if nat is not None:
+                self.toks.append(("nat", int(nat), m.start(1)))
+            elif name is not None:
+                self.toks.append(("name", name, m.start(2)))
+            elif not ch.isspace():
+                self.toks.append(("op", ch, m.start(3)))
         self.i = 0
 
     def peek(self):
@@ -60,13 +56,11 @@ class _Tokens:
         if kind != "op" or val != ch:
             raise ParseError("expected %r" % ch, self.src, off)
 
-    def error(self, msg):
-        raise ParseError(msg, self.src, self.peek()[2])
-
 
 class _Parser:
     """Recursive descent over the shared grammar; `divided` switches between
-    the dual algebra (X^[k] basis) and the local ring (ordinary powers)."""
+    the dual algebra (X^[k] basis) and the local ring (ordinary powers).
+    Terms are summed raw and canonicalised once, by the constructor."""
 
     def __init__(self, src, ring: RingSpec, divided: bool, trunc=None):
         self.ts = _Tokens(src)
@@ -75,27 +69,6 @@ class _Parser:
         self.trunc = trunc
         names = ring.vars if divided else ring.lvars
         self.var_index = {v: i for i, v in enumerate(names)}
-
-    # -- value helpers --------------------------------------------------------
-
-    def _one(self):
-        if self.divided:
-            return DPPoly(self.ring, {self.ring.r * (0,): self.ring.field.one})
-        return PSElement(self.ring, {self.ring.r * (0,): self.ring.field.one},
-                         self.trunc)
-
-    def _var_power(self, i: int, k: int, bracket: bool):
-        f = self.ring.field
-        mon = tuple(k if t == i else 0 for t in range(self.ring.r))
-        if self.divided:
-            c = f.one if bracket else f.factorial(k)
-            return DPPoly(self.ring, {mon: c})
-        return PSElement(self.ring, {mon: f.one}, self.trunc)
-
-    def _mul(self, a, b):
-        if self.divided:
-            return dp_mul(a, b)
-        return a.mul(b, self.trunc)
 
     # -- grammar ----------------------------------------------------------------
 
@@ -112,14 +85,18 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.ts.next()
             sign = -1 if val == "-" else 1
-        total = self.parse_term(sign)
+        total: dict = {}
         while True:
+            for m, c in self.parse_term(sign).items():
+                total[m] = total.get(m, 0) + c
             kind, val, _ = self.ts.peek()
-            if kind == "op" and val in "+-":
-                self.ts.next()
-                total = total + self.parse_term(-1 if val == "-" else 1)
-            else:
-                return total
+            if not (kind == "op" and val in "+-"):
+                break
+            self.ts.next()
+            sign = -1 if val == "-" else 1
+        if self.divided:
+            return DPPoly(self.ring, total)
+        return PSElement(self.ring, total, self.trunc)
 
     def parse_coeff(self):
         f = self.ring.field
@@ -137,31 +114,42 @@ class _Parser:
         return f.from_int(val)
 
     def parse_term(self, sign: int):
-        f = self.ring.field
-        coeff = f.one if sign == 1 else f.neg(f.one)
+        """The term as monomial -> raw coefficient.  Powers of variables
+        multiply into one monomial (times binomials for a variable repeated
+        in divided mode); parenthesised factors are multiplied by dp_mul."""
+        coeff = sign
+        exps = [0] * self.ring.r
         kind, val, off = self.ts.peek()
-        have_factor = False
         if kind == "nat":
-            coeff = f.mul(coeff, self.parse_coeff())
+            coeff *= self.parse_coeff()
             kind, val, _ = self.ts.peek()
             if kind == "op" and val == "*":
                 self.ts.next()
             else:
-                return self._one().scale(coeff)  # bare constant term
-        value = self._one()
+                return {tuple(exps): coeff}  # bare constant term
+        value = None
         while True:
-            value = self._mul(value, self.parse_factor())
-            have_factor = True
+            factor = self.parse_factor()
+            if isinstance(factor, DPPoly):
+                value = factor if value is None else dp_mul(value, factor)
+            else:
+                i, k, c = factor
+                if self.divided and exps[i]:
+                    c *= comb(exps[i] + k, k)
+                exps[i] += k
+                coeff *= c
             kind, val, _ = self.ts.peek()
             if kind == "op" and val == "*":
                 self.ts.next()
                 continue
             break
-        if not have_factor:
-            self.ts.error("expected a factor")
-        return value.scale(coeff)
+        term = {tuple(exps): coeff}
+        return term if value is None else \
+            dp_mul(value, DPPoly(self.ring, term)).coeffs
 
     def parse_factor(self):
+        """(i, k, c) for c times the k-th (divided) power of variable i, or
+        the DPPoly of a parenthesised (L)^[k]."""
         kind, val, off = self.ts.next()
         if kind == "name":
             i = self.var_index.get(val)
@@ -171,7 +159,7 @@ class _Parser:
             if kind2 == "op" and val2 == "^":
                 self.ts.next()
                 return self._parse_power_suffix(i, off)
-            return self._var_power(i, 1, bracket=True)
+            return i, 1, 1
         if kind == "op" and val == "(":
             inner = self.parse_poly()
             self.ts.expect_op(")")
@@ -200,9 +188,10 @@ class _Parser:
             if kind3 != "nat":
                 raise ParseError("expected exponent", self.ts.src, off3)
             self.ts.expect_op("]")
-            return self._var_power(i, k, bracket=True)
+            return i, k, 1
         if kind == "nat":
-            return self._var_power(i, val, bracket=False)
+            # x^k is k! X^[k] in divided mode, x^k itself in the local ring
+            return i, val, factorial(val) if self.divided else 1
         raise ParseError("expected exponent", self.ts.src, off2)
 
 

@@ -24,10 +24,16 @@ and powers, linear substitution, series products and composition - sums raw
 int/Fraction products into one dict and hands it to ``Field.canon`` once;
 the constructors do the same.  This module never looks at how a field
 element is stored.
+
+A RingSpec's monomial lists, coordinate indexes and contraction and
+multiplication tables depend only on (r, degree), not on the variable names
+or the field.  They are shared process-wide by every RingSpec of that
+shape, within a fixed bound (_TABLE_SHAPES, _TABLE_MONOMIALS).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, wraps
 from math import comb
 from operator import add, sub
 
@@ -61,22 +67,68 @@ def rmon_key(m: MON):
     return (mdeg(m), _glex_within(m))
 
 
+# Each builder's table lies on the monomials of degree <= top in r
+# variables.  It keeps its last maxsize tables of at most _TABLE_MONOMIALS
+# monomials (r = 4 to degree 7, r = 3 to degree 11); a larger one is rebuilt
+# per use, at little cost next to the echelon work on it.
+_TABLE_SHAPES = 64
+_TABLE_MONOMIALS = 400
+
+
+def _shared(maxsize: int):
+    def wrap(build):
+        kept = lru_cache(maxsize=maxsize)(build)
+
+        @wraps(build)
+        def table(r: int, top: int, *rest):
+            small = comb(r + max(top, 0), r) <= _TABLE_MONOMIALS
+            return (kept if small else build)(r, top, *rest)
+        table.cache_info = kept.cache_info
+        return table
+    return wrap
+
+
+@_shared(4 * _TABLE_SHAPES)
 def monomials_of_degree(r: int, d: int) -> list[MON]:
-    """All exponent tuples of length r and degree d, graded-lex order."""
-    if r == 1:
-        return [(d,)]
+    """All exponent tuples of length r and degree d, graded-lex order; a
+    shared list, never to be mutated."""
+    if r == 1 or d <= 0:
+        return [(d,) + (0,) * (r - 1)] if d >= 0 else []
     out = []
     for e in range(d, -1, -1):
         out.extend((e,) + rest for rest in monomials_of_degree(r - 1, d - e))
     return out
 
 
-class RingSpec:
-    """Variable names (order fixed), the coefficient field, and cached
-    monomial indexings shared by R = k{x_i} and its dual D = k_DP[X_i]."""
+@_shared(4 * _TABLE_SHAPES)
+def _index(r: int, top: int, order: int) -> dict:
+    # degrees top..0 (order -1), top alone (order 0) or 0..top (order 1)
+    degrees = (range(top, -1, -1), (top,), range(top + 1))[order + 1]
+    return {m: i for i, m in enumerate(
+        m for d in degrees for m in monomials_of_degree(r, d))}
 
-    __slots__ = ("vars", "lvars", "field", "r", "_dindex", "_rindex", "_hmons",
-                 "_hindex", "_ctabs", "_mtabs")
+
+@_shared(2 * _TABLE_SHAPES)
+def _shift_tables(r: int, top: int, step: int) -> list[dict]:
+    # step -1: contraction over dmon_index; step 1: multiplication over
+    # rmon_index.  tables[i] maps column c of m to that of m + step*e_i.
+    index = _index(r, top, step)
+    tabs = [{} for _ in range(r)]
+    for m, c in index.items():
+        if step < 0 or mdeg(m) < top:
+            for i, e in enumerate(m):
+                if e + step >= 0:
+                    tabs[i][c] = index[m[:i] + (e + step,) + m[i + 1:]]
+    return tabs
+
+
+class RingSpec:
+    """Variable names (order fixed) and the coefficient field of R = k{x_i}
+    and its dual D = k_DP[X_i].  Its monomial indexings (each iterating in
+    coordinate order) and tables are shared process-wide by every ring with
+    as many variables (bounded as _shared says); never mutate them."""
+
+    __slots__ = ("vars", "lvars", "field", "r")
 
     def __init__(self, vars, field: Field):
         vars = tuple(vars)
@@ -89,12 +141,6 @@ class RingSpec:
         self.lvars = lvars
         self.field = field
         self.r = len(vars)
-        self._dindex = {}
-        self._rindex = {}
-        self._hmons = {}
-        self._hindex = {}
-        self._ctabs = {}
-        self._mtabs = {}
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec) and other.vars == self.vars
@@ -115,46 +161,26 @@ class RingSpec:
         return comb(self.r + i - 1, i) if i >= 0 else 0
 
     def monomials(self, d: int) -> list[MON]:
-        if d < 0:
-            return []
-        if d not in self._hmons:
-            self._hmons[d] = monomials_of_degree(self.r, d)
-        return self._hmons[d]
+        return monomials_of_degree(self.r, d)
 
     def monomial_index(self, d: int) -> dict:
         """monomial -> position in monomials(d)."""
-        if d not in self._hindex:
-            self._hindex[d] = {m: i for i, m in enumerate(self.monomials(d))}
-        return self._hindex[d]
+        return _index(self.r, d, 0)
 
     def dmon_index(self, maxdeg: int) -> dict:
         """monomial -> coordinate, degrees maxdeg..0, graded-lex inside."""
-        if maxdeg not in self._dindex:
-            mons = [m for d in range(maxdeg, -1, -1) for m in self.monomials(d)]
-            self._dindex[maxdeg] = {m: i for i, m in enumerate(mons)}
-        return self._dindex[maxdeg]
+        return _index(self.r, maxdeg, -1)
 
     def contraction_tables(self, maxdeg: int) -> list[dict]:
         """Contraction by each variable on the coordinates of dmon_index:
         tables[i] maps the column of X^a to that of X^(a-e_i) whenever
         a_i > 0, so {tables[i][c]: v for c, v in vec.items() if c in
         tables[i]} is the vector of x_i o g when vec is that of g."""
-        if maxdeg not in self._ctabs:
-            dindex = self.dmon_index(maxdeg)
-            tabs = [{} for _ in range(self.r)]
-            for m, c in dindex.items():
-                for i, e in enumerate(m):
-                    if e:
-                        tabs[i][c] = dindex[m[:i] + (e - 1,) + m[i + 1:]]
-            self._ctabs[maxdeg] = tabs
-        return self._ctabs[maxdeg]
+        return _shift_tables(self.r, maxdeg, -1)
 
     def rmon_index(self, maxdeg: int) -> dict:
         """monomial -> coordinate, degrees 0..maxdeg, graded-lex inside."""
-        if maxdeg not in self._rindex:
-            mons = [m for d in range(maxdeg + 1) for m in self.monomials(d)]
-            self._rindex[maxdeg] = {m: i for i, m in enumerate(mons)}
-        return self._rindex[maxdeg]
+        return _index(self.r, maxdeg, 1)
 
     def multiplication_tables(self, maxdeg: int) -> list[dict]:
         """Multiplication by each variable on the coordinates of rmon_index,
@@ -162,15 +188,7 @@ class RingSpec:
         x^(a+e_i) whenever |a| < maxdeg, so {tables[i][c]: v for c, v in
         vec.items() if c in tables[i]} is the vector of x_i * g, terms of
         degree > maxdeg dropped, when vec is that of g."""
-        if maxdeg not in self._mtabs:
-            rindex = self.rmon_index(maxdeg)
-            tabs = [{} for _ in range(self.r)]
-            for m, c in rindex.items():
-                if mdeg(m) < maxdeg:
-                    for i, e in enumerate(m):
-                        tabs[i][c] = rindex[m[:i] + (e + 1,) + m[i + 1:]]
-            self._mtabs[maxdeg] = tabs
-        return self._mtabs[maxdeg]
+        return _shift_tables(self.r, maxdeg, 1)
 
     def extend(self, new_vars) -> "RingSpec":
         return RingSpec(self.vars + tuple(new_vars), self.field)

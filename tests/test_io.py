@@ -1,14 +1,17 @@
+import random
 from pathlib import Path
 
 import pytest
 
 from macdual import apolarity
+from macdual import io as io_mod
 from macdual.errors import ParseError, SchemaError
 from macdual.fields import Field
 from macdual.io import (corpus_load, corpus_verify, parse_poly, parse_ps,
                         render_decomposition)
 from macdual.decomposition import symmetric_decomposition
-from macdual.poly import RingSpec
+from macdual.poly import (DPPoly, PSElement, RingSpec, dp_mul,
+                          dp_power_of_linear)
 
 
 def R(vars="XY", char=0):
@@ -162,3 +165,219 @@ def test_corpus_verify_builds_one_filtration_per_entry(monkeypatch):
         reports = corpus_verify(entry)
         assert all(r["ok"] for r in reports)
         assert len(built) == len(entry.chars), entry.name
+
+
+# -- one-pass parser against the term-by-term route ---------------------------
+
+class _TermByTermParser(io_mod._Parser):
+    """The former parser: each term starts from one and multiplies in a
+    DPPoly/PSElement per factor (dp_mul or PSElement.mul), and the terms
+    are added one by one.  Test-only reference for the one-pass parser."""
+
+    def _one(self):
+        zero = self.ring.r * (0,)
+        if self.divided:
+            return DPPoly(self.ring, {zero: self.ring.field.one})
+        return PSElement(self.ring, {zero: self.ring.field.one}, self.trunc)
+
+    def _var_power(self, i, k, bracket):
+        f = self.ring.field
+        mon = tuple(k if t == i else 0 for t in range(self.ring.r))
+        if self.divided:
+            return DPPoly(self.ring, {mon: f.one if bracket else f.factorial(k)})
+        return PSElement(self.ring, {mon: f.one}, self.trunc)
+
+    def _mul(self, a, b):
+        return dp_mul(a, b) if self.divided else a.mul(b, self.trunc)
+
+    def parse_poly(self):
+        sign = 1
+        kind, val, _ = self.ts.peek()
+        if kind == "op" and val in "+-":
+            self.ts.next()
+            sign = -1 if val == "-" else 1
+        total = self.parse_term(sign)
+        while True:
+            kind, val, _ = self.ts.peek()
+            if kind == "op" and val in "+-":
+                self.ts.next()
+                total = total + self.parse_term(-1 if val == "-" else 1)
+            else:
+                return total
+
+    def parse_term(self, sign):
+        f = self.ring.field
+        coeff = f.one if sign == 1 else f.neg(f.one)
+        kind, val, _ = self.ts.peek()
+        if kind == "nat":
+            coeff = f.mul(coeff, self.parse_coeff())
+            kind, val, _ = self.ts.peek()
+            if kind == "op" and val == "*":
+                self.ts.next()
+            else:
+                return self._one().scale(coeff)
+        value = self._one()
+        while True:
+            value = self._mul(value, self.parse_factor())
+            kind, val, _ = self.ts.peek()
+            if kind == "op" and val == "*":
+                self.ts.next()
+                continue
+            return value.scale(coeff)
+
+    def parse_factor(self):
+        kind, val, off = self.ts.next()
+        if kind == "name":
+            i = self.var_index.get(val)
+            if i is None:
+                raise ParseError("unknown variable %r" % val, self.ts.src, off)
+            kind2, val2, _ = self.ts.peek()
+            if kind2 == "op" and val2 == "^":
+                self.ts.next()
+                kind, val, off2 = self.ts.next()
+                if kind == "op" and val == "[":
+                    if not self.divided:
+                        raise ParseError("divided powers are not allowed here",
+                                         self.ts.src, off2)
+                    kind3, k, off3 = self.ts.next()
+                    if kind3 != "nat":
+                        raise ParseError("expected exponent", self.ts.src, off3)
+                    self.ts.expect_op("]")
+                    return self._var_power(i, k, bracket=True)
+                if kind == "nat":
+                    return self._var_power(i, val, bracket=False)
+                raise ParseError("expected exponent", self.ts.src, off2)
+            return self._var_power(i, 1, bracket=True)
+        if kind == "op" and val == "(":
+            inner = self.parse_poly()
+            self.ts.expect_op(")")
+            self.ts.expect_op("^")
+            self.ts.expect_op("[")
+            kind2, k, off2 = self.ts.next()
+            if kind2 != "nat":
+                raise ParseError("expected exponent", self.ts.src, off2)
+            self.ts.expect_op("]")
+            if not self.divided:
+                raise ParseError("divided powers are not allowed here",
+                                 self.ts.src, off)
+            if inner.is_zero or not (inner.is_homogeneous() and inner.degree == 1):
+                raise ParseError("base of ^[k] must be a homogeneous linear form",
+                                 self.ts.src, off)
+            return dp_power_of_linear(inner, k)
+        raise ParseError("expected a factor", self.ts.src, off)
+
+
+def _outcome(parser_cls, src, ring, divided, trunc=None):
+    """The parsed coefficient dict, or the ParseError's message and offset."""
+    try:
+        return parser_cls(src, ring, divided, trunc).parse().coeffs
+    except ParseError as exc:
+        return ("error", exc.expected, exc.offset)
+
+
+FIXED_DIVIDED = [
+    "X*X", "X*Y*X", "X^2", "X^3", "X^2*X^[3]*X", "(X+2*Y)^[3]*X*Z",
+    "X*(X+2*Y)^[3]*(Y-Z)^[2]*X", "7", "-3", "0", "2/3", "5/6*X^[2]*Y",
+    "X^[2]-X^[2]+Y", "X*Y-Y*X+Z^[2]", "X^4-24*X^[4]", "1/2*X*X-X^[2]",
+    "X^[2]*X^[3]*Y^2", "  X \n+\tY*Y \n", "- 3*Z^3 + (Y)^[4]",
+    # malformed: messages and offsets must agree
+    "", "X+", "X**Y", "X^[2]Y", "X+Q", "(X^[2]+Y)^[2]", "(X+Y)^2", "1/0*X",
+    "3/6*X", "X^[", "X^[a]", "X^", "(0*X)^[2]", "2*", "X)", "(X+1)^[2]",
+]
+
+FIXED_ORDINARY = [
+    "x*x", "x*y*x", "x^2*x^3*y", "x^3*x^2", "x*x*x*x*x*x", "y^4*y^3-x",
+    "x^2*y^2*z^2", "5", "2/3*x*z", "x^2-x*x+y", "x*y-y*x", "z^9+1",
+    "", "x^[2]", "(x+y)^[2]", "x*^2", "X", "x+", "1/0",
+]
+
+
+def _random_text(rng, names, divided, char):
+    def coeff():
+        a = rng.randint(1, 12)
+        if rng.random() < 0.3:
+            b = rng.randint(1, 9)
+            while char and b % char == 0:
+                b += 1
+            return "%d/%d" % (a, b)
+        return str(a)
+
+    def factor():
+        roll = rng.random()
+        name = rng.choice(names)
+        if divided and roll < 0.15:
+            lin = "+".join("%s*%s" % (coeff(), v)
+                           for v in rng.sample(names, rng.randint(1, 3)))
+            return "(%s)^[%d]" % (lin, rng.randint(0, 3))
+        if roll < 0.45:
+            return name
+        if divided and roll < 0.75:
+            return "%s^[%d]" % (name, rng.randint(0, 4))
+        return "%s^%d" % (name, rng.randint(0, 5))
+
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.1:
+            body = coeff()
+        else:
+            body = "*".join(factor() for _ in range(rng.randint(1, 4)))
+            if roll < 0.5:
+                body = coeff() + "*" + body
+        terms.append(body)
+        if rng.random() < 0.2:
+            terms.append(body)  # cancels against the sign drawn below
+    signs = [rng.choice("+-") for _ in terms]
+    return (signs[0] if signs[0] == "-" else "") + terms[0] + "".join(
+        s + t for s, t in zip(signs[1:], terms[1:]))
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 101], ids=["Q", "F2", "F3", "F101"])
+def test_one_pass_parser_matches_term_by_term(char):
+    ring = RingSpec(("X", "Y", "Z"), Field(char))
+    rng = random.Random(1100 + char)
+    divided = FIXED_DIVIDED + [_random_text(rng, ring.vars, True, char)
+                               for _ in range(300)]
+    for src in divided:
+        assert _outcome(io_mod._Parser, src, ring, True) == \
+            _outcome(_TermByTermParser, src, ring, True), src
+    ordinary = FIXED_ORDINARY + [_random_text(rng, ring.lvars, False, char)
+                                 for _ in range(300)]
+    for trunc in (3, 5, 64):
+        for src in ordinary:
+            assert _outcome(io_mod._Parser, src, ring, False, trunc) == \
+                _outcome(_TermByTermParser, src, ring, False, trunc), \
+                (src, trunc)
+
+
+def _tokens_one_match_at_a_time(src):
+    """The former tokenizer: one _TOKEN.match per token from the last end,
+    stopping at the first position where nothing matches."""
+    toks, pos = [], 0
+    while pos < len(src):
+        m = io_mod._TOKEN.match(src, pos)
+        if not m or m.end() == pos:
+            break
+        if m.group(1) is not None:
+            toks.append(("nat", int(m.group(1)), m.start(1)))
+        elif m.group(2) is not None:
+            toks.append(("name", m.group(2), m.start(2)))
+        elif not m.group(3).isspace():
+            toks.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    return toks
+
+
+def test_tokenizer_matches_one_match_at_a_time():
+    rng = random.Random(11)
+    alphabet = ["X", "Y1", "y_2", "12", "0", "+", "-", "*", "/", "^", "[",
+                "]", "(", ")", " ", "\t", "\n", "\r\n", "$", "é", ".."]
+    texts = FIXED_DIVIDED + FIXED_ORDINARY + ["\n", "X\n", "X \n\n", " \n ",
+                                              "X\n\nY", "\n\n+"] + [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        for _ in range(500)]
+    for src in texts:
+        ts = io_mod._Tokens(src)
+        assert ts.toks == _tokens_one_match_at_a_time(src), repr(src)
+        ts.i = len(ts.toks)
+        assert ts.peek() == ("end", None, len(src))

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from macdual.errors import DomainError, RingMismatchError
 from macdual.fields import Field
 from macdual.io import parse_poly, parse_ps
-from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
-                          dp_mul, dp_power_of_linear,
+from macdual.poly import (DPPoly, PSElement, RingSpec, contract, dmon_key,
+                          dp_mul, rmon_key, dp_power_of_linear,
                           linear_substitute, pairing, ps_compose,
                           ps_compose_inverse, variable_series)
 
@@ -416,3 +418,107 @@ def test_core_matches_per_operation_reference(char):
         # the constructor canonicalises raw values too
         check(DPPoly(ring, {m: v + char if char else Fraction(v)
                             for m, v in A.items()}), A)
+
+
+# -- ring tables shared by shape -------------------------------------------------
+
+TABLE_CACHES = ("monomials_of_degree", "_index", "_shift_tables")
+
+
+TABLE_CALLS = [("monomials", 3), ("monomials", -1), ("monomial_index", 3),
+               ("dmon_index", 4), ("rmon_index", 5), ("contraction_tables", 4),
+               ("multiplication_tables", 5)]
+
+
+def test_rings_of_one_shape_share_their_tables():
+    a = RingSpec(("X", "Y", "Z"), Field(0))
+    b = RingSpec(("U", "V", "W"), Field(101))
+    c = RingSpec(("x1", "x2", "x3"), Field(2))
+    for name, d in TABLE_CALLS:
+        assert getattr(a, name)(d) is getattr(b, name)(d) is \
+            getattr(c, name)(d), name
+    assert RingSpec(("X", "Y"), Field(0)).dmon_index(4) is not a.dmon_index(4)
+    assert not hasattr(a, "__dict__")
+
+
+def test_tables_past_the_monomial_bound_are_built_per_use():
+    from macdual import poly
+
+    ring = RingSpec(tuple("XYZWUV"), Field(0))
+    assert comb(6 + 6, 6) > poly._TABLE_MONOMIALS >= comb(4 + 7, 4)
+    assert ring.rmon_index(6) is not ring.rmon_index(6)
+    assert ring.rmon_index(6) == ring.rmon_index(6)
+    assert ring.multiplication_tables(6) == ring.multiplication_tables(6)
+    small = RingSpec(tuple("XYZW"), Field(0))
+    assert small.multiplication_tables(7) is small.multiplication_tables(7)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+def test_shared_tables_match_their_definitions(r):
+    ring = RingSpec(tuple("XYZWUV"[:r]), Field(0))
+    for top in range(7):
+        mons = [m for d in range(top + 1) for m in ring.monomials(d)]
+        assert list(ring.rmon_index(top)) == sorted(mons, key=rmon_key)
+        assert list(ring.dmon_index(top)) == sorted(mons, key=dmon_key)
+        for index, tables, step in (
+                (ring.dmon_index(top), ring.contraction_tables(top), -1),
+                (ring.rmon_index(top), ring.multiplication_tables(top), 1)):
+            for i, tab in enumerate(tables):
+                want = {}
+                for m, col in index.items():
+                    moved = tuple(e + step if k == i else e
+                                  for k, e in enumerate(m))
+                    if min(moved) >= 0 and sum(moved) <= top:
+                        want[col] = index[moved]
+                assert tab == want
+        assert ring.monomial_index(top) == \
+            {m: k for k, m in enumerate(ring.monomials(top))}
+
+
+def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
+                                                           capsys):
+    """Every table handed out while the README examples and the paper
+    corpus run in process still equals a fresh build afterwards."""
+    import test_golden
+    from macdual import poly
+    from macdual.cli import main
+
+    handed = {}
+    for name in TABLE_CACHES:
+        cached = getattr(poly, name)
+
+        def spy(*key, cached=cached):
+            out = cached(*key)
+            handed[cached, key, id(out)] = out
+            return out
+        monkeypatch.setattr(poly, name, spy)
+    cases = (test_golden.CASES + test_golden.CASES_MOD_101
+             + test_golden.CASES_MOD_P61)
+    for argv, expected in cases:
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == expected
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "paper.corpus"
+    assert main(["verify", str(corpus), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert len(handed) > 50
+    for (cached, key, _), out in list(handed.items()):
+        assert out == cached.__wrapped__(*key), (cached.__name__, key)
+
+
+def test_table_caches_stay_bounded():
+    from macdual import poly
+
+    ring = RingSpec(("X",), Field(0))
+    for name in TABLE_CACHES:
+        assert getattr(poly, name).cache_info().maxsize <= 4 * poly._TABLE_SHAPES
+    for d in range(4 * poly._TABLE_SHAPES + 10):
+        ring.monomial_index(d)
+        ring.rmon_index(d)
+        ring.contraction_tables(d)
+        ring.multiplication_tables(d)
+        for name in TABLE_CACHES:
+            info = getattr(poly, name).cache_info()
+            assert info.currsize <= info.maxsize, (name, d)
+    for name in TABLE_CACHES:
+        info = getattr(poly, name).cache_info()
+        assert info.currsize == info.maxsize, name
