@@ -67,31 +67,32 @@ def rmon_key(m: MON):
     return (mdeg(m), _glex_within(m))
 
 
-# Each builder's table lies on the monomials of degree <= top in r
-# variables.  It keeps its last maxsize tables of at most _TABLE_MONOMIALS
-# monomials (r = 4 to degree 7, r = 3 to degree 11); a larger one is rebuilt
-# per use, at little cost next to the echelon work on it.
+# Each builder's table lies on the monomials of degree <= top in r variables.
+# It keeps its last maxsize tables of at most _TABLE_MONOMIALS monomials (r=4
+# to degree 7, r=3 to 11) and its last _LARGE_TABLES larger ones: a dense
+# request builds its tables once, and they do not outlive the next one.
 _TABLE_SHAPES = 64
 _TABLE_MONOMIALS = 400
+_LARGE_TABLES = 2
 
 
 def _shared(maxsize: int):
     def wrap(build):
         kept = lru_cache(maxsize=maxsize)(build)
+        recent = lru_cache(maxsize=_LARGE_TABLES)(build)
 
         @wraps(build)
         def table(r: int, top: int, *rest):
             small = comb(r + max(top, 0), r) <= _TABLE_MONOMIALS
-            return (kept if small else build)(r, top, *rest)
-        table.cache_info = kept.cache_info
+            return (kept if small else recent)(r, top, *rest)
+        table.caches = (kept, recent)
         return table
     return wrap
 
 
 @_shared(4 * _TABLE_SHAPES)
 def monomials_of_degree(r: int, d: int) -> list[MON]:
-    """All exponent tuples of length r and degree d, graded-lex order; a
-    shared list, never to be mutated."""
+    """Exponent tuples of length r and degree d, graded-lex; read-only."""
     if r == 1 or d <= 0:
         return [(d,) + (0,) * (r - 1)] if d >= 0 else []
     out = []
@@ -124,9 +125,8 @@ def _shift_tables(r: int, top: int, step: int) -> list[dict]:
 
 class RingSpec:
     """Variable names (order fixed) and the coefficient field of R = k{x_i}
-    and its dual D = k_DP[X_i].  Its monomial indexings (each iterating in
-    coordinate order) and tables are shared process-wide by every ring with
-    as many variables (bounded as _shared says); never mutate them."""
+    and its dual D = k_DP[X_i].  Its indexings (in coordinate order) and
+    tables are shared by every ring of r variables (see _shared): read-only."""
 
     __slots__ = ("vars", "lvars", "field", "r")
 

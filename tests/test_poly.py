@@ -441,16 +441,22 @@ def test_rings_of_one_shape_share_their_tables():
     assert not hasattr(a, "__dict__")
 
 
-def test_tables_past_the_monomial_bound_are_built_per_use():
+def test_large_tables_are_kept_only_briefly():
     from macdual import poly
 
-    ring = RingSpec(tuple("XYZWUV"), Field(0))
+    big = RingSpec(tuple("XYZWUV"), Field(0))
     assert comb(6 + 6, 6) > poly._TABLE_MONOMIALS >= comb(4 + 7, 4)
-    assert ring.rmon_index(6) is not ring.rmon_index(6)
-    assert ring.rmon_index(6) == ring.rmon_index(6)
-    assert ring.multiplication_tables(6) == ring.multiplication_tables(6)
+    first = big.rmon_index(6)
+    assert big.rmon_index(6) is first
+    for top in range(7, 8 + poly._LARGE_TABLES):
+        big.rmon_index(top)
+    assert big.rmon_index(6) is not first
+    assert big.rmon_index(6) == first
     small = RingSpec(tuple("XYZW"), Field(0))
-    assert small.multiplication_tables(7) is small.multiplication_tables(7)
+    tabs = small.multiplication_tables(7)
+    for top in range(7, 8 + poly._LARGE_TABLES):
+        big.multiplication_tables(top)
+    assert small.multiplication_tables(7) is tabs
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
@@ -508,17 +514,23 @@ def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
 def test_table_caches_stay_bounded():
     from macdual import poly
 
-    ring = RingSpec(("X",), Field(0))
-    for name in TABLE_CACHES:
-        assert getattr(poly, name).cache_info().maxsize <= 4 * poly._TABLE_SHAPES
-    for d in range(4 * poly._TABLE_SHAPES + 10):
-        ring.monomial_index(d)
-        ring.rmon_index(d)
-        ring.contraction_tables(d)
-        ring.multiplication_tables(d)
+    def check(final=False):
         for name in TABLE_CACHES:
-            info = getattr(poly, name).cache_info()
-            assert info.currsize <= info.maxsize, (name, d)
-    for name in TABLE_CACHES:
-        info = getattr(poly, name).cache_info()
-        assert info.currsize == info.maxsize, name
+            kept, recent = getattr(poly, name).caches
+            assert kept.cache_info().maxsize <= 4 * poly._TABLE_SHAPES
+            assert recent.cache_info().maxsize == poly._LARGE_TABLES
+            for cache in (kept, recent):
+                info = cache.cache_info()
+                assert info.currsize <= info.maxsize, name
+                assert info.currsize == info.maxsize or not final, name
+
+    small, big = RingSpec(("X",), Field(0)), RingSpec(tuple("XYZWUV"), Field(0))
+    shapes = [(small, d) for d in range(4 * poly._TABLE_SHAPES + 10)] + \
+        [(big, top) for top in range(6, 8 + poly._LARGE_TABLES)]
+    for ring, top in shapes:
+        ring.monomial_index(top)
+        ring.rmon_index(top)
+        ring.contraction_tables(top)
+        ring.multiplication_tables(top)
+        check()
+    check(final=True)
