@@ -39,7 +39,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError
-from .linalg import Echelon, kernel, same_span
+from .linalg import Echelon, kernel, primitive, same_span
 from .poly import DPPoly, PSElement, RingSpec, contract, mdeg
 
 
@@ -57,14 +57,14 @@ def _shifted(rmons: list, rindex: dict, start: dict, tables: list) -> list:
     return out
 
 
-def _images_descending(f: DPPoly):
-    """(beta, x^beta o f) for every beta in R_{<= j+1}, the last coordinate
-    of rmon_index(j+1) first, so |beta| never increases; vectors are over
+def _images_descending(f: DPPoly, top: int):
+    """(beta, x^beta o f) for every beta in R_{<= top}, the last coordinate
+    of rmon_index(top) first, so |beta| never increases; vectors are over
     dmon_index(j).  The table is built forward, then emptied as it is
     read."""
     ring = f.ring
     j = f.degree
-    rindex = ring.rmon_index(j + 1)
+    rindex = ring.rmon_index(top)
     rmons = list(rindex)
     images = _shifted(rmons, rindex, f.vector(ring.dmon_index(j)),
                       ring.contraction_tables(j))
@@ -107,7 +107,8 @@ class PartialFiltration:
         self._shift = f.ring.contraction_tables(self.j)
         ech = Echelon(f.ring.field)
         tag = {}
-        for beta, img in _images_descending(f):
+        # the images of degree j+1 are zero: level j+1 comes out empty
+        for beta, img in _images_descending(f, self.j):
             row = ech.insert(img)
             if row is not None:
                 tag[min(row)] = mdeg(beta)
@@ -239,8 +240,9 @@ class LocalIdeal:
     def contains(self, phi: PSElement) -> bool:
         if self._echelon is None:  # built on the first query, then kept
             self._echelon = Echelon(self.ring.field)
+            q = not self.ring.field.char
             for r in self.rows:
-                self._echelon.insert(r)
+                self._echelon.insert(primitive(r) if q else r)
         # terms of degree >= trunc lie in m^{j+2}, inside Ann f
         rindex, N = self.rindex, self.trunc
         return self._echelon.contains({rindex[m]: c for m, c in
@@ -262,16 +264,21 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     # independent images: pivot one, no other pivot in its support.  Read
     # backwards, the kernel is the reduced echelon basis of I.
     n = len(rmons)
-    ker = kernel(field, (img for _, img in _images_descending(f)))
+    ker = kernel(field, (img for _, img in _images_descending(f, j + 1)))
     rows = [{n - 1 - k: c for k, c in w.items()} for w in reversed(ker)]
     # m*I in the coordinates of I: a vector of I is the combination of the
     # rows given by its pivot entries, so x_i * row is kept on pivot columns
-    # only, each relabelled by its row number
+    # only, each relabelled by its row number.  Only the span of m*I is
+    # read, so over Q each row is scaled once to a primitive integer row
+    # before its shifts enter the fraction-free echelon.
     row_of = {min(row): k for k, row in enumerate(rows)}
     var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
                  for tab in ring.multiplication_tables(j + 1)]
     mi = Echelon(field)
+    q = not field.char
     for row in reversed(rows):  # sparse high-order rows first: less fill-in
+        if q:
+            row = primitive(row)
         for tab in var_shift:
             w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:
@@ -288,11 +295,14 @@ def annihilator(f: DPPoly) -> LocalIdeal:
 def _multiples(g: PSElement, top: int):
     """x^m * g for |m| <= top - order(g) in the order of rmon_index(top), as
     vectors over it with terms of degree > top dropped; each is a column
-    shift of an earlier one."""
+    shift of an earlier one.  Callers read only their span, so over Q they
+    are primitive integer vectors: g's is scaled once."""
     ring = g.ring
     rindex = ring.rmon_index(top)
     rmons = list(ring.rmon_index(top - g.order))
     vec = {rindex[m]: c for m, c in g.coeffs.items() if mdeg(m) <= top}
+    if not ring.field.char:
+        vec = primitive(vec)
     return _shifted(rmons, rindex, vec, ring.multiplication_tables(top))
 
 

@@ -204,9 +204,11 @@ def cmd_consum_split(args):
 def cmd_fuzz(args):
     rep = run_suite(args.suite, args.trials, args.seed)
     print(rep.line())
-    for f in rep.failures:
+    for f in rep.failures + rep.errors:
         print("  " + f)
-    return 0 if rep.ok else 1
+    # an exception inside a trial is a bug (exit 5, as in main), not a
+    # property that failed (exit 1)
+    return 5 if rep.errors else 1 if rep.failures else 0
 
 
 def _verify_one(payload):

@@ -129,13 +129,6 @@ class Field:
             return pow(a, -1, self.char)
         return _canon0(Fraction(1, 1) / a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if self.char:
-            return a * pow(b, -1, self.char) % self.char
-        return _canon0(Fraction(a) / b)
-
     def power(self, a, k: int):
         if self.char:
             return pow(a, k, self.char)
@@ -155,12 +148,6 @@ class Field:
                 for k, v in raw.items() if v}
 
     # -- derived constants -------------------------------------------------------
-
-    def factorial(self, n: int):
-        out = 1
-        for i in range(2, n + 1):
-            out *= i
-        return self.from_int(out)
 
     def binomial(self, n: int, k: int):
         """Image of C(n, k): computed over the integers first, then reduced."""

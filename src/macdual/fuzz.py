@@ -42,14 +42,20 @@ class FuzzReport:
     seed: int
     checked: int = 0
     skipped: int = 0
-    failures: list = dfield(default_factory=list)
+    failures: list = dfield(default_factory=list)  # a property did not hold
+    errors: list = dfield(default_factory=list)    # a trial raised: a bug
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.errors
 
     def line(self) -> str:
-        status = "ok" if self.ok else "FAIL(%d)" % len(self.failures)
+        parts = []
+        if self.failures:
+            parts.append("FAIL(%d)" % len(self.failures))
+        if self.errors:
+            parts.append("ERROR(%d)" % len(self.errors))
+        status = " ".join(parts) or "ok"
         return "fuzz %-12s seed=%d trials=%d checked=%d skipped=%d %s" % (
             self.suite, self.seed, self.trials, self.checked, self.skipped,
             status)
@@ -77,7 +83,7 @@ def _run(name, trials, seed, body):
             rep.skipped += 1
             continue
         except Exception as exc:  # noqa: BLE001 - report, do not crash
-            rep.failures.append("trial %d: %r" % (t, exc))
+            rep.errors.append("trial %d: error: %r" % (t, exc))
             continue
         if outcome is None:
             rep.skipped += 1

@@ -20,11 +20,14 @@ F_p entries are unreduced ints while the walk runs (delayed modular
 reduction): an entry is taken ``% p`` only when it is popped as a pivot,
 and the remainder and witness are made canonical once on return.  Over Q
 every step cancels exactly: plain ints with no canonicaliser for
-fraction-free rows (inputs are integer after clearing denominators), and
-``Field.add``/``Field.mul`` for the ``Fraction`` entries of a normalized
-echelon, which only callers that need ``reduce`` to be linear build.  All
-three eliminate the same pivots with the same factors and store the same
-canonical values as the field's own arithmetic, with no zero entry.
+fraction-free rows, and ``Field.add``/``Field.mul`` for the ``Fraction``
+entries of a normalized echelon, which only callers that need ``reduce`` to
+be linear build.  All three eliminate the same pivots with the same factors
+and store the same canonical values as the field's own arithmetic, with no
+zero entry.  A fraction-free ``reduce`` scales its input to integers in the
+pass that drops its zeros.  Callers that read only a span or a rank scale
+each vector once, by :func:`primitive`, before it enters the echelon, so
+that no reduction meets a ``Fraction``.
 
 Both modes carry witnesses.  A witness is a sparse dict over any keys
 (generator positions, monomials) naming the combination of inputs a vector
@@ -120,16 +123,14 @@ def vec_scale(field: Field, v: dict, c) -> dict:
     return {k: mul(c, a) for k, a in v.items()}
 
 
-def _clear_denominators(v: dict) -> tuple[dict, int]:
-    """Scale a rational vector to one of plain ints; returns it with the
-    factor applied (the lcm of the denominators)."""
-    den, frac = 1, False
-    for a in v.values():
-        if isinstance(a, Fraction):
-            den, frac = lcm(den, a.denominator), True
-    if frac:
-        v = {k: int(a * den) for k, a in v.items()}
-    return v, den
+def primitive(v: dict) -> dict:
+    """The primitive integer vector on the line of a rational vector v: its
+    denominators cleared with their lcm, then divided by the gcd of the
+    entries.  The factor is positive, so signs are kept."""
+    den = lcm(*(a.denominator for a in v.values()))
+    w = {k: a.numerator * (den // a.denominator) for k, a in v.items()}
+    g = gcd(*w.values())
+    return {k: a // g for k, a in w.items()} if g > 1 else w
 
 
 def _scale_in_place(d: dict, c: int):
@@ -188,12 +189,21 @@ class Echelon:
         fraction-free mode wit is multiplied by every factor vec is.  If
         wit is the witness of vec on entry, it is the witness of the
         remainder on return."""
-        v = {k: a for k, a in vec.items() if a != 0}
         ffree = self._ffree
-        if ffree:
-            v, den = _clear_denominators(v)
-            if den != 1 and wit is not None:
-                _scale_in_place(wit, den)
+        if ffree:  # one pass: drop zeros, take the lcm of the denominators
+            v, den, frac = {}, 1, False
+            for k, a in vec.items():
+                if a:
+                    if type(a) is Fraction:
+                        den, frac = lcm(den, a.denominator), True
+                    v[k] = a
+            if frac:
+                v = {k: a.numerator * (den // a.denominator)
+                     for k, a in v.items()}
+                if den != 1 and wit is not None:
+                    _scale_in_place(wit, den)
+        else:
+            v = {k: a for k, a in vec.items() if a != 0}
         f = self.field
         p = f.char
         by_pivot = self._by_pivot

@@ -1,17 +1,21 @@
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
+from pathlib import Path
 
 import pytest
 
-from macdual.apolarity import (PartialFiltration, annihilator,
+from macdual.apolarity import (LocalIdeal, PartialFiltration,
+                               _images_descending, annihilator,
                                associated_graded_dims, generates_in_degree,
                                hilbert_function, verify_graded_presentation,
                                verify_ideal_presentation)
 from macdual.errors import DomainError
 from macdual.fields import Field
-from macdual.io import parse_poly
+from macdual.io import corpus_load, parse_poly
 from macdual.linalg import Echelon, kernel, rref_rows, same_span
 from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
                           contract_monomial)
@@ -425,6 +429,105 @@ def test_annihilator_matches_oracle(char):
         assert I.pivots == sorted(set(I.pivots))
         assert all(row[p] == 1 for row, p in zip(I.rows, I.pivots))
         assert I.min_gens == gens and I.orders == orders
+
+
+# -- m*I over Q in integers against the Fraction rows it replaced --------------
+
+def annihilator_fraction_rows(f):
+    """annihilator() as it ran before its m*I echelon took primitive integer
+    rows: the kernel rows, Fractions and all, shifted straight into m*I.
+    The reference for rows, min_gens, orders and graded_dims."""
+    f = f.drop_constant()
+    ring, field, j = f.ring, f.ring.field, f.degree
+    rindex = ring.rmon_index(j + 1)
+    rmons = list(rindex)
+    n = len(rmons)
+    ker = kernel(field, (img for _, img in _images_descending(f, j + 1)))
+    rows = [{n - 1 - k: c for k, c in w.items()} for w in reversed(ker)]
+    row_of = {min(row): k for k, row in enumerate(rows)}
+    var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
+                 for tab in ring.multiplication_tables(j + 1)]
+    mi = Echelon(field)
+    for row in reversed(rows):
+        for tab in var_shift:
+            w = {tab[c]: v for c, v in row.items() if c in tab}
+            if w:
+                mi.insert(w)
+    min_gens, orders = [], []
+    for k, row in enumerate(rows):
+        if mi.insert({k: field.one}):
+            min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
+            orders.append(sum(rmons[min(row)]))
+    return LocalIdeal(ring, j + 2, rindex, rmons, rows, min_gens, orders, j)
+
+
+def assert_same_ideal(f):
+    got, want = annihilator(f), annihilator_fraction_rows(f)
+    assert got.rows == want.rows
+    assert got.min_gens == want.min_gens
+    assert got.orders == want.orders
+    assert got.graded_dims() == want.graded_dims()
+
+
+def golden_generators():
+    """(vars, generator) of every README example in test_golden."""
+    from test_golden import CASES, CASES_MOD_101, CASES_MOD_P61
+    return sorted({(argv[argv.index("--vars") + 1], argv[-1])
+                   for argv, _ in CASES + CASES_MOD_101 + CASES_MOD_P61})
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_annihilator_matches_fraction_rows_reference(char):
+    field = Field(char)
+    forms = [parse_poly(src, RingSpec(tuple(vars.split(",")), field))
+             for vars, src in golden_generators()]
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "paper.corpus"
+    forms += [parse_poly(e.generator, RingSpec(e.vars, field))
+              for e in corpus_load(corpus)]
+    rng = random.Random(char + 61)
+    max_j = {1: 8, 2: 7, 3: 5, 4: 4}
+    for trial in range(200):
+        r = trial % 4 + 1
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        forms.append(random_dual_generator(
+            ring, rng, rng.randint(1, max_j[r]), dense=trial % 3 == 0,
+            homogeneous=trial % 2 == 0))
+    for f in forms:
+        if not f.drop_constant().is_zero:
+            assert_same_ideal(f)
+
+
+def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
+    """Over Q the m*I echelon of annihilator() and the rank test _reaches
+    of both presentation verifiers take integer vectors only, while the
+    images x^beta o f of the same forms carry Fractions."""
+    reduce = Echelon.reduce
+    fractions = Counter()
+
+    def watched(self, vec, wit=None):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "insert":
+            frame = frame.f_back
+        fractions[frame.f_code.co_name, any(type(a) is Fraction
+                                            for a in vec.values())] += 1
+        return reduce(self, vec, wit)
+
+    monkeypatch.setattr(Echelon, "reduce", watched)
+    rng = random.Random(67)
+    field = Field(0)
+    for trial in range(24):
+        r = trial % 3 + 2
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        f = random_dual_generator(ring, rng, rng.randint(2, 7 - r),
+                                  dense=trial % 2 == 0,
+                                  homogeneous=trial % 4 < 2)
+        I = annihilator(f)
+        assert verify_ideal_presentation(I.min_gens, f)
+        assert verify_graded_presentation(graded_generators(f), f)
+    for caller in ("annihilator", "_reaches"):
+        assert fractions[caller, False] > 0
+        assert fractions[caller, True] == 0
+    assert fractions["kernel", True] > 0
 
 
 # -- presentations against the route through Ann f ------------------------------

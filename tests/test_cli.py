@@ -101,6 +101,38 @@ def test_fuzz_command(capsys):
     assert code == 0 and "ok" in out
 
 
+def test_fuzz_keeps_bugs_apart_from_failed_properties(capsys, monkeypatch):
+    """A trial that raises is a bug: its own `error:` line, exit 5, as
+    main gives an internal error; a property that fails exits 1."""
+    from macdual import fuzz
+    outcomes = []
+
+    def body(rng):
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setitem(fuzz.SUITES, "symmetry", body)
+    argv = ("fuzz", "--suite", "symmetry", "--trials", "3", "--seed", "4")
+    outcomes[:] = [True, InternalCheckError("dual basis dimension mismatch"),
+                   True]
+    assert run(capsys, *argv) == (5, (
+        "fuzz symmetry     seed=4 trials=3 checked=2 skipped=0 ERROR(1)\n"
+        "  trial 1: error: InternalCheckError('dual basis dimension "
+        "mismatch')\n"))
+    outcomes[:] = ["H(0) differs", True, None]
+    assert run(capsys, *argv) == (1, (
+        "fuzz symmetry     seed=4 trials=3 checked=1 skipped=1 FAIL(1)\n"
+        "  trial 0: H(0) differs\n"))
+    outcomes[:] = [ZeroDivisionError("division by zero"), "moved", True]
+    assert run(capsys, *argv) == (5, (
+        "fuzz symmetry     seed=4 trials=3 checked=1 skipped=0 FAIL(1) "
+        "ERROR(1)\n"
+        "  trial 1: moved\n"
+        "  trial 0: error: ZeroDivisionError('division by zero')\n"))
+
+
 def test_verify_corpus_file(capsys, tmp_path):
     path = tmp_path / "mini.corpus"
     path.write_text(

@@ -14,7 +14,7 @@ from macdual.fuzz import run_suite
 ])
 def test_extra_suites(name, trials):
     rep = run_suite(name, trials, 515)
-    assert rep.ok, rep.failures[:5]
+    assert rep.ok, (rep.failures + rep.errors)[:5]
     assert rep.checked + rep.skipped == trials
 
 

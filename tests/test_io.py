@@ -1,4 +1,5 @@
 import random
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -184,7 +185,8 @@ class _TermByTermParser(io_mod._Parser):
         f = self.ring.field
         mon = tuple(k if t == i else 0 for t in range(self.ring.r))
         if self.divided:
-            return DPPoly(self.ring, {mon: f.one if bracket else f.factorial(k)})
+            return DPPoly(self.ring, {mon: f.one if bracket
+                                      else f.from_int(factorial(k))})
         return PSElement(self.ring, {mon: f.one}, self.trunc)
 
     def _mul(self, a, b):

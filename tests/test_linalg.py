@@ -7,8 +7,9 @@ import pytest
 from macdual.errors import DomainError
 from macdual import linalg
 from macdual.fields import Field
-from macdual.linalg import (Echelon, det, kernel, matrix_inverse, rref,
-                            rref_rows, same_span, solve_linear, vec_axpy)
+from macdual.linalg import (Echelon, det, kernel, matrix_inverse, primitive,
+                            rref, rref_rows, same_span, solve_linear,
+                            vec_axpy)
 
 QQ = Field(0)
 FIELDS = (QQ, Field(101))
@@ -547,3 +548,75 @@ def test_rref_rows_matches_normalized_reference(field, monkeypatch):
         got = rref_rows(field, vecs)
         assert [[(k, type(a), a) for k, a in r.items()] for r in got] == \
             [[(k, type(a), a) for k, a in r.items()] for r in want]
+
+
+# ---------------------------------------------------------------------------
+# integer intake over Q: primitive() and the one-pass scaling in reduce
+
+def test_primitive_random():
+    """Integer entries with content one, on the same line as v by a
+    positive factor, so the span and the signs are kept."""
+    rng = random.Random(47)
+    for _ in range(300):
+        v = _rand_sparse(rng, QQ, 10, rng.choice([.2, .5, .9]))
+        if rng.random() < .3:  # a common factor for the gcd to take out
+            c = rng.randint(2, 30)
+            v = {k: c * a for k, a in v.items()}
+        w = primitive(v)
+        assert w.keys() == v.keys()
+        assert all(type(a) is int for a in w.values())
+        if not v:
+            continue
+        assert _content(w) == 1
+        k0 = min(v)
+        c = Fraction(w[k0]) / v[k0]
+        assert c > 0 and all(w[k] == c * a for k, a in v.items())
+        assert same_span(QQ, [v], [w])
+    assert primitive({0: 4, 3: -6}) == {0: 2, 3: -3}
+    assert primitive({1: Fraction(1, 2), 2: Fraction(-1, 3), 5: 2}) == \
+        {1: 3, 2: -2, 5: 12}
+    assert primitive({0: Fraction(3), 4: -7}) == {0: 3, 4: -7}
+
+
+def clear_denominators_reference(v):
+    """reduce()'s intake as it ran in two passes: zeros dropped by one,
+    then every entry tested for a Fraction and the vector scaled by the lcm
+    of the denominators.  Returns the scaled vector and the lcm."""
+    v = {k: a for k, a in v.items() if a != 0}
+    den, frac = 1, False
+    for a in v.values():
+        if isinstance(a, Fraction):
+            den, frac = lcm(den, a.denominator), True
+    if frac:
+        v = {k: int(a * den) for k, a in v.items()}
+    return v, den
+
+
+def test_one_pass_intake_matches_reference():
+    """Mixed int and Fraction input with zeros of both types: the remainder
+    and the witness equal those of the two-pass intake, whose lcm scales
+    the witness, and hold ints only."""
+    rng = random.Random(53)
+    for _ in range(150):
+        ncols = rng.randint(1, 10)
+        ech = Echelon(QQ)
+        for i in range(rng.randint(0, 6)):
+            ech.insert(_rand_sparse(rng, QQ, ncols, .6), {i: 1})
+        vec = {k: _rand_scalar(rng, QQ) for k in range(ncols)
+               if rng.random() < .7}
+        for k in rng.sample(range(ncols), rng.randint(0, min(2, ncols))):
+            vec[k] = rng.choice([0, Fraction(0)])
+        v0, den = clear_denominators_reference(vec)
+        wit = {100: 1, 101: 3}
+        want_wit = {k: den * a for k, a in wit.items()}
+        want = ech.reduce(v0, want_wit)
+        got = ech.reduce(vec, wit)
+        assert _typed(got) == _typed(want)
+        assert _typed(wit) == _typed(want_wit)
+        assert all(type(a) is int for a in got.values())
+    # alone, the intake is the scaling by the lcm, zeros dropped
+    wit = {0: 1, 1: -2}
+    assert Echelon(QQ).reduce(
+        {0: Fraction(1, 2), 1: 0, 2: 3, 3: Fraction(0), 4: Fraction(-5, 3)},
+        wit) == {0: 3, 2: 18, 4: -10}
+    assert wit == {0: 6, 1: -12}
