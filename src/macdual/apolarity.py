@@ -20,7 +20,13 @@ R/m^{j+2} -> D_{<= j}; truncation at N = j+2 is exact for minimal generators
 because m^{j+1} is contained in I, hence m^{j+2} in mI.  Its reduced echelon
 basis comes out of one elimination pass over the same images in the same
 order: each kernel vector is e_beta minus a combination of later independent
-images, already pivot one and free of every other pivot.
+images, already pivot one and free of every other pivot.  For a sparse f
+most of Ann f is monomial (x^beta o f = 0 whenever x^beta divides no term
+of f), and every shift of a monomial row is a unit vector.  The spans that
+are only read for a rank or membership (m*I, the presentation products,
+LocalIdeal.contains) therefore take unit vectors as coordinates U and
+project every other vector off U into one echelon (_Span): the span is
+the direct sum <e_U> + span(echelon), so every answer is exact.
 
 A listed presentation is checked against f itself; no Ann f is computed.
 Containment comes first: a generator g lies in Ann f iff g o f = 0, and a
@@ -36,6 +42,7 @@ I*_d once it reaches r_d - h_d.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -43,17 +50,18 @@ from .linalg import Echelon, kernel, primitive, same_span
 from .poly import DPPoly, PSElement, RingSpec, contract, mdeg
 
 
-def _shifted(rmons: list, rindex: dict, start: dict, tables: list) -> list:
-    """The vectors v_m for m in rmons, a prefix of the order of rindex:
-    v_0 = start, and each later v_m is the column shift by tables[i] of
-    v_{m - e_i}, i the first variable of m.  With contraction tables v_m is
-    x^m o start; with multiplication tables, x^m * start."""
+def _shifted(steps, n: int, start: dict, tables: list) -> list:
+    """The vectors v_m for the first n monomials m of an rmon_index whose
+    rmon_steps are steps: v_0 = start, and each later v_m is the column
+    shift by tables[i] of v_{m - e_i}, i the first variable of m.  With
+    contraction tables v_m is x^m o start; with multiplication tables,
+    x^m * start."""
+    r = len(tables)
     out = [start]
-    for m in rmons[1:]:
-        i = next(i for i, e in enumerate(m) if e)
+    for k in range(1, n):
+        prev, i = divmod(steps[k], r)
         tab = tables[i]
-        prev = out[rindex[m[:i] + (m[i] - 1,) + m[i + 1:]]]
-        out.append({tab[c]: v for c, v in prev.items() if c in tab})
+        out.append({tab[c]: v for c, v in out[prev].items() if c in tab})
     return out
 
 
@@ -64,10 +72,9 @@ def _images_descending(f: DPPoly, top: int):
     read."""
     ring = f.ring
     j = f.degree
-    rindex = ring.rmon_index(top)
-    rmons = list(rindex)
-    images = _shifted(rmons, rindex, f.vector(ring.dmon_index(j)),
-                      ring.contraction_tables(j))
+    rmons = list(ring.rmon_index(top))
+    images = _shifted(ring.rmon_steps(top), len(rmons),
+                      f.vector(ring.dmon_index(j)), ring.contraction_tables(j))
     while images:
         yield rmons[len(images) - 1], images.pop()
 
@@ -205,13 +212,48 @@ def loewy_hilbert(f: DPPoly, b: int) -> tuple:
 # ---------------------------------------------------------------------------
 # the annihilator ideal
 
+class _Span:
+    """A growing span read only for its dimension and membership.  Each
+    vector is projected off a set U of coordinates.  While the echelon
+    holds no row, a projection with one entry joins U; every other
+    projection goes to one Echelon.  The echelon never holds a row with an
+    entry in U, so the span is the direct sum <e_U> + span(echelon), and
+    membership is membership of the projection.  While U is empty, vectors
+    reach the echelon untouched.  Vectors hold no zero entries."""
+
+    __slots__ = ("units", "ech")
+
+    def __init__(self, field):
+        self.units: set = set()
+        self.ech = Echelon(field)
+
+    @property
+    def dim(self) -> int:
+        return len(self.units) + self.ech.dim
+
+    def add(self, v: dict) -> bool:
+        """Add v; True iff the span grew."""
+        units = self.units
+        if units:
+            v = {k: a for k, a in v.items() if k not in units}
+        if len(v) == 1 and not self.ech.rows:
+            units.update(v)
+            return True
+        return bool(v) and self.ech.insert(v) is not None
+
+    def contains(self, v: dict) -> bool:
+        units = self.units
+        return not self.ech.reduce({k: a for k, a in v.items()
+                                    if k not in units})
+
+
 class LocalIdeal:
     """I = Ann f modulo m^N with N = j+2: a canonical subspace of R_{<N},
     minimal generators adapted to the order filtration, and the graded
     dimension data of the associated graded ideal I*."""
 
     __slots__ = ("ring", "trunc", "rindex", "rmons", "rows", "pivots",
-                 "min_gens", "orders", "socle_degree", "_echelon")
+                 "min_gens", "orders", "socle_degree", "_span")
 
     def __init__(self, ring: RingSpec, trunc, rindex, rmons, rows, min_gens,
                  orders, socle_degree):
@@ -224,7 +266,7 @@ class LocalIdeal:
         self.min_gens = min_gens
         self.orders = orders
         self.socle_degree = socle_degree
-        self._echelon = None
+        self._span = None
 
     @property
     def dim(self) -> int:
@@ -238,15 +280,24 @@ class LocalIdeal:
         return tuple(counts)
 
     def contains(self, phi: PSElement) -> bool:
-        if self._echelon is None:  # built on the first query, then kept
-            self._echelon = Echelon(self.ring.field)
-            q = not self.ring.field.char
-            for r in self.rows:
-                self._echelon.insert(primitive(r) if q else r)
+        if self._span is None:  # built on the first query, then kept
+            self._span = _Span(self.ring.field)
+            for row in _units_first(self.ring.field, self.rows):
+                self._span.add(row)
         # terms of degree >= trunc lie in m^{j+2}, inside Ann f
         rindex, N = self.rindex, self.trunc
-        return self._echelon.contains({rindex[m]: c for m, c in
-                                       phi.coeffs.items() if mdeg(m) < N})
+        return self._span.contains({rindex[m]: c for m, c in
+                                    phi.coeffs.items() if mdeg(m) < N})
+
+
+def _units_first(field, rows):
+    """The rows in the order a _Span of them, or of their shifts, takes
+    them: monomial rows first, whose shifts are unit vectors, then the
+    others last row first (sparse high-order rows, less fill-in), over Q
+    each scaled once to a primitive integer row on the same line."""
+    q = not field.char
+    for row in sorted(reversed(rows), key=lambda row: len(row) > 1):
+        yield primitive(row) if q and len(row) > 1 else row
 
 
 def annihilator(f: DPPoly) -> LocalIdeal:
@@ -269,24 +320,22 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     # m*I in the coordinates of I: a vector of I is the combination of the
     # rows given by its pivot entries, so x_i * row is kept on pivot columns
     # only, each relabelled by its row number.  Only the span of m*I is
-    # read, so over Q each row is scaled once to a primitive integer row
-    # before its shifts enter the fraction-free echelon.
+    # read.  Every shift of a monomial row is a unit vector, a coordinate of
+    # the _Span; the shifts of the other rows are projected off those.
     row_of = {min(row): k for k, row in enumerate(rows)}
     var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
                  for tab in ring.multiplication_tables(j + 1)]
-    mi = Echelon(field)
-    q = not field.char
-    for row in reversed(rows):  # sparse high-order rows first: less fill-in
-        if q:
-            row = primitive(row)
+    mi = _Span(field)
+    for row in _units_first(field, rows):
         for tab in var_shift:
             w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:
-                mi.insert(w)
-    # row k is a minimal generator iff it is not in m*I + <rows before it>
+                mi.add(w)
+    # row k is a minimal generator iff it is not in m*I + <rows before it>;
+    # that depends on these spans only, not on which rows the echelon keeps
     min_gens, orders = [], []
     for k, row in enumerate(rows):
-        if mi.insert({k: field.one}):
+        if mi.add({k: field.one}):
             min_gens.append(PSElement.from_vector(ring, row, rmons, N - 1))
             orders.append(mdeg(rmons[min(row)]))
     return LocalIdeal(ring, N, rindex, rmons, rows, min_gens, orders, j)
@@ -299,23 +348,23 @@ def _multiples(g: PSElement, top: int):
     are primitive integer vectors: g's is scaled once."""
     ring = g.ring
     rindex = ring.rmon_index(top)
-    rmons = list(ring.rmon_index(top - g.order))
     vec = {rindex[m]: c for m, c in g.coeffs.items() if mdeg(m) <= top}
     if not ring.field.char:
         vec = primitive(vec)
-    return _shifted(rmons, rindex, vec, ring.multiplication_tables(top))
+    return _shifted(ring.rmon_steps(top), comb(ring.r + top - g.order, ring.r),
+                    vec, ring.multiplication_tables(top))
 
 
 def _reaches(field, vectors, target: int) -> bool:
     """True iff the vectors span at least target dimensions; reading stops
     as soon as they do.  For vectors inside a space of dimension target,
     that is equality with it."""
-    ech = Echelon(field)
+    span = _Span(field)
     for v in vectors:
-        if ech.dim == target:
+        if span.dim == target:
             break
-        ech.insert(v)
-    return ech.dim == target
+        span.add(v)
+    return span.dim == target
 
 
 def verify_ideal_presentation(gens: list[PSElement],
@@ -334,8 +383,10 @@ def verify_ideal_presentation(gens: list[PSElement],
     P = filtration(f)
     top = P.j + 1
     target = len(ring.rmon_index(top)) - P.dim_partials(0, P.j)
+    # monomial generators first: their products are unit vectors
+    gens = sorted((g for g in gens if not g.is_zero and g.order <= top),
+                  key=lambda g: len(g.coeffs) > 1)
     return _reaches(ring.field, (v for g in gens
-                                 if not g.is_zero and g.order <= top
                                  for v in _multiples(g, top)), target)
 
 

@@ -25,14 +25,16 @@ int/Fraction products into one dict and hands it to ``Field.canon`` once;
 the constructors do the same.  This module never looks at how a field
 element is stored.
 
-A RingSpec's monomial lists, coordinate indexes and contraction and
-multiplication tables depend only on (r, degree), not on the variable names
-or the field.  They are shared process-wide by every RingSpec of that
-shape, within a fixed bound (_TABLE_SHAPES, _TABLE_MONOMIALS).
+A RingSpec's monomial lists, coordinate indexes, contraction and
+multiplication tables and step tables depend only on (r, degree), not on
+the variable names or the field.  They are shared process-wide by every
+RingSpec of that shape, within a fixed bound (_TABLE_SHAPES,
+_TABLE_MONOMIALS).
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache, wraps
 from math import comb
 from operator import add, sub
@@ -123,6 +125,19 @@ def _shift_tables(r: int, top: int, step: int) -> list[dict]:
     return tabs
 
 
+@_shared(2 * _TABLE_SHAPES)
+def _rmon_steps(r: int, top: int) -> array:
+    # packed in one array('q'): no Python object per monomial
+    index = _index(r, top, 1)
+    steps = array("q", bytes(8 * len(index)))
+    for m, k in index.items():
+        for i, e in enumerate(m):
+            if e:
+                steps[k] = r * index[m[:i] + (e - 1,) + m[i + 1:]] + i
+                break
+    return steps
+
+
 class RingSpec:
     """Variable names (order fixed) and the coefficient field of R = k{x_i}
     and its dual D = k_DP[X_i].  Its indexings (in coordinate order) and
@@ -189,6 +204,11 @@ class RingSpec:
         vec.items() if c in tables[i]} is the vector of x_i * g, terms of
         degree > maxdeg dropped, when vec is that of g."""
         return _shift_tables(self.r, maxdeg, 1)
+
+    def rmon_steps(self, maxdeg: int) -> array:
+        """steps[k] = r * prev + i for each coordinate k > 0 of rmon_index:
+        i is the first variable of its monomial m, prev the column of m-e_i."""
+        return _rmon_steps(self.r, maxdeg)
 
     def extend(self, new_vars) -> "RingSpec":
         return RingSpec(self.vars + tuple(new_vars), self.field)

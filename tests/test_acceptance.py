@@ -8,10 +8,12 @@ comparison is exact equality.
 import itertools
 from pathlib import Path
 
+import pytest
+
 from macdual.constructions import nonubiquity_instance_check
 from macdual.decomposition import symmetric_decomposition
 from macdual.fields import Field
-from macdual.fuzz import run_suite
+from macdual.fuzz import FuzzReport, run_suite
 from macdual.io import corpus_load, corpus_verify
 from macdual.linalg import det
 from macdual.poly import DPPoly, RingSpec
@@ -106,7 +108,7 @@ def _run_plan(letter, names, trials=200, seed=20240801):
     for name in names:
         rep = run_suite(name, trials, seed)
         print("   ", rep.line())
-        for fl in rep.failures[:5]:
+        for fl in rep.failures[:5] + rep.errors[:5]:
             print("      ", fl)
         ok &= rep.ok and rep.checked >= trials - rep.skipped
         ok &= rep.checked + rep.skipped == trials
@@ -151,6 +153,19 @@ def test_criterion_4i():
 
 def test_criterion_4j():
     _run_plan(*SUITE_PLAN[9])
+
+
+def test_run_plan_prints_suite_errors(monkeypatch, capsys):
+    """A suite whose trials raise fails the gate with the exceptions shown,
+    not only a bare ERROR count."""
+    def raising(name, trials, seed):
+        return FuzzReport(name, trials, seed, checked=trials - 1,
+                          errors=["trial 0: error: ZeroDivisionError()"])
+
+    monkeypatch.setitem(globals(), "run_suite", raising)
+    with pytest.raises(AssertionError):
+        _run_plan("z", ("raising",), trials=2)
+    assert "trial 0: error: ZeroDivisionError()" in capsys.readouterr().out
 
 
 # -- 5: brute-force oracle equivalence ---------------------------------------------

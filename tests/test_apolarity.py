@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from macdual.apolarity import (LocalIdeal, PartialFiltration,
+from macdual.apolarity import (LocalIdeal, PartialFiltration, _Span,
                                _images_descending, annihilator,
                                associated_graded_dims, generates_in_degree,
                                hilbert_function, verify_graded_presentation,
@@ -16,7 +16,7 @@ from macdual.apolarity import (LocalIdeal, PartialFiltration,
 from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.io import corpus_load, parse_poly
-from macdual.linalg import Echelon, kernel, rref_rows, same_span
+from macdual.linalg import Echelon, kernel, primitive, rref_rows, same_span
 from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
                           contract_monomial)
 
@@ -433,9 +433,11 @@ def test_annihilator_matches_oracle(char):
 
 # -- m*I over Q in integers against the Fraction rows it replaced --------------
 
-def annihilator_fraction_rows(f):
+def annihilator_fraction_rows(f, scale=None):
     """annihilator() as it ran before its m*I echelon took primitive integer
     rows: the kernel rows, Fractions and all, shifted straight into m*I.
+    With scale=primitive over Q, as it ran before unit vectors became
+    coordinates: each row scaled by scale, its shifts in one plain Echelon.
     The reference for rows, min_gens, orders and graded_dims."""
     f = f.drop_constant()
     ring, field, j = f.ring, f.ring.field, f.degree
@@ -449,6 +451,8 @@ def annihilator_fraction_rows(f):
                  for tab in ring.multiplication_tables(j + 1)]
     mi = Echelon(field)
     for row in reversed(rows):
+        if scale is not None:
+            row = scale(row)
         for tab in var_shift:
             w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:
@@ -462,11 +466,14 @@ def annihilator_fraction_rows(f):
 
 
 def assert_same_ideal(f):
-    got, want = annihilator(f), annihilator_fraction_rows(f)
-    assert got.rows == want.rows
-    assert got.min_gens == want.min_gens
-    assert got.orders == want.orders
-    assert got.graded_dims() == want.graded_dims()
+    got = annihilator(f)
+    scales = [None, primitive] if f.ring.field.char == 0 else [None]
+    for scale in scales:
+        want = annihilator_fraction_rows(f, scale)
+        assert got.rows == want.rows
+        assert got.min_gens == want.min_gens
+        assert got.orders == want.orders
+        assert got.graded_dims() == want.graded_dims()
 
 
 def golden_generators():
@@ -476,8 +483,9 @@ def golden_generators():
                    for argv, _ in CASES + CASES_MOD_101 + CASES_MOD_P61})
 
 
-@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
-def test_annihilator_matches_fraction_rows_reference(char):
+def reference_forms(char):
+    """The golden cases, corpus/paper.corpus and 200 random sparse and
+    dense forms over Field(char), none of them constant."""
     field = Field(char)
     forms = [parse_poly(src, RingSpec(tuple(vars.split(",")), field))
              for vars, src in golden_generators()]
@@ -492,21 +500,130 @@ def test_annihilator_matches_fraction_rows_reference(char):
         forms.append(random_dual_generator(
             ring, rng, rng.randint(1, max_j[r]), dense=trial % 3 == 0,
             homogeneous=trial % 2 == 0))
-    for f in forms:
-        if not f.drop_constant().is_zero:
-            assert_same_ideal(f)
+    return [f for f in forms if not f.drop_constant().is_zero]
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_annihilator_matches_fraction_rows_reference(char):
+    for f in reference_forms(char):
+        assert_same_ideal(f)
+
+
+def reaches_plain_echelon(field, vectors, target):
+    """_reaches as it ran before unit vectors became coordinates: every
+    vector into one plain Echelon.  The reference for both verifiers."""
+    ech = Echelon(field)
+    for v in vectors:
+        if ech.dim == target:
+            break
+        ech.insert(v)
+    return ech.dim == target
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_verifiers_match_plain_echelon_reference(char, monkeypatch):
+    """Both verifiers give the plain-Echelon answers, True and False, on
+    the minimal generators of Ann f and on the generators of I*, each
+    list whole and without one generator."""
+    import macdual.apolarity as apolarity
+
+    def answers(f, gens, graded):
+        return ([verify_ideal_presentation(gens[k:], f) for k in (0, 1)]
+                + [verify_graded_presentation(graded[:len(graded) - k], f)
+                   for k in (0, 1)])
+
+    cases = [(f, annihilator(f).min_gens, graded_generators(f))
+             for f in reference_forms(char)]
+    got = [answers(*case) for case in cases]
+    monkeypatch.setattr(apolarity, "_reaches", reaches_plain_echelon)
+    assert got == [answers(*case) for case in cases]
+    assert all(a[0] and a[2] for a in got)
+    assert not all(a[1] for a in got) and not all(a[3] for a in got)
+
+
+def random_span_vectors(field, rng, n):
+    """A shuffled mix of unit and non-unit vectors over range(n), entries
+    nonzero (some Fractions over Q)."""
+    def entry():
+        a = rng.choice([a for a in range(-4, 5) if a])
+        if field.char == 0 and rng.random() < .3:
+            return Fraction(a, rng.randint(2, 4))
+        return field.from_int(a)
+
+    out = []
+    for _ in range(rng.randint(0, 2 * n)):
+        size = 1 if n == 1 or rng.random() < .5 else rng.randint(2, min(n, 4))
+        out.append({k: entry() for k in rng.sample(range(n), size)})
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_span_matches_echelon_rank(char):
+    field = Field(char)
+    rng = random.Random(char + 73)
+    for trial in range(400):
+        n = rng.randint(1, 9)
+        span, ech = _Span(field), Echelon(field)
+        for v in random_span_vectors(field, rng, n):
+            assert span.add(dict(v)) == (ech.insert(v) is not None)
+            assert span.dim == ech.dim
+            assert not any(k in span.units for row in span.ech.rows
+                           for k in row)
+        for v in random_span_vectors(field, rng, n):
+            assert span.contains(v) == ech.contains(v)
+
+
+def test_span_units_only_before_the_echelon_holds_a_row():
+    field = Field(0)
+    # a unit after a non-unit goes to the echelon, and U stays empty
+    span = _Span(field)
+    assert span.add({0: 1, 1: 2})
+    assert span.add({0: 3})
+    assert not span.add({1: 1})
+    assert span.units == set() and span.dim == 2
+    # a projection that leaves a single entry is a unit while the echelon
+    # is empty, and an echelon row once it is not
+    span = _Span(field)
+    assert span.add({0: 1})
+    assert span.add({0: 2, 1: Fraction(3, 2)})
+    assert span.units == {0, 1} and span.ech.dim == 0
+    assert not span.add({1: 5, 0: 1})
+    assert span.add({2: 1, 3: 1})
+    assert span.add({0: 7, 3: 1})
+    assert span.units == {0, 1} and span.ech.dim == 2
+    assert not span.add({2: 4})
+    assert span.contains({0: 1, 1: 1, 2: 1}) and not span.contains({4: 1})
+    assert span.dim == 4
+
+
+def test_all_monomial_ideal_stays_in_unit_coordinates():
+    """Ann X^[3]Y^[2] = (x^4, y^3): every row, every shift and every
+    generator test is a unit vector, and no echelon row is stored."""
+    R, f = mk(("X", "Y"), "X^[3]*Y^[2]")
+    I = annihilator(f)
+    assert all(len(row) == 1 for row in I.rows)
+    assert [str(g) for g in I.min_gens] == ["y^3", "x^4"]
+    assert I.orders == [3, 4]
+    assert_same_ideal(f)
+    assert I.contains(R.ps("x^4*y-y^3")) and not I.contains(R.ps("x^3*y^2"))
+    assert I._span.ech.dim == 0 and I._span.dim == I.dim
+    assert verify_ideal_presentation(I.min_gens, f)
+    assert not verify_ideal_presentation(I.min_gens[:1], f)
 
 
 def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
     """Over Q the m*I echelon of annihilator() and the rank test _reaches
     of both presentation verifiers take integer vectors only, while the
-    images x^beta o f of the same forms carry Fractions."""
+    images x^beta o f of the same forms carry Fractions.  Both echelons sit
+    inside a _Span, so calls are counted by the function that feeds it."""
     reduce = Echelon.reduce
     fractions = Counter()
+    helpers = {Echelon.insert.__code__, _Span.add.__code__}
 
     def watched(self, vec, wit=None):
         frame = sys._getframe(1)
-        if frame.f_code.co_name == "insert":
+        while frame.f_code in helpers:
             frame = frame.f_back
         fractions[frame.f_code.co_name, any(type(a) is Fraction
                                             for a in vec.values())] += 1
