@@ -34,7 +34,6 @@ _TABLE_MONOMIALS).
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache, wraps
 from math import comb
 from operator import add, sub
@@ -126,16 +125,16 @@ def _shift_tables(r: int, top: int, step: int) -> list[dict]:
 
 
 @_shared(2 * _TABLE_SHAPES)
-def _rmon_steps(r: int, top: int) -> array:
-    # packed in one array('q'): no Python object per monomial
+def _rmon_steps(r: int, top: int) -> memoryview:
+    # packed as int64: no Python object per monomial, no module to import
     index = _index(r, top, 1)
-    steps = array("q", bytes(8 * len(index)))
+    steps = memoryview(bytearray(8 * len(index))).cast("q")
     for m, k in index.items():
         for i, e in enumerate(m):
             if e:
                 steps[k] = r * index[m[:i] + (e - 1,) + m[i + 1:]] + i
                 break
-    return steps
+    return steps.toreadonly()
 
 
 class RingSpec:
@@ -205,7 +204,7 @@ class RingSpec:
         degree > maxdeg dropped, when vec is that of g."""
         return _shift_tables(self.r, maxdeg, 1)
 
-    def rmon_steps(self, maxdeg: int) -> array:
+    def rmon_steps(self, maxdeg: int) -> memoryview:
         """steps[k] = r * prev + i for each coordinate k > 0 of rmon_index:
         i is the first variable of its monomial m, prev the column of m-e_i."""
         return _rmon_steps(self.r, maxdeg)

@@ -9,7 +9,7 @@ from macdual.errors import DomainError, RingMismatchError
 from macdual.fields import Field
 from macdual.io import parse_poly, parse_ps
 from macdual.poly import (DPPoly, PSElement, RingSpec, contract, dmon_key,
-                          dp_mul, rmon_key, dp_power_of_linear,
+                          dp_mul, mon_mul, rmon_key, dp_power_of_linear,
                           linear_substitute, pairing, ps_compose,
                           ps_compose_inverse, variable_series)
 
@@ -422,12 +422,13 @@ def test_core_matches_per_operation_reference(char):
 
 # -- ring tables shared by shape -------------------------------------------------
 
-TABLE_CACHES = ("monomials_of_degree", "_index", "_shift_tables")
+TABLE_CACHES = ("monomials_of_degree", "_index", "_shift_tables",
+                "_rmon_steps")
 
 
 TABLE_CALLS = [("monomials", 3), ("monomials", -1), ("monomial_index", 3),
                ("dmon_index", 4), ("rmon_index", 5), ("contraction_tables", 4),
-               ("multiplication_tables", 5)]
+               ("multiplication_tables", 5), ("rmon_steps", 5)]
 
 
 def test_rings_of_one_shape_share_their_tables():
@@ -479,6 +480,14 @@ def test_shared_tables_match_their_definitions(r):
                 assert tab == want
         assert ring.monomial_index(top) == \
             {m: k for k, m in enumerate(ring.monomials(top))}
+        index, steps = ring.rmon_index(top), ring.rmon_steps(top)
+        assert len(steps) == len(index) and steps.readonly
+        mons = list(index)
+        for k, m in enumerate(mons[1:], 1):
+            prev, i = divmod(steps[k], r)
+            assert i == next(v for v, e in enumerate(m) if e)
+            assert mon_mul(mons[prev], tuple(int(v == i)
+                                             for v in range(r))) == m
 
 
 def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
@@ -532,5 +541,6 @@ def test_table_caches_stay_bounded():
         ring.rmon_index(top)
         ring.contraction_tables(top)
         ring.multiplication_tables(top)
+        ring.rmon_steps(top)
         check()
     check(final=True)
