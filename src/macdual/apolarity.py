@@ -321,12 +321,15 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     # rows given by its pivot entries, so x_i * row is kept on pivot columns
     # only, each relabelled by its row number.  Only the span of m*I is
     # read.  Every shift of a monomial row is a unit vector, a coordinate of
-    # the _Span; the shifts of the other rows are projected off those.
+    # the _Span, all taken in one update while its echelon is empty; the
+    # shifts of the other rows are projected off those.
     row_of = {min(row): k for k, row in enumerate(rows)}
     var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
                  for tab in ring.multiplication_tables(j + 1)]
     mi = _Span(field)
-    for row in _units_first(field, rows):
+    mi.units.update(tab[c] for row in rows if len(row) == 1 for c in row
+                    for tab in var_shift if c in tab)
+    for row in _units_first(field, [row for row in rows if len(row) > 1]):
         for tab in var_shift:
             w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:

@@ -22,9 +22,9 @@ from .apolarity import PartialFiltration, filtration
 from .decomposition import symmetric_decomposition
 from .errors import DomainError, InternalCheckError
 from .linalg import Echelon, matrix_inverse, rref_rows, vec_axpy
-from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
-                   linear_part_inverse, linear_substitute, ps_compose_all,
-                   ps_compose_inverse, variable_series)
+from .poly import (DPPoly, PSElement, RingSpec, contract_monomial,
+                   linear_part_inverse, linear_substitute, pairing,
+                   ps_compose_all, ps_compose_inverse, variable_series)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,12 @@ class CoordChange:
 
     def adjoint_apply(self, F: DPPoly) -> DPPoly:
         """xi(F): coefficient on X^[alpha] is (w^alpha o F)(0) for the
-        inverse images w; never raises degree."""
+        inverse images w; never raises degree.  The contractions
+        w_0^{a_0} ... w_i^{a_i} o F form a tree over i, each node one more
+        w_i o g.  A term X^[m] of g meets w_i only at the divisors b of m,
+        giving w_i[b] X^[m-b], so each contraction walks g's terms through
+        the ring's divisor table instead of pairing every term of the dense
+        w_i with every term of g."""
         F.ring.check_same(self.ring)
         if F.is_zero:
             return F
@@ -125,26 +130,39 @@ class CoordChange:
         if j > self.trunc - 1:
             raise DomainError("truncation too small for this degree")
         ring = self.ring
-        field = ring.field
+        canon = ring.field.canon
+        divisors = ring.divisor_table(j)
+        ws = [w.coeffs for w in self.inv_images]
         zero_mon = ring.r * (0,)
         out: dict = {}
 
-        def rec(i, cur, alpha, used):
-            if cur.is_zero:
-                return
+        def rec(i, g, alpha, used):
+            # g: canonical coefficients of w_0^{a_0}...w_{i-1}^{a_{i-1}} o F
             if i == ring.r:
-                c = cur.coeffs.get(zero_mon)
-                if c is not None and not field.is_zero(c):
+                c = g.get(zero_mon)
+                if c is not None:
                     out[alpha] = c
                 return
+            w = ws[i].get
             e = 0
-            g = cur
-            while not g.is_zero and used + e <= j:
+            while True:
                 rec(i + 1, g, alpha + (e,), used + e)
-                g = contract(self.inv_images[i], g)
                 e += 1
+                if used + e > j:
+                    return
+                acc: dict = {}
+                get = acc.get
+                for m, a in g.items():
+                    pairs = iter(divisors[m])
+                    for b, q in zip(pairs, pairs):
+                        c = w(b)
+                        if c is not None:
+                            acc[q] = get(q, 0) + c * a
+                g = canon(acc)
+                if not g:
+                    return
 
-        rec(0, F, (), 0)
+        rec(0, F.coeffs, (), 0)
         return DPPoly(ring, out)
 
 
@@ -237,9 +255,8 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
                 E.insert(rem, coeffs)
                 continue
             if const_killer is not None:
-                ct = contract(PSElement(ring, coeffs, j + 2), f).coeffs.get(
-                    ring.r * (0,))
-                if ct is not None and not field.is_zero(ct):
+                ct = pairing(PSElement(ring, coeffs, j + 2), f)
+                if ct:
                     vec_axpy(field, coeffs, field.neg(ct), const_killer)
             cvec = {k: coeffs[um] for k, um in enumerate(unit_mons)
                     if um in coeffs}

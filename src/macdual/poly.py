@@ -29,12 +29,15 @@ A RingSpec's monomial lists, coordinate indexes, contraction and
 multiplication tables and step tables depend only on (r, degree), not on
 the variable names or the field.  They are shared process-wide by every
 RingSpec of that shape, within a fixed bound (_TABLE_SHAPES,
-_TABLE_MONOMIALS).
+_TABLE_MONOMIALS).  The divisor table (each monomial's divisors b, paired
+with m - b) is filled on first read of each entry, and one per r serves
+every degree whose monomials number at most _TABLE_MONOMIALS.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, wraps
+from itertools import product
 from math import comb
 from operator import add, sub
 
@@ -137,6 +140,42 @@ def _rmon_steps(r: int, top: int) -> memoryview:
     return steps.toreadonly()
 
 
+class _Divisors(dict):
+    """m -> (b_0, m - b_0, b_1, m - b_1, ...) over the divisors b of m, each
+    entry built on first read.  Flat, with no 2-tuple per pair, and every
+    monomial in it is one object per table (interned in ``same``)."""
+
+    __slots__ = ("same",)
+
+    def __init__(self):
+        super().__init__()
+        self.same = {}
+
+    def __missing__(self, m):
+        put = self.same.setdefault
+        m = put(m, m)
+        self[m] = entry = tuple(
+            put(t, t) for b in product(*(range(e + 1) for e in m))
+            for t in (b, tuple(map(sub, m, b))))
+        return entry
+
+
+# r -> the divisor table serving every degree whose monomials number at most
+# _TABLE_MONOMIALS, so it never holds more entries than that
+_divisors_kept: dict = {}
+
+
+def _divisor_table(r: int, top: int) -> _Divisors:
+    if comb(r + top, r) > _TABLE_MONOMIALS:
+        return _Divisors()
+    table = _divisors_kept.get(r)
+    if table is None:
+        table = _divisors_kept[r] = _Divisors()
+        if len(_divisors_kept) > _TABLE_SHAPES:
+            del _divisors_kept[next(iter(_divisors_kept))]
+    return table
+
+
 class RingSpec:
     """Variable names (order fixed) and the coefficient field of R = k{x_i}
     and its dual D = k_DP[X_i].  Its indexings (in coordinate order) and
@@ -208,6 +247,15 @@ class RingSpec:
         """steps[k] = r * prev + i for each coordinate k > 0 of rmon_index:
         i is the first variable of its monomial m, prev the column of m-e_i."""
         return _rmon_steps(self.r, maxdeg)
+
+    def divisor_table(self, maxdeg: int) -> dict:
+        """table[m] = (b_0, m - b_0, b_1, m - b_1, ...) over the divisors b
+        of m, for monomials m of degree <= maxdeg: x^b o X^[m] = X^[m-b]
+        for exactly these b.  Entries are built on first read; the table is
+        shared by every ring of r variables while the monomials of degree
+        <= maxdeg number at most _TABLE_MONOMIALS, and new on each call
+        above that."""
+        return _divisor_table(self.r, maxdeg)
 
     def extend(self, new_vars) -> "RingSpec":
         return RingSpec(self.vars + tuple(new_vars), self.field)
@@ -433,7 +481,7 @@ def contract_monomial(beta: MON, g: DPPoly) -> DPPoly:
     """x^beta o g."""
     out = {}
     for m, c in g.coeffs.items():
-        shifted = tuple(a - b for a, b in zip(m, beta))
+        shifted = tuple(map(sub, m, beta))
         if min(shifted) >= 0:
             out[shifted] = c
     return DPPoly(g.ring, out)
@@ -455,9 +503,15 @@ def contract(phi, g: DPPoly) -> DPPoly:
 
 
 def pairing(phi, g: DPPoly):
-    """<phi, g> = (phi o g)(0), the apolarity pairing."""
-    zero_mon = g.ring.r * (0,)
-    return contract(phi, g).coeffs.get(zero_mon, 0)
+    """<phi, g> = (phi o g)(0) = sum_m phi_m g_m, the apolarity pairing."""
+    if isinstance(phi, tuple):
+        return g.coeffs.get(phi, 0)
+    phi.ring.check_same(g.ring)
+    a, b = phi.coeffs, g.coeffs
+    if len(a) > len(b):
+        a, b = b, a
+    return g.ring.field.canon({0: sum(c * b[m] for m, c in a.items()
+                                      if m in b)}).get(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -597,11 +597,18 @@ def test_span_units_only_before_the_echelon_holds_a_row():
     assert span.dim == 4
 
 
-def test_all_monomial_ideal_stays_in_unit_coordinates():
+def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
     """Ann X^[3]Y^[2] = (x^4, y^3): every row, every shift and every
-    generator test is a unit vector, and no echelon row is stored."""
+    generator test is a unit vector, and no echelon row is stored.  The
+    shifts of the monomial rows join the coordinates in one update, so
+    _Span.add sees only the generator tests."""
     R, f = mk(("X", "Y"), "X^[3]*Y^[2]")
+    added = []
+    add = _Span.add
+    monkeypatch.setattr(_Span, "add",
+                        lambda span, v: added.append(v) or add(span, v))
     I = annihilator(f)
+    assert added == [{k: 1} for k in range(I.dim)]
     assert all(len(row) == 1 for row in I.rows)
     assert [str(g) for g in I.min_gens] == ["y^3", "x^4"]
     assert I.orders == [3, 4]

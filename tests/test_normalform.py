@@ -13,9 +13,9 @@ from macdual.linalg import matrix_inverse
 from macdual.normalform import (CoordChange, adapted_coordinates,
                                 detect_exotic, normalize,
                                 split_connected_summand)
-from macdual.poly import (PSElement, RingSpec, contract, linear_substitute,
-                          pairing, ps_compose, ps_compose_inverse,
-                          variable_series)
+from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
+                          linear_substitute, pairing, ps_compose,
+                          ps_compose_inverse, variable_series)
 
 
 def mk(vars, src, char=0):
@@ -199,6 +199,77 @@ def test_ps_compose_inverse_general_linear_parts():
             for i in range(R.r):
                 assert ps_compose(taus[i], images, N) == \
                     variable_series(R, i, N)
+
+
+def adjoint_apply_pairwise(sigma, F):
+    """CoordChange.adjoint_apply as it ran before the divisor table: each
+    node of the alpha-tree contracts by w_i through poly.contract, pairing
+    every term of w_i with every term of g.  A test-only reference."""
+    F.ring.check_same(sigma.ring)
+    if F.is_zero:
+        return F
+    j = F.degree
+    ring = sigma.ring
+    zero_mon = ring.r * (0,)
+    out = {}
+
+    def rec(i, cur, alpha, used):
+        if cur.is_zero:
+            return
+        if i == ring.r:
+            c = cur.coeffs.get(zero_mon)
+            if c is not None and not ring.field.is_zero(c):
+                out[alpha] = c
+            return
+        e = 0
+        g = cur
+        while not g.is_zero and used + e <= j:
+            rec(i + 1, g, alpha + (e,), used + e)
+            g = contract(sigma.inv_images[i], g)
+            e += 1
+
+    rec(0, F, (), 0)
+    return DPPoly(ring, out)
+
+
+def _high_terms(R, rng, lo, hi, count):
+    """A few random terms of degrees lo..hi, as a PSElement to degree hi."""
+    mons = [m for d in range(lo, hi + 1) for m in R.monomials(d)]
+    return PSElement(R, {m: R.field.from_int(rng.randint(-4, 4))
+                         for m in rng.sample(mons, min(count, len(mons)))}, hi)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 101])
+def test_adjoint_matches_pairwise_reference(char):
+    rng = random.Random(1400 + char)
+    field = Field(char)
+    for r in range(1, 5):
+        R = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        N = (7, 7, 6, 5)[r - 1]
+        lin = _random_images(R, rng, N)
+        A = [[im.coeffs.get(u, 0) for u in R.monomials(1)] for im in lin]
+        # inverse images reaching degree N, above every F below
+        wide = [im + _high_terms(R, rng, 2, N, 3) for im in lin]
+        changes = [CoordChange.identity(R, N),
+                   CoordChange.from_dual_linear(R, A, N),
+                   CoordChange.from_inverse_images(wide, N),
+                   CoordChange.from_images(_random_images(R, rng, N), N)]
+        changes.append(changes[2].compose(changes[3]))
+        changes.append(changes[1].compose(changes[2]))
+        const = R.r * (0,)
+        for sigma in changes:
+            Fs = [DPPoly(R, {}), DPPoly(R, {const: 3}),
+                  random_poly(R, N - 1, rng, terms=4),
+                  random_poly(R, N - 1, rng, terms=3)
+                  + DPPoly(R, {const: -1})]
+            Fs += [random_poly(R, rng.randint(1, N - 1), rng, terms=4)
+                   for _ in range(3)]
+            for F in Fs:
+                got = sigma.adjoint_apply(F)
+                want = adjoint_apply_pairwise(sigma, F)
+                # same monomials, values, value types and order
+                assert repr(list(got.coeffs.items())) == \
+                    repr(list(want.coeffs.items())), (char, r, F)
 
 
 # -- adapted coordinates and exotic terms ---------------------------------------------

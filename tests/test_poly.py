@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -420,6 +420,31 @@ def test_core_matches_per_operation_reference(char):
                             for m, v in A.items()}), A)
 
 
+@pytest.mark.parametrize("char", [0, 2, 101, 2**61 - 1])
+def test_pairing_is_the_constant_of_the_contraction(char):
+    rng = random.Random(char % 1000 + 14)
+    field = Field(char)
+    for trial in range(200):
+        ring = RingSpec(("X", "Y", "Z", "W")[:rng.randint(1, 4)], field)
+        mons = [m for d in range(5) for m in ring.monomials(d)]
+
+        def draw(terms):
+            return {m: _scalar(field, rng)
+                    for m in rng.sample(mons, min(terms, len(mons)))}
+
+        g = DPPoly(ring, draw(rng.randint(0, 12)))
+        phi = PSElement(ring, draw(rng.randint(0, 12)), rng.randint(2, 6))
+        zero = ring.r * (0,)
+        want = contract(phi, g).coeffs.get(zero, 0)
+        got = pairing(phi, g)
+        assert (got, type(got)) == (want, type(want)), trial
+        beta = rng.choice(mons)
+        assert pairing(beta, g) == contract(beta, g).coeffs.get(zero, 0)
+    with pytest.raises(RingMismatchError):
+        pairing(PSElement(ring2(char), {(1, 0): 1}),
+                DPPoly(RingSpec(("X", "Z"), field), {(1, 0): 1}))
+
+
 # -- ring tables shared by shape -------------------------------------------------
 
 TABLE_CACHES = ("monomials_of_degree", "_index", "_shift_tables",
@@ -428,7 +453,8 @@ TABLE_CACHES = ("monomials_of_degree", "_index", "_shift_tables",
 
 TABLE_CALLS = [("monomials", 3), ("monomials", -1), ("monomial_index", 3),
                ("dmon_index", 4), ("rmon_index", 5), ("contraction_tables", 4),
-               ("multiplication_tables", 5), ("rmon_steps", 5)]
+               ("multiplication_tables", 5), ("rmon_steps", 5),
+               ("divisor_table", 5), ("divisor_table", 2)]
 
 
 def test_rings_of_one_shape_share_their_tables():
@@ -462,6 +488,8 @@ def test_large_tables_are_kept_only_briefly():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
 def test_shared_tables_match_their_definitions(r):
+    from macdual import poly
+
     ring = RingSpec(tuple("XYZWUV"[:r]), Field(0))
     for top in range(7):
         mons = [m for d in range(top + 1) for m in ring.monomials(d)]
@@ -488,6 +516,22 @@ def test_shared_tables_match_their_definitions(r):
             assert i == next(v for v, e in enumerate(m) if e)
             assert mon_mul(mons[prev], tuple(int(v == i)
                                              for v in range(r))) == m
+        # the divisor table pairs each divisor b of m with m - b, one
+        # object per monomial; one table per r serves every degree whose
+        # monomials number at most _TABLE_MONOMIALS
+        table = ring.divisor_table(top)
+        for m in index:
+            flat = table[m]
+            assert all(t is table.same[t] for t in flat)
+            # prod(m_i + 1) distinct b, each with b + q = m: all divisors
+            divs = flat[::2]
+            assert len(set(divs)) == len(divs) == prod(e + 1 for e in m)
+            assert all(mon_mul(b, q) == m
+                       for b, q in zip(divs, flat[1::2]))
+        assert all(m is table.same[m] for m in table)
+        kept = len(index) <= poly._TABLE_MONOMIALS
+        assert (ring.divisor_table(top) is table) == kept
+        assert (ring.divisor_table(max(top - 1, 0)) is table) == kept
 
 
 def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
@@ -499,7 +543,7 @@ def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
     from macdual.cli import main
 
     handed = {}
-    for name in TABLE_CACHES:
+    for name in TABLE_CACHES + ("_divisor_table",):
         cached = getattr(poly, name)
 
         def spy(*key, cached=cached):
@@ -516,8 +560,12 @@ def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
     assert main(["verify", str(corpus), "--jobs", "1"]) == 0
     capsys.readouterr()
     assert len(handed) > 50
+    assert any(cached.__name__ == "_divisor_table" for cached, _, _ in handed)
     for (cached, key, _), out in list(handed.items()):
-        assert out == cached.__wrapped__(*key), (cached.__name__, key)
+        if cached.__name__ == "_divisor_table":
+            assert all(v == poly._Divisors()[m] for m, v in out.items()), key
+        else:
+            assert out == cached.__wrapped__(*key), (cached.__name__, key)
 
 
 def test_table_caches_stay_bounded():
@@ -544,3 +592,20 @@ def test_table_caches_stay_bounded():
         ring.rmon_steps(top)
         check()
     check(final=True)
+    # one divisor table per r, for at most _TABLE_SHAPES values of r, each
+    # filled to at most _TABLE_MONOMIALS entries; larger ones are not kept
+    wide = [RingSpec(tuple("V%d" % k for k in range(r)), Field(0))
+            for r in range(1, poly._TABLE_SHAPES + 10)]
+    kept = poly._divisors_kept
+    for ring, top in ([(big, 5), (big, 6), (small, 399), (small, 400)]
+                      + [(ring, 1) for ring in wide]):
+        table = ring.divisor_table(top)
+        for m in ring.rmon_index(top):
+            table[m]
+        assert (kept.get(ring.r) is table) == \
+            (comb(ring.r + top, ring.r) <= poly._TABLE_MONOMIALS)
+        assert len(kept) <= poly._TABLE_SHAPES
+        assert all(len(tab) <= poly._TABLE_MONOMIALS
+                   for tab in kept.values())
+    assert len(kept) == poly._TABLE_SHAPES
+    assert big.divisor_table(5) is not big.divisor_table(5)
