@@ -121,8 +121,7 @@ class CoordChange:
         w_0^{a_0} ... w_i^{a_i} o F form a tree over i, each node one more
         w_i o g.  A term X^[m] of g meets w_i only at the divisors b of m,
         giving w_i[b] X^[m-b], so each contraction walks g's terms through
-        the ring's divisor table instead of pairing every term of the dense
-        w_i with every term of g."""
+        the ring's divisor table; w_i is dense, and g often sparse."""
         F.ring.check_same(self.ring)
         if F.is_zero:
             return F
