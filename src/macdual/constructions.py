@@ -221,10 +221,11 @@ def allowed_component_indices(spec: ExtensionSpec) -> set:
 
 
 def _graded_partial_spans(ring, polys, maxdeg):
-    """Per-degree echelons of R o <polys> (all homogeneous inputs);
-    normalized so that reduction against them is a linear map."""
-    by_deg = {d: Echelon(ring.field, normalized=True) for d in range(maxdeg + 1)}
-    for g in polys:
+    """Per-degree echelons of R o <polys> (all homogeneous inputs); each row
+    carries a witness, so that Echelon.project against them is a linear
+    map."""
+    by_deg = {d: Echelon(ring.field) for d in range(maxdeg + 1)}
+    for t, g in enumerate(polys):
         dg = g.degree
         for e in range(dg + 1):
             hidx = ring.monomial_index(dg - e)
@@ -232,7 +233,8 @@ def _graded_partial_spans(ring, polys, maxdeg):
                 img = contract_monomial(b, g)
                 if not img.is_zero:
                     by_deg[dg - e].insert({hidx[m]: c
-                                           for m, c in img.coeffs.items()})
+                                           for m, c in img.coeffs.items()},
+                                          {(t, b): 1})
     return by_deg
 
 
@@ -291,7 +293,7 @@ def restricted_components(spec: ExtensionSpec) -> dict:
         def fn(m):
             img = contract_monomial(m, g)
             vec = {hidx[k]: c for k, c in img.coeffs.items()}
-            return (vec if span is None else span.reduce(vec)), len(hidx)
+            return (vec if span is None else span.project(vec)), len(hidx)
         return fn
 
     def ann_prefix(t):
@@ -595,9 +597,9 @@ def ancestor_data(V: list, j: int) -> AncestorData:
     cur_deg = j
     while cur_deg >= 1:
         idx_cur = ring.monomial_index(cur_deg)
-        tgt = Echelon(field, normalized=True)
-        for row in cur_rows:
-            tgt.insert(row)
+        tgt = Echelon(field)
+        for i, row in enumerate(cur_rows):
+            tgt.insert(row, {i: 1})
 
         def colon_image(m):
             """(x*m, y*m) modulo the current space, side by side."""
@@ -605,7 +607,7 @@ def ancestor_data(V: list, j: int) -> AncestorData:
             for i in range(2):
                 m2 = list(m)
                 m2[i] += 1
-                vec = tgt.reduce({idx_cur[tuple(m2)]: field.one})
+                vec = tgt.project({idx_cur[tuple(m2)]: field.one})
                 for kk, c in vec.items():
                     img[kk + i * len(idx_cur)] = c
             return img

@@ -6,53 +6,45 @@ by whoever builds the index (monomial orders live in :mod:`macdual.poly`).
 
 :class:`Echelon` is the only row-reduction engine: a growing forward-echelon
 basis of a span, rows sorted by pivot (their least column).  Over a prime
-field rows are pivot-normalized.  Over the rationals rows are integer
-vectors and reduction is fraction-free (each step is v <- a*v - b*row with
-integers a > 0 and b), unless the echelon is built with ``normalized=True``:
-then rows have pivot one and ``reduce`` is a linear map.  Dimensions, pivot
-sets and membership do not depend on the mode.
+field rows have pivot one.  Over the rationals rows are integer vectors and
+reduction is fraction-free (each step is v <- a*v - b*row with integers
+a > 0 and b); a row is a positive multiple of the pivot-one row, so a
+caller that needs a normalized value divides once where it leaves the
+echelon, as :func:`kernel`, :func:`rref_rows`, :func:`solve_linear` and
+:meth:`Echelon.project` do.
 
 ``reduce`` walks the pivot hits of the working vector in increasing order
 from a min-heap: built once from the input's pivot columns, it gains only
 the pivot columns a subtracted row adds, since a row touches no column
-before its pivot.  Each step runs the loop of one element format.  Over
-F_p entries are unreduced ints while the walk runs (delayed modular
-reduction): an entry is taken ``% p`` only when it is popped as a pivot,
-and the remainder and witness are made canonical once on return.  Over Q
-every step cancels exactly: plain ints with no canonicaliser for
-fraction-free rows, and ``Field.add``/``Field.mul`` for the ``Fraction``
-entries of a normalized echelon, which only callers that need ``reduce`` to
-be linear build.  All three eliminate the same pivots with the same factors
-and store the same canonical values as the field's own arithmetic, with no
-zero entry.  A fraction-free ``reduce`` scales its input to integers in the
-pass that drops its zeros.  Callers that read only a span or a rank scale
-each vector once, by :func:`primitive`, before it enters the echelon, so
-that no reduction meets a ``Fraction``.
+before its pivot.  Over F_p entries are unreduced ints while the walk runs
+(delayed modular reduction): an entry is taken ``% p`` only when it is
+popped as a pivot, and the remainder and witness are made canonical once
+on return.  Over Q every step cancels exactly in plain ints.  A reduce over
+Q scales its input to integers, jointly with the witness, in the pass that
+drops its zeros.  Callers that read only a span or a rank scale each vector
+once, by :func:`primitive`, before it enters the echelon.
 
-Both modes carry witnesses.  A witness is a sparse dict over any keys
-(generator positions, monomials) naming the combination of inputs a vector
-stands for: ``vec = sum(wit[k] * input_k)``.  ``reduce(vec, wit)`` applies
-every step it takes on ``vec`` to ``wit`` in place: the witness of each row
-it subtracts, with the same factor, and, fraction-free, every factor it
-multiplies ``vec`` by (the lcm clearing its denominators, and a at each
-step).  So if ``wit`` is the witness of ``vec`` on entry, it is the witness
-of the remainder on return, and a zero remainder leaves a linear relation
-among the inputs in ``wit``.  ``insert(vec, wit)`` does the same and, when
-it stores a row, scales ``wit`` with it and keeps it as the row's witness.
-Every stored row is ``sum(wit[k] * input_k)`` for its witness: with pivot
-one when normalized; fraction-free, with integer entries, content one taken
-jointly over row and witness, and a positive pivot.
+A witness is a sparse dict over any keys (generator positions, monomials)
+naming the combination of inputs a vector stands for:
+``vec = sum(wit[k] * input_k)``.  ``reduce(vec, wit)`` applies every step
+it takes on ``vec`` to ``wit`` in place: the witness of each row it
+subtracts, with the same factor, and, over Q, every factor it multiplies
+``vec`` by.  So if ``wit`` is the witness of ``vec`` on entry, it is the
+witness of the remainder on return, and a zero remainder leaves a linear
+relation among the inputs in ``wit``.  ``insert(vec, wit)`` does the same
+and, when it stores a row, scales ``wit`` with it and keeps it as the row's
+witness.
 
 Built on it:
 
 * :func:`kernel` - a basis of the kernel of ``e_i -> images[i]``;
 * :func:`same_span` - whether two families span the same subspace;
 * :func:`rref_rows` - the canonical fully reduced, pivot-one basis of a
-  span, used wherever a basis is reported (fraction-free over Q);
+  span, used wherever a basis is reported;
 * :func:`solve_linear` - one solution of a linear system.
 
-The dense :func:`rref`, :func:`det` and :func:`matrix_inverse` work on
-row-major lists of lists.
+The dense :func:`det` and :func:`matrix_inverse` work on row-major lists of
+lists.
 """
 
 from __future__ import annotations
@@ -70,18 +62,25 @@ from .fields import Field
 # sparse vector helpers
 
 def vec_axpy(field: Field, out: dict, c, v: dict):
-    """out += c*v in place."""
+    """out += c*v in place, each touched entry summed raw and made
+    canonical (over Q an int whenever the denominator is one)."""
     if c == 0:
         return out
     if field.char:
         _axpy_mod(out, c, v, field.char)
-    else:
-        _axpy_q(field, out, c, v)
+        return out
+    get = out.get
+    for k, a in v.items():
+        s = get(k, 0) + c * a
+        if s:
+            out[k] = s.numerator if s.denominator == 1 else s
+        else:
+            out.pop(k, None)
     return out
 
 
-# One elimination loop per element format.  Each adds c*v into out in place
-# and drops the entries that cancel; v holds no zeros.
+# The two elimination loops.  Each adds c*v into out in place and drops the
+# entries that cancel; v holds no zeros.
 
 def _axpy_mod(out: dict, c: int, v: dict, p: int):
     """Residues in range(p)."""
@@ -105,24 +104,6 @@ def _axpy_int(out: dict, c: int, v: dict):
             out.pop(k, None)
 
 
-def _axpy_q(field: Field, out: dict, c, v: dict):
-    """Rationals kept canonical (ints when the denominator is one)."""
-    add, mul = field.add, field.mul
-    for k, a in v.items():
-        s = add(out.get(k, 0), mul(c, a))
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-
-
-def vec_scale(field: Field, v: dict, c) -> dict:
-    if field.is_zero(c):
-        return {}
-    mul = field.mul
-    return {k: mul(c, a) for k, a in v.items()}
-
-
 def primitive(v: dict) -> dict:
     """The primitive integer vector on the line of a rational vector v: its
     denominators cleared with their lcm, then divided by the gcd of the
@@ -138,28 +119,31 @@ def _scale_in_place(d: dict, c: int):
         d[k] = c * a
 
 
+def _div(a: int, d: int):
+    """a / d as a canonical rational: an int when d divides a."""
+    return a // d if a % d == 0 else Fraction(a, d)
+
+
+_SCALE = object()  # project's witness key for the factor reduce applied
+
+
 class Echelon:
     """Growing forward-echelon span of sparse vectors, rows sorted by pivot.
 
-    Over the rationals rows are fraction-free integer vectors unless
-    ``normalized`` is set (every echelon over a prime field is normalized).
-    Both modes take witnesses: ``wits[i]`` is the witness of ``rows[i]``
+    Rows take witnesses: ``wits[i]`` is the witness of ``rows[i]``
     (``rows[i] == sum(wits[i][k] * input_k)``), or None for a row inserted
-    without one.  Normalized rows have pivot one.  A fraction-free row and
-    its witness hold ints, have content one taken jointly over both, and a
-    positive pivot; witnesses given to a fraction-free echelon hold ints."""
+    without one.  Over F_p rows have pivot one.  Over Q a row and its
+    witness hold ints, have content one taken jointly over both, and a
+    positive pivot: a positive multiple of the pivot-one pair."""
 
-    __slots__ = ("field", "rows", "wits", "pivots", "_by_pivot", "_ffree")
+    __slots__ = ("field", "rows", "wits", "pivots", "_by_pivot")
 
-    def __init__(self, field: Field, normalized: bool = False):
+    def __init__(self, field: Field):
         self.field = field
         self.rows: list[dict] = []
         self.wits: list = []
         self.pivots: list[int] = []
         self._by_pivot: dict = {}       # pivot -> (row, witness)
-        # fraction-free integer rows over the rationals unless a caller needs
-        # reduce() to be a linear map (pivot-one rows make it one)
-        self._ffree = field.char == 0 and not normalized
 
     @property
     def dim(self) -> int:
@@ -168,10 +152,9 @@ class Echelon:
     def reduce(self, vec: dict, wit: dict | None = None) -> dict:
         """Canonical remainder of vec modulo the span: every pivot
         coordinate is eliminated, so the result is the unique representative
-        supported off the pivots, up to a nonzero factor in fraction-free
-        mode - in a normalized echelon reduce is a linear projection - and
-        zero iff vec lies in the span.  Over the rationals the fraction-free
-        remainder is scaled to integers.
+        supported off the pivots - over Q up to a positive factor, in
+        integers (:meth:`project` divides it out) - and zero iff vec lies in
+        the span.
 
         Pivot hits are walked in increasing order from a min-heap, built
         once from the pivots among vec's columns.  A row only touches
@@ -185,27 +168,32 @@ class Echelon:
         range(p), zeros dropped).  Over Q every step cancels exactly.
 
         Every step applied to vec is applied to wit in place: each row
-        subtracted from vec is subtracted, with the same factor, and in
-        fraction-free mode wit is multiplied by every factor vec is.  If
-        wit is the witness of vec on entry, it is the witness of the
-        remainder on return."""
-        ffree = self._ffree
-        if ffree:  # one pass: drop zeros, take the lcm of the denominators
+        subtracted from vec is subtracted, with the same factor, and over Q
+        wit is multiplied by every factor vec is.  Over Q vec and wit may
+        hold Fractions; both are first scaled to integers by the lcm of all
+        their denominators.  If wit is the witness of vec on entry, it is
+        the witness of the remainder on return."""
+        f = self.field
+        p = f.char
+        if p:
+            v = {k: a for k, a in vec.items() if a != 0}
+        else:  # one pass: drop zeros, take the lcm of the denominators
             v, den, frac = {}, 1, False
             for k, a in vec.items():
                 if a:
                     if type(a) is Fraction:
                         den, frac = lcm(den, a.denominator), True
                     v[k] = a
+            if wit is not None:
+                for a in wit.values():
+                    if type(a) is Fraction:
+                        den, frac = lcm(den, a.denominator), True
             if frac:
                 v = {k: a.numerator * (den // a.denominator)
                      for k, a in v.items()}
-                if den != 1 and wit is not None:
-                    _scale_in_place(wit, den)
-        else:
-            v = {k: a for k, a in vec.items() if a != 0}
-        f = self.field
-        p = f.char
+                if wit is not None:
+                    for k, a in wit.items():
+                        wit[k] = a.numerator * (den // a.denominator)
         by_pivot = self._by_pivot
         heap = [k for k in v if k in by_pivot]
         if not heap:
@@ -239,28 +227,40 @@ class Echelon:
             for k in row:
                 if k not in v and k in by_pivot:
                     heappush(heap, k)
-            if ffree:
-                b = row[q]
-                g = gcd(a, b)
-                ca, cb = b // g, -(a // g)
-                if ca != 1:
-                    v = {k: ca * x for k, x in v.items()}
-                    if wit is not None:
-                        _scale_in_place(wit, ca)
-                _axpy_int(v, cb, row)
+            b = row[q]
+            g = gcd(a, b)
+            ca, cb = b // g, -(a // g)
+            if ca != 1:
+                v = {k: ca * x for k, x in v.items()}
                 if wit is not None:
-                    _axpy_int(wit, cb, rwit)
-            else:
-                c = -a
-                _axpy_q(f, v, c, row)
-                if wit is not None:
-                    _axpy_q(f, wit, c, rwit)
+                    _scale_in_place(wit, ca)
+            _axpy_int(v, cb, row)
+            if wit is not None:
+                _axpy_int(wit, cb, rwit)
         if p:
             v = f.canon(v)
             if wit is not None:  # in place: the caller holds wit
                 canon = f.canon(wit)
                 wit.clear()
                 wit.update(canon)
+        return v
+
+    def project(self, vec: dict, wit: dict | None = None) -> dict:
+        """The remainder of vec modulo a pivot-one echelon of the span, a
+        linear projection, in canonical elements; wit is reduced with it in
+        place.  Over Q reduce leaves both times the product of the factors
+        it multiplied vec by: a witness key entered with 1 picks that up,
+        and both are divided by it once.  So every row needs a witness."""
+        if self.field.char:
+            return self.reduce(vec, wit)
+        w = {} if wit is None else wit
+        w[_SCALE] = 1
+        v = self.reduce(vec, w)
+        d = w.pop(_SCALE)
+        if d != 1:
+            v = {k: _div(a, d) for k, a in v.items()}
+            for k, a in w.items():
+                w[k] = _div(a, d)
         return v
 
     def insert(self, vec: dict, wit: dict | None = None):
@@ -273,10 +273,15 @@ class Echelon:
     def _store(self, v: dict, wit: dict | None) -> dict:
         """Store a nonzero remainder of reduce; a witness is scaled in place
         along with the row and kept as the row's witness."""
-        f = self.field
         q = min(v)
-        p = f.char
-        if self._ffree:
+        p = self.field.char
+        if p:
+            c = pow(v[q], -1, p)
+            v = {k: c * a % p for k, a in v.items()}
+            if wit is not None:
+                for k, a in wit.items():
+                    wit[k] = c * a % p
+        else:
             g = 0
             for a in v.values():
                 g = gcd(g, a)
@@ -290,18 +295,6 @@ class Echelon:
                 if wit is not None:
                     for k, a in wit.items():
                         wit[k] = a // g
-        elif p:
-            c = pow(v[q], -1, p)
-            v = {k: c * a % p for k, a in v.items()}
-            if wit is not None:
-                for k, a in wit.items():
-                    wit[k] = c * a % p
-        else:
-            c = f.inv(v[q])
-            v = vec_scale(f, v, c)
-            if wit is not None:
-                for k, a in wit.items():
-                    wit[k] = f.mul(c, a)
         pos = bisect_left(self.pivots, q)
         self.rows.insert(pos, v)
         self.wits.insert(pos, wit)
@@ -333,8 +326,7 @@ def kernel(field: Field, images) -> list[dict]:
             continue
         d = wit[i]
         if d != 1:
-            wit = {k: a // d if a % d == 0 else Fraction(a, d)
-                   for k, a in wit.items()}
+            wit = {k: _div(a, d) for k, a in wit.items()}
         out.append(wit)
     return out
 
@@ -385,55 +377,26 @@ def rref_rows(field: Field, vectors) -> list[dict]:
             d = row[q]
             if d != 1:
                 for k, a in row.items():
-                    row[k] = a // d if a % d == 0 else Fraction(a, d)
+                    row[k] = _div(a, d)
     return rows
 
 
 def solve_linear(field: Field, columns: list[dict], target: dict):
-    """Coefficients x with sum x_i * columns[i] == target, or None."""
-    ech = Echelon(field, normalized=True)
+    """Coefficients x with sum x_i * columns[i] == target, or None; a column
+    that depends on earlier ones gets coefficient zero."""
+    ech = Echelon(field)
     for i, col in enumerate(columns):
         ech.insert(col, {i: field.one})
-    # target reduces to zero by subtracting the combination -wit of columns
-    wit: dict = {}
+    # a zero remainder leaves wit[-1] * target + sum wit[i] * columns[i] == 0
+    wit = {-1: field.one}
     if ech.reduce(target, wit):
         return None
-    return [field.neg(wit.get(i, 0)) for i in range(len(columns))]
+    d = wit[-1]
+    return [field.fraction(-wit.get(i, 0), d) for i in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------
 # dense matrices (row-major lists of lists)
-
-def rref(matrix: list[list], field: Field):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns, rank)."""
-    m = [list(r) for r in matrix]
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise DomainError("matrix is not rectangular")
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if not field.is_zero(m[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                ci = m[i][c]
-                m[i] = [field.sub(x, field.mul(ci, y)) for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, piv_cols, r
-
 
 def det(matrix: list[list], field: Field):
     """Exact determinant by ordinary elimination."""
@@ -463,10 +426,14 @@ def det(matrix: list[list], field: Field):
 
 
 def matrix_inverse(matrix: list[list], field: Field):
+    """The inverse of a square matrix: the right half of the reduced basis
+    of the rows of [matrix | I], whose pivots are the first n columns
+    exactly when the matrix is invertible."""
     n = len(matrix)
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
-           for i, r in enumerate(matrix)]
-    red, piv, rank = rref(aug, field)
-    if rank < n or piv[:n] != list(range(n)):
+    if any(len(r) != n for r in matrix):
+        raise DomainError("inverse of a non-square matrix")
+    rows = rref_rows(field, [{**dict(enumerate(r)), n + i: field.one}
+                             for i, r in enumerate(matrix)])
+    if [min(r) for r in rows] != list(range(n)):
         raise DomainError("singular matrix")
-    return [r[n:] for r in red[:n]]
+    return [[r.get(n + k, field.zero) for k in range(n)] for r in rows]

@@ -93,7 +93,9 @@ class CoordChange:
     @classmethod
     def from_dual_linear(cls, ring: RingSpec, A, trunc: int) -> "CoordChange":
         """The change whose adjoint is the linear substitution X_i -> column
-        i of A on D."""
+        i of A on D; A must be an invertible r x r matrix."""
+        if len(A) != ring.r:
+            raise DomainError("substitution matrix is not r x r")
         Ainv = matrix_inverse(A, ring.field)
         units = ring.monomials(1)
 
@@ -189,7 +191,7 @@ def _witnessed_square_space(P: PartialFiltration):
     contracting f to it."""
     ring = P.ring
     field = ring.field
-    ech = Echelon(field, normalized=True)
+    ech = Echelon(field)
     pending = []
     for m in ring.monomials(2):
         wit = {m: field.one}
@@ -223,13 +225,12 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
     ring = P.ring
     field = ring.field
     j = P.j
-    sq = _witnessed_square_space(P) if j >= 2 \
-        else Echelon(field, normalized=True)
+    sq = _witnessed_square_space(P) if j >= 2 else Echelon(field)
     # an element of m^2 contracting f to the constant 1 (exists once j >= 2):
     # reducing the constant -1 to zero leaves it as the witness
     const_col = P.dindex[ring.r * (0,)]
     const_killer = {}
-    if sq.reduce({const_col: field.neg(field.one)}, const_killer):
+    if sq.project({const_col: field.neg(field.one)}, const_killer):
         const_killer = None
     unit_mons = ring.monomials(1)
     xs_contr = [contract_monomial(m, f).vector(P.dindex) for m in unit_mons]
@@ -240,16 +241,16 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
         # E spans the truncations-past-cut of m^2 o f plus the already
         # accepted x_k o f; a variable whose truncation lands inside E gives
         # a kernel direction with an explicit lift w = x_i - psi
-        E = Echelon(field, normalized=True)
+        E = Echelon(field)
         for row, wit in zip(sq.rows, sq.wits):
             v = {c: x for c, x in row.items() if P.col_deg[c] > cut}
             if v:
                 E.insert(v, dict(wit))
-        stage = Echelon(field, normalized=True)
+        stage = Echelon(field)
         for i in range(ring.r):
             v = {c: x for c, x in xs_contr[i].items() if P.col_deg[c] > cut}
             coeffs = {unit_mons[i]: field.one}
-            rem = E.reduce(v, coeffs)
+            rem = E.project(v, coeffs)
             if rem:
                 E.insert(rem, coeffs)
                 continue
@@ -270,9 +271,11 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
         nxt_pivots = set(level_ech[lev + 1].pivots) \
             if lev + 1 < len(cuts) else set()
         added = 0
-        for p, wit in zip(cur.pivots, cur.wits):
-            if p not in nxt_pivots:
-                parameters.append(PSElement(ring, wit, j + 2))
+        for p, row, wit in zip(cur.pivots, cur.rows, cur.wits):
+            if p not in nxt_pivots:   # the witness of the pivot-one row
+                parameters.append(PSElement(
+                    ring, {m: field.fraction(c, row[p])
+                           for m, c in wit.items()}, j + 2))
                 levels.append(lev if lev < max(j - 1, 1) else None)
                 added += 1
         counts.append(added)
@@ -323,7 +326,7 @@ def detect_exotic(f: DPPoly | PartialFiltration) -> ExoticReport:
     field = ring.field
     j = P.j
     mons1 = ring.monomials(1)
-    ech = Echelon(field, normalized=True)
+    ech = Echelon(field)
     basis_vecs = []
     levels = []
     for a in range(max(j - 1, 1)):

@@ -553,9 +553,11 @@ def dp_power_of_linear(L: DPPoly, k: int) -> DPPoly:
 
 def linear_substitute(g: DPPoly, M: list[list]) -> DPPoly:
     """Replace X_i by the linear form in column i of M, re-expanding with
-    divided-power products.  M must be invertible."""
+    divided-power products.  M must be an invertible r x r matrix."""
     ring = g.ring
-    matrix_inverse(M, ring.field)  # raises DomainError when singular
+    if len(M) != ring.r:
+        raise DomainError("substitution matrix is not r x r")
+    matrix_inverse(M, ring.field)  # raises DomainError unless invertible
     units = ring.monomials(1)
     cols = [DPPoly(ring, {units[k]: M[k][i] for k in range(ring.r)})
             for i in range(ring.r)]

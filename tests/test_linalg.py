@@ -1,18 +1,46 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
 from macdual.errors import DomainError
-from macdual import linalg
 from macdual.fields import Field
 from macdual.linalg import (Echelon, det, kernel, matrix_inverse, primitive,
-                            rref, rref_rows, same_span, solve_linear,
-                            vec_axpy)
+                            rref_rows, same_span, solve_linear, vec_axpy)
 
 QQ = Field(0)
 FIELDS = (QQ, Field(101))
+
+
+def rref(matrix, field):
+    """Dense reduced row echelon form by textbook Gauss-Jordan elimination,
+    every scalar operation through the Field: an oracle for ranks that
+    shares no code with Echelon.  Returns (rows, pivot_columns, rank)."""
+    m = [list(r) for r in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows)
+                    if not field.is_zero(m[i][c])), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and not field.is_zero(m[i][c]):
+                ci = m[i][c]
+                m[i] = [field.sub(x, field.mul(ci, y))
+                        for x, y in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, piv_cols, r
 
 
 def chardep_matrix(a, field):
@@ -104,6 +132,98 @@ def test_solve_linear():
     assert solve_linear(QQ, cols, {2: 1}) is None
 
 
+def test_matrix_inverse_rejects_non_square():
+    for M in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]],
+              [[1, 0], [0]], [[1], [0, 1]]):
+        with pytest.raises(DomainError):
+            matrix_inverse(M, QQ)
+
+
+def ref_matrix_inverse(matrix, field):
+    """The inverse read off the dense rref of [matrix | I], or None when
+    the matrix is singular."""
+    n = len(matrix)
+    aug = [list(r) + [field.one if i == k else field.zero for k in range(n)]
+           for i, r in enumerate(matrix)]
+    red, piv, rank = rref(aug, field)
+    if piv[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in red[:n]]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
+def test_matrix_inverse_matches_dense_reference(field):
+    """Int and Fraction entries: A * A^-1 = I, and the entries with their
+    types equal the dense reference's; a singular A raises."""
+    rng = random.Random(71)
+    inverted = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        A = [[_rand_scalar(rng, field) if rng.random() < .7 else field.zero
+              for _ in range(n)] for _ in range(n)]
+        want = ref_matrix_inverse(A, field)
+        if want is None:
+            with pytest.raises(DomainError):
+                matrix_inverse(A, field)
+            continue
+        inverted += 1
+        got = matrix_inverse(A, field)
+        assert [[(type(a), a) for a in r] for r in got] == \
+            [[(type(a), a) for a in r] for r in want]
+        for i in range(n):
+            for k in range(n):
+                s = field.zero
+                for t in range(n):
+                    s = field.add(s, field.mul(A[i][t], got[t][k]))
+                assert s == (field.one if i == k else field.zero)
+    assert inverted > 40
+
+
+def solve_linear_normalized(field, columns, target):
+    """solve_linear as it ran on a normalized echelon: the reference."""
+    ech = RefEchelon(field, True)
+    for i, col in enumerate(columns):
+        ech.insert(col, {i: field.one})
+    wit = {}
+    if ech.reduce(target, wit):
+        return None
+    return [field.neg(wit.get(i, 0)) for i in range(len(columns))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
+def test_solve_linear_matches_normalized_reference(field):
+    """Int and Fraction columns with dependent ones mixed in, solvable and
+    unsolvable targets: the same solution, values with their types."""
+    rng = random.Random(67)
+    solved = 0
+    for _ in range(150):
+        ncols = rng.randint(1, 8)
+        cols = [_rand_sparse(rng, field, ncols, rng.choice([.3, .6, .9]))
+                for _ in range(rng.randint(0, 7))]
+        for _ in range(rng.randint(0, 3) if cols else 0):
+            a, b = rng.choice(cols), rng.choice(cols)
+            cols.insert(rng.randrange(len(cols) + 1),
+                        ref_axpy(field, dict(a), _rand_scalar(rng, field), b))
+        target = {}
+        for c in cols:
+            ref_axpy(field, target, _rand_scalar(rng, field), c)
+        if rng.random() < .25:
+            ref_axpy(field, target, field.one,
+                     _rand_sparse(rng, field, ncols, .3))
+        want = solve_linear_normalized(field, cols, target)
+        got = solve_linear(field, cols, target)
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        solved += 1
+        assert [(type(a), a) for a in got] == [(type(a), a) for a in want]
+        total = {}
+        for x, c in zip(got, cols):
+            ref_axpy(field, total, x, c)
+        assert total == target
+    assert solved > 50
+
+
 # ---------------------------------------------------------------------------
 # the witnessed echelon and the helpers built on it
 
@@ -167,13 +287,15 @@ def _content(d):
                          [(QQ, True), (QQ, False), (Field(101), True)],
                          ids=["Q", "Q-fraction-free", "F101"])
 def test_witness_invariant_random(field, normalized):
-    """row = sum wit_k * input_k for every stored row, whatever the mode;
-    fraction-free pairs have joint content one and a positive pivot."""
+    """row = sum wit_k * input_k for every stored row, in Echelon and in the
+    normalized reference over Q; fraction-free pairs have joint content
+    one and a positive pivot."""
     rng = random.Random(23)
     ffree = field.char == 0 and not normalized
     for _ in range(60):
         inputs = _rand_family(rng, field, rng.randint(1, 9))
-        ech = Echelon(field, normalized)
+        ech = RefEchelon(field, True) if field.char == 0 and normalized \
+            else Echelon(field)
         for i, vec in enumerate(inputs):
             wit = {i: field.one}
             row = ech.insert(vec, wit)
@@ -243,14 +365,14 @@ def test_same_span_random(field):
         if dim == 0:
             continue
         # a proper subspace: drop a direction
-        basis = Echelon(field, normalized=True)
+        basis = RefEchelon(field, True)
         for g in gens:
             basis.insert(g)
         assert not same_span(field, basis.rows[1:], gens)
         assert not same_span(field, gens, basis.rows[1:])
         # equal dimension, different span: move one row off the span
         free = next(k for k in range(NCOLS)
-                    if not basis.contains({k: field.one}))
+                    if basis.reduce({k: field.one}))
         moved = basis.rows[1:] + [{free: field.one}]
         assert _rank(field, moved, NCOLS) == dim
         assert not same_span(field, moved, gens)
@@ -370,13 +492,23 @@ def test_vec_axpy_matches_reference(field, normalized):
         assert 0 not in got.values()
 
 
+def _pivot_one(field, row, d):
+    """d divided by the pivot entry of row, in canonical elements."""
+    c = row[min(row)]
+    return {k: field.fraction(a, c) for k, a in d.items()}
+
+
 @pytest.mark.parametrize("field,normalized", LOOP_FIELDS, ids=LOOP_IDS)
 def test_echelon_matches_reference(field, normalized):
+    """Rows, pivots and remainders equal the reference's.  With witnesses
+    ("normalized") a stored pair divided by its pivot entry equals the
+    normalized reference's pair, and project() its remainder; over F_p
+    the division is by one and project() is reduce()."""
     rng = random.Random(field.char % 991 + 7 * normalized)
     one = field.one
     for _ in range(40):
         ncols = rng.randint(1, 10)
-        ech, ref = Echelon(field, normalized), RefEchelon(field, normalized)
+        ech, ref = Echelon(field), RefEchelon(field, normalized)
         vecs = [_rand_sparse(rng, field, ncols, rng.choice([.2, .5, .9]))
                 for _ in range(rng.randint(2, 14))]
         # dependent inputs, so reductions cancel down to zero
@@ -388,7 +520,7 @@ def test_echelon_matches_reference(field, normalized):
         for i, v in enumerate(vecs):
             if normalized:
                 wa, wb = {i: one}, {i: one}
-                assert _typed(ech.reduce(v, wa)) == _typed(ref.reduce(v, wb))
+                assert _typed(ech.project(v, wa)) == _typed(ref.reduce(v, wb))
                 assert _typed(wa) == _typed(wb)
                 ech.insert(v, {i: one})
                 ref.insert(v, {i: one})
@@ -397,34 +529,100 @@ def test_echelon_matches_reference(field, normalized):
                 ech.insert(v)
                 ref.insert(v)
             assert ech.pivots == ref.pivots
-            assert list(map(_typed, ech.rows)) == list(map(_typed, ref.rows))
             if normalized:
-                assert list(map(_typed, ech.wits)) == \
+                assert [_typed(_pivot_one(field, r, r)) for r in ech.rows] \
+                    == list(map(_typed, ref.rows))
+                assert [_typed(_pivot_one(field, r, w))
+                        for r, w in zip(ech.rows, ech.wits)] == \
                     list(map(_typed, ref.wits))
+            else:
+                assert list(map(_typed, ech.rows)) == \
+                    list(map(_typed, ref.rows))
         for d in ech.rows + (ech.wits if normalized else []):
             assert 0 not in d.values()
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(101)],
+                         ids=["Q", "F2", "F101"])
+def test_project_matches_normalized_reference(field):
+    """project() is the normalized reference's reduce(): the remainder and
+    the witness, values with their types, for int and Fraction inputs and
+    witnesses, with and without a witness; the echelon is left as it
+    was."""
+    rng = random.Random(59 + field.char)
+    for _ in range(60):
+        ncols = rng.randint(1, 10)
+        ech, ref = Echelon(field), RefEchelon(field, True)
+        for i in range(rng.randint(0, 9)):
+            v = _rand_sparse(rng, field, ncols, rng.choice([.2, .5, .9]))
+            if i and rng.random() < .3:     # a dependent input
+                v = ref_axpy(field, dict(v), _rand_scalar(rng, field),
+                             ech.rows[-1] if ech.rows else {})
+            ech.insert(v, {i: field.one})
+            ref.insert(v, {i: field.one})
+        rows = [dict(r) for r in ech.rows]
+        wits = [dict(w) for w in ech.wits]
+        for _ in range(8):
+            v = _rand_sparse(rng, field, ncols, rng.choice([.3, .7]))
+            if rng.random() < .3 and ref.rows:   # lies in the span
+                v = ref_axpy(field, {}, _rand_scalar(rng, field),
+                             rng.choice(ref.rows))
+            assert _typed(ech.project(v)) == _typed(ref.reduce(v))
+            wa = _rand_sparse(rng, field, 3, .8)
+            wa = {("w", k): a for k, a in wa.items()}
+            wb = dict(wa)
+            got = ech.project(v, wa)
+            assert _typed(got) == _typed(ref.reduce(v, wb))
+            assert _typed(wa) == _typed(wb)
+            assert 0 not in got.values() and 0 not in wa.values()
+        assert ech.rows == rows and ech.wits == wits
 
 
 # ---------------------------------------------------------------------------
 # kernel() against the loop it replaced
 
+def _entries(field, d):
+    """d's entries with their types, in key order over Q.  Over F_p reduce
+    drops cancelled entries only on return, so a key that cancels and
+    comes back keeps its place, where the reference moves it to the end."""
+    out = [(k, type(a), a) for k, a in d.items()]
+    return out if field.char == 0 else sorted(out)
+
+
 def kernel_normalized(field, images):
     """kernel() as it ran on a normalized echelon, one division per step:
     the reference for entries, key order and value types."""
-    ech = Echelon(field, normalized=True)
+    ech = RefEchelon(field, True)
     out = []
     for i, img in enumerate(images):
         wit = {i: field.one}
-        rem = ech.reduce(img, wit)
-        if rem:
-            ech._store(rem, wit)
-        else:
+        if ech.insert(img, wit) is None:
             out.append(wit)
     return out
 
 
+@pytest.fixture
+def int_rows_only(monkeypatch):
+    """Fails a test in which an Echelon over Q stores a row or a witness
+    holding anything but ints: Fraction arithmetic stays out of the
+    echelon, confined to the divisions where values leave it."""
+    store = Echelon._store
+    count = []
+
+    def checked(self, v, wit):
+        row = store(self, v, wit)
+        if self.field.char == 0:
+            assert all(type(a) is int for a in row.values()), row
+            assert wit is None or \
+                all(type(a) is int for a in wit.values()), wit
+            count.append(1)
+        return row
+    monkeypatch.setattr(Echelon, "_store", checked)
+    return count
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
-def test_kernel_matches_normalized_reference(field, monkeypatch):
+def test_kernel_matches_normalized_reference(field, int_rows_only):
     rng = random.Random(41)
     cases = []
     for _ in range(80):
@@ -445,15 +643,11 @@ def test_kernel_matches_normalized_reference(field, monkeypatch):
         rng.shuffle(images)
         cases.append((images, kernel_normalized(field, images)))
 
-    def no_fractions(*args):
-        raise AssertionError("kernel() ran the normalized Q loop")
-
-    # Fraction arithmetic is confined to the final division
-    monkeypatch.setattr(linalg, "_axpy_q", no_fractions)
     for images, want in cases:
         got = kernel(field, images)
-        assert [[(k, type(a), a) for k, a in w.items()] for w in got] == \
-            [[(k, type(a), a) for k, a in w.items()] for w in want]
+        assert [_entries(field, w) for w in got] == \
+            [_entries(field, w) for w in want]
+    assert int_rows_only or field.char
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +698,7 @@ def rref_rows_normalized(field, vectors):
     """rref_rows as it ran on a normalized echelon, back-substituting in
     field arithmetic: the reference for entries, key order and value
     types."""
-    ech = Echelon(field, normalized=True)
+    ech = RefEchelon(field, True)
     for v in vectors:
         ech.insert(v)
     rows = [dict(r) for r in ech.rows]
@@ -518,7 +712,7 @@ def rref_rows_normalized(field, vectors):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
-def test_rref_rows_matches_normalized_reference(field, monkeypatch):
+def test_rref_rows_matches_normalized_reference(field, int_rows_only):
     rng = random.Random(43)
     cases = []
     for _ in range(80):
@@ -539,15 +733,42 @@ def test_rref_rows_matches_normalized_reference(field, monkeypatch):
         rng.shuffle(vecs)
         cases.append((vecs, rref_rows_normalized(field, vecs)))
 
-    def no_fractions(*args):
-        raise AssertionError("rref_rows ran the normalized Q loop")
-
-    # Fraction arithmetic is confined to the final division by the pivot
-    monkeypatch.setattr(linalg, "_axpy_q", no_fractions)
     for vecs, want in cases:
         got = rref_rows(field, vecs)
-        assert [[(k, type(a), a) for k, a in r.items()] for r in got] == \
-            [[(k, type(a), a) for k, a in r.items()] for r in want]
+        assert [_entries(field, r) for r in got] == \
+            [_entries(field, r) for r in want]
+    assert int_rows_only or field.char
+
+
+def test_echelon_rows_hold_ints_over_q_end_to_end(int_rows_only, capsys):
+    """The int-rows guard over the README examples over Q, the paper corpus,
+    and normalize, detect_exotic and restricted_components on random forms
+    over Q: every Echelon these build keeps ints only."""
+    import test_golden
+    from macdual.cli import main
+    from macdual.constructions import (ExtensionSpec, random_form,
+                                       random_poly, restricted_components)
+    from macdual.normalform import detect_exotic, normalize
+    from macdual.poly import RingSpec
+
+    for argv, expected in test_golden.CASES:
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == expected
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "paper.corpus"
+    assert main(["verify", str(corpus), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    rng = random.Random(61)
+    for r in (2, 3):
+        ring = RingSpec(("X", "Y", "Z")[:r], QQ)
+        for _ in range(4):
+            f = random_poly(ring, rng.randint(3, 5), rng)
+            normalize(f)
+            detect_exotic(f)
+        j = 5
+        hs = [random_form(ring, 3, rng, 5), random_form(ring, 2, rng, 5)]
+        restricted_components(ExtensionSpec(random_form(ring, j, rng, 5),
+                                            hs, ("U1", "U2")))
+    assert len(int_rows_only) > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ def test_coordchange_compose_and_dual_linear():
             lin.adjoint_apply(sig.adjoint_apply(f))
 
 
+def test_substitution_matrix_must_be_r_by_r():
+    """A matrix that is not r x r is refused, not truncated by zip."""
+    R, g = mk("X,Y", "X^[2]+Y^[2]")
+    for M in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]],
+              [[1, 0], [0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(DomainError):
+            linear_substitute(g, M)
+        with pytest.raises(DomainError):
+            CoordChange.from_dual_linear(R, M, 4)
+
+
 def _random_images(R, rng, N):
     """Images of x_i with random invertible linear parts plus a few terms
     of degree two and three."""
@@ -423,8 +434,8 @@ def test_linear_substitute_congruence_oracle():
     # a change of basis embedding a congruence transform diagonalizes a
     # divided-power quadric; the rank (count of nonzero diagonal entries)
     # matches the rank of the coefficient matrix
-    from macdual.linalg import rref
     from macdual.normalform import _congruent_diagonal
+    from test_linalg import rref  # the dense oracle, not Echelon
     rng = random.Random(17)
     for char in (0, 101):
         field = Field(char)
