@@ -12,7 +12,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from importlib import import_module
@@ -74,13 +73,6 @@ def _ring_from_args(args) -> RingSpec:
     return RingSpec(vars, Field(args.char))
 
 
-def _add_ring_flags(sub):
-    sub.add_argument("--vars", required=True,
-                     help="comma-separated dual variable names, e.g. X,Y,Z")
-    sub.add_argument("--char", type=int, default=0,
-                     help="field characteristic (0 or a prime)")
-
-
 def _parse_in(src, ring):
     return parse_poly(src, ring)
 
@@ -99,6 +91,7 @@ def cmd_hilbert(args):
     ring = _ring_from_args(args)
     H = PartialFiltration(_parse_in(args.expr, ring)).hilbert()
     if args.format == "json":
+        import json  # imported here: only JSON output needs it
         print(json.dumps({"hilbert": list(H)}))
     else:
         print(",".join(str(h) for h in H))
@@ -110,6 +103,7 @@ def cmd_annihilator(args):
     f = _parse_in(args.expr, ring)
     ideal = annihilator(f)
     if args.format == "json":
+        import json  # imported here: only JSON output needs it
         print(json.dumps({
             "min_gens": [str(g) for g in ideal.min_gens],
             "orders": list(ideal.orders),
@@ -261,95 +255,83 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_RING = (_arg("--vars", required=True,
+              help="comma-separated dual variable names, e.g. X,Y,Z"),
+         _arg("--char", type=int, default=0,
+              help="field characteristic (0 or a prime)"))
+_FORMAT = _arg("--format", choices=("table", "json"), default="table")
+_A = _arg("--a", type=int, required=True)
+_EXPR = _arg("expr")
+
+# name, help, handler and arguments of each subcommand, in `--help` order
+_SUBCOMMANDS = (
+    ("decompose", "symmetric decomposition of H(A)", cmd_decompose,
+     _RING + (_FORMAT, _arg("--show-bases", action="store_true"),
+              _arg("--suppress-zero", action="store_true"), _EXPR)),
+    ("hilbert", "Hilbert function only", cmd_hilbert,
+     _RING + (_FORMAT, _EXPR)),
+    ("annihilator", "minimal generators of Ann f", cmd_annihilator,
+     _RING + (_FORMAT,
+              _arg("--verify", help="semicolon-separated generators to check"),
+              _EXPR)),
+    ("exotic", "detect exotic summands", cmd_exotic, _RING + (_EXPR,)),
+    ("normalize", "remove exotic summands", cmd_normalize, _RING + (_EXPR,)),
+    ("modcheck", "test the a-modification relation", cmd_modcheck,
+     _RING + (_A, _arg("expr1"), _arg("expr2"))),
+    ("rcm", "relatively compressed a-modification", cmd_rcm,
+     _RING + (_A, _arg("--seed", type=int, default=0),
+              _arg("--coeff-bound", type=int, default=10),
+              _arg("--retries", type=int, default=5), _FORMAT, _EXPR)),
+    ("extend", "extension linear in fresh variables", cmd_extend,
+     _RING + (_arg("--h", action="append", required=True,
+                   help="homogeneous summand (repeatable)"),
+              _arg("--zvars", required=True),
+              _arg("--components", action="store_true",
+                   help="also print the per-summand module dimensions"),
+              _FORMAT, _EXPR)),
+    ("consum-split", "split a quadric connected summand", cmd_consum_split,
+     _RING + (_EXPR,)),
+    ("fuzz", "run a seeded property suite", cmd_fuzz,
+     (_arg("--suite", required=True, choices=FUZZ_SUITES),
+      _arg("--trials", type=_positive_int, default=100),
+      _arg("--seed", type=int, default=0))),
+    ("verify", "recompute a corpus file and diff", cmd_verify,
+     (_arg("corpus"),
+      _arg("--jobs", type=_positive_int, default=1,
+           help="worker processes (capped at the entry and CPU counts)"))),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The macdual parser.  Every subcommand is registered with its help, so
+    `--help`, usage lines and "invalid choice" errors list them all, but
+    only `command`'s arguments and handler are added (every subcommand's
+    when `command` is None): argparse reads no other subparser."""
     ap = argparse.ArgumentParser(
         prog="macdual",
         description="Exact Macaulay-dual computations for local Artinian "
                     "Gorenstein algebras")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="symmetric decomposition of H(A)")
-    _add_ring_flags(p)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--show-bases", action="store_true")
-    p.add_argument("--suppress-zero", action="store_true")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("hilbert", help="Hilbert function only")
-    _add_ring_flags(p)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_hilbert)
-
-    p = sub.add_parser("annihilator", help="minimal generators of Ann f")
-    _add_ring_flags(p)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--verify", help="semicolon-separated generators to check")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_annihilator)
-
-    p = sub.add_parser("exotic", help="detect exotic summands")
-    _add_ring_flags(p)
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_exotic)
-
-    p = sub.add_parser("normalize", help="remove exotic summands")
-    _add_ring_flags(p)
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_normalize)
-
-    p = sub.add_parser("modcheck", help="test the a-modification relation")
-    _add_ring_flags(p)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    p.set_defaults(fn=cmd_modcheck)
-
-    p = sub.add_parser("rcm", help="relatively compressed a-modification")
-    _add_ring_flags(p)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coeff-bound", type=int, default=10)
-    p.add_argument("--retries", type=int, default=5)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_rcm)
-
-    p = sub.add_parser("extend", help="extension linear in fresh variables")
-    _add_ring_flags(p)
-    p.add_argument("--h", action="append", required=True,
-                   help="homogeneous summand (repeatable)")
-    p.add_argument("--zvars", required=True)
-    p.add_argument("--components", action="store_true",
-                   help="also print the per-summand module dimensions")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_extend)
-
-    p = sub.add_parser("consum-split", help="split a quadric connected summand")
-    _add_ring_flags(p)
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_consum_split)
-
-    p = sub.add_parser("fuzz", help="run a seeded property suite")
-    p.add_argument("--suite", required=True, choices=FUZZ_SUITES)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_fuzz)
-
-    p = sub.add_parser("verify", help="recompute a corpus file and diff")
-    p.add_argument("corpus")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (capped at the entry and CPU "
-                        "counts)")
-    p.set_defaults(fn=cmd_verify)
-
+    for name, text, fn, arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=text)
+        if command is None or command == name:
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse dispatches to the first token not starting with "-": the
+    # top-level parser has no option that takes a value
+    command = next((a for a in argv if not a.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     try:
         _bind_globals(args.fn)
         return args.fn(args)

@@ -7,7 +7,7 @@ two-variable ancestor-ideal invariant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .apolarity import PartialFiltration
 from .decomposition import (component_dual_dims, max_continuation,
@@ -161,34 +161,34 @@ def relatively_compressed_modification(f: DPPoly, a: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # extensions linear in fresh variables
 
-@dataclass
 class ExtensionSpec:
     """F = f + sum h_t Z_t with f and all h_t homogeneous in the original
     variables, deg h_t = k_t weakly decreasing, and fresh variables Z_t."""
 
-    base: DPPoly
-    summands: list
-    z_names: tuple
+    __slots__ = ("base", "summands", "z_names", "degrees", "socle_degree",
+                 "indices")
 
-    def __post_init__(self):
-        f = self.base.drop_constant()
+    def __init__(self, base: DPPoly, summands: list, z_names: tuple):
+        f = base.drop_constant()
         ring = f.ring
         if f.is_zero or not f.is_homogeneous():
             raise DomainError("base generator must be homogeneous and nonzero")
         j = f.degree
         degs = []
-        for h in self.summands:
+        for h in summands:
             h.ring.check_same(ring)
             if h.is_zero or not h.is_homogeneous():
                 raise DomainError("summands must be nonzero homogeneous forms")
             degs.append(h.degree)
-        if len(degs) != len(self.z_names) or not degs:
+        if len(degs) != len(z_names) or not degs:
             raise DomainError("one fresh variable per summand is required")
         if any(d1 < d2 for d1, d2 in zip(degs, degs[1:])):
             raise DomainError("summand degrees must be weakly decreasing")
         if degs[0] > j - 2 or degs[-1] < 1:
             raise DomainError("summand degrees must lie in 1..j-2")
         self.base = f
+        self.summands = summands
+        self.z_names = z_names
         self.degrees = degs
         self.socle_degree = j
         self.indices = [j - (k + 1) for k in degs]
@@ -545,8 +545,7 @@ def connected_sum_hilbert(H1, H2) -> tuple:
 # ---------------------------------------------------------------------------
 # the two-variable ancestor invariant
 
-@dataclass
-class AncestorData:
+class AncestorData(NamedTuple):
     degree: int
     dim: int
     tau: int

@@ -22,8 +22,8 @@ an arithmetic bug here, never bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from math import comb
+from typing import NamedTuple
 
 from .apolarity import PartialFiltration, filtration, generates_in_degree
 from .errors import DomainError, InternalCheckError
@@ -68,17 +68,21 @@ def component_dims(P, a: int) -> tuple:
 # ---------------------------------------------------------------------------
 # dual module bases
 
-@dataclass
 class QDualModule:
     """Leading-term embodiment of the dual module of Q(a) inside D: one
     canonical echelon basis per degree, together with the data needed to
     contract classes down a degree."""
 
-    a: int
-    dims: tuple
-    bases: dict = dfield(default_factory=dict)        # degree -> [DPPoly]
-    _rows: dict = dfield(default_factory=dict)        # degree -> [row dict]
-    _filtration: PartialFiltration | None = None
+    __slots__ = ("a", "dims", "bases", "_rows", "_filtration")
+
+    def __init__(self, a: int, dims: tuple, bases: dict | None = None,
+                 _rows: dict | None = None,
+                 _filtration: PartialFiltration | None = None):
+        self.a = a
+        self.dims = dims
+        self.bases = {} if bases is None else bases    # degree -> [DPPoly]
+        self._rows = {} if _rows is None else _rows    # degree -> [row dict]
+        self._filtration = _filtration
 
     def basis_polys(self, d: int) -> list:
         return self.bases.get(d, [])
@@ -179,13 +183,16 @@ def component_generator_degrees(mod: QDualModule) -> dict:
 # ---------------------------------------------------------------------------
 # the decomposition object
 
-@dataclass
 class SymDecomp:
-    socle_degree: int
-    hilbert: tuple
-    components: tuple            # components[a] = H(a), length j-a+1
-    n_seq: tuple                 # n_a = sum_{u<=a} H(u)_1
-    bases: dict | None = None    # a -> QDualModule when requested
+    __slots__ = ("socle_degree", "hilbert", "components", "n_seq", "bases")
+
+    def __init__(self, socle_degree: int, hilbert: tuple, components: tuple,
+                 n_seq: tuple, bases: dict | None = None):
+        self.socle_degree = socle_degree
+        self.hilbert = hilbert
+        self.components = components    # components[a] = H(a), length j-a+1
+        self.n_seq = n_seq              # n_a = sum_{u<=a} H(u)_1
+        self.bases = bases              # a -> QDualModule when requested
 
     def component(self, a: int) -> tuple:
         return self.components[a]
@@ -332,8 +339,7 @@ def overweight_check(decomp: SymDecomp, a: int) -> str:
 # ---------------------------------------------------------------------------
 # the graded ideals cutting out the filtration (pullbacks to R)
 
-@dataclass
-class GradedIdealData:
+class GradedIdealData(NamedTuple):
     """Per-degree spaces (graded-lex coordinates of R_d) of a graded ideal of
     R containing m^{j+2}-tails implicitly; degrees 0..j+1."""
 

@@ -10,7 +10,6 @@ run each suite at its contracted trial count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dfield
 
 from .apolarity import PartialFiltration, annihilator, hilbert_function
 from .constructions import (ExtensionSpec, allowed_component_indices,
@@ -35,15 +34,22 @@ from .poly import (DPPoly, PSElement, RingSpec, contract, linear_substitute,
 VAR_POOL = ("X", "Y", "Z", "W")
 
 
-@dataclass
 class FuzzReport:
-    suite: str
-    trials: int
-    seed: int
-    checked: int = 0
-    skipped: int = 0
-    failures: list = dfield(default_factory=list)  # a property did not hold
-    errors: list = dfield(default_factory=list)    # a trial raised: a bug
+    __slots__ = ("suite", "trials", "seed", "checked", "skipped", "failures",
+                 "errors")
+
+    def __init__(self, suite: str, trials: int, seed: int, checked: int = 0,
+                 skipped: int = 0, failures: list | None = None,
+                 errors: list | None = None):
+        self.suite = suite
+        self.trials = trials
+        self.seed = seed
+        self.checked = checked
+        self.skipped = skipped
+        # a property did not hold
+        self.failures = [] if failures is None else failures
+        # a trial raised: a bug
+        self.errors = [] if errors is None else errors
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,6 @@ elements of the local ring R (lowercase variable names).
 
 from __future__ import annotations
 
-import json
 import re
 from math import comb, factorial
 
@@ -227,6 +226,7 @@ def render_decomposition(decomp, style: str = "table", suppress_zero: bool = Fal
                 str(a): {str(d): [str(p) for p in polys]
                          for d, polys in sorted(mod.bases.items())}
                 for a, mod in sorted(decomp.bases.items())}
+        import json  # imported here: only JSON output needs it
         return json.dumps(doc)
     width = max(len(str(x)) for x in list(H) + [h for row in comps for h in row] + [0])
     lines = []

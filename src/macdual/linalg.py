@@ -428,12 +428,15 @@ def det(matrix: list[list], field: Field):
 def matrix_inverse(matrix: list[list], field: Field):
     """The inverse of a square matrix: the right half of the reduced basis
     of the rows of [matrix | I], whose pivots are the first n columns
-    exactly when the matrix is invertible."""
+    exactly when the matrix is invertible.  The entries are made canonical
+    first: over F_p a caller's 101 is zero, and the echelon expects
+    residues."""
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise DomainError("inverse of a non-square matrix")
-    rows = rref_rows(field, [{**dict(enumerate(r)), n + i: field.one}
-                             for i, r in enumerate(matrix)])
+    rows = rref_rows(field, [
+        field.canon({**dict(enumerate(r)), n + i: field.one})
+        for i, r in enumerate(matrix)])
     if [min(r) for r in rows] != list(range(n)):
         raise DomainError("singular matrix")
     return [[r.get(n + k, field.zero) for k in range(n)] for r in rows]

@@ -16,7 +16,7 @@ exotic summands remain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from typing import NamedTuple
 
 from .apolarity import PartialFiltration, filtration
 from .decomposition import symmetric_decomposition
@@ -174,8 +174,7 @@ def adjoint_apply(sigma: CoordChange, F: DPPoly) -> DPPoly:
 # ---------------------------------------------------------------------------
 # adapted coordinates
 
-@dataclass
-class AdaptedFrame:
+class AdaptedFrame(NamedTuple):
     """Local parameters w_1..w_r arranged so the block at level a spans the
     degree-one piece of Q(a); padding rows (annihilator directions) carry
     level None."""
@@ -298,13 +297,20 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
 # ---------------------------------------------------------------------------
 # exotic summands
 
-@dataclass
 class ExoticReport:
-    n_seq: tuple
-    adapted_basis: list                    # linear DPPolys spanning D_1
-    witness_levels: list                   # level a per basis vector, or None
-    exotic_terms: list                     # [(degree, DPPoly in original coords)]
-    exotic_adapted: dict = dfield(default_factory=dict)
+    __slots__ = ("n_seq", "adapted_basis", "witness_levels", "exotic_terms",
+                 "exotic_adapted")
+
+    def __init__(self, n_seq: tuple, adapted_basis: list,
+                 witness_levels: list, exotic_terms: list,
+                 exotic_adapted: dict | None = None):
+        self.n_seq = n_seq
+        # linear DPPolys spanning D_1, and the level a of each (or None)
+        self.adapted_basis = adapted_basis
+        self.witness_levels = witness_levels
+        # [(degree, DPPoly in original coords)]
+        self.exotic_terms = exotic_terms
+        self.exotic_adapted = {} if exotic_adapted is None else exotic_adapted
 
     @property
     def has_exotic(self) -> bool:
@@ -386,8 +392,7 @@ def normalize(f: DPPoly):
 # ---------------------------------------------------------------------------
 # splitting off a quadric connected summand
 
-@dataclass
-class SplitResult:
+class SplitResult(NamedTuple):
     summand_main: DPPoly       # over the leading block of variables
     summand_quadric: DPPoly    # over the trailing block
     ring: RingSpec             # the (possibly embedding-reduced) ring

@@ -248,6 +248,91 @@ def test_hilbert_loads_only_what_it_runs():
         assert name not in loaded
 
 
+CORPUS = str(SRC.parent / "corpus" / "paper.corpus")
+
+# one command of each shape perfbench's small-cli workload runs
+SMALL_CLI = (
+    ("decompose", "--vars", "X,Y", "--show-bases", "X^[3]+Y^[4]"),
+    ("hilbert", "--vars", "X,Y", "X^[3]+Y^[2]"),
+    ("annihilator", "--vars", "X,Y", "--verify", "y-x^2; x^5",
+     "X^[4]+X^[2]*Y+Y^[2]"),
+    ("exotic", "--vars", "X,Y", "X^[4]+X^[2]*Y"),
+    ("normalize", "--vars", "X,Y", "X^[4]+X^[2]*Y"),
+    ("modcheck", "--vars", "X,Y", "--a", "0", "X^[4]+Y^[2]",
+     "X^[4]+X^[2]*Y"),
+    ("rcm", "--vars", "X,Y,Z", "--char", "101", "--a", "1", "X^[4]"),
+    ("extend", "--vars", "X,Y", "--h", "X^[4]+Y^[4]", "--zvars", "Z",
+     "--components", "X^[3]*Y^[3]"),
+    ("consum-split", "--vars", "X,Y", "Y^[4]+Y^[2]*X"),
+    ("verify", CORPUS, "--jobs", "1"),
+    ("fuzz", "--suite", "unit", "--trials", "2"),
+)
+
+
+def cli_process(*argv):
+    """Run the CLI on `argv` (read from sys.argv) in a fresh interpreter:
+    its exit code, its stdout and the modules it loaded, taken before the
+    JSON that reports them is imported."""
+    code = ("import sys\nfrom macdual.cli import main\ncode = main()\n"
+            "loaded = sorted(sys.modules)\n"
+            "import json\nprint(json.dumps([code, loaded]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=60, check=True)
+    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    code, loaded = json.loads(last)
+    return code, out, loaded
+
+
+@pytest.mark.parametrize("argv", SMALL_CLI, ids=lambda argv: argv[0])
+def test_no_subcommand_loads_dataclasses(argv):
+    code, out, loaded = cli_process(*argv)
+    assert code == 0 and out
+    for name in ("dataclasses", "inspect"):
+        assert name not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "--vars", "X,Y", "X^[3]+Y^[2]"),
+    ("decompose", "--vars", "X,Y", "--show-bases", "X^[3]+Y^[4]"),
+])
+def test_json_is_loaded_only_for_json_output(argv):
+    code, out, loaded = cli_process(*argv)
+    assert code == 0 and "json" not in loaded
+    code, out, loaded = cli_process(*argv[:-1], "--format", "json",
+                                    argv[-1])
+    assert code == 0 and "json" in loaded
+    doc = json.loads(out)
+    assert doc["hilbert"] == ([1, 2, 1, 1] if argv[0] == "hilbert"
+                              else [1, 2, 2, 1, 1])
+
+
+# stdout, stderr and exit code of the help and usage paths, recorded with
+# COLUMNS=80 while `build_parser` still built every subcommand's parser
+HELP_CASES = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("case", HELP_CASES,
+                         ids=lambda case: " ".join(case["argv"]) or "none")
+def test_help_and_usage_bytes_unchanged(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (out.out, out.err, code) == \
+        (case["stdout"], case["stderr"], case["code"])
+
+
+def test_build_parser_without_a_command_configures_every_subcommand():
+    ap = cli.build_parser()
+    for argv in SMALL_CLI:
+        assert ap.parse_args(list(argv)).fn.__name__ == \
+            "cmd_" + argv[0].replace("-", "_")
+
+
 # the names a tracer wraps on `cli` (perfbench SmallCli.CLI_CALLS)
 CLI_CALLS = ("PartialFiltration", "annihilator", "verify_ideal_presentation",
              "ExtensionSpec", "allowed_component_indices",

@@ -9,6 +9,7 @@ from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.linalg import (Echelon, det, kernel, matrix_inverse, primitive,
                             rref_rows, same_span, solve_linear, vec_axpy)
+from macdual.poly import DPPoly, RingSpec, linear_substitute
 
 QQ = Field(0)
 FIELDS = (QQ, Field(101))
@@ -110,6 +111,21 @@ def test_matrix_inverse():
     assert Ainv == [[1, -1], [-1, 2]]
     with pytest.raises(DomainError):
         matrix_inverse([[1, 2], [2, 4]], QQ)
+
+
+@pytest.mark.parametrize("p", [101, 2**61 - 1], ids=["F101", "F2^61-1"])
+def test_matrix_inverse_canonicalises_entries_mod_p(p):
+    """Entries outside range(p) are read mod p: a multiple of p is zero, so
+    diag(p, 1) is singular and diag(p + 1, 1) is the identity."""
+    field = Field(p)
+    with pytest.raises(DomainError, match="singular matrix"):
+        matrix_inverse([[p, 0], [0, 1]], field)
+    assert matrix_inverse([[p + 1, 0], [0, 1]], field) == [[1, 0], [0, 1]]
+    assert matrix_inverse([[-1, 0], [0, 1]], field) == [[p - 1, 0], [0, 1]]
+    ring = RingSpec(("X", "Y"), field)
+    g = DPPoly(ring, {(2, 0): 1, (0, 1): 1})
+    with pytest.raises(DomainError, match="singular matrix"):
+        linear_substitute(g, [[p, 0], [0, 1]])
 
 
 def test_echelon_fraction_free_matches_normalized():
@@ -749,7 +765,6 @@ def test_echelon_rows_hold_ints_over_q_end_to_end(int_rows_only, capsys):
     from macdual.constructions import (ExtensionSpec, random_form,
                                        random_poly, restricted_components)
     from macdual.normalform import detect_exotic, normalize
-    from macdual.poly import RingSpec
 
     for argv, expected in test_golden.CASES:
         assert main(list(argv)) == 0
