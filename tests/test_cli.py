@@ -215,10 +215,12 @@ def test_fuzz_suite_choices_match_the_suites(capsys):
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def fresh(code: str) -> list:
-    """Run `code` in a fresh interpreter; the JSON its last line prints."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+def fresh(code: str, *argv) -> list:
+    """Run `code` in a fresh interpreter with `argv` as its arguments; the
+    JSON its last line prints."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
                           timeout=60, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -269,20 +271,17 @@ SMALL_CLI = (
 )
 
 
-def cli_process(*argv):
+def cli_process(*argv) -> list:
     """Run the CLI on `argv` (read from sys.argv) in a fresh interpreter:
     its exit code, its stdout and the modules it loaded, taken before the
     JSON that reports them is imported."""
-    code = ("import sys\nfrom macdual.cli import main\ncode = main()\n"
-            "loaded = sorted(sys.modules)\n"
-            "import json\nprint(json.dumps([code, loaded]))")
-    proc = subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          timeout=60, check=True)
-    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
-    code, loaded = json.loads(last)
-    return code, out, loaded
+    return fresh("import contextlib, io, sys\n"
+                 "from macdual.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                 "    code = main()\n"
+                 "loaded = sorted(sys.modules)\n"
+                 "import json\n"
+                 "print(json.dumps([code, out.getvalue(), loaded]))", *argv)
 
 
 @pytest.mark.parametrize("argv", SMALL_CLI, ids=lambda argv: argv[0])
@@ -326,11 +325,16 @@ def test_help_and_usage_bytes_unchanged(capsys, monkeypatch, case):
         (case["stdout"], case["stderr"], case["code"])
 
 
-def test_build_parser_without_a_command_configures_every_subcommand():
+def test_build_parser_configures_its_command_or_every_one(capsys):
     ap = cli.build_parser()
     for argv in SMALL_CLI:
         assert ap.parse_args(list(argv)).fn.__name__ == \
             "cmd_" + argv[0].replace("-", "_")
+    ap = cli.build_parser("hilbert")
+    assert ap.parse_args(list(SMALL_CLI[1])).fn is cli.cmd_hilbert
+    with pytest.raises(SystemExit):     # decompose has no arguments here
+        ap.parse_args(list(SMALL_CLI[0]))
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # the names a tracer wraps on `cli` (perfbench SmallCli.CLI_CALLS)
