@@ -306,11 +306,11 @@ _SUBCOMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str) -> argparse.ArgumentParser:
     """The macdual parser.  Every subcommand is registered with its help, so
     `--help`, usage lines and "invalid choice" errors list them all, but
-    only `command`'s arguments and handler are added (every subcommand's
-    when `command` is None): argparse reads no other subparser."""
+    only `command`'s arguments and handler are added: argparse reads no
+    other subparser."""
     ap = argparse.ArgumentParser(
         prog="macdual",
         description="Exact Macaulay-dual computations for local Artinian "
@@ -318,7 +318,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, text, fn, arguments in _SUBCOMMANDS:
         p = sub.add_parser(name, help=text)
-        if command is None or command == name:
+        if name == command:
             for flags, kwargs in arguments:
                 p.add_argument(*flags, **kwargs)
             p.set_defaults(fn=fn)
