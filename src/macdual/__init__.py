@@ -12,13 +12,11 @@ from importlib import import_module as _import_module
 
 _HOME = {}
 for _module, _names in (
-    ("fields", ("Field", "binomial_in_field")),
+    ("fields", ("Field",)),
     ("poly", ("DPPoly", "PSElement", "RingSpec", "contract", "dp_mul",
               "dp_power_of_linear", "linear_substitute", "pairing")),
-    ("apolarity", ("PartialFiltration", "annihilator",
-                   "associated_graded_dims", "hilbert_function",
-                   "loewy_hilbert", "verify_graded_presentation",
-                   "verify_ideal_presentation")),
+    ("apolarity", ("PartialFiltration", "annihilator", "hilbert_function",
+                   "verify_graded_presentation", "verify_ideal_presentation")),
     ("decomposition", ("SymDecomp", "component_dims", "component_dual_dims",
                        "component_generator_degrees", "compressed_hilbert",
                        "dual_component_basis", "filtration_ideal",

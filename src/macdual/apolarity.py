@@ -46,7 +46,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError
-from .linalg import Echelon, kernel, primitive, same_span
+from .linalg import Echelon, kernel, primitive
 from .poly import DPPoly, PSElement, RingSpec, contract, mdeg
 
 
@@ -111,7 +111,6 @@ class PartialFiltration:
         self.dindex = f.ring.dmon_index(self.j)
         self.dmons = list(self.dindex)
         self.col_deg = [mdeg(m) for m in self.dmons]
-        self._shift = f.ring.contraction_tables(self.j)
         ech = Echelon(f.ring.field)
         tag = {}
         # the images of degree j+1 are zero: level j+1 comes out empty
@@ -129,10 +128,6 @@ class PartialFiltration:
             self._levels.append(Level([ech.rows[k] for k in kept], degs,
                                       list(accumulate(count))))
         self._lt_cache: dict = {}
-
-    def _contract_vec(self, row: dict, i: int) -> dict:
-        tab = self._shift[i]
-        return {tab[c]: v for c, v in row.items() if c in tab}
 
     # -- dimension queries ------------------------------------------------------
 
@@ -203,10 +198,6 @@ def filtration(f: DPPoly | PartialFiltration) -> PartialFiltration:
 
 def hilbert_function(f: DPPoly) -> tuple:
     return PartialFiltration(f).hilbert()
-
-
-def loewy_hilbert(f: DPPoly, b: int) -> tuple:
-    return PartialFiltration(f).loewy_hilbert(b)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +384,6 @@ def verify_ideal_presentation(gens: list[PSElement],
                                  for v in _multiples(g, top)), target)
 
 
-def associated_graded_dims(f: DPPoly) -> tuple:
-    """dim I*_d, d = 0..j+1; complements the Hilbert function: r_d - h_d."""
-    return annihilator(f).graded_dims()
-
-
 def verify_graded_presentation(gens: list[PSElement],
                                f: DPPoly | PartialFiltration) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
@@ -416,7 +402,7 @@ def verify_graded_presentation(gens: list[PSElement],
     # are read in the same index, monomial_index(o)
     for g in gens:
         hidx = ring.monomial_index(g.order)
-        gv = {hidx[m]: c for m, c in g.coeffs.items()}
+        gv = g.vector(hidx)
         for row in P.lt_rows(0, g.order):
             if field.canon({0: sum(gv[k] * v for k, v in row.items()
                                    if k in gv)}):
@@ -429,14 +415,3 @@ def verify_graded_presentation(gens: list[PSElement],
     return all(_reaches(field, of_degree[d],
                         ring.dim_of_degree(d) - P.lt_count(0, d))
                for d in range(top + 1))
-
-
-def generates_in_degree(gens: list[PSElement], ring: RingSpec, d: int,
-                        rows: list[dict]) -> bool:
-    """True iff the degree-d multiples of the homogeneous gens span the
-    subspace of R_d (graded-lex coordinates) spanned by rows."""
-    hidx = ring.monomial_index(d)
-    products = ({hidx[k]: v for k, v in g.mul_monomial(m, d).coeffs.items()}
-                for g in gens if g.order <= d
-                for m in ring.monomials(d - g.order))
-    return same_span(ring.field, rows, products)

@@ -73,13 +73,9 @@ def _ring_from_args(args) -> RingSpec:
     return RingSpec(vars, Field(args.char))
 
 
-def _parse_in(src, ring):
-    return parse_poly(src, ring)
-
-
 def cmd_decompose(args):
     ring = _ring_from_args(args)
-    f = _parse_in(args.expr, ring)
+    f = parse_poly(args.expr, ring)
     D = symmetric_decomposition(f, with_bases=args.show_bases)
     print(render_decomposition(D, style=args.format,
                                suppress_zero=args.suppress_zero,
@@ -89,7 +85,7 @@ def cmd_decompose(args):
 
 def cmd_hilbert(args):
     ring = _ring_from_args(args)
-    H = PartialFiltration(_parse_in(args.expr, ring)).hilbert()
+    H = PartialFiltration(parse_poly(args.expr, ring)).hilbert()
     if args.format == "json":
         import json  # imported here: only JSON output needs it
         print(json.dumps({"hilbert": list(H)}))
@@ -100,7 +96,7 @@ def cmd_hilbert(args):
 
 def cmd_annihilator(args):
     ring = _ring_from_args(args)
-    f = _parse_in(args.expr, ring)
+    f = parse_poly(args.expr, ring)
     ideal = annihilator(f)
     if args.format == "json":
         import json  # imported here: only JSON output needs it
@@ -123,7 +119,7 @@ def cmd_annihilator(args):
 
 def cmd_exotic(args):
     ring = _ring_from_args(args)
-    rep = detect_exotic(_parse_in(args.expr, ring))
+    rep = detect_exotic(parse_poly(args.expr, ring))
     print("n:", ",".join(str(n) for n in rep.n_seq))
     print("adapted basis:", "; ".join(str(b) for b in rep.adapted_basis))
     if rep.exotic_terms:
@@ -136,7 +132,7 @@ def cmd_exotic(args):
 
 def cmd_normalize(args):
     ring = _ring_from_args(args)
-    g, change = normalize(_parse_in(args.expr, ring))
+    g, change = normalize(parse_poly(args.expr, ring))
     print("normal form:", g)
     for i, img in enumerate(change.inv_images):
         print("w_%d = %s" % (i + 1, img))
@@ -145,8 +141,8 @@ def cmd_normalize(args):
 
 def cmd_modcheck(args):
     ring = _ring_from_args(args)
-    f = _parse_in(args.expr1, ring)
-    g = _parse_in(args.expr2, ring)
+    f = parse_poly(args.expr1, ring)
+    g = parse_poly(args.expr2, ring)
     verdict = is_a_modification(f, g, args.a)
     print("%d-modification: %s" % (args.a, "yes" if verdict else "no"))
     return 0 if verdict else 1
@@ -154,7 +150,7 @@ def cmd_modcheck(args):
 
 def cmd_rcm(args):
     ring = _ring_from_args(args)
-    f = _parse_in(args.expr, ring)
+    f = parse_poly(args.expr, ring)
     print("seed: %d" % args.seed)
     F, D = relatively_compressed_modification(
         f, args.a, seed=args.seed, coeff_bound=args.coeff_bound,
@@ -166,7 +162,7 @@ def cmd_rcm(args):
 
 def cmd_extend(args):
     ring = _ring_from_args(args)
-    f = _parse_in(args.expr, ring)
+    f = parse_poly(args.expr, ring)
     hs = [parse_poly(s, ring) for s in args.h]
     znames = tuple(v.strip() for v in args.zvars.split(",") if v.strip())
     spec = ExtensionSpec(f, hs, znames)
@@ -188,7 +184,7 @@ def cmd_extend(args):
 
 def cmd_consum_split(args):
     ring = _ring_from_args(args)
-    res = split_connected_summand(_parse_in(args.expr, ring))
+    res = split_connected_summand(parse_poly(args.expr, ring))
     print("summand 1:", res.summand_main)
     print("summand 2:", res.summand_quadric)
     print("split generator:", res.generator)

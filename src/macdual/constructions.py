@@ -9,14 +9,14 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .apolarity import PartialFiltration
+from .apolarity import PartialFiltration, filtration
 from .decomposition import (component_dual_dims, max_continuation,
                             symmetric_decomposition)
 from .errors import DomainError, GenericityError, InternalCheckError
 from .fields import Field
 from .linalg import Echelon, kernel, same_span, solve_linear
 from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
-                   dp_mul, dp_power_of_linear, mdeg)
+                   dp_mul, dp_power_of_linear, mdeg, mon_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -37,30 +37,33 @@ def random_form(ring: RingSpec, degree: int, rng: random.Random,
     return DPPoly(ring, coeffs)
 
 
+def _random_terms(coeffs: dict, ring: RingSpec, top: int, rng: random.Random,
+                  terms: int, bound: int) -> dict:
+    """coeffs with random values drawn on `terms` distinct monomials of
+    degree 1..top; a zero draw leaves its monomial as it was."""
+    field = ring.field
+    mons = [m for d in range(1, top + 1) for m in ring.monomials(d)]
+    for m in rng.sample(mons, min(terms, len(mons))):
+        c = (rng.randrange(field.char) if field.char
+             else rng.randint(-bound, bound))
+        if not field.is_zero(c):
+            coeffs[m] = c
+    return coeffs
+
+
 def random_poly(ring: RingSpec, degree: int, rng: random.Random, terms: int = 5,
                 coeff_bound: int = 10) -> DPPoly:
     """Sparse polynomial of exact top degree with a few lower terms."""
-    field = ring.field
-    coeffs = {rng.choice(ring.monomials(degree)):
-              field.from_int(rng.randint(1, coeff_bound))}
-    mons = [m for d in range(1, degree + 1) for m in ring.monomials(d)]
-    for m in rng.sample(mons, min(terms, len(mons))):
-        c = (rng.randrange(field.char) if field.char
-             else rng.randint(-coeff_bound, coeff_bound))
-        if not field.is_zero(c):
-            coeffs[m] = c
-    return DPPoly(ring, coeffs)
+    lead = {rng.choice(ring.monomials(degree)):
+            ring.field.from_int(rng.randint(1, coeff_bound))}
+    return DPPoly(ring, _random_terms(lead, ring, degree, rng, terms,
+                                      coeff_bound))
 
 
 def random_unit(ring: RingSpec, rng: random.Random, trunc: int,
                 terms: int = 4, coeff_bound: int = 5) -> PSElement:
-    coeffs = {ring.r * (0,): ring.field.one}
-    mons = [m for d in range(1, trunc) for m in ring.monomials(d)]
-    for m in rng.sample(mons, min(terms, len(mons))):
-        c = (rng.randrange(ring.field.char) if ring.field.char
-             else rng.randint(-coeff_bound, coeff_bound))
-        if not ring.field.is_zero(c):
-            coeffs[m] = c
+    coeffs = _random_terms({ring.r * (0,): ring.field.one}, ring, trunc - 1,
+                           rng, terms, coeff_bound)
     return PSElement(ring, coeffs, trunc)
 
 
@@ -116,12 +119,9 @@ def lift_to_modification(h: PSElement, f: DPPoly, a: int) -> DPPoly:
         # solve in(h) o w = top over the monomials of D_{wd}
         mons = ring.monomials(wd)
         hidx = ring.monomial_index(d_top)
-        cols = []
-        for m in mons:
-            img = contract(ht, DPPoly(ring, {m: ring.field.one}))
-            cols.append({hidx[k]: v for k, v in img.coeffs.items()})
-        target = {hidx[k]: v for k, v in top.coeffs.items()}
-        sol = solve_linear(ring.field, cols, target)
+        cols = [contract(ht, DPPoly(ring, {m: ring.field.one})).vector(hidx)
+                for m in mons]
+        sol = solve_linear(ring.field, cols, top.vector(hidx))
         if sol is None:
             raise InternalCheckError("contraction by the initial form failed "
                                      "to be surjective")
@@ -198,16 +198,20 @@ class ExtensionSpec:
         return self.base.ring
 
 
+def _fresh_sum(f: DPPoly, hs: list, z_names: tuple) -> DPPoly:
+    """f + sum h_t Z_t over f's ring extended by the fresh variables
+    z_names, the h_t taken over f's ring."""
+    big = f.ring.extend(z_names)
+    F = f.embed(big)
+    for t, h in enumerate(hs):
+        z = tuple(int(i == t) for i in range(len(z_names)))
+        F = F + DPPoly(big, {m + z: c for m, c in h.coeffs.items()})
+    return F
+
+
 def linear_extension(spec: ExtensionSpec) -> DPPoly:
     """The generator F = f + sum h_t Z_t over the enlarged ring."""
-    ring = spec.ring
-    big = ring.extend(spec.z_names)
-    F = spec.base.embed(big)
-    pad = len(spec.z_names)
-    for t, h in enumerate(spec.summands):
-        zexp = tuple(1 if i == t else 0 for i in range(pad))
-        F = F + DPPoly(big, {m + zexp: c for m, c in h.coeffs.items()})
-    return F
+    return _fresh_sum(spec.base, spec.summands, spec.z_names)
 
 
 def allowed_component_indices(spec: ExtensionSpec) -> set:
@@ -232,9 +236,7 @@ def _graded_partial_spans(ring, polys, maxdeg):
             for b in ring.monomials(e):
                 img = contract_monomial(b, g)
                 if not img.is_zero:
-                    by_deg[dg - e].insert({hidx[m]: c
-                                           for m, c in img.coeffs.items()},
-                                          {(t, b): 1})
+                    by_deg[dg - e].insert(img.vector(hidx), {(t, b): 1})
     return by_deg
 
 
@@ -291,8 +293,7 @@ def restricted_components(spec: ExtensionSpec) -> dict:
         hidx = ring.monomial_index(g.degree - e)
 
         def fn(m):
-            img = contract_monomial(m, g)
-            vec = {hidx[k]: c for k, c in img.coeffs.items()}
+            vec = contract_monomial(m, g).vector(hidx)
             return (vec if span is None else span.project(vec)), len(hidx)
         return fn
 
@@ -411,9 +412,10 @@ def restricted_components(spec: ExtensionSpec) -> dict:
 # ---------------------------------------------------------------------------
 # the non-cyclic construction and the simple deformation
 
-def annihilator_order(f: DPPoly) -> int:
-    """The order of Ann f: least i with H_i < dim R_i."""
-    H = PartialFiltration(f).hilbert()
+def annihilator_order(f: DPPoly | PartialFiltration) -> int:
+    """The order of Ann f: least i with H_i < dim R_i.  f is the dual
+    generator or its PartialFiltration."""
+    H = filtration(f).hilbert()
     ring = f.ring
     for i, h in enumerate(H):
         if h < ring.dim_of_degree(i):
@@ -436,11 +438,11 @@ def noncyclic_extension(f: DPPoly, hs: list, z_names=None) -> DPPoly:
         if h.is_zero or (k is not None and h.degree != k):
             raise DomainError("summands must share one degree")
         k = h.degree if k is None else k
-    korder = annihilator_order(f)
+    P = PartialFiltration(f)
+    korder = annihilator_order(P)
     if korder != k or k < 2:
         raise DomainError("order-of-annihilator: ord Ann f = %d but "
                           "summands have degree %d" % (korder, k))
-    P = PartialFiltration(f)
     s = len(hs)
     if s > ring.dim_of_degree(k) - P.hilbert()[k]:
         raise DomainError("count: s exceeds r_k - H_f(k)")
@@ -451,19 +453,14 @@ def noncyclic_extension(f: DPPoly, hs: list, z_names=None) -> DPPoly:
     base_dim = span.dim
     for h in hs:
         lt = h.homogeneous_component(k)
-        if not span.insert({hidx[m]: c for m, c in lt.coeffs.items()}):
+        if not span.insert(lt.vector(hidx)):
             raise DomainError("disjointness: a leading form meets the "
                               "degree-%d partials of f" % k)
     if span.dim != base_dim + s:
         raise DomainError("disjointness: leading forms are dependent")
     if z_names is None:
         z_names = tuple("Z%d" % (i + 1) for i in range(s)) if s > 1 else ("Z",)
-    big = ring.extend(z_names)
-    F = f.embed(big)
-    for t, h in enumerate(hs):
-        zexp = tuple(1 if i == t else 0 for i in range(s))
-        F = F + DPPoly(big, {m + zexp: c for m, c in h.coeffs.items()})
-    return F
+    return _fresh_sum(f, hs, z_names)
 
 
 def simple_deformation(f: DPPoly, h: DPPoly, z_name: str = "Z"):
@@ -476,17 +473,17 @@ def simple_deformation(f: DPPoly, h: DPPoly, z_name: str = "Z"):
     if f.is_zero or not f.is_homogeneous():
         raise DomainError("base generator must be homogeneous")
     j = f.degree
-    k = annihilator_order(f)
+    P = PartialFiltration(f)
+    k = annihilator_order(P)
     if not 3 <= k <= j - 3:
         raise DomainError("order-of-annihilator: need 3 <= k <= j-3, got %d" % k)
     if h.is_zero or not h.is_homogeneous() or h.degree != k + 1:
         raise DomainError("deforming form must be homogeneous of degree k+1")
-    P = PartialFiltration(f)
     hidx = ring.monomial_index(k + 1)
     span = Echelon(ring.field)
     for row in P.lt_rows(j - k - 1, k + 1):
         span.insert(row)
-    if span.contains({hidx[m]: c for m, c in h.coeffs.items()}):
+    if span.contains(h.vector(hidx)):
         raise DomainError("deforming form is already a partial of f")
     # s = dim (R_1 o h + R_{j-k} o f) / (R_{j-k} o f)
     kidx = ring.monomial_index(k)
@@ -498,13 +495,10 @@ def simple_deformation(f: DPPoly, h: DPPoly, z_name: str = "Z"):
         img = contract_monomial(mon, h)
         if img.is_zero:
             continue
-        if base.insert({kidx[m]: c for m, c in img.coeffs.items()}):
+        if base.insert(img.vector(kidx)):
             s += 1
-    big = ring.extend((z_name,))
-    F = f.embed(big)
-    zexp = (1,)
-    F = F + DPPoly(big, {ring.r * (0,) + (j,): ring.field.one})
-    F = F + DPPoly(big, {m + zexp: c for m, c in h.coeffs.items()})
+    F = _fresh_sum(f, [h], (z_name,))
+    F = F + DPPoly(F.ring, {ring.r * (0,) + (j,): ring.field.one})
     return F, s, j - k - 2
 
 
@@ -519,11 +513,9 @@ def connected_sum(f1: DPPoly, f2: DPPoly):
         raise DomainError("connected sum needs a common coefficient field")
     if set(v.lower() for v in r1.vars) & set(v.lower() for v in r2.vars):
         raise DomainError("variable sets must be disjoint")
-    big = RingSpec(r1.vars + r2.vars, r1.field)
-    pad1 = (0,) * r2.r
-    pad2 = (0,) * r1.r
-    F = DPPoly(big, {m + pad1: c for m, c in f1.coeffs.items()})
-    F = F + DPPoly(big, {pad2 + m: c for m, c in f2.coeffs.items()})
+    big = r1.extend(r2.vars)
+    pad = (0,) * r1.r
+    F = f1.embed(big) + DPPoly(big, {pad + m: c for m, c in f2.coeffs.items()})
     return F, big
 
 
@@ -552,14 +544,6 @@ class AncestorData(NamedTuple):
     colon_dims: tuple   # dim (V : R_i) for i = 0..j
 
 
-def _span_rows(ring, polys, degree):
-    hidx = ring.monomial_index(degree)
-    ech = Echelon(ring.field)
-    for p in polys:
-        ech.insert({hidx[m]: c for m, c in p.coeffs.items()})
-    return ech
-
-
 def ancestor_data(V: list, j: int) -> AncestorData:
     """tau and the colon-space dimensions of a space of degree-j forms in two
     variables; tau counts the minimal generators of the ancestor ideal and is
@@ -574,21 +558,20 @@ def ancestor_data(V: list, j: int) -> AncestorData:
         if v.is_zero or not v.is_homogeneous() or v.degree != j:
             raise DomainError("forms must be nonzero homogeneous of degree %d" % j)
     field = ring.field
-    base = _span_rows(ring, V, j)
+    hidx = ring.monomial_index(j)
+    base = Echelon(field)
+    for v in V:
+        base.insert(v.vector(hidx))
     dim = base.dim
     # R_1 V
     up = Echelon(field)
     upidx = ring.monomial_index(j + 1)
     mons_j = ring.monomials(j)
+    units = ring.monomials(1)
     for row in base.rows:
-        p = {mons_j[c]: val for c, val in row.items()}
-        for i in range(2):
-            shifted = {}
-            for m, c in p.items():
-                m2 = list(m)
-                m2[i] += 1
-                shifted[upidx[tuple(m2)]] = c
-            up.insert(shifted)
+        for x in units:
+            up.insert({upidx[mon_mul(mons_j[c], x)]: val
+                       for c, val in row.items()})
     tau_up = up.dim - dim
     # V : R_1 inside R_{j-1}, then iterate for the full colon chain
     colon_dims = [dim]
@@ -603,10 +586,8 @@ def ancestor_data(V: list, j: int) -> AncestorData:
         def colon_image(m):
             """(x*m, y*m) modulo the current space, side by side."""
             img = {}
-            for i in range(2):
-                m2 = list(m)
-                m2[i] += 1
-                vec = tgt.project({idx_cur[tuple(m2)]: field.one})
+            for i, x in enumerate(units):
+                vec = tgt.project({idx_cur[mon_mul(m, x)]: field.one})
                 for kk, c in vec.items():
                     img[kk + i * len(idx_cur)] = c
             return img
@@ -634,26 +615,10 @@ NONUBIQUITY_H2 = (0, 0, 0, 0, 4, 7, 8, 7, 4, 0, 0, 0, 0)
 NONUBIQUITY_H = (1, 4, 7, 10, 13, 15, 15, 15, 13, 10, 11, 8, 5, 2, 1)
 
 
-def _two_var_section(ring: RingSpec):
-    return RingSpec(ring.vars[:2], ring.field)
-
-
-def _attach(base_poly: DPPoly, big: RingSpec, slot: int) -> DPPoly:
-    """base_poly * (fresh variable at position slot of big)."""
-    pad = big.r - base_poly.ring.r
-    out = {}
-    for m, c in base_poly.coeffs.items():
-        mm = list(m) + [0] * pad
-        mm[slot] += 1
-        out[tuple(mm)] = c
-    return DPPoly(big, out)
-
-
 def nonubiquity_instance() -> DPPoly:
     """The explicit socle-degree-14 generator whose first two components
     cannot be completed by any order-two tail without a positive H(2)_6."""
-    big = RingSpec(("X", "Y", "Z", "W"), Field(0))
-    base = _two_var_section(big)
+    base = RingSpec(("X", "Y"), Field(0))
 
     def lin(a, b):
         return DPPoly(base, {(1, 0): a, (0, 1): b})
@@ -663,7 +628,7 @@ def nonubiquity_instance() -> DPPoly:
                     dp_power_of_linear(lin(1, -1), 6))
     b_form = dp_mul(dp_power_of_linear(lin(1, 2), 6),
                     dp_power_of_linear(lin(1, -2), 6))
-    return f14.embed(big) + _attach(a_form, big, 2) + _attach(b_form, big, 3)
+    return _fresh_sum(f14, [a_form, b_form], ("Z", "W"))
 
 
 def nonubiquity_instance_check() -> dict:
@@ -689,12 +654,11 @@ def nonubiquity_fuzz_trial(rng: random.Random):
     """One random order-two tail G = g + Z a + W b over F_101 matched to the
     published first two components; conforming draws must have H(2)_6 >= 4
     (non-conforming draws are skipped)."""
-    big = RingSpec(("X", "Y", "Z", "W"), Field(101))
-    base = _two_var_section(big)
+    base = RingSpec(("X", "Y"), Field(101))
     g = random_form(base, 14, rng)
     a_form = random_form(base, 12, rng)
     b_form = random_form(base, 12, rng)
-    G = g.embed(big) + _attach(a_form, big, 2) + _attach(b_form, big, 3)
+    G = _fresh_sum(g, [a_form, b_form], ("Z", "W"))
     D = symmetric_decomposition(G)
     if D.components[0] != NONUBIQUITY_H0 or D.components[1] != NONUBIQUITY_H1:
         return None

@@ -25,9 +25,10 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .apolarity import PartialFiltration, filtration, generates_in_degree
+from .apolarity import PartialFiltration, filtration
 from .errors import DomainError, InternalCheckError
-from .linalg import Echelon, kernel, rref_rows, solve_linear, vec_axpy
+from .linalg import (Echelon, kernel, rref_rows, same_span, solve_linear,
+                     vec_axpy)
 from .poly import DPPoly, PSElement, RingSpec, contract_monomial, mdeg
 
 
@@ -131,6 +132,7 @@ def component_generator_degrees(mod: QDualModule) -> dict:
         raise DomainError("module was built without a filtration")
     j, a = P.j, mod.a
     field = P.ring.field
+    tables = P.ring.contraction_tables(j)
     gendeg: dict = {}
     for i, d in enumerate(mod.dims):
         if d == 0:
@@ -156,8 +158,8 @@ def component_generator_degrees(mod: QDualModule) -> dict:
         kdim = 0
         for lift in lifts:
             rowvec: dict = {}
-            for v in range(P.ring.r):
-                w = P._contract_vec(lift, v)
+            for v, tab in enumerate(tables):
+                w = {tab[c]: val for c, val in lift.items() if c in tab}
                 wlt = {hidx[P.dmons[c]]: val for c, val in w.items()
                        if P.col_deg[c] == i - 1}
                 if not wlt:
@@ -194,23 +196,26 @@ class SymDecomp:
         self.n_seq = n_seq              # n_a = sum_{u<=a} H(u)_1
         self.bases = bases              # a -> QDualModule when requested
 
-    def component(self, a: int) -> tuple:
-        return self.components[a]
-
     def nonzero_indices(self) -> set:
         return {a for a, row in enumerate(self.components) if any(row)}
 
 
-def _check_decomposition(j, H, comps):
+def component_sum(rows, j: int) -> list:
+    """The entrywise sum of component rows over degrees 0..j."""
     total = [0] * (j + 1)
+    for row in rows:
+        for i, v in enumerate(row):
+            total[i] += v
+    return total
+
+
+def _check_decomposition(j, H, comps):
     for a, row in enumerate(comps):
         if len(row) != j - a + 1:
             raise InternalCheckError("component H(%d) has wrong length" % a)
-        for i, v in enumerate(row):
-            if v < 0 or v != row[j - a - i]:
-                raise InternalCheckError("component H(%d) is not symmetric" % a)
-            total[i] += v
-    if tuple(total) != tuple(H):
+        if any(v < 0 or v != row[j - a - i] for i, v in enumerate(row)):
+            raise InternalCheckError("component H(%d) is not symmetric" % a)
+    if tuple(component_sum(comps, j)) != tuple(H):
         raise InternalCheckError("components do not sum to the Hilbert function")
     partial = [0] * (j + 1)
     for a, row in enumerate(comps):
@@ -319,10 +324,8 @@ def overweight_check(decomp: SymDecomp, a: int) -> str:
     j = decomp.socle_degree
     if a < 0 or a > max(j - 2, 0):
         raise DomainError("tail index out of range")
-    tail = list(decomp.hilbert)
-    for u in range(a + 1):
-        for i, v in enumerate(decomp.components[u]):
-            tail[i] -= v
+    tail = [h - v for h, v in
+            zip(decomp.hilbert, component_sum(decomp.components[:a + 1], j))]
     width = j - a  # tail lives in degrees 0..j-a-1
     if any(tail[width:]):
         raise InternalCheckError("tail extends past degree j-a-1")
@@ -380,11 +383,9 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
         dims.append(len(rows))
     data = GradedIdealData(ring, j, tuple(dims), spaces)
     # independent route: dim C(a)_i = r_i - sum_{u<a} H(u)_i
-    comps = [component_dual_dims(P, u) for u in range(a)]
+    below = component_sum((component_dual_dims(P, u) for u in range(a)), j + 1)
     for i in range(j + 2):
-        expect = ring.dim_of_degree(i) - sum(row[i] if i < len(row) else 0
-                                             for row in comps)
-        if dims[i] != expect:
+        if dims[i] != ring.dim_of_degree(i) - below[i]:
             raise InternalCheckError(
                 "filtration ideal dims disagree with the decomposition")
     return data
@@ -396,5 +397,12 @@ def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     for g in gens:
         if not g.is_homogeneous() or g.is_zero or g.order == 0:
             raise DomainError("graded generators must be nonzero, homogeneous, non-units")
-    return all(generates_in_degree(gens, data.ring, d, data.space_rows(d))
-               for d in range(data.socle_degree + 2))
+    ring = data.ring
+    for d in range(data.socle_degree + 2):
+        hidx = ring.monomial_index(d)
+        products = (g.mul_monomial(m, d).vector(hidx)
+                    for g in gens if g.order <= d
+                    for m in ring.monomials(d - g.order))
+        if not same_span(ring.field, data.space_rows(d), products):
+            return False
+    return True

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError, RingMismatchError
+from .errors import DomainError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -81,10 +81,6 @@ class Field:
 
     def __repr__(self):
         return "Field(%d)" % self.char
-
-    def check_same(self, other: "Field"):
-        if self != other:
-            raise RingMismatchError("mixed field specs: %r vs %r" % (self, other))
 
     # -- element constructors ------------------------------------------------
 
@@ -154,10 +150,6 @@ class Field:
         if k < 0 or k > n:
             raise DomainError("binomial requires 0 <= k <= n")
         return self.from_int(comb(n, k))
-
-
-def binomial_in_field(n: int, k: int, field: Field):
-    return field.binomial(n, k)
 
 
 QQ = Field(0)

@@ -21,15 +21,15 @@ from .constructions import (ExtensionSpec, allowed_component_indices,
                             restricted_components)
 from .decomposition import (component_dims, component_dual_dims,
                             component_generator_degrees,
-                            dual_component_basis, max_continuation,
-                            symmetric_decomposition)
+                            component_sum, dual_component_basis,
+                            max_continuation, symmetric_decomposition)
 from .errors import DomainError, GenericityError
 from .fields import Field
 from .linalg import matrix_inverse
 from .normalform import (CoordChange, detect_exotic, normalize,
                          split_connected_summand)
 from .poly import (DPPoly, PSElement, RingSpec, contract, linear_substitute,
-                   pairing, ps_compose, variable_series)
+                   mon_mul, pairing, ps_compose, variable_series)
 
 VAR_POOL = ("X", "Y", "Z", "W")
 
@@ -143,10 +143,7 @@ def _suite_partial(rng):
         if Df.components[u] != Dh.components[u]:
             return "truncation changed H(%d)" % u
     Hh = Dh.hilbert
-    total = [0] * (j + 1)
-    for u in range(a + 1):
-        for i, v in enumerate(Df.components[u]):
-            total[i] += v
+    total = component_sum(Df.components[:a + 1], j)
     if any(Hh[i] < total[i] for i in range(j + 1)):
         return "truncated Hilbert function dips below the partial sum"
     return True
@@ -169,7 +166,7 @@ def _suite_adjoint(rng):
     for _ in range(10):
         g = random_poly(ring, rng.randint(1, N - 1), rng, terms=3)
         phi = PSElement(ring, dict(g.coeffs), N)
-        lhs = pairing(sigma_apply_ps(sigma, phi), xf)
+        lhs = pairing(ps_compose(phi, sigma.images, sigma.trunc), xf)
         rhs = pairing(phi, f)
         if lhs != rhs:
             return "pairing identity failed"
@@ -179,18 +176,19 @@ def _suite_adjoint(rng):
     return True
 
 
-def sigma_apply_ps(sigma: CoordChange, phi: PSElement) -> PSElement:
-    return ps_compose(phi, sigma.images, sigma.trunc)
-
-
-def _suite_allowed(rng):
-    ring = _ring(rng, rmax=2)
-    j = rng.randint(4, 7)
+def _draw_extension(rng, ring, j) -> ExtensionSpec:
+    """f + h_1 Z1 (+ h_2 Z2): dense forms, f of degree j, each h_t of degree
+    in 1..j-2."""
     f = random_form(ring, j, rng, 5)
     s = rng.randint(1, 2)
     ks = sorted((rng.randint(1, j - 2) for _ in range(s)), reverse=True)
     hs = [random_form(ring, k, rng, 5) for k in ks]
-    spec = ExtensionSpec(f, hs, tuple("Z%d" % (i + 1) for i in range(s)))
+    return ExtensionSpec(f, hs, tuple("Z%d" % (i + 1) for i in range(s)))
+
+
+def _suite_allowed(rng):
+    ring = _ring(rng, rmax=2)
+    spec = _draw_extension(rng, ring, rng.randint(4, 7))
     F = linear_extension(spec)
     D = symmetric_decomposition(F)
     allowed = allowed_component_indices(spec)
@@ -239,10 +237,7 @@ def _suite_hfineq(rng):
     for a in range(max(j - 1, 1)):
         head = f.part_from(j - a)
         Hh = hilbert_function(head)
-        total = [0] * (j + 1)
-        for u in range(min(a + 1, len(D.components))):
-            for i, v in enumerate(D.components[u]):
-                total[i] += v
+        total = component_sum(D.components[:a + 1], j)
         for i in range(j + 1):
             if (Hh[i] if i < len(Hh) else 0) < total[i]:
                 return "termwise inequality failed at a=%d, i=%d" % (a, i)
@@ -259,10 +254,7 @@ def _suite_maxprop(rng):
     prefix = [component_dual_dims(P, u) for u in range(a)]
     bound = max_continuation(prefix, a, ring.r, j)
     D = symmetric_decomposition(P)
-    tail = list(D.hilbert)
-    for u, row in enumerate(prefix):
-        for i, v in enumerate(row):
-            tail[i] -= v
+    tail = [h - v for h, v in zip(D.hilbert, component_sum(prefix, j))]
     if any(t > b for t, b in zip(tail, list(bound) + [0] * len(tail))):
         return "difference exceeded the maximal continuation"
     F, DF = relatively_compressed_modification(f, a, seed=rng.randrange(2 ** 32))
@@ -349,17 +341,19 @@ def _suite_split(rng):
         return "summands share variables"
     if symmetric_decomposition(res.generator).components != D.components:
         return "splitting changed the decomposition"
-    I = annihilator(res.generator)
-    n = res.ring.r
-    for i in sorted(used1):
-        for k in sorted(used2):
-            mon = [0] * n
-            mon[i] += 1
-            mon[k] += 1
-            if not I.contains(PSElement(res.ring, {tuple(mon): field.one},
-                                        j + 1)):
-                return "a cross product fails to annihilate"
+    if not _cross_products_annihilate(res.generator, used1, used2):
+        return "a cross product fails to annihilate"
     return True
+
+
+def _cross_products_annihilate(F: DPPoly, left, right) -> bool:
+    """True iff x_i x_k lies in Ann F for every i in left and k in right."""
+    I = annihilator(F)
+    ring = F.ring
+    x = ring.monomials(1)
+    return all(I.contains(PSElement(ring, {mon_mul(x[i], x[k]): ring.field.one},
+                                    F.degree + 1))
+               for i in left for k in right)
 
 
 def _suite_consum(rng):
@@ -370,32 +364,20 @@ def _suite_consum(rng):
     ring2 = RingSpec(tuple(v + "2" for v in VAR_POOL[:r2]), field)
     f1 = random_poly(ring1, rng.randint(2, 5), rng, terms=3)
     f2 = random_poly(ring2, rng.randint(2, 5), rng, terms=3)
-    F, big = connected_sum(f1, f2)
+    F, _ = connected_sum(f1, f2)
     H = hilbert_function(F)
     want = connected_sum_hilbert(hilbert_function(f1), hilbert_function(f2))
     if H != want:
         return "connected-sum Hilbert function formula failed"
-    I = annihilator(F)
-    for i in range(r1):
-        for k in range(r1, r1 + r2):
-            mon = [0] * big.r
-            mon[i] += 1
-            mon[k] += 1
-            if not I.contains(PSElement(big, {tuple(mon): field.one},
-                                        F.degree + 1)):
-                return "cross product missing from the annihilator"
+    if not _cross_products_annihilate(F, range(r1), range(r1, r1 + r2)):
+        return "cross product missing from the annihilator"
     return True
 
 
 def _suite_restricted(rng):
     r = rng.randint(2, 3)
     ring = RingSpec(VAR_POOL[:r], Field(rng.choice((0, 101))))
-    j = rng.randint(4, 6 if r == 2 else 5)
-    f = random_form(ring, j, rng, 5)
-    s = rng.randint(1, 2)
-    ks = sorted((rng.randint(1, j - 2) for _ in range(s)), reverse=True)
-    hs = [random_form(ring, k, rng, 5) for k in ks]
-    spec = ExtensionSpec(f, hs, tuple("Z%d" % (i + 1) for i in range(s)))
+    spec = _draw_extension(rng, ring, rng.randint(4, 6 if r == 2 else 5))
     restricted_components(spec)  # raises InternalCheckError on mismatch
     return True
 
@@ -422,10 +404,6 @@ def _suite_modification(rng):
     return True
 
 
-def _suite_nonubiquity(rng):
-    return nonubiquity_fuzz_trial(rng)
-
-
 SUITES = {
     "symmetry": _suite_symmetry,
     "transpose": _suite_transpose,
@@ -442,7 +420,7 @@ SUITES = {
     "restricted": _suite_restricted,
     "modification": _suite_modification,
     "codim2-cyclic": _suite_codim2_cyclic,
-    "nonubiquity": _suite_nonubiquity,
+    "nonubiquity": nonubiquity_fuzz_trial,
 }
 
 

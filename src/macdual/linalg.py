@@ -342,7 +342,8 @@ def same_span(field: Field, a, b) -> bool:
 
 
 def rref_rows(field: Field, vectors) -> list[dict]:
-    """Canonical fully-reduced pivot-one sparse basis of the span.
+    """Canonical fully-reduced pivot-one sparse basis of the span.  Over F_p
+    the entries must already be residues in range(p).
 
     Over Q the echelon and the back-substitution run in integers: each row
     is made primitive before it clears its pivot from the rows above it,
@@ -383,7 +384,8 @@ def rref_rows(field: Field, vectors) -> list[dict]:
 
 def solve_linear(field: Field, columns: list[dict], target: dict):
     """Coefficients x with sum x_i * columns[i] == target, or None; a column
-    that depends on earlier ones gets coefficient zero."""
+    that depends on earlier ones gets coefficient zero.  Over F_p the
+    entries must already be residues in range(p)."""
     ech = Echelon(field)
     for i, col in enumerate(columns):
         ech.insert(col, {i: field.one})
@@ -399,11 +401,12 @@ def solve_linear(field: Field, columns: list[dict], target: dict):
 # dense matrices (row-major lists of lists)
 
 def det(matrix: list[list], field: Field):
-    """Exact determinant by ordinary elimination."""
+    """Exact determinant by ordinary elimination.  The entries are made
+    canonical first: over F_p a caller's 101 is zero."""
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise DomainError("determinant of a non-square matrix")
-    m = [list(r) for r in matrix]
+    m = [[field.from_int(x) for x in r] for r in matrix]
     out = field.one
     for c in range(n):
         sel = None

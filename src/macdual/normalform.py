@@ -23,7 +23,7 @@ from .decomposition import symmetric_decomposition
 from .errors import DomainError, InternalCheckError
 from .linalg import Echelon, matrix_inverse, rref_rows, vec_axpy
 from .poly import (DPPoly, PSElement, RingSpec, contract_monomial,
-                   linear_part_inverse, linear_substitute, pairing,
+                   linear_part_inverse, linear_substitute, mon_mul, pairing,
                    ps_compose_all, ps_compose_inverse, variable_series)
 
 
@@ -197,17 +197,14 @@ def _witnessed_square_space(P: PartialFiltration):
         row = ech.insert(contract_monomial(m, P.f).vector(P.dindex), wit)
         if row is not None:
             pending.append((row, wit))
+    shifts = list(zip(ring.contraction_tables(P.j), ring.monomials(1)))
     while pending:
         row, wit = pending.pop()
-        for i in range(ring.r):
-            v = P._contract_vec(row, i)
+        for tab, x in shifts:
+            v = {tab[c]: a for c, a in row.items() if c in tab}
             if not v:
                 continue
-            wit_up = {}
-            for m, c in wit.items():
-                m2 = list(m)
-                m2[i] += 1
-                wit_up[tuple(m2)] = c
+            wit_up = {mon_mul(m, x): c for m, c in wit.items()}
             got = ech.insert(v, wit_up)
             if got is not None:
                 pending.append((got, wit_up))
@@ -365,8 +362,7 @@ def detect_exotic(f: DPPoly | PartialFiltration) -> ExoticReport:
         if not bad.is_zero:
             exotic_adapted[d] = bad
             exotic.append((d, linear_substitute(bad, M)))
-    adapted = [DPPoly(ring, {mons1[k]: c for k, c in v.items()})
-               for v in basis_vecs]
+    adapted = [DPPoly.from_vector(ring, v, mons1) for v in basis_vecs]
     return ExoticReport(tuple(n_seq), adapted, levels, exotic, exotic_adapted)
 
 

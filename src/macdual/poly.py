@@ -634,11 +634,6 @@ def variable_series(ring: RingSpec, i: int, N: int) -> PSElement:
     return PSElement(ring, {ring.monomials(1)[i]: 1}, N)
 
 
-def linear_parts_matrix(images: list[PSElement]) -> list[list]:
-    units = images[0].ring.monomials(1)
-    return [[im.coeffs.get(u, 0) for im in images] for u in units]
-
-
 def linear_part_inverse(images: list[PSElement]) -> list[list]:
     """The inverse of the matrix of linear parts of a substitution; raises
     DomainError unless every image lies in m and the linear parts are
@@ -646,9 +641,10 @@ def linear_part_inverse(images: list[PSElement]) -> list[list]:
     for im in images:
         if im.order is None or im.order < 1:
             raise DomainError("substitution images must lie in the maximal ideal")
-    field = images[0].ring.field
+    ring = images[0].ring
+    linear = [[im.coeffs.get(u, 0) for im in images] for u in ring.monomials(1)]
     try:
-        return matrix_inverse(linear_parts_matrix(images), field)
+        return matrix_inverse(linear, ring.field)
     except DomainError:
         raise DomainError("dependent linear parts") from None
 

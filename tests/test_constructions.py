@@ -8,7 +8,8 @@ from macdual.constructions import (ExtensionSpec, allowed_component_indices,
                                    connected_sum, connected_sum_hilbert,
                                    is_a_modification, lift_to_modification,
                                    linear_extension, noncyclic_extension,
-                                   nonubiquity_instance_check,
+                                   nonubiquity_instance_check, random_form,
+                                   random_poly, random_unit,
                                    relatively_compressed_modification,
                                    restricted_components, simple_deformation)
 from macdual.decomposition import (component_dual_dims, max_continuation,
@@ -22,6 +23,47 @@ from macdual.poly import RingSpec, contract
 def mk(vars, src, char=0):
     R = RingSpec(tuple(vars.split(",")), Field(char))
     return R, parse_poly(src, R)
+
+
+# -- seeded draws ----------------------------------------------------------------
+
+# str() of the draws of random_form(ring, 3), random_poly(ring, 4),
+# random_unit(ring, 4), random_poly(line, 2) and random_unit(line, 2) from one
+# Random(seed), in that order, then the next randrange(10**6) of the stream.
+# Every seeded suite draws its instances through these, so a change to the
+# order or number of RNG calls shows here first.
+PINNED_DRAWS = {
+    (0, 1): (["-6*X^[3]+8*X^[2]*Y-8*X^[2]*Z-2*X*Y^[2]-7*X*Y*Z+5*X*Z^[2]"
+              "+4*Y^[3]+5*Y^[2]*Z+10*Y*Z^[2]+2*Z^[3]",
+              "-2*X^[2]*Z^[2]-3*X*Y*Z^[2]-10*Y^[2]*Z^[2]+9*Y^[2]+4*Y",
+              "1+3*x-5*x^2+5*x^2*y-5*z^3", "6*X^[2]-10*X", "1+2*x"], 984787),
+    (0, 2): (["-9*X^[3]-8*X^[2]*Y-8*X^[2]*Z+X*Y^[2]-5*X*Y*Z-X*Z^[2]"
+              "-2*Y^[3]+9*Y^[2]*Z-4*Y*Z^[2]+9*Z^[3]",
+              "10*X^[4]-9*X^[2]*Y*Z+6*X*Y^[3]+4*X*Y*Z^[2]-2*Y*Z^[3]+7*X^[2]*Y",
+              "1+x-3*x^2*y+x^2*z+3*x*z^2", "4*X^[2]-5*X", "1-3*x"], 534948),
+    (101, 1): (["18*X^[3]+73*X^[2]*Y+98*X^[2]*Z+9*X*Y^[2]+33*X*Y*Z+16*X*Z^[2]"
+                "+64*Y^[3]+98*Y^[2]*Z+58*Y*Z^[2]+61*Z^[3]",
+                "7*Y^[4]+97*Y^[2]*Z^[2]+55*X*Y*Z+77*Y^[2]+98*Y",
+                "1+3*x^2+2*y*z+3*z^2+40*x*z^2", "3*X^[2]+92*X", "1+97*x"],
+               459158),
+    (101, 2): (["8*X^[3]+12*X^[2]*Y+11*X^[2]*Z+47*X*Y^[2]+22*X*Y*Z+95*X*Z^[2]"
+                "+86*Y^[3]+40*Y^[2]*Z+33*Y*Z^[2]+78*Z^[3]",
+                "10*X^[2]*Y^[2]+64*X*Y^[3]+56*X*Y*Z^[2]+34*Y*Z^[3]+69*X^[2]*Y"
+                "+47*Z", "1+48*x+40*y+54*x^2*z+67*x*z^2", "3*X^[2]+29*X",
+                "1+41*x"], 182021),
+}
+
+
+@pytest.mark.parametrize("char,seed", sorted(PINNED_DRAWS))
+def test_random_draws_are_pinned(char, seed):
+    ring = RingSpec(("X", "Y", "Z"), Field(char))
+    line = RingSpec(("X",), Field(char))
+    rng = random.Random(seed)
+    draws = [random_form(ring, 3, rng), random_poly(ring, 4, rng),
+             random_unit(ring, rng, 4), random_poly(line, 2, rng),
+             random_unit(line, rng, 2)]
+    assert ([str(d) for d in draws], rng.randrange(10**6)) \
+        == PINNED_DRAWS[char, seed]
 
 
 # -- a-modifications ---------------------------------------------------------

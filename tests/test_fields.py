@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from macdual.errors import DomainError
-from macdual.fields import Field, binomial_in_field, is_prime
+from macdual.fields import Field, is_prime
 
 
 def test_rational_examples():
@@ -83,17 +83,17 @@ def test_field_axioms_random(char):
 
 
 def test_binomial_examples():
-    assert binomial_in_field(4, 2, Field(0)) == 6
-    assert binomial_in_field(4, 2, Field(3)) == 0
+    assert Field(0).binomial(4, 2) == 6
+    assert Field(3).binomial(4, 2) == 0
     for n in range(8):
-        assert binomial_in_field(n, 0, Field(7)) == 1
+        assert Field(7).binomial(n, 0) == 1
 
 
 def test_binomial_factorial_identity_char0():
     F = Field(0)
     for n in range(10):
         for k in range(n + 1):
-            lhs = F.mul(F.mul(binomial_in_field(n, k, F),
+            lhs = F.mul(F.mul(F.binomial(n, k),
                               F.from_int(factorial(k))),
                         F.from_int(factorial(n - k)))
             assert lhs == F.from_int(factorial(n))

@@ -105,6 +105,16 @@ def test_det_multiplicative_random():
         assert det(AB, QQ) == QQ.mul(det(A, QQ), det(B, QQ))
 
 
+@pytest.mark.parametrize("p", [101, 2**61 - 1], ids=["F101", "F2^61-1"])
+def test_det_canonicalises_entries_mod_p(p):
+    """Entries outside range(p) are read mod p, as matrix_inverse reads
+    them: diag(p, 1) has determinant zero, and a leading p + 1 is one."""
+    field = Field(p)
+    assert det([[p, 0], [0, 1]], field) == 0
+    assert det([[p + 1, 1], [0, 1]], field) == 1
+    assert det([[-1, 0], [0, 1]], field) == p - 1
+
+
 def test_matrix_inverse():
     A = [[2, 1], [1, 1]]
     Ainv = matrix_inverse(A, QQ)

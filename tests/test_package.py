@@ -1,7 +1,9 @@
 """The package surface: every name in `macdual.__all__` resolves lazily to
 the object its home module defines."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +44,66 @@ def test_submodule_import_still_works():
     from macdual import apolarity
     assert apolarity is importlib.import_module("macdual.apolarity")
     assert apolarity.annihilator is macdual.annihilator
+
+
+# -- no orphans: a stdlib stand-in for an unused-name linter -------------------
+
+SRC = Path(macdual.__file__).parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _reads(tree) -> set:
+    """Every name the module reads, as a plain name or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _bound_names(target) -> list:
+    return [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for name, tree in _trees().items():
+        reads = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in reads:
+                        unread.append("%s: %s" % (name, bound))
+    assert not unread, unread
+
+
+def test_every_private_module_name_is_read():
+    trees = _trees()
+    reads = set().union(*map(_reads, trees.values()))
+    unread = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(stmt, "targets", None) or [stmt.target]
+                bound = [n for t in targets for n in _bound_names(t)]
+            elif isinstance(stmt, ast.For):
+                bound = _bound_names(stmt.target)
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name for alias in stmt.names]
+            else:
+                continue
+            unread += ["%s: %s" % (name, b) for b in bound
+                       if b.startswith("_") and not b.startswith("__")
+                       and b not in reads]
+    assert not unread, unread
