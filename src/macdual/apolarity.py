@@ -23,10 +23,11 @@ order: each kernel vector is e_beta minus a combination of later independent
 images, already pivot one and free of every other pivot.  For a sparse f
 most of Ann f is monomial (x^beta o f = 0 whenever x^beta divides no term
 of f), and every shift of a monomial row is a unit vector.  The spans that
-are only read for a rank or membership (m*I, the presentation products,
-LocalIdeal.contains) therefore take unit vectors as coordinates U and
-project every other vector off U into one echelon (_Span): the span is
-the direct sum <e_U> + span(echelon), so every answer is exact.
+are only read for a rank (m*I, the presentation products) therefore take
+unit vectors as coordinates U and project every other vector off U into
+one echelon (_Span): the span is the direct sum <e_U> + span(echelon), so
+every answer is exact.  Membership in Ann f needs no span at all:
+LocalIdeal.contains tests phi o f = 0.
 
 A listed presentation is checked against f itself; no Ann f is computed.
 Containment comes first: a generator g lies in Ann f iff g o f = 0, and a
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .linalg import Echelon, kernel, primitive
-from .poly import DPPoly, PSElement, RingSpec, contract, mdeg
+from .poly import DPPoly, PSElement, contract, mdeg
 
 
 def _shifted(steps, n: int, start: dict, tables: list) -> list:
@@ -204,13 +205,12 @@ def hilbert_function(f: DPPoly) -> tuple:
 # the annihilator ideal
 
 class _Span:
-    """A growing span read only for its dimension and membership.  Each
-    vector is projected off a set U of coordinates.  While the echelon
-    holds no row, a projection with one entry joins U; every other
-    projection goes to one Echelon.  The echelon never holds a row with an
-    entry in U, so the span is the direct sum <e_U> + span(echelon), and
-    membership is membership of the projection.  While U is empty, vectors
-    reach the echelon untouched.  Vectors hold no zero entries."""
+    """A growing span read only for its dimension.  Each vector is
+    projected off a set U of coordinates.  While the echelon holds no row,
+    a projection with one entry joins U; every other projection goes to
+    one Echelon.  The echelon never holds a row with an entry in U, so the
+    span is the direct sum <e_U> + span(echelon).  While U is empty,
+    vectors reach the echelon untouched.  Vectors hold no zero entries."""
 
     __slots__ = ("units", "ech")
 
@@ -232,32 +232,25 @@ class _Span:
             return True
         return bool(v) and self.ech.insert(v) is not None
 
-    def contains(self, v: dict) -> bool:
-        units = self.units
-        return not self.ech.reduce({k: a for k, a in v.items()
-                                    if k not in units})
-
 
 class LocalIdeal:
     """I = Ann f modulo m^N with N = j+2: a canonical subspace of R_{<N},
     minimal generators adapted to the order filtration, and the graded
-    dimension data of the associated graded ideal I*."""
+    dimension data of the associated graded ideal I*.  f is the dual
+    generator with its constant dropped."""
 
-    __slots__ = ("ring", "trunc", "rindex", "rmons", "rows", "pivots",
-                 "min_gens", "orders", "socle_degree", "_span")
+    __slots__ = ("f", "ring", "rmons", "rows", "pivots", "min_gens",
+                 "orders", "socle_degree")
 
-    def __init__(self, ring: RingSpec, trunc, rindex, rmons, rows, min_gens,
-                 orders, socle_degree):
-        self.ring = ring
-        self.trunc = trunc
-        self.rindex = rindex
+    def __init__(self, f: DPPoly, rmons, rows, min_gens, orders):
+        self.f = f
+        self.ring = f.ring
         self.rmons = rmons
         self.rows = rows
         self.pivots = [min(r) for r in rows]
         self.min_gens = min_gens
         self.orders = orders
-        self.socle_degree = socle_degree
-        self._span = None
+        self.socle_degree = f.degree
 
     @property
     def dim(self) -> int:
@@ -271,24 +264,10 @@ class LocalIdeal:
         return tuple(counts)
 
     def contains(self, phi: PSElement) -> bool:
-        if self._span is None:  # built on the first query, then kept
-            self._span = _Span(self.ring.field)
-            for row in _units_first(self.ring.field, self.rows):
-                self._span.add(row)
-        # terms of degree >= trunc lie in m^{j+2}, inside Ann f
-        rindex, N = self.rindex, self.trunc
-        return self._span.contains({rindex[m]: c for m, c in
-                                    phi.coeffs.items() if mdeg(m) < N})
-
-
-def _units_first(field, rows):
-    """The rows in the order a _Span of them, or of their shifts, takes
-    them: monomial rows first, whose shifts are unit vectors, then the
-    others last row first (sparse high-order rows, less fill-in), over Q
-    each scaled once to a primitive integer row on the same line."""
-    q = not field.char
-    for row in sorted(reversed(rows), key=lambda row: len(row) > 1):
-        yield primitive(row) if q and len(row) > 1 else row
+        """phi in Ann f, that is phi o f = 0.  As m^{j+1} lies in Ann f,
+        that is membership in I + m^{j+2}: terms of degree > j contract f
+        to zero, and a constant term leaves a nonzero degree-j part."""
+        return contract(phi, self.f).is_zero
 
 
 def annihilator(f: DPPoly) -> LocalIdeal:
@@ -299,9 +278,7 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     ring = f.ring
     field = ring.field
     j = f.degree
-    N = j + 2
-    rindex = ring.rmon_index(j + 1)
-    rmons = list(rindex)
+    rmons = list(ring.rmon_index(j + 1))
     # Fed last monomial first, each kernel vector is e_beta minus later
     # independent images: pivot one, no other pivot in its support.  Read
     # backwards, the kernel is the reduced echelon basis of I.
@@ -313,14 +290,19 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     # only, each relabelled by its row number.  Only the span of m*I is
     # read.  Every shift of a monomial row is a unit vector, a coordinate of
     # the _Span, all taken in one update while its echelon is empty; the
-    # shifts of the other rows are projected off those.
+    # shifts of the other rows are projected off those, last row first
+    # (sparse high-order rows, less fill-in), over Q each row scaled once
+    # to a primitive integer row.
     row_of = {min(row): k for k, row in enumerate(rows)}
     var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
                  for tab in ring.multiplication_tables(j + 1)]
     mi = _Span(field)
     mi.units.update(tab[c] for row in rows if len(row) == 1 for c in row
                     for tab in var_shift if c in tab)
-    for row in _units_first(field, [row for row in rows if len(row) > 1]):
+    for row in reversed(rows):
+        if len(row) == 1:
+            continue
+        row = row if field.char else primitive(row)
         for tab in var_shift:
             w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:
@@ -330,9 +312,9 @@ def annihilator(f: DPPoly) -> LocalIdeal:
     min_gens, orders = [], []
     for k, row in enumerate(rows):
         if mi.add({k: field.one}):
-            min_gens.append(PSElement.from_vector(ring, row, rmons, N - 1))
+            min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
             orders.append(mdeg(rmons[min(row)]))
-    return LocalIdeal(ring, N, rindex, rmons, rows, min_gens, orders, j)
+    return LocalIdeal(f, rmons, rows, min_gens, orders)
 
 
 def _multiples(g: PSElement, top: int):

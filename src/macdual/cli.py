@@ -16,6 +16,7 @@ import os
 import sys
 from importlib import import_module
 
+from . import _HOME
 from .errors import DomainError, GenericityError, ParseError, SchemaError
 from .fields import Field
 from .io import corpus_load, corpus_verify, parse_poly, parse_ps, \
@@ -23,23 +24,10 @@ from .io import corpus_load, corpus_verify, parse_poly, parse_ps, \
 from .poly import RingSpec
 
 # The engine is imported on first use, so that each subcommand's process
-# loads only the modules it runs.  These names stay attributes of this
-# module, looked up in its globals when a subcommand runs, so a caller can
-# replace one (a tracer's wrapper, a test's stub) before `main` runs.
-_LAZY = {}
-for _module, _names in (
-    ("apolarity", ("PartialFiltration", "annihilator",
-                   "verify_ideal_presentation")),
-    ("constructions", ("ExtensionSpec", "allowed_component_indices",
-                       "is_a_modification", "linear_extension",
-                       "relatively_compressed_modification",
-                       "restricted_components")),
-    ("decomposition", ("symmetric_decomposition",)),
-    ("fuzz", ("run_suite",)),
-    ("normalform", ("detect_exotic", "normalize", "split_connected_summand")),
-):
-    _LAZY.update(dict.fromkeys(_names, _module))
-del _module, _names
+# loads only the modules it runs; `macdual._HOME` names the module of each
+# engine name.  These names stay attributes of this module, looked up in
+# its globals when a subcommand runs, so a caller can replace one (a
+# tracer's wrapper, a test's stub) before `main` runs.
 
 # `fuzz --suite` choices, kept here so that building the parser does not
 # import `fuzz`; a test holds this equal to sorted(fuzz.SUITES).
@@ -51,7 +39,7 @@ FUZZ_SUITES = ("adjoint", "allowed-set", "codim2-cyclic", "consum", "hfineq",
 
 def __getattr__(name):
     try:
-        module = _LAZY[name]
+        module = _HOME[name]
     except KeyError:
         raise AttributeError("module %r has no attribute %r"
                              % (__name__, name)) from None
@@ -64,7 +52,7 @@ def _bind_globals(fn) -> None:
     """Bind the lazy names `fn` reads as globals before it runs (a plain
     global lookup does not reach the module `__getattr__`)."""
     for name in fn.__code__.co_names:
-        if name in _LAZY:
+        if name in _HOME and name not in globals():
             __getattr__(name)
 
 
@@ -192,6 +180,7 @@ def cmd_consum_split(args):
 
 
 def cmd_fuzz(args):
+    from .fuzz import run_suite
     rep = run_suite(args.suite, args.trials, args.seed)
     print(rep.line())
     for f in rep.failures + rep.errors:

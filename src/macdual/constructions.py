@@ -141,8 +141,6 @@ def relatively_compressed_modification(f: DPPoly, a: int, seed: int = 0,
     j = f.degree
     if a < 1 or a > j - 1:
         raise DomainError("modification index a must be in 1..j-1")
-    if ring.field.char and ring.field.char <= 2 * coeff_bound:
-        coeff_bound = ring.field.char - 1
     prefix = [component_dual_dims(PartialFiltration(f), u) for u in range(a)]
     target = max_continuation(prefix, a, ring.r, j)
     rng = random.Random(seed)
@@ -268,7 +266,6 @@ def restricted_components(spec: ExtensionSpec) -> dict:
     "components": SymDecomp of F}.
     """
     ring = spec.ring
-    field = ring.field
     f = spec.base
     hs = list(spec.summands)
     s = len(hs)
@@ -319,12 +316,9 @@ def restricted_components(spec: ExtensionSpec) -> dict:
         """(theta - sum z_i eta_i) o F = sum_{l >= from_t} (theta o h_l) Z_l."""
         phi = PSElement(ring, theta_coeffs, j + 1)
         total: dict = {}
-        for l in range(from_t, s):
-            img = contract(phi, hs[l])
-            if not img.is_zero:
-                for k, c in embed_vec(img, zslot=l).items():
-                    total[k] = field.add(total.get(k, 0), c)
-        return {k: c for k, c in total.items() if not field.is_zero(c)}
+        for l in range(from_t, s):  # disjoint: each l has its own Z_l
+            total.update(embed_vec(contract(phi, hs[l]), zslot=l))
+        return total
 
     anns_with_f = [ann_prefix(t) for t in range(s)]
     c_cache: dict = {}
@@ -354,11 +348,8 @@ def restricted_components(spec: ExtensionSpec) -> dict:
             continue
         for d in range(j - u + 1):
             sord = j - u - d
-            ech = Echelon(field)
-            for row in PF.rows_upto(sord, d - 1):
-                ech.insert(dict(row))
-            for row in PF.rows_upto(sord + 1, d):
-                ech.insert(dict(row))
+            ech = Echelon(ring.field, PF.rows_upto(sord, d - 1)
+                          + PF.rows_upto(sord + 1, d))
             counted = 0
             for t in relevant_single:
                 kt = spec.degrees[t - 1]
@@ -447,9 +438,7 @@ def noncyclic_extension(f: DPPoly, hs: list, z_names=None) -> DPPoly:
     if s > ring.dim_of_degree(k) - P.hilbert()[k]:
         raise DomainError("count: s exceeds r_k - H_f(k)")
     hidx = ring.monomial_index(k)
-    span = Echelon(ring.field)
-    for row in P.lt_rows(0, k):
-        span.insert(row)
+    span = Echelon(ring.field, P.lt_rows(0, k))
     base_dim = span.dim
     for h in hs:
         lt = h.homogeneous_component(k)
@@ -479,17 +468,12 @@ def simple_deformation(f: DPPoly, h: DPPoly, z_name: str = "Z"):
         raise DomainError("order-of-annihilator: need 3 <= k <= j-3, got %d" % k)
     if h.is_zero or not h.is_homogeneous() or h.degree != k + 1:
         raise DomainError("deforming form must be homogeneous of degree k+1")
-    hidx = ring.monomial_index(k + 1)
-    span = Echelon(ring.field)
-    for row in P.lt_rows(j - k - 1, k + 1):
-        span.insert(row)
-    if span.contains(h.vector(hidx)):
+    span = Echelon(ring.field, P.lt_rows(j - k - 1, k + 1))
+    if span.contains(h.vector(ring.monomial_index(k + 1))):
         raise DomainError("deforming form is already a partial of f")
     # s = dim (R_1 o h + R_{j-k} o f) / (R_{j-k} o f)
     kidx = ring.monomial_index(k)
-    base = Echelon(ring.field)
-    for row in P.lt_rows(j - k, k):
-        base.insert(row)
+    base = Echelon(ring.field, P.lt_rows(j - k, k))
     s = 0
     for mon in ring.monomials(1):
         img = contract_monomial(mon, h)
@@ -559,9 +543,7 @@ def ancestor_data(V: list, j: int) -> AncestorData:
             raise DomainError("forms must be nonzero homogeneous of degree %d" % j)
     field = ring.field
     hidx = ring.monomial_index(j)
-    base = Echelon(field)
-    for v in V:
-        base.insert(v.vector(hidx))
+    base = Echelon(field, (v.vector(hidx) for v in V))
     dim = base.dim
     # R_1 V
     up = Echelon(field)

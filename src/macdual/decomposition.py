@@ -57,11 +57,8 @@ def component_dims(P, a: int) -> tuple:
     out = []
     for i in range(j - a + 1):
         num = P.dim_partials(i, j - a - i)
-        den = Echelon(P.ring.field)
-        for row in P.rows_upto(i, j - a - 1 - i):
-            den.insert(row)
-        for row in P.rows_upto(i + 1, j - a - i):
-            den.insert(row)
+        den = Echelon(P.ring.field, P.rows_upto(i, j - a - 1 - i)
+                      + P.rows_upto(i + 1, j - a - i))
         out.append(num - den.dim)
     return tuple(out)
 

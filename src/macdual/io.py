@@ -283,7 +283,12 @@ def _parse_indexed_lists(text, where):
         if ":" not in part:
             raise SchemaError("%s: expected 'index:list' items" % where)
         idx, lst = part.split(":", 1)
-        out[int(idx.strip())] = _parse_int_list(lst, where)
+        try:
+            idx = int(idx)
+        except ValueError:
+            raise SchemaError("%s: expected an integer index, got %r"
+                              % (where, idx.strip())) from None
+        out[idx] = _parse_int_list(lst, where)
     return out
 
 

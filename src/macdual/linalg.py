@@ -11,7 +11,9 @@ reduction is fraction-free (each step is v <- a*v - b*row with integers
 a > 0 and b); a row is a positive multiple of the pivot-one row, so a
 caller that needs a normalized value divides once where it leaves the
 echelon, as :func:`kernel`, :func:`rref_rows`, :func:`solve_linear` and
-:meth:`Echelon.project` do.
+:meth:`Echelon.project` do.  ``Echelon(field, vectors)`` is seeded with
+the span of vectors, inserted in order without witnesses; ``insert``
+neither stores nor changes the dict it is given.
 
 ``reduce`` walks the pivot hits of the working vector in increasing order
 from a min-heap: built once from the input's pivot columns, it gains only
@@ -138,12 +140,14 @@ class Echelon:
 
     __slots__ = ("field", "rows", "wits", "pivots", "_by_pivot")
 
-    def __init__(self, field: Field):
+    def __init__(self, field: Field, vectors=()):
         self.field = field
         self.rows: list[dict] = []
         self.wits: list = []
         self.pivots: list[int] = []
         self._by_pivot: dict = {}       # pivot -> (row, witness)
+        for v in vectors:
+            self.insert(v)
 
     @property
     def dim(self) -> int:
@@ -333,11 +337,7 @@ def kernel(field: Field, images) -> list[dict]:
 
 def same_span(field: Field, a, b) -> bool:
     """True iff the two families of vectors span the same subspace."""
-    ea, eb = Echelon(field), Echelon(field)
-    for v in a:
-        ea.insert(v)
-    for v in b:
-        eb.insert(v)
+    ea, eb = Echelon(field, a), Echelon(field, b)
     return ea.dim == eb.dim and all(eb.contains(row) for row in ea.rows)
 
 
@@ -349,9 +349,7 @@ def rref_rows(field: Field, vectors) -> list[dict]:
     is made primitive before it clears its pivot from the rows above it,
     and is divided by its pivot once at the end (an int where that divides
     exactly, else a Fraction)."""
-    ech = Echelon(field)
-    for v in vectors:
-        ech.insert(v)
+    ech = Echelon(field, vectors)
     rows = ech.rows  # the echelon is not used again
     p = field.char
     # back-substitute so every pivot column is cleared everywhere else

@@ -487,10 +487,8 @@ def contract_monomial(beta: MON, g: DPPoly) -> DPPoly:
     return DPPoly(g.ring, out)
 
 
-def contract(phi, g: DPPoly) -> DPPoly:
-    """phi o g for phi in R (PSElement or bare exponent tuple)."""
-    if isinstance(phi, tuple):
-        return contract_monomial(phi, g)
+def contract(phi: PSElement, g: DPPoly) -> DPPoly:
+    """phi o g for phi in R."""
     phi.ring.check_same(g.ring)
     out: dict = {}
     get = out.get
@@ -502,10 +500,8 @@ def contract(phi, g: DPPoly) -> DPPoly:
     return DPPoly(g.ring, out)
 
 
-def pairing(phi, g: DPPoly):
+def pairing(phi: PSElement, g: DPPoly):
     """<phi, g> = (phi o g)(0) = sum_m phi_m g_m, the apolarity pairing."""
-    if isinstance(phi, tuple):
-        return g.coeffs.get(phi, 0)
     phi.ring.check_same(g.ring)
     a, b = phi.coeffs, g.coeffs
     if len(a) > len(b):

@@ -145,6 +145,17 @@ def test_verify_corpus_file(capsys, tmp_path):
     assert "ok-one" in out and "MISMATCH" in out and "1 mismatches" in out
 
 
+def test_verify_malformed_corpus_index_exits_2(capsys, tmp_path):
+    path = tmp_path / "index.corpus"
+    path.write_text("entry bad\nvars X,Y\nchar 0\ngenerator X^[3]\n"
+                    "hilbert 1,1,1,1\ndecomposition x:1,2,1\nend\n")
+    code = main(["verify", str(path)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == ("error: entry 'bad': decomposition: expected an "
+                       "integer index, got 'x'\n")
+
+
 def test_verify_jobs_same_content(capsys, tmp_path):
     path = tmp_path / "mini.corpus"
     path.write_text(

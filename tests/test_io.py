@@ -125,6 +125,19 @@ def test_corpus_schema(tmp_path):
         corpus_load(unterminated)
 
 
+@pytest.mark.parametrize("key", ["decomposition", "q_dual_bases_dims"])
+def test_corpus_index_must_be_an_integer(tmp_path, key):
+    path = tmp_path / "index.corpus"
+    for value, message in (("x:1,2,1", "expected an integer index, got 'x'"),
+                           ("0:1,a,1", "expected a comma-separated integer")):
+        path.write_text("entry bad\nvars X,Y\nchar 0\ngenerator X^[3]\n"
+                        "hilbert 1,1,1,1\n%s %s\nend\n" % (key, value))
+        with pytest.raises(SchemaError) as exc:
+            corpus_load(path)
+        assert str(exc.value).startswith("entry 'bad': %s: %s"
+                                          % (key, message))
+
+
 def test_corpus_negative_control(tmp_path):
     path = tmp_path / "wrong.corpus"
     path.write_text(

@@ -570,6 +570,38 @@ def test_echelon_matches_reference(field, normalized):
 
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(101)],
                          ids=["Q", "F2", "F101"])
+def test_seeded_echelon_matches_inserting_one_by_one(field):
+    """Echelon(field, vectors), from a list or a generator, holds the rows
+    and pivots that inserting the vectors one by one gives, and no
+    witnesses.  insert neither changes nor stores the dict it is given,
+    so callers pass rows they keep (a filtration's) without copying."""
+    rng = random.Random(field.char + 29)
+    for empty in ([], iter(())):
+        ech = Echelon(field, empty)
+        assert (ech.rows, ech.pivots, ech.wits) == ([], [], [])
+    for _ in range(60):
+        ncols = rng.randint(1, 10)
+        vecs = [_rand_sparse(rng, field, ncols, rng.choice([.2, .5, .9]))
+                for _ in range(rng.randint(1, 12))]
+        for _ in range(len(vecs) // 2):     # dependent inputs
+            a, b = rng.choice(vecs), rng.choice(vecs)
+            vecs.append(vec_axpy(field, dict(a), _rand_scalar(rng, field), b))
+        rng.shuffle(vecs)
+        before = list(map(_typed, vecs))
+        one_by_one = Echelon(field)
+        for v in vecs:
+            one_by_one.insert(v)
+        for seeded in (Echelon(field, vecs), Echelon(field, iter(vecs))):
+            assert list(map(_typed, seeded.rows)) == \
+                list(map(_typed, one_by_one.rows))
+            assert seeded.pivots == one_by_one.pivots
+            assert seeded.wits == [None] * seeded.dim
+            assert not any(row is v for row in seeded.rows for v in vecs)
+        assert list(map(_typed, vecs)) == before
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(101)],
+                         ids=["Q", "F2", "F101"])
 def test_project_matches_normalized_reference(field):
     """project() is the normalized reference's reduce(): the remainder and
     the witness, values with their types, for int and Fraction inputs and
