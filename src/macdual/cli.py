@@ -190,12 +190,6 @@ def cmd_fuzz(args):
     return 5 if rep.errors else 1 if rep.failures else 0
 
 
-def _verify_one(payload):
-    path, index = payload
-    entry = corpus_load(path)[index]
-    return corpus_verify(entry)
-
-
 def verify_workers(jobs: int, entries: int, cpus: int | None) -> int:
     """Worker processes for `verify`: never more than the entries to check
     or the CPUs to run them on (1 when the CPU count is unknown)."""
@@ -210,8 +204,7 @@ def cmd_verify(args):
         # imported here: only `verify --jobs` needs a pool (ROADMAP item 4)
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for reps in pool.map(_verify_one,
-                                 [(args.corpus, i) for i in range(len(entries))]):
+            for reps in pool.map(corpus_verify, entries):
                 reports.extend(reps)
     else:
         for entry in entries:

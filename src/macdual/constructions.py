@@ -272,7 +272,8 @@ def restricted_components(spec: ExtensionSpec) -> dict:
     j = spec.socle_degree
     big = ring.extend(spec.z_names)
     F = linear_extension(spec)
-    D = symmetric_decomposition(F)
+    PF = PartialFiltration(F)
+    D = symmetric_decomposition(PF)
     bigindex = big.dmon_index(j)
     big_coldeg = {c: mdeg(m) for m, c in bigindex.items()}
     pad = len(spec.z_names)
@@ -294,14 +295,6 @@ def restricted_components(spec: ExtensionSpec) -> dict:
             return (vec if span is None else span.project(vec)), len(hidx)
         return fn
 
-    def ann_prefix(t):
-        """Homogeneous elements killing f and h_1..h_t."""
-        out = {}
-        for e in range(1, j + 2):
-            fns = [contraction_map(g, e) for g in [f] + hs[:t]]
-            out[e] = _homogeneous_joint_kernel(ring, e, fns)
-        return out
-
     def c_space(t2, extra_ann_prefix=0):
         """phi with phi o f in R o <h_1..h_t2>, also killing h_1..h_{extra}."""
         out = {}
@@ -320,7 +313,6 @@ def restricted_components(spec: ExtensionSpec) -> dict:
             total.update(embed_vec(contract(phi, hs[l]), zslot=l))
         return total
 
-    anns_with_f = [ann_prefix(t) for t in range(s)]
     c_cache: dict = {}
 
     def c_phis(t2, t1):
@@ -329,11 +321,13 @@ def restricted_components(spec: ExtensionSpec) -> dict:
             c_cache[key] = c_space(t2, extra_ann_prefix=t1)
         return c_cache[key]
 
+    # homogeneous elements killing f and h_1..h_t: hs_only_spans[0] is empty
+    anns_with_f = [c_phis(0, t) for t in range(s)]
+
     # every displayed module element is a partial of F with a known order,
     # so the graded dimensions are new-class counts inside the windows
     # Q^v(u)_d of the filtration of F, taken piece by piece in the order of
     # the direct sum: first the B_t with a_t = u, then the pairs
-    PF = PartialFiltration(F)
     B = {t: {} for t in range(1, s + 1)}
     B_pairs = {(t1, t2): {} for t1 in range(1, s + 1)
                for t2 in range(1, s + 1)}

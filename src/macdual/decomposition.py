@@ -22,6 +22,7 @@ an arithmetic bug here, never bad input.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -233,16 +234,12 @@ def symmetric_decomposition(f, with_bases: bool = False) -> SymDecomp:
     a_max = max(j - 2, 0)
     comps = tuple(component_dual_dims(P, a) for a in range(a_max + 1))
     _check_decomposition(j, H, comps)
-    n_seq = []
-    acc = 0
-    for row in comps:
-        acc += row[1] if len(row) > 1 else 0
-        n_seq.append(acc)
+    n_seq = tuple(accumulate(row[1] if len(row) > 1 else 0 for row in comps))
     bases = None
     if with_bases:
         bases = {a: dual_component_basis(P, a)
                  for a in range(a_max + 1) if any(comps[a])}
-    return SymDecomp(j, H, comps, tuple(n_seq), bases)
+    return SymDecomp(j, H, comps, n_seq, bases)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,8 @@ def _parse_indexed_lists(text, where):
         except ValueError:
             raise SchemaError("%s: expected an integer index, got %r"
                               % (where, idx.strip())) from None
+        if idx in out:
+            raise SchemaError("%s: index %d given twice" % (where, idx))
         out[idx] = _parse_int_list(lst, where)
     return out
 

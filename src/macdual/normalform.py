@@ -11,11 +11,13 @@ sigma^{-1}(x^alpha) o F, and xi never raises degree.  With adapted local
 parameters w_i (so sigma(w_i) = x_i, i.e. sigma^{-1}(x_i) = w_i) chosen so
 that the classes of w_{n_{a-1}+1..n_a} span the degree-one piece of Q(a),
 the image g = xi(f) has g_{j-a} in the first n_a variables for every a: no
-exotic summands remain.
+exotic summands remain.  A split works in f's ring, and its change xi
+reproduces the split generator embedded there.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .apolarity import PartialFiltration, filtration
@@ -43,8 +45,7 @@ class CoordChange:
 
     __slots__ = ("ring", "trunc", "inv_images", "_images")
 
-    def __init__(self, ring: RingSpec, images, inv_images, trunc: int,
-                 check: bool = True):
+    def __init__(self, ring: RingSpec, images, inv_images, trunc: int):
         self.ring = ring
         self.trunc = trunc
         self.inv_images = list(inv_images)
@@ -53,8 +54,7 @@ class CoordChange:
             self._images = None
         else:
             self._images = list(images)
-            if check:
-                self._check_inverse(self._images)
+            self._check_inverse(self._images)
 
     def _check_inverse(self, images):
         got = ps_compose_all(self.inv_images, images, self.trunc)
@@ -77,7 +77,7 @@ class CoordChange:
     @classmethod
     def identity(cls, ring: RingSpec, trunc: int) -> "CoordChange":
         xs = [variable_series(ring, i, trunc) for i in range(ring.r)]
-        return cls(ring, xs, list(xs), trunc, check=False)
+        return cls(ring, xs, list(xs), trunc)
 
     @classmethod
     def from_images(cls, images, trunc: int) -> "CoordChange":
@@ -105,7 +105,7 @@ class CoordChange:
         # adjoint = subst_A exactly when sigma^{-1}(x_i) = sum_k A[i][k] x_k
         inv_images = [lin(A, i) for i in range(ring.r)]
         images = [lin(Ainv, i) for i in range(ring.r)]
-        return cls(ring, images, inv_images, trunc, check=False)
+        return cls(ring, images, inv_images, trunc)
 
     def compose(self, other: "CoordChange") -> "CoordChange":
         """self o other (so the adjoints compose the same way), a lazy
@@ -211,13 +211,14 @@ def _witnessed_square_space(P: PartialFiltration):
     return ech
 
 
-def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
+def adapted_coordinates(f: DPPoly | PartialFiltration) -> AdaptedFrame:
     """Find w_1..w_r in m with independent linear parts such that w o f has
     degree at most j-a-1 for the level-a parameters (and at most 0 for the
     padding), then the constant of every w o f is cleared so the adjoint
-    image of f carries no degree-one debris."""
-    f = f.drop_constant()
-    P = PartialFiltration(f)
+    image of f carries no degree-one debris.  f is the dual generator or
+    its PartialFiltration."""
+    P = filtration(f)
+    f = P.f
     ring = P.ring
     field = ring.field
     j = P.j
@@ -277,18 +278,12 @@ def adapted_coordinates(f: DPPoly) -> AdaptedFrame:
         counts.append(added)
     if len(parameters) != ring.r:
         raise InternalCheckError("adapted parameters do not span")
-    D = symmetric_decomposition(P)
-    n_expected = D.n_seq
-    acc = 0
-    n_seq = []
-    for lev in range(max(j - 1, 1)):
-        acc += counts[lev]
-        n_seq.append(acc)
-    if tuple(n_seq) != tuple(n_expected):
+    n_seq = tuple(accumulate(counts[:-1]))    # the last cut is the padding
+    if n_seq != symmetric_decomposition(P).n_seq:
         raise InternalCheckError("adapted levels disagree with the "
                                  "decomposition codimension sequence")
     change = CoordChange.from_inverse_images(parameters, j + 2)
-    return AdaptedFrame(parameters, levels, tuple(n_seq), change)
+    return AdaptedFrame(parameters, levels, n_seq, change)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +336,7 @@ def detect_exotic(f: DPPoly | PartialFiltration) -> ExoticReport:
         if ech.insert({i: field.one}):
             basis_vecs.append({i: field.one})
             levels.append(None)
-    n_seq = []
-    acc = 0
-    for a in range(max(j - 1, 1)):
-        acc += sum(1 for lv in levels if lv == a)
-        n_seq.append(acc)
+    n_seq = tuple(accumulate(levels.count(a) for a in range(max(j - 1, 1))))
     M = [[basis_vecs[i].get(k, field.zero) for i in range(ring.r)]
          for k in range(ring.r)]
     Minv = matrix_inverse(M, field)
@@ -363,15 +354,17 @@ def detect_exotic(f: DPPoly | PartialFiltration) -> ExoticReport:
             exotic_adapted[d] = bad
             exotic.append((d, linear_substitute(bad, M)))
     adapted = [DPPoly.from_vector(ring, v, mons1) for v in basis_vecs]
-    return ExoticReport(tuple(n_seq), adapted, levels, exotic, exotic_adapted)
+    return ExoticReport(n_seq, adapted, levels, exotic, exotic_adapted)
 
 
-def normalize(f: DPPoly):
+def normalize(f: DPPoly | PartialFiltration):
     """The adjoint image g = xi(f) for the adapted coordinate change: the
     degree-(j-a) part of g lives in the first n_a variables for every a, so
-    g has no exotic summands.  Returns (g, change)."""
-    f = f.drop_constant()
-    frame = adapted_coordinates(f)
+    g has no exotic summands.  f is the dual generator or its
+    PartialFiltration.  Returns (g, change)."""
+    P = filtration(f)
+    f = P.f
+    frame = adapted_coordinates(P)
     g = frame.change.adjoint_apply(f).drop_constant()
     j = g.degree
     if j != f.degree:
@@ -391,9 +384,14 @@ def normalize(f: DPPoly):
 class SplitResult(NamedTuple):
     summand_main: DPPoly       # over the leading block of variables
     summand_quadric: DPPoly    # over the trailing block
-    ring: RingSpec             # the (possibly embedding-reduced) ring
-    change: CoordChange        # witnesses xi(f) = the split generator
+    ring: RingSpec             # f's ring cut to its first n_{j-2} variables
+    change: CoordChange        # in f's ring: xi(f) = the split generator
     generator: DPPoly          # the split generator over `ring`
+
+
+def _identity(n, field):
+    return [[field.one if i == k else field.zero for k in range(n)]
+            for i in range(n)]
 
 
 def _congruent_diagonal(S, field):
@@ -401,8 +399,7 @@ def _congruent_diagonal(S, field):
     returns (P, diagonal entries)."""
     n = len(S)
     S = [list(r) for r in S]
-    P = [[field.one if i == k else field.zero for k in range(n)]
-         for i in range(n)]
+    P = _identity(n, field)
 
     def add_col(dst, src, c):
         for i in range(n):
@@ -440,16 +437,19 @@ def _congruent_diagonal(S, field):
     return P, [S[i][i] for i in range(n)]
 
 
-def split_connected_summand(f: DPPoly) -> SplitResult:
+def split_connected_summand(f: DPPoly | PartialFiltration) -> SplitResult:
     """When H(j-2) = (0, s, 0) and the characteristic is not two, rewrite f
     (up to isomorphism) as a sum of a generator in the leading variables and
-    a rank-s quadric in the trailing s variables."""
-    f = f.drop_constant()
-    ring0 = f.ring
-    field = ring0.field
+    a rank-s quadric in the trailing s variables; f is the dual generator
+    or its PartialFiltration.  The summands and the generator are returned
+    over the first n_{j-2} variables, the embedding dimension."""
+    field = f.ring.field
     if field.char == 2:
         raise DomainError("splitting needs characteristic not two")
-    D = symmetric_decomposition(f)
+    P = filtration(f)
+    f = P.f
+    ring = f.ring
+    D = symmetric_decomposition(P)
     j = D.socle_degree
     if j < 3:
         raise DomainError("socle degree at least three is required")
@@ -457,29 +457,21 @@ def split_connected_summand(f: DPPoly) -> SplitResult:
     s = top[1]
     if s < 1 or top != (0, s, 0):
         raise DomainError("H(j-2) must have the shape (0, s, 0)")
-    g, sigma = normalize(f)
-    emb = D.n_seq[j - 2]
-    used = g.variables_used()
-    if any(i >= emb for i in used):
+    g, sigma = normalize(P)
+    n = D.n_seq[j - 2]
+    if any(i >= n for i in g.variables_used()):
         raise InternalCheckError("normal form uses a variable beyond the "
                                  "embedding dimension")
-    if emb < ring0.r:
-        ring = ring0.subring(range(emb))
-        g = g.restrict(ring, range(emb))
-    else:
-        ring = ring0
-    n = ring.r
     first = n - s
 
     def decompose_quadric(gg):
         q = [[field.zero] * s for _ in range(s)]
         cross = [DPPoly(ring) for _ in range(s)]
-        head2 = DPPoly(ring)
         for m, c in gg.homogeneous_component(2).coeffs.items():
             tail_support = [i for i in range(first, n) if m[i]]
             if not tail_support:
-                head2 = head2 + DPPoly(ring, {m: c})
-            elif len(tail_support) == 1 and m[tail_support[0]] == 2:
+                continue
+            if len(tail_support) == 1 and m[tail_support[0]] == 2:
                 i = tail_support[0] - first
                 q[i][i] = c
             elif len(tail_support) == 1 and sum(m) == 2:
@@ -493,19 +485,18 @@ def split_connected_summand(f: DPPoly) -> SplitResult:
             else:
                 raise InternalCheckError("degree-two part has an impossible "
                                          "monomial after normalization")
-        return q, cross, head2
+        return q, cross
 
-    q, cross, _ = decompose_quadric(g)
+    q, cross = decompose_quadric(g)
     Pmat, diag = _congruent_diagonal(q, field)
     # substitution by A transforms the quadric matrix S to A S A^T, so the
     # congruence transform P (P^T S P diagonal) embeds transposed
-    A1 = [[field.one if i == k else field.zero for k in range(n)]
-          for i in range(n)]
+    A1 = _identity(ring.r, field)
     for i in range(s):
         for k in range(s):
             A1[first + i][first + k] = Pmat[k][i]
     g = linear_substitute(g, A1)
-    q, cross, _ = decompose_quadric(g)
+    q, cross = decompose_quadric(g)
     for i in range(s):
         if field.is_zero(q[i][i]):
             raise InternalCheckError("degenerate quadric block after "
@@ -513,8 +504,7 @@ def split_connected_summand(f: DPPoly) -> SplitResult:
         for k in range(s):
             if i != k and not field.is_zero(q[i][k]):
                 raise InternalCheckError("diagonalization left a cross term")
-    A2 = [[field.one if i == k else field.zero for k in range(n)]
-          for i in range(n)]
+    A2 = _identity(ring.r, field)
     for i in range(s):
         if cross[i].is_zero:
             continue
@@ -523,7 +513,7 @@ def split_connected_summand(f: DPPoly) -> SplitResult:
             head_idx = next(k for k, e in enumerate(m) if e)
             A2[head_idx][first + i] = field.mul(c, coef)
     g = linear_substitute(g, A2)
-    q, cross, _ = decompose_quadric(g)
+    q, cross = decompose_quadric(g)
     if any(not c.is_zero for c in cross):
         raise InternalCheckError("cross terms survived completion")
     main = DPPoly(ring, {m: c for m, c in g.coeffs.items()
@@ -534,11 +524,10 @@ def split_connected_summand(f: DPPoly) -> SplitResult:
         raise InternalCheckError("split generator still mixes the blocks")
     lin1 = CoordChange.from_dual_linear(ring, A1, j + 2)
     lin2 = CoordChange.from_dual_linear(ring, A2, j + 2)
-    if ring.r == ring0.r:
-        total = lin2.compose(lin1).compose(sigma)
-        if total.adjoint_apply(f).drop_constant() != g:
-            raise InternalCheckError("witness change does not reproduce the "
-                                     "split generator")
-    else:
-        total = sigma  # the linear steps live in the reduced ring
-    return SplitResult(main, quad, ring, total, g)
+    total = lin2.compose(lin1).compose(sigma)
+    if total.adjoint_apply(f).drop_constant() != g:
+        raise InternalCheckError("witness change does not reproduce the "
+                                 "split generator")
+    sub = ring.subring(range(n))
+    main, quad, g = (h.restrict(sub, range(n)) for h in (main, quad, g))
+    return SplitResult(main, quad, sub, total, g)

@@ -147,13 +147,15 @@ def test_verify_corpus_file(capsys, tmp_path):
 
 def test_verify_malformed_corpus_index_exits_2(capsys, tmp_path):
     path = tmp_path / "index.corpus"
-    path.write_text("entry bad\nvars X,Y\nchar 0\ngenerator X^[3]\n"
-                    "hilbert 1,1,1,1\ndecomposition x:1,2,1\nend\n")
-    code = main(["verify", str(path)])
-    out = capsys.readouterr()
-    assert code == 2 and out.out == ""
-    assert out.err == ("error: entry 'bad': decomposition: expected an "
-                       "integer index, got 'x'\n")
+    for value, message in (("x:1,2,1", "expected an integer index, got 'x'"),
+                           ("0:9,9,9; 0:1,1,1,1,1; 1:0,1,1,0",
+                            "index 0 given twice")):
+        path.write_text("entry bad\nvars X,Y\nchar 0\ngenerator X^[3]\n"
+                        "hilbert 1,1,1,1\ndecomposition %s\nend\n" % value)
+        code = main(["verify", str(path)])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == "error: entry 'bad': decomposition: %s\n" % message
 
 
 def test_verify_jobs_same_content(capsys, tmp_path):

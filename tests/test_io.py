@@ -129,7 +129,9 @@ def test_corpus_schema(tmp_path):
 def test_corpus_index_must_be_an_integer(tmp_path, key):
     path = tmp_path / "index.corpus"
     for value, message in (("x:1,2,1", "expected an integer index, got 'x'"),
-                           ("0:1,a,1", "expected a comma-separated integer")):
+                           ("0:1,a,1", "expected a comma-separated integer"),
+                           ("0:9,9,9; 0:1,1,1,1,1; 1:0,1,1,0",
+                            "index 0 given twice")):
         path.write_text("entry bad\nvars X,Y\nchar 0\ngenerator X^[3]\n"
                         "hilbert 1,1,1,1\n%s %s\nend\n" % (key, value))
         with pytest.raises(SchemaError) as exc:

@@ -1,12 +1,14 @@
 import random
+import re
 
 import pytest
 
-from macdual.apolarity import annihilator
+from macdual import apolarity
+from macdual.apolarity import PartialFiltration, annihilator
 from macdual.constructions import random_poly
 from macdual.decomposition import symmetric_decomposition
 from macdual import normalform
-from macdual.errors import DomainError
+from macdual.errors import DomainError, InternalCheckError
 from macdual.fields import Field
 from macdual.io import parse_poly
 from macdual.linalg import matrix_inverse
@@ -150,6 +152,19 @@ def test_from_inverse_images_rejects_non_invertible():
                                         N)
     with pytest.raises(DomainError, match="must lie in the maximal ideal"):
         CoordChange.from_inverse_images([R.ps("1+x", N), R.ps("y", N)], N)
+
+
+def test_forward_images_are_checked_against_the_inverse():
+    rng = random.Random(29)
+    for char in (0, 101):
+        R = RingSpec(("X", "Y", "Z"), Field(char))
+        N = 5
+        images = _random_images(R, rng, N)
+        inv = ps_compose_inverse(images, N)
+        CoordChange(R, images, inv, N)
+        wrong = [inv[0] + R.ps("x^2", N)] + inv[1:]
+        with pytest.raises(InternalCheckError, match="not the identity"):
+            CoordChange(R, images, wrong, N)
 
 
 def test_lazy_images_match_series_inverse(monkeypatch):
@@ -393,6 +408,71 @@ def test_split_errors():
     R, f = mk("X,Y", "X^[3]+Y^[4]")
     with pytest.raises(DomainError):
         split_connected_summand(f)
+
+
+@pytest.mark.parametrize("char", [0, 101])
+def test_split_witness_in_reduced_ring(char):
+    """The embedding dimension 2 is below r = 3: the summands live over
+    X, Y, and the change, in f's ring, reproduces the generator there."""
+    R, f = mk("X,Y,Z", "X^[4]+X*Y+Y^[2]+Z", char)
+    res = split_connected_summand(f)
+    assert res.ring.vars == ("X", "Y")
+    assert res.summand_main == parse_poly("X^[4]-X^[2]", res.ring)
+    assert res.summand_quadric == parse_poly("Y^[2]", res.ring)
+    assert res.change.ring == R
+    assert res.change.adjoint_apply(f).drop_constant() == \
+        res.generator.embed(f.ring)
+
+
+def test_split_builds_one_filtration(monkeypatch):
+    built = []
+    init = apolarity.PartialFiltration.__init__
+
+    def counting(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(apolarity.PartialFiltration, "__init__", counting)
+    for vars, src in (("X,Y", "Y^[4]+Y^[2]*X"),
+                      ("X,Y,Z", "X^[4]+X*Y+Y^[2]+Z")):
+        built.clear()
+        split_connected_summand(mk(vars, src)[1])
+        assert len(built) == 1
+
+
+def test_filtration_argument_matches_generator():
+    """normalize, adapted_coordinates and split_connected_summand give the
+    same answers for f and for its PartialFiltration."""
+    examples = [mk("X,Y", "Y^[4]+Y^[2]*X"),
+                mk("X,Y,Z", "X^[6]+X^[4]*Y+X^[3]*Z+X*Y*Z"),
+                mk("X,Y,Z,W", "X^[5]+X*Y^[2]*Z+W^[2]"),
+                mk("X,Y,Z", "X^[5]+Y^[2]+Y*Z+3*Z^[2]")]
+    rng = random.Random(41)
+    for char in (0, 101):
+        examples.append(mk("X,Y,Z", "X^[4]+X*Y+Y^[2]+Z", char))
+        R = RingSpec(("X", "Y", "Z"), Field(char))
+        examples += [(R, random_poly(R, rng.randint(2, 5), rng))
+                     for _ in range(6)]
+    splits = 0
+    for _, f in examples:
+        P = PartialFiltration(f)
+        g, change = normalize(f)
+        gP, changeP = normalize(P)
+        assert gP == g and changeP.inv_images == change.inv_images
+        a, b = adapted_coordinates(f), adapted_coordinates(P)
+        assert (a.parameters, a.levels, a.n_seq) == \
+            (b.parameters, b.levels, b.n_seq)
+        try:
+            res = split_connected_summand(f)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                split_connected_summand(P)
+            continue
+        resP = split_connected_summand(P)
+        assert resP.change.inv_images == res.change.inv_images
+        assert resP._replace(change=None) == res._replace(change=None)
+        splits += 1
+    assert splits >= 4
 
 
 def test_decomposition_invariance_under_random_changes():
