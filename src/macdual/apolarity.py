@@ -15,12 +15,13 @@ dimension in sight is a count of pivot degrees.  The Hilbert function is
 h_i = dim P(0,i) - dim P(0,i-1); Loewy series and the symmetric-decomposition
 quotients (macdual.decomposition) read off the same tables.
 
-The annihilator I = Ann f is the kernel of the contraction map
-R/m^{j+2} -> D_{<= j}; truncation at N = j+2 is exact for minimal generators
-because m^{j+1} is contained in I, hence m^{j+2} in mI.  Its reduced echelon
-basis comes out of one elimination pass over the same images in the same
-order: each kernel vector is e_beta minus a combination of later independent
-images, already pivot one and free of every other pivot.  For a sparse f
+The annihilator I = Ann f modulo m^{j+2} (exact for minimal generators, as
+m^{j+1} lies in I, hence m^{j+2} in mI) is read off level 0 by duality: it
+is the orthogonal of R o f under <x^a, X^[b]> = delta_ab (Macaulay's
+inverse system; Iarrobino's Memoir, AMS 514, 1994), so no second
+elimination is run.  filtration(f) returns the PartialFiltration built
+last again for an equal generator, so a caller that filters f and then
+asks for Ann f, or checks a presentation of it, filters f once.  For a sparse f
 most of Ann f is monomial (x^beta o f = 0 whenever x^beta divides no term
 of f), and every shift of a monomial row is a unit vector.  The spans that
 are only read for a rank (m*I, the presentation products) therefore take
@@ -47,7 +48,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError
-from .linalg import Echelon, kernel, primitive
+from .linalg import Echelon, primitive, rref_rows
 from .poly import DPPoly, PSElement, contract, mdeg
 
 
@@ -93,19 +94,34 @@ class Level(NamedTuple):
         return len(self.rows)
 
 
+# The largest image table C(r+j+1, r), the monomials of R_{<= j+1}, that a
+# generator may need (the largest entry of corpus/paper.corpus needs 3,876).
+MAX_IMAGES = 100_000
+
+_last = None    # the PartialFiltration built last; see filtration()
+
+
 class PartialFiltration:
     """All spaces P(s,t) = (m^s o f)_{<= t} for one dual generator f.
 
     level(s) is the basis of V_s from the tagged pass, s = 0..j+1 (the last
     is empty); a negative s means 0 in every query.  The constant term of f
-    is discarded at intake; a zero generator is rejected.  Immutable after
-    construction; every query is read-only.
+    is discarded at intake; a zero generator, or one whose image table
+    exceeds MAX_IMAGES, is rejected before any index is built.  Immutable
+    after construction; every query is read-only, so filtration() may hand
+    the same instance to every caller.
     """
 
     def __init__(self, f: DPPoly):
+        global _last
         f = f.drop_constant()
         if f.is_zero:
             raise DomainError("zero dual generator")
+        r, j = f.ring.r, f.degree
+        images = comb(r + j + 1, r)
+        if images > MAX_IMAGES:
+            raise DomainError("generator too large: C(r+j+1, r) = %d images, "
+                              "above the budget of %d" % (images, MAX_IMAGES))
         self.f = f
         self.ring = f.ring
         self.j = f.degree
@@ -129,6 +145,7 @@ class PartialFiltration:
             self._levels.append(Level([ech.rows[k] for k in kept], degs,
                                       list(accumulate(count))))
         self._lt_cache: dict = {}
+        _last = self
 
     # -- dimension queries ------------------------------------------------------
 
@@ -193,8 +210,16 @@ class PartialFiltration:
 
 def filtration(f: DPPoly | PartialFiltration) -> PartialFiltration:
     """The PartialFiltration of a dual generator f, or f itself when it is
-    one already, so that a caller holding P does not filter f again."""
-    return f if isinstance(f, PartialFiltration) else PartialFiltration(f)
+    one already, so that a caller holding P does not filter f again.  The
+    filtration built last is returned again when f equals its generator
+    (by value: ring, field and coefficients, constant term dropped), so
+    neither does a caller that filtered f just before."""
+    if isinstance(f, PartialFiltration):
+        return f
+    P = _last
+    if P is not None and P.f == f.drop_constant():
+        return P
+    return PartialFiltration(f)
 
 
 def hilbert_function(f: DPPoly) -> tuple:
@@ -270,21 +295,34 @@ class LocalIdeal:
         return contract(phi, self.f).is_zero
 
 
-def annihilator(f: DPPoly) -> LocalIdeal:
-    """Kernel of contraction against f, with minimal generators I/mI."""
-    f = f.drop_constant()
-    if f.is_zero:
-        raise DomainError("zero dual generator")
-    ring = f.ring
+def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
+    """Kernel of contraction against f, with minimal generators I/mI; f is
+    the dual generator or its PartialFiltration."""
+    P = filtration(f)
+    ring = P.ring
     field = ring.field
-    j = f.degree
-    rmons = list(ring.rmon_index(j + 1))
-    # Fed last monomial first, each kernel vector is e_beta minus later
-    # independent images: pivot one, no other pivot in its support.  Read
-    # backwards, the kernel is the reduced echelon basis of I.
+    j = P.j
+    rindex = ring.rmon_index(j + 1)
+    rmons = list(rindex)
     n = len(rmons)
-    ker = kernel(field, (img for _, img in _images_descending(f, j + 1)))
-    rows = [{n - 1 - k: c for k, c in w.items()} for w in reversed(ker)]
+    # I is the orthogonal of R o f, x^beta paired with X^[beta].  In the
+    # columns n-1-rindex[beta], degree-descending like those of D, the
+    # reduced basis of R o f has one row per pivot q, and the orthogonal
+    # one vector per free column c: e_c - sum row[c] * e_q.  Its pivot is
+    # c, and no other free column is in its support.  Read backwards in
+    # R's columns, these are the reduced echelon basis of I.
+    col = [n - 1 - rindex[m] for m in P.dmons]
+    basis = rref_rows(field, [{col[c]: v for c, v in row.items()}
+                              for row in P.level(0).rows])
+    pivots = {min(row) for row in basis}
+    free = {c: {n - 1 - c: field.one}
+            for c in range(n - 1, -1, -1) if c not in pivots}
+    for row in basis:
+        q = min(row)
+        for c, v in row.items():
+            if c != q:
+                free[c][n - 1 - q] = field.neg(v)
+    rows = list(free.values())
     # m*I in the coordinates of I: a vector of I is the combination of the
     # rows given by its pivot entries, so x_i * row is kept on pivot columns
     # only, each relabelled by its row number.  Only the span of m*I is
@@ -314,7 +352,7 @@ def annihilator(f: DPPoly) -> LocalIdeal:
         if mi.add({k: field.one}):
             min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
             orders.append(mdeg(rmons[min(row)]))
-    return LocalIdeal(f, rmons, rows, min_gens, orders)
+    return LocalIdeal(P.f, rmons, rows, min_gens, orders)
 
 
 def _multiples(g: PSElement, top: int):

@@ -392,7 +392,7 @@ def corpus_verify(entry: CorpusEntry) -> list[dict]:
                     check("decomposition.%d" % a, want[a], got[a])
         if "min_gen_orders" in entry.expect:
             check("min_gen_orders", entry.expect["min_gen_orders"],
-                  sorted(apolarity.annihilator(f).orders))
+                  sorted(apolarity.annihilator(P).orders))
         if "ideal_gens" in entry.expect:
             gens = [parse_ps(g, ring, f.degree + 2)
                     for g in entry.expect["ideal_gens"]]

@@ -218,6 +218,12 @@ def adapted_coordinates(f: DPPoly | PartialFiltration) -> AdaptedFrame:
     image of f carries no degree-one debris.  f is the dual generator or
     its PartialFiltration."""
     P = filtration(f)
+    return _adapted_frame(P, symmetric_decomposition(P).n_seq)
+
+
+def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
+    """adapted_coordinates of P.f, its levels checked against the
+    codimension sequence n_seq of P's symmetric decomposition."""
     f = P.f
     ring = P.ring
     field = ring.field
@@ -278,8 +284,8 @@ def adapted_coordinates(f: DPPoly | PartialFiltration) -> AdaptedFrame:
         counts.append(added)
     if len(parameters) != ring.r:
         raise InternalCheckError("adapted parameters do not span")
-    n_seq = tuple(accumulate(counts[:-1]))    # the last cut is the padding
-    if n_seq != symmetric_decomposition(P).n_seq:
+    # the last cut is the padding
+    if tuple(accumulate(counts[:-1])) != n_seq:
         raise InternalCheckError("adapted levels disagree with the "
                                  "decomposition codimension sequence")
     change = CoordChange.from_inverse_images(parameters, j + 2)
@@ -363,8 +369,13 @@ def normalize(f: DPPoly | PartialFiltration):
     g has no exotic summands.  f is the dual generator or its
     PartialFiltration.  Returns (g, change)."""
     P = filtration(f)
+    return _normal_form(P, symmetric_decomposition(P).n_seq)
+
+
+def _normal_form(P: PartialFiltration, n_seq: tuple):
+    """normalize(P), the frame checked against n_seq (see _adapted_frame)."""
     f = P.f
-    frame = adapted_coordinates(P)
+    frame = _adapted_frame(P, n_seq)
     g = frame.change.adjoint_apply(f).drop_constant()
     j = g.degree
     if j != f.degree:
@@ -457,7 +468,7 @@ def split_connected_summand(f: DPPoly | PartialFiltration) -> SplitResult:
     s = top[1]
     if s < 1 or top != (0, s, 0):
         raise DomainError("H(j-2) must have the shape (0, s, 0)")
-    g, sigma = normalize(P)
+    g, sigma = _normal_form(P, D.n_seq)
     n = D.n_seq[j - 2]
     if any(i >= n for i in g.variables_used()):
         raise InternalCheckError("normal form uses a variable beyond the "

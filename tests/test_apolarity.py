@@ -175,6 +175,115 @@ def test_annihilator_contains_high_powers():
     assert not I.contains(R.ps("x^7+y"))
 
 
+# -- the last filtration, reused ------------------------------------------------
+
+def count_filtrations(monkeypatch) -> list:
+    """The generators of the PartialFiltrations constructed from now on, in
+    order; the slot of the last one built starts empty."""
+    import macdual.apolarity as apolarity
+    built = []
+    init = PartialFiltration.__init__
+
+    def counted(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(apolarity, "_last", None)
+    monkeypatch.setattr(PartialFiltration, "__init__", counted)
+    return built
+
+
+def test_annihilator_reuses_the_last_filtration(monkeypatch):
+    built = count_filtrations(monkeypatch)
+    R, f = mk(("X", "Y"), "X^[4]+X^[2]*Y+Y^[2]")
+    PartialFiltration(f)
+    I = annihilator(f)
+    assert verify_ideal_presentation(I.min_gens, f)
+    assert verify_graded_presentation(graded_generators(f), f)
+    # the constant term is dropped at intake, so f + 7 is the same generator
+    annihilator(parse_poly("7+X^[4]+X^[2]*Y+Y^[2]", R))
+    assert len(built) == 1
+    # the same text in another field or another ring, or another generator,
+    # is filtered afresh
+    for vars, src, char in ((("X", "Y"), "X^[4]+X^[2]*Y+Y^[2]", 101),
+                            (("X", "Y", "Z"), "X^[4]+X^[2]*Y+Y^[2]", 0),
+                            (("X", "Y"), "X^[4]+X^[2]*Y+2*Y^[2]", 0)):
+        g = mk(vars, src, char)[1]
+        n = len(built)
+        annihilator(g)
+        assert len(built) == n + 1 and built[-1] == g
+
+
+def test_the_last_filtration_is_the_only_one_kept(monkeypatch):
+    import gc
+    import weakref
+    count_filtrations(monkeypatch)
+    first = PartialFiltration(mk(("X", "Y"), "X^[3]+Y^[4]")[1])
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is not None     # the slot holds it
+    PartialFiltration(mk(("X", "Y"), "X^[3]+Y^[5]")[1])
+    gc.collect()
+    assert ref() is None
+
+
+def test_annihilator_of_the_filtration_is_that_of_f(monkeypatch):
+    import macdual.apolarity as apolarity
+    rng = random.Random(23)
+    for char in (0, 101):
+        for trial in range(12):
+            r = trial % 3 + 1
+            ring = RingSpec(("X", "Y", "Z")[:r], Field(char))
+            f = random_dual_generator(ring, rng, rng.randint(1, 7 - r),
+                                      dense=trial % 2 == 0,
+                                      homogeneous=trial % 4 == 0)
+            got = annihilator(PartialFiltration(f))
+            monkeypatch.setattr(apolarity, "_last", None)
+            want = annihilator(f)
+            assert got.rows == want.rows
+            assert got.min_gens == want.min_gens
+            assert got.orders == want.orders
+            assert got.graded_dims() == want.graded_dims()
+
+
+def test_no_reader_changes_a_shared_filtration():
+    from copy import deepcopy
+    from macdual.normalform import detect_exotic, normalize
+    rng = random.Random(29)
+    for char in (0, 101):
+        for trial in range(8):
+            r = trial % 3 + 2
+            ring = RingSpec(("X", "Y", "Z", "W")[:r], Field(char))
+            f = random_dual_generator(ring, rng, rng.randint(3, 7 - r // 2),
+                                      dense=trial % 2 == 0,
+                                      homogeneous=False)
+            P = PartialFiltration(f)
+            before = [deepcopy(P.level(s).rows) for s in range(P.j + 2)]
+            I = annihilator(P)
+            verify_ideal_presentation(I.min_gens, P)
+            verify_graded_presentation(graded_generators(f), P)
+            normalize(P)
+            detect_exotic(P)
+            assert [P.level(s).rows for s in range(P.j + 2)] == before
+
+
+def test_oversized_generators_are_refused_before_any_index(monkeypatch):
+    import macdual.apolarity as apolarity
+    R = RingSpec(("X", "Y"), Field(0))
+    f = parse_poly("X^[10]+Y^[3]", R)
+    # r = 2, j = 10: the image table has C(13, 2) = 78 entries
+    monkeypatch.setattr(apolarity, "MAX_IMAGES", 77)
+    monkeypatch.setattr(RingSpec, "dmon_index", None)  # never reached
+    with pytest.raises(DomainError, match="too large"):
+        PartialFiltration(f)
+    with pytest.raises(DomainError, match="too large"):
+        annihilator(f)
+    monkeypatch.undo()
+    monkeypatch.setattr(apolarity, "MAX_IMAGES", 78)
+    assert sum(PartialFiltration(f).hilbert()) == 13
+
+
 @pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
 def test_contains_matches_membership_in_the_rows(char):
     """I.contains(phi), a contraction against f, against membership of phi
@@ -646,8 +755,9 @@ def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
 def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
     """Over Q the m*I echelon of annihilator() and the rank test _reaches
     of both presentation verifiers take integer vectors only, while the
-    images x^beta o f of the same forms carry Fractions.  Both echelons sit
-    inside a _Span, so calls are counted by the function that feeds it."""
+    images x^beta o f of the same forms, reduced by the PartialFiltration
+    echelon, carry Fractions.  Both rank echelons sit inside a _Span, so
+    calls are counted by the function that feeds it."""
     reduce = Echelon.reduce
     fractions = Counter()
     helpers = {Echelon.insert.__code__, _Span.add.__code__}
@@ -656,7 +766,7 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         frame = sys._getframe(1)
         while frame.f_code in helpers:
             frame = frame.f_back
-        fractions[frame.f_code.co_name, any(type(a) is Fraction
+        fractions[frame.f_code.co_qualname, any(type(a) is Fraction
                                             for a in vec.values())] += 1
         return reduce(self, vec, wit)
 
@@ -675,7 +785,7 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
     for caller in ("annihilator", "_reaches"):
         assert fractions[caller, False] > 0
         assert fractions[caller, True] == 0
-    assert fractions["kernel", True] > 0
+    assert fractions["PartialFiltration.__init__", True] > 0
 
 
 # -- presentations against the route through Ann f ------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -46,6 +47,28 @@ def test_hilbert_and_annihilator(capsys):
     code, out = run(capsys, "annihilator", "--vars", "X,Y", "--char", "0",
                     "--verify", "x*y", "X^[4]+X^[2]*Y+Y^[2]")
     assert code == 1
+
+
+def test_annihilator_verify_filters_f_once(capsys, monkeypatch):
+    import macdual.apolarity as apolarity
+    built = []
+    init = apolarity.PartialFiltration.__init__
+    monkeypatch.setattr(apolarity, "_last", None)
+    monkeypatch.setattr(apolarity.PartialFiltration, "__init__",
+                        lambda self, f: built.append(f) or init(self, f))
+    code, out = run(capsys, "annihilator", "--vars", "X,Y", "--char", "0",
+                    "--verify", "y-x^2; x^5", "X^[4]+X^[2]*Y+Y^[2]")
+    assert code == 0 and "matches" in out
+    assert len(built) == 1
+
+
+def test_oversized_generator_exits_3_at_once(capsys):
+    t0 = perf_counter()
+    code = main(["hilbert", "--vars", "X", "--char", "0", "X^[1000000000]"])
+    elapsed = perf_counter() - t0
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "" and "too large" in out.err
+    assert elapsed < 0.5
 
 
 def test_modcheck_exit_codes(capsys):
