@@ -767,7 +767,7 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         while frame.f_code in helpers:
             frame = frame.f_back
         fractions[frame.f_code.co_qualname, any(type(a) is Fraction
-                                            for a in vec.values())] += 1
+                                                for a in vec.values())] += 1
         return reduce(self, vec, wit)
 
     monkeypatch.setattr(Echelon, "reduce", watched)

@@ -50,12 +50,8 @@ def test_hilbert_and_annihilator(capsys):
 
 
 def test_annihilator_verify_filters_f_once(capsys, monkeypatch):
-    import macdual.apolarity as apolarity
-    built = []
-    init = apolarity.PartialFiltration.__init__
-    monkeypatch.setattr(apolarity, "_last", None)
-    monkeypatch.setattr(apolarity.PartialFiltration, "__init__",
-                        lambda self, f: built.append(f) or init(self, f))
+    from test_apolarity import count_filtrations
+    built = count_filtrations(monkeypatch)
     code, out = run(capsys, "annihilator", "--vars", "X,Y", "--char", "0",
                     "--verify", "y-x^2; x^5", "X^[4]+X^[2]*Y+Y^[2]")
     assert code == 0 and "matches" in out
