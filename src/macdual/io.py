@@ -189,8 +189,14 @@ class _Parser:
             self.ts.expect_op("]")
             return i, k, 1
         if kind == "nat":
-            # x^k is k! X^[k] in divided mode, x^k itself in the local ring
-            return i, val, factorial(val) if self.divided else 1
+            # x^k is k! X^[k] in divided mode, x^k itself in the local ring;
+            # mod p, k! vanishes from k = p on and is not computed
+            if not self.divided:
+                return i, val, 1
+            p = self.ring.field.char
+            if not p:
+                return i, val, factorial(val)
+            return i, val, factorial(val) % p if val < p else 0
         raise ParseError("expected exponent", self.ts.src, off2)
 
 

@@ -448,19 +448,8 @@ class PSElement(_SparsePoly):
     def mul(self, other: "PSElement", trunc: int | None = None) -> "PSElement":
         self.ring.check_same(other.ring)
         N = min(self.trunc, other.trunc) if trunc is None else trunc
-        # other's terms by degree, so one test skips the rest of a row
-        right = sorted(((mdeg(m), m, c) for m, c in other.coeffs.items()),
-                       key=lambda t: t[0])
-        out: dict = {}
-        get = out.get
-        for m1, c1 in self.coeffs.items():
-            room = N - mdeg(m1)
-            for d2, m2, c2 in right:
-                if d2 > room:
-                    break
-                m = tuple(map(add, m1, m2))
-                out[m] = get(m, 0) + c1 * c2
-        return PSElement(self.ring, out, N)
+        return PSElement(self.ring, _MonomialImages([other], N).product(
+            self.coeffs, 0), N)
 
     def mul_monomial(self, m: MON, trunc: int | None = None) -> "PSElement":
         N = self.trunc if trunc is None else trunc
@@ -581,49 +570,60 @@ def linear_substitute(g: DPPoly, M: list[list]) -> DPPoly:
 # ---------------------------------------------------------------------------
 # substitution and inversion on the R side
 
-class _MonomialImages:
-    """m -> prod_k images[k]^{m_k} truncated to degree N, each monomial's
-    image built once from a smaller one and kept for reuse."""
+class _MonomialImages(dict):
+    """m -> prod_k images[k]^{m_k} truncated to degree N, a canonical
+    coefficient dict built on first read from a smaller monomial's.  Each
+    image's terms are sorted by degree once, so one test ends a product row."""
 
-    __slots__ = ("images", "N", "table")
+    __slots__ = ("canon", "factors", "N")
 
     def __init__(self, images: list[PSElement], N: int):
         ring = images[0].ring
         zero = ring.r * (0,)
-        self.images = images
+        super().__init__({zero: {zero: ring.field.one}})
+        self.canon = ring.field.canon
+        self.factors = [sorted(((sum(m), m, c) for m, c in im.coeffs.items()),
+                               key=lambda t: t[0]) for im in images]
         self.N = N
-        self.table = {zero: PSElement(ring, {zero: ring.field.one}, N)}
 
-    def __getitem__(self, m: MON) -> PSElement:
-        img = self.table.get(m)
-        if img is None:
-            k = max(i for i, e in enumerate(m) if e)
-            img = self[m[:k] + (m[k] - 1,) + m[k + 1:]].mul(self.images[k],
-                                                            self.N)
-            self.table[m] = img
+    def __missing__(self, m: MON) -> dict:
+        k = max(i for i, e in enumerate(m) if e)
+        self[m] = img = self.canon(
+            self.product(self[m[:k] + (m[k] - 1,) + m[k + 1:]], k))
         return img
 
-    def compose(self, phi: PSElement) -> PSElement:
-        """phi(images) truncated to degree N."""
+    def product(self, left: dict, k: int) -> dict:
+        """left * images[k] as raw sums, terms of degree > N dropped."""
         out: dict = {}
         get = out.get
-        for m, c in phi.coeffs.items():
-            for mm, a in self[m].coeffs.items():
+        for m1, c1 in left.items():
+            room = self.N - sum(m1)
+            for d2, m2, c2 in self.factors[k]:
+                if d2 > room:
+                    break
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        return out
+
+    def add(self, out: dict, coeffs: dict) -> dict:
+        """out plus coeffs(images), summed raw into out and returned."""
+        get = out.get
+        for m, c in coeffs.items():
+            for mm, a in self[m].items():
                 out[mm] = get(mm, 0) + c * a
-        return PSElement(phi.ring, out, self.N)
+        return out
 
 
 def ps_compose(phi: PSElement, images: list[PSElement], N: int) -> PSElement:
     """phi(images[0], ..., images[r-1]) truncated to degree N."""
-    return _MonomialImages(images, N).compose(phi)
+    return ps_compose_all([phi], images, N)[0]
 
 
 def ps_compose_all(phis: list[PSElement], images: list[PSElement],
                    N: int) -> list[PSElement]:
-    """[ps_compose(phi, images, N) for phi in phis], building each monomial
-    image once for the whole list."""
+    """Each phi(images) truncated to degree N, all from one image table."""
     table = _MonomialImages(images, N)
-    return [table.compose(phi) for phi in phis]
+    return [PSElement(phi.ring, table.add({}, phi.coeffs), N) for phi in phis]
 
 
 def variable_series(ring: RingSpec, i: int, N: int) -> PSElement:
@@ -647,10 +647,12 @@ def linear_part_inverse(images: list[PSElement]) -> list[list]:
 
 def ps_compose_inverse(images: list[PSElement], N: int) -> list[PSElement]:
     """The truncated inverse substitution: tau with tau_i(images) = x_i mod
-    m^{N+1}, computed degree by degree.  The residual tau_i(images) - x_i is
-    updated by the new terms of tau_i only, from tables of monomial images
-    shared by every step."""
+    m^{N+1}, computed degree by degree on coefficient dicts.  Step d adds
+    to tau_i terms of degree d only (lin's images are linear) and updates
+    the residual tau_i(images) - x_i by them alone, through monomial-image
+    tables shared by every step."""
     ring = images[0].ring
+    canon = ring.field.canon
     Linv = linear_part_inverse(images)
     units = ring.monomials(1)
     lin_images = [PSElement(ring, {units[k]: Linv[k][i] for k in range(ring.r)},
@@ -659,14 +661,12 @@ def ps_compose_inverse(images: list[PSElement], N: int) -> list[PSElement]:
     lin = _MonomialImages(lin_images, N)
     taus = []
     for i in range(ring.r):
-        tau = lin_images[i]
-        resid = fwd.compose(tau) - variable_series(ring, i, N)
-        for d in range(2, N + 1):
-            rho = resid.homogeneous_component(d)
-            if rho.is_zero:
-                continue
-            step = lin.compose(rho)
-            tau = tau - step
-            resid = resid - fwd.compose(step)
-        taus.append(tau)
+        tau, resid = {}, {units[i]: -1}
+        for d in range(1, N + 1):
+            rho = {m: -c for m, c in resid.items() if sum(m) == d}
+            if rho:
+                step = canon(lin.add({}, rho))
+                tau.update(step)
+                resid = canon(fwd.add(resid, step))
+        taus.append(PSElement(ring, tau, N))
     return taus

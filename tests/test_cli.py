@@ -67,6 +67,35 @@ def test_oversized_generator_exits_3_at_once(capsys):
     assert elapsed < 0.5
 
 
+# a numeral past CPython's default cap of 4,300 digits on int <-> str
+HUGE = "7" * 4400
+
+
+def test_huge_coefficient_gives_the_hilbert_function_of_one(capsys):
+    cap = sys.get_int_max_str_digits()
+    code, out = run(capsys, "hilbert", "--vars", "X", "--char", "0",
+                    HUGE + "*X^[2]")
+    assert code == 0
+    assert (code, out) == run(capsys, "hilbert", "--vars", "X", "--char", "0",
+                              "X^[2]")
+    assert sys.get_int_max_str_digits() == cap
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "--vars", "X,Y", "X^[4]+%s*X^[2]*Y" % HUGE),
+    ("exotic", "--vars", "X,Y", "X^[4]+%s*X^[2]*Y" % HUGE),
+    ("decompose", "--vars", "X,Y", "--show-bases", "%s*X^[3]+Y^[2]" % HUGE),
+    ("annihilator", "--vars", "X", "--verify", "%s*x^3" % HUGE, "X^[2]"),
+    ("hilbert", "--vars", "X", "--char", "101", "1%s*X^[2]" % ("0" * 4400)),
+], ids=lambda argv: argv[0])
+def test_huge_coefficients_are_not_internal_errors(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 0 and out.err == "", out.err
+    if argv[0] in ("normalize", "exotic"):
+        assert HUGE in out.out
+
+
 def test_modcheck_exit_codes(capsys):
     code, _ = run(capsys, "modcheck", "--vars", "X,Y", "--char", "0",
                   "--a", "2", "X^[4]+Y^[2]", "X^[4]+X^[2]*Y")

@@ -37,6 +37,17 @@ def test_parse_linear_power_and_conversion():
     assert parse_poly("- X + Y", ring).coeffs == {(1, 0): -1, (0, 1): 1}
 
 
+def test_ordinary_power_mod_p_computes_no_vanishing_factorial(monkeypatch):
+    # k! is 0 mod p for every k >= p: X^100000 over F_101 is zero at once
+    seen = []
+    monkeypatch.setattr(io_mod, "factorial",
+                        lambda k: seen.append(k) or factorial(k))
+    ring = RingSpec(("X", "Y"), Field(101))
+    assert parse_poly("X^100000+Y^100+X^101", ring) == \
+        parse_poly("%d*Y^[100]" % (factorial(100) % 101), ring)
+    assert seen == [100]
+
+
 def test_parse_ps_side():
     ring = R()
     phi = parse_ps("y-x^2", ring)

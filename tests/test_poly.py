@@ -8,11 +8,12 @@ import pytest
 from macdual.errors import DomainError, RingMismatchError
 from macdual.fields import Field
 from macdual.io import parse_poly, parse_ps
-from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
-                          contract_monomial, dmon_key,
+from macdual.poly import (DPPoly, PSElement, RingSpec, _MonomialImages,
+                          contract, contract_monomial, dmon_key,
                           dp_mul, mon_mul, rmon_key, dp_power_of_linear,
-                          linear_substitute, pairing, ps_compose,
-                          ps_compose_inverse, variable_series)
+                          linear_part_inverse, linear_substitute, pairing,
+                          ps_compose, ps_compose_all, ps_compose_inverse,
+                          variable_series)
 
 
 def ring2(char=0):
@@ -229,6 +230,136 @@ def test_ps_compose_inverse_dependent_parts():
     R = ring2()
     with pytest.raises(DomainError):
         ps_compose_inverse([R.ps("x+y", 5), R.ps("x+y+x^2", 5)], 5)
+
+
+# -- the series layer against its PSElement-based predecessor ----------------------
+
+def ps_mul_reference(a, b, N):
+    """PSElement.mul as it ran before the monomial-image table took its
+    loop: b's terms sorted by degree on every call, the raw sums handed to
+    the PSElement constructor.  A test-only reference."""
+    right = sorted(((sum(m), m, c) for m, c in b.coeffs.items()),
+                   key=lambda t: t[0])
+    out = {}
+    for m1, c1 in a.coeffs.items():
+        room = N - sum(m1)
+        for d2, m2, c2 in right:
+            if d2 > room:
+                break
+            m = mon_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return PSElement(a.ring, out, N)
+
+
+class MonomialImagesReference:
+    """poly._MonomialImages as it ran before its entries became plain
+    coefficient dicts: each entry a PSElement, built by ps_mul_reference
+    from a smaller one.  A test-only reference."""
+
+    def __init__(self, images, N):
+        ring = images[0].ring
+        zero = ring.r * (0,)
+        self.images = images
+        self.N = N
+        self.table = {zero: PSElement(ring, {zero: ring.field.one}, N)}
+
+    def __getitem__(self, m):
+        img = self.table.get(m)
+        if img is None:
+            k = max(i for i, e in enumerate(m) if e)
+            img = ps_mul_reference(self[m[:k] + (m[k] - 1,) + m[k + 1:]],
+                                   self.images[k], self.N)
+            self.table[m] = img
+        return img
+
+    def compose(self, phi):
+        out = {}
+        for m, c in phi.coeffs.items():
+            for mm, a in self[m].coeffs.items():
+                out[mm] = out.get(mm, 0) + c * a
+        return PSElement(phi.ring, out, self.N)
+
+
+def ps_compose_inverse_reference(images, N):
+    """ps_compose_inverse as it ran on PSElements: tau_i and the residual
+    rebuilt as PSElements at every degree.  A test-only reference."""
+    ring = images[0].ring
+    Linv = linear_part_inverse(images)
+    units = ring.monomials(1)
+    lin_images = [PSElement(ring, {units[k]: Linv[k][i] for k in range(ring.r)},
+                            N) for i in range(ring.r)]
+    fwd = MonomialImagesReference(images, N)
+    lin = MonomialImagesReference(lin_images, N)
+    taus = []
+    for i in range(ring.r):
+        tau = lin_images[i]
+        resid = fwd.compose(tau) - variable_series(ring, i, N)
+        for d in range(2, N + 1):
+            rho = resid.homogeneous_component(d)
+            if rho.is_zero:
+                continue
+            step = lin.compose(rho)
+            tau = tau - step
+            resid = resid - fwd.compose(step)
+        taus.append(tau)
+    return taus
+
+
+def _items(coeffs):
+    # monomials, values, value types and order
+    return repr(list(coeffs.items()))
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 101])
+def test_series_layer_matches_pselement_reference(char):
+    rng = random.Random(2200 + char)
+    field = Field(char)
+
+    def draw(ring, lo, hi, terms):
+        mons = [m for d in range(lo, hi + 1) for m in ring.monomials(d)]
+        return {m: _scalar(field, rng)
+                for m in rng.sample(mons, min(terms, len(mons)))}
+
+    for r in range(1, 5):
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        units = ring.monomials(1)
+        for N in range(1, 9):
+            # every image has terms above N; their truncations exceed N too
+            wide = N + rng.randint(0, 2)
+            perm = rng.sample(range(r), r)
+            images = []
+            for i in range(r):
+                lin = {units[perm[i]]: rng.randrange(1, field.char or 7)}
+                if rng.random() < 0.5:
+                    lin[units[rng.randrange(r)]] = _scalar(field, rng)
+                high = draw(ring, 2, N + 2, rng.randint(1, 4))
+                images.append(PSElement(ring, {**lin, **high}, wide))
+            phis = [PSElement(ring, draw(ring, 0, N + 1, rng.randint(0, 6)),
+                              N + 1) for _ in range(3)]
+            table = _MonomialImages(images, N)
+            got = ps_compose_all(phis, images, N)
+            ref = MonomialImagesReference(images, N)
+            for phi, g in zip(phis, got):
+                want = ref.compose(phi)
+                assert _items(g.coeffs) == _items(want.coeffs), (r, N, phi)
+                assert g.trunc == N
+                assert _items(ps_compose(phi, images, N).coeffs) == \
+                    _items(want.coeffs)
+                a, b = rng.sample(images + phis, 2)
+                assert _items(a.mul(b, N).coeffs) == \
+                    _items(ps_mul_reference(a, b, N).coeffs)
+            for m, img in ref.table.items():
+                assert _items(table[m]) == _items(img.coeffs), (r, N, m)
+            try:
+                want = ps_compose_inverse_reference(images, N)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    ps_compose_inverse(images, N)
+                continue
+            taus = ps_compose_inverse(images, N)
+            assert [_items(t.coeffs) for t in taus] == \
+                [_items(t.coeffs) for t in want], (r, N)
+            assert all(t.trunc == N for t in taus)
 
 
 def test_poly_structure_helpers():
