@@ -72,13 +72,14 @@ HUGE = "7" * 4400
 
 
 def test_huge_coefficient_gives_the_hilbert_function_of_one(capsys):
-    cap = sys.get_int_max_str_digits()
+    read_cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+    cap = read_cap()
     code, out = run(capsys, "hilbert", "--vars", "X", "--char", "0",
                     HUGE + "*X^[2]")
     assert code == 0
     assert (code, out) == run(capsys, "hilbert", "--vars", "X", "--char", "0",
                               "X^[2]")
-    assert sys.get_int_max_str_digits() == cap
+    assert read_cap() == cap
 
 
 @pytest.mark.parametrize("argv", [
