@@ -48,7 +48,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError
-from .linalg import Echelon, primitive, rref_rows
+from .linalg import Echelon, orthogonal, primitive
 from .poly import DPPoly, PSElement, contract, mdeg
 
 
@@ -305,24 +305,10 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     rindex = ring.rmon_index(j + 1)
     rmons = list(rindex)
     n = len(rmons)
-    # I is the orthogonal of R o f, x^beta paired with X^[beta].  In the
-    # columns n-1-rindex[beta], degree-descending like those of D, the
-    # reduced basis of R o f has one row per pivot q, and the orthogonal
-    # one vector per free column c: e_c - sum row[c] * e_q.  Its pivot is
-    # c, and no other free column is in its support.  Read backwards in
-    # R's columns, these are the reduced echelon basis of I.
-    col = [n - 1 - rindex[m] for m in P.dmons]
-    basis = rref_rows(field, [{col[c]: v for c, v in row.items()}
-                              for row in P.level(0).rows])
-    pivots = {min(row) for row in basis}
-    free = {c: {n - 1 - c: field.one}
-            for c in range(n - 1, -1, -1) if c not in pivots}
-    for row in basis:
-        q = min(row)
-        for c, v in row.items():
-            if c != q:
-                free[c][n - 1 - q] = field.neg(v)
-    rows = list(free.values())
+    # I is the orthogonal of R o f, x^beta paired with X^[beta]
+    col = [rindex[m] for m in P.dmons]
+    rows = orthogonal(field, [{col[c]: v for c, v in row.items()}
+                              for row in P.level(0).rows], n)
     # m*I in the coordinates of I: a vector of I is the combination of the
     # rows given by its pivot entries, so x_i * row is kept on pivot columns
     # only, each relabelled by its row number.  Only the span of m*I is
@@ -407,23 +393,36 @@ def verify_ideal_presentation(gens: list[PSElement],
 def verify_graded_presentation(gens: list[PSElement],
                                f: DPPoly | PartialFiltration) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
-    ideal I* = Gr(Ann f), checked degree by degree up to j+1: each g pairs
-    to zero with L(0, deg g), and the degree-d multiples span r_d - h_d.
-    f is the dual generator or its PartialFiltration."""
-    ring, field = f.ring, f.ring.field
+    ideal I* = Gr(Ann f), checked degree by degree up to j+1: I*_d is the
+    orthogonal of L(0, d), of dimension r_d - h_d.  f is the dual generator
+    or its PartialFiltration."""
+    P = filtration(f)
+    ring, top = P.ring, P.j + 1
+    return _verify_graded(
+        gens, ring, [P.lt_rows(0, d) for d in range(top + 1)],
+        [ring.dim_of_degree(d) - P.lt_count(0, d) for d in range(top + 1)])
+
+
+def _verify_graded(gens: list[PSElement], ring, orth: list,
+                   dims: list) -> bool:
+    """True iff the homogeneous gens generate exactly the graded ideal J of
+    R with J_d = span(orth[d])^perp of dimension dims[d], in every degree d
+    up to top = len(dims) - 1: each g pairs to zero with orth[deg g], so it
+    lies in J, and as J is an ideal the degree-d products x^m * g lie in
+    J_d, all of it once their rank reaches dims[d].  orth[d] holds vectors
+    over monomial_index(d); a generator of degree above top is not read."""
+    field = ring.field
     for g in gens:
         g.ring.check_same(ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
-    P = filtration(f)
-    top = P.j + 1
+    top = len(dims) - 1
     gens = [g for g in gens if g.order <= top]
-    # contraction pairs x^a with X^[a] alone, so g and the rows of L(0, o)
+    # contraction pairs x^a with X^[a] alone, so g and the rows of orth[o]
     # are read in the same index, monomial_index(o)
     for g in gens:
-        hidx = ring.monomial_index(g.order)
-        gv = g.vector(hidx)
-        for row in P.lt_rows(0, g.order):
+        gv = g.vector(ring.monomial_index(g.order))
+        for row in orth[g.order]:
             if field.canon({0: sum(gv[k] * v for k, v in row.items()
                                    if k in gv)}):
                 return False
@@ -432,6 +431,4 @@ def verify_graded_presentation(gens: list[PSElement],
     for g in gens:
         for m, v in zip(rmons, _multiples(g, top)):
             of_degree[g.order + mdeg(m)].append(v)
-    return all(_reaches(field, of_degree[d],
-                        ring.dim_of_degree(d) - P.lt_count(0, d))
-               for d in range(top + 1))
+    return all(_reaches(field, of_degree[d], dims[d]) for d in range(top + 1))

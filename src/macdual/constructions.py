@@ -14,7 +14,7 @@ from .decomposition import (component_dual_dims, max_continuation,
                             symmetric_decomposition)
 from .errors import DomainError, GenericityError, InternalCheckError
 from .fields import Field
-from .linalg import Echelon, kernel, same_span, solve_linear
+from .linalg import Echelon, orthogonal, same_span, solve_linear
 from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
                    dp_mul, dp_power_of_linear, mdeg, mon_mul)
 
@@ -157,7 +157,8 @@ def relatively_compressed_modification(f: DPPoly, a: int, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# extensions linear in fresh variables
+# extensions linear in fresh variables; their joint kernels are read by
+# duality, {phi in R_e : phi o g in S} = (S^perp o g)^perp
 
 class ExtensionSpec:
     """F = f + sum h_t Z_t with f and all h_t homogeneous in the original
@@ -223,38 +224,39 @@ def allowed_component_indices(spec: ExtensionSpec) -> set:
 
 
 def _graded_partial_spans(ring, polys, maxdeg):
-    """Per-degree echelons of R o <polys> (all homogeneous inputs); each row
-    carries a witness, so that Echelon.project against them is a linear
-    map."""
+    """Per-degree echelons of R o <polys> (all homogeneous inputs)."""
     by_deg = {d: Echelon(ring.field) for d in range(maxdeg + 1)}
-    for t, g in enumerate(polys):
+    for g in polys:
         dg = g.degree
         for e in range(dg + 1):
             hidx = ring.monomial_index(dg - e)
             for b in ring.monomials(e):
                 img = contract_monomial(b, g)
                 if not img.is_zero:
-                    by_deg[dg - e].insert(img.vector(hidx), {(t, b): 1})
+                    by_deg[dg - e].insert(img.vector(hidx))
     return by_deg
 
 
-def _homogeneous_joint_kernel(ring, e, image_fns):
-    """Basis (as monomial-coefficient dicts) of the phi in R_e killed by
-    every map in image_fns (each returns a sparse vector for a monomial)."""
+def _homogeneous_joint_kernel(ring, e, f, span, hs):
+    """Basis (as monomial-coefficient dicts) of the phi in R_e with phi o f
+    in span, the degree deg f - e part of a space of partials (None when
+    that degree is negative), and phi o h = 0 for every h in hs.  Both are
+    orthogonality conditions: phi o f lies in S iff phi pairs to zero with
+    S^perp o f, and phi o h = 0 iff it pairs to zero with (R o h)_e.  So
+    the space is the degree-e orthogonal of S^perp o f + sum (R o h)_e."""
+    idx = ring.monomial_index(e)
+    rows = []
+    if span is not None:
+        smons = ring.monomials(f.degree - e)
+        rows += [contract(PSElement.from_vector(ring, psi, smons,
+                                                f.degree + 1),
+                          f).vector(idx)
+                 for psi in orthogonal(ring.field, span.rows, len(smons))]
+    rows += [contract_monomial(b, h).vector(idx)
+             for h in hs for b in ring.monomials(h.degree - e)]
     mons = ring.monomials(e)
-
-    def joint_image(m):
-        img = {}
-        off = 0
-        for fn in image_fns:
-            v, width = fn(m)
-            for k, c in v.items():
-                img[k + off] = c
-            off += width
-        return img
-
-    return [{mons[i]: c for i, c in wit.items()}
-            for wit in kernel(ring.field, map(joint_image, mons))]
+    return [{mons[i]: c for i, c in phi.items()}
+            for phi in orthogonal(ring.field, rows, len(mons))]
 
 
 def restricted_components(spec: ExtensionSpec) -> dict:
@@ -285,25 +287,12 @@ def restricted_components(spec: ExtensionSpec) -> dict:
     hs_only_spans = [_graded_partial_spans(ring, hs[:t], j)
                      for t in range(s + 1)]
 
-    def contraction_map(g, e, span=None):
-        """m -> (m o g over the graded-lex basis of D_{deg g - e}, reduced
-        modulo span when given; the dimension of that basis)."""
-        hidx = ring.monomial_index(g.degree - e)
-
-        def fn(m):
-            vec = contract_monomial(m, g).vector(hidx)
-            return (vec if span is None else span.project(vec)), len(hidx)
-        return fn
-
     def c_space(t2, extra_ann_prefix=0):
         """phi with phi o f in R o <h_1..h_t2>, also killing h_1..h_{extra}."""
-        out = {}
-        for e in range(1, j + 2):
-            span = hs_only_spans[t2].get(f.degree - e)
-            fns = [contraction_map(f, e, span)]
-            fns += [contraction_map(g, e) for g in hs[:extra_ann_prefix]]
-            out[e] = _homogeneous_joint_kernel(ring, e, fns)
-        return out
+        return {e: _homogeneous_joint_kernel(
+                    ring, e, f, hs_only_spans[t2].get(f.degree - e),
+                    hs[:extra_ann_prefix])
+                for e in range(1, j + 2)}
 
     def theta_vector(theta_coeffs, from_t):
         """(theta - sum z_i eta_i) o F = sum_{l >= from_t} (theta o h_l) Z_l."""
@@ -513,7 +502,9 @@ def connected_sum_hilbert(H1, H2) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the two-variable ancestor invariant
+# the two-variable ancestor invariant; the colon spaces are read by
+# duality, (V : R_k) = (R_k o V^perp)^perp under the pairing of monomial
+# coordinates, in which contraction is the adjoint of multiplication
 
 class AncestorData(NamedTuple):
     degree: int
@@ -528,6 +519,8 @@ def ancestor_data(V: list, j: int) -> AncestorData:
     computed by both displayed routes, which must agree."""
     if not V:
         raise DomainError("empty space of forms")
+    if j < 1:
+        raise DomainError("ancestor invariant needs forms of degree at least 1")
     ring = V[0].ring
     if ring.r != 2:
         raise DomainError("ancestor invariant is defined for two variables")
@@ -549,27 +542,16 @@ def ancestor_data(V: list, j: int) -> AncestorData:
             up.insert({upidx[mon_mul(mons_j[c], x)]: val
                        for c, val in row.items()})
     tau_up = up.dim - dim
-    # V : R_1 inside R_{j-1}, then iterate for the full colon chain
+    # the colon chain by duality: W_0 = V^perp, W_k = R_1 o W_{k-1}, and
+    # dim (V : R_k) = r_{j-k} - dim W_k
     colon_dims = [dim]
-    cur_rows = base.rows
-    cur_deg = j
-    while cur_deg >= 1:
-        idx_cur = ring.monomial_index(cur_deg)
-        tgt = Echelon(field)
-        for i, row in enumerate(cur_rows):
-            tgt.insert(row, {i: 1})
-
-        def colon_image(m):
-            """(x*m, y*m) modulo the current space, side by side."""
-            img = {}
-            for i, x in enumerate(units):
-                vec = tgt.project({idx_cur[mon_mul(m, x)]: field.one})
-                for kk, c in vec.items():
-                    img[kk + i * len(idx_cur)] = c
-            return img
-        cur_rows = kernel(field, map(colon_image, ring.monomials(cur_deg - 1)))
-        colon_dims.append(len(cur_rows))
-        cur_deg -= 1
+    W = orthogonal(field, base.rows, len(hidx))
+    for d in range(j, 0, -1):
+        mons, down = ring.monomials(d), ring.monomial_index(d - 1)
+        shifts = (contract_monomial(x, DPPoly.from_vector(ring, w, mons))
+                  for w in W for x in units)
+        W = Echelon(field, (g.vector(down) for g in shifts)).rows
+        colon_dims.append(len(down) - len(W))
     tau_down = dim - colon_dims[1]
     if tau_up != tau_down:
         raise InternalCheckError("the two formulas for tau disagree")

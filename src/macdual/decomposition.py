@@ -26,11 +26,10 @@ from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .apolarity import PartialFiltration, filtration
+from .apolarity import PartialFiltration, _verify_graded, filtration
 from .errors import DomainError, InternalCheckError
-from .linalg import (Echelon, kernel, rref_rows, same_span, solve_linear,
-                     vec_axpy)
-from .poly import DPPoly, PSElement, RingSpec, contract_monomial, mdeg
+from .linalg import Echelon, orthogonal, rref_rows, solve_linear, vec_axpy
+from .poly import DPPoly, PSElement, RingSpec
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +333,8 @@ def overweight_check(decomp: SymDecomp, a: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the graded ideals cutting out the filtration (pullbacks to R)
+# the graded ideals cutting out the filtration (pullbacks to R), each
+# degree read by duality: C(a)_i = L(j-a+1-i, i)^perp in R_i
 
 class GradedIdealData(NamedTuple):
     """Per-degree spaces (graded-lex coordinates of R_d) of a graded ideal of
@@ -352,51 +352,34 @@ class GradedIdealData(NamedTuple):
 def filtration_ideal(f, a: int) -> GradedIdealData:
     """The graded ideal of R whose degree-i piece consists of the initial
     forms of elements h of m^i with h o f of degree at most j-a-i (the
-    pullback of the a-th filtration ideal of the associated graded algebra).
+    pullback of the a-th filtration ideal C(a) of the associated graded
+    algebra).  Its degree-i piece is the orthogonal of a leading-term space
+    that P already holds:
+
+        C(a)_i = L(j-a+1-i, i)^perp  in R_i,
+
+    so dim C(a)_i = r_i - sum_{u<a} H(u)_i, the component_dual_dims sum
+    telescoping to the count of L(j-a+1-i, i).
     """
     P = filtration(f)
     j, ring = P.j, P.ring
-    field = ring.field
     if a < 0 or a > j - 1:
         raise DomainError("filtration index a out of range")
-    dims = []
-    spaces = []
-    for i in range(j + 2):
-        cutoff = j - a - i
-        images = ({P.dindex[mm]: c
-                   for mm, c in contract_monomial(m, P.f).coeffs.items()
-                   if mdeg(mm) > cutoff}
-                  for d in range(i, j + 2) for m in ring.monomials(d))
-        # positions below |monomials(i)| are the degree-i part of a kernel
-        # element, i.e. an achievable initial form
-        n_i = ring.dim_of_degree(i)
-        proj = [{k: v for k, v in wit.items() if k < n_i}
-                for wit in kernel(field, images)]
-        rows = rref_rows(field, [v for v in proj if v])
-        spaces.append(rows)
-        dims.append(len(rows))
-    data = GradedIdealData(ring, j, tuple(dims), spaces)
-    # independent route: dim C(a)_i = r_i - sum_{u<a} H(u)_i
-    below = component_sum((component_dual_dims(P, u) for u in range(a)), j + 1)
-    for i in range(j + 2):
-        if dims[i] != ring.dim_of_degree(i) - below[i]:
-            raise InternalCheckError(
-                "filtration ideal dims disagree with the decomposition")
-    return data
+    spaces = [orthogonal(ring.field, P.lt_rows(j - a + 1 - i, i),
+                         ring.dim_of_degree(i)) for i in range(j + 2)]
+    return GradedIdealData(ring, j, tuple(map(len, spaces)), spaces)
 
 
 def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal
-    described by data, in every degree up to j+1."""
-    for g in gens:
-        if not g.is_homogeneous() or g.is_zero or g.order == 0:
-            raise DomainError("graded generators must be nonzero, homogeneous, non-units")
+    described by data, in every degree up to j+1.  data must be an ideal,
+    as filtration_ideal returns: each generator is checked to pair to zero
+    with the orthogonal of its degree's space, and the products of degree
+    d to reach dims[d]."""
+    if any(g.order == 0 for g in gens):
+        raise DomainError("graded generators must be nonzero, homogeneous, non-units")
     ring = data.ring
-    for d in range(data.socle_degree + 2):
-        hidx = ring.monomial_index(d)
-        products = (g.mul_monomial(m, d).vector(hidx)
-                    for g in gens if g.order <= d
-                    for m in ring.monomials(d - g.order))
-        if not same_span(ring.field, data.space_rows(d), products):
-            return False
-    return True
+    return _verify_graded(
+        gens, ring, [orthogonal(ring.field, data.space_rows(d),
+                                ring.dim_of_degree(d))
+                     for d in range(data.socle_degree + 2)], data.dims)

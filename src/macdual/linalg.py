@@ -10,7 +10,7 @@ field rows have pivot one.  Over the rationals rows are integer vectors and
 reduction is fraction-free (each step is v <- a*v - b*row with integers
 a > 0 and b); a row is a positive multiple of the pivot-one row, so a
 caller that needs a normalized value divides once where it leaves the
-echelon, as :func:`kernel`, :func:`rref_rows`, :func:`solve_linear` and
+echelon, as :func:`rref_rows`, :func:`solve_linear` and
 :meth:`Echelon.project` do.  ``Echelon(field, vectors)`` is seeded with
 the span of vectors, inserted in order without witnesses; ``insert``
 neither stores nor changes the dict it is given.
@@ -39,10 +39,13 @@ witness.
 
 Built on it:
 
-* :func:`kernel` - a basis of the kernel of ``e_i -> images[i]``;
 * :func:`same_span` - whether two families span the same subspace;
 * :func:`rref_rows` - the canonical fully reduced, pivot-one basis of a
   span, used wherever a basis is reported;
+* :func:`orthogonal` - the same canonical basis of the orthogonal of a
+  span under the pairing <e_a, e_b> = delta_ab, read off its
+  :func:`rref_rows`: every space the package gets as a kernel is read
+  this way, as the orthogonal of a span it already holds;
 * :func:`solve_linear` - one solution of a linear system.
 
 The dense :func:`det` and :func:`matrix_inverse` work on row-major lists of
@@ -310,31 +313,6 @@ class Echelon:
         return not self.reduce(vec)
 
 
-def kernel(field: Field, images) -> list[dict]:
-    """Basis of the kernel of the linear map sending the i-th unit vector to
-    images[i], as sparse dicts over the positions i.  Each image is reduced
-    once, with witness {i: 1}, against the images kept so far: a nonzero
-    remainder becomes a row, a zero one makes the witness a kernel vector.
-    Its entry at i is the product of the factors fraction-free reduction
-    multiplied it by (one over F_p), and the witness is returned divided by
-    it, one division per kernel vector: the unique kernel vector supported
-    on i and the stored images with 1 at i.  Entries are canonical (over Q,
-    ints whenever the denominator is one)."""
-    ech = Echelon(field)
-    out = []
-    for i, img in enumerate(images):
-        wit = {i: field.one}
-        rem = ech.reduce(img, wit)
-        if rem:
-            ech._store(rem, wit)
-            continue
-        d = wit[i]
-        if d != 1:
-            wit = {k: _div(a, d) for k, a in wit.items()}
-        out.append(wit)
-    return out
-
-
 def same_span(field: Field, a, b) -> bool:
     """True iff the two families of vectors span the same subspace."""
     ea, eb = Echelon(field, a), Echelon(field, b)
@@ -378,6 +356,28 @@ def rref_rows(field: Field, vectors) -> list[dict]:
                 for k, a in row.items():
                     row[k] = _div(a, d)
     return rows
+
+
+def orthogonal(field: Field, rows, n: int) -> list[dict]:
+    """The reduced pivot-one basis of S^perp = {v in F^n : <v, s> = 0 for
+    s in S}, S the span of rows, in increasing pivot order.
+
+    In the reversed columns n-1-c the reduced basis of S has one row per
+    pivot q, and S^perp one vector per free column c: e_c - sum row[c] *
+    e_q.  Its pivot is c, and no other free column is in its support.  Read
+    backwards in the given columns, these are the reduced echelon basis of
+    S^perp.  Over F_p the entries must already be residues in range(p)."""
+    basis = rref_rows(field, [{n - 1 - c: v for c, v in row.items()}
+                              for row in rows])
+    pivots = {min(row) for row in basis}
+    free = {c: {n - 1 - c: field.one}
+            for c in range(n - 1, -1, -1) if c not in pivots}
+    for row in basis:
+        q = min(row)
+        for c, v in row.items():
+            if c != q:
+                free[c][n - 1 - q] = field.neg(v)
+    return list(free.values())
 
 
 def solve_linear(field: Field, columns: list[dict], target: dict):

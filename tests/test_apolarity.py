@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from kernel_reference import kernel
 from macdual.apolarity import (LocalIdeal, PartialFiltration, _Span,
                                _images_descending, annihilator,
                                hilbert_function, verify_graded_presentation,
@@ -15,8 +16,7 @@ from macdual.apolarity import (LocalIdeal, PartialFiltration, _Span,
 from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.io import corpus_load, parse_poly
-from macdual.linalg import (Echelon, kernel, primitive, rref_rows, same_span,
-                            vec_axpy)
+from macdual.linalg import Echelon, primitive, rref_rows, same_span, vec_axpy
 from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
                           contract_monomial)
 

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from kernel_reference import kernel
 from macdual.apolarity import PartialFiltration, annihilator, hilbert_function
-from macdual.constructions import (ExtensionSpec, allowed_component_indices,
+from macdual.constructions import (ExtensionSpec, _graded_partial_spans,
+                                   _homogeneous_joint_kernel,
+                                   allowed_component_indices,
                                    ancestor_data, annihilator_order,
                                    connected_sum, connected_sum_hilbert,
                                    is_a_modification, lift_to_modification,
@@ -17,7 +20,9 @@ from macdual.decomposition import (component_dual_dims, max_continuation,
 from macdual.errors import DomainError, GenericityError
 from macdual.fields import Field
 from macdual.io import parse_poly
-from macdual.poly import RingSpec, contract
+from macdual.linalg import Echelon, same_span
+from macdual.poly import (PSElement, RingSpec, contract, contract_monomial,
+                          mon_mul)
 
 
 def mk(vars, src, char=0):
@@ -370,6 +375,125 @@ def test_ancestor_two_formulas_random():
                 polys.append(p)
         if polys:
             ancestor_data(polys, j)  # both tau routes agree or it raises
+
+
+def test_ancestor_refuses_degree_zero():
+    R = RingSpec(("X", "Y"), Field(0))
+    for j in (0, -1):
+        with pytest.raises(DomainError):
+            ancestor_data([R.ps("3")], j)
+
+
+def colon_dims_kernel_route(V, j):
+    """ancestor_data's colon chain as it ran before it was read by duality:
+    (V : R_1) inside R_{j-1} as the kernel of m -> (x*m, y*m) modulo V,
+    iterated down to degree 0."""
+    ring = V[0].ring
+    field = ring.field
+    hidx = ring.monomial_index(j)
+    cur_rows = Echelon(field, (v.vector(hidx) for v in V)).rows
+    colon = [len(cur_rows)]
+    for cur_deg in range(j, 0, -1):
+        idx_cur = ring.monomial_index(cur_deg)
+        tgt = Echelon(field)
+        for i, row in enumerate(cur_rows):
+            tgt.insert(row, {i: 1})
+
+        def colon_image(m):
+            img = {}
+            for i, x in enumerate(ring.monomials(1)):
+                vec = tgt.project({idx_cur[mon_mul(m, x)]: field.one})
+                img.update({(i, k): c for k, c in vec.items()})
+            return img
+        cur_rows = kernel(field, map(colon_image,
+                                     ring.monomials(cur_deg - 1)))
+        colon.append(len(cur_rows))
+    return tuple(colon)
+
+
+@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
+def test_ancestor_colon_dims_match_kernel_route(char):
+    """(V : R_k) = (R_k o V^perp)^perp gives the colon chain's dimensions
+    on random V: monomials, binomials and dense forms, dependent ones
+    included."""
+    rng = random.Random(2320 + char)
+    field = Field(char)
+    R = RingSpec(("X", "Y"), field)
+    for _ in range(60):
+        j = rng.randint(1, 7)
+        mons = R.monomials(j)
+        V = []
+        for _ in range(rng.randint(1, j + 2)):
+            support = rng.sample(mons, min(len(mons), rng.choice([1, 2, j])))
+            coeffs = field.canon({m: rng.randint(-3, 3) for m in support})
+            if coeffs:
+                V.append(PSElement(R, coeffs, j))
+        if V:
+            assert ancestor_data(V, j).colon_dims == \
+                colon_dims_kernel_route(V, j)
+
+
+def joint_kernel_kernel_route(ring, e, f, hs_t2, hs_extra):
+    """The phi in R_e with phi o f in R o <hs_t2> and phi o h = 0 for h in
+    hs_extra, as restricted_components read them before they were read by
+    duality: the kernel of m -> (m o f projected off that span, m o h ...),
+    the span's rows carrying witnesses so the projection is linear."""
+    field = ring.field
+    d = f.degree - e
+    idx = ring.monomial_index(d)
+    span = Echelon(field)
+    for t, g in enumerate(hs_t2):
+        for b in ring.monomials(g.degree - d):
+            img = contract_monomial(b, g)
+            if not img.is_zero:
+                span.insert(img.vector(idx), {(t, b): 1})
+
+    def joint_image(m):
+        img = {(-1, k): c for k, c in span.project(
+            contract_monomial(m, f).vector(idx)).items()}
+        for t, h in enumerate(hs_extra):
+            hidx = ring.monomial_index(h.degree - e)
+            img.update({(t, k): c for k, c in
+                        contract_monomial(m, h).vector(hidx).items()})
+        return img
+    mons = ring.monomials(e)
+    return [{mons[i]: c for i, c in w.items()}
+            for w in kernel(field, map(joint_image, mons))]
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_joint_spaces_match_kernel_route(char):
+    """The joint spaces restricted_components counts in, read as the
+    degree-e orthogonal of S^perp o f + sum (R o h)_e, span what the
+    kernel route spanned, for every (t2, extra, e)."""
+    rng = random.Random(2330 + char)
+    field = Field(char)
+    cases = 0
+    for trial in range(16):
+        ring = RingSpec(("X", "Y", "Z")[:trial % 2 + 2], field)
+        j = rng.randint(3, 6)
+        f = random_form(ring, j, rng) if trial % 4 == 0 else \
+            random_poly(ring, j, rng).homogeneous_component(j)
+        degs = sorted((rng.randint(1, j - 2) for _ in range(rng.randint(1, 3))),
+                      reverse=True)
+        hs = [random_poly(ring, k, rng).homogeneous_component(k)
+              for k in degs]
+        spans = [_graded_partial_spans(ring, hs[:t], j)
+                 for t in range(len(hs) + 1)]
+        for t2 in range(len(hs) + 1):
+            for extra in range(len(hs) + 1):
+                for e in range(1, j + 2):
+                    got = _homogeneous_joint_kernel(
+                        ring, e, f, spans[t2].get(j - e), hs[:extra])
+                    want = joint_kernel_kernel_route(ring, e, f, hs[:t2],
+                                                     hs[:extra])
+                    idx = ring.monomial_index(e)
+                    assert same_span(field, [{idx[m]: c for m, c in
+                                              phi.items()} for phi in got],
+                                     [{idx[m]: c for m, c in phi.items()}
+                                      for phi in want])
+                    cases += 1
+    assert cases > 500
 
 
 # -- non-ubiquity -------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from kernel_reference import kernel
 from macdual.apolarity import PartialFiltration
 from macdual.decomposition import (component_dims, component_dual_dims,
                                    component_generator_degrees,
@@ -10,11 +12,11 @@ from macdual.decomposition import (component_dims, component_dual_dims,
                                    macaulay_bound, max_continuation,
                                    overweight_check, symmetric_decomposition,
                                    verify_graded_ideal)
-from macdual.errors import DomainError
+from macdual.errors import DomainError, RingMismatchError
 from macdual.fields import Field
 from macdual.io import parse_poly
-from macdual.linalg import Echelon
-from macdual.poly import RingSpec
+from macdual.linalg import Echelon, rref_rows, same_span
+from macdual.poly import DPPoly, PSElement, RingSpec, contract_monomial, mdeg
 
 
 def mk(vars, src, char=0):
@@ -303,6 +305,132 @@ def test_filtration_ideal_chain_and_bottom():
         I = annihilator(f)
         for d in range(1, P.j + 2):
             assert datas[0].dims[d] == ring.dim_of_degree(d)
+
+
+def test_verify_graded_ideal_checks_the_ring():
+    R, f = mk(("X", "Y", "Z"), "X^[6]+X^[3]*Y^[2]+Z^[4]")
+    data = filtration_ideal(f, 2)
+    other = RingSpec(("U", "V", "W"), Field(101))
+    with pytest.raises(RingMismatchError):
+        verify_graded_ideal([other.ps(g) for g in ("w", "v^2", "v*u^4",
+                                                   "u^7")], data)
+    # units and non-homogeneous generators stay refused as bad input
+    for bad in ("1", "3", "1+x", "z+y^2"):
+        with pytest.raises(DomainError):
+            verify_graded_ideal([R.ps("z"), R.ps(bad)], data)
+
+
+# -- filtration ideals against the kernel route --------------------------------
+
+def filtration_ideal_kernel_route(P, a):
+    """filtration_ideal's spaces as they were computed before they were
+    read by duality: for each degree i, one witnessed kernel pass over the
+    images x^m o f, |m| >= i, cut to their terms of degree above j-a-i,
+    keeping the degree-i part of each kernel vector."""
+    j, ring, field = P.j, P.ring, P.ring.field
+    spaces = []
+    for i in range(j + 2):
+        cutoff = j - a - i
+        images = ({P.dindex[mm]: c
+                   for mm, c in contract_monomial(m, P.f).coeffs.items()
+                   if mdeg(mm) > cutoff}
+                  for d in range(i, j + 2) for m in ring.monomials(d))
+        n_i = ring.dim_of_degree(i)
+        proj = [{k: v for k, v in wit.items() if k < n_i}
+                for wit in kernel(field, images)]
+        spaces.append(rref_rows(field, [v for v in proj if v]))
+    return spaces
+
+
+def verify_graded_ideal_same_span(gens, data):
+    """verify_graded_ideal as it ran before it shared the presentation
+    check: the degree-d products span exactly data's degree-d space."""
+    ring = data.ring
+    for d in range(data.socle_degree + 2):
+        hidx = ring.monomial_index(d)
+        products = (g.mul_monomial(m, d).vector(hidx)
+                    for g in gens if g.order <= d
+                    for m in ring.monomials(d - g.order))
+        if not same_span(ring.field, data.space_rows(d), products):
+            return False
+    return True
+
+
+def random_form_of_shape(ring, rng, j, dense):
+    """A dual generator of degree j: every monomial of degree <= j when
+    dense, else a few; over Q half of them with Fraction coefficients."""
+    mons = [m for d in range(j + 1) for m in ring.monomials(d)]
+    if not dense:
+        mons = rng.sample(mons, min(len(mons), rng.randint(1, 5)))
+    coeffs = {m: rng.randint(-9, 9) for m in mons}
+    p = ring.field.char
+    coeffs[rng.choice(ring.monomials(j))] = rng.randint(1, p - 1 if p else 9)
+    if not p and rng.random() < .5:
+        coeffs = {m: Fraction(c, rng.randint(1, 4)) for m, c in coeffs.items()}
+    return DPPoly(ring, ring.field.canon(coeffs))
+
+
+def _typed_rows(rows):
+    return [sorted((k, type(v), v) for k, v in row.items()) for row in rows]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 101], ids=["Q", "F2", "F3", "F101"])
+def test_filtration_ideal_matches_kernel_route(char):
+    """C(a)_i = L(j-a+1-i, i)^perp gives the kernel route's rows exactly,
+    value types included, for every a, on 12 random forms per field (48 in
+    all; r 2-4, j 2-7, a quarter of them dense); dims are the row counts,
+    and equal r_i - sum_{u<a} H(u)_i."""
+    rng = random.Random(2300 + char)
+    field = Field(char)
+    for trial in range(12):
+        r = trial % 3 + 2
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        dense = trial % 4 == 0
+        j = rng.randint(2, {2: 7, 3: 6, 4: 5}[r] if dense else 7)
+        f = random_form_of_shape(ring, rng, j, dense)
+        P = PartialFiltration(f)
+        for a in range(P.j):
+            data = filtration_ideal(P, a)
+            want = filtration_ideal_kernel_route(P, a)
+            assert [_typed_rows(s) for s in data.spaces] == \
+                [_typed_rows(s) for s in want]
+            below = [0] * (P.j + 2)
+            for u in range(a):
+                for i, v in enumerate(component_dual_dims(P, u)):
+                    below[i] += v
+            assert data.dims == tuple(len(s) for s in want) == tuple(
+                ring.dim_of_degree(i) - below[i] for i in range(P.j + 2))
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_verify_graded_ideal_matches_same_span_route(char):
+    """The shared check answers as the equal-span test did: for a basis of
+    every degree (a generating set), for it with one degree's basis cut
+    short, and with a random form added, which leaves the ideal unless
+    it lies in it."""
+    rng = random.Random(2310 + char)
+    field = Field(char)
+    for trial in range(12):
+        ring = RingSpec(("X", "Y", "Z")[:trial % 2 + 2], field)
+        f = random_form_of_shape(ring, rng, rng.randint(2, 5), trial % 4 == 0)
+        P = PartialFiltration(f)
+        for a in range(P.j):
+            data = filtration_ideal(P, a)
+            top = P.j + 1
+            gens = [PSElement.from_vector(ring, row, ring.monomials(d),
+                                          top + 1)
+                    for d in range(1, top + 1) for row in data.spaces[d]]
+            drop = rng.randrange(len(gens))
+            cut = gens[:drop] + gens[drop + 1:]
+            d = rng.randint(1, top)
+            extra = PSElement(ring, {m: field.from_int(rng.randint(-3, 3))
+                                     for m in ring.monomials(d)}, top + 1)
+            cases = [gens, cut]
+            if not extra.is_zero:
+                cases += [gens + [extra], cut + [extra]]
+            for gs in cases:
+                assert verify_graded_ideal(gs, data) == \
+                    verify_graded_ideal_same_span(gs, data)
 
 
 def test_decomposition_invariance_under_units():

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from kernel_reference import kernel
 from macdual.errors import DomainError
 from macdual.fields import Field
-from macdual.linalg import (Echelon, det, kernel, matrix_inverse, primitive,
-                            rref_rows, same_span, solve_linear, vec_axpy)
+from macdual.linalg import (Echelon, det, matrix_inverse, orthogonal,
+                            primitive, rref_rows, same_span, solve_linear,
+                            vec_axpy)
 from macdual.poly import DPPoly, RingSpec, linear_substitute
 
 QQ = Field(0)
@@ -402,6 +404,84 @@ def test_same_span_random(field):
         moved = basis.rows[1:] + [{free: field.one}]
         assert _rank(field, moved, NCOLS) == dim
         assert not same_span(field, moved, gens)
+
+
+# ---------------------------------------------------------------------------
+# orthogonal: the reduced basis of S^perp, against the kernel of S's columns
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(101)],
+                         ids=["Q", "F2", "F101"])
+def test_orthogonal_random(field):
+    """S^perp is the kernel of the map e_i -> (row_k[i])_k, so its reduced
+    basis is rref_rows of that kernel.  The output is that basis: pivot
+    one, pivots increasing and cleared from every other row, canonical
+    entries; each output row pairs to zero with each input row, and there
+    are n - rank of them."""
+    rng = random.Random(43)
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        rows = [_rand_sparse(rng, field, n, rng.choice([.2, .5, .9]))
+                for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(0, 3)):      # dependent rows and zeros
+            if rows and rng.random() < .6:
+                a, b = rng.choice(rows), rng.choice(rows)
+                rows.append(ref_axpy(field, dict(a),
+                                     _rand_scalar(rng, field), b))
+            else:
+                rows.append({})
+        got = orthogonal(field, rows, n)
+        columns = [field.canon({k: row[i] for k, row in enumerate(rows)
+                                if i in row}) for i in range(n)]
+        assert [_typed(w) for w in got] == \
+            [_typed(w) for w in rref_rows(field, kernel(field, columns))]
+        pivots = [min(w) for w in got]
+        assert pivots == sorted(set(pivots))
+        for w, q in zip(got, pivots):
+            assert w[q] == 1 and set(w) <= set(range(n))
+            assert not any(q in v for v in got if v is not w)
+            assert w == field.canon(w)
+            for row in rows:
+                assert field.canon({0: sum(a * row[k] for k, a in w.items()
+                                           if k in row)}) == {}
+        assert len(got) == n - _rank(field, rows, n)
+
+
+def test_orthogonal_edge_cases():
+    for field in (QQ, Field(2), Field(101)):
+        units = [{k: 1} for k in range(4)]
+        # no rows, or zero rows only: all of F^n
+        assert orthogonal(field, [], 4) == units
+        assert orthogonal(field, [{}, {}], 4) == units
+        assert orthogonal(field, [], 0) == []
+        # full rank: nothing
+        assert orthogonal(field, units, 4) == []
+        assert orthogonal(field, [{0: 1, 1: 1}, {1: 1}, {2: 1, 3: 1},
+                                  {3: 1}], 4) == []
+    # over F_2, (1, 1, 0)^perp is spanned by (1, 1, 0) itself and e_2
+    assert orthogonal(Field(2), [{0: 1, 1: 1}], 3) == [{0: 1, 1: 1}, {2: 1}]
+    # rows holding Fractions: (1/2, 1/3)^perp is the line of (1, -3/2)
+    got = orthogonal(QQ, [{0: Fraction(1, 2), 1: Fraction(1, 3)}], 2)
+    assert got == [{0: 1, 1: Fraction(-3, 2)}]
+    assert [_typed(w) for w in got] == [{0: (int, 1),
+                                         1: (Fraction, Fraction(-3, 2))}]
+    got = orthogonal(QQ, [{1: Fraction(2, 3), 2: 4}, {0: Fraction(1, 5)}], 3)
+    assert got == [{1: 1, 2: Fraction(-1, 6)}]
+    assert type(got[0][1]) is int
+
+
+def test_every_kernel_is_read_as_an_orthogonal():
+    """kernel() lives in the tests only, as the reference, and the graded
+    verifiers share one check: is_a_modification is left as the one
+    caller of same_span in the package."""
+    import macdual.apolarity as apolarity
+    import macdual.constructions as constructions
+    import macdual.decomposition as decomposition
+    import macdual.linalg as linalg
+    for module in (linalg, apolarity, decomposition, constructions):
+        assert not hasattr(module, "kernel")
+    assert not hasattr(apolarity, "same_span")
+    assert not hasattr(decomposition, "same_span")
+    assert decomposition._verify_graded is apolarity._verify_graded
 
 
 # ---------------------------------------------------------------------------
