@@ -367,16 +367,18 @@ def orthogonal(field: Field, rows, n: int) -> list[dict]:
     e_q.  Its pivot is c, and no other free column is in its support.  Read
     backwards in the given columns, these are the reduced echelon basis of
     S^perp.  Over F_p the entries must already be residues in range(p)."""
-    basis = rref_rows(field, [{n - 1 - c: v for c, v in row.items()}
+    last = n - 1
+    basis = rref_rows(field, [{last - c: v for c, v in row.items()}
                               for row in rows])
     pivots = {min(row) for row in basis}
-    free = {c: {n - 1 - c: field.one}
-            for c in range(n - 1, -1, -1) if c not in pivots}
+    free = {c: {last - c: field.one}
+            for c in range(last, -1, -1) if c not in pivots}
     for row in basis:
         q = min(row)
+        at = last - q
         for c, v in row.items():
             if c != q:
-                free[c][n - 1 - q] = field.neg(v)
+                free[c][at] = field.neg(v)
     return list(free.values())
 
 
