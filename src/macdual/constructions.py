@@ -14,7 +14,7 @@ from .decomposition import (component_dual_dims, max_continuation,
                             symmetric_decomposition)
 from .errors import DomainError, GenericityError, InternalCheckError
 from .fields import Field
-from .linalg import Echelon, orthogonal, same_span, solve_linear
+from .linalg import Echelon, orthogonal, same_span, solve_linear, vec_axpy
 from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
                    dp_mul, dp_power_of_linear, mdeg, mon_mul)
 
@@ -244,19 +244,22 @@ def _homogeneous_joint_kernel(ring, e, f, span, hs):
     orthogonality conditions: phi o f lies in S iff phi pairs to zero with
     S^perp o f, and phi o h = 0 iff it pairs to zero with (R o h)_e.  So
     the space is the degree-e orthogonal of S^perp o f + sum (R o h)_e."""
+    field = ring.field
     idx = ring.monomial_index(e)
     rows = []
     if span is not None:
-        smons = ring.monomials(f.degree - e)
-        rows += [contract(PSElement.from_vector(ring, psi, smons,
-                                                f.degree + 1),
-                          f).vector(idx)
-                 for psi in orthogonal(ring.field, span.rows, len(smons))]
+        images = [contract_monomial(b, f).vector(idx)
+                  for b in ring.monomials(f.degree - e)]
+        for psi in orthogonal(field, span.rows, len(images)):
+            row = {}
+            for c, v in psi.items():
+                vec_axpy(field, row, v, images[c])
+            rows.append(row)
     rows += [contract_monomial(b, h).vector(idx)
              for h in hs for b in ring.monomials(h.degree - e)]
     mons = ring.monomials(e)
     return [{mons[i]: c for i, c in phi.items()}
-            for phi in orthogonal(ring.field, rows, len(mons))]
+            for phi in orthogonal(field, rows, len(mons))]
 
 
 def restricted_components(spec: ExtensionSpec) -> dict:
