@@ -15,6 +15,12 @@ dimension in sight is a count of pivot degrees.  The Hilbert function is
 h_i = dim P(0,i) - dim P(0,i-1); Loewy series and the symmetric-decomposition
 quotients (macdual.decomposition) read off the same tables.
 
+On a dense f most images already lie in the span when they are fed.  An
+image x^beta o f lies in D_{<= j-|beta|}, a suffix of the degree-descending
+columns, so once every column from its first column on is a pivot
+(Echelon.covers, O(1)) it could only reduce to zero, and it is skipped.  A
+zero reduction stores nothing, so the rows and their tags stay the same.
+
 The annihilator I = Ann f modulo m^{j+2} (exact for minimal generators, as
 m^{j+1} lies in I, hence m^{j+2} in mI) is read off level 0 by duality: it
 is the orthogonal of R o f under <x^a, X^[b]> = delta_ab (Macaulay's
@@ -27,7 +33,10 @@ of f), and every shift of a monomial row is a unit vector.  The spans that
 are only read for a rank (m*I, the presentation products) therefore take
 unit vectors as coordinates U and project every other vector off U into
 one echelon (_Span): the span is the direct sum <e_U> + span(echelon), so
-every answer is exact.  Membership in Ann f needs no span at all:
+every answer is exact.  A _Span skips, unreduced, a vector whose columns
+from its first column on are all units or pivots: it already lies in the
+span, and the vectors of m*I and of the products fill the higher columns
+first.  Membership in Ann f needs no span at all:
 LocalIdeal.contains tests phi o f = 0.
 
 A listed presentation is checked against f itself; no Ann f is computed.
@@ -129,9 +138,13 @@ class PartialFiltration:
         self.dmons = list(self.dindex)
         self.col_deg = [mdeg(m) for m in self.dmons]
         ech = Echelon(f.ring.field)
+        n = len(self.dindex)
         tag = {}
-        # the images of degree j+1 are zero: level j+1 comes out empty
+        # the images of degree j+1 are zero: level j+1 comes out empty; an
+        # image whose columns are all pivots already lies in the span
         for beta, img in _images_descending(f, self.j):
+            if not img or ech.covers(min(img), n):
+                continue
             row = ech.insert(img)
             if row is not None:
                 tag[min(row)] = mdeg(beta)
@@ -235,13 +248,24 @@ class _Span:
     a projection with one entry joins U; every other projection goes to
     one Echelon.  The echelon never holds a row with an entry in U, so the
     span is the direct sum <e_U> + span(echelon).  While U is empty,
-    vectors reach the echelon untouched.  Vectors hold no zero entries."""
+    vectors reach the echelon untouched.  Vectors hold no zero entries and
+    lie in F^n.
 
-    __slots__ = ("units", "ech")
+    A projection whose first column is q lies in the span, and is not
+    reduced, when every column in range(q, n) is a unit or a pivot.  U is
+    final once the echelon holds a row, so free[n - q], the number of
+    non-unit columns in range(q, n), is counted once then.  The pivots are
+    non-unit columns below n, and so is q, so the pivots cover those
+    free[n - q] columns iff the last free[n - q] of them start at q:
+    ech.covers(q, q + free[n - q])."""
 
-    def __init__(self, field):
+    __slots__ = ("n", "units", "ech", "_free")
+
+    def __init__(self, field, n: int):
+        self.n = n
         self.units: set = set()
         self.ech = Echelon(field)
+        self._free = None
 
     @property
     def dim(self) -> int:
@@ -249,13 +273,24 @@ class _Span:
 
     def add(self, v: dict) -> bool:
         """Add v; True iff the span grew."""
-        units = self.units
+        units, ech = self.units, self.ech
         if units:
             v = {k: a for k, a in v.items() if k not in units}
-        if len(v) == 1 and not self.ech.rows:
-            units.update(v)
-            return True
-        return bool(v) and self.ech.insert(v) is not None
+        if not v:
+            return False
+        if not ech.rows:
+            if len(v) == 1:
+                units.update(v)
+                return True
+            # v is the first row: U is final
+            self._free = list(accumulate(
+                (c not in units for c in range(self.n - 1, -1, -1)),
+                initial=0))
+        else:
+            q = min(v)
+            if ech.covers(q, q + self._free[self.n - q]):
+                return False
+        return ech.insert(v) is not None
 
 
 class LocalIdeal:
@@ -320,7 +355,7 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     row_of = {min(row): k for k, row in enumerate(rows)}
     var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
                  for tab in ring.multiplication_tables(j + 1)]
-    mi = _Span(field)
+    mi = _Span(field, len(rows))
     mi.units.update(tab[c] for row in rows if len(row) == 1 for c in row
                     for tab in var_shift if c in tab)
     for row in reversed(rows):
@@ -355,11 +390,11 @@ def _multiples(g: PSElement, top: int):
                     vec, ring.multiplication_tables(top))
 
 
-def _reaches(field, vectors, target: int) -> bool:
-    """True iff the vectors span at least target dimensions; reading stops
-    as soon as they do.  For vectors inside a space of dimension target,
-    that is equality with it."""
-    span = _Span(field)
+def _reaches(field, vectors, target: int, n: int) -> bool:
+    """True iff the vectors, in F^n, span at least target dimensions;
+    reading stops as soon as they do.  For vectors inside a space of
+    dimension target, that is equality with it."""
+    span = _Span(field, n)
     for v in vectors:
         if span.dim == target:
             break
@@ -387,7 +422,8 @@ def verify_ideal_presentation(gens: list[PSElement],
     gens = sorted((g for g in gens if not g.is_zero and g.order <= top),
                   key=lambda g: len(g.coeffs) > 1)
     return _reaches(ring.field, (v for g in gens
-                                 for v in _multiples(g, top)), target)
+                                 for v in _multiples(g, top)), target,
+                    comb(ring.r + top, ring.r))
 
 
 def verify_graded_presentation(gens: list[PSElement],
@@ -431,4 +467,6 @@ def _verify_graded(gens: list[PSElement], ring, orth: list,
     for g in gens:
         for m, v in zip(rmons, _multiples(g, top)):
             of_degree[g.order + mdeg(m)].append(v)
-    return all(_reaches(field, of_degree[d], dims[d]) for d in range(top + 1))
+    # the degree-d products lie on the columns of R_{<= d}
+    return all(_reaches(field, of_degree[d], dims[d], comb(ring.r + d, ring.r))
+               for d in range(top + 1))

@@ -375,7 +375,12 @@ def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     described by data, in every degree up to j+1.  data must be an ideal,
     as filtration_ideal returns: each generator is checked to pair to zero
     with the orthogonal of its degree's space, and the products of degree
-    d to reach dims[d]."""
+    d to reach dims[d].  Data holding R_0 describe the unit ideal C(0) = R,
+    which non-unit generators never generate; they are refused as bad
+    input, as unit generators are."""
+    if data.dims[0]:
+        raise DomainError("the graded ideal holds 1: C(0) = R is the unit "
+                          "ideal, generated by no non-unit generators")
     if any(g.order == 0 for g in gens):
         raise DomainError("graded generators must be nonzero, homogeneous, non-units")
     ring = data.ring

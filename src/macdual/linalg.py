@@ -15,6 +15,12 @@ echelon, as :func:`rref_rows`, :func:`solve_linear` and
 the span of vectors, inserted in order without witnesses; ``insert``
 neither stores nor changes the dict it is given.
 
+``covers(q, n)`` tells in O(1) whether every column in range(q, n) is a
+pivot: pivots are sorted and distinct, so that is pivots[-(n - q)] == q.
+Every vector supported there lies in the span, so a caller that fills a
+space lying on a suffix of its columns can skip such a vector unreduced:
+its reduction could only come out zero, and leave the echelon as it was.
+
 ``reduce`` walks the pivot hits of the working vector in increasing order
 from a min-heap: built once from the input's pivot columns, it gains only
 the pivot columns a subtracted row adds, since a row touches no column
@@ -308,6 +314,15 @@ class Echelon:
         self.pivots.insert(pos, q)
         self._by_pivot[q] = (v, wit)
         return v
+
+    def covers(self, q: int, n: int) -> bool:
+        """True iff the last n - q pivots start at q, pivots[-(n - q)] == q
+        (vacuously when q >= n).  Pivots are sorted and distinct, so when
+        none lies at or past n this holds iff every column in range(q, n)
+        is a pivot, and then the span holds every vector supported there:
+        reducing one can only come out zero."""
+        k = n - q
+        return k <= 0 or (k <= len(self.pivots) and self.pivots[-k] == q)
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)

@@ -646,9 +646,10 @@ def test_annihilator_matches_fraction_rows_reference(char):
         assert_same_ideal(f)
 
 
-def reaches_plain_echelon(field, vectors, target):
+def reaches_plain_echelon(field, vectors, target, n):
     """_reaches as it ran before unit vectors became coordinates: every
-    vector into one plain Echelon.  The reference for both verifiers."""
+    vector into one plain Echelon, n unread.  The reference for both
+    verifiers."""
     ech = Echelon(field)
     for v in vectors:
         if ech.dim == target:
@@ -696,39 +697,62 @@ def random_span_vectors(field, rng, n):
 
 
 @pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
-def test_span_matches_echelon_rank(char):
+def test_span_matches_echelon_rank(char, monkeypatch):
+    """add answers as a plain Echelon does, and every vector it skips as
+    covered would have reduced to zero."""
     field = Field(char)
     rng = random.Random(char + 73)
+    covers, skipped = Echelon.covers, Counter()
+
+    def watched(self, q, n):
+        hit = covers(self, q, n)
+        skipped[hit] += 1
+        return hit
+
+    monkeypatch.setattr(Echelon, "covers", watched)
     for trial in range(400):
         n = rng.randint(1, 9)
-        span, ech = _Span(field), Echelon(field)
+        span, ech = _Span(field, n), Echelon(field)
         for v in random_span_vectors(field, rng, n):
             assert span.add(dict(v)) == (ech.insert(v) is not None)
             assert span.dim == ech.dim
             assert not any(k in span.units for row in span.ech.rows
                            for k in row)
+    assert skipped[True] > 100 and skipped[False] > 100
 
 
-def test_span_units_only_before_the_echelon_holds_a_row():
+def test_span_units_only_before_the_echelon_holds_a_row(monkeypatch):
     field = Field(0)
     # a unit after a non-unit goes to the echelon, and U stays empty
-    span = _Span(field)
+    span = _Span(field, 2)
     assert span.add({0: 1, 1: 2})
     assert span.add({0: 3})
     assert not span.add({1: 1})
     assert span.units == set() and span.dim == 2
     # a projection that leaves a single entry is a unit while the echelon
     # is empty, and an echelon row once it is not
-    span = _Span(field)
+    span = _Span(field, 5)
     assert span.add({0: 1})
     assert span.add({0: 2, 1: Fraction(3, 2)})
     assert span.units == {0, 1} and span.ech.dim == 0
     assert not span.add({1: 5, 0: 1})
-    assert span.add({2: 1, 3: 1})
-    assert span.add({0: 7, 3: 1})
+    assert span.add({2: 1, 4: 1})
+    assert span.add({0: 7, 4: 1})
     assert span.units == {0, 1} and span.ech.dim == 2
     assert not span.add({2: 4})
     assert span.dim == 4
+    # columns 2 and 4 are pivots and 3 is free: a projection from column
+    # 4 on is covered and not reduced, one from column 2 on is reduced
+    no_reduce = lambda *a: pytest.fail("reduced a covered vector")
+    with monkeypatch.context() as m:
+        m.setattr(Echelon, "reduce", no_reduce)
+        assert not span.add({1: 2, 4: 3})
+        assert not span.add({0: 1, 4: 5})
+    assert not span.add({2: 3})
+    assert span.add({3: 1, 4: 1}) and span.dim == 5
+    with monkeypatch.context() as m:
+        m.setattr(Echelon, "reduce", no_reduce)
+        assert not span.add({2: 1, 3: 2, 4: 1})
 
 
 def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):

@@ -320,6 +320,24 @@ def test_verify_graded_ideal_checks_the_ring():
             verify_graded_ideal([R.ps("z"), R.ps(bad)], data)
 
 
+def test_verify_graded_ideal_refuses_the_unit_ideal():
+    """filtration_ideal(f, 0) is C(0) = R (dims[0] = 1), which no set of
+    non-unit generators generates: the data are refused up front, as a
+    unit generator is, where [x, y] used to return False."""
+    R, f = mk(("X", "Y"), "X^[3]+Y^[3]")
+    data = filtration_ideal(f, 0)
+    assert data.dims == (1, 2, 3, 4, 5)
+    for gens in (["x", "y"], ["x^2", "y"], ["1"]):
+        with pytest.raises(DomainError, match=r"C\(0\) = R"):
+            verify_graded_ideal([R.ps(g) for g in gens], data)
+    # from a = 1 on the ideal is proper and the check runs: f is a form,
+    # so C(1) = Ann f = (xy, x^3 - y^3)
+    data = filtration_ideal(f, 1)
+    assert data.dims == (0, 0, 1, 3, 5)
+    assert verify_graded_ideal([R.ps("x*y"), R.ps("x^3-y^3")], data)
+    assert not verify_graded_ideal([R.ps("x"), R.ps("y")], data)
+
+
 # -- filtration ideals against the kernel route --------------------------------
 
 def filtration_ideal_kernel_route(P, a):
@@ -407,7 +425,8 @@ def test_verify_graded_ideal_matches_same_span_route(char):
     """The shared check answers as the equal-span test did: for a basis of
     every degree (a generating set), for it with one degree's basis cut
     short, and with a random form added, which leaves the ideal unless
-    it lies in it."""
+    it lies in it.  For a = 0, the unit ideal, where the equal-span test
+    said False, the data are refused."""
     rng = random.Random(2310 + char)
     field = Field(char)
     for trial in range(12):
@@ -429,6 +448,11 @@ def test_verify_graded_ideal_matches_same_span_route(char):
             if not extra.is_zero:
                 cases += [gens + [extra], cut + [extra]]
             for gs in cases:
+                if a == 0:  # C(0) = R: the equal-span test said False
+                    assert not verify_graded_ideal_same_span(gs, data)
+                    with pytest.raises(DomainError, match="C\\(0\\) = R"):
+                        verify_graded_ideal(gs, data)
+                    continue
                 assert verify_graded_ideal(gs, data) == \
                     verify_graded_ideal_same_span(gs, data)
 
