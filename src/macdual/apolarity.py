@@ -35,8 +35,8 @@ unit vectors as coordinates U and project every other vector off U into
 one echelon (_Span): the span is the direct sum <e_U> + span(echelon), so
 every answer is exact.  A _Span skips, unreduced, a vector whose columns
 from its first column on are all units or pivots: it already lies in the
-span, and the vectors of m*I and of the products fill the higher columns
-first.  Membership in Ann f needs no span at all:
+span.  m*I is fed last row first, so its high columns fill first and most
+of its shifts are skipped.  Membership in Ann f needs no span at all:
 LocalIdeal.contains tests phi o f = 0.
 
 A listed presentation is checked against f itself; no Ann f is computed.
@@ -141,7 +141,8 @@ class PartialFiltration:
         n = len(self.dindex)
         tag = {}
         # the images of degree j+1 are zero: level j+1 comes out empty; an
-        # image whose columns are all pivots already lies in the span
+        # image whose columns from its first on are all pivots already lies
+        # in the span
         for beta, img in _images_descending(f, self.j):
             if not img or ech.covers(min(img), n):
                 continue

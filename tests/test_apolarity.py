@@ -753,6 +753,16 @@ def test_span_units_only_before_the_echelon_holds_a_row(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Echelon, "reduce", no_reduce)
         assert not span.add({2: 1, 3: 2, 4: 1})
+    # units between the pivots: columns 0 and 2 are pivots, 1 and 3 units,
+    # so every column is covered
+    span = _Span(field, 4)
+    assert span.add({1: 1}) and span.add({3: 2})
+    assert span.add({0: 1, 2: 1, 3: 1}) and span.add({2: 5, 1: 1})
+    assert span.units == {1, 3} and span.ech.pivots == [0, 2]
+    with monkeypatch.context() as m:
+        m.setattr(Echelon, "reduce", no_reduce)
+        assert not span.add({0: 1, 3: 7}) and not span.add({0: 2, 1: 1})
+    assert span.dim == 4
 
 
 def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
@@ -810,6 +820,110 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         assert fractions[caller, False] > 0
         assert fractions[caller, True] == 0
     assert fractions["PartialFiltration.__init__", True] > 0
+
+
+# -- vectors skipped as covered ----------------------------------------------
+
+def typed(x):
+    """x with every dict's values paired with their types, so that 2 and
+    Fraction(2) differ."""
+    if isinstance(x, dict):
+        return sorted((k, type(v), v) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return [typed(y) for y in x]
+    return x
+
+
+def covered_skip_outputs(f, graded):
+    """What the skipped reductions could change: every level of the
+    filtration, Ann f with its minimal generators, and both verifiers'
+    answers on true and cut-short generator lists."""
+    P = PartialFiltration(f)
+    I = annihilator(P)
+    levels = [(lev.rows, lev.degs, lev.cum)
+              for lev in map(P.level, range(P.j + 2))]
+    answers = ([verify_ideal_presentation(I.min_gens[k:], P) for k in (0, 1)]
+               + [verify_graded_presentation(graded[:len(graded) - k], P)
+                  for k in (0, 1)])
+    return typed([levels, I.rows, [g.coeffs for g in I.min_gens], I.orders,
+                  answers])
+
+
+@pytest.mark.parametrize("char", [0, 2, 101, P61],
+                         ids=["Q", "F2", "F101", "F61"])
+def test_covered_skips_change_no_output(char, monkeypatch):
+    """With Echelon.covers always False every vector is reduced; the
+    outputs come out identical.  The forms are sparse, whose m*I spans take
+    unit coordinates, and dense, r 2-4; skips are seen in the filtration
+    and in spans with and without units."""
+    field = Field(char)
+    rng = random.Random(char % 1000 + 2401)
+    covers, skips = Echelon.covers, Counter()
+
+    def watched(self, q, n):
+        hit = covers(self, q, n)
+        if hit:
+            caller = sys._getframe(1)
+            if caller.f_code is _Span.add.__code__:
+                skips["span", bool(caller.f_locals["units"])] += 1
+            else:
+                skips[caller.f_code.co_qualname] += 1
+        return hit
+
+    forms = []
+    max_j = {2: 7, 3: 5, 4: 4}
+    for trial in range(32):
+        r = trial % 3 + 2
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        f = random_dual_generator(ring, rng, rng.randint(2, max_j[r]),
+                                  dense=trial % 2 == 0,
+                                  homogeneous=trial % 4 < 2)
+        if not f.drop_constant().is_zero:
+            forms.append((f, graded_generators(f)))
+    monkeypatch.setattr(Echelon, "covers", watched)
+    got = [covered_skip_outputs(*case) for case in forms]
+    monkeypatch.setattr(Echelon, "covers", lambda self, q, n: False)
+    assert got == [covered_skip_outputs(*case) for case in forms]
+    assert all(a[0] and a[2] for *_, a in got)
+    assert skips["PartialFiltration.__init__"] > 0
+    assert skips["span", True] > 0 and skips["span", False] > 0
+
+
+def test_dense_heavy_form_reduces_nothing_to_zero(monkeypatch):
+    """A dense r=4, j=8 form over F_101, every degree-8 term and six lower
+    ones (the dense-modp heavy shape): no vector that PartialFiltration or
+    annihilator's m*I span reduces comes out zero.  Those that would have,
+    390 images and 1,560 shifts and generator tests, are all covered and
+    skipped.  A form whose shifts satisfy a relation the suffix test cannot
+    see still reduces one to zero: of ten seeds tried, one did, once."""
+    rng = random.Random(0)
+    ring = RingSpec(("X", "Y", "Z", "W"), Field(101))
+    coeffs = {m: rng.randint(1, 100) for m in ring.monomials(8)}
+    lower = [m for d in range(1, 8) for m in ring.monomials(d)]
+    coeffs.update({m: rng.randint(1, 100) for m in rng.sample(lower, 6)})
+    f = DPPoly(ring, coeffs)
+    insert, covers = Echelon.insert, Echelon.covers
+    inserts, skips = Counter(), Counter()
+
+    def watched_insert(self, vec, wit=None):
+        row = insert(self, vec, wit)
+        inserts[row is None] += 1
+        return row
+
+    def watched_covers(self, q, n):
+        hit = covers(self, q, n)
+        skips[hit] += 1
+        return hit
+
+    monkeypatch.setattr(Echelon, "insert", watched_insert)
+    monkeypatch.setattr(Echelon, "covers", watched_covers)
+    P = PartialFiltration(f)
+    assert P.hilbert() == (1, 4, 10, 20, 35, 20, 10, 4, 1)
+    assert inserts == {False: P.level(0).dim} and skips[True] == 390
+    inserts.clear(), skips.clear()
+    I = annihilator(P)
+    assert inserts[True] == 0 and skips[True] == 1560
+    assert len(I.min_gens) == 36
 
 
 # -- presentations against the route through Ann f ------------------------------

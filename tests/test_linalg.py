@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -444,6 +445,36 @@ def test_orthogonal_random(field):
                 assert field.canon({0: sum(a * row[k] for k, a in w.items()
                                            if k in row)}) == {}
         assert len(got) == n - _rank(field, rows, n)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(101)],
+                         ids=["Q", "F2", "F101"])
+def test_covers_matches_brute_force(field):
+    """covers(q, n) is True iff every vector over range(q, n) reduces to
+    zero.  Over F_2 every such vector is reduced; over Q and F_101 the
+    unit vectors e_c, which span them, and one random combination."""
+    rng = random.Random(47)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        ech = Echelon(field)
+        for _ in range(rng.randint(0, n + 2)):
+            start = rng.randrange(n)
+            ech.insert({k: _rand_scalar(rng, field) for k in range(start, n)
+                        if rng.random() < .6})
+        for q in range(n + 1):
+            cols = range(q, n)
+            if field.char == 2:
+                vectors = [{c: 1 for c, bit in zip(cols, bits) if bit}
+                           for bits in itertools.product((0, 1),
+                                                         repeat=len(cols))]
+            else:
+                vectors = [{c: field.one} for c in cols] + [field.canon(
+                    {c: _rand_scalar(rng, field) for c in cols})]
+            want = all(not ech.reduce(v) for v in vectors)
+            assert ech.covers(q, n) == want, (ech.pivots, q, n)
+            seen[want] += 1
+    assert min(seen.values()) > 100
 
 
 def test_orthogonal_edge_cases():
