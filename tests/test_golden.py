@@ -7,9 +7,19 @@ text recorded from the released behaviour; refactors of the engine below
 echelon's arithmetic, ``rcm`` on the seeded generic draw.
 """
 
+import hashlib
+import random
+
 import pytest
 
 from macdual.cli import main
+from macdual.constructions import random_poly, random_unit
+from macdual.decomposition import symmetric_decomposition
+from macdual.errors import DomainError
+from macdual.fields import Field
+from macdual.linalg import matrix_inverse
+from macdual.normalform import normalize, split_connected_summand
+from macdual.poly import DPPoly, RingSpec, contract, linear_substitute
 
 RCM_GENERATOR = (
     "X^[5]+X^[4]-6*X^[3]*Y+2*X^[3]*Z+10*X^[3]*W-9*X^[2]*Y^[2]-8*X^[2]*Y*Z"
@@ -170,3 +180,97 @@ def test_readme_example_output_char_p61(capsys, argv, expected):
     code = main(list(argv))
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+# ---------------------------------------------------------------------------
+# normalize and split_connected_summand on seeded desk-scale forms, pinned by
+# the SHA-256 of their rendered output (recorded before the adapted frame's
+# witnesses moved into extra echelon columns)
+
+VARS = ("X", "Y", "Z", "W")
+
+
+def desk_forms(char, seed, count=64):
+    """count sparse forms, r 2-4 and socle degree 2-6 (2-5 at r = 4), with a
+    few lower terms: the fuzz normalize draw, zero leading terms redrawn."""
+    rng = random.Random(seed)
+    field = Field(char)
+    made = 0
+    while made < count:
+        r = rng.randint(2, 4)
+        ring = RingSpec(VARS[:r], field)
+        j = rng.randint(2, 6 if r < 4 else 5)
+        f = random_poly(ring, j, rng, terms=rng.randint(3, 6))
+        if f.degree == j:
+            made += 1
+            yield f
+
+
+def hidden_split_forms(char, seed, count=64):
+    """count generators with H(j-2) = (0, s, 0): a head in r1 variables plus
+    a diagonal quadric in s more, hidden by an invertible linear change and
+    contraction by a unit (the fuzz split recipe)."""
+    rng = random.Random(seed)
+    field = Field(char)
+    made = 0
+    while made < count:
+        r1, s, j = rng.randint(1, 2), rng.randint(1, 2), rng.randint(4, 6)
+        ring = RingSpec(VARS[:r1 + s], field)
+        f1 = random_poly(RingSpec(VARS[:r1], field), j, rng, terms=3)
+        if any(symmetric_decomposition(f1).components[j - 2]):
+            continue
+        F = f1.embed(ring)
+        for i in range(r1, r1 + s):
+            mon = tuple(2 if t == i else 0 for t in range(ring.r))
+            F = F + DPPoly(ring, {mon: field.from_int(rng.randint(1, 5))})
+        while True:
+            M = [[field.from_int(rng.randint(-2, 2)) for _ in range(ring.r)]
+                 for _ in range(ring.r)]
+            try:
+                matrix_inverse(M, field)
+                break
+            except DomainError:
+                continue
+        F = contract(random_unit(ring, rng, j + 2), linear_substitute(F, M))
+        if symmetric_decomposition(F).components[j - 2] == (0, s, 0):
+            made += 1
+            yield F
+
+
+def rendered_normal_form(f):
+    g, change = normalize(f)
+    return "normal form: %s\n%s" % (g, "".join(
+        "w_%d = %s\n" % (i + 1, w) for i, w in enumerate(change.inv_images)))
+
+
+def rendered_split(f):
+    res = split_connected_summand(f)
+    return "%s | %s | %s | %s\n" % (
+        res.summand_main, res.summand_quadric, res.generator,
+        "; ".join(map(str, res.change.inv_images)))
+
+
+DIGESTS = [
+    ("normalize", 0, desk_forms, rendered_normal_form,
+     "ec3fba0272d86b64fd7097c5ac5d401f7d5a2aa2f4596220f60c8fcac9724118"),
+    ("normalize", 2, desk_forms, rendered_normal_form,
+     "10d957ef768e64830f9d1cef2ac492009c49fc0bc2206086415ccc393cb287d9"),
+    ("normalize", 101, desk_forms, rendered_normal_form,
+     "3b4dda91acc683aa6487a50dbec4ae6f4ea13288e731be39ad8512d1788f0aff"),
+    ("split", 0, hidden_split_forms, rendered_split,
+     "e765b90d3893148604871c7f5b24390bfd085e1325f10c3b97053679937d5a9b"),
+    ("split", 101, hidden_split_forms, rendered_split,
+     "dabf3262cc5773700ddc34a41664cf0d8e6e122c2a6bbe1c9094f62c46f2c471"),
+]
+
+
+@pytest.mark.parametrize("kind,char,forms,render,digest", DIGESTS,
+                         ids=["%s-%d" % d[:2] for d in DIGESTS])
+def test_normal_forms_digest(kind, char, forms, render, digest):
+    """The rendered g and every w_i of normalize, and the summands,
+    generator and composed change of split_connected_summand, on 64
+    seeded forms per field: the same bytes as recorded."""
+    h = hashlib.sha256()
+    for f in forms(char, 2500 + char):
+        h.update(render(f).encode())
+    assert h.hexdigest() == digest
