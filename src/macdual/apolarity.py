@@ -410,9 +410,9 @@ def verify_ideal_presentation(gens: list[PSElement],
     or its PartialFiltration."""
     ring = f.ring
     for g in gens:
-        if g.order == 0:
-            return False  # unit ideal never equals a proper annihilator
         g.ring.check_same(ring)
+    if any(g.order == 0 for g in gens):
+        return False  # unit ideal never equals a proper annihilator
     f0 = f.f if isinstance(f, PartialFiltration) else f.drop_constant()
     if any(not contract(g, f0).is_zero for g in gens):
         return False

@@ -12,7 +12,7 @@ a > 0 and b); a row is a positive multiple of the pivot-one row, so a
 caller that needs a normalized value divides once where it leaves the
 echelon, as :func:`rref_rows`, :func:`solve_linear` and
 :meth:`Echelon.project` do.  ``Echelon(field, vectors)`` is seeded with
-the span of vectors, inserted in order without witnesses; ``insert``
+the span of vectors, inserted in order; ``insert``
 neither stores nor changes the dict it is given.
 
 ``covers(q, n)`` tells in O(1) whether every column in range(q, n) is a
@@ -26,22 +26,21 @@ from a min-heap: built once from the input's pivot columns, it gains only
 the pivot columns a subtracted row adds, since a row touches no column
 before its pivot.  Over F_p entries are unreduced ints while the walk runs
 (delayed modular reduction): an entry is taken ``% p`` only when it is
-popped as a pivot, and the remainder and witness are made canonical once
-on return.  Over Q every step cancels exactly in plain ints.  A reduce over
-Q scales its input to integers, jointly with the witness, in the pass that
-drops its zeros.  Callers that read only a span or a rank scale each vector
-once, by :func:`primitive`, before it enters the echelon.
+popped as a pivot, and the remainder is made canonical once on return.
+Over Q every step cancels exactly in plain ints, and a reduce scales its
+input to integers in the pass that drops its zeros.  Callers that read only
+a span or a rank scale each vector once, by :func:`primitive`, before it
+enters the echelon.
 
-A witness is a sparse dict over any keys (generator positions, monomials)
-naming the combination of inputs a vector stands for:
-``vec = sum(wit[k] * input_k)``.  ``reduce(vec, wit)`` applies every step
-it takes on ``vec`` to ``wit`` in place: the witness of each row it
-subtracts, with the same factor, and, over Q, every factor it multiplies
-``vec`` by.  So if ``wit`` is the witness of ``vec`` on entry, it is the
-witness of the remainder on return, and a zero remainder leaves a linear
-relation among the inputs in ``wit``.  ``insert(vec, wit)`` does the same
-and, when it stores a row, scales ``wit`` with it and keeps it as the row's
-witness.
+A caller that needs the combination of inputs behind a vector appends it
+as extra columns past the n real ones: input k, or the k-th monomial, at
+column n + k.  Reduction carries those columns along with the same
+arithmetic, so a remainder holds the combination it stands for, and one
+whose first column is n or past is a linear relation among the inputs.  No
+pivot may lie at or past n: the caller reduces, and stores the remainder
+(:meth:`Echelon.store`) only when its first column is below n.  This is the
+idea of :func:`matrix_inverse`, the right half of the reduced [M | I], and
+:func:`solve_linear` is built the same way.
 
 Built on it:
 
@@ -135,26 +134,24 @@ def _div(a: int, d: int):
     return a // d if a % d == 0 else Fraction(a, d)
 
 
-_SCALE = object()  # project's witness key for the factor reduce applied
+_SCALE = object()  # project's key for the factor reduce applied
 
 
 class Echelon:
     """Growing forward-echelon span of sparse vectors, rows sorted by pivot.
 
-    Rows take witnesses: ``wits[i]`` is the witness of ``rows[i]``
-    (``rows[i] == sum(wits[i][k] * input_k)``), or None for a row inserted
-    without one.  Over F_p rows have pivot one.  Over Q a row and its
-    witness hold ints, have content one taken jointly over both, and a
-    positive pivot: a positive multiple of the pivot-one pair."""
+    Over F_p rows have pivot one.  Over Q a row holds ints, has content one
+    and a positive pivot: a positive multiple of the pivot-one row.  A row
+    may carry extra columns past the real ones (see the module docstring);
+    the echelon treats them as any other column."""
 
-    __slots__ = ("field", "rows", "wits", "pivots", "_by_pivot")
+    __slots__ = ("field", "rows", "pivots", "_by_pivot")
 
     def __init__(self, field: Field, vectors=()):
         self.field = field
         self.rows: list[dict] = []
-        self.wits: list = []
         self.pivots: list[int] = []
-        self._by_pivot: dict = {}       # pivot -> (row, witness)
+        self._by_pivot: dict = {}       # pivot -> row
         for v in vectors:
             self.insert(v)
 
@@ -162,7 +159,7 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict, wit: dict | None = None) -> dict:
+    def reduce(self, vec: dict) -> dict:
         """Canonical remainder of vec modulo the span: every pivot
         coordinate is eliminated, so the result is the unique representative
         supported off the pivots - over Q up to a positive factor, in
@@ -176,16 +173,11 @@ class Echelon:
         goes back, and it terminates.  A popped column whose entry is gone
         (cancelled, or already cleared) is skipped.  Over F_p entries stay
         unreduced ints while the walk runs: an entry is taken mod p only
-        when popped as a pivot, and dropped if that is 0.  The remainder,
-        and the witness, are made canonical once on return (residues in
-        range(p), zeros dropped).  Over Q every step cancels exactly.
-
-        Every step applied to vec is applied to wit in place: each row
-        subtracted from vec is subtracted, with the same factor, and over Q
-        wit is multiplied by every factor vec is.  Over Q vec and wit may
-        hold Fractions; both are first scaled to integers by the lcm of all
-        their denominators.  If wit is the witness of vec on entry, it is
-        the witness of the remainder on return."""
+        when popped as a pivot, and dropped if that is 0.  The remainder is
+        made canonical once on return (residues in range(p), zeros
+        dropped).  Over Q vec may hold Fractions: it is first scaled to
+        integers by the lcm of their denominators, and then every step
+        cancels exactly."""
         f = self.field
         p = f.char
         if p:
@@ -197,16 +189,9 @@ class Echelon:
                     if type(a) is Fraction:
                         den, frac = lcm(den, a.denominator), True
                     v[k] = a
-            if wit is not None:
-                for a in wit.values():
-                    if type(a) is Fraction:
-                        den, frac = lcm(den, a.denominator), True
             if frac:
                 v = {k: a.numerator * (den // a.denominator)
                      for k, a in v.items()}
-                if wit is not None:
-                    for k, a in wit.items():
-                        wit[k] = a.numerator * (den // a.denominator)
         by_pivot = self._by_pivot
         heap = [k for k in v if k in by_pivot]
         if not heap:
@@ -217,7 +202,7 @@ class Echelon:
             a = v.get(q)
             if a is None:
                 continue
-            row, rwit = by_pivot[q]
+            row = by_pivot[q]
             if p:
                 a %= p
                 if a:
@@ -231,10 +216,6 @@ class Echelon:
                                 heappush(heap, k)
                         else:
                             v[k] = x + c * b
-                    if wit is not None:
-                        get = wit.get
-                        for k, b in rwit.items():
-                            wit[k] = get(k, 0) + c * b
                 del v[q]
                 continue
             for k in row:
@@ -245,74 +226,46 @@ class Echelon:
             ca, cb = b // g, -(a // g)
             if ca != 1:
                 v = {k: ca * x for k, x in v.items()}
-                if wit is not None:
-                    _scale_in_place(wit, ca)
             _axpy_int(v, cb, row)
-            if wit is not None:
-                _axpy_int(wit, cb, rwit)
-        if p:
-            v = f.canon(v)
-            if wit is not None:  # in place: the caller holds wit
-                canon = f.canon(wit)
-                wit.clear()
-                wit.update(canon)
-        return v
+        return f.canon(v) if p else v
 
-    def project(self, vec: dict, wit: dict | None = None) -> dict:
+    def project(self, vec: dict) -> dict:
         """The remainder of vec modulo a pivot-one echelon of the span, a
-        linear projection, in canonical elements; wit is reduced with it in
-        place.  Over Q reduce leaves both times the product of the factors
-        it multiplied vec by: a witness key entered with 1 picks that up,
-        and both are divided by it once.  So every row needs a witness."""
+        linear projection, in canonical elements.  Over Q reduce leaves it
+        times the product of the factors it multiplied vec by: a key no row
+        holds, entered with 1, picks that up, and the remainder is divided
+        by it once."""
         if self.field.char:
-            return self.reduce(vec, wit)
-        w = {} if wit is None else wit
-        w[_SCALE] = 1
-        v = self.reduce(vec, w)
-        d = w.pop(_SCALE)
-        if d != 1:
-            v = {k: _div(a, d) for k, a in v.items()}
-            for k, a in w.items():
-                w[k] = _div(a, d)
-        return v
+            return self.reduce(vec)
+        v = self.reduce({**vec, _SCALE: 1})
+        d = v.pop(_SCALE)
+        return {k: _div(a, d) for k, a in v.items()} if d != 1 else v
 
-    def insert(self, vec: dict, wit: dict | None = None):
+    def insert(self, vec: dict):
         """Add vec to the span.  Returns the stored row, or None when vec
-        already lies in the span; then wit, reduced along with vec, holds a
-        linear relation between vec's witness and the row witnesses."""
-        v = self.reduce(vec, wit)
-        return self._store(v, wit) if v else None
+        already lies in the span."""
+        v = self.reduce(vec)
+        return self.store(v) if v else None
 
-    def _store(self, v: dict, wit: dict | None) -> dict:
-        """Store a nonzero remainder of reduce; a witness is scaled in place
-        along with the row and kept as the row's witness."""
+    def store(self, v: dict) -> dict:
+        """Store a nonzero remainder of reduce as a row: over F_p scaled to
+        pivot one, over Q divided by its content and given a positive
+        pivot."""
         q = min(v)
         p = self.field.char
         if p:
             c = pow(v[q], -1, p)
             v = {k: c * a % p for k, a in v.items()}
-            if wit is not None:
-                for k, a in wit.items():
-                    wit[k] = c * a % p
         else:
-            g = 0
-            for a in v.values():
-                g = gcd(g, a)
-            if wit is not None:
-                for a in wit.values():
-                    g = gcd(g, a)
+            g = gcd(*v.values())
             if v[q] < 0:
                 g = -g
             if g != 1:
                 v = {k: a // g for k, a in v.items()}
-                if wit is not None:
-                    for k, a in wit.items():
-                        wit[k] = a // g
         pos = bisect_left(self.pivots, q)
         self.rows.insert(pos, v)
-        self.wits.insert(pos, wit)
         self.pivots.insert(pos, q)
-        self._by_pivot[q] = (v, wit)
+        self._by_pivot[q] = v
         return v
 
     def covers(self, q: int, n: int) -> bool:
@@ -400,16 +353,23 @@ def orthogonal(field: Field, rows, n: int) -> list[dict]:
 def solve_linear(field: Field, columns: list[dict], target: dict):
     """Coefficients x with sum x_i * columns[i] == target, or None; a column
     that depends on earlier ones gets coefficient zero.  Over F_p the
-    entries must already be residues in range(p)."""
+    entries must already be residues in range(p).
+
+    Past every real column n, column i carries e_i at n + i and the target
+    1 at n + len(columns).  A target that reduces into columns n and past
+    leaves the relation d * target + sum c_i * columns[i] == 0 there."""
+    n = 1 + max((k for v in (*columns, target) for k in v), default=-1)
     ech = Echelon(field)
     for i, col in enumerate(columns):
-        ech.insert(col, {i: field.one})
-    # a zero remainder leaves wit[-1] * target + sum wit[i] * columns[i] == 0
-    wit = {-1: field.one}
-    if ech.reduce(target, wit):
+        v = ech.reduce({**col, n + i: field.one})
+        if min(v) < n:
+            ech.store(v)
+    t = n + len(columns)
+    rem = ech.reduce({**target, t: field.one})
+    if min(rem) < n:
         return None
-    d = wit[-1]
-    return [field.fraction(-wit.get(i, 0), d) for i in range(len(columns))]
+    d = rem[t]
+    return [field.fraction(-rem.get(n + i, 0), d) for i in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------

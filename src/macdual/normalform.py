@@ -18,15 +18,16 @@ reproduces the split generator embedded there.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import comb
 from typing import NamedTuple
 
 from .apolarity import PartialFiltration, filtration
 from .decomposition import symmetric_decomposition
 from .errors import DomainError, InternalCheckError
 from .linalg import Echelon, matrix_inverse, rref_rows, vec_axpy
-from .poly import (DPPoly, PSElement, RingSpec, contract_monomial,
-                   linear_part_inverse, linear_substitute, mon_mul, pairing,
-                   ps_compose_all, ps_compose_inverse, variable_series)
+from .poly import (DPPoly, PSElement, RingSpec, linear_part_inverse,
+                   linear_substitute, pairing, ps_compose_all,
+                   ps_compose_inverse, variable_series)
 
 
 # ---------------------------------------------------------------------------
@@ -185,29 +186,43 @@ class AdaptedFrame(NamedTuple):
     change: CoordChange
 
 
-def _witnessed_square_space(P: PartialFiltration):
-    """m^2 o f with witnesses: each stored row knows an element of m^2
-    contracting f to it."""
+def _store_below(ech: Echelon, vec: dict, n: int):
+    """Reduce vec by ech and store the remainder when its first column is
+    below n, the first witness column; returns the row or None."""
+    rem = ech.reduce(vec)
+    return ech.store(rem) if rem and min(rem) < n else None
+
+
+def _witnessed_square_space(P: PartialFiltration, xs: list, widx: dict):
+    """m^2 o f, each row carrying an element of m^2 contracting f to it:
+    x^m at column n + widx[m] past the n columns of P.dindex, terms above
+    the degree widx reaches dropped.  xs holds the vectors of x_i o f.
+
+    x_i x_k o f is x_i o (x_k o f), and a row's shift by x_i is its shift
+    by contraction on the real columns and by multiplication on the
+    witness ones."""
     ring = P.ring
-    field = ring.field
-    ech = Echelon(field)
+    one = ring.field.one
+    n = len(P.dindex)
+    downs = ring.contraction_tables(P.j)
+    tabs = [{**down, **{n + a: n + b for a, b in up.items()}} for down, up
+            in zip(downs, ring.multiplication_tables(P.j + 2))]
+    ech = Echelon(ring.field)
     pending = []
     for m in ring.monomials(2):
-        wit = {m: field.one}
-        row = ech.insert(contract_monomial(m, P.f).vector(P.dindex), wit)
+        i, k = (v for v, e in enumerate(m) for _ in range(e))
+        vec = {downs[i][c]: a for c, a in xs[k].items() if c in downs[i]}
+        vec[n + widx[m]] = one
+        row = _store_below(ech, vec, n)
         if row is not None:
-            pending.append((row, wit))
-    shifts = list(zip(ring.contraction_tables(P.j), ring.monomials(1)))
+            pending.append(row)
     while pending:
-        row, wit = pending.pop()
-        for tab, x in shifts:
-            v = {tab[c]: a for c, a in row.items() if c in tab}
-            if not v:
-                continue
-            wit_up = {mon_mul(m, x): c for m, c in wit.items()}
-            got = ech.insert(v, wit_up)
-            if got is not None:
-                pending.append((got, wit_up))
+        row = pending.pop()
+        for tab in tabs:
+            row_up = _store_below(ech, {tab[c]: a for c, a in row.items()
+                                        if c in tab}, n)
+            if row_up is not None:
+                pending.append(row_up)
     return ech
 
 
@@ -223,47 +238,58 @@ def adapted_coordinates(f: DPPoly | PartialFiltration) -> AdaptedFrame:
 
 def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
     """adapted_coordinates of P.f, its levels checked against the
-    codimension sequence n_seq of P's symmetric decomposition."""
+    codimension sequence n_seq of P's symmetric decomposition.
+
+    Each vector carries its element of R past the n columns of P.dindex:
+    x^m at column n + widx[m], truncated at degree j + 2 as the parameters
+    are, so x_i sits at n + 1 + i.  Every value read off is scale-free."""
     f = P.f
     ring = P.ring
     field = ring.field
     j = P.j
-    sq = _witnessed_square_space(P) if j >= 2 else Echelon(field)
+    n = len(P.dindex)
+    widx = ring.rmon_index(j + 2)
+    mon_at = {n + c: m for m, c in widx.items()}
+    fvec = f.vector(P.dindex)
+    xs_contr = [{tab[c]: a for c, a in fvec.items() if c in tab}
+                for tab in ring.contraction_tables(j)]
+    sq = _witnessed_square_space(P, xs_contr, widx) if j >= 2 \
+        else Echelon(field)
     # an element of m^2 contracting f to the constant 1 (exists once j >= 2):
-    # reducing the constant -1 to zero leaves it as the witness
-    const_col = P.dindex[ring.r * (0,)]
-    const_killer = {}
-    if sq.project({const_col: field.neg(field.one)}, const_killer):
+    # reducing the constant -1 into the witness columns leaves it there
+    const_killer = sq.project({P.dindex[ring.r * (0,)]: field.neg(field.one)})
+    if min(const_killer) < n:
         const_killer = None
-    unit_mons = ring.monomials(1)
-    xs_contr = [contract_monomial(m, f).vector(P.dindex) for m in unit_mons]
 
     cuts = [j - a - 1 for a in range(max(j - 1, 1))] + [0]
-    level_ech = []           # per cut: witnessed Echelon over variable coords
+    level_ech = []           # per cut: the parameters, pivots on x_1..x_r
     for cut in cuts:
         # E spans the truncations-past-cut of m^2 o f plus the already
         # accepted x_k o f; a variable whose truncation lands inside E gives
-        # a kernel direction with an explicit lift w = x_i - psi
+        # a kernel direction with an explicit lift w = x_i - psi.  P.dindex
+        # runs from degree j down, so the columns of degree above cut are
+        # those below top, and a row with its pivot past them is cut away.
+        top = n - comb(ring.r + cut, ring.r)
         E = Echelon(field)
-        for row, wit in zip(sq.rows, sq.wits):
-            v = {c: x for c, x in row.items() if P.col_deg[c] > cut}
-            if v:
-                E.insert(v, dict(wit))
+        for q, row in zip(sq.pivots, sq.rows):
+            if q >= top:
+                break
+            _store_below(E, {c: x for c, x in row.items()
+                             if c < top or c >= n}, n)
         stage = Echelon(field)
         for i in range(ring.r):
-            v = {c: x for c, x in xs_contr[i].items() if P.col_deg[c] > cut}
-            coeffs = {unit_mons[i]: field.one}
-            rem = E.project(v, coeffs)
-            if rem:
-                E.insert(rem, coeffs)
+            v = {c: x for c, x in xs_contr[i].items() if c < top}
+            v[n + 1 + i] = field.one
+            w = E.project(v)
+            if min(w) < n:
+                E.insert(w)
                 continue
             if const_killer is not None:
-                ct = pairing(PSElement(ring, coeffs, j + 2), f)
+                ct = pairing(PSElement(ring, {mon_at[k]: c for k, c
+                                              in w.items()}, j + 2), f)
                 if ct:
-                    vec_axpy(field, coeffs, field.neg(ct), const_killer)
-            cvec = {k: coeffs[um] for k, um in enumerate(unit_mons)
-                    if um in coeffs}
-            stage.insert(cvec, coeffs)
+                    vec_axpy(field, w, field.neg(ct), const_killer)
+            _store_below(stage, w, n + 1 + ring.r)
         level_ech.append(stage)
 
     parameters = []
@@ -274,11 +300,11 @@ def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
         nxt_pivots = set(level_ech[lev + 1].pivots) \
             if lev + 1 < len(cuts) else set()
         added = 0
-        for p, row, wit in zip(cur.pivots, cur.rows, cur.wits):
-            if p not in nxt_pivots:   # the witness of the pivot-one row
+        for p, row in zip(cur.pivots, cur.rows):
+            if p not in nxt_pivots:   # the pivot-one parameter
                 parameters.append(PSElement(
-                    ring, {m: field.fraction(c, row[p])
-                           for m, c in wit.items()}, j + 2))
+                    ring, {mon_at[k]: field.fraction(c, row[p])
+                           for k, c in row.items()}, j + 2))
                 levels.append(lev if lev < max(j - 1, 1) else None)
                 added += 1
         counts.append(added)

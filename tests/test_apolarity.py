@@ -340,6 +340,19 @@ def test_verify_ideal_rejects_unit_and_wrong():
     assert not verify_ideal_presentation([R.ps("x*y"), R.ps("x^3")], f)
 
 
+def test_verify_ideal_checks_every_ring_before_units():
+    """Generators over F_101 checked against a Q generator raise
+    RingMismatchError whichever comes first, a unit or a non-unit: the
+    rings are checked before the unit test can answer False."""
+    from macdual.errors import RingMismatchError
+    R, f = mk(("X", "Y"), "X^[3]+Y^[4]")
+    F101 = RingSpec(("X", "Y"), Field(101))
+    unit, non_unit = F101.ps("1+x"), F101.ps("x*y")
+    for gens in ([unit, non_unit], [non_unit, unit]):
+        with pytest.raises(RingMismatchError):
+            verify_ideal_presentation(gens, f)
+
+
 def test_verifiers_never_compute_the_annihilator(monkeypatch):
     import macdual.apolarity as apolarity
     from macdual.errors import RingMismatchError
@@ -796,13 +809,13 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
     fractions = Counter()
     helpers = {Echelon.insert.__code__, _Span.add.__code__}
 
-    def watched(self, vec, wit=None):
+    def watched(self, vec):
         frame = sys._getframe(1)
         while frame.f_code in helpers:
             frame = frame.f_back
         fractions[frame.f_code.co_qualname, any(type(a) is Fraction
                                                 for a in vec.values())] += 1
-        return reduce(self, vec, wit)
+        return reduce(self, vec)
 
     monkeypatch.setattr(Echelon, "reduce", watched)
     rng = random.Random(67)
@@ -905,8 +918,8 @@ def test_dense_heavy_form_reduces_nothing_to_zero(monkeypatch):
     insert, covers = Echelon.insert, Echelon.covers
     inserts, skips = Counter(), Counter()
 
-    def watched_insert(self, vec, wit=None):
-        row = insert(self, vec, wit)
+    def watched_insert(self, vec):
+        row = insert(self, vec)
         inserts[row is None] += 1
         return row
 

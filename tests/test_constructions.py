@@ -395,9 +395,7 @@ def colon_dims_kernel_route(V, j):
     colon = [len(cur_rows)]
     for cur_deg in range(j, 0, -1):
         idx_cur = ring.monomial_index(cur_deg)
-        tgt = Echelon(field)
-        for i, row in enumerate(cur_rows):
-            tgt.insert(row, {i: 1})
+        tgt = Echelon(field, cur_rows)
 
         def colon_image(m):
             img = {}
@@ -437,16 +435,16 @@ def joint_kernel_kernel_route(ring, e, f, hs_t2, hs_extra):
     """The phi in R_e with phi o f in R o <hs_t2> and phi o h = 0 for h in
     hs_extra, as restricted_components read them before they were read by
     duality: the kernel of m -> (m o f projected off that span, m o h ...),
-    the span's rows carrying witnesses so the projection is linear."""
+    the projection a linear map."""
     field = ring.field
     d = f.degree - e
     idx = ring.monomial_index(d)
     span = Echelon(field)
-    for t, g in enumerate(hs_t2):
+    for g in hs_t2:
         for b in ring.monomials(g.degree - d):
             img = contract_monomial(b, g)
             if not img.is_zero:
-                span.insert(img.vector(idx), {(t, b): 1})
+                span.insert(img.vector(idx))
 
     def joint_image(m):
         img = {(-1, k): c for k, c in span.project(

@@ -2,9 +2,12 @@
 
 Each case runs ``macdual.cli.main`` in process and compares its output with
 text recorded from the released behaviour; refactors of the engine below
-(row reduction, witnesses, series) must leave these bytes unchanged.
-``normalize``, ``consum-split`` and ``annihilator`` depend on the witnessed
-echelon's arithmetic, ``rcm`` on the seeded generic draw.
+(row reduction, the combinations carried as columns past n, series) must
+leave these bytes unchanged.  ``annihilator`` depends on the echelon's
+arithmetic, ``normalize`` and ``consum-split`` also on the adapted frame's
+combination columns, and ``rcm`` on the seeded generic draw.  The digest
+tests below pin the same for normalize and split_connected_summand on
+seeded forms.
 """
 
 import hashlib

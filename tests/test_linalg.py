@@ -254,7 +254,7 @@ def test_solve_linear_matches_normalized_reference(field):
 
 
 # ---------------------------------------------------------------------------
-# the witnessed echelon and the helpers built on it
+# witnesses as columns past n, and the helpers built on the echelon
 
 NCOLS = 7
 
@@ -287,6 +287,24 @@ def _combine(field, vecs, wit):
     return {k: a for k, a in out.items() if a != 0}
 
 
+def _augment(vec, wit, n=NCOLS):
+    """vec carrying its witness: wit[k] at column n + k."""
+    return {**vec, **{n + k: a for k, a in wit.items()}}
+
+
+def _split(d, n=NCOLS):
+    """An augmented vector's real part, below column n, and its witness."""
+    return ({k: a for k, a in d.items() if k < n},
+            {k - n: a for k, a in d.items() if k >= n})
+
+
+def _insert_augmented(ech, vec, n=NCOLS):
+    """Reduce vec by ech and store the remainder when its first column is
+    below n; returns the remainder or the stored row."""
+    rem = ech.reduce(vec)
+    return ech.store(rem) if rem and min(rem) < n else rem
+
+
 def _rank(field, vecs, ncols):
     if not vecs:
         return 0
@@ -316,26 +334,36 @@ def _content(d):
                          [(QQ, True), (QQ, False), (Field(101), True)],
                          ids=["Q", "Q-fraction-free", "F101"])
 def test_witness_invariant_random(field, normalized):
-    """row = sum wit_k * input_k for every stored row, in Echelon and in the
-    normalized reference over Q; fraction-free pairs have joint content
-    one and a positive pivot."""
+    """row = sum wit_k * input_k for every stored row, in the normalized
+    reference over Q, which keeps each witness apart, and in Echelon, where
+    it rides as the row's entries at NCOLS + k; fraction-free rows have
+    content one, witness columns included, and a positive pivot."""
     rng = random.Random(23)
     ffree = field.char == 0 and not normalized
+    reference = field.char == 0 and normalized
     for _ in range(60):
         inputs = _rand_family(rng, field, rng.randint(1, 9))
-        ech = RefEchelon(field, True) if field.char == 0 and normalized \
-            else Echelon(field)
+        ech = RefEchelon(field, True) if reference else Echelon(field)
         for i, vec in enumerate(inputs):
-            wit = {i: field.one}
-            row = ech.insert(vec, wit)
+            if reference:
+                wit = {i: field.one}
+                row = ech.insert(vec, wit)
+                if row is not None:
+                    assert ech.wits[ech.pivots.index(min(row))] is wit
+            else:
+                got = _insert_augmented(ech, _augment(vec, {i: field.one}))
+                row, wit = _split(got)
+                if row:
+                    assert ech.rows[ech.pivots.index(min(row))] is got
+                row = row or None
             if row is None:
                 # a relation among the inputs in which input i occurs
                 assert wit[i] == field.one if not ffree else wit[i] > 0
                 assert _combine(field, inputs, wit) == {}
-            else:
-                assert ech.wits[ech.pivots.index(min(row))] is wit
         assert ech.pivots == sorted(ech.pivots)
-        for row, wit in zip(ech.rows, ech.wits):
+        pairs = zip(ech.rows, ech.wits) if reference else map(_split,
+                                                              ech.rows)
+        for row, wit in pairs:
             assert _combine(field, inputs, wit) == row
             if ffree:
                 assert row[min(row)] > 0
@@ -347,30 +375,30 @@ def test_witness_invariant_random(field, normalized):
         # reducing a new input with its own witness: rem = sum wit_k * input_k
         vec = _rand_family(rng, field, 1)[0]
         n = len(inputs)
-        wit = {n: field.one}
-        rem = ech.reduce(vec, wit)
+        if reference:
+            wit = {n: field.one}
+            rem = ech.reduce(vec, wit)
+        else:
+            rem, wit = _split(ech.reduce(_augment(vec, {n: field.one})))
         assert _combine(field, inputs + [vec], wit) == rem
         assert wit[n] != 0
 
 
 def test_fraction_free_witnesses():
-    """A fraction-free echelon scales a witness along with its vector: a
-    row has content one jointly with its witness, not alone."""
+    """A fraction-free echelon scales the witness columns along with the
+    rest of a vector: a row has content one over all its columns, not over
+    the real ones alone."""
     a, b = {0: 2, 1: 4}, {0: -3, 2: 3}
     c = {1: 1, 2: Fraction(1, 2)}                   # (3a + 2b) / 12
-    ech = Echelon(QQ)
-    assert ech.insert(a, {0: 1}) == {0: 2, 1: 4}
-    assert ech.insert(b, {1: 1}) == {2: 6, 1: 12}   # 3a + 2b
-    assert ech.wits == [{0: 1}, {1: 2, 0: 3}]
-    wit = {2: 1}
-    assert ech.reduce(c, wit) == {}
-    assert wit == {2: 12, 1: -2, 0: -3}             # cleared by 2, then * 6
+    ech = Echelon(QQ)                               # witness k at 3 + k
+    assert ech.insert({**a, 3: 1}) == {0: 2, 1: 4, 3: 1}
+    assert ech.insert({**b, 4: 1}) == {2: 6, 1: 12, 4: 2, 3: 3}  # 3a + 2b
+    assert ech.reduce({**c, 5: 1}) == {5: 12, 4: -2, 3: -3}
+    # cleared by 2, then * 6
     assert kernel(QQ, [a, b, c]) == \
         [{2: 1, 1: Fraction(-1, 6), 0: Fraction(-1, 4)}]
     # the joint content is divided out and the pivot made positive
-    wit = {0: 2}
-    assert Echelon(QQ).insert({0: -4, 3: 6}, wit) == {0: 2, 3: -3}
-    assert wit == {0: -1}
+    assert Echelon(QQ).insert({0: -4, 3: 6, 4: 2}) == {0: 2, 3: -3, 4: -1}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
@@ -638,9 +666,10 @@ def _pivot_one(field, row, d):
 @pytest.mark.parametrize("field,normalized", LOOP_FIELDS, ids=LOOP_IDS)
 def test_echelon_matches_reference(field, normalized):
     """Rows, pivots and remainders equal the reference's.  With witnesses
-    ("normalized") a stored pair divided by its pivot entry equals the
-    normalized reference's pair, and project() its remainder; over F_p
-    the division is by one and project() is reduce()."""
+    ("normalized"), at columns ncols + i in Echelon and apart in the
+    reference, a stored row divided by its pivot entry equals the
+    normalized reference's row and witness, and project() its remainder;
+    over F_p the division is by one and project() is reduce()."""
     rng = random.Random(field.char % 991 + 7 * normalized)
     one = field.one
     for _ in range(40):
@@ -656,10 +685,11 @@ def test_echelon_matches_reference(field, normalized):
         rng.shuffle(vecs)
         for i, v in enumerate(vecs):
             if normalized:
-                wa, wb = {i: one}, {i: one}
-                assert _typed(ech.project(v, wa)) == _typed(ref.reduce(v, wb))
-                assert _typed(wa) == _typed(wb)
-                ech.insert(v, {i: one})
+                wb = {i: one}
+                got = ech.project(_augment(v, {i: one}, ncols))
+                assert _typed(got) == \
+                    _typed(_augment(ref.reduce(v, wb), wb, ncols))
+                _insert_augmented(ech, _augment(v, {i: one}, ncols), ncols)
                 ref.insert(v, {i: one})
             else:
                 assert _typed(ech.reduce(v)) == _typed(ref.reduce(v))
@@ -668,14 +698,12 @@ def test_echelon_matches_reference(field, normalized):
             assert ech.pivots == ref.pivots
             if normalized:
                 assert [_typed(_pivot_one(field, r, r)) for r in ech.rows] \
-                    == list(map(_typed, ref.rows))
-                assert [_typed(_pivot_one(field, r, w))
-                        for r, w in zip(ech.rows, ech.wits)] == \
-                    list(map(_typed, ref.wits))
+                    == [_typed(_augment(r, w, ncols))
+                        for r, w in zip(ref.rows, ref.wits)]
             else:
                 assert list(map(_typed, ech.rows)) == \
                     list(map(_typed, ref.rows))
-        for d in ech.rows + (ech.wits if normalized else []):
+        for d in ech.rows:
             assert 0 not in d.values()
 
 
@@ -683,13 +711,14 @@ def test_echelon_matches_reference(field, normalized):
                          ids=["Q", "F2", "F101"])
 def test_seeded_echelon_matches_inserting_one_by_one(field):
     """Echelon(field, vectors), from a list or a generator, holds the rows
-    and pivots that inserting the vectors one by one gives, and no
-    witnesses.  insert neither changes nor stores the dict it is given,
+    and pivots that inserting the vectors one by one gives, and no column
+    past the vectors' own.  insert neither changes nor stores the dict it
+    is given,
     so callers pass rows they keep (a filtration's) without copying."""
     rng = random.Random(field.char + 29)
     for empty in ([], iter(())):
         ech = Echelon(field, empty)
-        assert (ech.rows, ech.pivots, ech.wits) == ([], [], [])
+        assert (ech.rows, ech.pivots) == ([], [])
     for _ in range(60):
         ncols = rng.randint(1, 10)
         vecs = [_rand_sparse(rng, field, ncols, rng.choice([.2, .5, .9]))
@@ -706,7 +735,7 @@ def test_seeded_echelon_matches_inserting_one_by_one(field):
             assert list(map(_typed, seeded.rows)) == \
                 list(map(_typed, one_by_one.rows))
             assert seeded.pivots == one_by_one.pivots
-            assert seeded.wits == [None] * seeded.dim
+            assert all(max(row) < ncols for row in seeded.rows)
             assert not any(row is v for row in seeded.rows for v in vecs)
         assert list(map(_typed, vecs)) == before
 
@@ -716,8 +745,9 @@ def test_seeded_echelon_matches_inserting_one_by_one(field):
 def test_project_matches_normalized_reference(field):
     """project() is the normalized reference's reduce(): the remainder and
     the witness, values with their types, for int and Fraction inputs and
-    witnesses, with and without a witness; the echelon is left as it
-    was."""
+    witnesses, with and without a witness of the projected vector.  Echelon
+    carries each witness at columns ncols + k, the reference apart.  The
+    echelon is left as it was."""
     rng = random.Random(59 + field.char)
     for _ in range(60):
         ncols = rng.randint(1, 10)
@@ -726,25 +756,29 @@ def test_project_matches_normalized_reference(field):
             v = _rand_sparse(rng, field, ncols, rng.choice([.2, .5, .9]))
             if i and rng.random() < .3:     # a dependent input
                 v = ref_axpy(field, dict(v), _rand_scalar(rng, field),
-                             ech.rows[-1] if ech.rows else {})
-            ech.insert(v, {i: field.one})
+                             _split(ech.rows[-1], ncols)[0]
+                             if ech.rows else {})
+            _insert_augmented(ech, _augment(v, {i: field.one}, ncols), ncols)
             ref.insert(v, {i: field.one})
         rows = [dict(r) for r in ech.rows]
-        wits = [dict(w) for w in ech.wits]
         for _ in range(8):
             v = _rand_sparse(rng, field, ncols, rng.choice([.3, .7]))
             if rng.random() < .3 and ref.rows:   # lies in the span
                 v = ref_axpy(field, {}, _rand_scalar(rng, field),
                              rng.choice(ref.rows))
-            assert _typed(ech.project(v)) == _typed(ref.reduce(v))
+            wb = {}
+            got = ech.project(v)
+            assert _typed(got) == \
+                _typed(_augment(ref.reduce(v, wb), wb, ncols))
+            # the projected vector's own witness, on keys 10.. no input has
             wa = _rand_sparse(rng, field, 3, .8)
-            wa = {("w", k): a for k, a in wa.items()}
+            wa = {10 + k: a for k, a in wa.items()}
             wb = dict(wa)
-            got = ech.project(v, wa)
-            assert _typed(got) == _typed(ref.reduce(v, wb))
-            assert _typed(wa) == _typed(wb)
-            assert 0 not in got.values() and 0 not in wa.values()
-        assert ech.rows == rows and ech.wits == wits
+            got = ech.project(_augment(v, wa, ncols))
+            assert _typed(got) == \
+                _typed(_augment(ref.reduce(v, wb), wb, ncols))
+            assert 0 not in got.values()
+        assert ech.rows == rows
 
 
 # ---------------------------------------------------------------------------
@@ -772,21 +806,19 @@ def kernel_normalized(field, images):
 
 @pytest.fixture
 def int_rows_only(monkeypatch):
-    """Fails a test in which an Echelon over Q stores a row or a witness
-    holding anything but ints: Fraction arithmetic stays out of the
-    echelon, confined to the divisions where values leave it."""
-    store = Echelon._store
+    """Fails a test in which an Echelon over Q stores a row, witness
+    columns included, holding anything but ints: Fraction arithmetic stays
+    out of the echelon, confined to the divisions where values leave it."""
+    store = Echelon.store
     count = []
 
-    def checked(self, v, wit):
-        row = store(self, v, wit)
+    def checked(self, v):
+        row = store(self, v)
         if self.field.char == 0:
             assert all(type(a) is int for a in row.values()), row
-            assert wit is None or \
-                all(type(a) is int for a in wit.values()), wit
             count.append(1)
         return row
-    monkeypatch.setattr(Echelon, "_store", checked)
+    monkeypatch.setattr(Echelon, "store", checked)
     return count
 
 
@@ -826,8 +858,9 @@ def test_kernel_matches_normalized_reference(field, int_rows_only):
 def test_lazy_residues_match_reference(p):
     """Dense rows over 40+ columns and chains of dependent combinations,
     so one reduce walks many pivots and its unreduced entries pass p long
-    before they are read; remainders, rows and witnesses still match the
-    element-by-element reference exactly and come out canonical."""
+    before they are read; remainders, rows and witnesses (at columns
+    ncols + i) still match the element-by-element reference exactly and
+    come out canonical."""
     field = Field(p)
     rng = random.Random(p % 1009)
     for _ in range(6):
@@ -844,19 +877,18 @@ def test_lazy_residues_match_reference(p):
         rng.shuffle(vecs)
         ech, ref = Echelon(field), RefEchelon(field, True)
         for i, v in enumerate(vecs):
-            wa, wb = {i: 1}, {i: 1}
-            got = ech.reduce(v, wa)
-            assert _typed(got) == _typed(ref.reduce(v, wb))
-            assert _typed(wa) == _typed(wb)
-            for d in (got, wa):
-                assert all(0 < a < p for a in d.values())
-            ech.insert(v, {i: 1})
+            wb = {i: 1}
+            got = ech.reduce(_augment(v, {i: 1}, ncols))
+            assert _typed(got) == _typed(_augment(ref.reduce(v, wb), wb,
+                                                  ncols))
+            assert all(0 < a < p for a in got.values())
+            _insert_augmented(ech, _augment(v, {i: 1}, ncols), ncols)
             ref.insert(v, {i: 1})
         assert ech.dim >= 20 and ech.dim < len(vecs)
         assert ech.pivots == ref.pivots
-        assert list(map(_typed, ech.rows)) == list(map(_typed, ref.rows))
-        assert list(map(_typed, ech.wits)) == list(map(_typed, ref.wits))
-        for d in ech.rows + ech.wits:
+        assert list(map(_typed, ech.rows)) == \
+            [_typed(_augment(r, w, ncols)) for r, w in zip(ref.rows, ref.wits)]
+        for d in ech.rows:
             assert all(0 < a < p for a in d.values())
 
 
@@ -982,30 +1014,27 @@ def clear_denominators_reference(v):
 
 
 def test_one_pass_intake_matches_reference():
-    """Mixed int and Fraction input with zeros of both types: the remainder
-    and the witness equal those of the two-pass intake, whose lcm scales
-    the witness, and hold ints only."""
+    """Mixed int and Fraction input with zeros of both types, carrying a
+    witness at columns 100 and 101: the remainder, witness columns
+    included, equals that of the two-pass intake, and holds ints only."""
     rng = random.Random(53)
     for _ in range(150):
         ncols = rng.randint(1, 10)
         ech = Echelon(QQ)
         for i in range(rng.randint(0, 6)):
-            ech.insert(_rand_sparse(rng, QQ, ncols, .6), {i: 1})
+            ech.insert(_rand_sparse(rng, QQ, ncols, .6))
         vec = {k: _rand_scalar(rng, QQ) for k in range(ncols)
                if rng.random() < .7}
         for k in rng.sample(range(ncols), rng.randint(0, min(2, ncols))):
             vec[k] = rng.choice([0, Fraction(0)])
+        vec.update({100: 1, 101: 3})
         v0, den = clear_denominators_reference(vec)
-        wit = {100: 1, 101: 3}
-        want_wit = {k: den * a for k, a in wit.items()}
-        want = ech.reduce(v0, want_wit)
-        got = ech.reduce(vec, wit)
+        assert v0[100] == den and v0[101] == 3 * den
+        want = ech.reduce(v0)
+        got = ech.reduce(vec)
         assert _typed(got) == _typed(want)
-        assert _typed(wit) == _typed(want_wit)
         assert all(type(a) is int for a in got.values())
     # alone, the intake is the scaling by the lcm, zeros dropped
-    wit = {0: 1, 1: -2}
     assert Echelon(QQ).reduce(
-        {0: Fraction(1, 2), 1: 0, 2: 3, 3: Fraction(0), 4: Fraction(-5, 3)},
-        wit) == {0: 3, 2: 18, 4: -10}
-    assert wit == {0: 6, 1: -12}
+        {0: Fraction(1, 2), 1: 0, 2: 3, 3: Fraction(0), 4: Fraction(-5, 3),
+         10: 1, 11: -2}) == {0: 3, 2: 18, 4: -10, 10: 6, 11: -12}
