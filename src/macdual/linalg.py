@@ -12,25 +12,12 @@ a > 0 and b); a row is a positive multiple of the pivot-one row, so a
 caller that needs a normalized value divides once where it leaves the
 echelon, as :func:`rref_rows`, :func:`solve_linear` and
 :meth:`Echelon.project` do.  ``Echelon(field, vectors)`` is seeded with
-the span of vectors, inserted in order; ``insert``
-neither stores nor changes the dict it is given.
-
-``covers(q, n)`` tells in O(1) whether every column in range(q, n) is a
-pivot: pivots are sorted and distinct, so that is pivots[-(n - q)] == q.
-Every vector supported there lies in the span, so a caller that fills a
-space lying on a suffix of its columns can skip such a vector unreduced:
-its reduction could only come out zero, and leave the echelon as it was.
-
-``reduce`` walks the pivot hits of the working vector in increasing order
-from a min-heap: built once from the input's pivot columns, it gains only
-the pivot columns a subtracted row adds, since a row touches no column
-before its pivot.  Over F_p entries are unreduced ints while the walk runs
-(delayed modular reduction): an entry is taken ``% p`` only when it is
-popped as a pivot, and the remainder is made canonical once on return.
-Over Q every step cancels exactly in plain ints, and a reduce scales its
-input to integers in the pass that drops its zeros.  Callers that read only
-a span or a rank scale each vector once, by :func:`primitive`, before it
-enters the echelon.
+the span of vectors, inserted in order; ``insert`` neither stores nor
+changes the dict it is given.  Callers that read only a span or a rank
+scale each vector once, by :func:`primitive`, before it enters the
+echelon.  ``covers(q, n)`` tells in O(1) whether every column in
+range(q, n) is a pivot, so that a vector supported there need not be
+reduced.
 
 A caller that needs the combination of inputs behind a vector appends it
 as extra columns past the n real ones: input k, or the k-th monomial, at
@@ -124,11 +111,6 @@ def primitive(v: dict) -> dict:
     return {k: a // g for k, a in w.items()} if g > 1 else w
 
 
-def _scale_in_place(d: dict, c: int):
-    for k, a in d.items():
-        d[k] = c * a
-
-
 def _div(a: int, d: int):
     """a / d as a canonical rational: an int when d divides a."""
     return a // d if a % d == 0 else Fraction(a, d)
@@ -141,9 +123,8 @@ class Echelon:
     """Growing forward-echelon span of sparse vectors, rows sorted by pivot.
 
     Over F_p rows have pivot one.  Over Q a row holds ints, has content one
-    and a positive pivot: a positive multiple of the pivot-one row.  A row
-    may carry extra columns past the real ones (see the module docstring);
-    the echelon treats them as any other column."""
+    and a positive pivot: a positive multiple of the pivot-one row.  Extra
+    columns past n (see the module docstring) are columns like any other."""
 
     __slots__ = ("field", "rows", "pivots", "_by_pivot")
 
@@ -315,7 +296,9 @@ def rref_rows(field: Field, vectors) -> list[dict]:
             else:
                 g = gcd(row[q], c)
                 if row[q] != g:
-                    _scale_in_place(above, row[q] // g)
+                    s = row[q] // g
+                    for k, a in above.items():
+                        above[k] = s * a
                 _axpy_int(above, -(c // g), row)
     if not p:
         for row, q in zip(rows, ech.pivots):
@@ -353,11 +336,9 @@ def orthogonal(field: Field, rows, n: int) -> list[dict]:
 def solve_linear(field: Field, columns: list[dict], target: dict):
     """Coefficients x with sum x_i * columns[i] == target, or None; a column
     that depends on earlier ones gets coefficient zero.  Over F_p the
-    entries must already be residues in range(p).
-
-    Past every real column n, column i carries e_i at n + i and the target
-    1 at n + len(columns).  A target that reduces into columns n and past
-    leaves the relation d * target + sum c_i * columns[i] == 0 there."""
+    entries must already be residues in range(p).  Past every real column
+    n, columns[i] carries 1 at n + i and the target 1 at t = n + len(columns),
+    so a target reducing to d at t and c_i at n + i solves as -c_i / d."""
     n = 1 + max((k for v in (*columns, target) for k in v), default=-1)
     ech = Echelon(field)
     for i, col in enumerate(columns):

@@ -195,14 +195,10 @@ def _store_below(ech: Echelon, vec: dict, n: int):
 
 def _witnessed_square_space(P: PartialFiltration, xs: list, widx: dict):
     """m^2 o f, each row carrying an element of m^2 contracting f to it:
-    x^m at column n + widx[m] past the n columns of P.dindex, terms above
-    the degree widx reaches dropped.  xs holds the vectors of x_i o f.
-
-    x_i x_k o f is x_i o (x_k o f), and a row's shift by x_i is its shift
-    by contraction on the real columns and by multiplication on the
-    witness ones."""
+    x^m at column n + widx[m], past the n columns of P.dindex.  xs holds
+    the vectors of x_i o f; a row shifts by x_i by contraction on its real
+    columns and by multiplication, truncated, on the others."""
     ring = P.ring
-    one = ring.field.one
     n = len(P.dindex)
     downs = ring.contraction_tables(P.j)
     tabs = [{**down, **{n + a: n + b for a, b in up.items()}} for down, up
@@ -212,7 +208,7 @@ def _witnessed_square_space(P: PartialFiltration, xs: list, widx: dict):
     for m in ring.monomials(2):
         i, k = (v for v, e in enumerate(m) for _ in range(e))
         vec = {downs[i][c]: a for c, a in xs[k].items() if c in downs[i]}
-        vec[n + widx[m]] = one
+        vec[n + widx[m]] = ring.field.one
         row = _store_below(ech, vec, n)
         if row is not None:
             pending.append(row)
@@ -238,11 +234,10 @@ def adapted_coordinates(f: DPPoly | PartialFiltration) -> AdaptedFrame:
 
 def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
     """adapted_coordinates of P.f, its levels checked against the
-    codimension sequence n_seq of P's symmetric decomposition.
-
-    Each vector carries its element of R past the n columns of P.dindex:
-    x^m at column n + widx[m], truncated at degree j + 2 as the parameters
-    are, so x_i sits at n + 1 + i.  Every value read off is scale-free."""
+    codimension sequence n_seq of P's symmetric decomposition.  Each vector
+    carries its element of R, x^m at column n + widx[m] past the n columns
+    of P.dindex (so x_i at n + 1 + i), truncated at degree j + 2 as the
+    parameters are; every value read off is scale-free."""
     f = P.f
     ring = P.ring
     field = ring.field
@@ -292,9 +287,7 @@ def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
             _store_below(stage, w, n + 1 + ring.r)
         level_ech.append(stage)
 
-    parameters = []
-    levels = []
-    counts = []
+    parameters, levels, counts = [], [], []
     for lev in range(len(cuts)):
         cur = level_ech[lev]
         nxt_pivots = set(level_ech[lev + 1].pivots) \
