@@ -393,8 +393,8 @@ def test_fraction_free_witnesses():
     ech = Echelon(QQ)                               # witness k at 3 + k
     assert ech.insert({**a, 3: 1}) == {0: 2, 1: 4, 3: 1}
     assert ech.insert({**b, 4: 1}) == {2: 6, 1: 12, 4: 2, 3: 3}  # 3a + 2b
+    # c is cleared of its denominator 2, then multiplied by 6
     assert ech.reduce({**c, 5: 1}) == {5: 12, 4: -2, 3: -3}
-    # cleared by 2, then * 6
     assert kernel(QQ, [a, b, c]) == \
         [{2: 1, 1: Fraction(-1, 6), 0: Fraction(-1, 4)}]
     # the joint content is divided out and the pivot made positive
@@ -713,8 +713,8 @@ def test_seeded_echelon_matches_inserting_one_by_one(field):
     """Echelon(field, vectors), from a list or a generator, holds the rows
     and pivots that inserting the vectors one by one gives, and no column
     past the vectors' own.  insert neither changes nor stores the dict it
-    is given,
-    so callers pass rows they keep (a filtration's) without copying."""
+    is given, so callers pass rows they keep (a filtration's) without
+    copying."""
     rng = random.Random(field.char + 29)
     for empty in ([], iter(())):
         ech = Echelon(field, empty)
