@@ -40,18 +40,26 @@ of its shifts are skipped.  Membership in Ann f needs no span at all:
 LocalIdeal.contains tests phi o f = 0.
 
 A listed presentation is checked against f itself; no Ann f is computed.
-Containment comes first: a generator g lies in Ann f iff g o f = 0, and a
+Containment comes first: a generator g lies in Ann f iff g o f = 0, that
+is iff g pairs to zero with R o f (level 0 of the filtration), and a
 homogeneous g of degree d lies in the associated graded ideal I* iff it
 pairs to zero with the leading-form space L(0, d), because I*_d is the
 orthogonal of L(0, d) under contraction (Iarrobino's Memoir; this is where
 H(A*) = H(A) comes from).  Equality then follows from dimension alone: the
 products x^m * g, a subspace of Ann f modulo m^{j+2}, are all of it once
 their rank reaches dim R_{<j+2} - dim A, and those of degree d are all of
-I*_d once it reaches r_d - h_d.
+I*_d once it reaches r_d - h_d.  The Hilbert function also gives the
+elements of order d or more, sum_{e >= d} (r_e - h_e) dimensions in Ann f
+and in I* alike, so _products_reach reads the products by the degree of
+their first column, highest first, and builds none of those left in a
+degree once the span holds that much of order d: they already lie in it.
+A product of one term, every product of a monomial generator among them,
+is a unit vector and is never built either.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from math import comb
 from typing import NamedTuple
@@ -110,6 +118,15 @@ MAX_IMAGES = 100_000
 _last = None    # the PartialFiltration built last; see filtration()
 
 
+def check_image_budget(r: int, j: int):
+    """Refuse a dual generator of degree j in r variables whose image
+    table, C(r+j+1, r), exceeds MAX_IMAGES."""
+    images = comb(r + j + 1, r)
+    if images > MAX_IMAGES:
+        raise DomainError("generator too large: C(r+j+1, r) = %d images, "
+                          "above the budget of %d" % (images, MAX_IMAGES))
+
+
 class PartialFiltration:
     """All spaces P(s,t) = (m^s o f)_{<= t} for one dual generator f.
 
@@ -126,11 +143,7 @@ class PartialFiltration:
         f = f.drop_constant()
         if f.is_zero:
             raise DomainError("zero dual generator")
-        r, j = f.ring.r, f.degree
-        images = comb(r + j + 1, r)
-        if images > MAX_IMAGES:
-            raise DomainError("generator too large: C(r+j+1, r) = %d images, "
-                              "above the budget of %d" % (images, MAX_IMAGES))
+        check_image_budget(f.ring.r, f.degree)
         self.f = f
         self.ring = f.ring
         self.j = f.degree
@@ -377,30 +390,86 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     return LocalIdeal(P.f, rmons, rows, min_gens, orders)
 
 
-def _multiples(g: PSElement, top: int):
-    """x^m * g for |m| <= top - order(g) in the order of rmon_index(top), as
-    vectors over it with terms of degree > top dropped; each is a column
-    shift of an earlier one.  Callers read only their span, so over Q they
-    are primitive integer vectors: g's is scaled once."""
-    ring = g.ring
+def _products_reach(ring, gens: list[PSElement], dims: list) -> bool:
+    """True iff the products x^m * g, g in gens, with terms of degree > top
+    = len(dims) - 1 dropped, span sum(dims) dimensions of R_{<= top}.  The
+    products must lie in an ideal J whose elements of order d or more span
+    dims[d] + ... + dims[top] dimensions modulo m^{top+1} (Ann f, or a
+    graded J with dims[d] = dim J_d); reaching sum(dims) is then equality
+    with J.  Every g has order at most top.
+
+    The products of a monomial g (one term up to degree top) are the unit
+    vectors of the monomial ideal it generates, and so is x^m * g for any g
+    once |m| is past the degree of every term but the lead: they join the
+    _Span's coordinates U in one closure over the multiplication tables,
+    and no vector is built for them.  Graded-lex is multiplicative, so the
+    first column of any other x^m * g is that of x^m * lead(g), found along
+    the rmon_steps chain on one int before the product exists.
+
+    Products are read by the degree d of their first column, highest
+    first; inside a degree, one product for each first column, then the
+    others, each by first column, highest first.  The first product read
+    at a column that is not a unit grows the span, as no earlier row has
+    its pivot there.  Every row, and every unit outside the closure, has
+    its first column at or past that of the product it came from, so the
+    span's part of order d or more is all of it but the closure units
+    below degree d.  Once that part reaches dims[d] + ... + dims[top] it
+    holds all of J's elements of order d, every product left in degree d
+    lies in it, and none of them is built.  Over Q each g is scaled once
+    to a primitive integer vector.
+    """
+    top = len(dims) - 1
+    field, r = ring.field, ring.r
     rindex = ring.rmon_index(top)
-    vec = {rindex[m]: c for m, c in g.coeffs.items() if mdeg(m) <= top}
-    if not ring.field.char:
-        vec = primitive(vec)
-    return _shifted(ring.rmon_steps(top), comb(ring.r + top - g.order, ring.r),
-                    vec, ring.multiplication_tables(top))
-
-
-def _reaches(field, vectors, target: int, n: int) -> bool:
-    """True iff the vectors, in F^n, span at least target dimensions;
-    reading stops as soon as they do.  For vectors inside a space of
-    dimension target, that is equality with it."""
-    span = _Span(field, n)
-    for v in vectors:
-        if span.dim == target:
-            break
-        span.add(v)
-    return span.dim == target
+    tabs = ring.multiplication_tables(top)
+    steps = ring.rmon_steps(top)
+    code, col = ring.rmon_codes(top)
+    # by degree of the first column q: heads[d][q] the first product seen
+    # at q, rest[d] the others; a product is (q, code of m, terms), terms
+    # the (code, coefficient) pairs of g of degree <= top - |m|
+    heads = [{} for _ in dims]
+    rest = [[] for _ in dims]
+    ideal = set()
+    for g in gens:
+        terms = {m: c for m, c in g.coeffs.items() if mdeg(m) <= top}
+        if not field.char:
+            terms = primitive(terms)
+        terms = sorted((rindex[m], mdeg(m), c) for m, c in terms.items())
+        lead, o, _ = terms[0]
+        # x^m * g is the unit vector of x^m * lead(g) once |m| reaches
+        # lone, past the degree of every other term; the first columns of
+        # the products with |m| = lone seed the closure
+        lone = top + 1 - terms[1][1] if len(terms) > 1 else 0
+        multi = comb(r + lone - 1, r)
+        first = [lead]
+        for k in range(1, comb(r + lone, r) if lone <= top - o else multi):
+            prev, i = divmod(steps[k], r)
+            first.append(tabs[i][first[prev]])
+        for s in range(lone):
+            cut = [(code[t], c) for t, d, c in terms if d <= top - s]
+            at, more = heads[o + s], rest[o + s]
+            for k in range(comb(r + s - 1, r), comb(r + s, r)):
+                q = first[k]
+                if q in at:
+                    more.append((q, code[k], cut))
+                else:
+                    at[q] = (q, code[k], cut)
+        ideal.update(first[multi:])
+    span = _Span(field, len(rindex))
+    units = span.units
+    while ideal:
+        units |= ideal
+        ideal = {tab[c] for c in ideal for tab in tabs if c in tab} - units
+    below = sorted(units)
+    for d in range(top, -1, -1):
+        # the span's dimension once it holds J's elements of order >= d
+        full = sum(dims[d:]) + bisect_left(below, comb(r + d - 1, r))
+        for q, mc, terms in (sorted(heads[d].values(), reverse=True)
+                             + sorted(rest[d], reverse=True)):
+            if span.dim == full:
+                break
+            span.add({col[mc + t]: c for t, c in terms})
+    return span.dim == sum(dims)
 
 
 def verify_ideal_presentation(gens: list[PSElement],
@@ -413,18 +482,18 @@ def verify_ideal_presentation(gens: list[PSElement],
         g.ring.check_same(ring)
     if any(g.order == 0 for g in gens):
         return False  # unit ideal never equals a proper annihilator
-    f0 = f.f if isinstance(f, PartialFiltration) else f.drop_constant()
-    if any(not contract(g, f0).is_zero for g in gens):
-        return False
     P = filtration(f)
+    # g o f = 0 iff g pairs to zero with R o f, which level 0 spans: the
+    # coefficient of X^[beta] in g o f is <g, x^beta o f>
+    dindex = P.dindex
+    if not _pair_to_zero(ring.field, [{dindex[m]: c for m, c in
+                                       g.coeffs.items() if m in dindex}
+                                      for g in gens], P.level(0).rows):
+        return False
     top = P.j + 1
-    target = len(ring.rmon_index(top)) - P.dim_partials(0, P.j)
-    # monomial generators first: their products are unit vectors
-    gens = sorted((g for g in gens if not g.is_zero and g.order <= top),
-                  key=lambda g: len(g.coeffs) > 1)
-    return _reaches(ring.field, (v for g in gens
-                                 for v in _multiples(g, top)), target,
-                    comb(ring.r + top, ring.r))
+    return _products_reach(
+        ring, [g for g in gens if not g.is_zero and g.order <= top],
+        [ring.dim_of_degree(d) - P.lt_count(0, d) for d in range(top + 1)])
 
 
 def verify_graded_presentation(gens: list[PSElement],
@@ -457,17 +526,27 @@ def _verify_graded(gens: list[PSElement], ring, orth: list,
     gens = [g for g in gens if g.order <= top]
     # contraction pairs x^a with X^[a] alone, so g and the rows of orth[o]
     # are read in the same index, monomial_index(o)
-    for g in gens:
-        gv = g.vector(ring.monomial_index(g.order))
-        for row in orth[g.order]:
-            if field.canon({0: sum(gv[k] * v for k, v in row.items()
-                                   if k in gv)}):
-                return False
-    rmons = list(ring.rmon_index(top))
-    of_degree = [[] for _ in range(top + 1)]
-    for g in gens:
-        for m, v in zip(rmons, _multiples(g, top)):
-            of_degree[g.order + mdeg(m)].append(v)
-    # the degree-d products lie on the columns of R_{<= d}
-    return all(_reaches(field, of_degree[d], dims[d], comb(ring.r + d, ring.r))
-               for d in range(top + 1))
+    if not all(_pair_to_zero(field, [g.vector(ring.monomial_index(d))
+                                     for g in gens if g.order == d], orth[d])
+               for d in {g.order for g in gens}):
+        return False
+    return _products_reach(ring, gens, dims)
+
+
+def _pair_to_zero(field, vectors: list, rows: list) -> bool:
+    """True iff <v, row> = sum_k v[k] row[k] is zero for every v and row.
+    The rows are indexed by column once, so each v reads only the entries
+    on its own columns."""
+    on = {}
+    for i, row in enumerate(rows):
+        for k, b in row.items():
+            on.setdefault(k, []).append((i, b))
+    for v in vectors:
+        acc = {}
+        get = acc.get
+        for k, a in v.items():
+            for i, b in on.get(k, ()):
+                acc[i] = get(i, 0) + a * b
+        if field.canon(acc):
+            return False
+    return True

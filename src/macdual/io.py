@@ -68,6 +68,7 @@ class _Parser:
         self.trunc = trunc
         names = ring.vars if divided else ring.lvars
         self.var_index = {v: i for i, v in enumerate(names)}
+        self.fits = 0   # the largest power X^k checked against the budget
 
     # -- grammar ----------------------------------------------------------------
 
@@ -190,13 +191,19 @@ class _Parser:
             return i, k, 1
         if kind == "nat":
             # x^k is k! X^[k] in divided mode, x^k itself in the local ring;
-            # mod p, k! vanishes from k = p on and is not computed
+            # mod p, k! vanishes from k = p on and is not computed, and no
+            # k! is computed for a degree k past the image budget
             if not self.divided:
                 return i, val, 1
             p = self.ring.field.char
-            if not p:
-                return i, val, factorial(val)
-            return i, val, factorial(val) % p if val < p else 0
+            if p and val >= p:
+                return i, val, 0
+            if val > self.fits:
+                # imported here: a CLI process loads the engine on first use
+                from .apolarity import check_image_budget
+                check_image_budget(self.ring.r, val)
+                self.fits = val
+            return i, val, factorial(val) % p if p else factorial(val)
         raise ParseError("expected exponent", self.ts.src, off2)
 
 

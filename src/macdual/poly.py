@@ -140,6 +140,13 @@ def _rmon_steps(r: int, top: int) -> memoryview:
     return steps.toreadonly()
 
 
+@_shared(2 * _TABLE_SHAPES)
+def _rmon_codes(r: int, top: int) -> tuple:
+    codes = [sum(e * (top + 1) ** i for i, e in enumerate(m))
+             for m in _index(r, top, 1)]
+    return codes, dict(zip(codes, range(len(codes))))
+
+
 class _Divisors(dict):
     """m -> (b_0, m - b_0, b_1, m - b_1, ...) over the divisors b of m, each
     entry built on first read.  Flat, with no 2-tuple per pair, and every
@@ -248,6 +255,13 @@ class RingSpec:
         i is the first variable of its monomial m, prev the column of m-e_i."""
         return _rmon_steps(self.r, maxdeg)
 
+    def rmon_codes(self, maxdeg: int) -> tuple:
+        """(codes, column): codes[k] = sum m_i * (maxdeg+1)^i for the monomial
+        m at coordinate k of rmon_index, and column[codes[k]] = k.  Codes add
+        as monomials multiply while the degree stays at most maxdeg: no
+        exponent passes maxdeg, so no digit carries."""
+        return _rmon_codes(self.r, maxdeg)
+
     def divisor_table(self, maxdeg: int) -> dict:
         """table[m] = (b_0, m - b_0, b_1, m - b_1, ...) over the divisors b
         of m, for monomials m of degree <= maxdeg: x^b o X^[m] = X^[m-b]
@@ -269,6 +283,30 @@ class RingSpec:
         return _io.parse_ps(src, self, trunc)
 
 
+# CPython caps int -> str conversion at 4,300 digits by default
+# (sys.set_int_max_str_digits); past the cap, numerals are written this
+# many digits at a time, so rendering does not depend on the cap in force
+_DIGITS = 4000
+_DIGITS_BASE = 10 ** _DIGITS
+
+
+def _numeral(c) -> str:
+    """An int, or a Fraction as numerator/denominator, in decimal."""
+    try:
+        return str(c)
+    except ValueError:  # past the digit cap
+        pass
+    if type(c) is not int:
+        return _numeral(c.numerator) + (
+            "/" + _numeral(c.denominator) if c.denominator != 1 else "")
+    sign, c = ("-", -c) if c < 0 else ("", c)
+    chunks = []
+    while c >= _DIGITS_BASE:
+        c, low = divmod(c, _DIGITS_BASE)
+        chunks.append(str(low).zfill(_DIGITS))
+    return sign + str(c) + "".join(reversed(chunks))
+
+
 def _fmt_term(names, coeff, m, power_bracket, one=1):
     factors = []
     for name, e in zip(names, m):
@@ -282,12 +320,12 @@ def _fmt_term(names, coeff, m, power_bracket, one=1):
             factors.append("%s^%d" % (name, e))
     body = "*".join(factors)
     if not body:
-        return str(coeff)
+        return _numeral(coeff)
     if coeff == one:
         return body
     if coeff == -one:
         return "-" + body
-    return "%s*%s" % (coeff, body)
+    return "%s*%s" % (_numeral(coeff), body)
 
 
 def _fmt_poly(names, items, power_bracket):

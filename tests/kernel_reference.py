@@ -1,10 +1,21 @@
-"""The kernel of a linear map by witnessed elimination: the route the
-package read Ann f, the filtration ideals and the colon and joint spaces of
-constructions by, before each was read by duality as an orthogonal.  Kept
-here as the reference those readouts are tested against."""
+"""Routes the package no longer takes, kept as the references its faster
+routes are tested against.
 
+kernel: the kernel of a linear map by witnessed elimination, the route
+the package read Ann f, the filtration ideals and the colon and joint
+spaces of constructions by, before each was read by duality as an
+orthogonal.
+
+products_reach_plain: the presentation rank test as it ran before the
+products x^m * g were read top-down, every product built and fed to one
+plain Echelon."""
+
+from math import comb
+
+from macdual.apolarity import _shifted
 from macdual.fields import Field
-from macdual.linalg import Echelon, _div
+from macdual.linalg import Echelon, _div, primitive
+from macdual.poly import mdeg
 
 
 def kernel(field: Field, images) -> list[dict]:
@@ -36,3 +47,33 @@ def kernel(field: Field, images) -> list[dict]:
         out.append({k - n: a if d == 1 else _div(a, d)
                     for k, a in rem.items()})
     return out
+
+
+def multiples(g, top: int):
+    """x^m * g for |m| <= top - order(g) in the order of rmon_index(top), as
+    vectors over it with terms of degree > top dropped; each is a column
+    shift of an earlier one.  Over Q they are primitive integer vectors:
+    g's is scaled once."""
+    ring = g.ring
+    rindex = ring.rmon_index(top)
+    vec = {rindex[m]: c for m, c in g.coeffs.items() if mdeg(m) <= top}
+    if not ring.field.char:
+        vec = primitive(vec)
+    return _shifted(ring.rmon_steps(top), comb(ring.r + top - g.order, ring.r),
+                    vec, ring.multiplication_tables(top))
+
+
+def products_reach_plain(ring, gens, dims) -> bool:
+    """apolarity._products_reach by its old route: the products x^m * g,
+    terms of degree > top = len(dims) - 1 dropped, monomial generators
+    first and each generator's products in rmon_index order (multiples),
+    every one into one plain Echelon; reading stops once the span has
+    sum(dims) dimensions."""
+    target = sum(dims)
+    ech = Echelon(ring.field)
+    for g in sorted(gens, key=lambda g: len(g.coeffs) > 1):
+        for v in multiples(g, len(dims) - 1):
+            if ech.dim == target:
+                return True
+            ech.insert(v)
+    return ech.dim == target

@@ -8,17 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from kernel_reference import kernel
+from kernel_reference import kernel, products_reach_plain
 from macdual.apolarity import (LocalIdeal, PartialFiltration, _Span,
-                               _images_descending, annihilator,
-                               hilbert_function, verify_graded_presentation,
+                               _images_descending, _products_reach,
+                               annihilator, hilbert_function,
+                               verify_graded_presentation,
                                verify_ideal_presentation)
+from macdual.decomposition import filtration_ideal, verify_graded_ideal
 from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.io import corpus_load, parse_poly
 from macdual.linalg import Echelon, primitive, rref_rows, same_span, vec_axpy
 from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
-                          contract_monomial)
+                          contract_monomial, mdeg)
 
 
 def mk(vars, src, char=0):
@@ -659,37 +661,55 @@ def test_annihilator_matches_fraction_rows_reference(char):
         assert_same_ideal(f)
 
 
-def reaches_plain_echelon(field, vectors, target, n):
-    """_reaches as it ran before unit vectors became coordinates: every
-    vector into one plain Echelon, n unread.  The reference for both
-    verifiers."""
-    ech = Echelon(field)
-    for v in vectors:
-        if ech.dim == target:
-            break
-        ech.insert(v)
-    return ech.dim == target
+def presentation_lists(verify, gens, target, rng):
+    """(verify, kind, list, target) for three kinds of list: 0, the true
+    list; 1, the list without its last generator; 2, the list with one
+    generator g replaced by x * g, x a variable, which still lies in the
+    ideal, so that only the rank test can reject it."""
+    k = rng.randrange(len(gens))
+    x = rng.choice(gens[k].ring.monomials(1))
+    return [(verify, 0, gens, target), (verify, 1, gens[:-1], target),
+            (verify, 2, gens[:k] + [gens[k].mul_monomial(x)] + gens[k + 1:],
+             target)]
 
 
-@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
 def test_verifiers_match_plain_echelon_reference(char, monkeypatch):
-    """Both verifiers give the plain-Echelon answers, True and False, on
-    the minimal generators of Ann f and on the generators of I*, each
-    list whole and without one generator."""
+    """All three verifiers give the answers of the old product route
+    (kernel_reference.products_reach_plain) on the true, cut-short and
+    x * g lists of each form's presentations: the minimal generators of
+    Ann f, generators of I*, and on every third form of degree j <= 8,
+    generators of each C(a), a >= 1.  Each verifier says True on every
+    true list and False on some list of each other kind."""
     import macdual.apolarity as apolarity
 
-    def answers(f, gens, graded):
-        return ([verify_ideal_presentation(gens[k:], f) for k in (0, 1)]
-                + [verify_graded_presentation(graded[:len(graded) - k], f)
-                   for k in (0, 1)])
+    rng = random.Random(char + 2601)
+    cases = []
+    for i, f in enumerate(reference_forms(char)):
+        P = PartialFiltration(f)
+        cases += presentation_lists(verify_ideal_presentation,
+                                    annihilator(P).min_gens, P, rng)
+        cases += presentation_lists(verify_graded_presentation,
+                                    graded_generators(f), P, rng)
+        for a in range(1, P.j) if i % 3 == 0 and P.j <= 8 else ():
+            data = filtration_ideal(P, a)
+            gens = pick_graded_generators(f.ring, [
+                [PSElement.from_vector(f.ring, row, f.ring.monomials(d))
+                 for row in rows] for d, rows in enumerate(data.spaces)])
+            cases += presentation_lists(verify_graded_ideal, gens, data, rng)
 
-    cases = [(f, annihilator(f).min_gens, graded_generators(f))
-             for f in reference_forms(char)]
-    got = [answers(*case) for case in cases]
-    monkeypatch.setattr(apolarity, "_reaches", reaches_plain_echelon)
-    assert got == [answers(*case) for case in cases]
-    assert all(a[0] and a[2] for a in got)
-    assert not all(a[1] for a in got) and not all(a[3] for a in got)
+    def answers():
+        return [verify(gens, target) for verify, _, gens, target in cases]
+
+    got = answers()
+    monkeypatch.setattr(apolarity, "_products_reach", products_reach_plain)
+    assert got == answers()
+    tally = Counter((verify, kind, answer)
+                    for (verify, kind, *_), answer in zip(cases, got))
+    for verify in (verify_ideal_presentation, verify_graded_presentation,
+                   verify_graded_ideal):
+        assert tally[verify, 0, False] == 0 and tally[verify, 0, True] > 0
+        assert tally[verify, 1, False] > 0 and tally[verify, 2, False] > 0
 
 
 def random_span_vectors(field, rng, n):
@@ -800,10 +820,10 @@ def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
 
 
 def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
-    """Over Q the m*I echelon of annihilator() and the rank test _reaches
-    of both presentation verifiers take integer vectors only, while the
-    images x^beta o f of the same forms, reduced by the PartialFiltration
-    echelon, carry Fractions.  Both rank echelons sit inside a _Span, so
+    """Over Q the m*I echelon of annihilator() and the rank test
+    _products_reach of both presentation verifiers take integer vectors
+    only, while the images x^beta o f of the same forms, reduced by the
+    PartialFiltration echelon, carry Fractions.  Both rank echelons sit inside a _Span, so
     calls are counted by the function that feeds it."""
     reduce = Echelon.reduce
     fractions = Counter()
@@ -829,7 +849,7 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         I = annihilator(f)
         assert verify_ideal_presentation(I.min_gens, f)
         assert verify_graded_presentation(graded_generators(f), f)
-    for caller in ("annihilator", "_reaches"):
+    for caller in ("annihilator", "_products_reach"):
         assert fractions[caller, False] > 0
         assert fractions[caller, True] == 0
     assert fractions["PartialFiltration.__init__", True] > 0
@@ -939,6 +959,67 @@ def test_dense_heavy_form_reduces_nothing_to_zero(monkeypatch):
     assert len(I.min_gens) == 36
 
 
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_products_in_the_span_are_neither_built_nor_reduced(char,
+                                                            monkeypatch):
+    """_products_reach builds a product, and passes it to _Span.add, only
+    while the span's part of order d, d the degree of the product's first
+    column, is short of the ideal's: counted here from the units and
+    pivots at or past the first column of degree d, against dims[d] + ...
+    + dims[top].  Every Echelon.reduce runs inside an add, and few reduce
+    to zero.  Both verifiers answer True on the true lists and False on
+    the cut-short ones.  The forms are dense and sparse, r 2-4."""
+    field = Field(char)
+    rng = random.Random(char + 2602)
+    cases = []
+    for trial in range(24):
+        r = trial % 3 + 2
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        f = random_dual_generator(ring, rng, rng.randint(3, 7 - r),
+                                  dense=trial % 2 == 0,
+                                  homogeneous=trial % 4 < 2)
+        if not f.drop_constant().is_zero:
+            P = PartialFiltration(f)
+            cases.append((P, annihilator(P).min_gens, graded_generators(f)))
+    add, insert, reduce = _Span.add, Echelon.insert, Echelon.reduce
+    counts, ideal, adding = Counter(), [], []
+
+    def watched_add(span, v):
+        P, dims = ideal[-1]
+        q = min(v)
+        d = mdeg(list(P.ring.rmon_index(P.j + 1))[q])
+        lo = comb(P.ring.r + d - 1, P.ring.r)
+        part = (sum(u >= lo for u in span.units)
+                + sum(p >= lo for p in span.ech.pivots))
+        assert part < sum(dims[d:])
+        adding.append(q)
+        try:
+            return add(span, v)
+        finally:
+            adding.pop()
+
+    def watched_insert(ech, vec):
+        row = insert(ech, vec)
+        counts[row is None] += 1
+        return row
+
+    def watched_reduce(ech, vec):
+        assert adding
+        return reduce(ech, vec)
+
+    monkeypatch.setattr(_Span, "add", watched_add)
+    monkeypatch.setattr(Echelon, "insert", watched_insert)
+    monkeypatch.setattr(Echelon, "reduce", watched_reduce)
+    for P, gens, graded in cases:
+        ideal.append((P, [P.ring.dim_of_degree(d) - P.lt_count(0, d)
+                          for d in range(P.j + 2)]))
+        assert verify_ideal_presentation(gens, P)
+        assert not verify_ideal_presentation(gens[:-1], P)
+        assert verify_graded_presentation(graded, P)
+        assert not verify_graded_presentation(graded[:-1], P)
+    assert counts[False] > 100 and counts[True] * 10 < counts[False]
+
+
 # -- presentations against the route through Ann f ------------------------------
 
 def ideal_presentation_oracle(gens, f):
@@ -985,9 +1066,17 @@ def graded_presentation_oracle(gens, f):
 def graded_generators(f):
     """Homogeneous generators of I*, picked degree by degree from the
     initial forms that the earlier picks do not generate."""
-    ring, field = f.ring, f.ring.field
+    return pick_graded_generators(f.ring,
+                                  initial_form_spaces(f.drop_constant()))
+
+
+def pick_graded_generators(ring, spaces):
+    """Generators of the graded ideal with degree-d part spanned by
+    spaces[d], picked degree by degree from the forms that the earlier
+    picks do not generate."""
+    field = ring.field
     gens = []
-    for d, forms in enumerate(initial_form_spaces(f.drop_constant())):
+    for d, forms in enumerate(spaces):
         hidx = ring.monomial_index(d)
         ech = Echelon(field)
         for g in gens:

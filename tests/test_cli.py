@@ -67,6 +67,16 @@ def test_oversized_generator_exits_3_at_once(capsys):
     assert elapsed < 0.5
 
 
+def test_oversized_ordinary_power_exits_3_before_its_factorial(capsys,
+                                                              monkeypatch):
+    import macdual.io as io_mod
+    monkeypatch.setattr(io_mod, "factorial",
+                        lambda k: pytest.fail("computed %d!" % k))
+    code = main(["hilbert", "--vars", "X", "--char", "0", "X^100000"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "" and "too large" in out.err
+
+
 # a numeral past CPython's default cap of 4,300 digits on int <-> str
 HUGE = "7" * 4400
 

@@ -6,7 +6,7 @@ import pytest
 
 from macdual import apolarity
 from macdual import io as io_mod
-from macdual.errors import ParseError, SchemaError
+from macdual.errors import DomainError, ParseError, SchemaError
 from macdual.fields import Field
 from macdual.io import (corpus_load, corpus_verify, parse_poly, parse_ps,
                         render_decomposition)
@@ -46,6 +46,32 @@ def test_ordinary_power_mod_p_computes_no_vanishing_factorial(monkeypatch):
     assert parse_poly("X^100000+Y^100+X^101", ring) == \
         parse_poly("%d*Y^[100]" % (factorial(100) % 101), ring)
     assert seen == [100]
+
+
+@pytest.mark.parametrize("char", [0, 2 ** 61 - 1], ids=["Q", "F61"])
+def test_ordinary_power_past_the_budget_computes_no_factorial(monkeypatch,
+                                                              char):
+    """X^k whose degree alone puts C(r+k+1, r) past apolarity.MAX_IMAGES is
+    refused as the PartialFiltration refuses it, before k! is computed; at
+    the budget, k! is computed and the power parses."""
+    seen = []
+
+    def recorded(k):
+        if k > 81:
+            pytest.fail("computed %d!" % k)
+        seen.append(k)
+        return factorial(k)
+
+    monkeypatch.setattr(io_mod, "factorial", recorded)
+    with pytest.raises(DomainError, match="too large: C\\(r\\+j\\+1, r\\) = "
+                       "100002 images, above the budget of 100000"):
+        parse_poly("X^100000", R("X", char))
+    # C(3 + 82 + 1, 3) = 102,340 images and C(3 + 81 + 1, 3) = 98,770
+    with pytest.raises(DomainError, match="too large"):
+        parse_poly("X^82+Y", R("XYZ", char))
+    assert parse_poly("X^81+Y", R("XYZ", char)) == \
+        parse_poly("%d*X^[81]+Y" % factorial(81), R("XYZ", char))
+    assert seen == [81]
 
 
 def test_parse_ps_side():

@@ -2,6 +2,7 @@
 the object its home module defines."""
 
 import ast
+import json
 import importlib
 from pathlib import Path
 
@@ -107,3 +108,22 @@ def test_every_private_module_name_is_read():
                        if b.startswith("_") and not b.startswith("__")
                        and b not in reads]
     assert not unread, unread
+
+
+def test_benchmark_layer_names_stay_in_their_modules():
+    """Each per-layer metric `<module>.<name>.s` of BENCHMARK.json is named
+    from the traced function's `__module__` and `__name__`, so the function
+    or class it names must stay defined in `macdual.<module>`: a re-export
+    from another module would rename the metric.  `loewy_hilbert` is the
+    PartialFiltration method.  The file is only read."""
+    root = Path(__file__).resolve().parent.parent
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    timed = [m["name"][:-2].split(".") for m in bench["per_layer"]
+             if m["name"].endswith(".s")]
+    assert len(timed) > 10
+    for module, name in timed:
+        mod = importlib.import_module("macdual." + module)
+        obj = (mod.PartialFiltration.loewy_hilbert if name == "loewy_hilbert"
+               else getattr(mod, name))
+        assert (obj.__module__, obj.__name__) == (mod.__name__, name), \
+            (module, name)

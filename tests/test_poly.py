@@ -742,3 +742,29 @@ def test_table_caches_stay_bounded():
                    for tab in kept.values())
     assert len(kept) == poly._TABLE_SHAPES
     assert big.divisor_table(5) is not big.divisor_table(5)
+
+
+@pytest.mark.skipif(not hasattr(__import__("sys"), "set_int_max_str_digits"),
+                    reason="no int -> str digit cap in this interpreter")
+def test_rendering_ignores_the_int_str_digit_cap():
+    """Coefficients past CPython's 4,300-digit cap on int -> str render in
+    full with the default cap in force, outside the CLI: X^2000 over Q is
+    2000! * X^[2000].  Chunk edges, signs and Fractions are checked against
+    str() with the cap lifted."""
+    import sys
+    cap = sys.get_int_max_str_digits()
+    Q = RingSpec(("X", "Y"), Field(0))
+    big = [10 ** 4000 - 1, 10 ** 4000, 10 ** 8000 + 7, factorial(2000),
+           -(10 ** 4000), -factorial(2100)]
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = [str(parse_poly("X^2000", RingSpec(("X",), Field(0))))]
+        got += [str(DPPoly(Q, {(1, 0): c, (0, 0): c})) for c in big]
+        got.append(str(PSElement(Q, {(0, 2): Fraction(big[2], big[3])})))
+        sys.set_int_max_str_digits(0)
+        want = ["%d*X^[2000]" % factorial(2000)]
+        want += ["%d*X%s%d" % (c, "" if c < 0 else "+", c) for c in big]
+        want.append("%s*y^2" % Fraction(big[2], big[3]))
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert got == want
