@@ -2,8 +2,8 @@
 the object its home module defines."""
 
 import ast
-import json
 import importlib
+import json
 from pathlib import Path
 
 import pytest
