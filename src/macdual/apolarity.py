@@ -66,7 +66,8 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .linalg import Echelon, orthogonal, primitive
-from .poly import DPPoly, PSElement, contract, mdeg
+from .poly import (DPPoly, PSElement, check_image_budget, contract,
+                   mdeg)
 
 
 def _shifted(steps, n: int, start: dict, tables: list) -> list:
@@ -111,20 +112,7 @@ class Level(NamedTuple):
         return len(self.rows)
 
 
-# The largest image table C(r+j+1, r), the monomials of R_{<= j+1}, that a
-# generator may need (the largest entry of corpus/paper.corpus needs 3,876).
-MAX_IMAGES = 100_000
-
 _last = None    # the PartialFiltration built last; see filtration()
-
-
-def check_image_budget(r: int, j: int):
-    """Refuse a dual generator of degree j in r variables whose image
-    table, C(r+j+1, r), exceeds MAX_IMAGES."""
-    images = comb(r + j + 1, r)
-    if images > MAX_IMAGES:
-        raise DomainError("generator too large: C(r+j+1, r) = %d images, "
-                          "above the budget of %d" % (images, MAX_IMAGES))
 
 
 class PartialFiltration:
@@ -133,7 +121,7 @@ class PartialFiltration:
     level(s) is the basis of V_s from the tagged pass, s = 0..j+1 (the last
     is empty); a negative s means 0 in every query.  The constant term of f
     is discarded at intake; a zero generator, or one whose image table
-    exceeds MAX_IMAGES, is rejected before any index is built.  Immutable
+    exceeds poly.MAX_IMAGES, is rejected before any index is built.  Immutable
     after construction; every query is read-only, so filtration() may hand
     the same instance to every caller.
     """
@@ -464,6 +452,8 @@ def _products_reach(ring, gens: list[PSElement], dims: list) -> bool:
     for d in range(top, -1, -1):
         # the span's dimension once it holds J's elements of order >= d
         full = sum(dims[d:]) + bisect_left(below, comb(r + d - 1, r))
+        if span.dim == full:
+            continue
         for q, mc, terms in (sorted(heads[d].values(), reverse=True)
                              + sorted(rest[d], reverse=True)):
             if span.dim == full:

@@ -21,7 +21,7 @@ from math import comb, factorial
 
 from .errors import ParseError, SchemaError
 from .fields import Field
-from .poly import (DPPoly, PSElement, RingSpec, dp_mul,
+from .poly import (DPPoly, PSElement, RingSpec, check_image_budget, dp_mul,
                    dp_power_of_linear)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(.))")
@@ -68,7 +68,6 @@ class _Parser:
         self.trunc = trunc
         names = ring.vars if divided else ring.lvars
         self.var_index = {v: i for i, v in enumerate(names)}
-        self.fits = 0   # the largest power X^k checked against the budget
 
     # -- grammar ----------------------------------------------------------------
 
@@ -198,17 +197,19 @@ class _Parser:
             p = self.ring.field.char
             if p and val >= p:
                 return i, val, 0
-            if val > self.fits:
-                # imported here: a CLI process loads the engine on first use
-                from .apolarity import check_image_budget
-                check_image_budget(self.ring.r, val)
-                self.fits = val
+            check_image_budget(self.ring.r, val)
             return i, val, factorial(val) % p if p else factorial(val)
         raise ParseError("expected exponent", self.ts.src, off2)
 
 
 def parse_poly(src: str, ring: RingSpec) -> DPPoly:
-    """Parse a divided-power polynomial over the ring's dual variables."""
+    """Parse a divided-power polynomial over the ring's dual variables.
+
+    An ordinary power X^k, k! X^[k], whose degree alone needs an image
+    table past poly.MAX_IMAGES is refused with DomainError as soon as it
+    is read, before k! is computed, even in a term that would cancel; in
+    characteristic p, X^k with k >= p is zero and never refused, and X^[k]
+    is read at any degree."""
     return _Parser(src, ring, divided=True).parse()
 
 

@@ -79,6 +79,21 @@ _TABLE_SHAPES = 64
 _TABLE_MONOMIALS = 400
 _LARGE_TABLES = 2
 
+# The largest image table C(r+j+1, r), the monomials of R_{<= j+1}, that a
+# dual generator may need (the largest entry of corpus/paper.corpus needs
+# 3,876).  The filtration refuses a larger generator, and the parser a
+# power X^k whose degree alone needs a larger table, before k! is computed.
+MAX_IMAGES = 100_000
+
+
+def check_image_budget(r: int, j: int):
+    """Refuse a dual generator of degree j in r variables whose image
+    table, C(r+j+1, r), exceeds MAX_IMAGES."""
+    images = comb(r + j + 1, r)
+    if images > MAX_IMAGES:
+        raise DomainError("generator too large: C(r+j+1, r) = %d images, "
+                          "above the budget of %d" % (images, MAX_IMAGES))
+
 
 def _shared(maxsize: int):
     def wrap(build):
@@ -284,18 +299,14 @@ class RingSpec:
 
 
 # CPython caps int -> str conversion at 4,300 digits by default
-# (sys.set_int_max_str_digits); past the cap, numerals are written this
-# many digits at a time, so rendering does not depend on the cap in force
+# (sys.set_int_max_str_digits); numerals are written this many digits at a
+# time, so rendering does not depend on the cap in force
 _DIGITS = 4000
 _DIGITS_BASE = 10 ** _DIGITS
 
 
 def _numeral(c) -> str:
     """An int, or a Fraction as numerator/denominator, in decimal."""
-    try:
-        return str(c)
-    except ValueError:  # past the digit cap
-        pass
     if type(c) is not int:
         return _numeral(c.numerator) + (
             "/" + _numeral(c.denominator) if c.denominator != 1 else "")

@@ -271,18 +271,18 @@ def test_no_reader_changes_a_shared_filtration():
 
 
 def test_oversized_generators_are_refused_before_any_index(monkeypatch):
-    import macdual.apolarity as apolarity
+    import macdual.poly as poly
     R = RingSpec(("X", "Y"), Field(0))
     f = parse_poly("X^[10]+Y^[3]", R)
     # r = 2, j = 10: the image table has C(13, 2) = 78 entries
-    monkeypatch.setattr(apolarity, "MAX_IMAGES", 77)
+    monkeypatch.setattr(poly, "MAX_IMAGES", 77)
     monkeypatch.setattr(RingSpec, "dmon_index", None)  # never reached
     with pytest.raises(DomainError, match="too large"):
         PartialFiltration(f)
     with pytest.raises(DomainError, match="too large"):
         annihilator(f)
     monkeypatch.undo()
-    monkeypatch.setattr(apolarity, "MAX_IMAGES", 78)
+    monkeypatch.setattr(poly, "MAX_IMAGES", 78)
     assert sum(PartialFiltration(f).hilbert()) == 13
 
 

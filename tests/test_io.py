@@ -51,9 +51,10 @@ def test_ordinary_power_mod_p_computes_no_vanishing_factorial(monkeypatch):
 @pytest.mark.parametrize("char", [0, 2 ** 61 - 1], ids=["Q", "F61"])
 def test_ordinary_power_past_the_budget_computes_no_factorial(monkeypatch,
                                                               char):
-    """X^k whose degree alone puts C(r+k+1, r) past apolarity.MAX_IMAGES is
-    refused as the PartialFiltration refuses it, before k! is computed; at
-    the budget, k! is computed and the power parses."""
+    """X^k whose degree alone puts C(r+k+1, r) past poly.MAX_IMAGES is
+    refused as the PartialFiltration refuses it, before k! is computed, also
+    in a term that cancels; X^[k] of the same degree still parses; at the
+    budget, k! is computed and the power parses."""
     seen = []
 
     def recorded(k):
@@ -69,6 +70,10 @@ def test_ordinary_power_past_the_budget_computes_no_factorial(monkeypatch,
     # C(3 + 82 + 1, 3) = 102,340 images and C(3 + 81 + 1, 3) = 98,770
     with pytest.raises(DomainError, match="too large"):
         parse_poly("X^82+Y", R("XYZ", char))
+    with pytest.raises(DomainError, match="too large"):
+        parse_poly("X^200-X^200+Y", R("XYZ", char))
+    assert parse_poly("X^[200]-X^[200]+Y", R("XYZ", char)) == \
+        parse_poly("Y", R("XYZ", char))
     assert parse_poly("X^81+Y", R("XYZ", char)) == \
         parse_poly("%d*X^[81]+Y" % factorial(81), R("XYZ", char))
     assert seen == [81]
