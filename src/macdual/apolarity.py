@@ -25,7 +25,9 @@ The annihilator I = Ann f modulo m^{j+2} (exact for minimal generators, as
 m^{j+1} lies in I, hence m^{j+2} in mI) is read off level 0 by duality: it
 is the orthogonal of R o f under <x^a, X^[b]> = delta_ab (Macaulay's
 inverse system; Iarrobino's Memoir, AMS 514, 1994), so no second
-elimination is run.  filtration(f) returns the PartialFiltration built
+elimination is run.  Each row of level 0 is relabelled once, from D's
+columns straight into the reversed R columns that linalg.orthogonal
+reads.  filtration(f) returns the PartialFiltration built
 last again for an equal generator, so a caller that filters f and then
 asks for Ann f, or checks a presentation of it, filters f once.  For a sparse f
 most of Ann f is monomial (x^beta o f = 0 whenever x^beta divides no term
@@ -33,11 +35,17 @@ of f), and every shift of a monomial row is a unit vector.  The spans that
 are only read for a rank (m*I, the presentation products) therefore take
 unit vectors as coordinates U and project every other vector off U into
 one echelon (_Span): the span is the direct sum <e_U> + span(echelon), so
-every answer is exact.  A _Span skips, unreduced, a vector whose columns
-from its first column on are all units or pivots: it already lies in the
-span.  m*I is fed last row first, so its high columns fill first and most
-of its shifts are skipped.  Membership in Ann f needs no span at all:
-LocalIdeal.contains tests phi o f = 0.
+every answer is exact.  The echelon grows by leading column
+(Echelon.grow): a vector is reduced only until its first column is not a
+pivot, and stored as it stands, as only the rank is read ("top reduction",
+Becker-Weispfenning, Groebner Bases, 1993).  A _Span skips, unreduced, a
+vector whose columns from its first column on are all units or pivots: it
+already lies in the span.  m*I is fed last row first, so its high columns
+fill first and most of its shifts are skipped; graded-lex is
+multiplicative, so the first coordinate of x_i * row is the row of x_i *
+pivot, and a shift whose first coordinate is covered is not even built.
+Membership in Ann f needs no span at all: LocalIdeal.contains tests
+phi o f = 0.
 
 A listed presentation is checked against f itself; no Ann f is computed.
 Containment comes first: a generator g lies in Ann f iff g o f = 0, that
@@ -62,6 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 from math import comb
+from operator import sub
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -219,8 +228,9 @@ class PartialFiltration:
         """Hilbert function of the ideal (0 : m^b) of A in the m-adic grading."""
         if b < 0 or b > self.j + 1:
             raise DomainError("Loewy index out of range")
-        return tuple(self.dim_partials(i, b - 1) - self.dim_partials(i + 1, b - 1)
-                     for i in range(self.j + 1))
+        # dim P(s, b-1) for s = 0..j+1: cum[b] of each level (0 when b = 0)
+        dims = [lev.cum[b] for lev in self._levels]
+        return tuple(map(sub, dims, dims[1:]))
 
 
 def filtration(f: DPPoly | PartialFiltration) -> PartialFiltration:
@@ -247,11 +257,12 @@ def hilbert_function(f: DPPoly) -> tuple:
 class _Span:
     """A growing span read only for its dimension.  Each vector is
     projected off a set U of coordinates.  While the echelon holds no row,
-    a projection with one entry joins U; every other projection goes to
-    one Echelon.  The echelon never holds a row with an entry in U, so the
-    span is the direct sum <e_U> + span(echelon).  While U is empty,
-    vectors reach the echelon untouched.  Vectors hold no zero entries and
-    lie in F^n.
+    a projection with one entry joins U; every other projection grows one
+    Echelon by its leading column (Echelon.grow).  The echelon never holds
+    a row with an entry in U, so the span is the direct sum <e_U> +
+    span(echelon).  While U is empty, vectors reach the echelon untouched.
+    Vectors hold no zero entries, over F_p residues, and lie in F^n; add
+    may store or change the dict it is given.
 
     A projection whose first column is q lies in the span, and is not
     reduced, when every column in range(q, n) is a unit or a pivot.  U is
@@ -288,11 +299,17 @@ class _Span:
             self._free = list(accumulate(
                 (c not in units for c in range(self.n - 1, -1, -1)),
                 initial=0))
-        else:
-            q = min(v)
-            if ech.covers(q, q + self._free[self.n - q]):
-                return False
-        return ech.insert(v) is not None
+        elif self.covers(min(v)):
+            return False
+        return ech.grow(v) is not None
+
+    def covers(self, q: int) -> bool:
+        """True iff the echelon holds a row, q is no unit, and every column
+        from q on is a unit or a pivot: then every vector whose first column
+        is q lies in the span."""
+        free = self._free
+        return (free is not None and q not in self.units
+                and self.ech.covers(q, q + free[self.n - q]))
 
 
 class LocalIdeal:
@@ -342,10 +359,13 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     rindex = ring.rmon_index(j + 1)
     rmons = list(rindex)
     n = len(rmons)
-    # I is the orthogonal of R o f, x^beta paired with X^[beta]
-    col = [rindex[m] for m in P.dmons]
+    # I is the orthogonal of R o f, x^beta paired with X^[beta]: each row of
+    # level 0 is relabelled once, from D's columns straight into the
+    # reversed R columns orthogonal reads, last row first (the sparsest rows
+    # of each pivot degree lead there, and the others reduce by them)
+    col = [n - 1 - rindex[m] for m in P.dmons]
     rows = orthogonal(field, [{col[c]: v for c, v in row.items()}
-                              for row in P.level(0).rows], n)
+                              for row in reversed(P.level(0).rows)], n)
     # m*I in the coordinates of I: a vector of I is the combination of the
     # rows given by its pivot entries, so x_i * row is kept on pivot columns
     # only, each relabelled by its row number.  Only the span of m*I is
@@ -353,7 +373,9 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     # the _Span, all taken in one update while its echelon is empty; the
     # shifts of the other rows are projected off those, last row first
     # (sparse high-order rows, less fill-in), over Q each row scaled once
-    # to a primitive integer row.
+    # to a primitive integer row.  The first coordinate of x_i * row is
+    # var_shift[i][lead], x_i * lead being its leading monomial when that
+    # has degree j+1 or less; a shift covered there is not built.
     row_of = {min(row): k for k, row in enumerate(rows)}
     var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
                  for tab in ring.multiplication_tables(j + 1)]
@@ -363,8 +385,13 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     for row in reversed(rows):
         if len(row) == 1:
             continue
+        lead = min(row)
+        shifts = [tab for tab in var_shift
+                  if lead not in tab or not mi.covers(tab[lead])]
+        if not shifts:
+            continue
         row = row if field.char else primitive(row)
-        for tab in var_shift:
+        for tab in shifts:
             w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:
                 mi.add(w)

@@ -14,7 +14,8 @@ from .decomposition import (component_dual_dims, max_continuation,
                             symmetric_decomposition)
 from .errors import DomainError, GenericityError, InternalCheckError
 from .fields import Field
-from .linalg import Echelon, orthogonal, same_span, solve_linear, vec_axpy
+from .linalg import (Echelon, orthogonal, reversed_columns, same_span,
+                     solve_linear, vec_axpy)
 from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
                    dp_mul, dp_power_of_linear, mdeg, mon_mul)
 
@@ -250,7 +251,8 @@ def _homogeneous_joint_kernel(ring, e, f, span, hs):
     if span is not None:
         images = [contract_monomial(b, f).vector(idx)
                   for b in ring.monomials(f.degree - e)]
-        for psi in orthogonal(field, span.rows, len(images)):
+        n = len(images)
+        for psi in orthogonal(field, reversed_columns(span.rows, n), n):
             row = {}
             for c, v in psi.items():
                 vec_axpy(field, row, v, images[c])
@@ -258,8 +260,9 @@ def _homogeneous_joint_kernel(ring, e, f, span, hs):
     rows += [contract_monomial(b, h).vector(idx)
              for h in hs for b in ring.monomials(h.degree - e)]
     mons = ring.monomials(e)
+    n = len(mons)
     return [{mons[i]: c for i, c in phi.items()}
-            for phi in orthogonal(field, rows, len(mons))]
+            for phi in orthogonal(field, reversed_columns(rows, n), n)]
 
 
 def restricted_components(spec: ExtensionSpec) -> dict:
@@ -548,7 +551,7 @@ def ancestor_data(V: list, j: int) -> AncestorData:
     # the colon chain by duality: W_0 = V^perp, W_k = R_1 o W_{k-1}, and
     # dim (V : R_k) = r_{j-k} - dim W_k
     colon_dims = [dim]
-    W = orthogonal(field, base.rows, len(hidx))
+    W = orthogonal(field, reversed_columns(base.rows, len(hidx)), len(hidx))
     for d in range(j, 0, -1):
         mons, down = ring.monomials(d), ring.monomial_index(d - 1)
         shifts = (contract_monomial(x, DPPoly.from_vector(ring, w, mons))

@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 from .apolarity import PartialFiltration, _verify_graded, filtration
 from .errors import DomainError, InternalCheckError
-from .linalg import Echelon, orthogonal, rref_rows, solve_linear, vec_axpy
+from .linalg import (Echelon, orthogonal, reversed_columns, rref_rows,
+                     solve_linear, vec_axpy)
 from .poly import DPPoly, PSElement, RingSpec
 
 
@@ -216,6 +217,8 @@ def _check_decomposition(j, H, comps):
         raise InternalCheckError("components do not sum to the Hilbert function")
     partial = [0] * (j + 1)
     for a, row in enumerate(comps):
+        if not any(row):
+            continue    # the partial sum is unchanged: it passed already
         for i, v in enumerate(row):
             partial[i] += v
         if not is_o_sequence(tuple(partial)):
@@ -365,8 +368,10 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
     j, ring = P.j, P.ring
     if a < 0 or a > j - 1:
         raise DomainError("filtration index a out of range")
-    spaces = [orthogonal(ring.field, P.lt_rows(j - a + 1 - i, i),
-                         ring.dim_of_degree(i)) for i in range(j + 2)]
+    dims = [ring.dim_of_degree(i) for i in range(j + 2)]
+    spaces = [orthogonal(ring.field,
+                         reversed_columns(P.lt_rows(j - a + 1 - i, i), n), n)
+              for i, n in enumerate(dims)]
     return GradedIdealData(ring, j, tuple(map(len, spaces)), spaces)
 
 
@@ -384,7 +389,8 @@ def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     if any(g.order == 0 for g in gens):
         raise DomainError("graded generators must be nonzero, homogeneous, non-units")
     ring = data.ring
+    dims = map(ring.dim_of_degree, range(data.socle_degree + 2))
     return _verify_graded(
-        gens, ring, [orthogonal(ring.field, data.space_rows(d),
-                                ring.dim_of_degree(d))
-                     for d in range(data.socle_degree + 2)], data.dims)
+        gens, ring, [orthogonal(ring.field,
+                                reversed_columns(data.space_rows(d), n), n)
+                     for d, n in enumerate(dims)], data.dims)

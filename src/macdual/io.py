@@ -22,7 +22,7 @@ from math import comb, factorial
 from .errors import ParseError, SchemaError
 from .fields import Field
 from .poly import (DPPoly, PSElement, RingSpec, check_image_budget, dp_mul,
-                   dp_power_of_linear)
+                   dp_power_of_linear, natural)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(.))")
 
@@ -35,7 +35,7 @@ class _Tokens:
         for m in _TOKEN.finditer(src):
             nat, name, ch = m.groups()
             if nat is not None:
-                self.toks.append(("nat", int(nat), m.start(1)))
+                self.toks.append(("nat", natural(nat), m.start(1)))
             elif name is not None:
                 self.toks.append(("name", name, m.start(2)))
             elif not ch.isspace():

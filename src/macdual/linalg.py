@@ -15,9 +15,12 @@ echelon, as :func:`rref_rows`, :func:`solve_linear` and
 the span of vectors, inserted in order; ``insert`` neither stores nor
 changes the dict it is given.  Callers that read only a span or a rank
 scale each vector once, by :func:`primitive`, before it enters the
-echelon.  ``covers(q, n)`` tells in O(1) whether every column in
-range(q, n) is a pivot, so that a vector supported there need not be
-reduced.
+echelon, and add it by ``grow``, which reduces it only until its first
+column is not a pivot ("top reduction"; Becker-Weispfenning, Groebner
+Bases, 1993) and stores it as it stands: the rank, and whether a vector
+lies in the span, need no more.  ``covers(q, n)`` tells in O(1) whether
+every column in range(q, n) is a pivot, so that a vector supported there
+need not be reduced.
 
 A caller that needs the combination of inputs behind a vector appends it
 as extra columns past the n real ones: input k, or the k-th monomial, at
@@ -36,8 +39,9 @@ Built on it:
   span, used wherever a basis is reported;
 * :func:`orthogonal` - the same canonical basis of the orthogonal of a
   span under the pairing <e_a, e_b> = delta_ab, read off its
-  :func:`rref_rows`: every space the package gets as a kernel is read
-  this way, as the orthogonal of a span it already holds;
+  :func:`rref_rows` in the reversed columns the caller hands it rows in
+  (:func:`reversed_columns`): every space the package gets as a kernel is
+  read this way, as the orthogonal of a span it already holds;
 * :func:`solve_linear` - one solution of a linear system.
 
 The dense :func:`det` and :func:`matrix_inverse` work on row-major lists of
@@ -249,6 +253,80 @@ class Echelon:
         self._by_pivot[q] = v
         return v
 
+    def grow(self, vec: dict):
+        """Add vec to a span that is read only for its rank: vec is reduced
+        only until its first column is not a pivot, then stored as it
+        stands.  A combination of rows with distinct pivots keeps the least
+        of them, so this comes out zero iff vec lies in the span, and the
+        rows keep distinct pivots.  A stored row may hold entries at later
+        pivots; reduce, insert and covers read rows only from their pivot
+        on, so they stay exact.  Returns the stored row, or None.  vec
+        holds no zeros, over F_p residues in range(p); it may be stored or
+        changed.
+
+        The walk is reduce's, pivots popped in increasing order, with a
+        second min-heap of the columns that are no pivot.  A row touches
+        only columns at or past its pivot, so a live non-pivot column
+        below the next pivot popped stays in vec to the end: it is the
+        first column, and the walk stops there.  Over F_p entries stay
+        unreduced while the walk runs, as in reduce; a non-pivot entry is
+        taken mod p when it reaches the top of its heap."""
+        by_pivot = self._by_pivot
+        p = self.field.char
+        v = vec
+        if not p and {int} != set(map(type, v.values())):
+            v = primitive(v)
+        if min(v) not in by_pivot:
+            return self.store(v)
+        heap, free = [], []
+        for k in v:
+            (heap if k in by_pivot else free).append(k)
+        heapify(heap)
+        heapify(free)
+        while heap:
+            q = heappop(heap)
+            a = v.get(q)
+            if a is None:
+                continue
+            if p:
+                a %= p
+                if not a:
+                    del v[q]
+                    continue
+            while free:
+                k = free[0]
+                if k in v and not (p and v[k] % p == 0):
+                    break
+                v.pop(k, None)
+                heappop(free)
+            if free and free[0] < q:
+                break
+            row = by_pivot[q]
+            if p:
+                c = p - a
+                get = v.get
+                for k, b in row.items():
+                    x = get(k)
+                    if x is None:
+                        v[k] = c * b
+                        heappush(heap if k in by_pivot else free, k)
+                    else:
+                        v[k] = x + c * b
+                del v[q]
+                continue
+            for k in row:
+                if k not in v:
+                    heappush(heap if k in by_pivot else free, k)
+            b = row[q]
+            g = gcd(a, b)
+            ca, cb = b // g, -(a // g)
+            if ca != 1:
+                v = {k: ca * x for k, x in v.items()}
+            _axpy_int(v, cb, row)
+        if p:
+            v = self.field.canon(v)
+        return self.store(v) if v else None
+
     def covers(self, q: int, n: int) -> bool:
         """True iff the last n - q pivots start at q, pivots[-(n - q)] == q
         (vacuously when q >= n).  Pivots are sorted and distinct, so when
@@ -311,16 +389,18 @@ def rref_rows(field: Field, vectors) -> list[dict]:
 
 def orthogonal(field: Field, rows, n: int) -> list[dict]:
     """The reduced pivot-one basis of S^perp = {v in F^n : <v, s> = 0 for
-    s in S}, S the span of rows, in increasing pivot order.
+    s in S}, S the span of rows, in increasing pivot order.  The rows come
+    in the reversed columns, entry c of a row being coordinate n-1-c of its
+    vector (:func:`reversed_columns`), so that a caller relabelling a span
+    anyway writes each entry once.
 
-    In the reversed columns n-1-c the reduced basis of S has one row per
-    pivot q, and S^perp one vector per free column c: e_c - sum row[c] *
-    e_q.  Its pivot is c, and no other free column is in its support.  Read
+    In the reversed columns the reduced basis of S has one row per pivot q,
+    and S^perp one vector per free column c: e_c - sum row[c] * e_q.  Its
+    pivot is c, and no other free column is in its support.  Read
     backwards in the given columns, these are the reduced echelon basis of
     S^perp.  Over F_p the entries must already be residues in range(p)."""
     last = n - 1
-    basis = rref_rows(field, [{last - c: v for c, v in row.items()}
-                              for row in rows])
+    basis = rref_rows(field, rows)
     pivots = {min(row) for row in basis}
     free = {c: {last - c: field.one}
             for c in range(last, -1, -1) if c not in pivots}
@@ -331,6 +411,12 @@ def orthogonal(field: Field, rows, n: int) -> list[dict]:
             if c != q:
                 free[c][at] = field.neg(v)
     return list(free.values())
+
+
+def reversed_columns(rows, n: int) -> list[dict]:
+    """The rows with column c moved to n-1-c, as orthogonal takes them."""
+    last = n - 1
+    return [{last - c: v for c, v in row.items()} for row in rows]
 
 
 def solve_linear(field: Field, columns: list[dict], target: dict):

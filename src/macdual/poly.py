@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 from itertools import product
 from math import comb
-from operator import add, sub
+from operator import add, neg, sub
 
 from .errors import DomainError, RingMismatchError
 from .fields import Field
@@ -298,11 +298,15 @@ class RingSpec:
         return _io.parse_ps(src, self, trunc)
 
 
-# CPython caps int -> str conversion at 4,300 digits by default
-# (sys.set_int_max_str_digits); numerals are written this many digits at a
-# time, so rendering does not depend on the cap in force
+# CPython caps int <-> str conversion at 4,300 digits by default
+# (sys.set_int_max_str_digits); numerals are written and read this many
+# digits at a time, so neither rendering nor parsing depends on the cap in
+# force
 _DIGITS = 4000
 _DIGITS_BASE = 10 ** _DIGITS
+
+# monomials whose text _monomial_text keeps: about 160 KB of strings at r = 4
+_MONOMIAL_TEXTS = 1024
 
 
 def _numeral(c) -> str:
@@ -318,18 +322,28 @@ def _numeral(c) -> str:
     return sign + str(c) + "".join(reversed(chunks))
 
 
+def natural(digits: str) -> int:
+    """The int a string of decimal digits stands for, read _DIGITS digits
+    at a time, as _numeral writes them."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    head = len(digits) % _DIGITS or _DIGITS
+    n = int(digits[:head])
+    for i in range(head, len(digits), _DIGITS):
+        n = n * _DIGITS_BASE + int(digits[i:i + _DIGITS])
+    return n
+
+
+@lru_cache(maxsize=_MONOMIAL_TEXTS)
+def _monomial_text(names, m, power_bracket) -> str:
+    """x^m in the variables names, factors joined by '*'; '' for m = 0."""
+    return "*".join(
+        name if e == 1 else ("%s^[%d]" if power_bracket else "%s^%d")
+        % (name, e) for name, e in zip(names, m) if e)
+
+
 def _fmt_term(names, coeff, m, power_bracket, one=1):
-    factors = []
-    for name, e in zip(names, m):
-        if e == 0:
-            continue
-        if e == 1:
-            factors.append(name)
-        elif power_bracket:
-            factors.append("%s^[%d]" % (name, e))
-        else:
-            factors.append("%s^%d" % (name, e))
-    body = "*".join(factors)
+    body = _monomial_text(names, m, power_bracket)
     if not body:
         return _numeral(coeff)
     if coeff == one:
@@ -464,8 +478,11 @@ class DPPoly(_SparsePoly):
         return DPPoly(sub, out)
 
     def __str__(self):
-        items = sorted(self.coeffs.items(), key=lambda kv: dmon_key(kv[0]))
-        return _fmt_poly(self.ring.vars, items, power_bracket=True)
+        # dmon_key order: (degree, m) descending
+        c = self.coeffs
+        return _fmt_poly(self.ring.vars, [
+            (m, c[m]) for _, m in sorted(zip(map(sum, c), c), reverse=True)],
+            power_bracket=True)
 
     __repr__ = __str__
 
@@ -506,8 +523,12 @@ class PSElement(_SparsePoly):
                          {mon_mul(m, m2): c for m2, c in self.coeffs.items()}, N)
 
     def __str__(self):
-        items = sorted(self.coeffs.items(), key=lambda kv: rmon_key(kv[0]))
-        return _fmt_poly(self.ring.lvars, items, power_bracket=False)
+        # rmon_key order: (-degree, m) descending
+        c = self.coeffs
+        return _fmt_poly(self.ring.lvars, [
+            (m, c[m]) for _, m in sorted(zip(map(neg, map(sum, c)), c),
+                                         reverse=True)],
+            power_bracket=False)
 
     __repr__ = __str__
 

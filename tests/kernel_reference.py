@@ -8,14 +8,18 @@ orthogonal.
 
 products_reach_plain: the presentation rank test as it ran before the
 products x^m * g were read top-down, every product built and fed to one
-plain Echelon."""
+plain Echelon.
+
+annihilator_full_reduction: Ann f as it was read before its rank spans
+grew by leading column, every shift reduced in full."""
 
 from math import comb
 
-from macdual.apolarity import _shifted
+from macdual.apolarity import PartialFiltration, _shifted
 from macdual.fields import Field
-from macdual.linalg import Echelon, _div, primitive
-from macdual.poly import mdeg
+from macdual.linalg import (Echelon, _div, orthogonal, primitive,
+                            reversed_columns)
+from macdual.poly import PSElement, mdeg
 
 
 def kernel(field: Field, images) -> list[dict]:
@@ -77,3 +81,36 @@ def products_reach_plain(ring, gens, dims) -> bool:
                 return True
             ech.insert(v)
     return ech.dim == target
+
+
+def annihilator_full_reduction(f):
+    """(rows, min_gens, orders) of Ann f by the route apolarity.annihilator
+    took before its rank spans grew by leading column: R o f relabelled
+    into R's columns, then reversed for orthogonal, rows in pivot order;
+    every x_i-shift of every row, over Q each row made primitive, inserted
+    into one plain Echelon, reduced in full, with no unit coordinates and
+    no vector skipped; row k a minimal generator iff inserting e_k grows
+    that echelon."""
+    P = PartialFiltration(f)
+    ring, field, j = P.ring, P.ring.field, P.j
+    rindex = ring.rmon_index(j + 1)
+    rmons = list(rindex)
+    n = len(rmons)
+    rows = orthogonal(field, reversed_columns(
+        [{rindex[P.dmons[c]]: v for c, v in row.items()}
+         for row in P.level(0).rows], n), n)
+    row_of = {min(row): k for k, row in enumerate(rows)}
+    mi = Echelon(field)
+    for row in rows:
+        row = row if field.char else primitive(row)
+        for tab in ring.multiplication_tables(j + 1):
+            w = {row_of[tab[c]]: v for c, v in row.items()
+                 if tab.get(c) in row_of}
+            if w:
+                mi.insert(w)
+    min_gens, orders = [], []
+    for k, row in enumerate(rows):
+        if mi.insert({k: field.one}) is not None:
+            min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
+            orders.append(mdeg(rmons[min(row)]))
+    return rows, min_gens, orders

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from kernel_reference import kernel, products_reach_plain
+from kernel_reference import (annihilator_full_reduction, kernel,
+                              products_reach_plain)
 from macdual.apolarity import (LocalIdeal, PartialFiltration, _Span,
                                _images_descending, _products_reach,
                                annihilator, hilbert_function,
@@ -712,6 +713,72 @@ def test_verifiers_match_plain_echelon_reference(char, monkeypatch):
         assert tally[verify, 1, False] > 0 and tally[verify, 2, False] > 0
 
 
+@pytest.mark.parametrize("char", [0, 2, 101, P61],
+                         ids=["Q", "F2", "F101", "F61"])
+def test_rank_spans_match_the_full_reduction_route(char, monkeypatch):
+    """annihilator's rows, minimal generators and orders, and the answers of
+    all three verifiers on true and cut-short lists, are those of the
+    full-reduction route (kernel_reference): every shift and product
+    reduced in full into one plain Echelon, no unit coordinates, nothing
+    skipped.  The forms are dense and sparse, r 2-4, homogeneous or not,
+    and the dense r=4, j=8 shape of dense-modp's heavy requests.  That one
+    is checked by verify_ideal_presentation only, and over Q for its Ann f
+    alone: its cut-short list takes over 30 s there."""
+    import macdual.apolarity as apolarity
+
+    field = Field(char)
+    rng = random.Random(char % 1000 + 2701)
+    cases = []
+
+    def add_cases(verify, gens, target):
+        nonlocal cases
+        cases += [(verify, kind, gens[:len(gens) - kind], target)
+                  for kind in (0, 1) if gens[:len(gens) - kind]]
+
+    def check_annihilator(f):
+        P = PartialFiltration(f)
+        I = annihilator(P)
+        rows, gens, orders = annihilator_full_reduction(f)
+        assert I.rows == rows
+        assert I.min_gens == gens and I.orders == orders
+        return P, I
+
+    P, I = check_annihilator(dense_heavy_form(field))
+    if char:
+        add_cases(verify_ideal_presentation, I.min_gens, P)
+    max_j = {2: 7, 3: 5, 4: 4}
+    for trial in range(18):
+        r = trial % 3 + 2
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        f = random_dual_generator(ring, rng, rng.randint(2, max_j[r]),
+                                  dense=trial % 2 == 0,
+                                  homogeneous=trial % 4 < 2)
+        if f.drop_constant().is_zero:
+            continue
+        P, I = check_annihilator(f)
+        add_cases(verify_ideal_presentation, I.min_gens, P)
+        add_cases(verify_graded_presentation, graded_generators(f), P)
+        if P.j >= 2:
+            data = filtration_ideal(P, 1)
+            add_cases(verify_graded_ideal, pick_graded_generators(ring, [
+                [PSElement.from_vector(ring, row, ring.monomials(d))
+                 for row in rows] for d, rows in enumerate(data.spaces)]),
+                data)
+
+    def answers():
+        return [verify(gens, target) for verify, _, gens, target in cases]
+
+    got = answers()
+    monkeypatch.setattr(apolarity, "_products_reach", products_reach_plain)
+    assert got == answers()
+    tally = Counter((verify, kind, answer)
+                    for (verify, kind, *_), answer in zip(cases, got))
+    for verify in (verify_ideal_presentation, verify_graded_presentation,
+                   verify_graded_ideal):
+        assert tally[verify, 0, False] == 0 and tally[verify, 0, True] > 0
+        assert tally[verify, 1, False] > 0
+
+
 def random_span_vectors(field, rng, n):
     """A shuffled mix of unit and non-unit vectors over range(n), entries
     nonzero (some Fractions over Q)."""
@@ -779,12 +846,14 @@ def test_span_units_only_before_the_echelon_holds_a_row(monkeypatch):
     no_reduce = lambda *a: pytest.fail("reduced a covered vector")
     with monkeypatch.context() as m:
         m.setattr(Echelon, "reduce", no_reduce)
+        m.setattr(Echelon, "grow", no_reduce)
         assert not span.add({1: 2, 4: 3})
         assert not span.add({0: 1, 4: 5})
     assert not span.add({2: 3})
     assert span.add({3: 1, 4: 1}) and span.dim == 5
     with monkeypatch.context() as m:
         m.setattr(Echelon, "reduce", no_reduce)
+        m.setattr(Echelon, "grow", no_reduce)
         assert not span.add({2: 1, 3: 2, 4: 1})
     # units between the pivots: columns 0 and 2 are pivots, 1 and 3 units,
     # so every column is covered
@@ -794,6 +863,7 @@ def test_span_units_only_before_the_echelon_holds_a_row(monkeypatch):
     assert span.units == {1, 3} and span.ech.pivots == [0, 2]
     with monkeypatch.context() as m:
         m.setattr(Echelon, "reduce", no_reduce)
+        m.setattr(Echelon, "grow", no_reduce)
         assert not span.add({0: 1, 3: 7}) and not span.add({0: 2, 1: 1})
     assert span.dim == 4
 
@@ -820,24 +890,27 @@ def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
 
 
 def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
-    """Over Q the m*I echelon of annihilator() and the rank test
-    _products_reach of both presentation verifiers take integer vectors
-    only, while the images x^beta o f of the same forms, reduced by the
-    PartialFiltration echelon, carry Fractions.  Both rank echelons sit inside a _Span, so
+    """Over Q the m*I span of annihilator() and the rank test
+    _products_reach of both presentation verifiers grow their echelons with
+    integer vectors only, and never reduce one in full, while the images
+    x^beta o f of the same forms, reduced by the PartialFiltration
+    echelon, carry Fractions.  Both rank echelons sit inside a _Span, so
     calls are counted by the function that feeds it."""
-    reduce = Echelon.reduce
     fractions = Counter()
     helpers = {Echelon.insert.__code__, _Span.add.__code__}
 
-    def watched(self, vec):
-        frame = sys._getframe(1)
-        while frame.f_code in helpers:
-            frame = frame.f_back
-        fractions[frame.f_code.co_qualname, any(type(a) is Fraction
-                                                for a in vec.values())] += 1
-        return reduce(self, vec)
+    def watch(method):
+        def watched(self, vec):
+            frame = sys._getframe(1)
+            while frame.f_code in helpers:
+                frame = frame.f_back
+            fractions[method.__name__, frame.f_code.co_qualname,
+                      any(type(a) is Fraction for a in vec.values())] += 1
+            return method(self, vec)
+        return watched
 
-    monkeypatch.setattr(Echelon, "reduce", watched)
+    for method in (Echelon.reduce, Echelon.grow):
+        monkeypatch.setattr(Echelon, method.__name__, watch(method))
     rng = random.Random(67)
     field = Field(0)
     for trial in range(24):
@@ -850,9 +923,11 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         assert verify_ideal_presentation(I.min_gens, f)
         assert verify_graded_presentation(graded_generators(f), f)
     for caller in ("annihilator", "_products_reach"):
-        assert fractions[caller, False] > 0
-        assert fractions[caller, True] == 0
-    assert fractions["PartialFiltration.__init__", True] > 0
+        assert fractions["grow", caller, False] > 0
+        assert fractions["grow", caller, True] == 0
+        assert not any(fractions["reduce", caller, frac]
+                       for frac in (False, True))
+    assert fractions["reduce", "PartialFiltration.__init__", True] > 0
 
 
 # -- vectors skipped as covered ----------------------------------------------
@@ -897,8 +972,8 @@ def test_covered_skips_change_no_output(char, monkeypatch):
         hit = covers(self, q, n)
         if hit:
             caller = sys._getframe(1)
-            if caller.f_code is _Span.add.__code__:
-                skips["span", bool(caller.f_locals["units"])] += 1
+            if caller.f_code is _Span.covers.__code__:
+                skips["span", bool(caller.f_locals["self"].units)] += 1
             else:
                 skips[caller.f_code.co_qualname] += 1
         return hit
@@ -922,33 +997,42 @@ def test_covered_skips_change_no_output(char, monkeypatch):
     assert skips["span", True] > 0 and skips["span", False] > 0
 
 
-def test_dense_heavy_form_reduces_nothing_to_zero(monkeypatch):
-    """A dense r=4, j=8 form over F_101, every degree-8 term and six lower
-    ones (the dense-modp heavy shape): no vector that PartialFiltration or
-    annihilator's m*I span reduces comes out zero.  Those that would have,
-    390 images and 1,560 shifts and generator tests, are all covered and
-    skipped.  A form whose shifts satisfy a relation the suffix test cannot
-    see still reduces one to zero: of ten seeds tried, one did, once."""
-    rng = random.Random(0)
-    ring = RingSpec(("X", "Y", "Z", "W"), Field(101))
+def dense_heavy_form(field, seed=0):
+    """A dense r=4, j=8 form, every degree-8 term and six lower ones, the
+    shape of dense-modp's heaviest requests."""
+    rng = random.Random(seed)
+    ring = RingSpec(("X", "Y", "Z", "W"), field)
     coeffs = {m: rng.randint(1, 100) for m in ring.monomials(8)}
     lower = [m for d in range(1, 8) for m in ring.monomials(d)]
     coeffs.update({m: rng.randint(1, 100) for m in rng.sample(lower, 6)})
-    f = DPPoly(ring, coeffs)
-    insert, covers = Echelon.insert, Echelon.covers
+    return DPPoly(ring, field.canon(coeffs))
+
+
+def test_dense_heavy_form_reduces_nothing_to_zero(monkeypatch):
+    """A dense r=4, j=8 form over F_101, every degree-8 term and six lower
+    ones (the dense-modp heavy shape): no vector that PartialFiltration
+    inserts, or annihilator's m*I span grows by, comes out zero.  Those that would have,
+    390 images and 1,560 shifts and generator tests, are all covered and
+    skipped.  A form whose shifts satisfy a relation the suffix test cannot
+    see still reduces one to zero: of ten seeds tried, one did, once."""
+    f = dense_heavy_form(Field(101))
+    covers = Echelon.covers
     inserts, skips = Counter(), Counter()
 
-    def watched_insert(self, vec):
-        row = insert(self, vec)
-        inserts[row is None] += 1
-        return row
+    def watch(method):
+        def watched(self, vec):
+            row = method(self, vec)
+            inserts[row is None] += 1
+            return row
+        return watched
 
     def watched_covers(self, q, n):
         hit = covers(self, q, n)
         skips[hit] += 1
         return hit
 
-    monkeypatch.setattr(Echelon, "insert", watched_insert)
+    for method in (Echelon.insert, Echelon.grow):
+        monkeypatch.setattr(Echelon, method.__name__, watch(method))
     monkeypatch.setattr(Echelon, "covers", watched_covers)
     P = PartialFiltration(f)
     assert P.hilbert() == (1, 4, 10, 20, 35, 20, 10, 4, 1)
@@ -966,9 +1050,10 @@ def test_products_in_the_span_are_neither_built_nor_reduced(char,
     while the span's part of order d, d the degree of the product's first
     column, is short of the ideal's: counted here from the units and
     pivots at or past the first column of degree d, against dims[d] + ...
-    + dims[top].  Every Echelon.reduce runs inside an add, and few reduce
-    to zero.  Both verifiers answer True on the true lists and False on
-    the cut-short ones.  The forms are dense and sparse, r 2-4."""
+    + dims[top].  Every Echelon.grow runs inside an add, no product is
+    reduced in full, and few grow calls come out zero.  Both verifiers
+    answer True on the true lists and False on the cut-short ones.  The
+    forms are dense and sparse, r 2-4."""
     field = Field(char)
     rng = random.Random(char + 2602)
     cases = []
@@ -981,7 +1066,7 @@ def test_products_in_the_span_are_neither_built_nor_reduced(char,
         if not f.drop_constant().is_zero:
             P = PartialFiltration(f)
             cases.append((P, annihilator(P).min_gens, graded_generators(f)))
-    add, insert, reduce = _Span.add, Echelon.insert, Echelon.reduce
+    add, grow = _Span.add, Echelon.grow
     counts, ideal, adding = Counter(), [], []
 
     def watched_add(span, v):
@@ -998,18 +1083,18 @@ def test_products_in_the_span_are_neither_built_nor_reduced(char,
         finally:
             adding.pop()
 
-    def watched_insert(ech, vec):
-        row = insert(ech, vec)
+    def watched_grow(ech, vec):
+        assert adding
+        row = grow(ech, vec)
         counts[row is None] += 1
         return row
 
-    def watched_reduce(ech, vec):
-        assert adding
-        return reduce(ech, vec)
+    def no_reduce(ech, vec):
+        pytest.fail("a product was reduced in full")
 
     monkeypatch.setattr(_Span, "add", watched_add)
-    monkeypatch.setattr(Echelon, "insert", watched_insert)
-    monkeypatch.setattr(Echelon, "reduce", watched_reduce)
+    monkeypatch.setattr(Echelon, "grow", watched_grow)
+    monkeypatch.setattr(Echelon, "reduce", no_reduce)
     for P, gens, graded in cases:
         ideal.append((P, [P.ring.dim_of_degree(d) - P.lt_count(0, d)
                           for d in range(P.j + 2)]))

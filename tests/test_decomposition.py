@@ -526,3 +526,25 @@ def test_component_index_range_errors():
         component_dual_dims(P, 4)
     with pytest.raises(DomainError):
         filtration_ideal(P, 4)
+
+
+def test_o_sequence_test_runs_once_per_nonzero_component(monkeypatch):
+    """_check_decomposition tests a partial sum of the H(a) for the
+    O-sequence property only when H(a) is not all zero: a zero component
+    leaves the sum as it was.  A partial sum that fails still raises, with
+    zero components around it."""
+    import macdual.decomposition as decomposition
+    from macdual.errors import InternalCheckError
+    is_o_sequence, seen = decomposition.is_o_sequence, []
+    monkeypatch.setattr(decomposition, "is_o_sequence",
+                        lambda H: seen.append(H) or is_o_sequence(H))
+    decomposition._check_decomposition(
+        3, (1, 1, 1, 1), ((1, 1, 1, 1), (0, 0, 0), (0, 0)))
+    assert seen == [(1, 1, 1, 1)]
+    D = decomposition.symmetric_decomposition(
+        parse_poly("X^[6]", RingSpec(("X",), Field(0))))
+    assert D.components[1:] == ((0,) * 6, (0,) * 5, (0,) * 4, (0,) * 3)
+    assert len(seen) == 2
+    with pytest.raises(InternalCheckError, match="through a=1"):
+        decomposition._check_decomposition(
+            3, (1, 0, 1, 0), ((0, 0, 0, 0), (1, 0, 1), (0, 0)))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -440,3 +441,27 @@ def test_tokenizer_matches_one_match_at_a_time():
         assert ts.toks == _tokens_one_match_at_a_time(src), repr(src)
         ts.i = len(ts.toks)
         assert ts.peek() == ("end", None, len(src))
+
+
+def test_parsing_ignores_the_int_str_digit_cap():
+    """Numerals past CPython's 4,300-digit cap on str -> int parse with the
+    default cap in force, outside the CLI, and give the ints that str()
+    reads with the cap lifted; the rendered text parses back to the same
+    generator.  Lengths sit at and around the 4,000-digit chunk edges."""
+    import sys
+    cap = sys.get_int_max_str_digits()
+    Q = R("XY", 0)
+    texts = ["7" * 4400 + "*X^[2]", "1" + "0" * 3999 + "*X", "9" * 4000 + "*Y",
+             "3" * 8001 + "/" + "2" * 4301 + "*X*Y", "-" + "5" * 12345 + "*Y"]
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = [parse_poly(src, Q) for src in texts]
+        again = [parse_poly(str(f), Q) for f in got]
+        sys.set_int_max_str_digits(0)
+        want = [7 * (10 ** 4400 - 1) // 9, 10 ** 3999, 10 ** 4000 - 1,
+                Fraction(int("3" * 8001), int("2" * 4301)),
+                -int("5" * 12345)]
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert [list(f.coeffs.values()) for f in got] == [[c] for c in want]
+    assert again == got

@@ -10,8 +10,8 @@ from kernel_reference import kernel
 from macdual.errors import DomainError
 from macdual.fields import Field
 from macdual.linalg import (Echelon, det, matrix_inverse, orthogonal,
-                            primitive, rref_rows, same_span, solve_linear,
-                            vec_axpy)
+                            primitive, reversed_columns, rref_rows, same_span,
+                            solve_linear, vec_axpy)
 from macdual.poly import DPPoly, RingSpec, linear_substitute
 
 QQ = Field(0)
@@ -458,7 +458,7 @@ def test_orthogonal_random(field):
                                      _rand_scalar(rng, field), b))
             else:
                 rows.append({})
-        got = orthogonal(field, rows, n)
+        got = orthogonal(field, reversed_columns(rows, n), n)
         columns = [field.canon({k: row[i] for k, row in enumerate(rows)
                                 if i in row}) for i in range(n)]
         assert [_typed(w) for w in got] == \
@@ -506,24 +506,30 @@ def test_covers_matches_brute_force(field):
 
 
 def test_orthogonal_edge_cases():
+    def perp(field, rows, n):
+        return orthogonal(field, reversed_columns(rows, n), n)
+
+    # the rows come in reversed columns: column 2 of 3 is coordinate 0
+    assert orthogonal(Field(2), [{2: 1}], 3) == [{1: 1}, {2: 1}]
+    assert reversed_columns([{0: 5, 2: 7}, {}], 3) == [{2: 5, 0: 7}, {}]
     for field in (QQ, Field(2), Field(101)):
         units = [{k: 1} for k in range(4)]
         # no rows, or zero rows only: all of F^n
-        assert orthogonal(field, [], 4) == units
-        assert orthogonal(field, [{}, {}], 4) == units
-        assert orthogonal(field, [], 0) == []
+        assert perp(field, [], 4) == units
+        assert perp(field, [{}, {}], 4) == units
+        assert perp(field, [], 0) == []
         # full rank: nothing
-        assert orthogonal(field, units, 4) == []
-        assert orthogonal(field, [{0: 1, 1: 1}, {1: 1}, {2: 1, 3: 1},
-                                  {3: 1}], 4) == []
+        assert perp(field, units, 4) == []
+        assert perp(field, [{0: 1, 1: 1}, {1: 1}, {2: 1, 3: 1},
+                            {3: 1}], 4) == []
     # over F_2, (1, 1, 0)^perp is spanned by (1, 1, 0) itself and e_2
-    assert orthogonal(Field(2), [{0: 1, 1: 1}], 3) == [{0: 1, 1: 1}, {2: 1}]
+    assert perp(Field(2), [{0: 1, 1: 1}], 3) == [{0: 1, 1: 1}, {2: 1}]
     # rows holding Fractions: (1/2, 1/3)^perp is the line of (1, -3/2)
-    got = orthogonal(QQ, [{0: Fraction(1, 2), 1: Fraction(1, 3)}], 2)
+    got = perp(QQ, [{0: Fraction(1, 2), 1: Fraction(1, 3)}], 2)
     assert got == [{0: 1, 1: Fraction(-3, 2)}]
     assert [_typed(w) for w in got] == [{0: (int, 1),
                                          1: (Fraction, Fraction(-3, 2))}]
-    got = orthogonal(QQ, [{1: Fraction(2, 3), 2: 4}, {0: Fraction(1, 5)}], 3)
+    got = perp(QQ, [{1: Fraction(2, 3), 2: 4}, {0: Fraction(1, 5)}], 3)
     assert got == [{1: 1, 2: Fraction(-1, 6)}]
     assert type(got[0][1]) is int
 

@@ -746,6 +746,28 @@ def test_table_caches_stay_bounded():
 
 @pytest.mark.skipif(not hasattr(__import__("sys"), "set_int_max_str_digits"),
                     reason="no int -> str digit cap in this interpreter")
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_rendering_orders_terms_by_the_coordinate_keys(r):
+    """str() lists a DPPoly's terms in dmon_key order and a PSElement's in
+    rmon_key order, the orders of the coordinate indexes, for every
+    monomial of degree <= 5 inserted shuffled.  The same monomials render
+    in the names of each ring."""
+    from macdual.poly import _fmt_poly
+    rng = random.Random(r)
+    mons = [m for d in range(6) for m in RingSpec(tuple("XYZW"[:r]),
+                                                  Field(0)).monomials(d)]
+    rng.shuffle(mons)
+    coeffs = {m: rng.choice([-2, -1, 1, 3]) for m in mons}
+    for names in ("XYZW", "ABCD"):
+        ring = RingSpec(tuple(names[:r]), Field(0))
+        assert str(DPPoly(ring, coeffs)) == _fmt_poly(ring.vars, sorted(
+            coeffs.items(), key=lambda kv: dmon_key(kv[0])), True)
+        assert str(PSElement(ring, coeffs, 6)) == _fmt_poly(
+            ring.lvars, sorted(coeffs.items(), key=lambda kv: rmon_key(kv[0])),
+            False)
+    assert "a^2" in str(PSElement(ring, {(2,) + (0,) * (r - 1): 1}))
+
+
 def test_rendering_ignores_the_int_str_digit_cap():
     """Coefficients past CPython's 4,300-digit cap on int -> str render in
     full with the default cap in force, outside the CLI: X^2000 over Q is
