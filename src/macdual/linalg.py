@@ -149,18 +149,7 @@ class Echelon:
         coordinate is eliminated, so the result is the unique representative
         supported off the pivots - over Q up to a positive factor, in
         integers (:meth:`project` divides it out) - and zero iff vec lies in
-        the span.
-
-        Pivot hits are walked in increasing order from a min-heap, built
-        once from the pivots among vec's columns.  A row only touches
-        columns at or past its pivot, so each step pushes just the pivots
-        among the columns it adds to the working vector, the walk never
-        goes back, and it terminates.  A popped column whose entry is gone
-        (cancelled, or already cleared) is skipped.  Over F_p entries stay
-        unreduced ints while the walk runs: an entry is taken mod p only
-        when popped as a pivot, and dropped if that is 0.  The remainder is
-        made canonical once on return (residues in range(p), zeros
-        dropped).  Over Q vec may hold Fractions: it is first scaled to
+        the span.  Over Q vec may hold Fractions: it is first scaled to
         integers by the lcm of their denominators, and then every step
         cancels exactly."""
         f = self.field
@@ -177,42 +166,7 @@ class Echelon:
             if frac:
                 v = {k: a.numerator * (den // a.denominator)
                      for k, a in v.items()}
-        by_pivot = self._by_pivot
-        heap = [k for k in v if k in by_pivot]
-        if not heap:
-            return v
-        heapify(heap)
-        while heap:
-            q = heappop(heap)
-            a = v.get(q)
-            if a is None:
-                continue
-            row = by_pivot[q]
-            if p:
-                a %= p
-                if a:
-                    c = p - a
-                    get = v.get
-                    for k, b in row.items():
-                        x = get(k)
-                        if x is None:
-                            v[k] = c * b
-                            if k in by_pivot:
-                                heappush(heap, k)
-                        else:
-                            v[k] = x + c * b
-                del v[q]
-                continue
-            for k in row:
-                if k not in v and k in by_pivot:
-                    heappush(heap, k)
-            b = row[q]
-            g = gcd(a, b)
-            ca, cb = b // g, -(a // g)
-            if ca != 1:
-                v = {k: ca * x for k, x in v.items()}
-            _axpy_int(v, cb, row)
-        return f.canon(v) if p else v
+        return self._walk(v, None)
 
     def project(self, vec: dict) -> dict:
         """The remainder of vec modulo a pivot-one echelon of the span, a
@@ -262,27 +216,42 @@ class Echelon:
         pivots; reduce, insert and covers read rows only from their pivot
         on, so they stay exact.  Returns the stored row, or None.  vec
         holds no zeros, over F_p residues in range(p); it may be stored or
-        changed.
+        changed."""
+        by_pivot = self._by_pivot
+        v = vec
+        if not self.field.char and {int} != set(map(type, v.values())):
+            v = primitive(v)
+        if min(v) in by_pivot:
+            v = self._walk(v, [k for k in v if k not in by_pivot])
+        return self.store(v) if v else None
 
-        The walk is reduce's, pivots popped in increasing order, with a
-        second min-heap of the columns that are no pivot.  A row touches
-        only columns at or past its pivot, so a live non-pivot column
-        below the next pivot popped stays in vec to the end: it is the
-        first column, and the walk stops there.  Over F_p entries stay
-        unreduced while the walk runs, as in reduce; a non-pivot entry is
-        taken mod p when it reaches the top of its heap."""
+    def _walk(self, v: dict, free) -> dict:
+        """Eliminate the pivot entries of v, a dict it may change, and
+        return what is left, canonical.
+
+        Pivot hits are walked in increasing order from a min-heap, built
+        once from the pivots among v's columns.  A row only touches columns
+        at or past its pivot, so each step pushes just the pivots among the
+        columns it adds to the working vector, the walk never goes back,
+        and it terminates.  A popped column whose entry is gone (cancelled,
+        or already cleared) is skipped.  Over F_p entries stay unreduced
+        ints while the walk runs: an entry is taken mod p only when popped
+        as a pivot, and dropped if that is 0.
+
+        free, when not None, lists v's columns that are no pivot, and the
+        walk keeps them in a second min-heap: a live one below the next
+        pivot popped stays in v to the end, as no later row reaches it, so
+        it is v's first column and the walk stops there (grow).  Over F_p
+        such an entry is taken mod p when it reaches the top of its
+        heap."""
         by_pivot = self._by_pivot
         p = self.field.char
-        v = vec
-        if not p and {int} != set(map(type, v.values())):
-            v = primitive(v)
-        if min(v) not in by_pivot:
-            return self.store(v)
-        heap, free = [], []
-        for k in v:
-            (heap if k in by_pivot else free).append(k)
+        heap = [k for k in v if k in by_pivot]
+        if not heap:
+            return v
         heapify(heap)
-        heapify(free)
+        if free is not None:
+            heapify(free)
         while heap:
             q = heappop(heap)
             a = v.get(q)
@@ -293,14 +262,15 @@ class Echelon:
                 if not a:
                     del v[q]
                     continue
-            while free:
-                k = free[0]
-                if k in v and not (p and v[k] % p == 0):
+            if free:
+                while free:
+                    k = free[0]
+                    if k in v and not (p and v[k] % p == 0):
+                        break
+                    v.pop(k, None)
+                    heappop(free)
+                if free and free[0] < q:
                     break
-                v.pop(k, None)
-                heappop(free)
-            if free and free[0] < q:
-                break
             row = by_pivot[q]
             if p:
                 c = p - a
@@ -309,23 +279,27 @@ class Echelon:
                     x = get(k)
                     if x is None:
                         v[k] = c * b
-                        heappush(heap if k in by_pivot else free, k)
+                        if k in by_pivot:
+                            heappush(heap, k)
+                        elif free is not None:
+                            heappush(free, k)
                     else:
                         v[k] = x + c * b
                 del v[q]
                 continue
             for k in row:
                 if k not in v:
-                    heappush(heap if k in by_pivot else free, k)
+                    if k in by_pivot:
+                        heappush(heap, k)
+                    elif free is not None:
+                        heappush(free, k)
             b = row[q]
             g = gcd(a, b)
             ca, cb = b // g, -(a // g)
             if ca != 1:
                 v = {k: ca * x for k, x in v.items()}
             _axpy_int(v, cb, row)
-        if p:
-            v = self.field.canon(v)
-        return self.store(v) if v else None
+        return self.field.canon(v) if p else v
 
     def covers(self, q: int, n: int) -> bool:
         """True iff the last n - q pivots start at q, pivots[-(n - q)] == q
