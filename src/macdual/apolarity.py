@@ -521,30 +521,30 @@ def verify_graded_presentation(gens: list[PSElement],
     or its PartialFiltration."""
     P = filtration(f)
     ring, top = P.ring, P.j + 1
+    # contraction pairs x^a with X^[a] alone, so a generator and the rows
+    # of L(0, d) are read in the same index, monomial_index(d)
     return _verify_graded(
-        gens, ring, [P.lt_rows(0, d) for d in range(top + 1)],
+        gens, ring, lambda d, vs: _pair_to_zero(ring.field, vs,
+                                                P.lt_rows(0, d)),
         [ring.dim_of_degree(d) - P.lt_count(0, d) for d in range(top + 1)])
 
 
-def _verify_graded(gens: list[PSElement], ring, orth: list,
+def _verify_graded(gens: list[PSElement], ring, lies_in,
                    dims: list) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal J of
-    R with J_d = span(orth[d])^perp of dimension dims[d], in every degree d
-    up to top = len(dims) - 1: each g pairs to zero with orth[deg g], so it
-    lies in J, and as J is an ideal the degree-d products x^m * g lie in
-    J_d, all of it once their rank reaches dims[d].  orth[d] holds vectors
-    over monomial_index(d); a generator of degree above top is not read."""
-    field = ring.field
+    R with dim J_d = dims[d], in every degree d up to top = len(dims) - 1:
+    lies_in(d, vectors) tells whether vectors over monomial_index(d) all
+    lie in J_d, and as J is an ideal the degree-d products x^m * g lie in
+    J_d, all of it once their rank reaches dims[d].  A generator of degree
+    above top is not read."""
     for g in gens:
         g.ring.check_same(ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
     top = len(dims) - 1
     gens = [g for g in gens if g.order <= top]
-    # contraction pairs x^a with X^[a] alone, so g and the rows of orth[o]
-    # are read in the same index, monomial_index(o)
-    if not all(_pair_to_zero(field, [g.vector(ring.monomial_index(d))
-                                     for g in gens if g.order == d], orth[d])
+    if not all(lies_in(d, [g.vector(ring.monomial_index(d))
+                           for g in gens if g.order == d])
                for d in {g.order for g in gens}):
         return False
     return _products_reach(ring, gens, dims)

@@ -378,19 +378,19 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
 def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal
     described by data, in every degree up to j+1.  data must be an ideal,
-    as filtration_ideal returns: each generator is checked to pair to zero
-    with the orthogonal of its degree's space, and the products of degree
-    d to reach dims[d].  Data holding R_0 describe the unit ideal C(0) = R,
-    which non-unit generators never generate; they are refused as bad
-    input, as unit generators are."""
+    as filtration_ideal returns: each generator is checked to lie in its
+    degree's space, and the products of degree d to reach dims[d].  Data
+    holding R_0 describe the unit ideal C(0) = R, which non-unit generators
+    never generate; they are refused as bad input, as unit generators
+    are."""
     if data.dims[0]:
         raise DomainError("the graded ideal holds 1: C(0) = R is the unit "
                           "ideal, generated by no non-unit generators")
     if any(g.order == 0 for g in gens):
         raise DomainError("graded generators must be nonzero, homogeneous, non-units")
-    ring = data.ring
-    dims = map(ring.dim_of_degree, range(data.socle_degree + 2))
+    field = data.ring.field
     return _verify_graded(
-        gens, ring, [orthogonal(ring.field,
-                                reversed_columns(data.space_rows(d), n), n)
-                     for d, n in enumerate(dims)], data.dims)
+        gens, data.ring,
+        lambda d, vs: all(map(Echelon(field, data.space_rows(d)).contains,
+                              vs)),
+        data.dims)

@@ -257,27 +257,27 @@ def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
         const_killer = None
 
     cuts = [j - a - 1 for a in range(max(j - 1, 1))] + [0]
-    level_ech = []           # per cut: the parameters, pivots on x_1..x_r
+    # At a cut, a variable whose x_i o f cut to its degrees above the cut
+    # (the columns below top: P.dindex runs from degree j down) lies in the
+    # span of the cut m^2 o f and the accepted x_k o f gives a kernel
+    # direction w = x_i - psi.  top only rises, so S grows by the rows of sq
+    # whose pivot falls below it, stored whole.  Cutting [top, n) away is
+    # linear and no pivot of S lies there, so it takes the remainder modulo
+    # S to the unique one modulo the cut rows.  A holds the accepted rows.
+    S = Echelon(field)
+    stages = []              # per cut: the parameters, pivots on x_1..x_r
     for cut in cuts:
-        # E spans the truncations-past-cut of m^2 o f plus the already
-        # accepted x_k o f; a variable whose truncation lands inside E gives
-        # a kernel direction with an explicit lift w = x_i - psi.  P.dindex
-        # runs from degree j down, so the columns of degree above cut are
-        # those below top, and a row with its pivot past them is cut away.
         top = n - comb(ring.r + cut, ring.r)
-        E = Echelon(field)
-        for q, row in zip(sq.pivots, sq.rows):
-            if q >= top:
-                break
-            _store_below(E, {c: x for c, x in row.items()
-                             if c < top or c >= n}, n)
+        while S.dim < sq.dim and sq.pivots[S.dim] < top:
+            S.store(sq.rows[S.dim])
+        A = Echelon(field)
         stage = Echelon(field)
         for i in range(ring.r):
-            v = {c: x for c, x in xs_contr[i].items() if c < top}
-            v[n + 1 + i] = field.one
-            w = E.project(v)
+            w = A.project({c: x for c, x in S.project(
+                {**xs_contr[i], n + 1 + i: field.one}).items()
+                if c < top or c >= n})
             if min(w) < n:
-                E.insert(w)
+                A.insert(w)
                 continue
             if const_killer is not None:
                 ct = pairing(PSElement(ring, {mon_at[k]: c for k, c
@@ -285,26 +285,22 @@ def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
                 if ct:
                     vec_axpy(field, w, field.neg(ct), const_killer)
             _store_below(stage, w, n + 1 + ring.r)
-        level_ech.append(stage)
+        stages.append(stage)
 
-    parameters, levels, counts = [], [], []
-    for lev in range(len(cuts)):
-        cur = level_ech[lev]
-        nxt_pivots = set(level_ech[lev + 1].pivots) \
-            if lev + 1 < len(cuts) else set()
-        added = 0
+    # a cut's rows whose pivots the next cut lacks are its level's
+    # parameters, scaled to pivot one; the last cut is the padding
+    parameters, levels = [], []
+    for lev, (cur, nxt) in enumerate(zip(stages,
+                                         stages[1:] + [Echelon(field)])):
         for p, row in zip(cur.pivots, cur.rows):
-            if p not in nxt_pivots:   # the pivot-one parameter
+            if p not in nxt.pivots:
                 parameters.append(PSElement(
                     ring, {mon_at[k]: field.fraction(c, row[p])
                            for k, c in row.items()}, j + 2))
-                levels.append(lev if lev < max(j - 1, 1) else None)
-                added += 1
-        counts.append(added)
+                levels.append(lev if lev + 1 < len(cuts) else None)
     if len(parameters) != ring.r:
         raise InternalCheckError("adapted parameters do not span")
-    # the last cut is the padding
-    if tuple(accumulate(counts[:-1])) != n_seq:
+    if tuple(accumulate(map(levels.count, range(len(cuts) - 1)))) != n_seq:
         raise InternalCheckError("adapted levels disagree with the "
                                  "decomposition codimension sequence")
     change = CoordChange.from_inverse_images(parameters, j + 2)

@@ -62,12 +62,14 @@ def _glex_within(m: MON):
 
 
 def dmon_key(m: MON):
-    """Sort key for D-side coordinates: degree descending, then graded-lex."""
+    """Sort key for D-side coordinates: degree descending, then graded-lex;
+    the reference order that dmon_index and rendering follow, for tests."""
     return (-mdeg(m), _glex_within(m))
 
 
 def rmon_key(m: MON):
-    """Sort key for R-side coordinates: degree ascending, then graded-lex."""
+    """Sort key for R-side coordinates: degree ascending, then graded-lex;
+    the reference order that rmon_index and rendering follow, for tests."""
     return (mdeg(m), _glex_within(m))
 
 

@@ -421,12 +421,18 @@ def test_filtration_ideal_matches_kernel_route(char):
 
 
 @pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
-def test_verify_graded_ideal_matches_same_span_route(char):
+def test_verify_graded_ideal_matches_same_span_route(monkeypatch, char):
     """The shared check answers as the equal-span test did: for a basis of
     every degree (a generating set), for it with one degree's basis cut
-    short, and with a random form added, which leaves the ideal unless
-    it lies in it.  For a = 0, the unit ideal, where the equal-span test
-    said False, the data are refused."""
+    short, with its first element, of the lowest degree, left out (which
+    no products make up: False), and with a random form added, which
+    leaves the ideal unless it lies in it.  It reads no orthogonal: each
+    generator is tested against data's space of its degree.  For a = 0,
+    the unit ideal, where the equal-span test said False, the data are
+    refused."""
+    import macdual.apolarity as apolarity
+    import macdual.decomposition as decomposition
+    import macdual.linalg as linalg
     rng = random.Random(2310 + char)
     field = Field(char)
     for trial in range(12):
@@ -444,7 +450,7 @@ def test_verify_graded_ideal_matches_same_span_route(char):
             d = rng.randint(1, top)
             extra = PSElement(ring, {m: field.from_int(rng.randint(-3, 3))
                                      for m in ring.monomials(d)}, top + 1)
-            cases = [gens, cut]
+            cases = [gens, cut, gens[1:]]
             if not extra.is_zero:
                 cases += [gens + [extra], cut + [extra]]
             for gs in cases:
@@ -453,8 +459,11 @@ def test_verify_graded_ideal_matches_same_span_route(char):
                     with pytest.raises(DomainError, match="C\\(0\\) = R"):
                         verify_graded_ideal(gs, data)
                     continue
-                assert verify_graded_ideal(gs, data) == \
-                    verify_graded_ideal_same_span(gs, data)
+                with monkeypatch.context() as m:
+                    for module in (apolarity, decomposition, linalg):
+                        m.setattr(module, "orthogonal", None)
+                    got = verify_graded_ideal(gs, data)
+                assert got == verify_graded_ideal_same_span(gs, data)
 
 
 def test_decomposition_invariance_under_units():

@@ -7,7 +7,8 @@ leave these bytes unchanged.  ``annihilator`` depends on the echelon's
 arithmetic, ``normalize`` and ``consum-split`` also on the adapted frame's
 combination columns, and ``rcm`` on the seeded generic draw.  The digest
 tests below pin the same for normalize and split_connected_summand on
-seeded forms.
+seeded forms, and for normalize, the adapted frame and the symmetric
+decomposition on forms of high socle degree.
 """
 
 import hashlib
@@ -15,13 +16,16 @@ import random
 
 import pytest
 
+from macdual.apolarity import filtration
 from macdual.cli import main
 from macdual.constructions import random_poly, random_unit
 from macdual.decomposition import symmetric_decomposition
 from macdual.errors import DomainError
 from macdual.fields import Field
+from macdual.io import parse_poly
 from macdual.linalg import matrix_inverse
-from macdual.normalform import normalize, split_connected_summand
+from macdual.normalform import (adapted_coordinates, normalize,
+                                split_connected_summand)
 from macdual.poly import DPPoly, RingSpec, contract, linear_substitute
 
 RCM_GENERATOR = (
@@ -276,4 +280,45 @@ def test_normal_forms_digest(kind, char, forms, render, digest):
     h = hashlib.sha256()
     for f in forms(char, 2500 + char):
         h.update(render(f).encode())
+    assert h.hexdigest() == digest
+
+
+# One- and two-variable forms of socle degree up to 300: the adapted frame
+# has one cut per degree, so these reach the cuts that desk forms never do.
+# X^[60]+X^[50]*Y+Y^[3] has a parameter y - x^10 at level 18, and in the
+# forms with a degree-one term an element of m^2 clears the constant of
+# w o f.
+HIGH_J_FORMS = [
+    (("X",), ["X^[2]", "X^[3]+X", "X^[80]+X^[60]+X^[59]+X^[30]+2*X",
+              "X^[300]"]),
+    (("X", "Y"), ["X^[60]+X^[50]*Y+Y^[3]", "X^[20]*Y^[20]+X^[30]*Y+Y^[25]",
+                  "X^[12]*Y^[12]+X^[9]+Y", "X^[30]*Y^[3]+X^[20]*Y^[2]+Y^[7]"]),
+]
+
+
+def rendered_high_j(f):
+    P = filtration(f)
+    frame = adapted_coordinates(P)
+    return "%s\n%slevels %s: %s\ncomponents %s\n" % (
+        f, rendered_normal_form(P), frame.levels,
+        "; ".join(map(str, frame.parameters)),
+        symmetric_decomposition(P).components)
+
+
+HIGH_J_DIGESTS = [
+    (0, "2f4391ac580430a933d61f585fe92dc1437a83a24ead5327cede6e2ce2934ad3"),
+    (101, "7fe366743df80e083d9f9b790840a778e3351de9463bdd01606f0c9634014f28"),
+]
+
+
+@pytest.mark.parametrize("char,digest", HIGH_J_DIGESTS, ids=["Q", "F101"])
+def test_high_socle_degree_digest(char, digest):
+    """normalize's g and w_i, the adapted frame's levels and parameters and
+    the symmetric decomposition's components, on HIGH_J_FORMS: the same
+    bytes as recorded before the frame grew one echelon across its cuts."""
+    h = hashlib.sha256()
+    for names, forms in HIGH_J_FORMS:
+        ring = RingSpec(names, Field(char))
+        for s in forms:
+            h.update(rendered_high_j(parse_poly(s, ring)).encode())
     assert h.hexdigest() == digest
