@@ -306,19 +306,6 @@ def build_parser(command: str) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
-    # values are exact, and a valid coefficient may pass CPython's default
-    # cap of 4,300 digits on int <-> str conversion
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(cap)
-
-
-def _run(argv) -> int:
     # argparse dispatches to the first token not starting with "-": the
     # top-level parser has no option that takes a value
     command = next((a for a in argv if not a.startswith("-")), "")

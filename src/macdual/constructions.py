@@ -7,6 +7,7 @@ two-variable ancestor-ideal invariant.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import NamedTuple
 
 from .apolarity import PartialFiltration, filtration
@@ -16,8 +17,8 @@ from .errors import DomainError, GenericityError, InternalCheckError
 from .fields import Field
 from .linalg import (Echelon, orthogonal, reversed_columns, same_span,
                      solve_linear, vec_axpy)
-from .poly import (DPPoly, PSElement, RingSpec, contract, contract_monomial,
-                   dp_mul, dp_power_of_linear, mdeg, mon_mul)
+from .poly import (DPPoly, PSElement, RingSpec, check_image_budget, contract,
+                   contract_monomial, dp_mul, dp_power_of_linear, mon_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,8 @@ def relatively_compressed_modification(f: DPPoly, a: int, seed: int = 0,
     j = f.degree
     if a < 1 or a > j - 1:
         raise DomainError("modification index a must be in 1..j-1")
-    prefix = [component_dual_dims(PartialFiltration(f), u) for u in range(a)]
+    P = filtration(f)
+    prefix = [component_dual_dims(P, u) for u in range(a)]
     target = max_continuation(prefix, a, ring.r, j)
     rng = random.Random(seed)
     for _ in range(retries):
@@ -186,6 +188,7 @@ class ExtensionSpec:
             raise DomainError("summand degrees must be weakly decreasing")
         if degs[0] > j - 2 or degs[-1] < 1:
             raise DomainError("summand degrees must lie in 1..j-2")
+        check_image_budget(ring.r + len(z_names), j)
         self.base = f
         self.summands = summands
         self.z_names = z_names
@@ -224,39 +227,29 @@ def allowed_component_indices(spec: ExtensionSpec) -> set:
     return out
 
 
-def _graded_partial_spans(ring, polys, maxdeg):
-    """Per-degree echelons of R o <polys> (all homogeneous inputs)."""
-    by_deg = {d: Echelon(ring.field) for d in range(maxdeg + 1)}
-    for g in polys:
-        dg = g.degree
-        for e in range(dg + 1):
-            hidx = ring.monomial_index(dg - e)
-            for b in ring.monomials(e):
-                img = contract_monomial(b, g)
-                if not img.is_zero:
-                    by_deg[dg - e].insert(img.vector(hidx))
-    return by_deg
-
-
-def _homogeneous_joint_kernel(ring, e, f, span, hs):
+def _homogeneous_joint_kernel(ring, e, f, gs, hs):
     """Basis (as monomial-coefficient dicts) of the phi in R_e with phi o f
-    in span, the degree deg f - e part of a space of partials (None when
-    that degree is negative), and phi o h = 0 for every h in hs.  Both are
-    orthogonality conditions: phi o f lies in S iff phi pairs to zero with
-    S^perp o f, and phi o h = 0 iff it pairs to zero with (R o h)_e.  So
-    the space is the degree-e orthogonal of S^perp o f + sum (R o h)_e."""
+    in S = R o <gs> and phi o h = 0 for every h in hs, all inputs
+    homogeneous.  Both are orthogonality conditions: with d = deg f - e,
+    phi o f lies in S iff phi pairs to zero with S_d^perp o f, and
+    phi o h = 0 iff it pairs to zero with (R o h)_e.  So the space is the
+    degree-e orthogonal of S_d^perp o f + sum (R o h)_e.  S is read in
+    degree d alone, from the partials x^b o g with |b| = deg g - d, handed
+    to orthogonal unreduced: it reduces them anyway."""
     field = ring.field
     idx = ring.monomial_index(e)
+    d = f.degree - e
+    didx = ring.monomial_index(d)
+    n = len(didx)
+    span = [contract_monomial(b, g).vector(didx)
+            for g in gs for b in ring.monomials(g.degree - d)]
+    images = [contract_monomial(b, f).vector(idx) for b in ring.monomials(d)]
     rows = []
-    if span is not None:
-        images = [contract_monomial(b, f).vector(idx)
-                  for b in ring.monomials(f.degree - e)]
-        n = len(images)
-        for psi in orthogonal(field, reversed_columns(span.rows, n), n):
-            row = {}
-            for c, v in psi.items():
-                vec_axpy(field, row, v, images[c])
-            rows.append(row)
+    for psi in orthogonal(field, reversed_columns(span, n), n):
+        row = {}
+        for c, v in psi.items():
+            vec_axpy(field, row, v, images[c])
+        rows.append(row)
     rows += [contract_monomial(b, h).vector(idx)
              for h in hs for b in ring.monomials(h.degree - e)]
     mons = ring.monomials(e)
@@ -278,46 +271,30 @@ def restricted_components(spec: ExtensionSpec) -> dict:
     hs = list(spec.summands)
     s = len(hs)
     j = spec.socle_degree
-    big = ring.extend(spec.z_names)
     F = linear_extension(spec)
     PF = PartialFiltration(F)
     D = symmetric_decomposition(PF)
-    bigindex = big.dmon_index(j)
-    big_coldeg = {c: mdeg(m) for m, c in bigindex.items()}
+    bigindex = F.ring.dmon_index(j)
     pad = len(spec.z_names)
 
     def embed_vec(poly: DPPoly, zslot=None) -> dict:
         zexp = tuple(1 if i == zslot else 0 for i in range(pad))
         return {bigindex[m + zexp]: c for m, c in poly.coeffs.items()}
 
-    hs_only_spans = [_graded_partial_spans(ring, hs[:t], j)
-                     for t in range(s + 1)]
-
-    def c_space(t2, extra_ann_prefix=0):
-        """phi with phi o f in R o <h_1..h_t2>, also killing h_1..h_{extra}."""
-        return {e: _homogeneous_joint_kernel(
-                    ring, e, f, hs_only_spans[t2].get(f.degree - e),
-                    hs[:extra_ann_prefix])
-                for e in range(1, j + 2)}
-
-    def theta_vector(theta_coeffs, from_t):
-        """(theta - sum z_i eta_i) o F = sum_{l >= from_t} (theta o h_l) Z_l."""
-        phi = PSElement(ring, theta_coeffs, j + 1)
-        total: dict = {}
-        for l in range(from_t, s):  # disjoint: each l has its own Z_l
-            total.update(embed_vec(contract(phi, hs[l]), zslot=l))
-        return total
-
-    c_cache: dict = {}
-
-    def c_phis(t2, t1):
-        key = (t2, t1)
-        if key not in c_cache:
-            c_cache[key] = c_space(t2, extra_ann_prefix=t1)
-        return c_cache[key]
-
-    # homogeneous elements killing f and h_1..h_t: hs_only_spans[0] is empty
-    anns_with_f = [c_phis(0, t) for t in range(s)]
+    @cache
+    def joint(t2, t1, e):
+        """(theta - sum z_i eta_i) o F = sum_{l >= t1} (theta o h_l) Z_l,
+        the zero ones left out, for a basis of the theta in R_e with
+        theta o f in R o <h_1..h_t2> that kill h_1..h_t1."""
+        out = []
+        for theta in _homogeneous_joint_kernel(ring, e, f, hs[:t2], hs[:t1]):
+            phi = PSElement(ring, theta, j + 1)
+            vec: dict = {}
+            for l in range(t1, s):  # disjoint: each l has its own Z_l
+                vec.update(embed_vec(contract(phi, hs[l]), zslot=l))
+            if vec:
+                out.append(vec)
+        return out
 
     # every displayed module element is a partial of F with a known order,
     # so the graded dimensions are new-class counts inside the windows
@@ -341,45 +318,31 @@ def restricted_components(spec: ExtensionSpec) -> dict:
                           + PF.rows_upto(sord + 1, d))
             counted = 0
             for t in relevant_single:
-                kt = spec.degrees[t - 1]
                 got = 0
-                if 0 <= kt - d:
-                    for beta in ring.monomials(kt - d):
-                        img = contract_monomial(beta, hs[t - 1])
-                        if not img.is_zero and ech.insert(embed_vec(img)):
-                            got += 1
+                for beta in ring.monomials(spec.degrees[t - 1] - d):
+                    img = contract_monomial(beta, hs[t - 1])
+                    if not img.is_zero and ech.insert(embed_vec(img)):
+                        got += 1
                 e = j - u - d
                 if e >= 1:
-                    for theta in anns_with_f[t - 1].get(e, []):
-                        vec = theta_vector(theta, t - 1)
-                        if vec and ech.insert(vec):
-                            got += 1
+                    got += sum(ech.insert(vec) is not None
+                               for vec in joint(0, t - 1, e))
                 if got:
-                    B[t][d] = B[t].get(d, 0) + got
+                    B[t][d] = got
                 counted += got
             for (t1, t2) in relevant_pairs:
                 kt2 = spec.degrees[t2 - 1]
                 e = 2 * j - u - d - kt2 - 1
                 if e < 1 or e > j + 1:
                     continue
-                # quotient out the lower filtration step and the plain
-                # annihilator images before counting
-                for theta in anns_with_f[t1 - 1].get(e, []):
-                    vec = theta_vector(theta, t1 - 1)
-                    if vec:
-                        ech.insert(vec)
-                if t2 >= 2:
-                    for theta in c_phis(t2 - 1, t1 - 1).get(e, []):
-                        vec = theta_vector(theta, t1 - 1)
-                        if vec:
-                            ech.insert(vec)
-                got = 0
-                for theta in c_phis(t2, t1 - 1).get(e, []):
-                    vec = theta_vector(theta, t1 - 1)
-                    if vec and ech.insert(vec):
-                        got += 1
+                # quotient out the lower step C(t2-1, t1-1), which holds
+                # the plain annihilator images C(0, t1-1), before counting
+                for vec in joint(t2 - 1, t1 - 1, e):
+                    ech.insert(vec)
+                got = sum(ech.insert(vec) is not None
+                          for vec in joint(t2, t1 - 1, e))
                 if got:
-                    B_pairs[(t1, t2)][d] = B_pairs[(t1, t2)].get(d, 0) + got
+                    B_pairs[(t1, t2)][d] = got
                 counted += got
             expect = want[d] if d < len(want) else 0
             if counted != expect:

@@ -28,8 +28,7 @@ from typing import NamedTuple
 
 from .apolarity import PartialFiltration, _verify_graded, filtration
 from .errors import DomainError, InternalCheckError
-from .linalg import (Echelon, orthogonal, reversed_columns, rref_rows,
-                     solve_linear, vec_axpy)
+from .linalg import Echelon, orthogonal, reversed_columns, rref_rows
 from .poly import DPPoly, PSElement, RingSpec
 
 
@@ -72,15 +71,13 @@ class QDualModule:
     canonical echelon basis per degree, together with the data needed to
     contract classes down a degree."""
 
-    __slots__ = ("a", "dims", "bases", "_rows", "_filtration")
+    __slots__ = ("a", "dims", "bases", "_filtration")
 
     def __init__(self, a: int, dims: tuple, bases: dict | None = None,
-                 _rows: dict | None = None,
                  _filtration: PartialFiltration | None = None):
         self.a = a
         self.dims = dims
         self.bases = {} if bases is None else bases    # degree -> [DPPoly]
-        self._rows = {} if _rows is None else _rows    # degree -> [row dict]
         self._filtration = _filtration
 
     def basis_polys(self, d: int) -> list:
@@ -108,7 +105,6 @@ def dual_component_basis(P, a: int) -> QDualModule:
         if len(comp) != d:
             raise InternalCheckError("dual basis dimension mismatch")
         mons = P.ring.monomials(i)
-        mod._rows[i] = comp
         mod.bases[i] = [DPPoly.from_vector(P.ring, r, mons) for r in comp]
     return mod
 
@@ -117,11 +113,20 @@ def component_generator_degrees(mod: QDualModule) -> dict:
     """Degrees in which Q(a) needs minimal generators, with multiplicities.
 
     A class in the degree-i piece of the dual module is a socle class when
-    every x_k contracts it to zero in degree i-1.  The dual module carries
+    every x_v contracts it to zero in degree i-1.  The dual module carries
     the contraction action of Q(a) itself (regraded by i -> j-a-i), and the
     reflexive pairing matches soc(Q(a)) in degree j-a-i with the minimal
     generators of Q(a) in degree i, so the socle degrees found here are
-    exactly the generation degrees of Q(a).  Returns
+    exactly the generation degrees of Q(a).
+
+    The socle classes of degree i are counted as d = H(a)_i minus the rank
+    of the map sending a class to its contractions (x_v o class)_v, each
+    read modulo L(s+2, i-1), s = j-a-i.  The rows of level s with pivot
+    degree i lift all of L(s, i); those of level s+1 among them map into
+    L(s+2, i-1), so they add no rank, and a lift's part below degree i is
+    contracted below degree i-1.  The rank of the degree-(i-1) parts of
+    the x_v o row, one block per v, over r copies of L(s+2, i-1) is
+    therefore the rank of the map.  Returns
     {"generator_degrees": {degree: count}, "cyclic": bool,
     "generated_in_degree_one": bool}.
     """
@@ -136,42 +141,28 @@ def component_generator_degrees(mod: QDualModule) -> dict:
         if d == 0:
             continue
         s = j - a - i
-        # lift each basis class to an actual partial in P(s, i)
-        lt_full = P.lt_rows(s, i)
-        lev_rows = P.rows_of_degree(s, i)
-        lifts = []
-        for row in mod._rows[i]:
-            coeffs = solve_linear(field, lt_full, row)
-            if coeffs is None:
-                raise InternalCheckError("dual basis class failed to lift")
-            lift: dict = {}
-            for c, lev in zip(coeffs, lev_rows):
-                vec_axpy(field, lift, c, lev)
-            lifts.append(lift)
-        # matrix of all r contraction maps into the degree-(i-1) classes
-        tgt_rows = mod._rows.get(i - 1, [])
-        tgt_den = P.lt_rows(s + 2, i - 1)
         hidx = P.ring.monomial_index(i - 1)
-        ech = Echelon(field)
-        kdim = 0
-        for lift in lifts:
-            rowvec: dict = {}
+        n = len(hidx)
+        within = Echelon(field, P.lt_rows(s + 1, i - 1))
+        images = Echelon(field, ({v * n + c: x for c, x in row.items()}
+                                 for v in range(len(tables))
+                                 for row in P.lt_rows(s + 2, i - 1)))
+        seeded = images.dim
+        for row in P.rows_of_degree(s, i):
+            image: dict = {}
             for v, tab in enumerate(tables):
-                w = {tab[c]: val for c, val in lift.items() if c in tab}
-                wlt = {hidx[P.dmons[c]]: val for c, val in w.items()
-                       if P.col_deg[c] == i - 1}
-                if not wlt:
-                    continue
-                coeffs = solve_linear(field, tgt_rows + tgt_den, wlt)
-                if coeffs is None:
+                part = {hidx[P.dmons[tab[c]]]: x for c, x in row.items()
+                        if P.col_deg[c] == i and c in tab}
+                if not within.contains(part):
                     raise InternalCheckError("contraction left the module")
-                for t, c in enumerate(coeffs[:len(tgt_rows)]):
-                    if not field.is_zero(c):
-                        rowvec[v * len(tgt_rows) + t] = c
-            if not rowvec or not ech.insert(rowvec):
-                kdim += 1
-        if kdim:
-            gendeg[i] = kdim
+                image.update((v * n + c, x) for c, x in part.items())
+            if image:
+                images.insert(image)
+        rank = images.dim - seeded
+        if rank > d:
+            raise InternalCheckError("contraction rank above the component")
+        if rank < d:
+            gendeg[i] = d - rank
     total = sum(gendeg.values())
     return {
         "generator_degrees": gendeg,

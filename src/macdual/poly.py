@@ -93,8 +93,9 @@ def check_image_budget(r: int, j: int):
     table, C(r+j+1, r), exceeds MAX_IMAGES."""
     images = comb(r + j + 1, r)
     if images > MAX_IMAGES:
-        raise DomainError("generator too large: C(r+j+1, r) = %d images, "
-                          "above the budget of %d" % (images, MAX_IMAGES))
+        raise DomainError("generator too large: C(r+j+1, r) = %s images, "
+                          "above the budget of %d"
+                          % (_numeral(images), MAX_IMAGES))
 
 
 def _shared(maxsize: int):
@@ -340,8 +341,8 @@ def natural(digits: str) -> int:
 def _monomial_text(names, m, power_bracket) -> str:
     """x^m in the variables names, factors joined by '*'; '' for m = 0."""
     return "*".join(
-        name if e == 1 else ("%s^[%d]" if power_bracket else "%s^%d")
-        % (name, e) for name, e in zip(names, m) if e)
+        name if e == 1 else ("%s^[%s]" if power_bracket else "%s^%s")
+        % (name, _numeral(e)) for name, e in zip(names, m) if e)
 
 
 def _fmt_term(names, coeff, m, power_bracket, one=1):

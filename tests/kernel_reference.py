@@ -11,14 +11,22 @@ products x^m * g were read top-down, every product built and fed to one
 plain Echelon.
 
 annihilator_full_reduction: Ann f as it was read before its rank spans
-grew by leading column, every shift reduced in full."""
+grew by leading column, every shift reduced in full.
+
+generator_degrees_by_lifts: the generator degrees of Q(a) as
+decomposition.component_generator_degrees read them before they were
+counted as one rank per degree: each reduced basis class lifted to a
+partial by solve_linear, and each contraction of a lift solved for its
+coordinates in the degree below."""
 
 from math import comb
 
 from macdual.apolarity import PartialFiltration, _shifted
 from macdual.fields import Field
+from macdual.errors import InternalCheckError
 from macdual.linalg import (Echelon, _div, orthogonal, primitive,
-                            reversed_columns)
+                            reversed_columns, rref_rows, solve_linear,
+                            vec_axpy)
 from macdual.poly import PSElement, mdeg
 
 
@@ -114,3 +122,62 @@ def annihilator_full_reduction(f):
             min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
             orders.append(mdeg(rmons[min(row)]))
     return rows, min_gens, orders
+
+
+def _reduced_classes(P, s: int, i: int) -> list[dict]:
+    """The reduced basis rows of L(s, i) whose pivots are not pivots of
+    L(s+1, i): the canonical basis of Q^v(a)_i, s = j-a-i."""
+    den_pivots = {min(r) for r in P.lt_rows(s + 1, i)}
+    return [r for r in rref_rows(P.ring.field, P.lt_rows(s, i))
+            if min(r) not in den_pivots]
+
+
+def generator_degrees_by_lifts(P, a: int) -> dict:
+    """{degree: count} of the minimal generators of Q(a): a class of
+    degree i is a socle class of the dual module when every x_k contracts
+    it into L(s+2, i-1); counted as the classes whose vector of
+    contraction coordinates is zero or depends on earlier classes'."""
+    j = P.j
+    field = P.ring.field
+    tables = P.ring.contraction_tables(j)
+    gendeg = {}
+    for i in range(j - a + 1):
+        s = j - a - i
+        classes = _reduced_classes(P, s, i)
+        if not classes:
+            continue
+        lt_full = P.lt_rows(s, i)
+        lev_rows = P.rows_of_degree(s, i)
+        lifts = []
+        for row in classes:
+            coeffs = solve_linear(field, lt_full, row)
+            if coeffs is None:
+                raise InternalCheckError("dual basis class failed to lift")
+            lift = {}
+            for c, lev in zip(coeffs, lev_rows):
+                vec_axpy(field, lift, c, lev)
+            lifts.append(lift)
+        tgt_rows = _reduced_classes(P, s + 1, i - 1)
+        tgt_den = P.lt_rows(s + 2, i - 1)
+        hidx = P.ring.monomial_index(i - 1)
+        ech = Echelon(field)
+        kdim = 0
+        for lift in lifts:
+            rowvec = {}
+            for v, tab in enumerate(tables):
+                w = {tab[c]: val for c, val in lift.items() if c in tab}
+                wlt = {hidx[P.dmons[c]]: val for c, val in w.items()
+                       if P.col_deg[c] == i - 1}
+                if not wlt:
+                    continue
+                coeffs = solve_linear(field, tgt_rows + tgt_den, wlt)
+                if coeffs is None:
+                    raise InternalCheckError("contraction left the module")
+                for t, c in enumerate(coeffs[:len(tgt_rows)]):
+                    if not field.is_zero(c):
+                        rowvec[v * len(tgt_rows) + t] = c
+            if not rowvec or not ech.insert(rowvec):
+                kdim += 1
+        if kdim:
+            gendeg[i] = kdim
+    return gendeg

@@ -107,6 +107,44 @@ def test_huge_coefficients_are_not_internal_errors(capsys, argv):
         assert HUGE in out.out
 
 
+# a generator whose exponent passes CPython's default int <-> str cap
+HUGE_POWER = "X^[%s]" % ("9" * 4400)
+# the flags each engine subcommand needs besides --vars and one generator
+ENGINE_FLAGS = {
+    "decompose": (), "hilbert": (), "annihilator": (), "exotic": (),
+    "normalize": (), "modcheck": ("--a", "1", HUGE_POWER),
+    "rcm": ("--a", "1"),
+    "extend": ("--h", "Y^[3]", "--zvars", "Z"), "consum-split": (),
+}
+
+
+def test_engine_flags_cover_every_engine_subcommand():
+    assert set(ENGINE_FLAGS) == {name for name, *_ in cli._SUBCOMMANDS} \
+        - {"fuzz", "verify"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int <-> str digit cap in this interpreter")
+@pytest.mark.parametrize("command", sorted(ENGINE_FLAGS))
+def test_huge_exponent_is_refused_under_the_digit_cap(capsys, command):
+    """An exponent of 4,400 digits, past CPython's default cap of 4,300 on
+    int <-> str conversion, which main leaves in force: every engine
+    subcommand refuses the generator as too large (exit 3, never 5) and
+    prints none of it; extend refuses it before it prints F."""
+    cap = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code = main([command, "--vars", "X,Y", *ENGINE_FLAGS[command],
+                     HUGE_POWER])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(cap)
+    out = capsys.readouterr()
+    assert code == 3, out.err
+    assert "generator too large" in out.err
+    assert "X^" not in out.out and "generator" not in out.out
+
+
 def test_modcheck_exit_codes(capsys):
     code, _ = run(capsys, "modcheck", "--vars", "X,Y", "--char", "0",
                   "--a", "2", "X^[4]+Y^[2]", "X^[4]+X^[2]*Y")

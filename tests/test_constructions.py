@@ -1,11 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from kernel_reference import kernel
 from macdual.apolarity import PartialFiltration, annihilator, hilbert_function
-from macdual.constructions import (ExtensionSpec, _graded_partial_spans,
-                                   _homogeneous_joint_kernel,
+from macdual.constructions import (ExtensionSpec, _homogeneous_joint_kernel,
                                    allowed_component_indices,
                                    ancestor_data, annihilator_order,
                                    connected_sum, connected_sum_hilbert,
@@ -158,6 +158,26 @@ def test_rcm_on_quartic_head():
     assert Dfull.components[3] == target == (0, 1, 0)
 
 
+def test_rcm_filters_its_generator_once(monkeypatch):
+    """The prefix H(0), H(1) of an a = 2 modification is read off one
+    PartialFiltration of f, not one per component."""
+    import macdual.apolarity as apolarity
+    R = RingSpec(("X", "Y", "Z", "W"), Field(0))
+    head = parse_poly("X^[5]+X*Y^[2]*Z", R)
+    PartialFiltration(parse_poly("X^[4]", R))   # f is not the one built last
+    built = []
+    init = apolarity.PartialFiltration.__init__
+
+    def counted(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(apolarity.PartialFiltration, "__init__", counted)
+    F, D = relatively_compressed_modification(head, 2, seed=5)
+    assert built.count(head) == 1 and built[0] == head
+    assert D.components[2] == (0, 1, 1, 0)
+
+
 def test_rcm_already_maximal_two_variables():
     R, g = mk("X,Y", "X^[7]+Y^[5]+(X+Y)^[5]")
     D = symmetric_decomposition(g)
@@ -228,6 +248,42 @@ def test_restricted_components_worked_example():
     assert data["B_pairs"][(2, 1)] == {2: 1, 3: 1}   # <Y Z2, Y^[2] Z2>
     assert data["B_pairs"][(1, 1)] == {}
     assert data["B_pairs"][(2, 2)] == {}
+
+
+# SHA-256 of repr((B, B_pairs, components)) of restricted_components over
+# the seeded extensions below, recorded before the joint spaces were built
+# once each, lazily: dimensions do not depend on the bases chosen, and
+# every count, its degree and its dict order must stay as they were
+RESTRICTED_PIN = \
+    "a64efdd74128af00a29c3e028f4f848b0d04a6be1a9306e4c164d003b9c2d5ef"
+
+
+def test_restricted_components_pinned_on_seeded_extensions():
+    """f + sum h_t Z_t, s = 1..3, over Q, F_2, F_3 and F_101 in two and
+    three variables: dense forms and sparse ones, f and the h_t alike."""
+    rng = random.Random(2900)
+    digest = hashlib.sha256()
+    checked = 0
+    for trial in range(120):
+        ring = RingSpec(("X", "Y", "Z")[:2 + trial // 4 % 2],
+                        Field((0, 2, 3, 101)[trial % 4]))
+        j = rng.randint(4, 6 if ring.r == 2 else 5)
+        ks = sorted((rng.randint(1, j - 2) for _ in range(rng.randint(1, 3))),
+                    reverse=True)
+        f = random_form(ring, j, rng, 5) if trial % 3 else \
+            random_poly(ring, j, rng).homogeneous_component(j)
+        hs = [random_form(ring, k, rng, 5) if trial % 2 else
+              random_poly(ring, k, rng, 2).homogeneous_component(k)
+              for k in ks]
+        if f.is_zero or any(h.is_zero for h in hs):
+            continue    # a lead coefficient that vanishes mod p
+        data = restricted_components(ExtensionSpec(
+            f, hs, tuple("Z%d" % (i + 1) for i in range(len(hs)))))
+        digest.update(repr((data["B"], data["B_pairs"],
+                            data["components"].components)).encode())
+        checked += 1
+    assert checked > 100
+    assert digest.hexdigest() == RESTRICTED_PIN
 
 
 def test_restricted_components_partial_summand_vanishes():
@@ -462,8 +518,9 @@ def joint_kernel_kernel_route(ring, e, f, hs_t2, hs_extra):
 @pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
 def test_joint_spaces_match_kernel_route(char):
     """The joint spaces restricted_components counts in, read as the
-    degree-e orthogonal of S^perp o f + sum (R o h)_e, span what the
-    kernel route spanned, for every (t2, extra, e)."""
+    degree-e orthogonal of S_{j-e}^perp o f + sum (R o h)_e from the
+    generators of S, span what the kernel route spanned, for every
+    (t2, extra, e)."""
     rng = random.Random(2330 + char)
     field = Field(char)
     cases = 0
@@ -476,13 +533,11 @@ def test_joint_spaces_match_kernel_route(char):
                       reverse=True)
         hs = [random_poly(ring, k, rng).homogeneous_component(k)
               for k in degs]
-        spans = [_graded_partial_spans(ring, hs[:t], j)
-                 for t in range(len(hs) + 1)]
         for t2 in range(len(hs) + 1):
             for extra in range(len(hs) + 1):
                 for e in range(1, j + 2):
-                    got = _homogeneous_joint_kernel(
-                        ring, e, f, spans[t2].get(j - e), hs[:extra])
+                    got = _homogeneous_joint_kernel(ring, e, f, hs[:t2],
+                                                    hs[:extra])
                     want = joint_kernel_kernel_route(ring, e, f, hs[:t2],
                                                      hs[:extra])
                     idx = ring.monomial_index(e)

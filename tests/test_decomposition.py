@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kernel_reference import kernel
+from kernel_reference import generator_degrees_by_lifts, kernel
 from macdual.apolarity import PartialFiltration
 from macdual.decomposition import (component_dims, component_dual_dims,
                                    component_generator_degrees,
@@ -164,6 +164,46 @@ def test_generator_degrees_cyclic():
     info = component_generator_degrees(dual_component_basis(P, 2))
     assert info["cyclic"]
     assert len(info["generator_degrees"]) == 1
+
+
+def layered_generator(ring, rng, j, linear_last):
+    """One or two terms of degree j and up to three in each degree 2..j-1,
+    so that components past H(0) appear; with linear_last the last
+    variable occurs at most linearly, as in an extension by it."""
+    coeffs = {}
+    for d in range(2, j + 1):
+        mons = [m for m in ring.monomials(d) if not linear_last or m[-1] <= 1]
+        for m in rng.sample(mons, min(rng.randint(*(1, 2) if d == j else
+                                                  (0, 3)), len(mons))):
+            coeffs[m] = ring.field.from_int(rng.randint(1, 9))
+    return DPPoly(ring, coeffs)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 101],
+                         ids=["Q", "F2", "F3", "F101"])
+def test_generator_degrees_match_the_lift_route(char):
+    """The generator degrees counted as one rank per degree are those the
+    lift-and-solve route (kernel_reference) reads, for every nonzero
+    component of seeded generators in r = 1..4 variables."""
+    rng = random.Random(2900 + char)
+    field = Field(char)
+    pairs, noncyclic = 0, 0
+    for trial in range(64):
+        r = trial % 4 + 1
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        f = layered_generator(ring, rng, rng.randint(3, (8, 7, 7, 6)[r - 1]),
+                              r > 1 and trial % 3 == 0)
+        if f.drop_constant().is_zero:
+            continue
+        P = PartialFiltration(f)
+        for a, row in enumerate(symmetric_decomposition(P).components):
+            if any(row):
+                info = component_generator_degrees(dual_component_basis(P, a))
+                assert info["generator_degrees"] == \
+                    generator_degrees_by_lifts(P, a), (str(f), a)
+                pairs += 1
+                noncyclic += not info["cyclic"]
+    assert pairs > 60 and noncyclic > 2
 
 
 def test_o_sequence():

@@ -110,6 +110,33 @@ def test_every_private_module_name_is_read():
     assert not unread, unread
 
 
+def test_every_plainly_assigned_local_is_read():
+    """A local bound by a plain assignment, `name = value` (annotated or
+    chained), is read somewhere in its function, nested functions
+    included.  Unpacked targets are left out, as are names the function
+    declares global or nonlocal: they bind another scope's name."""
+    unread = []
+    for name, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound, declared = set(), set()
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    declared.update(node.names)
+                elif isinstance(node, ast.Assign):
+                    bound.update(t.id for t in node.targets
+                                 if isinstance(t, ast.Name))
+                elif isinstance(node, ast.AnnAssign) and node.value and \
+                        isinstance(node.target, ast.Name):
+                    bound.add(node.target.id)
+            reads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            unread += ["%s: %s.%s" % (name, fn.name, b)
+                       for b in sorted(bound - reads - declared)]
+    assert not unread, unread
+
+
 def test_benchmark_layer_names_stay_in_their_modules():
     """Each per-layer metric `<module>.<name>.s` of BENCHMARK.json is named
     from the traced function's `__module__` and `__name__`, so the function

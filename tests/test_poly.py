@@ -768,6 +768,30 @@ def test_rendering_orders_terms_by_the_coordinate_keys(r):
     assert "a^2" in str(PSElement(ring, {(2,) + (0,) * (r - 1): 1}))
 
 
+def test_huge_exponents_render_and_are_refused_under_the_digit_cap():
+    """An exponent of 4,400 digits renders in full, and the filtration
+    refuses its generator with DomainError naming the image count in full,
+    with the default cap in force."""
+    import sys
+    from macdual.apolarity import PartialFiltration
+    cap = sys.get_int_max_str_digits()
+    ring = RingSpec(("X", "Y"), Field(0))
+    k = 10 ** 4400 - 1
+    try:
+        sys.set_int_max_str_digits(4300)
+        f = parse_poly("X^[%s]" % ("9" * 4400), ring)
+        got = [str(f), str(PSElement(ring, {(0, k): 1}, k + 1))]
+        with pytest.raises(DomainError) as err:
+            PartialFiltration(f)
+        sys.set_int_max_str_digits(0)
+        want = ["X^[%d]" % k, "y^%d" % k,
+                "= %d images" % ((k + 3) * (k + 2) // 2)]
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert got == want[:2]
+    assert want[2] in str(err.value)
+
+
 def test_rendering_ignores_the_int_str_digit_cap():
     """Coefficients past CPython's 4,300-digit cap on int -> str render in
     full with the default cap in force, outside the CLI: X^2000 over Q is

@@ -14,7 +14,7 @@ from macdual.normalform import AdaptedFrame, ExoticReport, SplitResult
 from macdual.poly import RingSpec
 
 RECORDS = (
-    (QDualModule, ("a", "dims", "bases", "_rows", "_filtration")),
+    (QDualModule, ("a", "dims", "bases", "_filtration")),
     (SymDecomp, ("socle_degree", "hilbert", "components", "n_seq", "bases")),
     (GradedIdealData, ("ring", "socle_degree", "dims", "spaces")),
     (AdaptedFrame, ("parameters", "levels", "n_seq", "change")),
@@ -41,8 +41,8 @@ def test_fields_by_position_and_keyword(cls, fields):
 
 def test_defaults_are_fresh_per_instance():
     for make, names, empty in (
-            (lambda: QDualModule(1, (0, 1)), ("bases", "_rows"), {}),
-            (lambda: QDualModule(a=1, dims=(0, 1)), ("bases", "_rows"), {}),
+            (lambda: QDualModule(1, (0, 1)), ("bases",), {}),
+            (lambda: QDualModule(a=1, dims=(0, 1)), ("bases",), {}),
             (lambda: ExoticReport((1,), [], [], []), ("exotic_adapted",), {}),
             (lambda: FuzzReport("unit", 3, 0), ("failures", "errors"), [])):
         one, two = make(), make()
