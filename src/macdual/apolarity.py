@@ -10,10 +10,11 @@ degree-descending, so a row's pivot sits on its leading monomial and
 
     P(s, t) = (m^s o f)_{<= t}
 
-is spanned by the rows of V_s whose pivot degree is at most t: every
-dimension in sight is a count of pivot degrees.  The Hilbert function is
-h_i = dim P(0,i) - dim P(0,i-1); Loewy series and the symmetric-decomposition
-quotients (macdual.decomposition) read off the same tables.
+is spanned by the rows tagged s or more whose pivot degree is at most t:
+every dimension in sight is read off count[t][d], the number of rows with
+tag t and pivot degree d.  Such a row is one dimension of Q^v(j-t-d)_d
+(macdual.decomposition), h_d sums count[t][d] over t, and the Loewy
+series of (0 : m^b) counts, per tag, the rows of pivot degree below b.
 
 On a dense f most images already lie in the span when they are fed.  An
 image x^beta o f lies in D_{<= j-|beta|}, a suffix of the degree-descending
@@ -22,10 +23,10 @@ columns, so once every column from its first column on is a pivot
 zero reduction stores nothing, so the rows and their tags stay the same.
 
 The annihilator I = Ann f modulo m^{j+2} (exact for minimal generators, as
-m^{j+1} lies in I, hence m^{j+2} in mI) is read off level 0 by duality: it
+m^{j+1} lies in I, hence m^{j+2} in mI) is read off the rows by duality: it
 is the orthogonal of R o f under <x^a, X^[b]> = delta_ab (Macaulay's
 inverse system; Iarrobino's Memoir, AMS 514, 1994), so no second
-elimination is run.  Each row of level 0 is relabelled once, from D's
+elimination is run.  Each row of R o f is relabelled once, from D's
 columns straight into the reversed R columns that linalg.orthogonal
 reads.  filtration(f) returns the PartialFiltration built
 last again for an equal generator, so a caller that filters f and then
@@ -49,7 +50,7 @@ phi o f = 0.
 
 A listed presentation is checked against f itself; no Ann f is computed.
 Containment comes first: a generator g lies in Ann f iff g o f = 0, that
-is iff g pairs to zero with R o f (level 0 of the filtration), and a
+is iff g pairs to zero with R o f (every row of the filtration), and a
 homogeneous g of degree d lies in the associated graded ideal I* iff it
 pairs to zero with the leading-form space L(0, d), because I*_d is the
 orthogonal of L(0, d) under contraction (Iarrobino's Memoir; this is where
@@ -70,7 +71,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 from math import comb
-from operator import sub
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -109,12 +109,11 @@ def _images_descending(f: DPPoly, top: int):
 
 
 class Level(NamedTuple):
-    """A basis of V_s: rows over dmon_index(j) in pivot order, the degree of
-    each row's pivot, and cum[t+1] = dim P(s, t)."""
+    """A basis of V_s: the rows tagged s or more, in pivot order, and the
+    degree of each row's pivot."""
 
     rows: list
     degs: list
-    cum: list
 
     @property
     def dim(self) -> int:
@@ -127,12 +126,14 @@ _last = None    # the PartialFiltration built last; see filtration()
 class PartialFiltration:
     """All spaces P(s,t) = (m^s o f)_{<= t} for one dual generator f.
 
-    level(s) is the basis of V_s from the tagged pass, s = 0..j+1 (the last
-    is empty); a negative s means 0 in every query.  The constant term of f
-    is discarded at intake; a zero generator, or one whose image table
-    exceeds poly.MAX_IMAGES, is rejected before any index is built.  Immutable
-    after construction; every query is read-only, so filtration() may hand
-    the same instance to every caller.
+    rows holds the echelon rows in pivot order, degs and tags their pivot
+    degrees and tags, count[t][d] the number of rows with tag t and pivot
+    degree d.  level(s) is a view of the rows tagged s or more, s = 0..j+1
+    (the last is empty); a negative s means 0 in every query.  The constant
+    term of f is discarded at intake; a zero generator, or one whose image
+    table exceeds poly.MAX_IMAGES, is rejected before any index is built.
+    Immutable after construction; every query is read-only, so filtration()
+    may hand the same instance to every caller.
     """
 
     def __init__(self, f: DPPoly):
@@ -143,8 +144,8 @@ class PartialFiltration:
         check_image_budget(f.ring.r, f.degree)
         self.f = f
         self.ring = f.ring
-        self.j = f.degree
-        self.dindex = f.ring.dmon_index(self.j)
+        self.j = j = f.degree
+        self.dindex = f.ring.dmon_index(j)
         self.dmons = list(self.dindex)
         self.col_deg = [mdeg(m) for m in self.dmons]
         ech = Echelon(f.ring.field)
@@ -153,21 +154,18 @@ class PartialFiltration:
         # the images of degree j+1 are zero: level j+1 comes out empty; an
         # image whose columns from its first on are all pivots already lies
         # in the span
-        for beta, img in _images_descending(f, self.j):
+        for beta, img in _images_descending(f, j):
             if not img or ech.covers(min(img), n):
                 continue
             row = ech.insert(img)
             if row is not None:
                 tag[min(row)] = mdeg(beta)
-        self._levels: list[Level] = []
-        for s in range(self.j + 2):
-            kept = [k for k, p in enumerate(ech.pivots) if tag[p] >= s]
-            degs = [self.col_deg[ech.pivots[k]] for k in kept]
-            count = [0] * (self.j + 2)
-            for d in degs:
-                count[d + 1] += 1
-            self._levels.append(Level([ech.rows[k] for k in kept], degs,
-                                      list(accumulate(count))))
+        self.rows = ech.rows
+        self.degs = [self.col_deg[p] for p in ech.pivots]
+        self.tags = [tag[p] for p in ech.pivots]
+        self.count = [[0] * (j + 1) for _ in range(j + 1)]
+        for t, d in zip(self.tags, self.degs):
+            self.count[t][d] += 1
         self._lt_cache: dict = {}
         _last = self
 
@@ -175,36 +173,31 @@ class PartialFiltration:
 
     def level(self, s: int) -> Level | None:
         """The basis of V_s, or None past the last level."""
-        s = max(s, 0)
-        return self._levels[s] if s < len(self._levels) else None
+        if s > self.j + 1:
+            return None
+        keep = [k for k, t in enumerate(self.tags) if t >= s]
+        return Level([self.rows[k] for k in keep],
+                     [self.degs[k] for k in keep])
 
     def dim_partials(self, s: int, t: int) -> int:
         """dim P(s,t)."""
-        lev = self.level(s)
-        if lev is None or t < 0:
-            return 0
-        return lev.cum[min(t, self.j) + 1]
+        return sum(sum(row[:max(t + 1, 0)]) for row in self.count[max(s, 0):])
 
     def lt_count(self, s: int, d: int) -> int:
         """dim of the degree-d leading-term space of m^s o f."""
-        lev = self.level(s)
-        if lev is None or d < 0 or d > self.j:
+        if d < 0 or d > self.j:
             return 0
-        return lev.cum[d + 1] - lev.cum[d]
+        return sum(row[d] for row in self.count[max(s, 0):])
 
     def rows_upto(self, s: int, t: int) -> list[dict]:
         """Echelon rows spanning P(s,t)."""
-        lev = self.level(s)
-        if lev is None:
-            return []
-        return [row for row, d in zip(lev.rows, lev.degs) if d <= t]
+        return [row for row, d, g in zip(self.rows, self.degs, self.tags)
+                if g >= s and d <= t]
 
     def rows_of_degree(self, s: int, d: int) -> list[dict]:
         """The rows of level(s) whose pivot degree is d."""
-        lev = self.level(s)
-        if lev is None:
-            return []
-        return [row for row, pd in zip(lev.rows, lev.degs) if pd == d]
+        return [row for row, pd, g in zip(self.rows, self.degs, self.tags)
+                if g >= s and pd == d]
 
     def lt_rows(self, s: int, d: int) -> list[dict]:
         """Degree-d components of rows_of_degree(s, d), re-indexed over the
@@ -221,16 +214,15 @@ class PartialFiltration:
     # -- classical invariants ------------------------------------------------------
 
     def hilbert(self) -> tuple:
-        """H(A) for A = R/Ann f."""
-        return tuple(self.lt_count(0, i) for i in range(self.j + 1))
+        """H(A) for A = R/Ann f: the column sums of count."""
+        return tuple(map(sum, zip(*self.count)))
 
     def loewy_hilbert(self, b: int) -> tuple:
-        """Hilbert function of the ideal (0 : m^b) of A in the m-adic grading."""
+        """Hilbert function of the ideal (0 : m^b) of A in the m-adic grading:
+        entry s counts the rows tagged s with pivot degree below b."""
         if b < 0 or b > self.j + 1:
             raise DomainError("Loewy index out of range")
-        # dim P(s, b-1) for s = 0..j+1: cum[b] of each level (0 when b = 0)
-        dims = [lev.cum[b] for lev in self._levels]
-        return tuple(map(sub, dims, dims[1:]))
+        return tuple(sum(row[:b]) for row in self.count)
 
 
 def filtration(f: DPPoly | PartialFiltration) -> PartialFiltration:
@@ -360,12 +352,12 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     rmons = list(rindex)
     n = len(rmons)
     # I is the orthogonal of R o f, x^beta paired with X^[beta]: each row of
-    # level 0 is relabelled once, from D's columns straight into the
+    # P.rows is relabelled once, from D's columns straight into the
     # reversed R columns orthogonal reads, last row first (the sparsest rows
     # of each pivot degree lead there, and the others reduce by them)
     col = [n - 1 - rindex[m] for m in P.dmons]
     rows = orthogonal(field, [{col[c]: v for c, v in row.items()}
-                              for row in reversed(P.level(0).rows)], n)
+                              for row in reversed(P.rows)], n)
     # m*I in the coordinates of I: a vector of I is the combination of the
     # rows given by its pivot entries, so x_i * row is kept on pivot columns
     # only, each relabelled by its row number.  Only the span of m*I is
@@ -500,17 +492,17 @@ def verify_ideal_presentation(gens: list[PSElement],
     if any(g.order == 0 for g in gens):
         return False  # unit ideal never equals a proper annihilator
     P = filtration(f)
-    # g o f = 0 iff g pairs to zero with R o f, which level 0 spans: the
+    # g o f = 0 iff g pairs to zero with R o f, which P.rows span: the
     # coefficient of X^[beta] in g o f is <g, x^beta o f>
     dindex = P.dindex
     if not _pair_to_zero(ring.field, [{dindex[m]: c for m, c in
                                        g.coeffs.items() if m in dindex}
-                                      for g in gens], P.level(0).rows):
+                                      for g in gens], P.rows):
         return False
-    top = P.j + 1
     return _products_reach(
-        ring, [g for g in gens if not g.is_zero and g.order <= top],
-        [ring.dim_of_degree(d) - P.lt_count(0, d) for d in range(top + 1)])
+        ring, [g for g in gens if not g.is_zero and g.order <= P.j + 1],
+        [ring.dim_of_degree(d) - h
+         for d, h in enumerate(P.hilbert() + (0,))])
 
 
 def verify_graded_presentation(gens: list[PSElement],
@@ -520,13 +512,14 @@ def verify_graded_presentation(gens: list[PSElement],
     orthogonal of L(0, d), of dimension r_d - h_d.  f is the dual generator
     or its PartialFiltration."""
     P = filtration(f)
-    ring, top = P.ring, P.j + 1
+    ring = P.ring
     # contraction pairs x^a with X^[a] alone, so a generator and the rows
     # of L(0, d) are read in the same index, monomial_index(d)
     return _verify_graded(
         gens, ring, lambda d, vs: _pair_to_zero(ring.field, vs,
                                                 P.lt_rows(0, d)),
-        [ring.dim_of_degree(d) - P.lt_count(0, d) for d in range(top + 1)])
+        [ring.dim_of_degree(d) - h
+         for d, h in enumerate(P.hilbert() + (0,))])
 
 
 def _verify_graded(gens: list[PSElement], ring, lies_in,

@@ -87,7 +87,7 @@ def is_a_modification(f: DPPoly, g: DPPoly, a: int) -> bool:
 
     def truncated_rows(P):
         return ({c: x for c, x in row.items() if P.col_deg[c] > cut}
-                for row in P.level(0).rows)
+                for row in P.rows)
 
     return same_span(f.ring.field, truncated_rows(Pf), truncated_rows(Pg))
 
@@ -335,10 +335,13 @@ def restricted_components(spec: ExtensionSpec) -> dict:
                 e = 2 * j - u - d - kt2 - 1
                 if e < 1 or e > j + 1:
                     continue
-                # quotient out the lower step C(t2-1, t1-1), which holds
-                # the plain annihilator images C(0, t1-1), before counting
-                for vec in joint(t2 - 1, t1 - 1, e):
-                    ech.insert(vec)
+                # joint(t2-1, t1-1, e) lies in the span already: for its
+                # phi = theta - sum_{i<t2} z_i eta_i, phi o F has degree <=
+                # k_t1 - e + 1 = d, theta order e = sord + j - k_t2 - 1 >
+                # sord and z_i eta_i order sord + k_i - k_t2.  If t2 = 1 or
+                # k_{t2-1} > k_t2 (degrees fall weakly), phi o F lies in
+                # P(sord+1, d), in the seed; else the pair (t1, t2-1), of
+                # the same u and e, ran just before and inserted all of it.
                 got = sum(ech.insert(vec) is not None
                           for vec in joint(t2, t1 - 1, e))
                 if got:

@@ -6,7 +6,7 @@ avatar inside D is computed from the partial filtration:
 
     Q^v(a)_i  =  P(j-a-i, i) / [ P(j-a-i, i-1) + P(j+1-a-i, i) ],
 
-which collapses to a difference of leading-term counts, while the m-adic
+of dimension count[j-a-i][i] (macdual.apolarity), while the m-adic
 ("primal") side
 
     Q(a)_i    =  P(i, j-a-i) / [ P(i, j-a-1-i) + P(i+1, j-a-i) ]
@@ -37,14 +37,14 @@ from .poly import DPPoly, PSElement, RingSpec
 
 def component_dual_dims(P, a: int) -> tuple:
     """H(a) read off the dual side: entry i is
-    dim P(j-a-i, i) - dim [P(j-a-i, i-1) + P(j+1-a-i, i)], which telescopes
-    to a difference of leading-term counts."""
+    dim P(j-a-i, i) - dim [P(j-a-i, i-1) + P(j+1-a-i, i)], the number
+    count[j-a-i][i] of rows tagged j-a-i of pivot degree i: the other rows
+    of the numerator's basis span the denominator."""
     P = filtration(P)
     j = P.j
     if a < 0 or a > j - 1:
         raise DomainError("component index a out of range")
-    return tuple(P.lt_count(j - a - i, i) - P.lt_count(j - a - i + 1, i)
-                 for i in range(j - a + 1))
+    return tuple(P.count[j - a - i][i] for i in range(j - a + 1))
 
 
 def component_dims(P, a: int) -> tuple:
@@ -202,7 +202,7 @@ def _check_decomposition(j, H, comps):
     for a, row in enumerate(comps):
         if len(row) != j - a + 1:
             raise InternalCheckError("component H(%d) has wrong length" % a)
-        if any(v < 0 or v != row[j - a - i] for i, v in enumerate(row)):
+        if row != row[::-1] or min(row) < 0:
             raise InternalCheckError("component H(%d) is not symmetric" % a)
     if tuple(component_sum(comps, j)) != tuple(H):
         raise InternalCheckError("components do not sum to the Hilbert function")
@@ -352,8 +352,8 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
 
         C(a)_i = L(j-a+1-i, i)^perp  in R_i,
 
-    so dim C(a)_i = r_i - sum_{u<a} H(u)_i, the component_dual_dims sum
-    telescoping to the count of L(j-a+1-i, i).
+    so dim C(a)_i = r_i - sum_{u<a} H(u)_i, as H(j-t-i)_i = count[t][i]
+    counts the rows of L's basis tagged t, for each t >= j-a+1-i.
     """
     P = filtration(f)
     j, ring = P.j, P.ring

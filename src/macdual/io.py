@@ -174,6 +174,7 @@ class _Parser:
             if inner.is_zero or not (inner.is_homogeneous() and inner.degree == 1):
                 raise ParseError("base of ^[k] must be a homogeneous linear form",
                                  self.ts.src, off)
+            check_image_budget(self.ring.r, k)
             return dp_power_of_linear(inner, k)
         raise ParseError("expected a factor", self.ts.src, off)
 
@@ -205,11 +206,12 @@ class _Parser:
 def parse_poly(src: str, ring: RingSpec) -> DPPoly:
     """Parse a divided-power polynomial over the ring's dual variables.
 
-    An ordinary power X^k, k! X^[k], whose degree alone needs an image
-    table past poly.MAX_IMAGES is refused with DomainError as soon as it
-    is read, before k! is computed, even in a term that would cancel; in
-    characteristic p, X^k with k >= p is zero and never refused, and X^[k]
-    is read at any degree."""
+    An ordinary power X^k = k! X^[k], or a power (L)^[k] of a linear form,
+    whose degree alone needs an image table past poly.MAX_IMAGES is refused
+    with DomainError as soon as it is read, before k! or a term of L^[k] is
+    computed, even in a term that would cancel; in characteristic p, X^k
+    with k >= p is zero and never refused, and X^[k] is read at any
+    degree."""
     return _Parser(src, ring, divided=True).parse()
 
 

@@ -943,13 +943,13 @@ def typed(x):
 
 
 def covered_skip_outputs(f, graded):
-    """What the skipped reductions could change: every level of the
-    filtration, Ann f with its minimal generators, and both verifiers'
-    answers on true and cut-short generator lists."""
+    """What the skipped reductions could change: the filtration's rows
+    with their tags, pivot degrees and count table, Ann f with its minimal
+    generators, and both verifiers' answers on true and cut-short
+    generator lists."""
     P = PartialFiltration(f)
     I = annihilator(P)
-    levels = [(lev.rows, lev.degs, lev.cum)
-              for lev in map(P.level, range(P.j + 2))]
+    levels = (P.rows, P.tags, P.degs, P.count)
     answers = ([verify_ideal_presentation(I.min_gens[k:], P) for k in (0, 1)]
                + [verify_graded_presentation(graded[:len(graded) - k], P)
                   for k in (0, 1)])
@@ -1303,6 +1303,11 @@ def test_filtration_matches_level_by_level(char):
         levels = levels_one_by_one(f)
         col_deg = P.col_deg
         assert P.level(len(levels)) is None
+        # count[t][d]: the pivot degrees d of level t less those of t+1
+        for t in range(P.j + 1):
+            ref = Counter(col_deg[p] for p in levels[t].pivots)
+            ref.subtract(col_deg[p] for p in levels[t + 1].pivots)
+            assert P.count[t] == [ref[d] for d in range(P.j + 1)]
         for s in range(-1, len(levels) + 1):
             ref = levels[max(s, 0)] if max(s, 0) < len(levels) else None
             lev = P.level(s)

@@ -77,6 +77,19 @@ def test_oversized_ordinary_power_exits_3_before_its_factorial(capsys,
     assert code == 3 and out.out == "" and "too large" in out.err
 
 
+def test_oversized_linear_power_exits_3_before_it_is_built(capsys,
+                                                         monkeypatch):
+    """(L)^[k] past the image budget is refused as X^k is, before any term
+    of L^[k] is built, even where the term cancels."""
+    import macdual.io as io_mod
+    monkeypatch.setattr(io_mod, "dp_power_of_linear",
+                        lambda L, k: pytest.fail("built L^[%d]" % k))
+    for gen in ("(X+2*Y)^[20000]", "(X+2*Y)^[20000]-(X+2*Y)^[20000]+Y"):
+        code = main(["hilbert", "--vars", "X,Y", "--char", "0", gen])
+        out = capsys.readouterr()
+        assert code == 3 and out.out == "" and "too large" in out.err
+
+
 # a numeral past CPython's default cap of 4,300 digits on int <-> str
 HUGE = "7" * 4400
 

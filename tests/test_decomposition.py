@@ -597,3 +597,20 @@ def test_o_sequence_test_runs_once_per_nonzero_component(monkeypatch):
     with pytest.raises(InternalCheckError, match="through a=1"):
         decomposition._check_decomposition(
             3, (1, 0, 1, 0), ((0, 0, 0, 0), (1, 0, 1), (0, 0)))
+
+
+def test_decomposition_reads_the_count_table_alone(monkeypatch):
+    """Every H(a)_i of X^[300] is one entry of P.count; no leading-term
+    count and no level view is taken.  Each component of X^[j] is zero but
+    H(0) = (1, ..., 1)."""
+    def refused(*args):
+        pytest.fail("symmetric_decomposition read a level or lt_count")
+
+    f = parse_poly("X^[300]", RingSpec(("X",), Field(0)))
+    P = PartialFiltration(f)
+    monkeypatch.setattr(PartialFiltration, "lt_count", refused)
+    monkeypatch.setattr(PartialFiltration, "level", refused)
+    D = symmetric_decomposition(P)
+    assert D.hilbert == (1,) * 301
+    assert D.components[0] == (1,) * 301
+    assert not any(map(any, D.components[1:]))

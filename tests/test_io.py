@@ -55,8 +55,9 @@ def test_ordinary_power_past_the_budget_computes_no_factorial(monkeypatch,
     """X^k whose degree alone puts C(r+k+1, r) past poly.MAX_IMAGES is
     refused as the PartialFiltration refuses it, before k! is computed, also
     in a term that cancels; X^[k] of the same degree still parses; at the
-    budget, k! is computed and the power parses."""
-    seen = []
+    budget, k! is computed and the power parses.  A linear-form power
+    (L)^[k] is refused at the same degree before L^[k] is built."""
+    seen, built = [], []
 
     def recorded(k):
         if k > 81:
@@ -65,6 +66,8 @@ def test_ordinary_power_past_the_budget_computes_no_factorial(monkeypatch,
         return factorial(k)
 
     monkeypatch.setattr(io_mod, "factorial", recorded)
+    monkeypatch.setattr(io_mod, "dp_power_of_linear", lambda L, k:
+                        built.append(k) or dp_power_of_linear(L, k))
     with pytest.raises(DomainError, match="too large: C\\(r\\+j\\+1, r\\) = "
                        "100002 images, above the budget of 100000"):
         parse_poly("X^100000", R("X", char))
@@ -78,6 +81,12 @@ def test_ordinary_power_past_the_budget_computes_no_factorial(monkeypatch,
     assert parse_poly("X^81+Y", R("XYZ", char)) == \
         parse_poly("%d*X^[81]+Y" % factorial(81), R("XYZ", char))
     assert seen == [81]
+    with pytest.raises(DomainError, match="too large"):
+        parse_poly("(X+Y)^[82]-(X+Y)^[82]+Z", R("XYZ", char))
+    assert built == []
+    assert parse_poly("(X+Y)^[81]", R("XYZ", char)) == \
+        dp_power_of_linear(parse_poly("X+Y", R("XYZ", char)), 81)
+    assert built == [81]
 
 
 def test_parse_ps_side():
