@@ -12,9 +12,10 @@ degree-descending, so a row's pivot sits on its leading monomial and
 
 is spanned by the rows tagged s or more whose pivot degree is at most t:
 every dimension in sight is read off count[t][d], the number of rows with
-tag t and pivot degree d.  Such a row is one dimension of Q^v(j-t-d)_d
-(macdual.decomposition), h_d sums count[t][d] over t, and the Loewy
-series of (0 : m^b) counts, per tag, the rows of pivot degree below b.
+tag t and pivot degree d, kept only where it is nonzero.  Such a row is
+one dimension of Q^v(j-t-d)_d (macdual.decomposition), h_d sums
+count[t][d] over t, and the Loewy series of (0 : m^b) counts, per tag,
+the rows of pivot degree below b.
 
 On a dense f most images already lie in the span when they are fed.  An
 image x^beta o f lies in D_{<= j-|beta|}, a suffix of the degree-descending
@@ -28,53 +29,59 @@ is the orthogonal of R o f under <x^a, X^[b]> = delta_ab (Macaulay's
 inverse system; Iarrobino's Memoir, AMS 514, 1994), so no second
 elimination is run.  Each row of R o f is relabelled once, from D's
 columns straight into the reversed R columns that linalg.orthogonal
-reads.  filtration(f) returns the PartialFiltration built
-last again for an equal generator, so a caller that filters f and then
-asks for Ann f, or checks a presentation of it, filters f once.  For a sparse f
+reads.  filtration(f) returns the PartialFiltration built last again for
+an equal generator, and annihilator keeps the LocalIdeal it builds on
+that filtration, so a caller that filters f, asks for Ann f and checks a
+presentation of it filters f once and reads Ann f once.  For a sparse f
 most of Ann f is monomial (x^beta o f = 0 whenever x^beta divides no term
 of f), and every shift of a monomial row is a unit vector.  The spans that
-are only read for a rank (m*I, the presentation products) therefore take
-unit vectors as coordinates U and project every other vector off U into
-one echelon (_Span): the span is the direct sum <e_U> + span(echelon), so
-every answer is exact.  The echelon grows by leading column
-(Echelon.grow): a vector is reduced only until its first column is not a
-pivot, and stored as it stands, as only the rank is read ("top reduction",
-Becker-Weispfenning, Groebner Bases, 1993).  A _Span skips, unreduced, a
-vector whose columns from its first column on are all units or pivots: it
-already lies in the span.  m*I is fed last row first, so its high columns
-fill first and most of its shifts are skipped; graded-lex is
-multiplicative, so the first coordinate of x_i * row is the row of x_i *
-pivot, and a shift whose first coordinate is covered is not even built.
-Membership in Ann f needs no span at all: LocalIdeal.contains tests
-phi o f = 0.
+are only read for a rank (m*I, and the rank tests of the presentation
+checks) therefore take unit vectors as coordinates U and project every
+other vector off U into one echelon (_Span): the span is the direct sum
+<e_U> + span(echelon), so every answer is exact.  The echelon grows by
+leading column (Echelon.grow): a vector is reduced only until its first
+column is not a pivot, and stored as it stands, as only the rank is read
+("top reduction", Becker-Weispfenning, Groebner Bases, 1993).  A _Span
+skips, unreduced, a vector whose columns from its first column on are all
+units or pivots: it already lies in the span.  m*I is fed last row first,
+so its high columns fill first and most of its shifts are skipped;
+graded-lex is multiplicative, so the first coordinate of x_i * row is the
+row of x_i * pivot, and a shift whose first coordinate is covered is not
+even built.  Membership in Ann f needs no span at all:
+LocalIdeal.contains tests phi o f = 0.
 
-A listed presentation is checked against f itself; no Ann f is computed.
-Containment comes first: a generator g lies in Ann f iff g o f = 0, that
-is iff g pairs to zero with R o f (every row of the filtration), and a
-homogeneous g of degree d lies in the associated graded ideal I* iff it
-pairs to zero with the leading-form space L(0, d), because I*_d is the
-orthogonal of L(0, d) under contraction (Iarrobino's Memoir; this is where
-H(A*) = H(A) comes from).  Equality then follows from dimension alone: the
-products x^m * g, a subspace of Ann f modulo m^{j+2}, are all of it once
-their rank reaches dim R_{<j+2} - dim A, and those of degree d are all of
-I*_d once it reaches r_d - h_d.  The Hilbert function also gives the
-elements of order d or more, sum_{e >= d} (r_e - h_e) dimensions in Ann f
-and in I* alike, so _products_reach reads the products by the degree of
-their first column, highest first, and builds none of those left in a
-degree once the span holds that much of order d: they already lie in it.
-A product of one term, every product of a monomial generator among them,
-is a unit vector and is never built either.
+A listed presentation is checked in two steps.  Containment comes first,
+against f itself: a generator g lies in Ann f iff g o f = 0, that is iff g
+pairs to zero with R o f (every row of the filtration), and a homogeneous
+g of degree d lies in the associated graded ideal I* iff it pairs to zero
+with the leading-form space L(0, d), because I*_d is the orthogonal of
+L(0, d) under contraction (Iarrobino's Memoir; this is where H(A*) = H(A)
+comes from).  Equality is then Nakayama's lemma (Atiyah-Macdonald,
+Introduction to Commutative Algebra, Cor. 2.7): R/m^{j+2} is local and
+m^{j+2} lies in mI, so J = (gens), known to lie in I, is I modulo m^{j+2}
+iff the gens span I/mI.  That is a rank test in the coordinates of I: the
+m*I span plus the gens' coordinate vectors reaches dim I.  Its size is the
+number of minimal generators, and a list that is not a presentation fails
+as fast as a true one passes.  The graded form of the lemma works degree by
+degree: J_d = I*_d for every d iff I*_d = R_1 I*_{d-1} + span(gens of
+degree d) for every d, each I*_{d-1} given by its canonical basis (the
+orthogonal of L(0, d-1)), not by the previous degree's span, whose rows
+grow long over Q.  Reading Ann f is the cheaper route here: an equal-span
+test against its rows costs more than ranking every product x^m * g, but
+the rank test in I/mI is as small as the minimal generators, and the
+product rank cannot stop early on a list that falls short.  After
+annihilator the check runs no second orthogonal, as annihilator keeps I
+on the filtration; dim I is checked against sum_d (r_d - h_d), read off
+the count table, not off I's rows.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate
-from math import comb
 from typing import NamedTuple
 
-from .errors import DomainError
-from .linalg import Echelon, orthogonal, primitive
+from .errors import DomainError, InternalCheckError
+from .linalg import Echelon, orthogonal, primitive, reversed_columns
 from .poly import (DPPoly, PSElement, check_image_budget, contract,
                    mdeg)
 
@@ -127,13 +134,16 @@ class PartialFiltration:
     """All spaces P(s,t) = (m^s o f)_{<= t} for one dual generator f.
 
     rows holds the echelon rows in pivot order, degs and tags their pivot
-    degrees and tags, count[t][d] the number of rows with tag t and pivot
-    degree d.  level(s) is a view of the rows tagged s or more, s = 0..j+1
-    (the last is empty); a negative s means 0 in every query.  The constant
-    term of f is discarded at intake; a zero generator, or one whose image
-    table exceeds poly.MAX_IMAGES, is rejected before any index is built.
-    Immutable after construction; every query is read-only, so filtration()
-    may hand the same instance to every caller.
+    degrees and tags, count[t] maps each pivot degree d of the rows tagged
+    t to their number, nonzero entries only (a row of tag t has t + d <=
+    j, so a dense table would be mostly zeros).  level(s) is a view of the
+    rows tagged s or more, s = 0..j+1 (the last is empty); a negative s
+    means 0 in every query.  The constant term of f is discarded at intake;
+    a zero generator, or one whose image table exceeds poly.MAX_IMAGES, is
+    rejected before any index is built.  Immutable after construction, but
+    for ideal, which annihilator fills once with the LocalIdeal of f; every
+    query is read-only, so filtration() may hand the same instance to every
+    caller, and annihilator the same LocalIdeal.
     """
 
     def __init__(self, f: DPPoly):
@@ -163,10 +173,12 @@ class PartialFiltration:
         self.rows = ech.rows
         self.degs = [self.col_deg[p] for p in ech.pivots]
         self.tags = [tag[p] for p in ech.pivots]
-        self.count = [[0] * (j + 1) for _ in range(j + 1)]
+        self.count = [{} for _ in range(j + 1)]
         for t, d in zip(self.tags, self.degs):
-            self.count[t][d] += 1
+            row = self.count[t]
+            row[d] = row.get(d, 0) + 1
         self._lt_cache: dict = {}
+        self.ideal = None
         _last = self
 
     # -- dimension queries ------------------------------------------------------
@@ -181,13 +193,8 @@ class PartialFiltration:
 
     def dim_partials(self, s: int, t: int) -> int:
         """dim P(s,t)."""
-        return sum(sum(row[:max(t + 1, 0)]) for row in self.count[max(s, 0):])
-
-    def lt_count(self, s: int, d: int) -> int:
-        """dim of the degree-d leading-term space of m^s o f."""
-        if d < 0 or d > self.j:
-            return 0
-        return sum(row[d] for row in self.count[max(s, 0):])
+        return sum(k for row in self.count[max(s, 0):]
+                   for d, k in row.items() if d <= t)
 
     def rows_upto(self, s: int, t: int) -> list[dict]:
         """Echelon rows spanning P(s,t)."""
@@ -215,14 +222,19 @@ class PartialFiltration:
 
     def hilbert(self) -> tuple:
         """H(A) for A = R/Ann f: the column sums of count."""
-        return tuple(map(sum, zip(*self.count)))
+        h = [0] * (self.j + 1)
+        for row in self.count:
+            for d, k in row.items():
+                h[d] += k
+        return tuple(h)
 
     def loewy_hilbert(self, b: int) -> tuple:
         """Hilbert function of the ideal (0 : m^b) of A in the m-adic grading:
         entry s counts the rows tagged s with pivot degree below b."""
         if b < 0 or b > self.j + 1:
             raise DomainError("Loewy index out of range")
-        return tuple(sum(row[:b]) for row in self.count)
+        return tuple(sum(k for d, k in row.items() if d < b)
+                     for row in self.count)
 
 
 def filtration(f: DPPoly | PartialFiltration) -> PartialFiltration:
@@ -341,33 +353,20 @@ class LocalIdeal:
         return contract(phi, self.f).is_zero
 
 
-def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
-    """Kernel of contraction against f, with minimal generators I/mI; f is
-    the dual generator or its PartialFiltration."""
-    P = filtration(f)
-    ring = P.ring
+def _mi_span(ring, rows: list, j: int) -> _Span:
+    """The span of m*I in the coordinates of I, I spanned by rows, the
+    reduced pivot-one rows of an ideal of R_{<j+2}: a vector of I is the
+    combination of the rows given by its pivot entries, so x_i * row is
+    kept on pivot columns only, each relabelled by its row number.  Only
+    the span of m*I is read.  Every shift of a monomial row is a unit
+    vector, a coordinate of the _Span, all taken in one update while its
+    echelon is empty; the shifts of the other rows are projected off
+    those, last row first (sparse high-order rows, less fill-in), over Q
+    each row scaled once to a primitive integer row.  The first coordinate
+    of x_i * row is var_shift[i][lead], x_i * lead being its leading
+    monomial when that has degree j+1 or less; a shift covered there is
+    not built."""
     field = ring.field
-    j = P.j
-    rindex = ring.rmon_index(j + 1)
-    rmons = list(rindex)
-    n = len(rmons)
-    # I is the orthogonal of R o f, x^beta paired with X^[beta]: each row of
-    # P.rows is relabelled once, from D's columns straight into the
-    # reversed R columns orthogonal reads, last row first (the sparsest rows
-    # of each pivot degree lead there, and the others reduce by them)
-    col = [n - 1 - rindex[m] for m in P.dmons]
-    rows = orthogonal(field, [{col[c]: v for c, v in row.items()}
-                              for row in reversed(P.rows)], n)
-    # m*I in the coordinates of I: a vector of I is the combination of the
-    # rows given by its pivot entries, so x_i * row is kept on pivot columns
-    # only, each relabelled by its row number.  Only the span of m*I is
-    # read.  Every shift of a monomial row is a unit vector, a coordinate of
-    # the _Span, all taken in one update while its echelon is empty; the
-    # shifts of the other rows are projected off those, last row first
-    # (sparse high-order rows, less fill-in), over Q each row scaled once
-    # to a primitive integer row.  The first coordinate of x_i * row is
-    # var_shift[i][lead], x_i * lead being its leading monomial when that
-    # has degree j+1 or less; a shift covered there is not built.
     row_of = {min(row): k for k, row in enumerate(rows)}
     var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
                  for tab in ring.multiplication_tables(j + 1)]
@@ -387,6 +386,31 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
             w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:
                 mi.add(w)
+    return mi
+
+
+def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
+    """Kernel of contraction against f, with minimal generators I/mI; f is
+    the dual generator or its PartialFiltration.  The LocalIdeal is built
+    once per filtration and kept on it: every later call for the same
+    filtration returns that instance, shared read-only."""
+    P = filtration(f)
+    if P.ideal is not None:
+        return P.ideal
+    ring = P.ring
+    field = ring.field
+    j = P.j
+    rindex = ring.rmon_index(j + 1)
+    rmons = list(rindex)
+    n = len(rmons)
+    # I is the orthogonal of R o f, x^beta paired with X^[beta]: each row of
+    # P.rows is relabelled once, from D's columns straight into the
+    # reversed R columns orthogonal reads, last row first (the sparsest rows
+    # of each pivot degree lead there, and the others reduce by them)
+    col = [n - 1 - rindex[m] for m in P.dmons]
+    rows = orthogonal(field, [{col[c]: v for c, v in row.items()}
+                              for row in reversed(P.rows)], n)
+    mi = _mi_span(ring, rows, j)
     # row k is a minimal generator iff it is not in m*I + <rows before it>;
     # that depends on these spans only, not on which rows the echelon keeps
     min_gens, orders = [], []
@@ -394,97 +418,14 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
         if mi.add({k: field.one}):
             min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
             orders.append(mdeg(rmons[min(row)]))
-    return LocalIdeal(P.f, rmons, rows, min_gens, orders)
-
-
-def _products_reach(ring, gens: list[PSElement], dims: list) -> bool:
-    """True iff the products x^m * g, g in gens, with terms of degree > top
-    = len(dims) - 1 dropped, span sum(dims) dimensions of R_{<= top}.  The
-    products must lie in an ideal J whose elements of order d or more span
-    dims[d] + ... + dims[top] dimensions modulo m^{top+1} (Ann f, or a
-    graded J with dims[d] = dim J_d); reaching sum(dims) is then equality
-    with J.  Every g has order at most top.
-
-    The products of a monomial g (one term up to degree top) are the unit
-    vectors of the monomial ideal it generates, and so is x^m * g for any g
-    once |m| is past the degree of every term but the lead: they join the
-    _Span's coordinates U in one closure over the multiplication tables,
-    and no vector is built for them.  Graded-lex is multiplicative, so the
-    first column of any other x^m * g is that of x^m * lead(g), found along
-    the rmon_steps chain on one int before the product exists.
-
-    Products are read by the degree d of their first column, highest
-    first; inside a degree, one product for each first column, then the
-    others, each by first column, highest first.  The first product read
-    at a column that is not a unit grows the span, as no earlier row has
-    its pivot there.  Every row, and every unit outside the closure, has
-    its first column at or past that of the product it came from, so the
-    span's part of order d or more is all of it but the closure units
-    below degree d.  Once that part reaches dims[d] + ... + dims[top] it
-    holds all of J's elements of order d, every product left in degree d
-    lies in it, and none of them is built.  Over Q each g is scaled once
-    to a primitive integer vector.
-    """
-    top = len(dims) - 1
-    field, r = ring.field, ring.r
-    rindex = ring.rmon_index(top)
-    tabs = ring.multiplication_tables(top)
-    steps = ring.rmon_steps(top)
-    code, col = ring.rmon_codes(top)
-    # by degree of the first column q: heads[d][q] the first product seen
-    # at q, rest[d] the others; a product is (q, code of m, terms), terms
-    # the (code, coefficient) pairs of g of degree <= top - |m|
-    heads = [{} for _ in dims]
-    rest = [[] for _ in dims]
-    ideal = set()
-    for g in gens:
-        terms = {m: c for m, c in g.coeffs.items() if mdeg(m) <= top}
-        if not field.char:
-            terms = primitive(terms)
-        terms = sorted((rindex[m], mdeg(m), c) for m, c in terms.items())
-        lead, o, _ = terms[0]
-        # x^m * g is the unit vector of x^m * lead(g) once |m| reaches
-        # lone, past the degree of every other term; the first columns of
-        # the products with |m| = lone seed the closure
-        lone = top + 1 - terms[1][1] if len(terms) > 1 else 0
-        multi = comb(r + lone - 1, r)
-        first = [lead]
-        for k in range(1, comb(r + lone, r) if lone <= top - o else multi):
-            prev, i = divmod(steps[k], r)
-            first.append(tabs[i][first[prev]])
-        for s in range(lone):
-            cut = [(code[t], c) for t, d, c in terms if d <= top - s]
-            at, more = heads[o + s], rest[o + s]
-            for k in range(comb(r + s - 1, r), comb(r + s, r)):
-                q = first[k]
-                if q in at:
-                    more.append((q, code[k], cut))
-                else:
-                    at[q] = (q, code[k], cut)
-        ideal.update(first[multi:])
-    span = _Span(field, len(rindex))
-    units = span.units
-    while ideal:
-        units |= ideal
-        ideal = {tab[c] for c in ideal for tab in tabs if c in tab} - units
-    below = sorted(units)
-    for d in range(top, -1, -1):
-        # the span's dimension once it holds J's elements of order >= d
-        full = sum(dims[d:]) + bisect_left(below, comb(r + d - 1, r))
-        if span.dim == full:
-            continue
-        for q, mc, terms in (sorted(heads[d].values(), reverse=True)
-                             + sorted(rest[d], reverse=True)):
-            if span.dim == full:
-                break
-            span.add({col[mc + t]: c for t, c in terms})
-    return span.dim == sum(dims)
+    P.ideal = LocalIdeal(P.f, rmons, rows, min_gens, orders)
+    return P.ideal
 
 
 def verify_ideal_presentation(gens: list[PSElement],
                               f: DPPoly | PartialFiltration) -> bool:
     """True iff (gens) = Ann f modulo m^{j+2}: every g o f is zero, and the
-    products x^m * g span dim R_{<j+2} - dim A.  f is the dual generator
+    gens span I/mI, I = Ann f (Nakayama's lemma).  f is the dual generator
     or its PartialFiltration."""
     ring = f.ring
     for g in gens:
@@ -499,10 +440,26 @@ def verify_ideal_presentation(gens: list[PSElement],
                                        g.coeffs.items() if m in dindex}
                                       for g in gens], P.rows):
         return False
-    return _products_reach(
-        ring, [g for g in gens if not g.is_zero and g.order <= P.j + 1],
-        [ring.dim_of_degree(d) - h
-         for d, h in enumerate(P.hilbert() + (0,))])
+    I = annihilator(P)
+    dim = sum(_graded_dims(P))
+    if I.dim != dim:
+        raise InternalCheckError("dim Ann f = %d, but H(A) gives %d"
+                                 % (I.dim, dim))
+    # g in I is sum_k g[q_k] * row k, q_k the pivot of row k: the rows are
+    # reduced with pivot one
+    row_at = {I.rmons[q]: k for k, q in enumerate(I.pivots)}
+    mi = _mi_span(ring, I.rows, P.j)
+    for g in gens:
+        v = {row_at[m]: c for m, c in g.coeffs.items() if m in row_at}
+        if v:
+            mi.add(v if ring.field.char else primitive(v))
+    return mi.dim == dim
+
+
+def _graded_dims(P: PartialFiltration) -> list:
+    """dim I*_d = r_d - h_d for d = 0..j+1, I* = Gr(Ann f)."""
+    return [P.ring.dim_of_degree(d) - h
+            for d, h in enumerate(P.hilbert() + (0,))]
 
 
 def verify_graded_presentation(gens: list[PSElement],
@@ -513,34 +470,61 @@ def verify_graded_presentation(gens: list[PSElement],
     or its PartialFiltration."""
     P = filtration(f)
     ring = P.ring
+    field = ring.field
+
+    def basis(d):
+        n = ring.dim_of_degree(d)
+        return orthogonal(field, reversed_columns(P.lt_rows(0, d), n), n)
+
     # contraction pairs x^a with X^[a] alone, so a generator and the rows
     # of L(0, d) are read in the same index, monomial_index(d)
     return _verify_graded(
-        gens, ring, lambda d, vs: _pair_to_zero(ring.field, vs,
-                                                P.lt_rows(0, d)),
-        [ring.dim_of_degree(d) - h
-         for d, h in enumerate(P.hilbert() + (0,))])
+        gens, ring, lambda d, vs: _pair_to_zero(field, vs, P.lt_rows(0, d)),
+        basis, _graded_dims(P))
 
 
-def _verify_graded(gens: list[PSElement], ring, lies_in,
+def _verify_graded(gens: list[PSElement], ring, lies_in, basis,
                    dims: list) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal J of
     R with dim J_d = dims[d], in every degree d up to top = len(dims) - 1:
     lies_in(d, vectors) tells whether vectors over monomial_index(d) all
-    lie in J_d, and as J is an ideal the degree-d products x^m * g lie in
-    J_d, all of it once their rank reaches dims[d].  A generator of degree
-    above top is not read."""
+    lie in J_d, and basis(d) is a basis of J_d over it.  Once the gens lie
+    in J, (gens)_d = J_d for every d <= top iff J_d = R_1 J_{d-1} +
+    span(gens of degree d) for every d <= top (graded Nakayama, by
+    induction on d), a rank test per degree that stops at the first
+    degree falling short.  A generator of degree above top is not read."""
     for g in gens:
         g.ring.check_same(ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
     top = len(dims) - 1
-    gens = [g for g in gens if g.order <= top]
-    if not all(lies_in(d, [g.vector(ring.monomial_index(d))
-                           for g in gens if g.order == d])
-               for d in {g.order for g in gens}):
+    of_degree = [[] for _ in dims]
+    for g in gens:
+        if g.order <= top:
+            of_degree[g.order].append(g.vector(ring.monomial_index(g.order)))
+    if not all(lies_in(d, vs) for d, vs in enumerate(of_degree) if vs):
         return False
-    return _products_reach(ring, gens, dims)
+    field = ring.field
+    tabs = ring.multiplication_tables(top)
+    # in rmon_index(top) the monomials of degree d start at column at[d]
+    at = [0, *accumulate(map(ring.dim_of_degree, range(top)))]
+    for d, vs in enumerate(of_degree):
+        if not dims[d]:
+            continue
+        span = _Span(field, ring.dim_of_degree(d))
+        for v in vs:
+            span.add(v if field.char else primitive(v))
+        # J_{d-1} times each variable, last row first, as in _mi_span
+        for b in reversed(basis(d - 1) if d and dims[d - 1] else ()):
+            if span.dim == dims[d]:
+                break
+            b = b if field.char else primitive(b)
+            lo, hi = at[d - 1], at[d]
+            for tab in tabs:
+                span.add({tab[lo + c] - hi: v for c, v in b.items()})
+        if span.dim != dims[d]:
+            return False
+    return True
 
 
 def _pair_to_zero(field, vectors: list, rows: list) -> bool:

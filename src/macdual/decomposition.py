@@ -44,7 +44,7 @@ def component_dual_dims(P, a: int) -> tuple:
     j = P.j
     if a < 0 or a > j - 1:
         raise DomainError("component index a out of range")
-    return tuple(P.count[j - a - i][i] for i in range(j - a + 1))
+    return tuple(P.count[j - a - i].get(i, 0) for i in range(j - a + 1))
 
 
 def component_dims(P, a: int) -> tuple:
@@ -384,4 +384,4 @@ def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
         gens, data.ring,
         lambda d, vs: all(map(Echelon(field, data.space_rows(d)).contains,
                               vs)),
-        data.dims)
+        data.space_rows, data.dims)

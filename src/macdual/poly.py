@@ -158,13 +158,6 @@ def _rmon_steps(r: int, top: int) -> memoryview:
     return steps.toreadonly()
 
 
-@_shared(2 * _TABLE_SHAPES)
-def _rmon_codes(r: int, top: int) -> tuple:
-    codes = [sum(e * (top + 1) ** i for i, e in enumerate(m))
-             for m in _index(r, top, 1)]
-    return codes, dict(zip(codes, range(len(codes))))
-
-
 class _Divisors(dict):
     """m -> (b_0, m - b_0, b_1, m - b_1, ...) over the divisors b of m, each
     entry built on first read.  Flat, with no 2-tuple per pair, and every
@@ -272,13 +265,6 @@ class RingSpec:
         """steps[k] = r * prev + i for each coordinate k > 0 of rmon_index:
         i is the first variable of its monomial m, prev the column of m-e_i."""
         return _rmon_steps(self.r, maxdeg)
-
-    def rmon_codes(self, maxdeg: int) -> tuple:
-        """(codes, column): codes[k] = sum m_i * (maxdeg+1)^i for the monomial
-        m at coordinate k of rmon_index, and column[codes[k]] = k.  Codes add
-        as monomials multiply while the degree stays at most maxdeg: no
-        exponent passes maxdeg, so no digit carries."""
-        return _rmon_codes(self.r, maxdeg)
 
     def divisor_table(self, maxdeg: int) -> dict:
         """table[m] = (b_0, m - b_0, b_1, m - b_1, ...) over the divisors b

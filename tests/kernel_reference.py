@@ -8,7 +8,11 @@ orthogonal.
 
 products_reach_plain: the presentation rank test as it ran before the
 products x^m * g were read top-down, every product built and fed to one
-plain Echelon.
+plain Echelon.  The reference verifiers verify_ideal_plain,
+verify_graded_plain and verify_graded_ideal_plain pair it with a plain
+containment test: the presentation checks as they ran before they were
+read by Nakayama's lemma, each product of each generator ranked against
+the dimensions the Hilbert function gives.
 
 annihilator_full_reduction: Ann f as it was read before its rank spans
 grew by leading column, every shift reduced in full.
@@ -27,7 +31,7 @@ from macdual.errors import InternalCheckError
 from macdual.linalg import (Echelon, _div, orthogonal, primitive,
                             reversed_columns, rref_rows, solve_linear,
                             vec_axpy)
-from macdual.poly import PSElement, mdeg
+from macdual.poly import PSElement, contract, mdeg
 
 
 def kernel(field: Field, images) -> list[dict]:
@@ -89,6 +93,52 @@ def products_reach_plain(ring, gens, dims) -> bool:
                 return True
             ech.insert(v)
     return ech.dim == target
+
+
+def _ideal_dims(P) -> list:
+    """r_d - h_d for d = 0..j+1: dim I*_d, and dim Ann f summed."""
+    return [P.ring.dim_of_degree(d) - h
+            for d, h in enumerate(P.hilbert() + (0,))]
+
+
+def verify_ideal_plain(gens, P) -> bool:
+    """(gens) = Ann f modulo m^{j+2}, f = P.f: no unit among the gens,
+    every g o f zero by contraction, and the products x^m * g, truncated at
+    j+1, of rank dim R_{<j+2} - dim A."""
+    if any(g.order == 0 for g in gens):
+        return False
+    if not all(contract(g, P.f).is_zero for g in gens):
+        return False
+    return products_reach_plain(
+        P.ring, [g for g in gens if not g.is_zero and g.order <= P.j + 1],
+        _ideal_dims(P))
+
+
+def verify_graded_plain(gens, P) -> bool:
+    """The homogeneous gens generate I* = Gr(Ann f) up to degree j+1: each
+    g of degree d pairs to zero, entry by entry, with every row of L(0, d),
+    and the products of each degree d reach r_d - h_d."""
+    ring, field = P.ring, P.ring.field
+    dims = _ideal_dims(P)
+    gens = [g for g in gens if g.order < len(dims)]
+    for g in gens:
+        v = g.vector(ring.monomial_index(g.order))
+        for row in P.lt_rows(0, g.order):
+            if field.canon({0: sum(a * row.get(k, 0) for k, a in v.items())}):
+                return False
+    return products_reach_plain(ring, gens, dims)
+
+
+def verify_graded_ideal_plain(gens, data) -> bool:
+    """The homogeneous gens generate the graded ideal of data up to degree
+    j+1: each g lies in its degree's space of data, and the products of
+    each degree d reach data.dims[d]."""
+    ring = data.ring
+    gens = [g for g in gens if g.order < len(data.dims)]
+    if not all(Echelon(ring.field, data.space_rows(g.order)).contains(
+            g.vector(ring.monomial_index(g.order))) for g in gens):
+        return False
+    return products_reach_plain(ring, gens, data.dims)
 
 
 def annihilator_full_reduction(f):

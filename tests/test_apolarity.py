@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from kernel_reference import (annihilator_full_reduction, kernel,
-                              products_reach_plain)
+                              verify_graded_ideal_plain, verify_graded_plain,
+                              verify_ideal_plain)
 from macdual.apolarity import (LocalIdeal, PartialFiltration, _Span,
-                               _images_descending, _products_reach,
-                               annihilator, hilbert_function,
+                               _images_descending, annihilator,
+                               hilbert_function,
                                verify_graded_presentation,
                                verify_ideal_presentation)
 from macdual.decomposition import filtration_ideal, verify_graded_ideal
@@ -21,7 +22,7 @@ from macdual.fields import Field
 from macdual.io import corpus_load, parse_poly
 from macdual.linalg import Echelon, primitive, rref_rows, same_span, vec_axpy
 from macdual.poly import (DPPoly, PSElement, RingSpec, contract,
-                          contract_monomial, mdeg)
+                          contract_monomial)
 
 
 def mk(vars, src, char=0):
@@ -73,7 +74,7 @@ def test_qdualex_perp_spaces():
     # P(0,1) here: check the stated dimensions through the filtration
     assert P.dim_partials(2, 1) == 3   # <X, Y, 1>
     assert P.dim_partials(3, 1) == 2   # <Y, 1>
-    assert P.lt_count(2, 1) == 2 and P.lt_count(3, 1) == 1
+    assert len(P.lt_rows(2, 1)) == 2 and len(P.lt_rows(3, 1)) == 1
 
 
 def test_filtration_monotonicity_random():
@@ -356,20 +357,39 @@ def test_verify_ideal_checks_every_ring_before_units():
             verify_ideal_presentation(gens, f)
 
 
-def test_verifiers_never_compute_the_annihilator(monkeypatch):
+def test_a_verifier_after_annihilator_reads_no_second_orthogonal(
+        monkeypatch):
+    """annihilator keeps the LocalIdeal on the filtration, and
+    verify_ideal_presentation reads it there: after annihilator(P) the
+    verifier calls orthogonal no second time, on the dual generator or on
+    its filtration, and both verifiers answer and refuse as before."""
     import macdual.apolarity as apolarity
     from macdual.errors import RingMismatchError
 
-    def refuse(*args):
-        raise AssertionError("a presentation verifier built Ann f")
+    calls = []
+    orthogonal = apolarity.orthogonal
 
-    monkeypatch.setattr(apolarity, "annihilator", refuse)
-    # the verifiers have no route through an equal-span test of Ann f either
+    def counted(*args):
+        calls.append(args)
+        return orthogonal(*args)
+
+    monkeypatch.setattr(apolarity, "orthogonal", counted)
+    # the verifiers have no route through an equal-span test of Ann f
     assert not hasattr(apolarity, "same_span")
     R, f = mk(("X", "Y"), "X^[3]+Y^[4]")
     other = RingSpec(("X", "Y", "Z"), Field(0))
-    # the dual generator or its filtration, with the same answers
-    for g in (f, PartialFiltration(f)):
+    # the dual generator or its filtration, each filtered afresh, with the
+    # same answers
+    for kind in ("f", "P"):
+        monkeypatch.setattr(apolarity, "_last", None)
+        g = f if kind == "f" else PartialFiltration(f)
+        calls.clear()
+        I = annihilator(g)
+        assert len(calls) == 1
+        assert verify_ideal_presentation([R.ps("x*y"), R.ps("x^3-y^4")], g)
+        assert not verify_ideal_presentation([R.ps("x*y"), R.ps("x^3")], g)
+        assert not verify_ideal_presentation([R.ps("x^3-y^4")], g)
+        assert len(calls) == 1 and annihilator(g) is I
         assert not verify_ideal_presentation([R.ps("1+x")], g)
         with pytest.raises(RingMismatchError):
             verify_ideal_presentation([other.ps("x*y")], g)
@@ -377,9 +397,6 @@ def test_verifiers_never_compute_the_annihilator(monkeypatch):
             verify_graded_presentation([R.ps("x*y-x^3")], g)
         with pytest.raises(RingMismatchError):
             verify_graded_presentation([other.ps("x*y")], g)
-        # valid and invalid presentations alike
-        assert verify_ideal_presentation([R.ps("x*y"), R.ps("x^3-y^4")], g)
-        assert not verify_ideal_presentation([R.ps("x*y"), R.ps("x^3")], g)
         assert verify_graded_presentation(
             [R.ps("x*y"), R.ps("x^3"), R.ps("y^5")], g)
         assert not verify_graded_presentation([R.ps("x*y"), R.ps("y^5")], g)
@@ -674,16 +691,25 @@ def presentation_lists(verify, gens, target, rng):
              target)]
 
 
-@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
-def test_verifiers_match_plain_echelon_reference(char, monkeypatch):
-    """All three verifiers give the answers of the old product route
-    (kernel_reference.products_reach_plain) on the true, cut-short and
-    x * g lists of each form's presentations: the minimal generators of
-    Ann f, generators of I*, and on every third form of degree j <= 8,
-    generators of each C(a), a >= 1.  Each verifier says True on every
-    true list and False on some list of each other kind."""
-    import macdual.apolarity as apolarity
+def plain_answers(cases) -> list:
+    """The answers of the reference verifiers of kernel_reference, plain
+    containment and every product ranked, on (verify, kind, gens, target)
+    cases."""
+    plain = {verify_ideal_presentation: verify_ideal_plain,
+             verify_graded_presentation: verify_graded_plain,
+             verify_graded_ideal: verify_graded_ideal_plain}
+    return [plain[verify](gens, target) for verify, _, gens, target in cases]
 
+
+@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
+def test_verifiers_match_plain_echelon_reference(char):
+    """All three verifiers give the answers of the old product route
+    (kernel_reference.products_reach_plain, after a plain containment test)
+    on the true, cut-short and x * g lists of each form's presentations:
+    the minimal generators of Ann f, generators of I*, and on every third
+    form of degree j <= 8, generators of each C(a), a >= 1.  Each verifier
+    says True on every true list and False on some list of each other
+    kind."""
     rng = random.Random(char + 2601)
     cases = []
     for i, f in enumerate(reference_forms(char)):
@@ -699,12 +725,8 @@ def test_verifiers_match_plain_echelon_reference(char, monkeypatch):
                  for row in rows] for d, rows in enumerate(data.spaces)])
             cases += presentation_lists(verify_graded_ideal, gens, data, rng)
 
-    def answers():
-        return [verify(gens, target) for verify, _, gens, target in cases]
-
-    got = answers()
-    monkeypatch.setattr(apolarity, "_products_reach", products_reach_plain)
-    assert got == answers()
+    got = [verify(gens, target) for verify, _, gens, target in cases]
+    assert got == plain_answers(cases)
     tally = Counter((verify, kind, answer)
                     for (verify, kind, *_), answer in zip(cases, got))
     for verify in (verify_ideal_presentation, verify_graded_presentation,
@@ -715,7 +737,7 @@ def test_verifiers_match_plain_echelon_reference(char, monkeypatch):
 
 @pytest.mark.parametrize("char", [0, 2, 101, P61],
                          ids=["Q", "F2", "F101", "F61"])
-def test_rank_spans_match_the_full_reduction_route(char, monkeypatch):
+def test_rank_spans_match_the_full_reduction_route(char):
     """annihilator's rows, minimal generators and orders, and the answers of
     all three verifiers on true and cut-short lists, are those of the
     full-reduction route (kernel_reference): every shift and product
@@ -723,9 +745,8 @@ def test_rank_spans_match_the_full_reduction_route(char, monkeypatch):
     skipped.  The forms are dense and sparse, r 2-4, homogeneous or not,
     and the dense r=4, j=8 shape of dense-modp's heavy requests.  That one
     is checked by verify_ideal_presentation only, and over Q for its Ann f
-    alone: its cut-short list takes over 30 s there."""
-    import macdual.apolarity as apolarity
-
+    alone: the reference route takes over 30 s on its cut-short list
+    there (test_dense_cut_short_lists_fail_over_q checks that list)."""
     field = Field(char)
     rng = random.Random(char % 1000 + 2701)
     cases = []
@@ -765,12 +786,8 @@ def test_rank_spans_match_the_full_reduction_route(char, monkeypatch):
                  for row in rows] for d, rows in enumerate(data.spaces)]),
                 data)
 
-    def answers():
-        return [verify(gens, target) for verify, _, gens, target in cases]
-
-    got = answers()
-    monkeypatch.setattr(apolarity, "_products_reach", products_reach_plain)
-    assert got == answers()
+    got = [verify(gens, target) for verify, _, gens, target in cases]
+    assert got == plain_answers(cases)
     tally = Counter((verify, kind, answer)
                     for (verify, kind, *_), answer in zip(cases, got))
     for verify in (verify_ideal_presentation, verify_graded_presentation,
@@ -878,7 +895,8 @@ def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
     add = _Span.add
     monkeypatch.setattr(_Span, "add",
                         lambda span, v: added.append(v) or add(span, v))
-    I = annihilator(f)
+    # a fresh filtration: one built earlier keeps the ideal it was given
+    I = annihilator(PartialFiltration(f))
     assert added == [{k: 1} for k in range(I.dim)]
     assert all(len(row) == 1 for row in I.rows)
     assert [str(g) for g in I.min_gens] == ["y^3", "x^4"]
@@ -890,12 +908,13 @@ def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
 
 
 def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
-    """Over Q the m*I span of annihilator() and the rank test
-    _products_reach of both presentation verifiers grow their echelons with
-    integer vectors only, and never reduce one in full, while the images
-    x^beta o f of the same forms, reduced by the PartialFiltration
-    echelon, carry Fractions.  Both rank echelons sit inside a _Span, so
-    calls are counted by the function that feeds it."""
+    """Over Q the m*I span (_mi_span, for annihilator and for
+    verify_ideal_presentation), the generator tests fed to it, and the
+    per-degree rank test _verify_graded of the graded verifiers grow their
+    echelons with integer vectors only, and never reduce one in full,
+    while the images x^beta o f of the same forms, reduced by the
+    PartialFiltration echelon, carry Fractions.  Every rank echelon sits
+    inside a _Span, so calls are counted by the function that feeds it."""
     fractions = Counter()
     helpers = {Echelon.insert.__code__, _Span.add.__code__}
 
@@ -922,7 +941,8 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         I = annihilator(f)
         assert verify_ideal_presentation(I.min_gens, f)
         assert verify_graded_presentation(graded_generators(f), f)
-    for caller in ("annihilator", "_products_reach"):
+    for caller in ("_mi_span", "annihilator", "verify_ideal_presentation",
+                   "_verify_graded"):
         assert fractions["grow", caller, False] > 0
         assert fractions["grow", caller, True] == 0
         assert not any(fractions["reduce", caller, frac]
@@ -1043,66 +1063,23 @@ def test_dense_heavy_form_reduces_nothing_to_zero(monkeypatch):
     assert len(I.min_gens) == 36
 
 
-@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
-def test_products_in_the_span_are_neither_built_nor_reduced(char,
-                                                            monkeypatch):
-    """_products_reach builds a product, and passes it to _Span.add, only
-    while the span's part of order d, d the degree of the product's first
-    column, is short of the ideal's: counted here from the units and
-    pivots at or past the first column of degree d, against dims[d] + ...
-    + dims[top].  Every Echelon.grow runs inside an add, no product is
-    reduced in full, and few grow calls come out zero.  Both verifiers
-    answer True on the true lists and False on the cut-short ones.  The
-    forms are dense and sparse, r 2-4."""
-    field = Field(char)
-    rng = random.Random(char + 2602)
-    cases = []
-    for trial in range(24):
-        r = trial % 3 + 2
-        ring = RingSpec(("X", "Y", "Z", "W")[:r], field)
-        f = random_dual_generator(ring, rng, rng.randint(3, 7 - r),
-                                  dense=trial % 2 == 0,
-                                  homogeneous=trial % 4 < 2)
-        if not f.drop_constant().is_zero:
-            P = PartialFiltration(f)
-            cases.append((P, annihilator(P).min_gens, graded_generators(f)))
-    add, grow = _Span.add, Echelon.grow
-    counts, ideal, adding = Counter(), [], []
-
-    def watched_add(span, v):
-        P, dims = ideal[-1]
-        q = min(v)
-        d = mdeg(list(P.ring.rmon_index(P.j + 1))[q])
-        lo = comb(P.ring.r + d - 1, P.ring.r)
-        part = (sum(u >= lo for u in span.units)
-                + sum(p >= lo for p in span.ech.pivots))
-        assert part < sum(dims[d:])
-        adding.append(q)
-        try:
-            return add(span, v)
-        finally:
-            adding.pop()
-
-    def watched_grow(ech, vec):
-        assert adding
-        row = grow(ech, vec)
-        counts[row is None] += 1
-        return row
-
-    def no_reduce(ech, vec):
-        pytest.fail("a product was reduced in full")
-
-    monkeypatch.setattr(_Span, "add", watched_add)
-    monkeypatch.setattr(Echelon, "grow", watched_grow)
-    monkeypatch.setattr(Echelon, "reduce", no_reduce)
-    for P, gens, graded in cases:
-        ideal.append((P, [P.ring.dim_of_degree(d) - P.lt_count(0, d)
-                          for d in range(P.j + 2)]))
-        assert verify_ideal_presentation(gens, P)
-        assert not verify_ideal_presentation(gens[:-1], P)
-        assert verify_graded_presentation(graded, P)
-        assert not verify_graded_presentation(graded[:-1], P)
-    assert counts[False] > 100 and counts[True] * 10 < counts[False]
+def test_dense_cut_short_lists_fail_over_q():
+    """The dense r=4, j=8 form over Q: its 36 minimal generators, all of
+    order 5, present Ann f, and their 36 initial forms present I*, which
+    is generated in degree 5.  Each list without its last generator is
+    refused.  A rank test in I/mI, or degree by degree in I*, stops where
+    the list falls short; ranking every product x^m * g took 17-63 s on
+    these cut-short lists."""
+    f = dense_heavy_form(Field(0))
+    P = PartialFiltration(f)
+    gens = annihilator(P).min_gens
+    assert len(gens) == 36 and {g.order for g in gens} == {5}
+    assert verify_ideal_presentation(gens, P)
+    assert not verify_ideal_presentation(gens[:-1], P)
+    graded = [g.initial_form() for g in gens]
+    assert all(g.is_homogeneous() and g.order == 5 for g in graded)
+    assert verify_graded_presentation(graded, P)
+    assert not verify_graded_presentation(graded[:-1], P)
 
 
 # -- presentations against the route through Ann f ------------------------------
@@ -1240,7 +1217,8 @@ def test_lt_rows_counts_match_at_every_level():
     # a negative level means level 0 in every query, lt_rows included
     R, f = mk(("X", "Y"), "X^[3]+Y^[4]")
     P = PartialFiltration(f)
-    assert P.lt_count(-1, 1) == 2 and len(P.lt_rows(-1, 1)) == 2
+    assert len(P.lt_rows(-1, 1)) == 2 == sum(row.get(1, 0)
+                                             for row in P.count)
     rng = random.Random(11)
     for char in (0, 3, 101):
         for r in (1, 2, 3):
@@ -1249,8 +1227,9 @@ def test_lt_rows_counts_match_at_every_level():
                 ring, rng, rng.randint(1, 5), dense=r < 3, homogeneous=False))
             for s in range(-1, P.j + 3):
                 for d in range(-1, P.j + 2):
-                    assert len(P.lt_rows(s, d)) == P.lt_count(s, d)
-                    assert len(P.rows_of_degree(s, d)) == P.lt_count(s, d)
+                    want = sum(row.get(d, 0) for row in P.count[max(s, 0):])
+                    assert len(P.lt_rows(s, d)) == want
+                    assert len(P.rows_of_degree(s, d)) == want
 
 
 def levels_one_by_one(f):
@@ -1303,11 +1282,13 @@ def test_filtration_matches_level_by_level(char):
         levels = levels_one_by_one(f)
         col_deg = P.col_deg
         assert P.level(len(levels)) is None
-        # count[t][d]: the pivot degrees d of level t less those of t+1
+        # count[t][d]: the pivot degrees d of level t less those of t+1,
+        # nonzero entries only
         for t in range(P.j + 1):
             ref = Counter(col_deg[p] for p in levels[t].pivots)
             ref.subtract(col_deg[p] for p in levels[t + 1].pivots)
-            assert P.count[t] == [ref[d] for d in range(P.j + 1)]
+            assert min(ref.values(), default=0) >= 0
+            assert P.count[t] == {d: k for d, k in ref.items() if k}
         for s in range(-1, len(levels) + 1):
             ref = levels[max(s, 0)] if max(s, 0) < len(levels) else None
             lev = P.level(s)
@@ -1322,6 +1303,21 @@ def test_filtration_matches_level_by_level(char):
                         if col_deg[p] <= t]
                 assert P.dim_partials(s, t) == len(want)
                 assert same_span(field, P.rows_upto(s, t), want)
+
+
+def test_count_table_holds_no_zero_entries():
+    """count keeps, per tag, only the pivot degrees some row has: for
+    X^[4000], whose j+1 rows have tags t and pivot degrees j-t, a dense
+    table would hold (j+1)^2 slots."""
+    P = PartialFiltration(parse_poly("X^[4000]", RingSpec(("X",),
+                                                           Field(0))))
+    assert len(P.rows) == 4001
+    assert sum(map(len, P.count)) <= len(P.rows)
+    assert all(k > 0 for row in P.count for k in row.values())
+    assert P.count[7] == {3993: 1}
+    assert P.hilbert() == (1,) * 4001
+    assert P.dim_partials(3999, 1) == 2
+    assert P.loewy_hilbert(2) == (0,) * 3999 + (1, 1)
 
 
 # -- a naive dense-rank oracle -------------------------------------------------

@@ -600,15 +600,13 @@ def test_o_sequence_test_runs_once_per_nonzero_component(monkeypatch):
 
 
 def test_decomposition_reads_the_count_table_alone(monkeypatch):
-    """Every H(a)_i of X^[300] is one entry of P.count; no leading-term
-    count and no level view is taken.  Each component of X^[j] is zero but
-    H(0) = (1, ..., 1)."""
+    """Every H(a)_i of X^[300] is one entry of P.count; no level view is
+    taken.  Each component of X^[j] is zero but H(0) = (1, ..., 1)."""
     def refused(*args):
-        pytest.fail("symmetric_decomposition read a level or lt_count")
+        pytest.fail("symmetric_decomposition read a level")
 
     f = parse_poly("X^[300]", RingSpec(("X",), Field(0)))
     P = PartialFiltration(f)
-    monkeypatch.setattr(PartialFiltration, "lt_count", refused)
     monkeypatch.setattr(PartialFiltration, "level", refused)
     D = symmetric_decomposition(P)
     assert D.hilbert == (1,) * 301
