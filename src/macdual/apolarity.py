@@ -47,32 +47,31 @@ units or pivots: it already lies in the span.  m*I is fed last row first,
 so its high columns fill first and most of its shifts are skipped;
 graded-lex is multiplicative, so the first coordinate of x_i * row is the
 row of x_i * pivot, and a shift whose first coordinate is covered is not
-even built.  Membership in Ann f needs no span at all:
-LocalIdeal.contains tests phi o f = 0.
+even built.
 
-A listed presentation is checked in two steps.  Containment comes first,
-against f itself: a generator g lies in Ann f iff g o f = 0, that is iff g
-pairs to zero with R o f (every row of the filtration), and a homogeneous
-g of degree d lies in the associated graded ideal I* iff it pairs to zero
-with the leading-form space L(0, d), because I*_d is the orthogonal of
-L(0, d) under contraction (Iarrobino's Memoir; this is where H(A*) = H(A)
-comes from).  Equality is then Nakayama's lemma (Atiyah-Macdonald,
-Introduction to Commutative Algebra, Cor. 2.7): R/m^{j+2} is local and
-m^{j+2} lies in mI, so J = (gens), known to lie in I, is I modulo m^{j+2}
-iff the gens span I/mI.  That is a rank test in the coordinates of I: the
-m*I span plus the gens' coordinate vectors reaches dim I.  Its size is the
-number of minimal generators, and a list that is not a presentation fails
-as fast as a true one passes.  The graded form of the lemma works degree by
-degree: J_d = I*_d for every d iff I*_d = R_1 I*_{d-1} + span(gens of
-degree d) for every d, each I*_{d-1} given by its canonical basis (the
-orthogonal of L(0, d-1)), not by the previous degree's span, whose rows
-grow long over Q.  Reading Ann f is the cheaper route here: an equal-span
-test against its rows costs more than ranking every product x^m * g, but
-the rank test in I/mI is as small as the minimal generators, and the
-product rank cannot stop early on a list that falls short.  After
-annihilator the check runs no second orthogonal, as annihilator keeps I
-on the filtration; dim I is checked against sum_d (r_d - h_d), read off
-the count table, not off I's rows.
+Membership needs no span and no contraction.  I's rows are reduced with
+pivot one, so g lies in I iff g = sum_k g[q_k] * row_k, q_k the pivot of
+row k, and the pivot entries g[q_k] are g's coordinates in I
+(linalg.coordinates).  A row's pivot is its initial monomial, so the
+degree-d parts of the rows of pivot degree d are the canonical basis of
+I*_d, I* = Gr(Ann f), the orthogonal of L(0, d) under contraction
+(Iarrobino's Memoir; this is where H(A*) = H(A) comes from).
+
+A listed presentation is checked in two steps.  Containment comes first:
+each generator must have coordinates on I, or, homogeneous of degree d, on
+I*_d.  Equality is then Nakayama's lemma (Atiyah-Macdonald, Introduction
+to Commutative Algebra, Cor. 2.7): R/m^{j+2} is local and m^{j+2} lies in
+mI, so J = (gens), known to lie in I, is I modulo m^{j+2} iff the gens
+span I/mI.  That is a rank test in the coordinates of I: the m*I span plus
+the gens' coordinate vectors reaches dim I.  Its size is the number of
+minimal generators, and a list that is not a presentation fails as fast as
+a true one passes.  The graded form of the lemma works degree by degree:
+J_d = I*_d for every d iff I*_d = R_1 I*_{d-1} + span(gens of degree d)
+for every d, each I*_{d-1} given by its canonical basis, not by the
+previous degree's span, whose rows grow long over Q.  Ranking every
+product x^m * g instead could not stop early on a list that falls short.
+annihilator keeps I on the filtration, so neither check runs a second
+orthogonal after it; dim I is checked against the count table.
 """
 
 from __future__ import annotations
@@ -81,9 +80,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError
-from .linalg import Echelon, orthogonal, primitive, reversed_columns
-from .poly import (DPPoly, PSElement, check_image_budget, contract,
-                   mdeg)
+from .linalg import Echelon, coordinates, orthogonal, primitive
+from .poly import DPPoly, PSElement, check_image_budget, mdeg
 
 
 def _shifted(steps, n: int, start: dict, tables: list) -> list:
@@ -317,20 +315,20 @@ class _Span:
 
 
 class LocalIdeal:
-    """I = Ann f modulo m^N with N = j+2: a canonical subspace of R_{<N},
-    minimal generators adapted to the order filtration, and the graded
-    dimension data of the associated graded ideal I*.  f is the dual
-    generator with its constant dropped."""
+    """I = Ann f modulo m^N with N = j+2, f the dual generator: a canonical
+    subspace of R_{<N} (rows, reduced with pivot one; at maps each pivot
+    to its row), minimal generators adapted to the order filtration, and
+    the graded data of the associated graded ideal I*."""
 
-    __slots__ = ("f", "ring", "rmons", "rows", "pivots", "min_gens",
+    __slots__ = ("ring", "rmons", "rows", "pivots", "at", "min_gens",
                  "orders", "socle_degree")
 
     def __init__(self, f: DPPoly, rmons, rows, min_gens, orders):
-        self.f = f
         self.ring = f.ring
         self.rmons = rmons
         self.rows = rows
         self.pivots = [min(r) for r in rows]
+        self.at = {q: k for k, q in enumerate(self.pivots)}
         self.min_gens = min_gens
         self.orders = orders
         self.socle_degree = f.degree
@@ -346,11 +344,30 @@ class LocalIdeal:
             counts[mdeg(self.rmons[p])] += 1
         return tuple(counts)
 
+    def graded_bases(self) -> list:
+        """The canonical basis of I*_d over monomial_index(d), d = 0..j+1:
+        the degree-d parts of the rows whose pivot has degree d."""
+        top = self.socle_degree + 1
+        start = [0, *accumulate(map(self.ring.dim_of_degree, range(top + 1)))]
+        bases = [[] for _ in range(top + 1)]
+        for row, q in zip(self.rows, self.pivots):
+            d = mdeg(self.rmons[q])
+            bases[d].append({c - start[d]: v for c, v in row.items()
+                             if c < start[d + 1]})
+        return bases
+
+    def coordinates(self, phi: PSElement) -> dict | None:
+        """phi's coordinates on rows, or None when phi is not in I; its
+        terms of degree j+2 or more lie in m^{j+2}, inside I."""
+        phi.ring.check_same(self.ring)
+        index = self.ring.rmon_index(self.socle_degree + 1)
+        return coordinates(self.ring.field, self.rows, self.at,
+                           {index[m]: c for m, c in phi.coeffs.items()
+                            if m in index})
+
     def contains(self, phi: PSElement) -> bool:
-        """phi in Ann f, that is phi o f = 0.  As m^{j+1} lies in Ann f,
-        that is membership in I + m^{j+2}: terms of degree > j contract f
-        to zero, and a constant term leaves a nonzero degree-j part."""
-        return contract(phi, self.f).is_zero
+        """phi in Ann f, that is phi o f = 0."""
+        return self.coordinates(phi) is not None
 
 
 def _mi_span(ring, rows: list, j: int) -> _Span:
@@ -424,35 +441,23 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
 
 def verify_ideal_presentation(gens: list[PSElement],
                               f: DPPoly | PartialFiltration) -> bool:
-    """True iff (gens) = Ann f modulo m^{j+2}: every g o f is zero, and the
-    gens span I/mI, I = Ann f (Nakayama's lemma).  f is the dual generator
-    or its PartialFiltration."""
-    ring = f.ring
-    for g in gens:
-        g.ring.check_same(ring)
-    if any(g.order == 0 for g in gens):
-        return False  # unit ideal never equals a proper annihilator
+    """True iff (gens) = Ann f modulo m^{j+2}: every g has coordinates on
+    I = Ann f, and those coordinates span I/mI (Nakayama's lemma).  f is
+    the dual generator or its PartialFiltration."""
     P = filtration(f)
-    # g o f = 0 iff g pairs to zero with R o f, which P.rows span: the
-    # coefficient of X^[beta] in g o f is <g, x^beta o f>
-    dindex = P.dindex
-    if not _pair_to_zero(ring.field, [{dindex[m]: c for m, c in
-                                       g.coeffs.items() if m in dindex}
-                                      for g in gens], P.rows):
-        return False
     I = annihilator(P)
     dim = sum(_graded_dims(P))
     if I.dim != dim:
         raise InternalCheckError("dim Ann f = %d, but H(A) gives %d"
                                  % (I.dim, dim))
-    # g in I is sum_k g[q_k] * row k, q_k the pivot of row k: the rows are
-    # reduced with pivot one
-    row_at = {I.rmons[q]: k for k, q in enumerate(I.pivots)}
-    mi = _mi_span(ring, I.rows, P.j)
-    for g in gens:
-        v = {row_at[m]: c for m, c in g.coeffs.items() if m in row_at}
+    # every g's ring is checked; a unit, as I is proper, has no coordinates
+    coords = [I.coordinates(g) for g in gens]
+    if None in coords:
+        return False
+    mi = _mi_span(P.ring, I.rows, P.j)
+    for v in coords:
         if v:
-            mi.add(v if ring.field.char else primitive(v))
+            mi.add(v if P.ring.field.char else primitive(v))
     return mi.dim == dim
 
 
@@ -465,46 +470,38 @@ def _graded_dims(P: PartialFiltration) -> list:
 def verify_graded_presentation(gens: list[PSElement],
                                f: DPPoly | PartialFiltration) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
-    ideal I* = Gr(Ann f), checked degree by degree up to j+1: I*_d is the
-    orthogonal of L(0, d), of dimension r_d - h_d.  f is the dual generator
-    or its PartialFiltration."""
+    ideal I* = Gr(Ann f), checked degree by degree up to j+1 on the bases
+    of I*_d that Ann f's rows give (LocalIdeal.graded_bases), each of
+    dimension r_d - h_d.  f is the dual generator or its
+    PartialFiltration."""
     P = filtration(f)
-    ring = P.ring
-    field = ring.field
-
-    def basis(d):
-        n = ring.dim_of_degree(d)
-        return orthogonal(field, reversed_columns(P.lt_rows(0, d), n), n)
-
-    # contraction pairs x^a with X^[a] alone, so a generator and the rows
-    # of L(0, d) are read in the same index, monomial_index(d)
-    return _verify_graded(
-        gens, ring, lambda d, vs: _pair_to_zero(field, vs, P.lt_rows(0, d)),
-        basis, _graded_dims(P))
+    return _verify_graded(gens, P.ring, annihilator(P).graded_bases(),
+                          _graded_dims(P))
 
 
-def _verify_graded(gens: list[PSElement], ring, lies_in, basis,
+def _verify_graded(gens: list[PSElement], ring, spaces: list,
                    dims: list) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal J of
     R with dim J_d = dims[d], in every degree d up to top = len(dims) - 1:
-    lies_in(d, vectors) tells whether vectors over monomial_index(d) all
-    lie in J_d, and basis(d) is a basis of J_d over it.  Once the gens lie
-    in J, (gens)_d = J_d for every d <= top iff J_d = R_1 J_{d-1} +
-    span(gens of degree d) for every d <= top (graded Nakayama, by
+    spaces[d] is the reduced pivot-one basis of J_d over monomial_index(d),
+    on which each generator of degree d must have coordinates.  Once the
+    gens lie in J, (gens)_d = J_d for every d <= top iff J_d = R_1 J_{d-1}
+    + span(gens of degree d) for every d <= top (graded Nakayama, by
     induction on d), a rank test per degree that stops at the first
     degree falling short.  A generator of degree above top is not read."""
+    top = len(dims) - 1
+    of_degree = [[] for _ in dims]
     for g in gens:
         g.ring.check_same(ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
-    top = len(dims) - 1
-    of_degree = [[] for _ in dims]
-    for g in gens:
         if g.order <= top:
             of_degree[g.order].append(g.vector(ring.monomial_index(g.order)))
-    if not all(lies_in(d, vs) for d, vs in enumerate(of_degree) if vs):
-        return False
     field = ring.field
+    for d, vs in enumerate(of_degree):
+        row_at = {min(row): k for k, row in enumerate(spaces[d])}
+        if any(coordinates(field, spaces[d], row_at, v) is None for v in vs):
+            return False
     tabs = ring.multiplication_tables(top)
     # in rmon_index(top) the monomials of degree d start at column at[d]
     at = [0, *accumulate(map(ring.dim_of_degree, range(top)))]
@@ -515,7 +512,7 @@ def _verify_graded(gens: list[PSElement], ring, lies_in, basis,
         for v in vs:
             span.add(v if field.char else primitive(v))
         # J_{d-1} times each variable, last row first, as in _mi_span
-        for b in reversed(basis(d - 1) if d and dims[d - 1] else ()):
+        for b in reversed(spaces[d - 1] if d and dims[d - 1] else ()):
             if span.dim == dims[d]:
                 break
             b = b if field.char else primitive(b)
@@ -526,21 +523,3 @@ def _verify_graded(gens: list[PSElement], ring, lies_in, basis,
             return False
     return True
 
-
-def _pair_to_zero(field, vectors: list, rows: list) -> bool:
-    """True iff <v, row> = sum_k v[k] row[k] is zero for every v and row.
-    The rows are indexed by column once, so each v reads only the entries
-    on its own columns."""
-    on = {}
-    for i, row in enumerate(rows):
-        for k, b in row.items():
-            on.setdefault(k, []).append((i, b))
-    for v in vectors:
-        acc = {}
-        get = acc.get
-        for k, a in v.items():
-            for i, b in on.get(k, ()):
-                acc[i] = get(i, 0) + a * b
-        if field.canon(acc):
-            return False
-    return True

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from importlib import import_module
 
 from . import _HOME
@@ -222,14 +223,15 @@ def cmd_verify(args):
     return 0 if bad == 0 else 1
 
 
-def _positive_int(text: str) -> int:
+def _at_least(low: int, text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) \
             from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    if n < low:
+        raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                         % (low, n))
     return n
 
 
@@ -262,8 +264,9 @@ _SUBCOMMANDS = (
      _RING + (_A, _arg("expr1"), _arg("expr2"))),
     ("rcm", "relatively compressed a-modification", cmd_rcm,
      _RING + (_A, _arg("--seed", type=int, default=0),
-              _arg("--coeff-bound", type=int, default=10),
-              _arg("--retries", type=int, default=5), _FORMAT, _EXPR)),
+              _arg("--coeff-bound", type=partial(_at_least, 0), default=10),
+              _arg("--retries", type=partial(_at_least, 1), default=5),
+              _FORMAT, _EXPR)),
     ("extend", "extension linear in fresh variables", cmd_extend,
      _RING + (_arg("--h", action="append", required=True,
                    help="homogeneous summand (repeatable)"),
@@ -275,11 +278,11 @@ _SUBCOMMANDS = (
      _RING + (_EXPR,)),
     ("fuzz", "run a seeded property suite", cmd_fuzz,
      (_arg("--suite", required=True, choices=FUZZ_SUITES),
-      _arg("--trials", type=_positive_int, default=100),
+      _arg("--trials", type=partial(_at_least, 1), default=100),
       _arg("--seed", type=int, default=0))),
     ("verify", "recompute a corpus file and diff", cmd_verify,
      (_arg("corpus"),
-      _arg("--jobs", type=_positive_int, default=1,
+      _arg("--jobs", type=partial(_at_least, 1), default=1,
            help="worker processes (capped at the entry and CPU counts)"))),
 )
 

@@ -143,6 +143,8 @@ def relatively_compressed_modification(f: DPPoly, a: int, seed: int = 0,
     j = f.degree
     if a < 1 or a > j - 1:
         raise DomainError("modification index a must be in 1..j-1")
+    if retries < 1 or coeff_bound < 0:
+        raise DomainError("retries must be at least 1, coeff_bound at least 0")
     P = filtration(f)
     prefix = [component_dual_dims(P, u) for u in range(a)]
     target = max_continuation(prefix, a, ring.r, j)

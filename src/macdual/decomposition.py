@@ -339,9 +339,6 @@ class GradedIdealData(NamedTuple):
     dims: tuple
     spaces: list                   # degree -> list of canonical rows
 
-    def space_rows(self, d: int) -> list:
-        return self.spaces[d] if 0 <= d < len(self.spaces) else []
-
 
 def filtration_ideal(f, a: int) -> GradedIdealData:
     """The graded ideal of R whose degree-i piece consists of the initial
@@ -368,20 +365,15 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
 
 def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal
-    described by data, in every degree up to j+1.  data must be an ideal,
-    as filtration_ideal returns: each generator is checked to lie in its
-    degree's space, and the products of degree d to reach dims[d].  Data
-    holding R_0 describe the unit ideal C(0) = R, which non-unit generators
-    never generate; they are refused as bad input, as unit generators
-    are."""
+    described by data, in every degree up to j+1.  data must be an ideal
+    held as reduced pivot-one bases, as filtration_ideal returns: each
+    generator must have coordinates on its degree's basis, and the products
+    of degree d must reach dims[d].  Data holding R_0 describe the unit
+    ideal C(0) = R, which non-unit generators never generate; they are
+    refused as bad input, as unit generators are."""
     if data.dims[0]:
         raise DomainError("the graded ideal holds 1: C(0) = R is the unit "
                           "ideal, generated by no non-unit generators")
     if any(g.order == 0 for g in gens):
         raise DomainError("graded generators must be nonzero, homogeneous, non-units")
-    field = data.ring.field
-    return _verify_graded(
-        gens, data.ring,
-        lambda d, vs: all(map(Echelon(field, data.space_rows(d)).contains,
-                              vs)),
-        data.space_rows, data.dims)
+    return _verify_graded(gens, data.ring, data.spaces, data.dims)

@@ -311,39 +311,48 @@ def _parse_indexed_lists(text, where):
 
 
 def corpus_load(path) -> list[CorpusEntry]:
+    """The entries of a corpus file; one not readable as UTF-8 text, like a
+    malformed entry, raises SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SchemaError("cannot read %s: %s" % (path, exc.strerror)) from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError("%s is not UTF-8 text (byte %d)"
+                          % (path, exc.start)) from None
     entries = []
     cur_name = None
     fields: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if key == "entry":
-                if cur_name is not None:
-                    raise SchemaError("line %d: nested entry %r" % (lineno, rest))
-                if not rest:
-                    raise SchemaError("line %d: entry needs a name" % lineno)
-                cur_name, fields = rest, {}
-            elif key == "end":
-                if cur_name is None:
-                    raise SchemaError("line %d: end outside an entry" % lineno)
-                missing = _REQUIRED - fields.keys()
-                if missing:
-                    raise SchemaError("entry %r: missing field(s) %s"
-                                      % (cur_name, ", ".join(sorted(missing))))
-                entries.append(_build_entry(cur_name, fields))
-                cur_name = None
-            elif cur_name is None:
-                raise SchemaError("line %d: %r outside an entry" % (lineno, key))
-            elif key not in _ENTRY_FIELDS:
-                raise SchemaError("entry %r: unknown field %r" % (cur_name, key))
-            elif key in fields:
-                raise SchemaError("entry %r: duplicate field %r" % (cur_name, key))
-            else:
-                fields[key] = rest
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if key == "entry":
+            if cur_name is not None:
+                raise SchemaError("line %d: nested entry %r" % (lineno, rest))
+            if not rest:
+                raise SchemaError("line %d: entry needs a name" % lineno)
+            cur_name, fields = rest, {}
+        elif key == "end":
+            if cur_name is None:
+                raise SchemaError("line %d: end outside an entry" % lineno)
+            missing = _REQUIRED - fields.keys()
+            if missing:
+                raise SchemaError("entry %r: missing field(s) %s"
+                                  % (cur_name, ", ".join(sorted(missing))))
+            entries.append(_build_entry(cur_name, fields))
+            cur_name = None
+        elif cur_name is None:
+            raise SchemaError("line %d: %r outside an entry" % (lineno, key))
+        elif key not in _ENTRY_FIELDS:
+            raise SchemaError("entry %r: unknown field %r" % (cur_name, key))
+        elif key in fields:
+            raise SchemaError("entry %r: duplicate field %r" % (cur_name, key))
+        else:
+            fields[key] = rest
     if cur_name is not None:
         raise SchemaError("entry %r: missing end" % cur_name)
     return entries
@@ -409,16 +418,13 @@ def corpus_verify(entry: CorpusEntry) -> list[dict]:
         if "min_gen_orders" in entry.expect:
             check("min_gen_orders", entry.expect["min_gen_orders"],
                   sorted(apolarity.annihilator(P).orders))
-        if "ideal_gens" in entry.expect:
-            gens = [parse_ps(g, ring, f.degree + 2)
-                    for g in entry.expect["ideal_gens"]]
-            check("ideal_gens", True,
-                  apolarity.verify_ideal_presentation(gens, P))
-        if "graded_ideal_gens" in entry.expect:
-            gens = [parse_ps(g, ring, f.degree + 2)
-                    for g in entry.expect["graded_ideal_gens"]]
-            check("graded_ideal_gens", True,
-                  apolarity.verify_graded_presentation(gens, P))
+        for key, verify in (
+                ("ideal_gens", apolarity.verify_ideal_presentation),
+                ("graded_ideal_gens", apolarity.verify_graded_presentation)):
+            if key in entry.expect:
+                gens = [parse_ps(g, ring, f.degree + 2)
+                        for g in entry.expect[key]]
+                check(key, True, verify(gens, P))
         if "exotic_terms" in entry.expect:
             report = normalform.detect_exotic(P)
             want = sorted(str(parse_poly(t, ring))

@@ -42,6 +42,8 @@ Built on it:
   :func:`rref_rows` in the reversed columns the caller hands it rows in
   (:func:`reversed_columns`): every space the package gets as a kernel is
   read this way, as the orthogonal of a span it already holds;
+* :func:`coordinates` - the one membership test: a vector's coordinates
+  on such a canonical basis, or None off its span;
 * :func:`solve_linear` - one solution of a linear system.
 
 The dense :func:`det` and :func:`matrix_inverse` work on row-major lists of
@@ -385,6 +387,19 @@ def orthogonal(field: Field, rows, n: int) -> list[dict]:
             if c != q:
                 free[c][at] = field.neg(v)
     return list(free.values())
+
+
+def coordinates(field: Field, rows: list, at: dict, v: dict):
+    """The coordinates {k: v[q_k]} of v on rows, a reduced pivot-one basis
+    as rref_rows and orthogonal return it (q_k the pivot of row k), or None
+    off its span: the other rows are zero on q_k, so v is in the span iff
+    v - sum_k v[q_k] * row_k = 0.  at maps each q_k to k.  v holds no
+    zeros, over F_p residues."""
+    coords = {at[c]: a for c, a in v.items() if c in at}
+    rest = dict(v)
+    for k, a in coords.items():
+        vec_axpy(field, rest, field.neg(a), rows[k])
+    return None if rest else coords
 
 
 def reversed_columns(rows, n: int) -> list[dict]:

@@ -248,15 +248,15 @@ def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
     fvec = f.vector(P.dindex)
     xs_contr = [{tab[c]: a for c, a in fvec.items() if c in tab}
                 for tab in ring.contraction_tables(j)]
-    sq = _witnessed_square_space(P, xs_contr, widx) if j >= 2 \
-        else Echelon(field)
+    sq = _witnessed_square_space(P, xs_contr, widx)
     # an element of m^2 contracting f to the constant 1 (exists once j >= 2):
     # reducing the constant -1 into the witness columns leaves it there
     const_killer = sq.project({P.dindex[ring.r * (0,)]: field.neg(field.one)})
     if min(const_killer) < n:
         const_killer = None
 
-    cuts = [j - a - 1 for a in range(max(j - 1, 1))] + [0]
+    # the padding cut: 0, or -1 (w o f = 0) at j = 1, where level 0 cuts at 0
+    cuts = [j - a - 1 for a in range(max(j - 1, 1))] + [min(j - 2, 0)]
     # At a cut, a variable whose x_i o f cut to its degrees above the cut
     # (the columns below top: P.dindex runs from degree j down) lies in the
     # span of the cut m^2 o f and the accepted x_k o f gives a kernel

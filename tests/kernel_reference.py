@@ -135,7 +135,7 @@ def verify_graded_ideal_plain(gens, data) -> bool:
     each degree d reach data.dims[d]."""
     ring = data.ring
     gens = [g for g in gens if g.order < len(data.dims)]
-    if not all(Echelon(ring.field, data.space_rows(g.order)).contains(
+    if not all(Echelon(ring.field, data.spaces[g.order]).contains(
             g.vector(ring.monomial_index(g.order))) for g in gens):
         return False
     return products_reach_plain(ring, gens, data.dims)

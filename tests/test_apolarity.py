@@ -290,10 +290,12 @@ def test_oversized_generators_are_refused_before_any_index(monkeypatch):
 
 @pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
 def test_contains_matches_membership_in_the_rows(char):
-    """I.contains(phi), a contraction against f, against membership of phi
-    truncated at j+1 in the span of I.rows: for random phi, for random
-    combinations of the rows (members), and for those plus one monomial
-    of degree <= j+1 or one of degree j+2 (a member again)."""
+    """I.contains(phi), read off I's rows by linalg.coordinates, against
+    two oracles: membership of phi truncated at j+1 in the span of I.rows,
+    by full reduction, and phi o f = 0 by contraction, the route contains
+    took before.  For random phi, for random combinations of the rows
+    (members), and for those plus one monomial of degree <= j+1 or one of
+    degree j+2 (a member again)."""
     rng = random.Random(char + 83)
     field = Field(char)
     max_j = {1: 7, 2: 6, 3: 4, 4: 3}
@@ -331,10 +333,41 @@ def test_contains_matches_membership_in_the_rows(char):
             for psi in (phi, member,
                         member + PSElement(ring, {extra: field.one}, j + 2)):
                 got = I.contains(psi)
-                assert got == in_rows(psi)
+                assert got == in_rows(psi) == contract(psi, f).is_zero
                 seen[got] += 1
             assert I.contains(member)
     assert seen[True] > 100 and seen[False] > 100
+
+
+def test_contains_checks_the_ring():
+    """LocalIdeal.contains refuses an element of another ring, or of the
+    same variables over another field, as the contraction did."""
+    from macdual.errors import RingMismatchError
+    R, f = mk(("X", "Y"), "X^[3]+Y^[4]")
+    I = annihilator(f)
+    for other in (RingSpec(("X", "Y", "Z"), Field(0)),
+                  RingSpec(("X", "Y"), Field(101))):
+        for src in ("x*y", "1", "x^9"):
+            with pytest.raises(RingMismatchError):
+                I.contains(other.ps(src))
+
+
+@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
+def test_graded_bases_are_the_orthogonals_of_the_leading_forms(char):
+    """The bases of I*_d read off Ann f's rows (LocalIdeal.graded_bases)
+    are, value for value and type for type (2 and Fraction(2) differ),
+    the canonical bases orthogonal returns for L(0, d), d = 0..j+1, the
+    route verify_graded_presentation took before."""
+    from macdual.linalg import orthogonal, reversed_columns
+    field = Field(char)
+    for f in reference_forms(char)[::3]:
+        P = PartialFiltration(f)
+        bases = annihilator(P).graded_bases()
+        assert len(bases) == P.j + 2
+        for d, basis in enumerate(bases):
+            n = f.ring.dim_of_degree(d)
+            want = orthogonal(field, reversed_columns(P.lt_rows(0, d), n), n)
+            assert typed(basis) == typed(want)
 
 
 def test_verify_ideal_rejects_unit_and_wrong():
@@ -362,7 +395,8 @@ def test_a_verifier_after_annihilator_reads_no_second_orthogonal(
     """annihilator keeps the LocalIdeal on the filtration, and
     verify_ideal_presentation reads it there: after annihilator(P) the
     verifier calls orthogonal no second time, on the dual generator or on
-    its filtration, and both verifiers answer and refuse as before."""
+    its filtration, nor does verify_graded_presentation, which reads I*
+    off the same rows; both verifiers answer and refuse as before."""
     import macdual.apolarity as apolarity
     from macdual.errors import RingMismatchError
 
@@ -400,6 +434,8 @@ def test_a_verifier_after_annihilator_reads_no_second_orthogonal(
         assert verify_graded_presentation(
             [R.ps("x*y"), R.ps("x^3"), R.ps("y^5")], g)
         assert not verify_graded_presentation([R.ps("x*y"), R.ps("y^5")], g)
+        assert not verify_graded_presentation([R.ps("x*y"), R.ps("x^2")], g)
+        assert len(calls) == 1
     # a zero dual generator is refused, as it was by Ann f
     zero = parse_poly("7", R)
     with pytest.raises(DomainError):

@@ -295,6 +295,59 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv):
     assert "must be at least 1" in err
 
 
+@pytest.mark.parametrize("char", ["0", "101"])
+@pytest.mark.parametrize("flag, value, least", [
+    ("--retries", "0", 1), ("--retries", "-2", 1),
+    ("--coeff-bound", "-1", 0)])
+def test_rcm_out_of_range_counts_are_usage_errors(capsys, char, flag, value,
+                                                  least):
+    """--retries below 1 and --coeff-bound below 0 exit 2 over Q and over
+    F_p, before any draw: they used to exit 4 (no attempt made), 5
+    (ValueError from randint over Q) or be ignored (the bound over F_p)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["rcm", "--vars", "X,Y", "--char", char, "--a", "1", flag,
+              value, "X^[4]+Y^[2]"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument %s: must be at least %d, got %s" % (flag, least, value) \
+        in out.err
+
+
+def test_rcm_zero_coeff_bound_is_accepted(capsys):
+    code, out = run(capsys, "rcm", "--vars", "X,Y", "--char", "0", "--a",
+                    "1", "--coeff-bound", "0", "X^[4]+Y^[2]")
+    assert code == 0 and out.startswith("seed: 0\ngenerator: ")
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_verify_unreadable_corpus_exits_2(capsys, tmp_path, case):
+    """A corpus path that is missing, a directory or not UTF-8 text is one
+    error line and exit 2, not an internal error (exit 5)."""
+    path = tmp_path / "x.corpus"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"entry a\n\xff\xfe\n")
+    code = main(["verify", str(path)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    want = {"missing": "cannot read %s: No such file or directory",
+            "directory": "cannot read %s: Is a directory",
+            "not-utf8": "%s is not UTF-8 text (byte 8)"}[case] % path
+    assert out.err == "error: %s\n" % want
+
+
+def test_normalize_at_socle_degree_one(capsys):
+    """A linear generator normalizes to X_1 (it exited 5 with 'adapted
+    levels disagree' before)."""
+    for char in ("0", "101"):
+        code, out = run(capsys, "normalize", "--vars", "X,Y", "--char", char,
+                        "X+Y")
+        assert code == 0
+        assert out.splitlines()[0] == "normal form: X"
+
+
 def test_verify_workers_capped():
     assert verify_workers(1, 31, 8) == 1
     assert verify_workers(4, 31, 2) == 2        # no more than the CPUs

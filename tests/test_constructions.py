@@ -113,7 +113,7 @@ def test_lift_to_modification_random():
             data = filtration_ideal(f, 1)
             # pick a degree with a fresh initial form and lift it
             for d in range(1, 5):
-                rows = data.space_rows(d)
+                rows = data.spaces[d]
                 if not rows:
                     continue
                 mons = ring.monomials(d)
@@ -194,6 +194,18 @@ def test_rcm_genericity_failure_small_field():
     f = parse_poly("X^[5]", R)
     with pytest.raises(GenericityError):
         relatively_compressed_modification(f, 1, seed=0, retries=3)
+
+
+def test_rcm_refuses_no_retries_and_a_negative_bound():
+    """retries below 1 and coeff_bound below 0 are domain errors over Q and
+    F_p: they used to raise GenericityError, ValueError from randint, or
+    (the bound over F_p) be ignored."""
+    for char in (0, 101):
+        f = parse_poly("X^[4]+Y^[2]", RingSpec(("X", "Y"), Field(char)))
+        for kwargs in ({"retries": 0}, {"retries": -1},
+                       {"coeff_bound": -1}):
+            with pytest.raises(DomainError):
+                relatively_compressed_modification(f, 1, **kwargs)
 
 
 # -- extensions linear in fresh variables -------------------------------------------

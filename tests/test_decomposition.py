@@ -335,9 +335,9 @@ def test_filtration_ideal_chain_and_bottom():
         for a in range(len(datas) - 1):
             for d in range(P.j + 2):
                 big = Echelon(ring.field)
-                for row in datas[a].space_rows(d):
+                for row in datas[a].spaces[d]:
                     big.insert(row)
-                for row in datas[a + 1].space_rows(d):
+                for row in datas[a + 1].spaces[d]:
                     assert big.contains(row)
         # C(0) contains the associated graded ideal (it is everything in
         # positive degrees)
@@ -409,7 +409,7 @@ def verify_graded_ideal_same_span(gens, data):
         products = (g.mul_monomial(m, d).vector(hidx)
                     for g in gens if g.order <= d
                     for m in ring.monomials(d - g.order))
-        if not same_span(ring.field, data.space_rows(d), products):
+        if not same_span(ring.field, data.spaces[d], products):
             return False
     return True
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 from kernel_reference import kernel
 from macdual.errors import DomainError
 from macdual.fields import Field
-from macdual.linalg import (Echelon, det, matrix_inverse, orthogonal,
-                            primitive, reversed_columns, rref_rows, same_span,
-                            solve_linear, vec_axpy)
+from macdual.linalg import (Echelon, coordinates, det, matrix_inverse,
+                            orthogonal, primitive, reversed_columns,
+                            rref_rows, same_span, solve_linear, vec_axpy)
 from macdual.poly import DPPoly, RingSpec, linear_substitute
 
 QQ = Field(0)
@@ -477,6 +478,41 @@ def test_orthogonal_random(field):
 
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(101)],
                          ids=["Q", "F2", "F101"])
+def test_coordinates_random(field):
+    """On a reduced pivot-one basis (rref_rows), coordinates gives None
+    exactly for the vectors a plain Echelon of the basis does not reduce
+    to zero, and otherwise the combination that rebuilds the vector, entry
+    by entry through the Field."""
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        basis = rref_rows(field, [_rand_sparse(rng, field, n, .5)
+                                  for _ in range(rng.randint(0, 6))])
+        at = {min(row): k for k, row in enumerate(basis)}
+        ech = Echelon(field, basis)
+        for _ in range(6):
+            v = {}
+            for row in basis:
+                if rng.random() < .6:
+                    ref_axpy(field, v, _rand_scalar(rng, field), row)
+            if rng.random() < .4:
+                ref_axpy(field, v, _rand_scalar(rng, field),
+                         _rand_sparse(rng, field, n, .3))
+            got = coordinates(field, basis, at, v)
+            assert (got is None) == bool(ech.reduce(v))
+            seen[got is None] += 1
+            if got is not None:
+                back = {}
+                for k, c in got.items():
+                    assert basis[k][min(basis[k])] == 1
+                    ref_axpy(field, back, c, basis[k])
+                assert back == v
+    assert seen[True] > 50 and seen[False] > 50
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(101)],
+                         ids=["Q", "F2", "F101"])
 def test_covers_matches_brute_force(field):
     """covers(q, n) is True iff every vector over range(q, n) reduces to
     zero.  Over F_2 every such vector is reduced; over Q and F_101 the
@@ -535,9 +571,10 @@ def test_orthogonal_edge_cases():
 
 
 def test_every_kernel_is_read_as_an_orthogonal():
-    """kernel() lives in the tests only, as the reference, and the graded
-    verifiers share one check: is_a_modification is left as the one
-    caller of same_span in the package."""
+    """kernel() lives in the tests only, as the reference, the graded
+    verifiers share one check, and one membership test serves every
+    verifier: is_a_modification is left as the one caller of same_span in
+    the package."""
     import macdual.apolarity as apolarity
     import macdual.constructions as constructions
     import macdual.decomposition as decomposition
@@ -547,6 +584,11 @@ def test_every_kernel_is_read_as_an_orthogonal():
     assert not hasattr(apolarity, "same_span")
     assert not hasattr(decomposition, "same_span")
     assert decomposition._verify_graded is apolarity._verify_graded
+    # membership has one route, linalg.coordinates: no pairing against
+    # R o f and no contraction g o f
+    assert not hasattr(apolarity, "_pair_to_zero")
+    assert not hasattr(apolarity, "contract")
+    assert apolarity.coordinates is linalg.coordinates
 
 
 # ---------------------------------------------------------------------------

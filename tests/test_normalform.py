@@ -527,6 +527,37 @@ def test_adapted_parameters_exact():
     assert frame.levels == [0, 2]
 
 
+@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
+def test_normalize_at_socle_degree_one(char):
+    """A linear f (j = 1) has one level-0 parameter, with w o f a nonzero
+    constant, and r - 1 padding parameters in Ann f; its normal form is
+    c * X_1.  Before the padding cut moved to -1 at j = 1, both of
+    _adapted_frame's cuts were 0, level 0 got no parameter, and every
+    call raised InternalCheckError."""
+    rng = random.Random(char + 31)
+    field = Field(char)
+    for r in (1, 2, 3):
+        R = RingSpec(("X", "Y", "Z")[:r], field)
+        srcs = ["+".join(R.vars), R.vars[-1]] + [
+            "+".join("%d*%s" % (rng.randint(1, 9), v) for v in R.vars)
+            for _ in range(3)]
+        for src in srcs:
+            f = parse_poly(src, R).drop_constant()
+            if f.is_zero:
+                continue
+            frame = adapted_coordinates(f)
+            assert frame.n_seq == (1,)
+            assert frame.levels == [0] + [None] * (r - 1)
+            w1, *padding = frame.parameters
+            assert contract(w1, f).degree == 0
+            assert all(contract(w, f).is_zero for w in padding)
+            g, _ = normalize(f)
+            assert g.degree == 1
+            assert {m for m in g.coeffs} == {(1,) + (0,) * (r - 1)}
+            assert not detect_exotic(g).has_exotic
+            assert normalize(g)[0] == g
+
+
 def test_normalize_embedding_reduction():
     R, f = mk("X,Y", "(X+Y)^[3]")
     assert normalize(f)[0] == parse_poly("X^[3]", R)
