@@ -58,20 +58,22 @@ I*_d, I* = Gr(Ann f), the orthogonal of L(0, d) under contraction
 (Iarrobino's Memoir; this is where H(A*) = H(A) comes from).
 
 A listed presentation is checked in two steps.  Containment comes first:
-each generator must have coordinates on I, or, homogeneous of degree d, on
-I*_d.  Equality is then Nakayama's lemma (Atiyah-Macdonald, Introduction
-to Commutative Algebra, Cor. 2.7): R/m^{j+2} is local and m^{j+2} lies in
-mI, so J = (gens), known to lie in I, is I modulo m^{j+2} iff the gens
-span I/mI.  That is a rank test in the coordinates of I: the m*I span plus
-the gens' coordinate vectors reaches dim I.  Its size is the number of
-minimal generators, and a list that is not a presentation fails as fast as
-a true one passes.  The graded form of the lemma works degree by degree:
-J_d = I*_d for every d iff I*_d = R_1 I*_{d-1} + span(gens of degree d)
-for every d, each I*_{d-1} given by its canonical basis, not by the
-previous degree's span, whose rows grow long over Q.  Ranking every
-product x^m * g instead could not stop early on a list that falls short.
-annihilator keeps I on the filtration, so neither check runs a second
-orthogonal after it; dim I is checked against the count table.
+each generator must have coordinates on the rows of I, or, homogeneous,
+on the rows of I* (LocalIdeal.graded_rows).  Equality is then Nakayama's
+lemma (Atiyah-Macdonald, Introduction to Commutative Algebra, Cor. 2.7):
+R/m^{j+2} is local and m^{j+2} lies in mI, so J = (gens), known to lie in
+I, is I modulo m^{j+2} iff the gens span I/mI.  That is one rank test in
+the coordinates of I (_generates): the m*I span plus the gens'
+coordinate vectors reaches dim I.  Its size is the number of minimal
+generators, and a list that is not a presentation fails as fast as a true
+one passes.  A graded ideal held as reduced pivot-one bases of its degree
+d parts, d <= j+1, placed in the columns of rmon_index(j+1), is such a
+basis of itself modulo m^{j+2}, so graded Nakayama is the same test on
+those rows: I*'s for I*, and the bases of C(a) (macdual.decomposition)
+for C(a).  Ranking every product x^m * g instead could not stop early on
+a list that falls short.  annihilator keeps I on the filtration, so no
+check runs a second orthogonal after it; dim I is checked against
+H(A), as C(r+j+1, r) - sum_d h_d.
 """
 
 from __future__ import annotations
@@ -344,17 +346,14 @@ class LocalIdeal:
             counts[mdeg(self.rmons[p])] += 1
         return tuple(counts)
 
-    def graded_bases(self) -> list:
-        """The canonical basis of I*_d over monomial_index(d), d = 0..j+1:
-        the degree-d parts of the rows whose pivot has degree d."""
-        top = self.socle_degree + 1
-        start = [0, *accumulate(map(self.ring.dim_of_degree, range(top + 1)))]
-        bases = [[] for _ in range(top + 1)]
-        for row, q in zip(self.rows, self.pivots):
-            d = mdeg(self.rmons[q])
-            bases[d].append({c - start[d]: v for c, v in row.items()
-                             if c < start[d + 1]})
-        return bases
+    def graded_rows(self) -> list:
+        """The canonical basis of I* modulo m^{j+2} over rmon_index(j+1):
+        each row cut to its initial form, the entries of its pivot's
+        degree, so the rows stay reduced with pivot one."""
+        end = list(accumulate(map(self.ring.dim_of_degree,
+                                  range(self.socle_degree + 2))))
+        return [{c: v for c, v in row.items() if c < end[mdeg(self.rmons[q])]}
+                for row, q in zip(self.rows, self.pivots)]
 
     def coordinates(self, phi: PSElement) -> dict | None:
         """phi's coordinates on rows, or None when phi is not in I; its
@@ -446,80 +445,56 @@ def verify_ideal_presentation(gens: list[PSElement],
     the dual generator or its PartialFiltration."""
     P = filtration(f)
     I = annihilator(P)
-    dim = sum(_graded_dims(P))
+    dim = len(I.rmons) - sum(P.hilbert())
     if I.dim != dim:
         raise InternalCheckError("dim Ann f = %d, but H(A) gives %d"
                                  % (I.dim, dim))
     # every g's ring is checked; a unit, as I is proper, has no coordinates
-    coords = [I.coordinates(g) for g in gens]
+    return _generates(P.ring, I.rows, P.j, [I.coordinates(g) for g in gens])
+
+
+def _generates(ring, rows: list, j: int, coords: list) -> bool:
+    """Nakayama's lemma for J, the ideal of R_{<j+2} spanned by rows (reduced
+    pivot-one, as _mi_span takes them), and gens with coordinates coords on
+    rows, None for a generator off J: True iff every generator lies in J
+    and their coordinates span J/mJ, that is the m*J span plus the
+    coordinates reaches dim J."""
     if None in coords:
         return False
-    mi = _mi_span(P.ring, I.rows, P.j)
+    mi = _mi_span(ring, rows, j)
     for v in coords:
         if v:
-            mi.add(v if P.ring.field.char else primitive(v))
-    return mi.dim == dim
-
-
-def _graded_dims(P: PartialFiltration) -> list:
-    """dim I*_d = r_d - h_d for d = 0..j+1, I* = Gr(Ann f)."""
-    return [P.ring.dim_of_degree(d) - h
-            for d, h in enumerate(P.hilbert() + (0,))]
+            mi.add(v if ring.field.char else primitive(v))
+    return mi.dim == len(rows)
 
 
 def verify_graded_presentation(gens: list[PSElement],
                                f: DPPoly | PartialFiltration) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
-    ideal I* = Gr(Ann f), checked degree by degree up to j+1 on the bases
-    of I*_d that Ann f's rows give (LocalIdeal.graded_bases), each of
-    dimension r_d - h_d.  f is the dual generator or its
-    PartialFiltration."""
+    ideal I* = Gr(Ann f) up to degree j+1, checked on the canonical basis of
+    I* that Ann f's rows give (LocalIdeal.graded_rows).  f is the dual
+    generator or its PartialFiltration."""
     P = filtration(f)
-    return _verify_graded(gens, P.ring, annihilator(P).graded_bases(),
-                          _graded_dims(P))
+    return _verify_graded(gens, P.ring, annihilator(P).graded_rows(), P.j + 1)
 
 
-def _verify_graded(gens: list[PSElement], ring, spaces: list,
-                   dims: list) -> bool:
+def _verify_graded(gens: list[PSElement], ring, rows: list,
+                   top: int) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal J of
-    R with dim J_d = dims[d], in every degree d up to top = len(dims) - 1:
-    spaces[d] is the reduced pivot-one basis of J_d over monomial_index(d),
-    on which each generator of degree d must have coordinates.  Once the
-    gens lie in J, (gens)_d = J_d for every d <= top iff J_d = R_1 J_{d-1}
-    + span(gens of degree d) for every d <= top (graded Nakayama, by
-    induction on d), a rank test per degree that stops at the first
-    degree falling short.  A generator of degree above top is not read."""
-    top = len(dims) - 1
-    of_degree = [[] for _ in dims]
+    R in every degree up to top: rows are homogeneous, reduced with pivot
+    one over rmon_index(top), and span J modulo m^{top+1}, an ideal of
+    R_{<top+1}.  Each generator must have coordinates on rows, and then
+    (gens)_d = J_d for every d <= top iff the gens span J/mJ (graded
+    Nakayama), the rank test of verify_ideal_presentation.  A generator of
+    degree above top is not read."""
+    index = ring.rmon_index(top)
+    vs = []
     for g in gens:
         g.ring.check_same(ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
         if g.order <= top:
-            of_degree[g.order].append(g.vector(ring.monomial_index(g.order)))
-    field = ring.field
-    for d, vs in enumerate(of_degree):
-        row_at = {min(row): k for k, row in enumerate(spaces[d])}
-        if any(coordinates(field, spaces[d], row_at, v) is None for v in vs):
-            return False
-    tabs = ring.multiplication_tables(top)
-    # in rmon_index(top) the monomials of degree d start at column at[d]
-    at = [0, *accumulate(map(ring.dim_of_degree, range(top)))]
-    for d, vs in enumerate(of_degree):
-        if not dims[d]:
-            continue
-        span = _Span(field, ring.dim_of_degree(d))
-        for v in vs:
-            span.add(v if field.char else primitive(v))
-        # J_{d-1} times each variable, last row first, as in _mi_span
-        for b in reversed(spaces[d - 1] if d and dims[d - 1] else ()):
-            if span.dim == dims[d]:
-                break
-            b = b if field.char else primitive(b)
-            lo, hi = at[d - 1], at[d]
-            for tab in tabs:
-                span.add({tab[lo + c] - hi: v for c, v in b.items()})
-        if span.dim != dims[d]:
-            return False
-    return True
-
+            vs.append(g.vector(index))
+    at = {min(row): k for k, row in enumerate(rows)}
+    return _generates(ring, rows, top - 1,
+                      [coordinates(ring.field, rows, at, v) for v in vs])

@@ -86,6 +86,11 @@ def cmd_hilbert(args):
 def cmd_annihilator(args):
     ring = _ring_from_args(args)
     f = parse_poly(args.expr, ring)
+    # the --verify list is parsed before any engine work: bad input fails
+    # before anything is printed
+    if args.verify is not None:
+        gens = [parse_ps(s.strip(), ring, f.degree + 2)
+                for s in args.verify.split(";") if s.strip()]
     ideal = annihilator(f)
     if args.format == "json":
         import json  # imported here: only JSON output needs it
@@ -98,8 +103,6 @@ def cmd_annihilator(args):
         for g, o in zip(ideal.min_gens, ideal.orders):
             print("order %d: %s" % (o, g))
     if args.verify is not None:
-        gens = [parse_ps(s.strip(), ring, f.degree + 2)
-                for s in args.verify.split(";") if s.strip()]
         ok = verify_ideal_presentation(gens, f)
         print("presentation %s" % ("matches" if ok else "DOES NOT match"))
         return 0 if ok else 1

@@ -366,14 +366,20 @@ def filtration_ideal(f, a: int) -> GradedIdealData:
 def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal
     described by data, in every degree up to j+1.  data must be an ideal
-    held as reduced pivot-one bases, as filtration_ideal returns: each
-    generator must have coordinates on its degree's basis, and the products
-    of degree d must reach dims[d].  Data holding R_0 describe the unit
-    ideal C(0) = R, which non-unit generators never generate; they are
-    refused as bad input, as unit generators are."""
+    held as reduced pivot-one bases, as filtration_ideal returns.  Placed
+    in the columns of rmon_index(j+1) they are one such basis of the ideal
+    modulo m^{j+2}, checked as I* is (apolarity._verify_graded): each
+    generator must have coordinates on it, and the gens must span it
+    modulo m times it (graded Nakayama).  Data holding R_0 describe the
+    unit ideal C(0) = R, which non-unit generators never generate; they
+    are refused as bad input, as unit generators are."""
     if data.dims[0]:
         raise DomainError("the graded ideal holds 1: C(0) = R is the unit "
                           "ideal, generated by no non-unit generators")
     if any(g.order == 0 for g in gens):
         raise DomainError("graded generators must be nonzero, homogeneous, non-units")
-    return _verify_graded(gens, data.ring, data.spaces, data.dims)
+    # each degree's basis moved to its columns of rmon_index(j+1)
+    at = [0, *accumulate(map(data.ring.dim_of_degree, range(len(data.dims))))]
+    rows = [{at[d] + c: v for c, v in row.items()}
+            for d, basis in enumerate(data.spaces) for row in basis]
+    return _verify_graded(gens, data.ring, rows, len(data.dims) - 1)

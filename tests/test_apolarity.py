@@ -354,20 +354,28 @@ def test_contains_checks_the_ring():
 
 @pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
 def test_graded_bases_are_the_orthogonals_of_the_leading_forms(char):
-    """The bases of I*_d read off Ann f's rows (LocalIdeal.graded_bases)
-    are, value for value and type for type (2 and Fraction(2) differ),
-    the canonical bases orthogonal returns for L(0, d), d = 0..j+1, the
-    route verify_graded_presentation took before."""
+    """The basis of I* read off Ann f's rows (LocalIdeal.graded_rows) is
+    homogeneous, and its rows of degree d, moved to monomial_index(d), are,
+    value for value and type for type (2 and Fraction(2) differ), the
+    canonical basis orthogonal returns for L(0, d), d = 0..j+1, the route
+    verify_graded_presentation took before it read I* off Ann f."""
     from macdual.linalg import orthogonal, reversed_columns
     field = Field(char)
     for f in reference_forms(char)[::3]:
         P = PartialFiltration(f)
-        bases = annihilator(P).graded_bases()
-        assert len(bases) == P.j + 2
-        for d, basis in enumerate(bases):
+        I = annihilator(P)
+        rows = I.graded_rows()
+        assert len(rows) == I.dim
+        start = 0
+        for d in range(P.j + 2):
             n = f.ring.dim_of_degree(d)
+            basis = [{c - start: v for c, v in row.items()}
+                     for row in rows if start <= min(row) < start + n]
+            assert all(max(row) < n for row in basis)
             want = orthogonal(field, reversed_columns(P.lt_rows(0, d), n), n)
             assert typed(basis) == typed(want)
+            start += n
+        assert start == len(I.rmons)
 
 
 def test_verify_ideal_rejects_unit_and_wrong():
@@ -480,6 +488,33 @@ def test_graded_presentation_homogeneous_case():
     gens = [R.ps("x^3"), R.ps("y^3")]
     assert verify_ideal_presentation(gens, f)
     assert verify_graded_presentation(gens, f)
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+@pytest.mark.parametrize("src", ["X^[3]*Y^[2]", "X^[4]+X^[2]*Y+Y^[2]"])
+def test_graded_verifiers_on_edge_lists(char, src):
+    """Edge lists of both graded verifiers, up to degree top = j+1: a true
+    list plus the unit 1 is no presentation of I*; a generator of degree
+    j+2 is not read, so the true list plus one still presents I*; the empty
+    list presents neither I* nor C(1); a unit generator of C(1) is refused
+    as bad input."""
+    R, f = mk(("X", "Y"), src, char)
+    P = PartialFiltration(f)
+    graded = graded_generators(f)
+    data = filtration_ideal(P, 1)
+    ideal_gens = pick_graded_generators(R, [
+        [PSElement.from_vector(R, row, R.monomials(d)) for row in rows]
+        for d, rows in enumerate(data.spaces)])
+    got = [verify_graded_presentation(graded, P),
+           verify_graded_presentation(graded + [R.ps("1")], P),
+           verify_graded_presentation(graded + [R.ps("x^%d" % (P.j + 2))],
+                                      P),
+           verify_graded_presentation([], P),
+           verify_graded_ideal(ideal_gens, data),
+           verify_graded_ideal([], data)]
+    assert got == [True, False, True, False, True, False]
+    with pytest.raises(DomainError):
+        verify_graded_ideal(ideal_gens + [R.ps("1")], data)
 
 
 def test_min_generator_counts():
@@ -944,22 +979,28 @@ def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
 
 
 def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
-    """Over Q the m*I span (_mi_span, for annihilator and for
-    verify_ideal_presentation), the generator tests fed to it, and the
-    per-degree rank test _verify_graded of the graded verifiers grow their
-    echelons with integer vectors only, and never reduce one in full,
-    while the images x^beta o f of the same forms, reduced by the
-    PartialFiltration echelon, carry Fractions.  Every rank echelon sits
-    inside a _Span, so calls are counted by the function that feeds it."""
+    """Over Q the rank echelons of annihilator and of the three
+    presentation checks grow with integer vectors only, and never reduce
+    one in full, while the images x^beta o f of the same forms, reduced by
+    the PartialFiltration echelon, carry Fractions.  Every rank echelon
+    sits inside a _Span, so calls are counted by the function that feeds
+    it (_mi_span's shifts, annihilator's unit vectors, _generates's
+    generator coordinates) and by the route on the stack above it:
+    annihilator, verify_ideal_presentation, or the graded verifiers'
+    _verify_graded."""
     fractions = Counter()
     helpers = {Echelon.insert.__code__, _Span.add.__code__}
+    routes = {"annihilator", "verify_ideal_presentation", "_verify_graded"}
 
     def watch(method):
         def watched(self, vec):
             frame = sys._getframe(1)
             while frame.f_code in helpers:
                 frame = frame.f_back
-            fractions[method.__name__, frame.f_code.co_qualname,
+            feeder = frame.f_code.co_qualname
+            while frame is not None and frame.f_code.co_qualname not in routes:
+                frame = frame.f_back
+            fractions[method.__name__, feeder, frame and frame.f_code.co_qualname,
                       any(type(a) is Fraction for a in vec.values())] += 1
             return method(self, vec)
         return watched
@@ -977,13 +1018,22 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         I = annihilator(f)
         assert verify_ideal_presentation(I.min_gens, f)
         assert verify_graded_presentation(graded_generators(f), f)
-    for caller in ("_mi_span", "annihilator", "verify_ideal_presentation",
-                   "_verify_graded"):
-        assert fractions["grow", caller, False] > 0
-        assert fractions["grow", caller, True] == 0
-        assert not any(fractions["reduce", caller, frac]
-                       for frac in (False, True))
-    assert fractions["reduce", "PartialFiltration.__init__", True] > 0
+    fed = [("annihilator", "_mi_span"), ("annihilator", "annihilator"),
+           ("verify_ideal_presentation", "_mi_span"),
+           ("verify_ideal_presentation", "_generates"),
+           ("_verify_graded", "_mi_span"), ("_verify_graded", "_generates")]
+    for route, feeder in fed:
+        assert fractions["grow", feeder, route, False] > 0
+        assert fractions["grow", feeder, route, True] == 0
+    # no other function grows a rank echelon, and none of these reduces
+    assert {(route, feeder) for method, feeder, route, _ in fractions
+            if method == "grow"} == set(fed)
+    assert not any(n for (method, feeder, route, _), n in fractions.items()
+                   if method == "reduce" and (route == "_verify_graded"
+                                              or (route, feeder) in fed))
+    assert sum(n for (method, feeder, _, frac), n in fractions.items()
+               if (method, feeder, frac)
+               == ("reduce", "PartialFiltration.__init__", True)) > 0
 
 
 # -- vectors skipped as covered ----------------------------------------------
@@ -1018,8 +1068,10 @@ def covered_skip_outputs(f, graded):
 def test_covered_skips_change_no_output(char, monkeypatch):
     """With Echelon.covers always False every vector is reduced; the
     outputs come out identical.  The forms are sparse, whose m*I spans take
-    unit coordinates, and dense, r 2-4; skips are seen in the filtration
-    and in spans with and without units."""
+    unit coordinates, and dense, r 2-4, and the binary quadric
+    X^[2]+X*Y+Y^[2], whose Ann f holds no monomial below degree 3, so
+    that its m*I spans take none over any field; skips are seen in the
+    filtration and in spans with and without units."""
     field = Field(char)
     rng = random.Random(char % 1000 + 2401)
     covers, skips = Echelon.covers, Counter()
@@ -1044,6 +1096,8 @@ def test_covered_skips_change_no_output(char, monkeypatch):
                                   homogeneous=trial % 4 < 2)
         if not f.drop_constant().is_zero:
             forms.append((f, graded_generators(f)))
+    f = parse_poly("X^[2]+X*Y+Y^[2]", RingSpec(("X", "Y"), field))
+    forms.append((f, graded_generators(f)))
     monkeypatch.setattr(Echelon, "covers", watched)
     got = [covered_skip_outputs(*case) for case in forms]
     monkeypatch.setattr(Echelon, "covers", lambda self, q, n: False)

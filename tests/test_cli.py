@@ -58,6 +58,22 @@ def test_annihilator_verify_filters_f_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_annihilator_verify_parses_before_the_engine_runs(capsys,
+                                                          monkeypatch):
+    """A malformed --verify generator (X is a dual variable, not one of R)
+    exits 2 with an empty stdout: the list is parsed right after f, before
+    Ann f is computed or printed."""
+    def no_engine(f):
+        raise AssertionError("annihilator ran before --verify was parsed")
+
+    monkeypatch.setattr(cli, "annihilator", no_engine, raising=False)
+    code = main(["annihilator", "--vars", "X,Y", "--char", "0",
+                 "--verify", "x*y; X", "X^[3]+Y^[2]"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "unknown variable 'X'" in out.err
+
+
 def test_oversized_generator_exits_3_at_once(capsys):
     t0 = perf_counter()
     code = main(["hilbert", "--vars", "X", "--char", "0", "X^[1000000000]"])
