@@ -71,9 +71,12 @@ d parts, d <= j+1, placed in the columns of rmon_index(j+1), is such a
 basis of itself modulo m^{j+2}, so graded Nakayama is the same test on
 those rows: I*'s for I*, and the bases of C(a) (macdual.decomposition)
 for C(a).  Ranking every product x^m * g instead could not stop early on
-a list that falls short.  annihilator keeps I on the filtration, so no
-check runs a second orthogonal after it; dim I is checked against
-H(A), as C(r+j+1, r) - sum_d h_d.
+a list that falls short.  annihilator keeps I on the filtration with its
+m*I span, taken before the minimal generators are read, so no check runs
+a second orthogonal or a second m*I after it: each grows a copy of the
+span (_Span.copy), and the kept span never changes.  dim I is checked
+against H(A), as C(r+j+1, r) - sum_d h_d.  The graded verifiers build the
+m*J span of their own rows on each call.
 """
 
 from __future__ import annotations
@@ -274,7 +277,13 @@ class _Span:
     non-unit columns in range(q, n), is counted once then.  The pivots are
     non-unit columns below n, and so is q, so the pivots cover those
     free[n - q] columns iff the last free[n - q] of them start at q:
-    ech.covers(q, q + free[n - q])."""
+    ech.covers(q, q + free[n - q]).
+
+    A stored echelon row is never changed in place: Echelon.store builds a
+    new dict or keeps the one it was handed, and Echelon._walk changes only
+    the vector being reduced.  So copy shares the row dicts and free, and
+    copies only the containers that add changes; adding to the copy leaves
+    this span as it is."""
 
     __slots__ = ("n", "units", "ech", "_free")
 
@@ -283,6 +292,17 @@ class _Span:
         self.units: set = set()
         self.ech = Echelon(field)
         self._free = None
+
+    def copy(self) -> _Span:
+        """The same span, grown apart from this one from now on."""
+        new = _Span(self.ech.field, self.n)
+        new.units = set(self.units)
+        ech = new.ech
+        ech.rows = self.ech.rows[:]
+        ech.pivots = self.ech.pivots[:]
+        ech._by_pivot = dict(self.ech._by_pivot)
+        new._free = self._free
+        return new
 
     @property
     def dim(self) -> int:
@@ -320,12 +340,14 @@ class LocalIdeal:
     """I = Ann f modulo m^N with N = j+2, f the dual generator: a canonical
     subspace of R_{<N} (rows, reduced with pivot one; at maps each pivot
     to its row), minimal generators adapted to the order filtration, and
-    the graded data of the associated graded ideal I*."""
+    the graded data of the associated graded ideal I*.  mi is the span of
+    m*I in the coordinates of I (_mi_span), built once by annihilator and
+    never grown: a presentation check grows a copy of it."""
 
     __slots__ = ("ring", "rmons", "rows", "pivots", "at", "min_gens",
-                 "orders", "socle_degree")
+                 "orders", "socle_degree", "mi")
 
-    def __init__(self, f: DPPoly, rmons, rows, min_gens, orders):
+    def __init__(self, f: DPPoly, rmons, rows, min_gens, orders, mi=None):
         self.ring = f.ring
         self.rmons = rmons
         self.rows = rows
@@ -334,6 +356,7 @@ class LocalIdeal:
         self.min_gens = min_gens
         self.orders = orders
         self.socle_degree = f.degree
+        self.mi = mi
 
     @property
     def dim(self) -> int:
@@ -373,33 +396,36 @@ def _mi_span(ring, rows: list, j: int) -> _Span:
     """The span of m*I in the coordinates of I, I spanned by rows, the
     reduced pivot-one rows of an ideal of R_{<j+2}: a vector of I is the
     combination of the rows given by its pivot entries, so x_i * row is
-    kept on pivot columns only, each relabelled by its row number.  Only
-    the span of m*I is read.  Every shift of a monomial row is a unit
-    vector, a coordinate of the _Span, all taken in one update while its
-    echelon is empty; the shifts of the other rows are projected off
-    those, last row first (sparse high-order rows, less fill-in), over Q
-    each row scaled once to a primitive integer row.  The first coordinate
-    of x_i * row is var_shift[i][lead], x_i * lead being its leading
-    monomial when that has degree j+1 or less; a shift covered there is
-    not built."""
+    kept on pivot columns only, each relabelled by its row number, read
+    through the multiplication table and then the pivot's row for just
+    the columns the row holds.  Only the span of m*I is read.  Every shift
+    of a monomial row is a unit vector, a coordinate of the _Span, all
+    taken in one update while its echelon is empty; the shifts of the
+    other rows are projected off those, last row first (sparse high-order
+    rows, less fill-in), over Q each row scaled once to a primitive
+    integer row.  x_i * lead is the leading monomial of x_i * row when it
+    has degree j+1 or less, so the pivot's row there is its first
+    coordinate; a shift covered there is not built."""
     field = ring.field
-    row_of = {min(row): k for k, row in enumerate(rows)}
-    var_shift = [{c: row_of[t] for c, t in tab.items() if t in row_of}
-                 for tab in ring.multiplication_tables(j + 1)]
+    row_of = {min(row): k for k, row in enumerate(rows)}.get
+    tabs = ring.multiplication_tables(j + 1)
     mi = _Span(field, len(rows))
-    mi.units.update(tab[c] for row in rows if len(row) == 1 for c in row
-                    for tab in var_shift if c in tab)
+    # row_of(None), a shift past degree j+1, is None
+    mi.units.update(k for row in rows if len(row) == 1 for c in row
+                    for tab in tabs if (k := row_of(tab.get(c))) is not None)
     for row in reversed(rows):
         if len(row) == 1:
             continue
         lead = min(row)
-        shifts = [tab for tab in var_shift
-                  if lead not in tab or not mi.covers(tab[lead])]
+        shifts = [tab for tab in tabs
+                  if (k := row_of(tab.get(lead))) is None
+                  or not mi.covers(k)]
         if not shifts:
             continue
         row = row if field.char else primitive(row)
         for tab in shifts:
-            w = {tab[c]: v for c, v in row.items() if c in tab}
+            w = {k: v for c, v in row.items()
+                 if (k := row_of(tab.get(c))) is not None}
             if w:
                 mi.add(w)
     return mi
@@ -408,8 +434,8 @@ def _mi_span(ring, rows: list, j: int) -> _Span:
 def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     """Kernel of contraction against f, with minimal generators I/mI; f is
     the dual generator or its PartialFiltration.  The LocalIdeal is built
-    once per filtration and kept on it: every later call for the same
-    filtration returns that instance, shared read-only."""
+    once per filtration and kept on it, with its m*I span: every later
+    call for the same filtration returns that instance, shared read-only."""
     P = filtration(f)
     if P.ideal is not None:
         return P.ideal
@@ -429,20 +455,22 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     mi = _mi_span(ring, rows, j)
     # row k is a minimal generator iff it is not in m*I + <rows before it>;
     # that depends on these spans only, not on which rows the echelon keeps
+    span = mi.copy()
     min_gens, orders = [], []
     for k, row in enumerate(rows):
-        if mi.add({k: field.one}):
+        if span.add({k: field.one}):
             min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
             orders.append(mdeg(rmons[min(row)]))
-    P.ideal = LocalIdeal(P.f, rmons, rows, min_gens, orders)
+    P.ideal = LocalIdeal(P.f, rmons, rows, min_gens, orders, mi)
     return P.ideal
 
 
 def verify_ideal_presentation(gens: list[PSElement],
                               f: DPPoly | PartialFiltration) -> bool:
     """True iff (gens) = Ann f modulo m^{j+2}: every g has coordinates on
-    I = Ann f, and those coordinates span I/mI (Nakayama's lemma).  f is
-    the dual generator or its PartialFiltration."""
+    I = Ann f, and those coordinates span I/mI (Nakayama's lemma), tested
+    on a copy of the m*I span annihilator keeps.  f is the dual generator
+    or its PartialFiltration."""
     P = filtration(f)
     I = annihilator(P)
     dim = len(I.rmons) - sum(P.hilbert())
@@ -450,22 +478,21 @@ def verify_ideal_presentation(gens: list[PSElement],
         raise InternalCheckError("dim Ann f = %d, but H(A) gives %d"
                                  % (I.dim, dim))
     # every g's ring is checked; a unit, as I is proper, has no coordinates
-    return _generates(P.ring, I.rows, P.j, [I.coordinates(g) for g in gens])
+    coords = [I.coordinates(g) for g in gens]
+    return None not in coords and _generates(I.mi.copy(), coords)
 
 
-def _generates(ring, rows: list, j: int, coords: list) -> bool:
-    """Nakayama's lemma for J, the ideal of R_{<j+2} spanned by rows (reduced
-    pivot-one, as _mi_span takes them), and gens with coordinates coords on
-    rows, None for a generator off J: True iff every generator lies in J
-    and their coordinates span J/mJ, that is the m*J span plus the
-    coordinates reaches dim J."""
-    if None in coords:
-        return False
-    mi = _mi_span(ring, rows, j)
+def _generates(mi: _Span, coords: list) -> bool:
+    """Nakayama's lemma for J, an ideal of R_{<j+2} held as reduced
+    pivot-one rows, and generators of J with coordinates coords on those
+    rows: mi is the m*J span in the same coordinates (_mi_span), grown
+    here, and the generators span J/mJ, so generate J, iff mi plus their
+    coordinates reaches dim J, the number of rows."""
+    field = mi.ech.field
     for v in coords:
         if v:
-            mi.add(v if ring.field.char else primitive(v))
-    return mi.dim == len(rows)
+            mi.add(v if field.char else primitive(v))
+    return mi.dim == mi.n
 
 
 def verify_graded_presentation(gens: list[PSElement],
@@ -496,5 +523,6 @@ def _verify_graded(gens: list[PSElement], ring, rows: list,
         if g.order <= top:
             vs.append(g.vector(index))
     at = {min(row): k for k, row in enumerate(rows)}
-    return _generates(ring, rows, top - 1,
-                      [coordinates(ring.field, rows, at, v) for v in vs])
+    coords = [coordinates(ring.field, rows, at, v) for v in vs]
+    return None not in coords and _generates(_mi_span(ring, rows, top - 1),
+                                             coords)

@@ -92,21 +92,21 @@ def cmd_annihilator(args):
         gens = [parse_ps(s.strip(), ring, f.degree + 2)
                 for s in args.verify.split(";") if s.strip()]
     ideal = annihilator(f)
-    if args.format == "json":
-        import json  # imported here: only JSON output needs it
-        print(json.dumps({
-            "min_gens": [str(g) for g in ideal.min_gens],
-            "orders": list(ideal.orders),
-            "graded_dims": list(ideal.graded_dims()),
-        }))
-    else:
+    if args.format != "json":
         for g, o in zip(ideal.min_gens, ideal.orders):
             print("order %d: %s" % (o, g))
-    if args.verify is not None:
-        ok = verify_ideal_presentation(gens, f)
+    ok = None if args.verify is None else verify_ideal_presentation(gens, f)
+    if args.format == "json":
+        import json  # imported here: only JSON output needs it
+        doc = {"min_gens": [str(g) for g in ideal.min_gens],
+               "orders": list(ideal.orders),
+               "graded_dims": list(ideal.graded_dims())}
+        if ok is not None:
+            doc["verified"] = ok    # one JSON document on stdout
+        print(json.dumps(doc))
+    elif ok is not None:
         print("presentation %s" % ("matches" if ok else "DOES NOT match"))
-        return 0 if ok else 1
-    return 0
+    return 1 if ok is False else 0
 
 
 def cmd_exotic(args):

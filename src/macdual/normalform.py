@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from operator import sub
 from typing import NamedTuple
 
 from .apolarity import PartialFiltration, filtration
@@ -124,7 +125,9 @@ class CoordChange:
         w_0^{a_0} ... w_i^{a_i} o F form a tree over i, each node one more
         w_i o g.  A term X^[m] of g meets w_i only at the divisors b of m,
         giving w_i[b] X^[m-b], so each contraction walks g's terms through
-        the ring's divisor table; w_i is dense, and g often sparse."""
+        the ring's divisor table; w_i is dense, and g often sparse.  A
+        one-term w_i = c x^b needs no table: it shifts each X^[m] with
+        b <= m to c X^[m-b]."""
         F.ring.check_same(self.ring)
         if F.is_zero:
             return F
@@ -145,6 +148,7 @@ class CoordChange:
                 if c is not None:
                     out[alpha] = c
                 return
+            shift = next(iter(ws[i].items())) if len(ws[i]) == 1 else None
             w = ws[i].get
             e = 0
             while True:
@@ -153,13 +157,20 @@ class CoordChange:
                 if used + e > j:
                     return
                 acc: dict = {}
-                get = acc.get
-                for m, a in g.items():
-                    pairs = iter(divisors[m])
-                    for b, q in zip(pairs, pairs):
-                        c = w(b)
-                        if c is not None:
-                            acc[q] = get(q, 0) + c * a
+                if shift is not None:
+                    s, k = shift
+                    for m, a in g.items():
+                        q = tuple(map(sub, m, s))
+                        if min(q) >= 0:
+                            acc[q] = k * a
+                else:
+                    get = acc.get
+                    for m, a in g.items():
+                        pairs = iter(divisors[m])
+                        for b, q in zip(pairs, pairs):
+                            c = w(b)
+                            if c is not None:
+                                acc[q] = get(q, 0) + c * a
                 g = canon(acc)
                 if not g:
                     return

@@ -398,6 +398,46 @@ def test_verify_ideal_checks_every_ring_before_units():
             verify_ideal_presentation(gens, f)
 
 
+@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
+@pytest.mark.parametrize("src", ["X^[3]*Y+Y^[3]+X*Z^[2]+Z^[4]",
+                                 "X^[3]*Y^[2]*Z"])
+def test_kept_mi_span_is_built_once_and_left_unchanged(monkeypatch, char,
+                                                       src):
+    """annihilator builds the m*I span once and keeps it on the LocalIdeal,
+    and every verify_ideal_presentation grows a copy of it.  On one
+    LocalIdeal a cut-short list, the true list, a list holding a non-member
+    and the true list again get False, True, False, True, as the plain
+    reference verifier answers; the kept span reads the same after every
+    check, and _mi_span ran once in all.  The span of the monomial form
+    is all unit coordinates, so its checks grow the copy's units."""
+    import macdual.apolarity as apolarity
+    built = []
+    mi_span = apolarity._mi_span
+    monkeypatch.setattr(apolarity, "_mi_span",
+                        lambda *args: built.append(args) or mi_span(*args))
+    R, f = mk(("X", "Y", "Z"), src, char)
+    P = PartialFiltration(f)
+    I = annihilator(P)
+    mi = I.mi
+
+    def kept():
+        ech = mi.ech
+        return (sorted(mi.units), [dict(row) for row in ech.rows],
+                list(ech.pivots), dict(ech._by_pivot), mi._free)
+
+    state = kept()
+    assert bool(mi.ech.rows) == ("+" in src) and len(I.min_gens) > 2
+    lists = [I.min_gens[1:], I.min_gens, I.min_gens + [R.ps("x")],
+             I.min_gens]
+    got = []
+    for gens in lists:
+        got.append(verify_ideal_presentation(gens, P))
+        assert I.mi is mi and kept() == state
+    assert got == [False, True, False, True]
+    assert got == [verify_ideal_plain(gens, P) for gens in lists]
+    assert len(built) == 1
+
+
 def test_a_verifier_after_annihilator_reads_no_second_orthogonal(
         monkeypatch):
     """annihilator keeps the LocalIdeal on the filtration, and
@@ -987,7 +1027,8 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
     it (_mi_span's shifts, annihilator's unit vectors, _generates's
     generator coordinates) and by the route on the stack above it:
     annihilator, verify_ideal_presentation, or the graded verifiers'
-    _verify_graded."""
+    _verify_graded.  verify_ideal_presentation grows a copy of the m*I
+    span annihilator keeps, so only _generates feeds an echelon there."""
     fractions = Counter()
     helpers = {Echelon.insert.__code__, _Span.add.__code__}
     routes = {"annihilator", "verify_ideal_presentation", "_verify_graded"}
@@ -1019,7 +1060,6 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         assert verify_ideal_presentation(I.min_gens, f)
         assert verify_graded_presentation(graded_generators(f), f)
     fed = [("annihilator", "_mi_span"), ("annihilator", "annihilator"),
-           ("verify_ideal_presentation", "_mi_span"),
            ("verify_ideal_presentation", "_generates"),
            ("_verify_graded", "_mi_span"), ("_verify_graded", "_generates")]
     for route, feeder in fed:

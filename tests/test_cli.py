@@ -49,6 +49,22 @@ def test_hilbert_and_annihilator(capsys):
     assert code == 1
 
 
+def test_annihilator_json_verify_is_one_document(capsys):
+    """With --format json, --verify's verdict is the "verified" key of the
+    one JSON document on stdout, for a true list (exit 0) and a cut-short
+    one (exit 1), and no plain line follows it."""
+    for gens, code_want, ok in (("y-x^2; x^5", 0, True), ("y-x^2", 1, False)):
+        code, out = run(capsys, "annihilator", "--vars", "X,Y", "--char",
+                        "0", "--format", "json", "--verify", gens,
+                        "X^[4]+X^[2]*Y+Y^[2]")
+        doc = json.loads(out)
+        assert code == code_want and doc["verified"] is ok
+        assert doc["min_gens"] == ["y-x^2", "x*y^2"]
+    code, out = run(capsys, "annihilator", "--vars", "X,Y", "--char", "0",
+                    "--format", "json", "X^[4]+X^[2]*Y+Y^[2]")
+    assert code == 0 and "verified" not in json.loads(out)
+
+
 def test_annihilator_verify_filters_f_once(capsys, monkeypatch):
     from test_apolarity import count_filtrations
     built = count_filtrations(monkeypatch)

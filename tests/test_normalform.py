@@ -258,6 +258,83 @@ def adjoint_apply_pairwise(sigma, F):
     return DPPoly(ring, out)
 
 
+def adjoint_apply_divisors(sigma, F):
+    """CoordChange.adjoint_apply before one-term w_i were contracted as a
+    column shift: every contraction w_i o g walks g's terms through the
+    ring's divisor table.  A test-only reference."""
+    if F.is_zero:
+        return F
+    j = F.degree
+    ring = sigma.ring
+    canon = ring.field.canon
+    divisors = ring.divisor_table(j)
+    ws = [w.coeffs for w in sigma.inv_images]
+    zero_mon = ring.r * (0,)
+    out = {}
+
+    def rec(i, g, alpha, used):
+        if i == ring.r:
+            c = g.get(zero_mon)
+            if c is not None:
+                out[alpha] = c
+            return
+        e = 0
+        while True:
+            rec(i + 1, g, alpha + (e,), used + e)
+            e += 1
+            if used + e > j:
+                return
+            acc = {}
+            for m, a in g.items():
+                pairs = iter(divisors[m])
+                for b, q in zip(pairs, pairs):
+                    c = ws[i].get(b)
+                    if c is not None:
+                        acc[q] = acc.get(q, 0) + c * a
+            g = canon(acc)
+            if not g:
+                return
+
+    rec(0, F.coeffs, (), 0)
+    return DPPoly(ring, out)
+
+
+@pytest.mark.parametrize("char", [0, 101])
+def test_one_term_inverse_images_shift_as_the_divisor_route(char):
+    """A one-term w_i = c x_k contracts as a column shift; the identity, a
+    diagonal change, and mixed changes whose w_i are one-term for some i
+    (scaled and permuted variables) and dense for the others give the
+    divisor route's monomials, values, value types and order."""
+    rng = random.Random(3400 + char)
+    field = Field(char)
+    for r in range(1, 5):
+        R = RingSpec(("X", "Y", "Z", "W")[:r], field)
+        N = (9, 7, 6, 5)[r - 1]
+        xs = [variable_series(R, i, N) for i in range(r)]
+        diag = [x.scale(field.from_int(rng.choice((2, 3, -1, 5))))
+                for x in xs]
+        dense = [x + _high_terms(R, rng, 2, N, 4) for x in xs]
+        perm = rng.sample(range(r), r)
+        mixed = [diag[perm[i]] if i % 2 == 0 else dense[i]
+                 for i in range(r)]
+        changes = [CoordChange.identity(R, N)]
+        for ws in (diag, mixed):
+            try:
+                changes.append(CoordChange.from_inverse_images(ws, N))
+            except DomainError:     # dependent linear parts
+                continue
+        assert len(changes) > 1
+        for sigma in changes:
+            Fs = [random_poly(R, rng.randint(1, N - 1), rng, terms=5)
+                  for _ in range(4)]
+            Fs.append(DPPoly(R, {(N - 1,) + (r - 1) * (0,): field.one}))
+            for F in Fs:
+                got = sigma.adjoint_apply(F)
+                want = adjoint_apply_divisors(sigma, F)
+                assert repr(list(got.coeffs.items())) == \
+                    repr(list(want.coeffs.items())), (char, r, F)
+
+
 def _high_terms(R, rng, lo, hi, count):
     """A few random terms of degrees lo..hi, as a PSElement to degree hi."""
     mons = [m for d in range(lo, hi + 1) for m in R.monomials(d)]
