@@ -347,7 +347,7 @@ class LocalIdeal:
     __slots__ = ("ring", "rmons", "rows", "pivots", "at", "min_gens",
                  "orders", "socle_degree", "mi")
 
-    def __init__(self, f: DPPoly, rmons, rows, min_gens, orders, mi=None):
+    def __init__(self, f: DPPoly, rmons, rows, min_gens, orders, mi):
         self.ring = f.ring
         self.rmons = rmons
         self.rows = rows

@@ -720,7 +720,8 @@ def annihilator_fraction_rows(f, scale=None):
     rows: the kernel rows, Fractions and all, shifted straight into m*I.
     With scale=primitive over Q, as it ran before unit vectors became
     coordinates: each row scaled by scale, its shifts in one plain Echelon.
-    The reference for rows, min_gens, orders and graded_dims."""
+    The reference for rows, min_gens, orders and graded_dims; it keeps no
+    m*I span."""
     f = f.drop_constant()
     ring, field, j = f.ring, f.ring.field, f.degree
     rmons = list(ring.rmon_index(j + 1))
@@ -743,7 +744,7 @@ def annihilator_fraction_rows(f, scale=None):
         if mi.insert({k: field.one}):
             min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
             orders.append(sum(rmons[min(row)]))
-    return LocalIdeal(f, rmons, rows, min_gens, orders)
+    return LocalIdeal(f, rmons, rows, min_gens, orders, None)
 
 
 def assert_same_ideal(f):
