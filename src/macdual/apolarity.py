@@ -29,13 +29,19 @@ is the orthogonal of R o f under <x^a, X^[b]> = delta_ab (Macaulay's
 inverse system; Iarrobino's Memoir, AMS 514, 1994), so no second
 elimination is run.  Each row of R o f is relabelled once, from D's
 columns straight into the reversed R columns that linalg.orthogonal
-reads.  filtration(f) returns the PartialFiltration built last again for
+reads, through a map shared by every ring of its shape
+(RingSpec.dual_columns).  For a sparse f most partials x^beta o f are
+single monomials X^[a], and each puts e_a in R o f: orthogonal takes
+those rows as one set of columns, struck from the other rows before they
+are reduced, so only the partials with several terms reach the
+echelon.  filtration(f) returns the PartialFiltration built last again for
 an equal generator, and annihilator keeps the LocalIdeal it builds on
 that filtration, so a caller that filters f, asks for Ann f and checks a
 presentation of it filters f once and reads Ann f once.  For a sparse f
 most of Ann f is monomial (x^beta o f = 0 whenever x^beta divides no term
-of f), and every shift of a monomial row is a unit vector.  The spans that
-are only read for a rank (m*I, and the rank tests of the presentation
+of f), and every shift of a monomial row is a unit vector.  annihilator
+reads the pivots of I's rows once, and hands them to _mi_span and to the
+LocalIdeal.  The spans that are only read for a rank (m*I, and the rank tests of the presentation
 checks) therefore take unit vectors as coordinates U and project every
 other vector off U into one echelon (_Span): the span is the direct sum
 <e_U> + span(echelon), so every answer is exact.  The echelon grows by
@@ -47,7 +53,13 @@ units or pivots: it already lies in the span.  m*I is fed last row first,
 so its high columns fill first and most of its shifts are skipped;
 graded-lex is multiplicative, so the first coordinate of x_i * row is the
 row of x_i * pivot, and a shift whose first coordinate is covered is not
-even built.
+even built.  The shifts of the monomial rows join U as one set update per
+multiplication table, and the shifts of the other rows are projected off
+U as they are built, so one that lands on U alone is never added.  Row k
+is a minimal generator iff it is not in m*I + <rows before it>, so the
+generator loop skips, without building e_k, a k already among U: the
+units are read as they grow, since while the echelon is empty a unit
+vector added joins them.
 
 Membership needs no span and no contraction.  I's rows are reduced with
 pivot one, so g lies in I iff g = sum_k g[q_k] * row_k, q_k the pivot of
@@ -75,8 +87,9 @@ a list that falls short.  annihilator keeps I on the filtration with its
 m*I span, taken before the minimal generators are read, so no check runs
 a second orthogonal or a second m*I after it: each grows a copy of the
 span (_Span.copy), and the kept span never changes.  dim I is checked
-against H(A), as C(r+j+1, r) - sum_d h_d.  The graded verifiers build the
-m*J span of their own rows on each call.
+against H(A), as C(r+j+1, r) - sum_d h_d.  I*'s rows and their m*I* span
+are built on the first graded check and kept on the LocalIdeal the same
+way (LocalIdeal.graded); verify_graded_ideal builds C(a)'s on each call.
 """
 
 from __future__ import annotations
@@ -111,7 +124,7 @@ def _images_descending(f: DPPoly, top: int):
     read."""
     ring = f.ring
     j = f.degree
-    rmons = list(ring.rmon_index(top))
+    rmons = ring.rmon_list(top)[0]
     images = _shifted(ring.rmon_steps(top), len(rmons),
                       f.vector(ring.dmon_index(j)), ring.contraction_tables(j))
     while images:
@@ -159,8 +172,7 @@ class PartialFiltration:
         self.ring = f.ring
         self.j = j = f.degree
         self.dindex = f.ring.dmon_index(j)
-        self.dmons = list(self.dindex)
-        self.col_deg = [mdeg(m) for m in self.dmons]
+        self.dmons, self.col_deg = f.ring.dmon_list(j)
         ech = Echelon(f.ring.field)
         n = len(self.dindex)
         tag = {}
@@ -336,27 +348,50 @@ class _Span:
                 and self.ech.covers(q, q + free[self.n - q]))
 
 
+class _Held(NamedTuple):
+    """A graded ideal J of R_{<top+1} held as reduced pivot-one rows over
+    rmon_index(top), at mapping each pivot to its row, and mi the span of
+    m*J in the coordinates of J (_mi_span), never grown: a check grows a
+    copy of it."""
+
+    rows: list
+    at: dict
+    mi: _Span
+
+
+def _hold(ring, rows: list, top: int) -> _Held:
+    """J held as _Held, rows its reduced pivot-one rows over
+    rmon_index(top)."""
+    pivots = list(map(min, rows))
+    return _Held(rows, dict(zip(pivots, range(len(rows)))),
+                 _mi_span(ring, rows, pivots, top - 1))
+
+
 class LocalIdeal:
     """I = Ann f modulo m^N with N = j+2, f the dual generator: a canonical
-    subspace of R_{<N} (rows, reduced with pivot one; at maps each pivot
-    to its row), minimal generators adapted to the order filtration, and
-    the graded data of the associated graded ideal I*.  mi is the span of
-    m*I in the coordinates of I (_mi_span), built once by annihilator and
-    never grown: a presentation check grows a copy of it."""
+    subspace of R_{<N} (rows, reduced with pivot one, pivots their pivots
+    and at mapping each pivot to its row) over rmon_index(j+1) (rmons, and
+    degs the degree of each), minimal generators adapted to the order
+    filtration, and the graded data of the associated graded ideal I*.  mi
+    is the span of m*I in the coordinates of I (_mi_span), built once by
+    annihilator and never grown: a presentation check grows a copy of it.
+    graded() builds I*'s rows and m*I* span on its first call and keeps
+    them the same way."""
 
-    __slots__ = ("ring", "rmons", "rows", "pivots", "at", "min_gens",
-                 "orders", "socle_degree", "mi")
+    __slots__ = ("ring", "rmons", "degs", "rows", "pivots", "at",
+                 "min_gens", "orders", "socle_degree", "mi", "_graded")
 
-    def __init__(self, f: DPPoly, rmons, rows, min_gens, orders, mi):
+    def __init__(self, f: DPPoly, rows, pivots, min_gens, orders, mi):
         self.ring = f.ring
-        self.rmons = rmons
+        self.rmons, self.degs = f.ring.rmon_list(f.degree + 1)
         self.rows = rows
-        self.pivots = [min(r) for r in rows]
-        self.at = {q: k for k, q in enumerate(self.pivots)}
+        self.pivots = pivots
+        self.at = dict(zip(pivots, range(len(pivots))))
         self.min_gens = min_gens
         self.orders = orders
         self.socle_degree = f.degree
         self.mi = mi
+        self._graded = None
 
     @property
     def dim(self) -> int:
@@ -365,8 +400,9 @@ class LocalIdeal:
     def graded_dims(self) -> tuple:
         """dim I*_d for d = 0..j+1 (pivot degrees of the canonical basis)."""
         counts = [0] * (self.socle_degree + 2)
+        degs = self.degs
         for p in self.pivots:
-            counts[mdeg(self.rmons[p])] += 1
+            counts[degs[p]] += 1
         return tuple(counts)
 
     def graded_rows(self) -> list:
@@ -375,8 +411,17 @@ class LocalIdeal:
         degree, so the rows stay reduced with pivot one."""
         end = list(accumulate(map(self.ring.dim_of_degree,
                                   range(self.socle_degree + 2))))
-        return [{c: v for c, v in row.items() if c < end[mdeg(self.rmons[q])]}
+        degs = self.degs
+        return [{c: v for c, v in row.items() if c < end[degs[q]]}
                 for row, q in zip(self.rows, self.pivots)]
+
+    def graded(self) -> _Held:
+        """I* modulo m^{j+2}: graded_rows and their m*I* span, built on the
+        first call and kept."""
+        if self._graded is None:
+            self._graded = _hold(self.ring, self.graded_rows(),
+                                 self.socle_degree + 1)
+        return self._graded
 
     def coordinates(self, phi: PSElement) -> dict | None:
         """phi's coordinates on rows, or None when phi is not in I; its
@@ -392,31 +437,34 @@ class LocalIdeal:
         return self.coordinates(phi) is not None
 
 
-def _mi_span(ring, rows: list, j: int) -> _Span:
+def _mi_span(ring, rows: list, pivots: list, j: int) -> _Span:
     """The span of m*I in the coordinates of I, I spanned by rows, the
-    reduced pivot-one rows of an ideal of R_{<j+2}: a vector of I is the
-    combination of the rows given by its pivot entries, so x_i * row is
-    kept on pivot columns only, each relabelled by its row number, read
-    through the multiplication table and then the pivot's row for just
-    the columns the row holds.  Only the span of m*I is read.  Every shift
-    of a monomial row is a unit vector, a coordinate of the _Span, all
-    taken in one update while its echelon is empty; the shifts of the
-    other rows are projected off those, last row first (sparse high-order
-    rows, less fill-in), over Q each row scaled once to a primitive
-    integer row.  x_i * lead is the leading monomial of x_i * row when it
-    has degree j+1 or less, so the pivot's row there is its first
-    coordinate; a shift covered there is not built."""
+    reduced pivot-one rows of an ideal of R_{<j+2}, and pivots their
+    pivots: a vector of I is the combination of the rows given by its
+    pivot entries, so x_i * row is kept on pivot columns only, each
+    relabelled by its row number, read through the multiplication table
+    and then the pivot's row for just the columns the row holds.  Only the
+    span of m*I is read.  Every shift of a monomial row is a unit vector,
+    a coordinate of the _Span: the monomial rows' pivots are shifted as a
+    set, one update per multiplication table, while the echelon is empty.
+    The shifts of the other rows are projected off those, last row first
+    (sparse high-order rows, less fill-in), over Q each row scaled once to
+    a primitive integer row.  x_i * lead is the leading monomial of x_i *
+    row when it has degree j+1 or less, so the pivot's row there is its
+    first coordinate; a shift covered there is not built."""
     field = ring.field
-    row_of = {min(row): k for k, row in enumerate(rows)}.get
+    row_of = dict(zip(pivots, range(len(pivots)))).get
     tabs = ring.multiplication_tables(j + 1)
     mi = _Span(field, len(rows))
+    units = mi.units
+    monomial = [q for row, q in zip(rows, pivots) if len(row) == 1]
+    for tab in tabs:
+        units.update(map(row_of, map(tab.get, monomial)))
     # row_of(None), a shift past degree j+1, is None
-    mi.units.update(k for row in rows if len(row) == 1 for c in row
-                    for tab in tabs if (k := row_of(tab.get(c))) is not None)
-    for row in reversed(rows):
+    units.discard(None)
+    for row, lead in zip(reversed(rows), reversed(pivots)):
         if len(row) == 1:
             continue
-        lead = min(row)
         shifts = [tab for tab in tabs
                   if (k := row_of(tab.get(lead))) is None
                   or not mi.covers(k)]
@@ -424,8 +472,10 @@ def _mi_span(ring, rows: list, j: int) -> _Span:
             continue
         row = row if field.char else primitive(row)
         for tab in shifts:
+            # projected off the units here, as add would: most shifts of a
+            # sparse f's rows land on units only, and need no add
             w = {k: v for c, v in row.items()
-                 if (k := row_of(tab.get(c))) is not None}
+                 if (k := row_of(tab.get(c))) is not None and k not in units}
             if w:
                 mi.add(w)
     return mi
@@ -440,28 +490,30 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     if P.ideal is not None:
         return P.ideal
     ring = P.ring
-    field = ring.field
+    one = ring.field.one
     j = P.j
-    rindex = ring.rmon_index(j + 1)
-    rmons = list(rindex)
-    n = len(rmons)
+    rmons, degs = ring.rmon_list(j + 1)
     # I is the orthogonal of R o f, x^beta paired with X^[beta]: each row of
     # P.rows is relabelled once, from D's columns straight into the
     # reversed R columns orthogonal reads, last row first (the sparsest rows
     # of each pivot degree lead there, and the others reduce by them)
-    col = [n - 1 - rindex[m] for m in P.dmons]
-    rows = orthogonal(field, [{col[c]: v for c, v in row.items()}
-                              for row in reversed(P.rows)], n)
-    mi = _mi_span(ring, rows, j)
+    col = ring.dual_columns(j)
+    rows = orthogonal(ring.field, [{col[c]: v for c, v in row.items()}
+                                   for row in reversed(P.rows)], len(rmons))
+    pivots = list(map(min, rows))
+    mi = _mi_span(ring, rows, pivots, j)
     # row k is a minimal generator iff it is not in m*I + <rows before it>;
-    # that depends on these spans only, not on which rows the echelon keeps
+    # that depends on these spans only, not on which rows the echelon keeps.
+    # A k among the span's units, read live as they grow while its echelon
+    # is empty, lies there already: add would return False.
     span = mi.copy()
+    units = span.units
     min_gens, orders = [], []
     for k, row in enumerate(rows):
-        if span.add({k: field.one}):
+        if k not in units and span.add({k: one}):
             min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
-            orders.append(mdeg(rmons[min(row)]))
-    P.ideal = LocalIdeal(P.f, rmons, rows, min_gens, orders, mi)
+            orders.append(degs[pivots[k]])
+    P.ideal = LocalIdeal(P.f, rows, pivots, min_gens, orders, mi)
     return P.ideal
 
 
@@ -499,21 +551,22 @@ def verify_graded_presentation(gens: list[PSElement],
                                f: DPPoly | PartialFiltration) -> bool:
     """True iff the homogeneous gens generate exactly the associated graded
     ideal I* = Gr(Ann f) up to degree j+1, checked on the canonical basis of
-    I* that Ann f's rows give (LocalIdeal.graded_rows).  f is the dual
+    I* that Ann f's rows give and a copy of its m*I* span, both kept on the
+    LocalIdeal after the first check (LocalIdeal.graded).  f is the dual
     generator or its PartialFiltration."""
     P = filtration(f)
-    return _verify_graded(gens, P.ring, annihilator(P).graded_rows(), P.j + 1)
+    return _verify_graded(gens, P.ring, annihilator(P).graded(), P.j + 1)
 
 
-def _verify_graded(gens: list[PSElement], ring, rows: list,
-                   top: int) -> bool:
+def _verify_graded(gens: list[PSElement], ring, J: _Held, top: int) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal J of
-    R in every degree up to top: rows are homogeneous, reduced with pivot
-    one over rmon_index(top), and span J modulo m^{top+1}, an ideal of
-    R_{<top+1}.  Each generator must have coordinates on rows, and then
-    (gens)_d = J_d for every d <= top iff the gens span J/mJ (graded
-    Nakayama), the rank test of verify_ideal_presentation.  A generator of
-    degree above top is not read."""
+    R in every degree up to top: J's rows are homogeneous, reduced with
+    pivot one over rmon_index(top), and span J modulo m^{top+1}, an ideal
+    of R_{<top+1}.  Each generator must have coordinates on those rows,
+    and then (gens)_d = J_d for every d <= top iff the gens span J/mJ
+    (graded Nakayama), the rank test of verify_ideal_presentation, run on
+    a copy of J's m*J span.  A generator of degree above top is not
+    read."""
     index = ring.rmon_index(top)
     vs = []
     for g in gens:
@@ -522,7 +575,5 @@ def _verify_graded(gens: list[PSElement], ring, rows: list,
             raise DomainError("graded presentation requires nonzero homogeneous generators")
         if g.order <= top:
             vs.append(g.vector(index))
-    at = {min(row): k for k, row in enumerate(rows)}
-    coords = [coordinates(ring.field, rows, at, v) for v in vs]
-    return None not in coords and _generates(_mi_span(ring, rows, top - 1),
-                                             coords)
+    coords = [coordinates(ring.field, J.rows, J.at, v) for v in vs]
+    return None not in coords and _generates(J.mi.copy(), coords)

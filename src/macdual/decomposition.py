@@ -26,7 +26,8 @@ from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .apolarity import PartialFiltration, _verify_graded, filtration
+from .apolarity import (PartialFiltration, _hold, _verify_graded,
+                        filtration)
 from .errors import DomainError, InternalCheckError
 from .linalg import Echelon, orthogonal, reversed_columns, rref_rows
 from .poly import DPPoly, PSElement, RingSpec
@@ -382,4 +383,5 @@ def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     at = [0, *accumulate(map(data.ring.dim_of_degree, range(len(data.dims))))]
     rows = [{at[d] + c: v for c, v in row.items()}
             for d, basis in enumerate(data.spaces) for row in basis]
-    return _verify_graded(gens, data.ring, rows, len(data.dims) - 1)
+    top = len(data.dims) - 1
+    return _verify_graded(gens, data.ring, _hold(data.ring, rows, top), top)

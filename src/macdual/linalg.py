@@ -374,12 +374,27 @@ def orthogonal(field: Field, rows, n: int) -> list[dict]:
     and S^perp one vector per free column c: e_c - sum row[c] * e_q.  Its
     pivot is c, and no other free column is in its support.  Read
     backwards in the given columns, these are the reduced echelon basis of
-    S^perp.  Over F_p the entries must already be residues in range(p)."""
+    S^perp.  Over F_p the entries must already be residues in range(p).
+
+    A row with one nonzero entry, at c, puts e_c in S: c is a pivot whose
+    basis row is e_c, which adds nothing to any free vector.  So the
+    columns U of such rows are struck from the other rows before rref_rows
+    runs, and the basis of S is <e_U> plus the canonical basis of what is
+    left, which has no entry in U.  Each free vector takes its entries from
+    the basis rows in pivot order, as without the split, so the output is
+    the same, key order and all.  A sparse S (the partials of a sparse f)
+    is mostly such rows; a dense one has almost none, and then the rows
+    reach rref_rows as given."""
     last = n - 1
+    units = {c for row in rows if len(row) == 1
+             for c, v in row.items() if v != 0}
+    if units:
+        rows = [{c: v for c, v in row.items() if c not in units}
+                for row in rows if len(row) > 1]
     basis = rref_rows(field, rows)
-    pivots = {min(row) for row in basis}
-    free = {c: {last - c: field.one}
-            for c in range(last, -1, -1) if c not in pivots}
+    pivots = units.union(map(min, basis))
+    one = field.one
+    free = {c: {last - c: one} for c in range(last, -1, -1) if c not in pivots}
     for row in basis:
         q = min(row)
         at = last - q

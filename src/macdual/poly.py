@@ -25,9 +25,10 @@ int/Fraction products into one dict and hands it to ``Field.canon`` once;
 the constructors do the same.  This module never looks at how a field
 element is stored.
 
-A RingSpec's monomial lists, coordinate indexes, contraction and
-multiplication tables and step tables depend only on (r, degree), not on
-the variable names or the field.  They are shared process-wide by every
+A RingSpec's monomial lists, coordinate indexes and their degrees, the
+map from D's columns to R's reversed ones, contraction and multiplication
+tables and step tables depend only on (r, degree), not on the variable
+names or the field.  They are shared process-wide by every
 RingSpec of that shape, within a fixed bound (_TABLE_SHAPES,
 _TABLE_MONOMIALS).  The divisor table (each monomial's divisors b, paired
 with m - b) is filled on first read of each entry, and one per r serves
@@ -129,6 +130,23 @@ def _index(r: int, top: int, order: int) -> dict:
     degrees = (range(top, -1, -1), (top,), range(top + 1))[order + 1]
     return {m: i for i, m in enumerate(
         m for d in degrees for m in monomials_of_degree(r, d))}
+
+
+@_shared(2 * _TABLE_SHAPES)
+def _listed(r: int, top: int, order: int) -> tuple:
+    # the monomials of _index(r, top, order) in coordinate order, and the
+    # degree of each
+    index = _index(r, top, order)
+    return tuple(index), tuple(map(mdeg, index))
+
+
+@_shared(_TABLE_SHAPES)
+def _dual_columns(r: int, top: int) -> tuple:
+    # column c of D_{<= top} -> its monomial's column in R_{<= top+1}, read
+    # backwards
+    rindex = _index(r, top + 1, 1)
+    last = len(rindex) - 1
+    return tuple(last - rindex[m] for m in _index(r, top, -1))
 
 
 @_shared(2 * _TABLE_SHAPES)
@@ -242,6 +260,17 @@ class RingSpec:
         """monomial -> coordinate, degrees maxdeg..0, graded-lex inside."""
         return _index(self.r, maxdeg, -1)
 
+    def dmon_list(self, maxdeg: int) -> tuple:
+        """(monomials, degrees): the monomials of dmon_index(maxdeg) in
+        coordinate order and the degree of each, two tuples."""
+        return _listed(self.r, maxdeg, -1)
+
+    def dual_columns(self, maxdeg: int) -> tuple:
+        """For each coordinate of dmon_index(maxdeg), the coordinate of its
+        monomial in rmon_index(maxdeg + 1) counted from the end, n-1-k: the
+        reversed R columns in which linalg.orthogonal reads R o f."""
+        return _dual_columns(self.r, maxdeg)
+
     def contraction_tables(self, maxdeg: int) -> list[dict]:
         """Contraction by each variable on the coordinates of dmon_index:
         tables[i] maps the column of X^a to that of X^(a-e_i) whenever
@@ -252,6 +281,11 @@ class RingSpec:
     def rmon_index(self, maxdeg: int) -> dict:
         """monomial -> coordinate, degrees 0..maxdeg, graded-lex inside."""
         return _index(self.r, maxdeg, 1)
+
+    def rmon_list(self, maxdeg: int) -> tuple:
+        """(monomials, degrees): the monomials of rmon_index(maxdeg) in
+        coordinate order and the degree of each, two tuples."""
+        return _listed(self.r, maxdeg, 1)
 
     def multiplication_tables(self, maxdeg: int) -> list[dict]:
         """Multiplication by each variable on the coordinates of rmon_index,

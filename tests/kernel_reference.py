@@ -15,7 +15,8 @@ read by Nakayama's lemma, each product of each generator ranked against
 the dimensions the Hilbert function gives.
 
 annihilator_full_reduction: Ann f as it was read before its rank spans
-grew by leading column, every shift reduced in full.
+grew by leading column, every shift reduced in full, its rows read by the
+kernel route.
 
 generator_degrees_by_lifts: the generator degrees of Q(a) as
 decomposition.component_generator_degrees read them before they were
@@ -25,11 +26,10 @@ coordinates in the degree below."""
 
 from math import comb
 
-from macdual.apolarity import PartialFiltration, _shifted
+from macdual.apolarity import PartialFiltration, _images_descending, _shifted
 from macdual.fields import Field
 from macdual.errors import InternalCheckError
-from macdual.linalg import (Echelon, _div, orthogonal, primitive,
-                            reversed_columns, rref_rows, solve_linear,
+from macdual.linalg import (Echelon, _div, primitive, rref_rows, solve_linear,
                             vec_axpy)
 from macdual.poly import PSElement, contract, mdeg
 
@@ -143,20 +143,22 @@ def verify_graded_ideal_plain(gens, data) -> bool:
 
 def annihilator_full_reduction(f):
     """(rows, min_gens, orders) of Ann f by the route apolarity.annihilator
-    took before its rank spans grew by leading column: R o f relabelled
-    into R's columns, then reversed for orthogonal, rows in pivot order;
-    every x_i-shift of every row, over Q each row made primitive, inserted
-    into one plain Echelon, reduced in full, with no unit coordinates and
-    no vector skipped; row k a minimal generator iff inserting e_k grows
-    that echelon."""
+    took before its rank spans grew by leading column, with its rows read
+    by the kernel route, not by the orthogonal annihilator reads them by:
+    rref_rows of the kernel of the images x^beta o f, beta over
+    rmon_index(j+1) fed from the last (the order in which over Q the
+    kernel comes out reduced already, so that rref_rows has little left to
+    do), relabelled into R's columns; every x_i-shift of every row,
+    over Q each row made primitive, inserted into one plain Echelon,
+    reduced in full, with no unit coordinates and no vector skipped; row k
+    a minimal generator iff inserting e_k grows that echelon."""
     P = PartialFiltration(f)
     ring, field, j = P.ring, P.ring.field, P.j
-    rindex = ring.rmon_index(j + 1)
-    rmons = list(rindex)
+    rmons = list(ring.rmon_index(j + 1))
     n = len(rmons)
-    rows = orthogonal(field, reversed_columns(
-        [{rindex[P.dmons[c]]: v for c, v in row.items()}
-         for row in P.level(0).rows], n), n)
+    rows = rref_rows(field, [
+        {n - 1 - k: v for k, v in w.items()} for w in kernel(
+            field, (img for _, img in _images_descending(P.f, j + 1)))])
     row_of = {min(row): k for k, row in enumerate(rows)}
     mi = Echelon(field)
     for row in rows:

@@ -438,6 +438,45 @@ def test_kept_mi_span_is_built_once_and_left_unchanged(monkeypatch, char,
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
+@pytest.mark.parametrize("src", ["X^[3]*Y+Y^[3]+X*Z^[2]+Z^[4]",
+                                 "X^[3]*Y^[2]*Z"])
+def test_kept_graded_span_is_built_once_and_left_unchanged(monkeypatch,
+                                                           char, src):
+    """The first verify_graded_presentation builds I*'s rows and their
+    m*I* span and keeps them on the LocalIdeal (LocalIdeal.graded); every
+    later graded check grows a copy.  On one filtration a cut-short list,
+    the true list, a list holding a non-member and the true list again get
+    False, True, False, True, as the plain reference verifier answers; the
+    kept rows and span read the same after every check, and _mi_span ran
+    twice in all: once for m*I in annihilator, once for m*I*."""
+    import macdual.apolarity as apolarity
+    built = []
+    mi_span = apolarity._mi_span
+    monkeypatch.setattr(apolarity, "_mi_span",
+                        lambda *args: built.append(args) or mi_span(*args))
+    R, f = mk(("X", "Y", "Z"), src, char)
+    P = PartialFiltration(f)
+    gens = graded_generators(f)
+    lists = [gens[1:], gens, gens + [R.ps("x")], gens]
+
+    def kept(J):
+        ech = J.mi.ech
+        return ([dict(row) for row in J.rows], dict(J.at), sorted(J.mi.units),
+                [dict(row) for row in ech.rows], list(ech.pivots))
+
+    got, states = [], []
+    for g in lists:
+        got.append(verify_graded_presentation(g, P))
+        J = annihilator(P).graded()
+        states.append((J, kept(J)))
+    assert got == [False, True, False, True]
+    assert got == [verify_graded_plain(g, P) for g in lists]
+    assert all(J is states[0][0] and state == states[0][1]
+               for J, state in states)
+    assert len(built) == 2 and len(gens) > 2
+
+
 def test_a_verifier_after_annihilator_reads_no_second_orthogonal(
         monkeypatch):
     """annihilator keeps the LocalIdeal on the filtration, and
@@ -744,7 +783,8 @@ def annihilator_fraction_rows(f, scale=None):
         if mi.insert({k: field.one}):
             min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
             orders.append(sum(rmons[min(row)]))
-    return LocalIdeal(f, rmons, rows, min_gens, orders, None)
+    return LocalIdeal(f, rows, [min(row) for row in rows], min_gens, orders,
+                      None)
 
 
 def assert_same_ideal(f):
@@ -1000,8 +1040,10 @@ def test_span_units_only_before_the_echelon_holds_a_row(monkeypatch):
 def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
     """Ann X^[3]Y^[2] = (x^4, y^3): every row, every shift and every
     generator test is a unit vector, and no echelon row is stored.  The
-    shifts of the monomial rows join the coordinates in one update, so
-    _Span.add sees only the generator tests."""
+    shifts of the monomial rows join the coordinates in one update, and
+    the generator loop skips each row already among them, so _Span.add
+    sees only the generator tests of the rows outside m*I: the two
+    generators."""
     R, f = mk(("X", "Y"), "X^[3]*Y^[2]")
     added = []
     add = _Span.add
@@ -1009,7 +1051,10 @@ def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
                         lambda span, v: added.append(v) or add(span, v))
     # a fresh filtration: one built earlier keeps the ideal it was given
     I = annihilator(PartialFiltration(f))
-    assert added == [{k: 1} for k in range(I.dim)]
+    index = R.rmon_index(f.degree + 1)
+    gens = [I.at[index[m]] for g in I.min_gens for m in g.coeffs]
+    assert added == [{k: 1} for k in sorted(gens)] and len(gens) == 2
+    assert not I.mi.ech.rows and len(I.mi.units) == I.dim - 2
     assert all(len(row) == 1 for row in I.rows)
     assert [str(g) for g in I.min_gens] == ["y^3", "x^4"]
     assert I.orders == [3, 4]
@@ -1017,6 +1062,36 @@ def test_all_monomial_ideal_stays_in_unit_coordinates(monkeypatch):
     assert I.contains(R.ps("x^4*y-y^3")) and not I.contains(R.ps("x^3*y^2"))
     assert verify_ideal_presentation(I.min_gens, f)
     assert not verify_ideal_presentation(I.min_gens[:1], f)
+
+
+@pytest.mark.parametrize("char", [0, 101], ids=["Q", "F101"])
+def test_generator_loop_adds_no_row_among_the_units(monkeypatch, char):
+    """On a sparse r=4, j=6 form, where most of Ann f is monomial, the
+    minimal-generator loop of annihilator hands _Span.add no row index
+    that is already a unit coordinate of its span (add would only return
+    False), yet still tests every other row, and Ann f comes out as the
+    reference route reads it."""
+    _, f = mk(("X", "Y", "Z", "W"),
+              "X^[2]*Y^[2]*Z*W+X^[3]*Z^[2]-3*Y^[4]+2*X*W^[3]+Z^[2]", char)
+    calls = []
+    add = _Span.add
+
+    def counted(span, v):
+        if sys._getframe(1).f_code.co_name == "annihilator":
+            (k,) = v
+            calls.append((k, k in span.units))
+        return add(span, v)
+
+    monkeypatch.setattr(_Span, "add", counted)
+    I = annihilator(PartialFiltration(f))
+    monomial = sum(len(row) == 1 for row in I.rows)
+    assert monomial > 0.8 * I.dim
+    assert calls and not any(unit for _, unit in calls)
+    # each row the loop skipped lies in the units of m*I
+    skipped = set(range(I.dim)) - {k for k, _ in calls}
+    assert skipped and skipped <= I.mi.units
+    assert len(I.min_gens) <= len(calls)
+    assert_same_ideal(f)
 
 
 def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
@@ -1027,12 +1102,14 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
     sits inside a _Span, so calls are counted by the function that feeds
     it (_mi_span's shifts, annihilator's unit vectors, _generates's
     generator coordinates) and by the route on the stack above it:
-    annihilator, verify_ideal_presentation, or the graded verifiers'
-    _verify_graded.  verify_ideal_presentation grows a copy of the m*I
-    span annihilator keeps, so only _generates feeds an echelon there."""
+    annihilator, verify_ideal_presentation, the graded verifiers'
+    _verify_graded, or LocalIdeal.graded, which builds I*'s m*I* span.
+    verify_ideal_presentation and _verify_graded grow a copy of a kept
+    span, so only _generates feeds an echelon there."""
     fractions = Counter()
     helpers = {Echelon.insert.__code__, _Span.add.__code__}
-    routes = {"annihilator", "verify_ideal_presentation", "_verify_graded"}
+    routes = {"annihilator", "verify_ideal_presentation", "_verify_graded",
+              "LocalIdeal.graded"}
 
     def watch(method):
         def watched(self, vec):
@@ -1062,7 +1139,8 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         assert verify_graded_presentation(graded_generators(f), f)
     fed = [("annihilator", "_mi_span"), ("annihilator", "annihilator"),
            ("verify_ideal_presentation", "_generates"),
-           ("_verify_graded", "_mi_span"), ("_verify_graded", "_generates")]
+           ("LocalIdeal.graded", "_mi_span"),
+           ("_verify_graded", "_generates")]
     for route, feeder in fed:
         assert fractions["grow", feeder, route, False] > 0
         assert fractions["grow", feeder, route, True] == 0

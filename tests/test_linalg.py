@@ -541,6 +541,72 @@ def test_covers_matches_brute_force(field):
     assert min(seen.values()) > 100
 
 
+def _orthogonal_unsplit(field, rows, n):
+    """orthogonal as it read S^perp before single-entry rows were taken
+    apart: every row through rref_rows, then one free vector per free
+    column, its entries taken from the basis rows in pivot order."""
+    last = n - 1
+    basis = rref_rows(field, rows)
+    pivots = {min(row) for row in basis}
+    free = {c: {last - c: field.one}
+            for c in range(last, -1, -1) if c not in pivots}
+    for row in basis:
+        q = min(row)
+        for c, v in row.items():
+            if c != q:
+                free[c][last - q] = field.neg(v)
+    return list(free.values())
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(101)],
+                         ids=["Q", "F2", "F101"])
+def test_orthogonal_single_entry_rows_match_the_kernel_route(field):
+    """orthogonal strikes the columns of single-entry rows from the other
+    rows before rref_rows.  On unit-rich inputs its output equals the
+    reduced basis of the kernel, entries and value types, and the
+    unsplit route's output, key order too: single entries other than 1
+    (F_101 residues, Q Fractions), a unit column other rows also hold,
+    repeated unit rows, a row that is single-entry only once struck, an
+    all-unit input, and single entries that are zero, which are zero
+    rows and put no pivot in."""
+    n = 7
+    one = field.one
+    a = Fraction(-3, 4) if not field.char else field.char - 1
+    b = Fraction(5, 2) if not field.char else 1
+    fixed = [
+        [{2: a}, {0: b, 2: one, 5: a}, {2: one, 4: b}],
+        [{1: a}, {1: a}, {1: one}, {0: one, 1: b, 3: one}],
+        # {3: a, 6: one} is single-entry at column 3 once 6 is struck
+        [{6: b}, {3: a, 6: one}, {0: one, 3: one, 5: b}],
+        [{k: a if k % 2 else b} for k in range(n)],
+        [{k: one} for k in (0, 3, 4)],
+        [{2: 0}, {0: one, 2: one}, {5: 0}, {4: b}],
+        [{2: 0}],
+    ]
+    rng = random.Random(71)
+    randomized = []
+    for _ in range(80):
+        rows = [{rng.randrange(n): _rand_scalar(rng, field) or one}
+                for _ in range(rng.randint(0, 6))]
+        rows += [_rand_sparse(rng, field, n, rng.choice([.3, .6]))
+                 for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rows)
+        randomized.append([field.canon(row) if len(row) > 1 else row
+                           for row in rows])
+    for rows in fixed + randomized:
+        reversed_rows = reversed_columns(rows, n)
+        got = orthogonal(field, reversed_rows, n)
+        columns = [field.canon({k: row[i] for k, row in enumerate(rows)
+                                if i in row}) for i in range(n)]
+        assert [_typed(w) for w in got] == \
+            [_typed(w) for w in rref_rows(field, kernel(field, columns))]
+        assert [list(_typed(w).items()) for w in got] == \
+            [list(_typed(w).items())
+             for w in _orthogonal_unsplit(field, reversed_rows, n)]
+    # zero single entries are no units: {2: 0} alone leaves all of F^n
+    assert orthogonal(field, [{2: 0}], 3) == [{k: one} for k in range(3)]
+
+
 def test_orthogonal_edge_cases():
     def perp(field, rows, n):
         return orthogonal(field, reversed_columns(rows, n), n)

@@ -581,13 +581,14 @@ def test_pairing_is_the_constant_of_the_contraction(char):
 # -- ring tables shared by shape -------------------------------------------------
 
 TABLE_CACHES = ("monomials_of_degree", "_index", "_shift_tables",
-                "_rmon_steps")
+                "_rmon_steps", "_listed", "_dual_columns")
 
 
 TABLE_CALLS = [("monomials", 3), ("monomials", -1), ("monomial_index", 3),
                ("dmon_index", 4), ("rmon_index", 5), ("contraction_tables", 4),
                ("multiplication_tables", 5), ("rmon_steps", 5),
-               ("divisor_table", 5), ("divisor_table", 2)]
+               ("divisor_table", 5), ("divisor_table", 2), ("dmon_list", 4),
+               ("rmon_list", 5), ("dual_columns", 4)]
 
 
 def test_rings_of_one_shape_share_their_tables():
@@ -628,6 +629,14 @@ def test_shared_tables_match_their_definitions(r):
         mons = [m for d in range(top + 1) for m in ring.monomials(d)]
         assert list(ring.rmon_index(top)) == sorted(mons, key=rmon_key)
         assert list(ring.dmon_index(top)) == sorted(mons, key=dmon_key)
+        for index, (listed, degs) in (
+                (ring.dmon_index(top), ring.dmon_list(top)),
+                (ring.rmon_index(top), ring.rmon_list(top))):
+            assert listed == tuple(index)
+            assert degs == tuple(sum(m) for m in index)
+        rindex = ring.rmon_index(top + 1)
+        assert ring.dual_columns(top) == tuple(
+            len(rindex) - 1 - rindex[m] for m in ring.dmon_index(top))
         for index, tables, step in (
                 (ring.dmon_index(top), ring.contraction_tables(top), -1),
                 (ring.rmon_index(top), ring.multiplication_tables(top), 1)):
@@ -723,6 +732,9 @@ def test_table_caches_stay_bounded():
         ring.contraction_tables(top)
         ring.multiplication_tables(top)
         ring.rmon_steps(top)
+        ring.dmon_list(top)
+        ring.rmon_list(top)
+        ring.dual_columns(top)
         check()
     check(final=True)
     # one divisor table per r, for at most _TABLE_SHAPES values of r, each
