@@ -29,37 +29,34 @@ is the orthogonal of R o f under <x^a, X^[b]> = delta_ab (Macaulay's
 inverse system; Iarrobino's Memoir, AMS 514, 1994), so no second
 elimination is run.  Each row of R o f is relabelled once, from D's
 columns straight into the reversed R columns that linalg.orthogonal
-reads, through a map shared by every ring of its shape
-(RingSpec.dual_columns).  For a sparse f most partials x^beta o f are
-single monomials X^[a], and each puts e_a in R o f: orthogonal takes
-those rows as one set of columns, struck from the other rows before they
-are reduced, so only the partials with several terms reach the
-echelon.  filtration(f) returns the PartialFiltration built last again for
-an equal generator, and annihilator keeps the LocalIdeal it builds on
-that filtration, so a caller that filters f, asks for Ann f and checks a
-presentation of it filters f once and reads Ann f once.  For a sparse f
-most of Ann f is monomial (x^beta o f = 0 whenever x^beta divides no term
-of f), and every shift of a monomial row is a unit vector.  annihilator
-reads the pivots of I's rows once, and hands them to _mi_span and to the
-LocalIdeal.  The spans that are only read for a rank (m*I, and the rank tests of the presentation
-checks) therefore take unit vectors as coordinates U and project every
-other vector off U into one echelon (_Span): the span is the direct sum
-<e_U> + span(echelon), so every answer is exact.  The echelon grows by
-leading column (Echelon.grow): a vector is reduced only until its first
-column is not a pivot, and stored as it stands, as only the rank is read
-("top reduction", Becker-Weispfenning, Groebner Bases, 1993).  A _Span
-skips, unreduced, a vector whose columns from its first column on are all
-units or pivots: it already lies in the span.  m*I is fed last row first,
-so its high columns fill first and most of its shifts are skipped;
-graded-lex is multiplicative, so the first coordinate of x_i * row is the
-row of x_i * pivot, and a shift whose first coordinate is covered is not
-even built.  The shifts of the monomial rows join U as one set update per
-multiplication table, and the shifts of the other rows are projected off
-U as they are built, so one that lands on U alone is never added.  Row k
-is a minimal generator iff it is not in m*I + <rows before it>, so the
-generator loop skips, without building e_k, a k already among U: the
-units are read as they grow, since while the echelon is empty a unit
-vector added joins them.
+reads (RingSpec.dual_columns, a table per shape).  filtration(f) returns
+the PartialFiltration built last again for an equal generator, and
+annihilator keeps the LocalIdeal it builds on that filtration, so a
+caller that filters f, asks for Ann f and checks a presentation of it
+filters f once and reads Ann f once.
+
+For a sparse f most partials are single monomials X^[a], each putting a
+unit vector in R o f, and most of Ann f is monomial (x^beta o f = 0
+whenever x^beta divides no term of f).  Such rows are handled as sets of
+columns on both sides: orthogonal strikes the single-term partials'
+columns from the other rows before any elimination, and every shift of
+a monomial row of I is a unit vector.  The spans that are only read for
+a rank (m*I, and the rank tests of the presentation checks) therefore
+take unit vectors as coordinates U and project every other vector off U
+into one echelon (_Span): the span is the direct sum <e_U> +
+span(echelon), so every answer is exact.  The echelon grows by leading
+column (Echelon.grow): a vector is reduced only until its first column
+is not a pivot, and stored as it stands, as only the rank is read ("top
+reduction", Becker-Weispfenning, Groebner Bases, 1993).  A _Span skips,
+unreduced, a vector whose columns from its first column on are all
+units or pivots: it already lies in the span.  _mi_span takes the shifts
+of the monomial rows into U as one set update per multiplication table,
+and feeds the other rows' shifts last row first, so its high columns
+fill first and most of them are skipped; graded-lex is multiplicative,
+so the first coordinate of x_i * row is the row of x_i * pivot, and a
+shift whose first coordinate is covered is not even built.  Row k is a
+minimal generator iff it is not in m*I + <rows before it>, so the
+generator loop skips a k already in U.
 
 Membership needs no span and no contraction.  I's rows are reduced with
 pivot one, so g lies in I iff g = sum_k g[q_k] * row_k, q_k the pivot of
@@ -369,14 +366,13 @@ def _hold(ring, rows: list, top: int) -> _Held:
 
 class LocalIdeal:
     """I = Ann f modulo m^N with N = j+2, f the dual generator: a canonical
-    subspace of R_{<N} (rows, reduced with pivot one, pivots their pivots
-    and at mapping each pivot to its row) over rmon_index(j+1) (rmons, and
-    degs the degree of each), minimal generators adapted to the order
-    filtration, and the graded data of the associated graded ideal I*.  mi
-    is the span of m*I in the coordinates of I (_mi_span), built once by
-    annihilator and never grown: a presentation check grows a copy of it.
-    graded() builds I*'s rows and m*I* span on its first call and keeps
-    them the same way."""
+    subspace of R_{<N} (rows, reduced with pivot one; pivots, and at
+    mapping each to its row) over rmon_index(j+1) (rmons, with degrees
+    degs), minimal generators adapted to the order filtration, and the
+    graded data of the associated graded ideal I*.  mi is the span of m*I
+    in the coordinates of I (_mi_span), built once by annihilator and
+    never grown: a presentation check grows a copy of it, and graded()
+    keeps I*'s the same way."""
 
     __slots__ = ("ring", "rmons", "degs", "rows", "pivots", "at",
                  "min_gens", "orders", "socle_degree", "mi", "_graded")
@@ -439,19 +435,19 @@ class LocalIdeal:
 
 def _mi_span(ring, rows: list, pivots: list, j: int) -> _Span:
     """The span of m*I in the coordinates of I, I spanned by rows, the
-    reduced pivot-one rows of an ideal of R_{<j+2}, and pivots their
-    pivots: a vector of I is the combination of the rows given by its
-    pivot entries, so x_i * row is kept on pivot columns only, each
-    relabelled by its row number, read through the multiplication table
-    and then the pivot's row for just the columns the row holds.  Only the
-    span of m*I is read.  Every shift of a monomial row is a unit vector,
-    a coordinate of the _Span: the monomial rows' pivots are shifted as a
-    set, one update per multiplication table, while the echelon is empty.
-    The shifts of the other rows are projected off those, last row first
-    (sparse high-order rows, less fill-in), over Q each row scaled once to
-    a primitive integer row.  x_i * lead is the leading monomial of x_i *
-    row when it has degree j+1 or less, so the pivot's row there is its
-    first coordinate; a shift covered there is not built."""
+    reduced pivot-one rows of an ideal of R_{<j+2}, with pivots pivots: a
+    vector of I is the combination of the rows given by its pivot entries,
+    so x_i * row is kept on pivot columns only, each relabelled by its row
+    number, read through the multiplication table and then the pivot's
+    row for just the columns the row holds.  Only the span of m*I is read.
+    Every shift of a monomial row is a unit vector, a coordinate of the
+    _Span: the monomial rows' pivots are shifted as a set, one update per
+    table, while the echelon is empty.  The shifts of the other rows are
+    projected off those, last row first (sparse high-order rows, less
+    fill-in), over Q each row scaled once to a primitive integer row.
+    x_i * lead is the leading monomial of x_i * row when it has degree j+1
+    or less, so the pivot's row there is its first coordinate; a shift
+    covered there is not built."""
     field = ring.field
     row_of = dict(zip(pivots, range(len(pivots)))).get
     tabs = ring.multiplication_tables(j + 1)

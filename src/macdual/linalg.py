@@ -376,15 +376,12 @@ def orthogonal(field: Field, rows, n: int) -> list[dict]:
     backwards in the given columns, these are the reduced echelon basis of
     S^perp.  Over F_p the entries must already be residues in range(p).
 
-    A row with one nonzero entry, at c, puts e_c in S: c is a pivot whose
-    basis row is e_c, which adds nothing to any free vector.  So the
-    columns U of such rows are struck from the other rows before rref_rows
-    runs, and the basis of S is <e_U> plus the canonical basis of what is
-    left, which has no entry in U.  Each free vector takes its entries from
-    the basis rows in pivot order, as without the split, so the output is
-    the same, key order and all.  A sparse S (the partials of a sparse f)
-    is mostly such rows; a dense one has almost none, and then the rows
-    reach rref_rows as given."""
+    A row with one nonzero entry, at c, puts e_c in S, and the basis row
+    e_c adds nothing to any free vector.  So the columns U of such rows
+    are struck from the other rows before rref_rows runs: the basis of S
+    is e_U plus the reduced basis of what is left, and the free vectors,
+    their entries taken in pivot order, come out the same, key order and
+    all.  A dense S has almost no such rows."""
     last = n - 1
     units = {c for row in rows if len(row) == 1
              for c, v in row.items() if v != 0}
