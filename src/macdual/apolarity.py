@@ -86,7 +86,7 @@ a second orthogonal or a second m*I after it: each grows a copy of the
 span (_Span.copy), and the kept span never changes.  dim I is checked
 against H(A), as C(r+j+1, r) - sum_d h_d.  I*'s rows and their m*I* span
 are built on the first graded check and kept on the LocalIdeal the same
-way (LocalIdeal.graded); verify_graded_ideal builds C(a)'s on each call.
+way (LocalIdeal.graded), and C(a)'s on GradedIdealData (held).
 """
 
 from __future__ import annotations
@@ -220,14 +220,18 @@ class PartialFiltration:
 
     def lt_rows(self, s: int, d: int) -> list[dict]:
         """Degree-d components of rows_of_degree(s, d), re-indexed over the
-        graded-lex basis of D_d; spans the leading-term space L(s, d)."""
+        graded-lex basis of D_d; spans the leading-term space L(s, d).
+        dmon_index lists D_d's monomials in that order from column start,
+        after those of degrees j..d+1, so column c is c - start of D_d, and
+        a row of pivot degree d has no column before start."""
         key = (s, d)
         if key not in self._lt_cache:
-            rows = self.rows_of_degree(s, d)
-            hidx = self.ring.monomial_index(d) if rows else {}
-            self._lt_cache[key] = [
-                {hidx[self.dmons[c]]: v for c, v in row.items()
-                 if self.col_deg[c] == d} for row in rows]
+            dim = self.ring.dim_of_degree
+            start = sum(map(dim, range(d + 1, self.j + 1)))
+            end = start + dim(d)
+            self._lt_cache[key] = [{c - start: v for c, v in row.items()
+                                    if c < end}
+                                   for row in self.rows_of_degree(s, d)]
         return self._lt_cache[key]
 
     # -- classical invariants ------------------------------------------------------

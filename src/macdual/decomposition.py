@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from typing import NamedTuple
 
 from .apolarity import (PartialFiltration, _hold, _verify_graded,
                         filtration)
@@ -331,14 +330,32 @@ def overweight_check(decomp: SymDecomp, a: int) -> str:
 # the graded ideals cutting out the filtration (pullbacks to R), each
 # degree read by duality: C(a)_i = L(j-a+1-i, i)^perp in R_i
 
-class GradedIdealData(NamedTuple):
+class GradedIdealData:
     """Per-degree spaces (graded-lex coordinates of R_d) of a graded ideal of
-    R containing m^{j+2}-tails implicitly; degrees 0..j+1."""
+    R containing m^{j+2}-tails implicitly; degrees 0..j+1.  Read-only: the
+    first verify_graded_ideal keeps them as one held ideal (held)."""
 
-    ring: RingSpec
-    socle_degree: int
-    dims: tuple
-    spaces: list                   # degree -> list of canonical rows
+    __slots__ = ("ring", "socle_degree", "dims", "spaces", "_held")
+
+    def __init__(self, ring: RingSpec, socle_degree: int, dims: tuple,
+                 spaces: list):
+        self.ring = ring
+        self.socle_degree = socle_degree
+        self.dims = dims
+        self.spaces = spaces       # degree -> list of canonical rows
+        self._held = None
+
+    def held(self):
+        """The spaces as one basis over rmon_index(j+1), each degree's rows
+        moved to its columns, with their m*J span (apolarity._hold); built
+        on the first call and kept, as LocalIdeal.graded keeps I*'s."""
+        if self._held is None:
+            at = [0, *accumulate(map(self.ring.dim_of_degree,
+                                     range(len(self.dims))))]
+            rows = [{at[d] + c: v for c, v in row.items()}
+                    for d, basis in enumerate(self.spaces) for row in basis]
+            self._held = _hold(self.ring, rows, len(self.dims) - 1)
+        return self._held
 
 
 def filtration_ideal(f, a: int) -> GradedIdealData:
@@ -369,7 +386,8 @@ def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     described by data, in every degree up to j+1.  data must be an ideal
     held as reduced pivot-one bases, as filtration_ideal returns.  Placed
     in the columns of rmon_index(j+1) they are one such basis of the ideal
-    modulo m^{j+2}, checked as I* is (apolarity._verify_graded): each
+    modulo m^{j+2}, kept on data with its m*J span by the first check
+    (GradedIdealData.held), and checked as I* is (_verify_graded): each
     generator must have coordinates on it, and the gens must span it
     modulo m times it (graded Nakayama).  Data holding R_0 describe the
     unit ideal C(0) = R, which non-unit generators never generate; they
@@ -379,9 +397,4 @@ def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
                           "ideal, generated by no non-unit generators")
     if any(g.order == 0 for g in gens):
         raise DomainError("graded generators must be nonzero, homogeneous, non-units")
-    # each degree's basis moved to its columns of rmon_index(j+1)
-    at = [0, *accumulate(map(data.ring.dim_of_degree, range(len(data.dims))))]
-    rows = [{at[d] + c: v for c, v in row.items()}
-            for d, basis in enumerate(data.spaces) for row in basis]
-    top = len(data.dims) - 1
-    return _verify_graded(gens, data.ring, _hold(data.ring, rows, top), top)
+    return _verify_graded(gens, data.ring, data.held(), len(data.dims) - 1)

@@ -12,6 +12,14 @@ may vanish in positive characteristic); a parenthesized base under ``^[k]``
 must be a homogeneous linear form.  Products are divided-power products.
 The same grammar with ordinary-power semantics and no brackets parses
 elements of the local ring R (lowercase variable names).
+
+The parser scans the text from an offset and keeps no token list.  A term
+of variable powers with no whitespace inside, with or without a
+coefficient, is read together with the sign after it in one
+regular-expression match (_TERM).  Parentheses, whitespace inside a term,
+and any text that match does not take are read token by token from the
+same offset (_Tokens).  Every ParseError comes from those token steps, so
+its message and offset do not depend on which route read the text.
 """
 
 from __future__ import annotations
@@ -24,31 +32,56 @@ from .fields import Field
 from .poly import (DPPoly, PSElement, RingSpec, check_image_budget, dp_mul,
                    dp_power_of_linear, natural)
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(.))")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+# one token after any whitespace: a numeral, a name or one character
+_TOKEN = re.compile(r"\s*(?:(\d+)|(%s)|(.))" % _NAME)
+_SIGN = re.compile(r"\s*([-+])")
+# a term with no whitespace inside, [c[/d]*]factor(*factor)* with factors
+# var, var^[k] or var^k, taken only where the token steps would end the
+# term too: before a "+" or "-", which it reads as well, or before ")" or
+# the end
+_FACTORS = r"{0}(?:\*{0})*".format(r"%s(?:\^(?:\[\d+\]|\d+))?" % _NAME)
+_TERM = re.compile(r"\s*(?:(\d+)(?:/(\d+))?(?:\*(%s))?|(%s))"
+                   r"\s*(?:([-+])|(?=\)|\Z))" % (_FACTORS, _FACTORS))
 
 
 class _Tokens:
+    """The tokens of src, each (kind, value, offset), read on demand from
+    offset pos; kind is "nat", "name", "op" or, past the last, "end"."""
+
     def __init__(self, src: str):
         self.src = src
-        self.toks = []  # (kind, value, offset)
-        # matches tile src up to any trailing newlines, which '.' skips
-        for m in _TOKEN.finditer(src):
+        self.pos = 0
+
+    def _read(self):
+        src, pos = self.src, self.pos
+        while True:
+            m = _TOKEN.match(src, pos)
+            if m is None:  # nothing but whitespace left
+                return ("end", None, len(src)), len(src)
             nat, name, ch = m.groups()
             if nat is not None:
-                self.toks.append(("nat", natural(nat), m.start(1)))
-            elif name is not None:
-                self.toks.append(("name", name, m.start(2)))
-            elif not ch.isspace():
-                self.toks.append(("op", ch, m.start(3)))
-        self.i = 0
+                return ("nat", natural(nat), m.start(1)), m.end()
+            if name is not None:
+                return ("name", name, m.start(2)), m.end()
+            if not ch.isspace():
+                return ("op", ch, m.start(3)), m.end()
+            pos = m.end()
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("end", None, len(self.src))
+        return self._read()[0]
 
     def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
+        tok, self.pos = self._read()
+        return tok
+
+    def sign(self):
+        """Read a "+" or "-" if one comes next: 1 or -1, else None."""
+        m = _SIGN.match(self.src, self.pos)
+        if m is None:
+            return None
+        self.pos = m.end()
+        return -1 if m.group(1) == "-" else 1
 
     def expect_op(self, ch):
         kind, val, off = self.next()
@@ -79,23 +112,64 @@ class _Parser:
         return out
 
     def parse_poly(self):
-        sign = 1
-        kind, val, _ = self.ts.peek()
-        if kind == "op" and val in "+-":
-            self.ts.next()
-            sign = -1 if val == "-" else 1
+        sign = self.ts.sign() or 1
         total: dict = {}
-        while True:
-            for m, c in self.parse_term(sign).items():
+        while sign:
+            read = self._read_term(sign)
+            if read is None:
+                for m, c in self.parse_term(sign).items():
+                    total[m] = total.get(m, 0) + c
+                sign = self.ts.sign()
+            else:
+                m, c, sign = read
                 total[m] = total.get(m, 0) + c
-            kind, val, _ = self.ts.peek()
-            if not (kind == "op" and val in "+-"):
-                break
-            self.ts.next()
-            sign = -1 if val == "-" else 1
         if self.divided:
             return DPPoly(self.ring, total)
         return PSElement(self.ring, total, self.trunc)
+
+    def _read_term(self, sign: int):
+        """parse_term's term and the sign after it, read in one match of
+        _TERM: (monomial, raw coefficient, 1, -1 or None when no "+" or "-"
+        follows).  None, with nothing read, where _TERM does not match or
+        the token steps would raise ParseError: a zero denominator, an
+        unknown variable, or X^[k] in the local ring."""
+        ts = self.ts
+        match = _TERM.match(ts.src, ts.pos)
+        if match is None:
+            return None
+        nat, den, factors, alone, after = match.groups()
+        coeff = sign
+        exps = [0] * self.ring.r
+        if nat is not None:
+            f = self.ring.field
+            if den is None:
+                coeff *= f.from_int(natural(nat))
+            else:
+                den = natural(den)
+                if den == 0 or (f.char and den % f.char == 0):
+                    return None
+                coeff *= f.fraction(natural(nat), den)
+        index, divided = self.var_index, self.divided
+        body = alone if nat is None else factors  # None: a bare constant
+        for factor in body.split("*") if body else ():
+            name, _, k = factor.partition("^")
+            i = index.get(name)
+            if i is None:
+                return None
+            if not k:
+                k, c = 1, 1
+            elif k[0] == "[":
+                if not divided:
+                    return None
+                k, c = natural(k[1:-1]), 1
+            else:
+                _, k, c = self._power(i, natural(k))
+            if divided and exps[i]:
+                c *= comb(exps[i] + k, k)
+            exps[i] += k
+            coeff *= c
+        ts.pos = match.end()
+        return tuple(exps), coeff, after and (-1 if after == "-" else 1)
 
     def parse_coeff(self):
         f = self.ring.field
@@ -190,17 +264,21 @@ class _Parser:
             self.ts.expect_op("]")
             return i, k, 1
         if kind == "nat":
-            # x^k is k! X^[k] in divided mode, x^k itself in the local ring;
-            # mod p, k! vanishes from k = p on and is not computed, and no
-            # k! is computed for a degree k past the image budget
-            if not self.divided:
-                return i, val, 1
-            p = self.ring.field.char
-            if p and val >= p:
-                return i, val, 0
-            check_image_budget(self.ring.r, val)
-            return i, val, factorial(val) % p if p else factorial(val)
+            return self._power(i, val)
         raise ParseError("expected exponent", self.ts.src, off2)
+
+    def _power(self, i: int, k: int):
+        """(i, k, c) for var^k: x^k itself in the local ring, k! X^[k] in
+        divided mode.  Mod p, k! vanishes from k = p on and is not
+        computed, and no k! is computed for a degree k past the image
+        budget."""
+        if not self.divided:
+            return i, k, 1
+        p = self.ring.field.char
+        if p and k >= p:
+            return i, k, 0
+        check_image_budget(self.ring.r, k)
+        return i, k, factorial(k) % p if p else factorial(k)
 
 
 def parse_poly(src: str, ring: RingSpec) -> DPPoly:

@@ -29,10 +29,11 @@ A RingSpec's monomial lists, coordinate indexes and their degrees, the
 map from D's columns to R's reversed ones, contraction and multiplication
 tables and step tables depend only on (r, degree), not on the variable
 names or the field.  They are shared process-wide by every
-RingSpec of that shape, within a fixed bound (_TABLE_SHAPES,
-_TABLE_MONOMIALS).  The divisor table (each monomial's divisors b, paired
-with m - b) is filled on first read of each entry, and one per r serves
-every degree whose monomials number at most _TABLE_MONOMIALS.
+RingSpec of that shape, within fixed bounds (_TABLE_SHAPES,
+_TABLE_MONOMIALS, _LARGE_MONOMIALS).  The divisor table (each monomial's
+divisors b, paired with m - b) is filled on first read of each entry, and
+one per r serves every degree whose monomials number at most
+_TABLE_MONOMIALS.
 """
 
 from __future__ import annotations
@@ -74,19 +75,27 @@ def rmon_key(m: MON):
     return (mdeg(m), _glex_within(m))
 
 
-# Each builder's table lies on the monomials of degree <= top in r variables.
-# It keeps its last maxsize tables of at most _TABLE_MONOMIALS monomials (r=4
-# to degree 7, r=3 to 11) and its last _LARGE_TABLES larger ones: a dense
-# request builds its tables once, and they do not outlive the next one.
-_TABLE_SHAPES = 64
-_TABLE_MONOMIALS = 400
-_LARGE_TABLES = 2
-
 # The largest image table C(r+j+1, r), the monomials of R_{<= j+1}, that a
 # dual generator may need (the largest entry of corpus/paper.corpus needs
 # 3,876).  The filtration refuses a larger generator, and the parser a
 # power X^k whose degree alone needs a larger table, before k! is computed.
 MAX_IMAGES = 100_000
+
+# Each builder's table lies on the monomials of degree <= top in r variables,
+# comb(r+top, r) of them: its weight.  A builder keeps its last maxsize
+# tables of weight at most _TABLE_MONOMIALS (r=4 to degree 7, r=3 to 11),
+# and larger ones (_LargeTables) while they weigh _LARGE_MONOMIALS in all,
+# plus the one it built last: at most two tables' worth of MAX_IMAGES
+# monomials, as when it kept its last two large tables.  The large tables
+# of the four heavy shapes of a dense-modp benchmark period (6,739
+# monomials for _index, the largest reader) are then each built once, and
+# the six builders hold 1.1 MB of them (0.3 MB with the last two each).
+# Two requests on a sparse r=6, j=12 form build each of their 35 large
+# tables once and leave 12.0 MB of them.  Memory by tracemalloc, Python
+# 3.11.
+_TABLE_SHAPES = 64
+_TABLE_MONOMIALS = 400
+_LARGE_MONOMIALS = MAX_IMAGES
 
 
 def check_image_budget(r: int, j: int):
@@ -99,16 +108,43 @@ def check_image_budget(r: int, j: int):
                           % (_numeral(images), MAX_IMAGES))
 
 
+class _LargeTables:
+    """One builder's tables of weight above _TABLE_MONOMIALS: key -> (table,
+    weight), least recently read first.  A new table evicts the least
+    recently read others until those left weigh at most _LARGE_MONOMIALS."""
+
+    __slots__ = ("build", "tables", "weight")
+
+    def __init__(self, build):
+        self.build = build
+        self.tables = {}
+        self.weight = 0
+
+    def __call__(self, key: tuple, weight: int):
+        tables = self.tables
+        entry = tables.pop(key, None)
+        if entry is None:
+            # built before any eviction: a builder may read its own tables
+            entry = self.build(*key), weight
+            self.weight += weight
+            while self.weight - weight > _LARGE_MONOMIALS:
+                self.weight -= tables.pop(next(iter(tables)))[1]
+        tables[key] = entry
+        return entry[0]
+
+
 def _shared(maxsize: int):
     def wrap(build):
         kept = lru_cache(maxsize=maxsize)(build)
-        recent = lru_cache(maxsize=_LARGE_TABLES)(build)
+        large = _LargeTables(build)
 
         @wraps(build)
         def table(r: int, top: int, *rest):
-            small = comb(r + max(top, 0), r) <= _TABLE_MONOMIALS
-            return (kept if small else recent)(r, top, *rest)
-        table.caches = (kept, recent)
+            weight = comb(r + max(top, 0), r)
+            if weight <= _TABLE_MONOMIALS:
+                return kept(r, top, *rest)
+            return large((r, top, *rest), weight)
+        table.caches = (kept, large)
         return table
     return wrap
 
@@ -328,8 +364,10 @@ class RingSpec:
 _DIGITS = 4000
 _DIGITS_BASE = 10 ** _DIGITS
 
-# monomials whose text _monomial_text keeps: about 160 KB of strings at r = 4
-_MONOMIAL_TEXTS = 1024
+# monomials whose text _monomial_text keeps: a dense-modp benchmark period
+# renders 2,315 distinct ones, which leave 480 KB in it (tracemalloc,
+# Python 3.11), about 210 bytes a monomial
+_MONOMIAL_TEXTS = 4096
 
 
 def _numeral(c) -> str:

@@ -1441,6 +1441,30 @@ def test_lt_rows_counts_match_at_every_level():
                     assert len(P.rows_of_degree(s, d)) == want
 
 
+@pytest.mark.parametrize("char", [0, 101, 2 ** 61 - 1],
+                         ids=["Q", "F101", "F61"])
+def test_lt_rows_by_column_offset_match_the_monomial_lookup(char):
+    """lt_rows re-indexes a row's degree-d part by its column offset into
+    D_d; it gives what looking each column's monomial up in
+    monomial_index(d) gave, keys in the same order and values of the same
+    type, at every level and degree of 12 seeded forms (r 1-4, j 1-6)."""
+    rng = random.Random(3700 + char % 1000)
+    for trial in range(12):
+        r = trial % 4 + 1
+        ring = RingSpec(("X", "Y", "Z", "W")[:r], Field(char))
+        P = PartialFiltration(random_dual_generator(
+            ring, rng, rng.randint(1, 6 if r < 4 else 4),
+            dense=trial % 3 == 0, homogeneous=trial % 2 == 0))
+        for s in range(-1, P.j + 2):
+            for d in range(-1, P.j + 2):
+                hidx = ring.monomial_index(d)
+                want = [[(hidx[P.dmons[c]], type(v), v)
+                         for c, v in row.items() if P.col_deg[c] == d]
+                        for row in P.rows_of_degree(s, d)]
+                assert [[(c, type(v), v) for c, v in row.items()]
+                        for row in P.lt_rows(s, d)] == want, (trial, s, d)
+
+
 def levels_one_by_one(f):
     """The order filtration built level by level, as before the tagged pass:
     V_0 closes <f> under contraction, then each V_{s+1} is a fresh echelon

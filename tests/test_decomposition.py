@@ -506,6 +506,42 @@ def test_verify_graded_ideal_matches_same_span_route(monkeypatch, char):
                 assert got == verify_graded_ideal_same_span(gs, data)
 
 
+@pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
+def test_kept_filtration_ideal_span_is_built_once(monkeypatch, char):
+    """The first verify_graded_ideal keeps C(a)'s rows and their m*J span
+    on the GradedIdealData (held), as LocalIdeal.graded keeps I*'s; later
+    checks grow a copy.  Three checks of one data (the true list, a
+    cut-short one, the true one again) answer as the equal-span route
+    does, the kept rows and span read the same after each, and _mi_span
+    ran once in all."""
+    import macdual.apolarity as apolarity
+    built = []
+    mi_span = apolarity._mi_span
+    monkeypatch.setattr(apolarity, "_mi_span",
+                        lambda *args: built.append(args) or mi_span(*args))
+    R, f = mk(("X", "Y", "Z"), "X^[6]+X^[3]*Y^[2]+Z^[4]", char)
+    data = filtration_ideal(f, 2)
+    top = data.socle_degree + 1
+    gens = [PSElement.from_vector(R, row, R.monomials(d), top + 1)
+            for d in range(1, top + 1) for row in data.spaces[d]]
+    lists = [gens, gens[1:], gens]
+
+    def kept(J):
+        ech = J.mi.ech
+        return ([dict(row) for row in J.rows], dict(J.at), sorted(J.mi.units),
+                [dict(row) for row in ech.rows], list(ech.pivots))
+
+    got, states = [], []
+    for g in lists:
+        got.append(verify_graded_ideal(g, data))
+        states.append((data.held(), kept(data.held())))
+    assert got == [True, False, True]
+    assert got == [verify_graded_ideal_same_span(g, data) for g in lists]
+    assert all(J is states[0][0] and state == states[0][1]
+               for J, state in states)
+    assert len(built) == 1 and data.dims == tuple(map(len, data.spaces))
+
+
 def test_decomposition_invariance_under_units():
     from macdual.poly import PSElement, contract
     rng = random.Random(12)

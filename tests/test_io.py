@@ -446,10 +446,11 @@ def test_tokenizer_matches_one_match_at_a_time():
         "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
         for _ in range(500)]
     for src in texts:
-        ts = io_mod._Tokens(src)
-        assert ts.toks == _tokens_one_match_at_a_time(src), repr(src)
-        ts.i = len(ts.toks)
-        assert ts.peek() == ("end", None, len(src))
+        ts, toks = io_mod._Tokens(src), []
+        while ts.peek()[0] != "end":
+            toks.append(ts.next())
+        assert toks == _tokens_one_match_at_a_time(src), repr(src)
+        assert ts.next() == ts.peek() == ("end", None, len(src))
 
 
 def test_parsing_ignores_the_int_str_digit_cap():

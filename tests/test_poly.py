@@ -602,21 +602,101 @@ def test_rings_of_one_shape_share_their_tables():
     assert not hasattr(a, "__dict__")
 
 
-def test_large_tables_are_kept_only_briefly():
+def _fresh_large_tiers(monkeypatch, budget=None):
+    """Give every table builder an empty large tier for the test, whose
+    builds are counted: returns built[(name, key)] and last[name], the key
+    each builder built last.  budget, if given, replaces _LARGE_MONOMIALS."""
+    from collections import Counter
     from macdual import poly
 
-    big = RingSpec(tuple("XYZWUV"), Field(0))
-    assert comb(6 + 6, 6) > poly._TABLE_MONOMIALS >= comb(4 + 7, 4)
-    first = big.rmon_index(6)
-    assert big.rmon_index(6) is first
-    for top in range(7, 8 + poly._LARGE_TABLES):
-        big.rmon_index(top)
-    assert big.rmon_index(6) is not first
-    assert big.rmon_index(6) == first
-    small = RingSpec(tuple("XYZW"), Field(0))
+    built, last = Counter(), {}
+    for name in TABLE_CACHES:
+        large = getattr(poly, name).caches[1]
+
+        def build(*key, name=name, build=large.build):
+            out = build(*key)
+            built[name, key] += 1
+            last[name] = key
+            return out
+        monkeypatch.setattr(large, "build", build)
+        monkeypatch.setattr(large, "tables", {})
+        monkeypatch.setattr(large, "weight", 0)
+    if budget is not None:
+        monkeypatch.setattr(poly, "_LARGE_MONOMIALS", budget)
+    return built, last
+
+
+def _check_large_tiers(last):
+    """Each large tier weighs what its tables cover, holds the table its
+    builder built last, and weighs at most its budget without that one."""
+    from macdual import poly
+
+    for name in TABLE_CACHES:
+        large = getattr(poly, name).caches[1]
+        weights = {key: w for key, (_, w) in large.tables.items()}
+        assert large.weight == sum(weights.values()), name
+        assert all(w > poly._TABLE_MONOMIALS
+                   and w == comb(key[0] + key[1], key[0])
+                   for key, w in weights.items()), name
+        if name in last:
+            assert large.weight - weights[last[name]] <= \
+                poly._LARGE_MONOMIALS, name
+
+
+def _read_request_tables(ring, j):
+    """The shared tables a dense request of degree j reads (recorded over a
+    dense-modp benchmark period)."""
+    ring.monomials(j + 1)
+    ring.dmon_list(j)
+    ring.rmon_list(j)
+    ring.rmon_list(j + 1)
+    ring.dual_columns(j)
+    ring.contraction_tables(j)
+    ring.multiplication_tables(j + 1)
+    ring.rmon_steps(j)
+
+
+def test_heavy_dense_shapes_build_each_large_table_once(monkeypatch):
+    """dense-modp cycles four heavy shapes whose large tables no longer
+    evict each other: read twice in turn, each is built once.  _index, the
+    largest reader, holds 12 of them covering 6,739 monomials."""
+    built, last = _fresh_large_tiers(monkeypatch)
+    shapes = [(RingSpec(tuple("XYZWUV"[:r]), Field(101)), j)
+              for r, j in ((4, 8), (5, 6), (3, 12), (6, 5))]
+    for _ in range(2):
+        for ring, j in shapes:
+            _read_request_tables(ring, j)
+            _check_large_tiers(last)
+    assert set(built.values()) == {1}
+    index = [key for name, key in built if name == "_index"]
+    assert len(index) == 12
+    assert sum(comb(r + top, r) for r, top, _ in index) == 6739
+
+
+def test_large_tables_are_kept_only_briefly(monkeypatch):
+    """A table past the budget is built once for the request that reads
+    it, however often it is read, and released when the next large table
+    is built; tables within the budget are not.  With a budget of 1,000:
+    comb(4+8, 4) = 495 monomials, comb(4+10, 4) = 1,001."""
+    from macdual import poly
+
+    built, last = _fresh_large_tiers(monkeypatch, budget=1000)
+    big = RingSpec(tuple("XYZW"), Field(0))
+    small = RingSpec(tuple("XYZ"), Field(0))
     tabs = small.multiplication_tables(7)
-    for top in range(7, 8 + poly._LARGE_TABLES):
-        big.multiplication_tables(top)
+    kept = big.rmon_index(8)
+    for request in range(1, 4):
+        first = big.rmon_index(10)
+        assert big.rmon_index(10) is first and big.rmon_index(8) is kept
+        assert built["_index", (4, 10, 1)] == request
+        assert list(first) == sorted(
+            (m for d in range(11) for m in big.monomials(d)), key=rmon_key)
+        _check_large_tiers(last)
+        # the next request builds a large table of its own
+        (big.dmon_index, big.monomial_index)[request % 2](8)
+        assert (4, 10, 1) not in poly._index.caches[1].tables
+        _check_large_tiers(last)
+    assert built["_index", (4, 8, 1)] == 1
     assert small.multiplication_tables(7) is tabs
 
 
@@ -710,22 +790,29 @@ def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
             assert out == cached.__wrapped__(*key), (cached.__name__, key)
 
 
-def test_table_caches_stay_bounded():
+def test_table_caches_stay_bounded(monkeypatch):
+    """Each builder keeps at most its count of small tables, and its large
+    tier never weighs more than its budget plus the table built last, over
+    a stream of mixed shapes (a budget of 2,000 monomials here)."""
     from macdual import poly
+
+    built, last = _fresh_large_tiers(monkeypatch, budget=2000)
 
     def check(final=False):
         for name in TABLE_CACHES:
-            kept, recent = getattr(poly, name).caches
-            assert kept.cache_info().maxsize <= 4 * poly._TABLE_SHAPES
-            assert recent.cache_info().maxsize == poly._LARGE_TABLES
-            for cache in (kept, recent):
-                info = cache.cache_info()
-                assert info.currsize <= info.maxsize, name
-                assert info.currsize == info.maxsize or not final, name
+            kept = getattr(poly, name).caches[0]
+            info = kept.cache_info()
+            assert info.maxsize <= 4 * poly._TABLE_SHAPES
+            assert info.currsize <= info.maxsize, name
+            assert info.currsize == info.maxsize or not final, name
+        _check_large_tiers(last)
 
     small, big = RingSpec(("X",), Field(0)), RingSpec(tuple("XYZWUV"), Field(0))
+    four = RingSpec(tuple("XYZW"), Field(0))
+    rng = random.Random(5)
+    # comb(4+top, 4) for top = 5..13 runs from 126 to 2,380 monomials
     shapes = [(small, d) for d in range(4 * poly._TABLE_SHAPES + 10)] + \
-        [(big, top) for top in range(6, 8 + poly._LARGE_TABLES)]
+        [(four, rng.randint(5, 13)) for _ in range(40)]
     for ring, top in shapes:
         ring.monomial_index(top)
         ring.rmon_index(top)
@@ -737,6 +824,7 @@ def test_table_caches_stay_bounded():
         ring.dual_columns(top)
         check()
     check(final=True)
+    assert max(built.values()) > 1  # the budget did evict
     # one divisor table per r, for at most _TABLE_SHAPES values of r, each
     # filled to at most _TABLE_MONOMIALS entries; larger ones are not kept
     wide = [RingSpec(tuple("V%d" % k for k in range(r)), Field(0))
