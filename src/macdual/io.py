@@ -14,12 +14,12 @@ The same grammar with ordinary-power semantics and no brackets parses
 elements of the local ring R (lowercase variable names).
 
 The parser scans the text from an offset and keeps no token list.  A term
-of variable powers with no whitespace inside, with or without a
-coefficient, is read together with the sign after it in one
-regular-expression match (_TERM).  Parentheses, whitespace inside a term,
-and any text that match does not take are read token by token from the
-same offset (_Tokens).  Every ParseError comes from those token steps, so
-its message and offset do not depend on which route read the text.
+of variable powers, with or without a coefficient, is read together with
+the sign after it in one regular-expression match (_TERM).  Parentheses,
+whitespace inside a power such as ``X ^ [2]``, and any other text that
+match does not take are read token by token from the same offset
+(_Tokens).  Every ParseError comes from those token steps, so its message
+and offset do not depend on which route read the text.
 """
 
 from __future__ import annotations
@@ -36,22 +36,25 @@ _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 # one token after any whitespace: a numeral, a name or one character
 _TOKEN = re.compile(r"\s*(?:(\d+)|(%s)|(.))" % _NAME)
 _SIGN = re.compile(r"\s*([-+])")
-# a term with no whitespace inside, [c[/d]*]factor(*factor)* with factors
-# var, var^[k] or var^k, taken only where the token steps would end the
-# term too: before a "+" or "-", which it reads as well, or before ")" or
-# the end
-_FACTORS = r"{0}(?:\*{0})*".format(r"%s(?:\^(?:\[\d+\]|\d+))?" % _NAME)
-_TERM = re.compile(r"\s*(?:(\d+)(?:/(\d+))?(?:\*(%s))?|(%s))"
+# a term [c[/d]*]factor(*factor)* with factors var, var^[k] or var^k and
+# whitespace, if any, only around its "*" and "/", taken only where the
+# token steps would end the term too: before a "+" or "-", which it reads
+# as well, or before ")" or the end
+_FACTORS = r"{0}(?:\s*\*\s*{0})*".format(r"%s(?:\^(?:\[\d+\]|\d+))?" % _NAME)
+_TERM = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?(?:\s*\*\s*(%s))?|(%s))"
                    r"\s*(?:([-+])|(?=\)|\Z))" % (_FACTORS, _FACTORS))
 
 
 class _Tokens:
     """The tokens of src, each (kind, value, offset), read on demand from
-    offset pos; kind is "nat", "name", "op" or, past the last, "end"."""
+    offset pos; kind is "nat", "name", "op" or, past the last, "end".  The
+    token at pos is kept once read (ahead: pos, the token and the offset
+    after it), so that peek and then next scan it once."""
 
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.ahead = (None, None, None)
 
     def _read(self):
         src, pos = self.src, self.pos
@@ -69,10 +72,13 @@ class _Tokens:
             pos = m.end()
 
     def peek(self):
-        return self._read()[0]
+        if self.ahead[0] != self.pos:
+            self.ahead = (self.pos, *self._read())
+        return self.ahead[1]
 
     def next(self):
-        tok, self.pos = self._read()
+        tok = self.peek()
+        self.pos = self.ahead[2]
         return tok
 
     def sign(self):
@@ -129,10 +135,10 @@ class _Parser:
 
     def _read_term(self, sign: int):
         """parse_term's term and the sign after it, read in one match of
-        _TERM: (monomial, raw coefficient, 1, -1 or None when no "+" or "-"
-        follows).  None, with nothing read, where _TERM does not match or
-        the token steps would raise ParseError: a zero denominator, an
-        unknown variable, or X^[k] in the local ring."""
+        _TERM: (monomial, raw coefficient, next sign), the sign 1, -1, or
+        None when no "+" or "-" follows.  None, with nothing read, where
+        _TERM does not match or the token steps would raise ParseError: a
+        zero denominator, an unknown variable, or X^[k] in the local ring."""
         ts = self.ts
         match = _TERM.match(ts.src, ts.pos)
         if match is None:
@@ -152,7 +158,7 @@ class _Parser:
         index, divided = self.var_index, self.divided
         body = alone if nat is None else factors  # None: a bare constant
         for factor in body.split("*") if body else ():
-            name, _, k = factor.partition("^")
+            name, _, k = factor.strip().partition("^")
             i = index.get(name)
             if i is None:
                 return None
