@@ -68,11 +68,11 @@ I*_d, I* = Gr(Ann f), the orthogonal of L(0, d) under contraction
 
 A listed presentation is checked in two steps.  Containment comes first:
 each generator must have coordinates on the rows of I, or, homogeneous,
-on the rows of I* (LocalIdeal.graded_rows).  Equality is then Nakayama's
+on the rows of I* (LocalIdeal.graded).  Equality is then Nakayama's
 lemma (Atiyah-Macdonald, Introduction to Commutative Algebra, Cor. 2.7):
 R/m^{j+2} is local and m^{j+2} lies in mI, so J = (gens), known to lie in
 I, is I modulo m^{j+2} iff the gens span I/mI.  That is one rank test in
-the coordinates of I (_generates): the m*I span plus the gens'
+the coordinates of I (_Held.generated_by): the m*I span plus the gens'
 coordinate vectors reaches dim I.  Its size is the number of minimal
 generators, and a list that is not a presentation fails as fast as a true
 one passes.  A graded ideal held as reduced pivot-one bases of its degree
@@ -84,9 +84,10 @@ a list that falls short.  annihilator keeps I on the filtration with its
 m*I span, taken before the minimal generators are read, so no check runs
 a second orthogonal or a second m*I after it: each grows a copy of the
 span (_Span.copy), and the kept span never changes.  dim I is checked
-against H(A), as C(r+j+1, r) - sum_d h_d.  I*'s rows and their m*I* span
-are built on the first graded check and kept on the LocalIdeal the same
-way (LocalIdeal.graded), and C(a)'s on GradedIdealData (held).
+against H(A), as C(r+j+1, r) - sum_d h_d.  One type, _Held, holds I (as
+its subclass LocalIdeal), I* and C(a), each built on its first check and
+kept with the m*J span it builds on first read: I*'s on the LocalIdeal,
+C(a)'s on the GradedIdealData.
 """
 
 from __future__ import annotations
@@ -349,118 +350,123 @@ class _Span:
                 and self.ech.covers(q, q + free[self.n - q]))
 
 
-class _Held(NamedTuple):
-    """A graded ideal J of R_{<top+1} held as reduced pivot-one rows over
-    rmon_index(top), at mapping each pivot to its row, and mi the span of
-    m*J in the coordinates of J (_mi_span), never grown: a check grows a
+class _Held:
+    """An ideal J of R_{<top+1} held as reduced pivot-one rows over
+    rmon_index(top) (pivots, and at mapping each to its row), as Ann f, I*
+    and C(a) are.  mi is the span of m*J in the coordinates of J
+    (_mi_span), built on first read and never grown: generated_by grows a
     copy of it."""
 
-    rows: list
-    at: dict
-    mi: _Span
+    __slots__ = ("ring", "top", "rows", "pivots", "at", "_mi")
 
-
-def _hold(ring, rows: list, top: int) -> _Held:
-    """J held as _Held, rows its reduced pivot-one rows over
-    rmon_index(top)."""
-    pivots = list(map(min, rows))
-    return _Held(rows, dict(zip(pivots, range(len(rows)))),
-                 _mi_span(ring, rows, pivots, top - 1))
-
-
-class LocalIdeal:
-    """I = Ann f modulo m^N with N = j+2, f the dual generator: a canonical
-    subspace of R_{<N} (rows, reduced with pivot one; pivots, and at
-    mapping each to its row) over rmon_index(j+1) (rmons, with degrees
-    degs), minimal generators adapted to the order filtration, and the
-    graded data of the associated graded ideal I*.  mi is the span of m*I
-    in the coordinates of I (_mi_span), built once by annihilator and
-    never grown: a presentation check grows a copy of it, and graded()
-    keeps I*'s the same way."""
-
-    __slots__ = ("ring", "rmons", "degs", "rows", "pivots", "at",
-                 "min_gens", "orders", "socle_degree", "mi", "_graded")
-
-    def __init__(self, f: DPPoly, rows, pivots, min_gens, orders, mi):
-        self.ring = f.ring
-        self.rmons, self.degs = f.ring.rmon_list(f.degree + 1)
+    def __init__(self, ring, rows: list, top: int):
+        self.ring = ring
+        self.top = top
         self.rows = rows
-        self.pivots = pivots
-        self.at = dict(zip(pivots, range(len(pivots))))
-        self.min_gens = min_gens
-        self.orders = orders
-        self.socle_degree = f.degree
-        self.mi = mi
-        self._graded = None
+        self.pivots = list(map(min, rows))
+        self.at = dict(zip(self.pivots, range(len(rows))))
+        self._mi = None
+
+    @property
+    def mi(self) -> _Span:
+        if self._mi is None:
+            self._mi = _mi_span(self)
+        return self._mi
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def graded_dims(self) -> tuple:
-        """dim I*_d for d = 0..j+1 (pivot degrees of the canonical basis)."""
-        counts = [0] * (self.socle_degree + 2)
-        degs = self.degs
-        for p in self.pivots:
-            counts[degs[p]] += 1
-        return tuple(counts)
-
-    def graded_rows(self) -> list:
-        """The canonical basis of I* modulo m^{j+2} over rmon_index(j+1):
-        each row cut to its initial form, the entries of its pivot's
-        degree, so the rows stay reduced with pivot one."""
-        end = list(accumulate(map(self.ring.dim_of_degree,
-                                  range(self.socle_degree + 2))))
-        degs = self.degs
-        return [{c: v for c, v in row.items() if c < end[degs[q]]}
-                for row, q in zip(self.rows, self.pivots)]
-
-    def graded(self) -> _Held:
-        """I* modulo m^{j+2}: graded_rows and their m*I* span, built on the
-        first call and kept."""
-        if self._graded is None:
-            self._graded = _hold(self.ring, self.graded_rows(),
-                                 self.socle_degree + 1)
-        return self._graded
-
     def coordinates(self, phi: PSElement) -> dict | None:
-        """phi's coordinates on rows, or None when phi is not in I; its
-        terms of degree j+2 or more lie in m^{j+2}, inside I."""
+        """phi's coordinates on rows, or None when phi is not in J; its
+        terms of degree above top lie in m^{top+1}, inside J."""
         phi.ring.check_same(self.ring)
-        index = self.ring.rmon_index(self.socle_degree + 1)
+        index = self.ring.rmon_index(self.top)
         return coordinates(self.ring.field, self.rows, self.at,
                            {index[m]: c for m, c in phi.coeffs.items()
                             if m in index})
 
     def contains(self, phi: PSElement) -> bool:
-        """phi in Ann f, that is phi o f = 0."""
         return self.coordinates(phi) is not None
 
+    def generated_by(self, gens: list[PSElement]) -> bool:
+        """Nakayama's lemma: True iff every g lies in J, every g's ring
+        checked first, and their coordinates span J/mJ, that is a copy of
+        mi plus them reaches dim J."""
+        coords = [self.coordinates(g) for g in gens]
+        if None in coords:
+            return False
+        mi = self.mi.copy()
+        field = self.ring.field
+        for v in coords:
+            if v:
+                mi.add(v if field.char else primitive(v))
+        return mi.dim == mi.n
 
-def _mi_span(ring, rows: list, pivots: list, j: int) -> _Span:
-    """The span of m*I in the coordinates of I, I spanned by rows, the
-    reduced pivot-one rows of an ideal of R_{<j+2}, with pivots pivots: a
-    vector of I is the combination of the rows given by its pivot entries,
-    so x_i * row is kept on pivot columns only, each relabelled by its row
-    number, read through the multiplication table and then the pivot's
-    row for just the columns the row holds.  Only the span of m*I is read.
-    Every shift of a monomial row is a unit vector, a coordinate of the
-    _Span: the monomial rows' pivots are shifted as a set, one update per
-    table, while the echelon is empty.  The shifts of the other rows are
+
+class LocalIdeal(_Held):
+    """I = Ann f modulo m^N with N = j+2, f the dual generator, held over
+    rmon_index(j+1) (rmons, with degrees degs), with minimal generators
+    adapted to the order filtration, which annihilator fills, and the
+    graded data of the associated graded ideal I*."""
+
+    __slots__ = ("rmons", "degs", "min_gens", "orders", "socle_degree",
+                 "_graded")
+
+    def __init__(self, f: DPPoly, rows: list):
+        super().__init__(f.ring, rows, f.degree + 1)
+        self.rmons, self.degs = f.ring.rmon_list(f.degree + 1)
+        self.min_gens = []
+        self.orders = []
+        self.socle_degree = f.degree
+        self._graded = None
+
+    def graded_dims(self) -> tuple:
+        """dim I*_d for d = 0..j+1 (pivot degrees of the canonical basis)."""
+        counts = [0] * (self.top + 1)
+        degs = self.degs
+        for p in self.pivots:
+            counts[degs[p]] += 1
+        return tuple(counts)
+
+    def graded(self) -> _Held:
+        """I* modulo m^{j+2}, held on its canonical basis over
+        rmon_index(j+1): each row cut to its initial form, the entries of
+        its pivot's degree, so the rows stay reduced with pivot one.  Built
+        on the first call and kept."""
+        if self._graded is None:
+            end = list(accumulate(map(self.ring.dim_of_degree,
+                                      range(self.top + 1))))
+            degs = self.degs
+            self._graded = _Held(self.ring, [
+                {c: v for c, v in row.items() if c < end[degs[q]]}
+                for row, q in zip(self.rows, self.pivots)], self.top)
+        return self._graded
+
+
+def _mi_span(J: _Held) -> _Span:
+    """The span of m*J in the coordinates of J: a vector of J is the
+    combination of the rows given by its pivot entries, so x_i * row is
+    kept on pivot columns only, each relabelled by its row number (J.at),
+    read through the multiplication table and then the pivot's row for
+    just the columns the row holds.  Only the span of m*J is read.  Every
+    shift of a monomial row is a unit vector, a coordinate of the _Span:
+    the monomial rows' pivots are shifted as a set, one update per table,
+    while the echelon is empty.  The shifts of the other rows are
     projected off those, last row first (sparse high-order rows, less
     fill-in), over Q each row scaled once to a primitive integer row.
-    x_i * lead is the leading monomial of x_i * row when it has degree j+1
+    x_i * lead is the leading monomial of x_i * row when it has degree top
     or less, so the pivot's row there is its first coordinate; a shift
     covered there is not built."""
-    field = ring.field
-    row_of = dict(zip(pivots, range(len(pivots)))).get
-    tabs = ring.multiplication_tables(j + 1)
+    field = J.ring.field
+    rows, pivots, row_of = J.rows, J.pivots, J.at.get
+    tabs = J.ring.multiplication_tables(J.top)
     mi = _Span(field, len(rows))
     units = mi.units
     monomial = [q for row, q in zip(rows, pivots) if len(row) == 1]
     for tab in tabs:
         units.update(map(row_of, map(tab.get, monomial)))
-    # row_of(None), a shift past degree j+1, is None
+    # row_of(None), a shift past degree top, is None
     units.discard(None)
     for row, lead in zip(reversed(rows), reversed(pivots)):
         if len(row) == 1:
@@ -498,23 +504,21 @@ def annihilator(f: DPPoly | PartialFiltration) -> LocalIdeal:
     # reversed R columns orthogonal reads, last row first (the sparsest rows
     # of each pivot degree lead there, and the others reduce by them)
     col = ring.dual_columns(j)
-    rows = orthogonal(ring.field, [{col[c]: v for c, v in row.items()}
-                                   for row in reversed(P.rows)], len(rmons))
-    pivots = list(map(min, rows))
-    mi = _mi_span(ring, rows, pivots, j)
+    I = LocalIdeal(P.f, orthogonal(ring.field,
+                                   [{col[c]: v for c, v in row.items()}
+                                    for row in reversed(P.rows)], len(rmons)))
     # row k is a minimal generator iff it is not in m*I + <rows before it>;
     # that depends on these spans only, not on which rows the echelon keeps.
     # A k among the span's units, read live as they grow while its echelon
     # is empty, lies there already: add would return False.
-    span = mi.copy()
+    span = I.mi.copy()
     units = span.units
-    min_gens, orders = [], []
-    for k, row in enumerate(rows):
+    for k, row in enumerate(I.rows):
         if k not in units and span.add({k: one}):
-            min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
-            orders.append(degs[pivots[k]])
-    P.ideal = LocalIdeal(P.f, rows, pivots, min_gens, orders, mi)
-    return P.ideal
+            I.min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
+            I.orders.append(degs[I.pivots[k]])
+    P.ideal = I
+    return I
 
 
 def verify_ideal_presentation(gens: list[PSElement],
@@ -529,22 +533,8 @@ def verify_ideal_presentation(gens: list[PSElement],
     if I.dim != dim:
         raise InternalCheckError("dim Ann f = %d, but H(A) gives %d"
                                  % (I.dim, dim))
-    # every g's ring is checked; a unit, as I is proper, has no coordinates
-    coords = [I.coordinates(g) for g in gens]
-    return None not in coords and _generates(I.mi.copy(), coords)
-
-
-def _generates(mi: _Span, coords: list) -> bool:
-    """Nakayama's lemma for J, an ideal of R_{<j+2} held as reduced
-    pivot-one rows, and generators of J with coordinates coords on those
-    rows: mi is the m*J span in the same coordinates (_mi_span), grown
-    here, and the generators span J/mJ, so generate J, iff mi plus their
-    coordinates reaches dim J, the number of rows."""
-    field = mi.ech.field
-    for v in coords:
-        if v:
-            mi.add(v if field.char else primitive(v))
-    return mi.dim == mi.n
+    # a unit, as I is proper, has no coordinates
+    return I.generated_by(gens)
 
 
 def verify_graded_presentation(gens: list[PSElement],
@@ -554,26 +544,18 @@ def verify_graded_presentation(gens: list[PSElement],
     I* that Ann f's rows give and a copy of its m*I* span, both kept on the
     LocalIdeal after the first check (LocalIdeal.graded).  f is the dual
     generator or its PartialFiltration."""
-    P = filtration(f)
-    return _verify_graded(gens, P.ring, annihilator(P).graded(), P.j + 1)
+    return _verify_graded(gens, annihilator(f).graded())
 
 
-def _verify_graded(gens: list[PSElement], ring, J: _Held, top: int) -> bool:
+def _verify_graded(gens: list[PSElement], J: _Held) -> bool:
     """True iff the homogeneous gens generate exactly the graded ideal J of
-    R in every degree up to top: J's rows are homogeneous, reduced with
-    pivot one over rmon_index(top), and span J modulo m^{top+1}, an ideal
-    of R_{<top+1}.  Each generator must have coordinates on those rows,
-    and then (gens)_d = J_d for every d <= top iff the gens span J/mJ
-    (graded Nakayama), the rank test of verify_ideal_presentation, run on
-    a copy of J's m*J span.  A generator of degree above top is not
-    read."""
-    index = ring.rmon_index(top)
-    vs = []
+    R in every degree up to J.top: J's rows are homogeneous, so each
+    generator must have coordinates on them, and then (gens)_d = J_d for
+    every d <= top iff the gens span J/mJ (graded Nakayama), the rank test
+    of verify_ideal_presentation.  A generator of degree above top has no
+    coordinates to add."""
     for g in gens:
-        g.ring.check_same(ring)
+        g.ring.check_same(J.ring)
         if not g.is_homogeneous() or g.is_zero:
             raise DomainError("graded presentation requires nonzero homogeneous generators")
-        if g.order <= top:
-            vs.append(g.vector(index))
-    coords = [coordinates(ring.field, J.rows, J.at, v) for v in vs]
-    return None not in coords and _generates(J.mi.copy(), coords)
+    return J.generated_by(gens)

@@ -25,8 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 
-from .apolarity import (PartialFiltration, _hold, _verify_graded,
-                        filtration)
+from .apolarity import PartialFiltration, _Held, _verify_graded, filtration
 from .errors import DomainError, InternalCheckError
 from .linalg import Echelon, orthogonal, reversed_columns, rref_rows
 from .poly import DPPoly, PSElement, RingSpec
@@ -345,16 +344,16 @@ class GradedIdealData:
         self.spaces = spaces       # degree -> list of canonical rows
         self._held = None
 
-    def held(self):
-        """The spaces as one basis over rmon_index(j+1), each degree's rows
-        moved to its columns, with their m*J span (apolarity._hold); built
-        on the first call and kept, as LocalIdeal.graded keeps I*'s."""
+    def held(self) -> _Held:
+        """The spaces held as one ideal over rmon_index(j+1), each degree's
+        rows moved to its columns; built on the first call and kept, as
+        LocalIdeal.graded keeps I*."""
         if self._held is None:
             at = [0, *accumulate(map(self.ring.dim_of_degree,
                                      range(len(self.dims))))]
             rows = [{at[d] + c: v for c, v in row.items()}
                     for d, basis in enumerate(self.spaces) for row in basis]
-            self._held = _hold(self.ring, rows, len(self.dims) - 1)
+            self._held = _Held(self.ring, rows, len(self.dims) - 1)
         return self._held
 
 
@@ -386,15 +385,15 @@ def verify_graded_ideal(gens: list[PSElement], data: GradedIdealData) -> bool:
     described by data, in every degree up to j+1.  data must be an ideal
     held as reduced pivot-one bases, as filtration_ideal returns.  Placed
     in the columns of rmon_index(j+1) they are one such basis of the ideal
-    modulo m^{j+2}, kept on data with its m*J span by the first check
-    (GradedIdealData.held), and checked as I* is (_verify_graded): each
-    generator must have coordinates on it, and the gens must span it
-    modulo m times it (graded Nakayama).  Data holding R_0 describe the
-    unit ideal C(0) = R, which non-unit generators never generate; they
-    are refused as bad input, as unit generators are."""
+    modulo m^{j+2}, held on data by the first check (GradedIdealData.held)
+    and checked as I* is (_verify_graded): each generator must have
+    coordinates on it, and the gens must span it modulo m times it (graded
+    Nakayama).  Data holding R_0 describe the unit ideal C(0) = R, which
+    non-unit generators never generate; they are refused as bad input, as
+    unit generators are."""
     if data.dims[0]:
         raise DomainError("the graded ideal holds 1: C(0) = R is the unit "
                           "ideal, generated by no non-unit generators")
     if any(g.order == 0 for g in gens):
         raise DomainError("graded generators must be nonzero, homogeneous, non-units")
-    return _verify_graded(gens, data.ring, data.held(), len(data.dims) - 1)
+    return _verify_graded(gens, data.held())

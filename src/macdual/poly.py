@@ -82,17 +82,18 @@ def rmon_key(m: MON):
 MAX_IMAGES = 100_000
 
 # Each builder's table lies on the monomials of degree <= top in r variables,
-# comb(r+top, r) of them: its weight.  A builder keeps its last maxsize
-# tables of weight at most _TABLE_MONOMIALS (r=4 to degree 7, r=3 to 11),
-# and larger ones (_LargeTables) while they weigh _LARGE_MONOMIALS in all,
-# plus the one it built last: at most two tables' worth of MAX_IMAGES
-# monomials, as when it kept its last two large tables.  The large tables
-# of the four heavy shapes of a dense-modp benchmark period (6,739
-# monomials for _index, the largest reader) are then each built once, and
-# the six builders hold 1.1 MB of them (0.3 MB with the last two each).
-# Two requests on a sparse r=6, j=12 form build each of their 35 large
-# tables once and leave 12.0 MB of them.  Memory by tracemalloc, Python
-# 3.11.
+# comb(r+top, r) of them, or for monomials_of_degree and monomial_index on
+# those of degree top alone, comb(r+top-1, top): its weight.  A builder
+# keeps its last maxsize tables of weight at most _TABLE_MONOMIALS (r=4 to
+# degree 7, r=3 to 11), and larger ones (_LargeTables) while they weigh
+# _LARGE_MONOMIALS in all, plus the one it built last: at most two tables'
+# worth of MAX_IMAGES monomials, as when it kept its last two large tables.
+# The large tables of the four heavy shapes of a dense-modp benchmark
+# period (6,739 monomials for _index, the largest reader) are then each
+# built once, and the six builders hold 1.1 MB of them (0.3 MB with the
+# last two each).  Two requests on a sparse r=6, j=12 form build each of
+# their 35 large tables once and leave 12.0 MB of them.  Memory by
+# tracemalloc, Python 3.11.
 _TABLE_SHAPES = 64
 _TABLE_MONOMIALS = 400
 _LARGE_MONOMIALS = MAX_IMAGES
@@ -133,14 +134,20 @@ class _LargeTables:
         return entry[0]
 
 
-def _shared(maxsize: int):
+def _weight(r: int, top: int, order: int = 1) -> int:
+    # the monomials of degree top alone (order 0), or of degree <= top
+    top = max(top, 0)
+    return comb(r + top - (order == 0), top)
+
+
+def _shared(maxsize: int, weigh=_weight):
     def wrap(build):
         kept = lru_cache(maxsize=maxsize)(build)
         large = _LargeTables(build)
 
         @wraps(build)
         def table(r: int, top: int, *rest):
-            weight = comb(r + max(top, 0), r)
+            weight = weigh(r, top, *rest)
             if weight <= _TABLE_MONOMIALS:
                 return kept(r, top, *rest)
             return large((r, top, *rest), weight)
@@ -149,7 +156,7 @@ def _shared(maxsize: int):
     return wrap
 
 
-@_shared(4 * _TABLE_SHAPES)
+@_shared(4 * _TABLE_SHAPES, lambda r, d: _weight(r, d, 0))
 def monomials_of_degree(r: int, d: int) -> list[MON]:
     """Exponent tuples of length r and degree d, graded-lex; read-only."""
     if r == 1 or d <= 0:

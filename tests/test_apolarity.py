@@ -354,7 +354,7 @@ def test_contains_checks_the_ring():
 
 @pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
 def test_graded_bases_are_the_orthogonals_of_the_leading_forms(char):
-    """The basis of I* read off Ann f's rows (LocalIdeal.graded_rows) is
+    """The basis of I* read off Ann f's rows (LocalIdeal.graded) is
     homogeneous, and its rows of degree d, moved to monomial_index(d), are,
     value for value and type for type (2 and Fraction(2) differ), the
     canonical basis orthogonal returns for L(0, d), d = 0..j+1, the route
@@ -364,7 +364,7 @@ def test_graded_bases_are_the_orthogonals_of_the_leading_forms(char):
     for f in reference_forms(char)[::3]:
         P = PartialFiltration(f)
         I = annihilator(P)
-        rows = I.graded_rows()
+        rows = I.graded().rows
         assert len(rows) == I.dim
         start = 0
         for d in range(P.j + 2):
@@ -408,13 +408,13 @@ def test_kept_mi_span_is_built_once_and_left_unchanged(monkeypatch, char,
     LocalIdeal a cut-short list, the true list, a list holding a non-member
     and the true list again get False, True, False, True, as the plain
     reference verifier answers; the kept span reads the same after every
-    check, and _mi_span ran once in all.  The span of the monomial form
-    is all unit coordinates, so its checks grow the copy's units."""
+    check, and _mi_span ran once in all, on I.  The span of the monomial
+    form is all unit coordinates, so its checks grow the copy's units."""
     import macdual.apolarity as apolarity
     built = []
     mi_span = apolarity._mi_span
     monkeypatch.setattr(apolarity, "_mi_span",
-                        lambda *args: built.append(args) or mi_span(*args))
+                        lambda J: built.append(J) or mi_span(J))
     R, f = mk(("X", "Y", "Z"), src, char)
     P = PartialFiltration(f)
     I = annihilator(P)
@@ -435,7 +435,7 @@ def test_kept_mi_span_is_built_once_and_left_unchanged(monkeypatch, char,
         assert I.mi is mi and kept() == state
     assert got == [False, True, False, True]
     assert got == [verify_ideal_plain(gens, P) for gens in lists]
-    assert len(built) == 1
+    assert len(built) == 1 and built[0] is I
 
 
 @pytest.mark.parametrize("char", [0, 2, 101], ids=["Q", "F2", "F101"])
@@ -449,12 +449,13 @@ def test_kept_graded_span_is_built_once_and_left_unchanged(monkeypatch,
     the true list, a list holding a non-member and the true list again get
     False, True, False, True, as the plain reference verifier answers; the
     kept rows and span read the same after every check, and _mi_span ran
-    twice in all: once for m*I in annihilator, once for m*I*."""
+    twice in all: once for m*I in annihilator, on Ann f, once for m*I*, on
+    I*."""
     import macdual.apolarity as apolarity
     built = []
     mi_span = apolarity._mi_span
     monkeypatch.setattr(apolarity, "_mi_span",
-                        lambda *args: built.append(args) or mi_span(*args))
+                        lambda J: built.append(J) or mi_span(J))
     R, f = mk(("X", "Y", "Z"), src, char)
     P = PartialFiltration(f)
     gens = graded_generators(f)
@@ -475,6 +476,27 @@ def test_kept_graded_span_is_built_once_and_left_unchanged(monkeypatch,
     assert all(J is states[0][0] and state == states[0][1]
                for J, state in states)
     assert len(built) == 2 and len(gens) > 2
+    assert built[0] is annihilator(P) and built[1] is states[0][0]
+
+
+def test_ann_f_its_graded_ideal_and_each_c_a_share_one_held_type():
+    """Ann f, I* and C(a) are held by one type, which owns membership and
+    the Nakayama test: annihilator returns a subclass of it, and I*'s and
+    C(a)'s held ideals are instances of it.  The helpers that held or
+    checked them apart are gone, and decomposition builds no span."""
+    import inspect
+
+    import macdual.apolarity as apolarity
+    import macdual.decomposition as decomposition
+    R, f = mk(("X", "Y", "Z"), "X^[3]*Y+Y^[3]+X*Z^[2]+Z^[4]")
+    I = annihilator(f)
+    held = [I, I.graded(), filtration_ideal(f, 2).held()]
+    assert all(isinstance(J, apolarity._Held) for J in held)
+    assert type(held[1]) is type(held[2]) is apolarity._Held
+    for name in ("_hold", "_generates"):
+        assert not hasattr(apolarity, name)
+    source = inspect.getsource(decomposition)
+    assert "_mi_span" not in source and "_Span" not in source
 
 
 def test_a_verifier_after_annihilator_reads_no_second_orthogonal(
@@ -759,8 +781,8 @@ def annihilator_fraction_rows(f, scale=None):
     rows: the kernel rows, Fractions and all, shifted straight into m*I.
     With scale=primitive over Q, as it ran before unit vectors became
     coordinates: each row scaled by scale, its shifts in one plain Echelon.
-    The reference for rows, min_gens, orders and graded_dims; it keeps no
-    m*I span."""
+    The reference for rows, min_gens, orders and graded_dims; its own m*I
+    span is never read."""
     f = f.drop_constant()
     ring, field, j = f.ring, f.ring.field, f.degree
     rmons = list(ring.rmon_index(j + 1))
@@ -778,13 +800,12 @@ def annihilator_fraction_rows(f, scale=None):
             w = {tab[c]: v for c, v in row.items() if c in tab}
             if w:
                 mi.insert(w)
-    min_gens, orders = [], []
+    I = LocalIdeal(f, rows)
     for k, row in enumerate(rows):
         if mi.insert({k: field.one}):
-            min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
-            orders.append(sum(rmons[min(row)]))
-    return LocalIdeal(f, rows, [min(row) for row in rows], min_gens, orders,
-                      None)
+            I.min_gens.append(PSElement.from_vector(ring, row, rmons, j + 1))
+            I.orders.append(sum(rmons[min(row)]))
+    return I
 
 
 def assert_same_ideal(f):
@@ -1100,16 +1121,17 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
     one in full, while the images x^beta o f of the same forms, reduced by
     the PartialFiltration echelon, carry Fractions.  Every rank echelon
     sits inside a _Span, so calls are counted by the function that feeds
-    it (_mi_span's shifts, annihilator's unit vectors, _generates's
-    generator coordinates) and by the route on the stack above it:
-    annihilator, verify_ideal_presentation, the graded verifiers'
-    _verify_graded, or LocalIdeal.graded, which builds I*'s m*I* span.
-    verify_ideal_presentation and _verify_graded grow a copy of a kept
-    span, so only _generates feeds an echelon there."""
+    it (_mi_span's shifts, annihilator's unit vectors,
+    _Held.generated_by's generator coordinates) and by the route on the
+    stack above it: annihilator or one of the three verifiers.  The first
+    check of I* or of C(a) builds its m*J span (_Held.mi); every check
+    grows a copy of a kept span, so only generated_by feeds an echelon
+    there after that.  C(a) is checked for every a >= 1 on its spaces'
+    rows, the true list."""
     fractions = Counter()
     helpers = {Echelon.insert.__code__, _Span.add.__code__}
-    routes = {"annihilator", "verify_ideal_presentation", "_verify_graded",
-              "LocalIdeal.graded"}
+    routes = {"annihilator", "verify_ideal_presentation",
+              "verify_graded_presentation", "verify_graded_ideal"}
 
     def watch(method):
         def watched(self, vec):
@@ -1137,10 +1159,16 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
         I = annihilator(f)
         assert verify_ideal_presentation(I.min_gens, f)
         assert verify_graded_presentation(graded_generators(f), f)
+        for a in range(1, I.socle_degree):
+            data = filtration_ideal(f, a)
+            gens = [PSElement.from_vector(ring, row, ring.monomials(d))
+                    for d, rows in enumerate(data.spaces) for row in rows]
+            assert verify_graded_ideal(gens, data)
+    graded = ("verify_graded_presentation", "verify_graded_ideal")
     fed = [("annihilator", "_mi_span"), ("annihilator", "annihilator"),
-           ("verify_ideal_presentation", "_generates"),
-           ("LocalIdeal.graded", "_mi_span"),
-           ("_verify_graded", "_generates")]
+           ("verify_ideal_presentation", "_Held.generated_by")]
+    fed += [(route, feeder) for route in graded
+            for feeder in ("_mi_span", "_Held.generated_by")]
     for route, feeder in fed:
         assert fractions["grow", feeder, route, False] > 0
         assert fractions["grow", feeder, route, True] == 0
@@ -1148,7 +1176,7 @@ def test_no_fraction_reaches_the_rank_echelons(monkeypatch):
     assert {(route, feeder) for method, feeder, route, _ in fractions
             if method == "grow"} == set(fed)
     assert not any(n for (method, feeder, route, _), n in fractions.items()
-                   if method == "reduce" and (route == "_verify_graded"
+                   if method == "reduce" and (route in graded
                                               or (route, feeder) in fed))
     assert sum(n for (method, feeder, _, frac), n in fractions.items()
                if (method, feeder, frac)

@@ -513,12 +513,12 @@ def test_kept_filtration_ideal_span_is_built_once(monkeypatch, char):
     checks grow a copy.  Three checks of one data (the true list, a
     cut-short one, the true one again) answer as the equal-span route
     does, the kept rows and span read the same after each, and _mi_span
-    ran once in all."""
+    ran once in all, on the held C(a)."""
     import macdual.apolarity as apolarity
     built = []
     mi_span = apolarity._mi_span
     monkeypatch.setattr(apolarity, "_mi_span",
-                        lambda *args: built.append(args) or mi_span(*args))
+                        lambda J: built.append(J) or mi_span(J))
     R, f = mk(("X", "Y", "Z"), "X^[6]+X^[3]*Y^[2]+Z^[4]", char)
     data = filtration_ideal(f, 2)
     top = data.socle_degree + 1
@@ -539,7 +539,8 @@ def test_kept_filtration_ideal_span_is_built_once(monkeypatch, char):
     assert got == [verify_graded_ideal_same_span(g, data) for g in lists]
     assert all(J is states[0][0] and state == states[0][1]
                for J, state in states)
-    assert len(built) == 1 and data.dims == tuple(map(len, data.spaces))
+    assert len(built) == 1 and built[0] is states[0][0]
+    assert data.dims == tuple(map(len, data.spaces))
 
 
 def test_decomposition_invariance_under_units():

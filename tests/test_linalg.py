@@ -641,8 +641,8 @@ def test_every_kernel_is_read_as_an_orthogonal():
     verifiers share one check, and one membership test serves every
     verifier: is_a_modification is left as the one caller of same_span in
     the package.  All three presentation checks share one rank test,
-    apolarity._generates: no graded verifier builds a _Span or reads a
-    multiplication table itself."""
+    apolarity._Held.generated_by: no graded verifier builds a _Span or
+    reads a multiplication table itself."""
     import macdual.apolarity as apolarity
     import macdual.constructions as constructions
     import macdual.decomposition as decomposition
@@ -654,7 +654,7 @@ def test_every_kernel_is_read_as_an_orthogonal():
     assert decomposition._verify_graded is apolarity._verify_graded
     assert not hasattr(apolarity, "_graded_dims")
     for fn in (apolarity.verify_ideal_presentation, apolarity._verify_graded):
-        assert "_generates" in fn.__code__.co_names
+        assert "generated_by" in fn.__code__.co_names
     for fn in (apolarity.verify_graded_presentation, apolarity._verify_graded,
                decomposition.verify_graded_ideal):
         names = fn.__code__.co_names

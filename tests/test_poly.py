@@ -626,6 +626,17 @@ def _fresh_large_tiers(monkeypatch, budget=None):
     return built, last
 
 
+def _covered(name, key):
+    """The number of monomials a table lies on: those of degree top alone
+    for monomials_of_degree and for _index and _listed of order 0, else
+    those of degree at most top."""
+    r, top = key[:2]
+    if name == "monomials_of_degree" or (name in ("_index", "_listed")
+                                         and key[2] == 0):
+        return comb(r + top - 1, top)
+    return comb(r + top, r)
+
+
 def _check_large_tiers(last):
     """Each large tier weighs what its tables cover, holds the table its
     builder built last, and weighs at most its budget without that one."""
@@ -635,8 +646,7 @@ def _check_large_tiers(last):
         large = getattr(poly, name).caches[1]
         weights = {key: w for key, (_, w) in large.tables.items()}
         assert large.weight == sum(weights.values()), name
-        assert all(w > poly._TABLE_MONOMIALS
-                   and w == comb(key[0] + key[1], key[0])
+        assert all(w > poly._TABLE_MONOMIALS and w == _covered(name, key)
                    for key, w in weights.items()), name
         if name in last:
             assert large.weight - weights[last[name]] <= \
@@ -677,7 +687,8 @@ def test_large_tables_are_kept_only_briefly(monkeypatch):
     """A table past the budget is built once for the request that reads
     it, however often it is read, and released when the next large table
     is built; tables within the budget are not.  With a budget of 1,000:
-    comb(4+8, 4) = 495 monomials, comb(4+10, 4) = 1,001."""
+    comb(4+8, 4) = 495 monomials, comb(4+10, 4) = 1,001, and the degree-12
+    monomials alone comb(3+12, 12) = 455."""
     from macdual import poly
 
     built, last = _fresh_large_tiers(monkeypatch, budget=1000)
@@ -693,11 +704,33 @@ def test_large_tables_are_kept_only_briefly(monkeypatch):
             (m for d in range(11) for m in big.monomials(d)), key=rmon_key)
         _check_large_tiers(last)
         # the next request builds a large table of its own
-        (big.dmon_index, big.monomial_index)[request % 2](8)
+        if request % 2:
+            big.dmon_index(8)
+        else:
+            big.monomial_index(12)
         assert (4, 10, 1) not in poly._index.caches[1].tables
         _check_large_tiers(last)
     assert built["_index", (4, 8, 1)] == 1
     assert small.multiplication_tables(7) is tabs
+
+
+def test_one_variable_lists_of_one_degree_stay_small(monkeypatch):
+    """A list of the monomials of degree d weighs the comb(r+d-1, d) it
+    holds: in one variable one, so from d = 400 on, where the monomials of
+    degree <= d would pass _TABLE_MONOMIALS, monomials(d) and
+    monomial_index(d) still never reach a large tier's build, while
+    rmon_index(d) does."""
+    from macdual import poly
+
+    built, last = _fresh_large_tiers(monkeypatch)
+    ring = RingSpec(("X",), Field(0))
+    for d in (400, 401, 1000, 20000):
+        assert ring.monomials(d) == [(d,)]
+        assert ring.monomial_index(d) == {(d,): 0}
+    assert not built
+    ring.rmon_index(400)
+    assert list(built) == [("_index", (1, 400, 1))]
+    _check_large_tiers(last)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
