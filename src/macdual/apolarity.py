@@ -387,6 +387,7 @@ class _Held:
                             if m in index})
 
     def contains(self, phi: PSElement) -> bool:
+        """phi in J; for J = Ann f, phi o f = 0."""
         return self.coordinates(phi) is not None
 
     def generated_by(self, gens: list[PSElement]) -> bool:
