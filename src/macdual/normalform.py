@@ -26,9 +26,9 @@ from .apolarity import PartialFiltration, filtration
 from .decomposition import symmetric_decomposition
 from .errors import DomainError, InternalCheckError
 from .linalg import Echelon, matrix_inverse, rref_rows, vec_axpy
-from .poly import (DPPoly, PSElement, RingSpec, linear_part_inverse,
-                   linear_substitute, pairing, ps_compose_all,
-                   ps_compose_inverse, variable_series)
+from .poly import (DPPoly, PSElement, RingSpec, check_image_budget,
+                   linear_part_inverse, linear_substitute, pairing,
+                   ps_compose_all, ps_compose_inverse, variable_series)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,8 @@ def _adapted_frame(P: PartialFiltration, n_seq: tuple) -> AdaptedFrame:
     field = ring.field
     j = P.j
     n = len(P.dindex)
+    # refused here, before C(r+j+2, r) columns past the budget are listed
+    check_image_budget(ring.r, j + 1)
     widx = ring.rmon_index(j + 2)
     mon_at = {n + c: m for m, c in widx.items()}
     fvec = f.vector(P.dindex)

@@ -26,19 +26,17 @@ the constructors do the same.  This module never looks at how a field
 element is stored.
 
 A RingSpec's monomial lists, coordinate indexes and their degrees, the
-map from D's columns to R's reversed ones, contraction and multiplication
-tables and step tables depend only on (r, degree), not on the variable
-names or the field.  They are shared process-wide by every
-RingSpec of that shape, within fixed bounds (_TABLE_SHAPES,
-_TABLE_MONOMIALS, _LARGE_MONOMIALS).  The divisor table (each monomial's
-divisors b, paired with m - b) is filled on first read of each entry, and
-one per r serves every degree whose monomials number at most
-_TABLE_MONOMIALS.
+map from D's columns to R's reversed ones, contraction, multiplication,
+step and divisor tables depend only on (r, degree), not on the variable
+names or the field.  They are shared process-wide by every RingSpec of
+that shape, each builder keeping its tables under one bound (see _kept).
+The divisor table (each monomial's divisors b, paired with m - b) is
+filled on first read of each entry.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache, update_wrapper
 from itertools import product
 from math import comb
 from operator import add, neg, sub
@@ -81,22 +79,14 @@ def rmon_key(m: MON):
 # power X^k whose degree alone needs a larger table, before k! is computed.
 MAX_IMAGES = 100_000
 
-# Each builder's table lies on the monomials of degree <= top in r variables,
-# comb(r+top, r) of them, or for monomials_of_degree and monomial_index on
-# those of degree top alone, comb(r+top-1, top): its weight.  A builder
-# keeps its last maxsize tables of weight at most _TABLE_MONOMIALS (r=4 to
-# degree 7, r=3 to 11), and larger ones (_LargeTables) while they weigh
-# _LARGE_MONOMIALS in all, plus the one it built last: at most two tables'
-# worth of MAX_IMAGES monomials, as when it kept its last two large tables.
-# The large tables of the four heavy shapes of a dense-modp benchmark
-# period (6,739 monomials for _index, the largest reader) are then each
-# built once, and the six builders hold 1.1 MB of them (0.3 MB with the
-# last two each).  Two requests on a sparse r=6, j=12 form build each of
-# their 35 large tables once and leave 12.0 MB of them.  Memory by
-# tracemalloc, Python 3.11.
-_TABLE_SHAPES = 64
-_TABLE_MONOMIALS = 400
-_LARGE_MONOMIALS = MAX_IMAGES
+# Each builder keeps at most _TABLE_COUNT tables, which weigh at most
+# _TABLE_BUDGET entries besides the one it built last (see _Kept).  A
+# table weighs the monomials it lies on (_weight), or for the divisor table
+# the pairs it can hold.  One period of any benchmark workload, run in one
+# process, evicts nothing: each builder reads at most 67 distinct tables,
+# weighing at most 11,135 entries.
+_TABLE_COUNT = 256
+_TABLE_BUDGET = MAX_IMAGES
 
 
 def check_image_budget(r: int, j: int):
@@ -109,54 +99,45 @@ def check_image_budget(r: int, j: int):
                           % (_numeral(images), MAX_IMAGES))
 
 
-class _LargeTables:
-    """One builder's tables of weight above _TABLE_MONOMIALS: key -> (table,
-    weight), least recently read first.  A new table evicts the least
-    recently read others until those left weigh at most _LARGE_MONOMIALS."""
-
-    __slots__ = ("build", "tables", "weight")
-
-    def __init__(self, build):
-        self.build = build
-        self.tables = {}
-        self.weight = 0
-
-    def __call__(self, key: tuple, weight: int):
-        tables = self.tables
-        entry = tables.pop(key, None)
-        if entry is None:
-            # built before any eviction: a builder may read its own tables
-            entry = self.build(*key), weight
-            self.weight += weight
-            while self.weight - weight > _LARGE_MONOMIALS:
-                self.weight -= tables.pop(next(iter(tables)))[1]
-        tables[key] = entry
-        return entry[0]
-
-
 def _weight(r: int, top: int, order: int = 1) -> int:
     # the monomials of degree top alone (order 0), or of degree <= top
     top = max(top, 0)
     return comb(r + top - (order == 0), top)
 
 
-def _shared(maxsize: int, weigh=_weight):
-    def wrap(build):
-        kept = lru_cache(maxsize=maxsize)(build)
-        large = _LargeTables(build)
+class _Kept:
+    """A table builder keeping its tables: key -> (table, weight) in
+    tables, least recently read first.  A miss builds the table, weighs it
+    and evicts the least recently read others while the builder holds more
+    than _TABLE_COUNT tables or the others weigh more than _TABLE_BUDGET;
+    the table just built stays."""
 
-        @wraps(build)
-        def table(r: int, top: int, *rest):
-            weight = weigh(r, top, *rest)
-            if weight <= _TABLE_MONOMIALS:
-                return kept(r, top, *rest)
-            return large((r, top, *rest), weight)
-        table.caches = (kept, large)
-        return table
-    return wrap
+    def __init__(self, build, weigh):
+        update_wrapper(self, build)
+        self.build = build
+        self.weigh = weigh
+        self.tables = {}
+        self.held = 0
+
+    def __call__(self, *key):
+        tables = self.tables
+        entry = tables.pop(key, None)
+        if entry is None:
+            # built before any eviction: a builder may read its own tables
+            entry = self.build(*key), self.weigh(*key)
+            self.held += entry[1]
+            while tables and (len(tables) >= _TABLE_COUNT
+                              or self.held - entry[1] > _TABLE_BUDGET):
+                self.held -= tables.pop(next(iter(tables)))[1]
+        tables[key] = entry
+        return entry[0]
 
 
-@_shared(4 * _TABLE_SHAPES, lambda r, d: _weight(r, d, 0))
+def _kept(weigh=_weight):
+    return lambda build: _Kept(build, weigh)
+
+
+@_kept(lambda r, d: _weight(r, d, 0))
 def monomials_of_degree(r: int, d: int) -> list[MON]:
     """Exponent tuples of length r and degree d, graded-lex; read-only."""
     if r == 1 or d <= 0:
@@ -167,7 +148,7 @@ def monomials_of_degree(r: int, d: int) -> list[MON]:
     return out
 
 
-@_shared(4 * _TABLE_SHAPES)
+@_kept()
 def _index(r: int, top: int, order: int) -> dict:
     # degrees top..0 (order -1), top alone (order 0) or 0..top (order 1)
     degrees = (range(top, -1, -1), (top,), range(top + 1))[order + 1]
@@ -175,7 +156,7 @@ def _index(r: int, top: int, order: int) -> dict:
         m for d in degrees for m in monomials_of_degree(r, d))}
 
 
-@_shared(2 * _TABLE_SHAPES)
+@_kept()
 def _listed(r: int, top: int, order: int) -> tuple:
     # the monomials of _index(r, top, order) in coordinate order, and the
     # degree of each
@@ -183,7 +164,7 @@ def _listed(r: int, top: int, order: int) -> tuple:
     return tuple(index), tuple(map(mdeg, index))
 
 
-@_shared(_TABLE_SHAPES)
+@_kept()
 def _dual_columns(r: int, top: int) -> tuple:
     # column c of D_{<= top} -> its monomial's column in R_{<= top+1}, read
     # backwards
@@ -192,7 +173,7 @@ def _dual_columns(r: int, top: int) -> tuple:
     return tuple(last - rindex[m] for m in _index(r, top, -1))
 
 
-@_shared(2 * _TABLE_SHAPES)
+@_kept()
 def _shift_tables(r: int, top: int, step: int) -> list[dict]:
     # step -1: contraction over dmon_index; step 1: multiplication over
     # rmon_index.  tables[i] maps column c of m to that of m + step*e_i.
@@ -206,7 +187,7 @@ def _shift_tables(r: int, top: int, step: int) -> list[dict]:
     return tabs
 
 
-@_shared(2 * _TABLE_SHAPES)
+@_kept()
 def _rmon_steps(r: int, top: int) -> memoryview:
     # packed as int64: no Python object per monomial, no module to import
     index = _index(r, top, 1)
@@ -239,26 +220,16 @@ class _Divisors(dict):
         return entry
 
 
-# r -> the divisor table serving every degree whose monomials number at most
-# _TABLE_MONOMIALS, so it never holds more entries than that
-_divisors_kept: dict = {}
-
-
+@_kept(lambda r, top: comb(2 * r + top, 2 * r))
 def _divisor_table(r: int, top: int) -> _Divisors:
-    if comb(r + top, r) > _TABLE_MONOMIALS:
-        return _Divisors()
-    table = _divisors_kept.get(r)
-    if table is None:
-        table = _divisors_kept[r] = _Divisors()
-        if len(_divisors_kept) > _TABLE_SHAPES:
-            del _divisors_kept[next(iter(_divisors_kept))]
-    return table
+    # weighed by the divisor pairs (b, m - b) of degree <= top it can hold
+    return _Divisors()
 
 
 class RingSpec:
     """Variable names (order fixed) and the coefficient field of R = k{x_i}
     and its dual D = k_DP[X_i].  Its indexings (in coordinate order) and
-    tables are shared by every ring of r variables (see _shared): read-only."""
+    tables are shared by every ring of r variables (see _kept): read-only."""
 
     __slots__ = ("vars", "lvars", "field", "r")
 
@@ -347,9 +318,8 @@ class RingSpec:
         """table[m] = (b_0, m - b_0, b_1, m - b_1, ...) over the divisors b
         of m, for monomials m of degree <= maxdeg: x^b o X^[m] = X^[m-b]
         for exactly these b.  Entries are built on first read; the table is
-        shared by every ring of r variables while the monomials of degree
-        <= maxdeg number at most _TABLE_MONOMIALS, and new on each call
-        above that."""
+        shared by every ring of r variables and kept as the other tables
+        are, weighed by the pairs it can hold, C(2r+maxdeg, 2r)."""
         return _divisor_table(self.r, maxdeg)
 
     def extend(self, new_vars) -> "RingSpec":

@@ -122,6 +122,46 @@ def test_oversized_linear_power_exits_3_before_it_is_built(capsys,
         assert code == 3 and out.out == "" and "too large" in out.err
 
 
+@pytest.mark.parametrize("command, r, j", [
+    ("normalize", 80, 2), ("normalize", 30, 3), ("consum-split", 30, 3),
+    ("adapted_coordinates", 30, 3)])
+def test_adapted_frame_past_the_budget_exits_3_before_its_columns(
+        capsys, monkeypatch, command, r, j):
+    """The adapted frame lists the monomials of R_{<= j+2}, C(r+j+2, r) of
+    them, one degree past the image table the generator is checked for:
+    C(83, 80) = 91,881 images pass the budget, C(84, 80) = 1,929,501
+    columns do not (C(34, 30) = 46,376 against C(35, 30) = 324,632).
+    normalize, consum-split and adapted_coordinates refuse the generator
+    with the image-budget message before any table past it is built."""
+    from math import comb
+    from macdual import normalform, poly
+    from macdual.errors import DomainError
+    from macdual.fields import Field
+    from macdual.io import parse_poly
+
+    rmon_index = poly.RingSpec.rmon_index
+
+    def bounded(ring, maxdeg):
+        if comb(ring.r + maxdeg, ring.r) > poly.MAX_IMAGES:
+            pytest.fail("built rmon_index(%d) in %d variables"
+                        % (maxdeg, ring.r))
+        return rmon_index(ring, maxdeg)
+    monkeypatch.setattr(poly.RingSpec, "rmon_index", bounded)
+    names = ["X%d" % i for i in range(1, r + 1)]
+    gen = "X1^[%d]+X2*X3" % j
+    message = "generator too large: C(r+j+1, r) = %d images" % comb(
+        r + j + 2, r)
+    if command == "adapted_coordinates":
+        ring = poly.RingSpec(names, Field(101))
+        with pytest.raises(DomainError) as err:
+            normalform.adapted_coordinates(parse_poly(gen, ring))
+        assert message in str(err.value)
+        return
+    code = main([command, "--vars", ",".join(names), "--char", "101", gen])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "" and message in out.err, out.err
+
+
 # a numeral past CPython's default cap of 4,300 digits on int <-> str
 HUGE = "7" * 4400
 

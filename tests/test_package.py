@@ -154,3 +154,38 @@ def test_benchmark_layer_names_stay_in_their_modules():
                else getattr(mod, name))
         assert (obj.__module__, obj.__name__) == (mod.__name__, name), \
             (module, name)
+
+
+def test_readme_names_resolve_in_the_package():
+    """Every backticked `module.name` or `Class.attr` in README.md, the head
+    being a module of the package or a class one defines, names an object
+    the package has: a renamed or deleted name fails here rather than
+    leaving the README stale.  Other dotted names, such as `change.images`
+    for a variable, are left alone."""
+    import re
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    heads = {"macdual": macdual}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module("macdual." + path.stem)
+        heads[path.stem] = mod
+        heads.update((name, obj) for name, obj in vars(mod).items()
+                     if isinstance(obj, type)
+                     and obj.__module__ == mod.__name__)
+    named = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[`(]", text)
+    checked, missing = 0, []
+    for dotted in named:
+        head, *attrs = dotted.split(".")
+        if head not in heads:
+            continue
+        checked += 1
+        obj = heads[head]
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(dotted)
+    assert checked >= 8
+    assert not missing, missing

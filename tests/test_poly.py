@@ -580,8 +580,8 @@ def test_pairing_is_the_constant_of_the_contraction(char):
 
 # -- ring tables shared by shape -------------------------------------------------
 
-TABLE_CACHES = ("monomials_of_degree", "_index", "_shift_tables",
-                "_rmon_steps", "_listed", "_dual_columns")
+TABLE_BUILDERS = ("monomials_of_degree", "_index", "_shift_tables",
+                  "_rmon_steps", "_listed", "_dual_columns", "_divisor_table")
 
 
 TABLE_CALLS = [("monomials", 3), ("monomials", -1), ("monomial_index", 3),
@@ -602,55 +602,63 @@ def test_rings_of_one_shape_share_their_tables():
     assert not hasattr(a, "__dict__")
 
 
-def _fresh_large_tiers(monkeypatch, budget=None):
-    """Give every table builder an empty large tier for the test, whose
-    builds are counted: returns built[(name, key)] and last[name], the key
-    each builder built last.  budget, if given, replaces _LARGE_MONOMIALS."""
+def _fresh_tables(monkeypatch, budget=None, count=None):
+    """Give every table builder no tables for the test, and count its
+    builds: returns built[(name, key)] and last[name], the key each
+    builder built last.  budget and count, if given, replace _TABLE_BUDGET
+    and _TABLE_COUNT."""
     from collections import Counter
     from macdual import poly
 
     built, last = Counter(), {}
-    for name in TABLE_CACHES:
-        large = getattr(poly, name).caches[1]
+    for name in TABLE_BUILDERS:
+        kept = getattr(poly, name)
 
-        def build(*key, name=name, build=large.build):
+        def build(*key, name=name, build=kept.build):
             out = build(*key)
             built[name, key] += 1
             last[name] = key
             return out
-        monkeypatch.setattr(large, "build", build)
-        monkeypatch.setattr(large, "tables", {})
-        monkeypatch.setattr(large, "weight", 0)
+        monkeypatch.setattr(kept, "build", build)
+        monkeypatch.setattr(kept, "tables", {})
+        monkeypatch.setattr(kept, "held", 0)
     if budget is not None:
-        monkeypatch.setattr(poly, "_LARGE_MONOMIALS", budget)
+        monkeypatch.setattr(poly, "_TABLE_BUDGET", budget)
+    if count is not None:
+        monkeypatch.setattr(poly, "_TABLE_COUNT", count)
     return built, last
 
 
 def _covered(name, key):
-    """The number of monomials a table lies on: those of degree top alone
-    for monomials_of_degree and for _index and _listed of order 0, else
-    those of degree at most top."""
+    """The weight of a table: the divisor pairs (b, m - b) of degree at most
+    top for the divisor table; else the monomials it lies on, those of
+    degree top alone for monomials_of_degree and for _index and _listed of
+    order 0, and those of degree at most top for the rest."""
     r, top = key[:2]
+    if name == "_divisor_table":
+        return comb(2 * r + top, 2 * r)
     if name == "monomials_of_degree" or (name in ("_index", "_listed")
                                          and key[2] == 0):
         return comb(r + top - 1, top)
     return comb(r + top, r)
 
 
-def _check_large_tiers(last):
-    """Each large tier weighs what its tables cover, holds the table its
-    builder built last, and weighs at most its budget without that one."""
+def _check_tables(last):
+    """Each builder weighs what its tables cover, holds at most
+    _TABLE_COUNT tables, among them the one it built last, and weighs at
+    most _TABLE_BUDGET without that one."""
     from macdual import poly
 
-    for name in TABLE_CACHES:
-        large = getattr(poly, name).caches[1]
-        weights = {key: w for key, (_, w) in large.tables.items()}
-        assert large.weight == sum(weights.values()), name
-        assert all(w > poly._TABLE_MONOMIALS and w == _covered(name, key)
+    for name in TABLE_BUILDERS:
+        kept = getattr(poly, name)
+        weights = {key: w for key, (_, w) in kept.tables.items()}
+        assert kept.held == sum(weights.values()), name
+        assert all(w == _covered(name, key)
                    for key, w in weights.items()), name
+        assert len(weights) <= poly._TABLE_COUNT, name
         if name in last:
-            assert large.weight - weights[last[name]] <= \
-                poly._LARGE_MONOMIALS, name
+            assert kept.held - weights[last[name]] <= \
+                poly._TABLE_BUDGET, name
 
 
 def _read_request_tables(ring, j):
@@ -667,31 +675,32 @@ def _read_request_tables(ring, j):
 
 
 def test_heavy_dense_shapes_build_each_large_table_once(monkeypatch):
-    """dense-modp cycles four heavy shapes whose large tables no longer
-    evict each other: read twice in turn, each is built once.  _index, the
-    largest reader, holds 12 of them covering 6,739 monomials."""
-    built, last = _fresh_large_tiers(monkeypatch)
+    """dense-modp cycles four heavy shapes whose tables do not evict each
+    other: read twice in turn, each is built once.  _index, the largest
+    reader, holds 12 tables of all degrees covering 6,739 monomials."""
+    built, last = _fresh_tables(monkeypatch)
     shapes = [(RingSpec(tuple("XYZWUV"[:r]), Field(101)), j)
               for r, j in ((4, 8), (5, 6), (3, 12), (6, 5))]
     for _ in range(2):
         for ring, j in shapes:
             _read_request_tables(ring, j)
-            _check_large_tiers(last)
+            _check_tables(last)
     assert set(built.values()) == {1}
-    index = [key for name, key in built if name == "_index"]
+    index = [key for name, key in built
+             if name == "_index" and key[2] != 0]
     assert len(index) == 12
     assert sum(comb(r + top, r) for r, top, _ in index) == 6739
 
 
 def test_large_tables_are_kept_only_briefly(monkeypatch):
     """A table past the budget is built once for the request that reads
-    it, however often it is read, and released when the next large table
-    is built; tables within the budget are not.  With a budget of 1,000:
+    it, however often it is read, and released when the next table is
+    built; tables within the budget are not.  With a budget of 1,000:
     comb(4+8, 4) = 495 monomials, comb(4+10, 4) = 1,001, and the degree-12
     monomials alone comb(3+12, 12) = 455."""
     from macdual import poly
 
-    built, last = _fresh_large_tiers(monkeypatch, budget=1000)
+    built, last = _fresh_tables(monkeypatch, budget=1000)
     big = RingSpec(tuple("XYZW"), Field(0))
     small = RingSpec(tuple("XYZ"), Field(0))
     tabs = small.multiplication_tables(7)
@@ -702,41 +711,41 @@ def test_large_tables_are_kept_only_briefly(monkeypatch):
         assert built["_index", (4, 10, 1)] == request
         assert list(first) == sorted(
             (m for d in range(11) for m in big.monomials(d)), key=rmon_key)
-        _check_large_tiers(last)
-        # the next request builds a large table of its own
+        _check_tables(last)
+        # the next request builds a table of its own
         if request % 2:
             big.dmon_index(8)
         else:
             big.monomial_index(12)
-        assert (4, 10, 1) not in poly._index.caches[1].tables
-        _check_large_tiers(last)
+        assert (4, 10, 1) not in poly._index.tables
+        _check_tables(last)
     assert built["_index", (4, 8, 1)] == 1
     assert small.multiplication_tables(7) is tabs
 
 
-def test_one_variable_lists_of_one_degree_stay_small(monkeypatch):
-    """A list of the monomials of degree d weighs the comb(r+d-1, d) it
-    holds: in one variable one, so from d = 400 on, where the monomials of
-    degree <= d would pass _TABLE_MONOMIALS, monomials(d) and
-    monomial_index(d) still never reach a large tier's build, while
-    rmon_index(d) does."""
+def test_one_variable_lists_of_one_degree_stay_small(monkeypatch, capsys):
+    """hilbert of X^[20000] reads the monomials of each degree up to 20,001
+    in one variable, one monomial a list: each builder keeps at most
+    _TABLE_COUNT of its tables, each list weighs the one monomial it holds,
+    the tables of all degrees are built once, and stdout keeps its bytes."""
+    import hashlib
     from macdual import poly
+    from macdual.cli import main
 
-    built, last = _fresh_large_tiers(monkeypatch)
-    ring = RingSpec(("X",), Field(0))
-    for d in (400, 401, 1000, 20000):
-        assert ring.monomials(d) == [(d,)]
-        assert ring.monomial_index(d) == {(d,): 0}
-    assert not built
-    ring.rmon_index(400)
-    assert list(built) == [("_index", (1, 400, 1))]
-    _check_large_tiers(last)
+    built, last = _fresh_tables(monkeypatch)
+    assert main(["hilbert", "--vars", "X", "--char", "0", "X^[20000]"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "650268ac1d57ead47aa5b7106dfc0215860313975bf5d8e708cf22c49d4a5fe0")
+    _check_tables(last)
+    assert len(poly.monomials_of_degree.tables) == poly._TABLE_COUNT
+    assert all(w == 1 for _, w in poly.monomials_of_degree.tables.values())
+    assert built["_index", (1, 20000, -1)] == 1
+    assert built["_index", (1, 20000, 1)] == 1
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
 def test_shared_tables_match_their_definitions(r):
-    from macdual import poly
-
     ring = RingSpec(tuple("XYZWUV"[:r]), Field(0))
     for top in range(7):
         mons = [m for d in range(top + 1) for m in ring.monomials(d)]
@@ -772,8 +781,8 @@ def test_shared_tables_match_their_definitions(r):
             assert mon_mul(mons[prev], tuple(int(v == i)
                                              for v in range(r))) == m
         # the divisor table pairs each divisor b of m with m - b, one
-        # object per monomial; one table per r serves every degree whose
-        # monomials number at most _TABLE_MONOMIALS
+        # object per monomial; one table per (r, top), which filled holds
+        # the comb(2r+top, 2r) pairs it is weighed by
         table = ring.divisor_table(top)
         for m in index:
             flat = table[m]
@@ -784,9 +793,10 @@ def test_shared_tables_match_their_definitions(r):
             assert all(mon_mul(b, q) == m
                        for b, q in zip(divs, flat[1::2]))
         assert all(m is table.same[m] for m in table)
-        kept = len(index) <= poly._TABLE_MONOMIALS
-        assert (ring.divisor_table(top) is table) == kept
-        assert (ring.divisor_table(max(top - 1, 0)) is table) == kept
+        assert sum(len(flat) // 2 for flat in table.values()) == \
+            comb(2 * r + top, 2 * r)
+        assert ring.divisor_table(top) is table
+        assert top == 0 or ring.divisor_table(top - 1) is not table
 
 
 def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
@@ -798,7 +808,7 @@ def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
     from macdual.cli import main
 
     handed = {}
-    for name in TABLE_CACHES + ("_divisor_table",):
+    for name in TABLE_BUILDERS:
         cached = getattr(poly, name)
 
         def spy(*key, cached=cached):
@@ -824,29 +834,19 @@ def test_shared_tables_unchanged_by_golden_and_corpus_runs(monkeypatch,
 
 
 def test_table_caches_stay_bounded(monkeypatch):
-    """Each builder keeps at most its count of small tables, and its large
-    tier never weighs more than its budget plus the table built last, over
-    a stream of mixed shapes (a budget of 2,000 monomials here)."""
+    """Each builder holds at most _TABLE_COUNT tables, weighs what they
+    cover and at most its budget besides the table built last, over a
+    stream of mixed shapes: one-variable shapes past a count of 16, then
+    four-variable ones past a budget of 2,000 entries.  A divisor table
+    never holds more pairs than it is weighed by."""
     from macdual import poly
 
-    built, last = _fresh_large_tiers(monkeypatch, budget=2000)
-
-    def check(final=False):
-        for name in TABLE_CACHES:
-            kept = getattr(poly, name).caches[0]
-            info = kept.cache_info()
-            assert info.maxsize <= 4 * poly._TABLE_SHAPES
-            assert info.currsize <= info.maxsize, name
-            assert info.currsize == info.maxsize or not final, name
-        _check_large_tiers(last)
-
-    small, big = RingSpec(("X",), Field(0)), RingSpec(tuple("XYZWUV"), Field(0))
+    built, last = _fresh_tables(monkeypatch, count=16)
+    small = RingSpec(("X",), Field(0))
     four = RingSpec(tuple("XYZW"), Field(0))
     rng = random.Random(5)
-    # comb(4+top, 4) for top = 5..13 runs from 126 to 2,380 monomials
-    shapes = [(small, d) for d in range(4 * poly._TABLE_SHAPES + 10)] + \
-        [(four, rng.randint(5, 13)) for _ in range(40)]
-    for ring, top in shapes:
+
+    def read(ring, top, dtop):
         ring.monomial_index(top)
         ring.rmon_index(top)
         ring.contraction_tables(top)
@@ -855,26 +855,26 @@ def test_table_caches_stay_bounded(monkeypatch):
         ring.dmon_list(top)
         ring.rmon_list(top)
         ring.dual_columns(top)
-        check()
-    check(final=True)
-    assert max(built.values()) > 1  # the budget did evict
-    # one divisor table per r, for at most _TABLE_SHAPES values of r, each
-    # filled to at most _TABLE_MONOMIALS entries; larger ones are not kept
-    wide = [RingSpec(tuple("V%d" % k for k in range(r)), Field(0))
-            for r in range(1, poly._TABLE_SHAPES + 10)]
-    kept = poly._divisors_kept
-    for ring, top in ([(big, 5), (big, 6), (small, 399), (small, 400)]
-                      + [(ring, 1) for ring in wide]):
-        table = ring.divisor_table(top)
-        for m in ring.rmon_index(top):
+        table = ring.divisor_table(dtop)
+        for m in ring.rmon_index(dtop):
             table[m]
-        assert (kept.get(ring.r) is table) == \
-            (comb(ring.r + top, ring.r) <= poly._TABLE_MONOMIALS)
-        assert len(kept) <= poly._TABLE_SHAPES
-        assert all(len(tab) <= poly._TABLE_MONOMIALS
-                   for tab in kept.values())
-    assert len(kept) == poly._TABLE_SHAPES
-    assert big.divisor_table(5) is not big.divisor_table(5)
+        assert sum(len(flat) // 2 for flat in table.values()) <= \
+            _covered("_divisor_table", (ring.r, dtop))
+        _check_tables(last)
+
+    # in one variable, tables for top < 26 weigh at most comb(2+25, 2) =
+    # 351 entries each, far inside the budget: the count binds
+    for top in range(26):
+        read(small, top, top)
+    assert all(len(getattr(poly, name).tables) == 16
+               for name in TABLE_BUILDERS)
+    monkeypatch.setattr(poly, "_TABLE_BUDGET", 2000)
+    # comb(4+top, 4) for top = 5..13 runs from 126 to 2,380 monomials, and
+    # comb(8+top, 8) for top = 0..6 from 1 to 3,003 divisor pairs
+    for _ in range(40):
+        read(four, rng.randint(5, 13), rng.randint(0, 6))
+    assert max(built.values()) > 1  # the budget did evict
+    assert poly._divisor_table.weigh(4, 14) == 319770
 
 
 @pytest.mark.skipif(not hasattr(__import__("sys"), "set_int_max_str_digits"),
